@@ -22,6 +22,7 @@ never add an increment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .java_syntax import nodes as n
 from .java_syntax.lexer import PRIMITIVE_TYPES
@@ -69,9 +70,14 @@ def method_metrics(method: n.MethodDecl) -> MethodMetrics:
     )
 
 
-def cyclomatic_complexity(body: n.Block) -> int:
+def cyclomatic_complexity(body: n.Block, subtree: Callable[[n.Node], Iterable[n.Node]] = n.walk) -> int:
+    """Decision points in body plus one.
+
+    ``subtree`` yields a node and its descendants in walk order; callers
+    holding a prebuilt index pass its lookup instead of re-walking.
+    """
     count = 1
-    for node in n.walk(body):
+    for node in subtree(body):
         if isinstance(node, (n.IfStmt, *_LOOPS, n.Ternary, n.CatchClause)):
             count += 1
         elif isinstance(node, n.SwitchStmt):
@@ -231,11 +237,12 @@ def class_metrics(decl: n.TypeDecl, unit: n.CompilationUnit | None = None) -> Cl
     )
 
 
-def referenced_type_names(decl: n.TypeDecl) -> set[str]:
+def referenced_type_names(decl: n.TypeDecl, subtree: Callable[[n.Node], Iterable[n.Node]] = n.walk) -> set[str]:
     """Distinct simple type names referenced from type positions in a class.
 
     Name-based and per-file: primitives, wildcards, the class's own name, and
-    its type-parameter names are excluded.
+    its type-parameter names are excluded.  ``subtree`` is as for
+    cyclomatic_complexity.
     """
     excluded = {decl.name, "void", "var", ""} | PRIMITIVE_TYPES
     excluded.update(tp.name for tp in decl.type_params)
@@ -257,7 +264,7 @@ def referenced_type_names(decl: n.TypeDecl) -> set[str]:
     for member in decl.members:
         if isinstance(member, n.TypeDecl):
             continue  # nested types count their own references
-        for node in n.walk(member):
+        for node in subtree(member):
             if isinstance(node, n.TypeRef):
                 add(node)
     return names

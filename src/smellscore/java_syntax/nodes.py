@@ -8,6 +8,7 @@ compilation unit and attached to declarations they immediately precede.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -514,12 +515,24 @@ class ClassLiteral(Expr):
 # Generic traversal
 # --------------------------------------------------------------------------
 
+# Field annotations whose values can never hold a Node; their fields are
+# skipped when looking for children.
+_LEAF_ANNOTATIONS = frozenset({"Span", "TokenKind", "str", "str | None", "int", "int | None", "bool", "list[str]"})
+
+
+@functools.cache
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """Names of the fields of a node class that may hold child nodes.
+
+    Keyed on the class, so the cache holds one entry per node class.
+    """
+    return tuple(f.name for f in dataclasses.fields(cls) if f.type not in _LEAF_ANNOTATIONS)
+
+
 def iter_child_nodes(node: Node) -> Iterator[Node]:
     """Yield the direct Node children of a node, in field order."""
-    for f in dataclasses.fields(node):
-        if f.name == "span":
-            continue
-        value = getattr(node, f.name)
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, list):
@@ -529,7 +542,14 @@ def iter_child_nodes(node: Node) -> Iterator[Node]:
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Yield node and all descendants, depth-first, in source order."""
-    yield node
-    for child in iter_child_nodes(node):
-        yield from walk(child)
+    """Yield node and all descendants, depth-first, in source order.
+
+    Iterative, so deeply nested expressions cannot exhaust the call stack.
+    """
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        children = list(iter_child_nodes(current))
+        children.reverse()
+        stack.extend(children)

@@ -10,7 +10,7 @@ recovery, so a report is either built from a complete tree or not at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lexer import (
     COMMENT_KINDS,
@@ -57,6 +57,7 @@ class ParseFailure:
 class ParseOutcome:
     ast: n.CompilationUnit | None = None
     failure: ParseFailure | None = None
+    tokens: list[Token] = field(default_factory=list)  # lossless stream the AST came from; empty on failure
 
     @property
     def ok(self) -> bool:
@@ -79,7 +80,7 @@ def parse(source: SourceFile) -> ParseOutcome:
         return ParseOutcome(failure=ParseFailure(span, e.message))
     try:
         unit = _Parser(tokens).compilation_unit()
-        return ParseOutcome(ast=unit)
+        return ParseOutcome(ast=unit, tokens=tokens)
     except _ParseError as e:
         return ParseOutcome(failure=ParseFailure(e.span, e.message))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -10,12 +11,146 @@ from ..java_syntax.lexer import SourceFile, Span, Token
 from .model import SmellRule, Violation
 
 
+Body = tuple[n.TypeDecl, n.MethodDecl | n.Initializer, n.Block]
+
+
+class FileFacts:
+    """One file's AST, indexed in a single preorder pass for every rule.
+
+    ``nodes`` lists the unit's nodes in the order ``n.walk(unit)`` yields
+    them, so every subtree is a contiguous slice of it that starts at its
+    root.  A subtree walk is therefore a slice, and a typed query on a
+    subtree bisects the sorted positions of that type.  The engine builds
+    one index per parsed file and drops it with the file's RuleContext.
+    """
+
+    def __init__(self, unit: n.CompilationUnit) -> None:
+        nodes: list[n.Node] = []
+        parents: list[int] = []
+        stack: list[tuple[n.Node, int]] = [(unit, -1)]
+        while stack:
+            node, parent = stack.pop()
+            here = len(nodes)
+            nodes.append(node)
+            parents.append(parent)
+            children = [(child, here) for child in n.iter_child_nodes(node)]
+            children.reverse()
+            stack.extend(children)
+        # Descendants follow their ancestors, so one backward sweep settles
+        # every subtree's end before it is propagated to the parent.
+        end = list(range(1, len(nodes) + 1))
+        for i in range(len(nodes) - 1, 0, -1):
+            p = parents[i]
+            if end[i] > end[p]:
+                end[p] = end[i]
+        positions: dict[type, list[int]] = {}
+        for i, node in enumerate(nodes):
+            positions.setdefault(type(node), []).append(i)
+
+        self.unit = unit
+        self.nodes = nodes
+        self._end = end
+        self._parents = parents
+        self._index = {id(node): i for i, node in enumerate(nodes)}
+        self._positions = positions
+        self.types: list[n.TypeDecl] = list(unit.all_types())
+        self.bodies: list[Body] = [
+            (decl, member, member.body)
+            for decl in self.types
+            for member in decl.members
+            if isinstance(member, n.Initializer) or isinstance(member, n.MethodDecl) and member.body is not None
+        ]
+
+    def subtree(self, node: n.Node) -> list[n.Node]:
+        """node and all its descendants, in ``n.walk`` order."""
+        i = self._index[id(node)]
+        return self.nodes[i : self._end[i]]
+
+    def of_type(self, *classes: type, within: n.Node | None = None) -> list[n.Node]:
+        """Nodes whose class is exactly one of ``classes``, in ``n.walk`` order.
+
+        With ``within``, only that node's subtree (the node included) is
+        searched.
+        """
+        if within is None:
+            lo, hi = 0, len(self.nodes)
+        else:
+            lo = self._index[id(within)]
+            hi = self._end[lo]
+        found: list[int] = []
+        for cls in classes:
+            pos = self._positions.get(cls)
+            if pos:
+                found.extend(pos[bisect_left(pos, lo) : bisect_left(pos, hi)])
+        if len(classes) > 1:
+            found.sort()
+        nodes = self.nodes
+        return [nodes[i] for i in found]
+
+    def ancestors(self, node: n.Node) -> Iterator[n.Node]:
+        """The enclosing nodes of node, innermost first."""
+        p = self._parents[self._index[id(node)]]
+        while p >= 0:
+            yield self.nodes[p]
+            p = self._parents[p]
+
+    def parent(self, node: n.Node) -> n.Node | None:
+        return next(self.ancestors(node), None)
+
+    def local_decls(self, body: n.Block) -> Iterator[tuple[n.LocalVarDecl, n.VarDeclarator, str]]:
+        """All local declarations in body with their origin: plain, for, or resource.
+
+        For-init and resource declarations are yielded at their for or try
+        statement, ahead of anything declared inside them.
+        """
+        for node in self.of_type(n.ForStmt, n.TryStmt, n.LocalVarDecl, within=body):
+            if isinstance(node, n.ForStmt):
+                for stmt in node.init:
+                    if isinstance(stmt, n.LocalVarDecl):
+                        for d in stmt.declarators:
+                            yield stmt, d, "for"
+            elif isinstance(node, n.TryStmt):
+                for res in node.resources:
+                    for d in res.declarators:
+                        yield res, d, "resource"
+            elif not self._in_header(node):
+                for d in node.declarators:
+                    yield node, d, "plain"
+
+    def _in_header(self, decl: n.LocalVarDecl) -> bool:
+        """True when decl is a for-init or a try-resource declaration."""
+        owner = self.parent(decl)
+        if isinstance(owner, n.ForStmt):
+            return any(stmt is decl for stmt in owner.init)
+        if isinstance(owner, n.TryStmt):
+            return any(res is decl for res in owner.resources)
+        return False
+
+    def names_used(self, node: n.Node) -> set[str]:
+        """Identifiers read via simple names or member access anywhere below node."""
+        return {
+            sub.identifier if isinstance(sub, n.Name) else sub.name
+            for sub in self.of_type(n.Name, n.FieldAccess, within=node)
+        }
+
+    def simple_names(self, node: n.Node) -> set[str]:
+        """Identifiers used as simple names below node."""
+        return {sub.identifier for sub in self.of_type(n.Name, within=node)}
+
+    def call_names(self, node: n.Node) -> set[str]:
+        return {sub.name for sub in self.of_type(n.MethodCall, n.MethodRef, within=node)}
+
+
 @dataclass
 class RuleContext:
     source: SourceFile
-    unit: n.CompilationUnit
+    facts: FileFacts
     tokens: list[Token]  # lossless stream
     sig: list[Token]  # significant tokens only
+
+    @property
+    def unit(self) -> n.CompilationUnit:
+        return self.facts.unit
 
     def snippet(self, span: Span) -> str:
         return self.source.line_text(span.start_line)
@@ -36,76 +171,6 @@ class RuleContext:
         """True when nothing but whitespace precedes the span on its line."""
         text = self.source.line_text(span.start_line)
         return text[: span.start_col - 1].strip() == ""
-
-
-def bodies(unit: n.CompilationUnit) -> Iterator[tuple[n.TypeDecl, n.MethodDecl | n.Initializer, n.Block]]:
-    """Every executable body in the unit: (owner type, declaration, block)."""
-    for decl in unit.all_types():
-        for member in decl.members:
-            if isinstance(member, n.MethodDecl) and member.body is not None:
-                yield decl, member, member.body
-            elif isinstance(member, n.Initializer):
-                yield decl, member, member.body
-
-
-def blocks_in(body: n.Block) -> Iterator[n.Block]:
-    for node in n.walk(body):
-        if isinstance(node, n.Block):
-            yield node
-
-
-def local_decls(body: n.Block) -> Iterator[tuple[n.LocalVarDecl, n.VarDeclarator, str]]:
-    """All local declarations with their origin: plain, for-init, or resource."""
-    for node in n.walk(body):
-        if isinstance(node, n.ForStmt):
-            for stmt in node.init:
-                if isinstance(stmt, n.LocalVarDecl):
-                    for d in stmt.declarators:
-                        yield stmt, d, "for"
-        elif isinstance(node, n.TryStmt):
-            for res in node.resources:
-                for d in res.declarators:
-                    yield res, d, "resource"
-        elif isinstance(node, n.LocalVarDecl):
-            if _is_for_init_or_resource(node, body):
-                continue
-            for d in node.declarators:
-                yield node, d, "plain"
-
-
-def _is_for_init_or_resource(decl: n.LocalVarDecl, body: n.Block) -> bool:
-    for node in n.walk(body):
-        if isinstance(node, n.ForStmt) and decl in node.init:
-            return True
-        if isinstance(node, n.TryStmt) and decl in node.resources:
-            return True
-    return False
-
-
-def names_used(node: n.Node) -> set[str]:
-    """Identifiers read via simple names or member access anywhere below node."""
-    out: set[str] = set()
-    for sub in n.walk(node):
-        if isinstance(sub, n.Name):
-            out.add(sub.identifier)
-        elif isinstance(sub, n.FieldAccess):
-            out.add(sub.name)
-    return out
-
-
-def simple_names(node: n.Node) -> set[str]:
-    """Identifiers used as simple names below node."""
-    return {sub.identifier for sub in n.walk(node) if isinstance(sub, n.Name)}
-
-
-def call_names(node: n.Node) -> set[str]:
-    out: set[str] = set()
-    for sub in n.walk(node):
-        if isinstance(sub, n.MethodCall):
-            out.add(sub.name)
-        elif isinstance(sub, n.MethodRef):
-            out.add(sub.name)
-    return out
 
 
 def strip_parens(expr: n.Expr) -> n.Expr:

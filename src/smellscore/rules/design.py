@@ -13,18 +13,18 @@ import re
 
 from ..code_metrics import cyclomatic_complexity, referenced_type_names
 from ..java_syntax import nodes as n
-from .context import RuleContext, expr_source_name, simple_names, strip_parens
+from .context import FileFacts, RuleContext, expr_source_name, strip_parens
 from .model import SmellRule, Violation
 
 _ACCESSOR = re.compile(r"^(get|set|is)[A-Z_$].*")
 
 
 def _classes(ctx: RuleContext) -> list[n.TypeDecl]:
-    return [t for t in ctx.unit.all_types() if t.kind == "class"]
+    return [t for t in ctx.facts.types if t.kind == "class"]
 
 
 def _hierarchy_applicable(ctx: RuleContext) -> bool:
-    types = list(ctx.unit.all_types())
+    types = ctx.facts.types
     if len(types) > 1:
         return True
     return any(t.extends or t.implements for t in types)
@@ -40,7 +40,7 @@ def check_god_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
         size = len(decl.methods) + sum(len(f.declarators) for f in decl.fields)
         if size <= max_members:
             continue
-        foreign = _foreign_receivers(decl)
+        foreign = _foreign_receivers(ctx.facts, decl)
         if len(foreign) > max_foreign:
             out.append(
                 ctx.violation(
@@ -51,18 +51,14 @@ def check_god_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     return out
 
 
-def _foreign_receivers(decl: n.TypeDecl) -> set[str]:
+def _foreign_receivers(facts: FileFacts, decl: n.TypeDecl) -> set[str]:
     """Distinct simple-name receivers of member accesses, excluding this/super."""
     out: set[str] = set()
     for member in decl.members:
         if isinstance(member, n.TypeDecl):
             continue
-        for node in n.walk(member):
-            receiver = None
-            if isinstance(node, n.MethodCall) and node.receiver is not None:
-                receiver = node.receiver
-            elif isinstance(node, n.FieldAccess):
-                receiver = node.receiver
+        for node in facts.of_type(n.MethodCall, n.FieldAccess, within=member):
+            receiver = node.receiver
             if receiver is None:
                 continue
             base = strip_parens(receiver)
@@ -160,19 +156,19 @@ def check_broken_modularization(ctx: RuleContext, rule: SmellRule) -> list[Viola
 
 def _reference_edges(ctx: RuleContext) -> dict[str, set[str]]:
     """Type-to-type reference edges within the unit (simple names)."""
-    declared = {t.name for t in ctx.unit.all_types()}
+    declared = {t.name for t in ctx.facts.types}
     edges: dict[str, set[str]] = {name: set() for name in declared}
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         refs: set[str] = set()
         for ref in decl.extends + decl.implements:
             refs.add(ref.simple_name)
         for member in decl.members:
             if isinstance(member, n.TypeDecl):
                 continue  # nested types collect their own edges
-            for node in n.walk(member):
+            for node in ctx.facts.of_type(n.TypeRef, n.Name, within=member):
                 if isinstance(node, n.TypeRef):
                     refs.update(node.referenced_names())
-                elif isinstance(node, n.Name):
+                else:
                     refs.add(node.identifier)
         edges[decl.name] = {r for r in refs & declared if r != decl.name}
     return edges
@@ -193,7 +189,7 @@ def check_cyclically_dependent_modularization(ctx: RuleContext, rule: SmellRule)
                     visited.add(succ)
                     stack.append((succ, path + [succ]))
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         if decl.name in in_cycle:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' takes part in a reference cycle"))
     return out
@@ -208,7 +204,7 @@ def check_hub_like_modularization(ctx: RuleContext, rule: SmellRule) -> list[Vio
         for t in targets:
             fan_in[t] += 1
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         fi = fan_in.get(decl.name, 0)
         fo = len(edges.get(decl.name, ()))
         if fi >= min_in and fo >= min_out:
@@ -224,7 +220,9 @@ def check_insufficient_modularization(ctx: RuleContext, rule: SmellRule) -> list
     for decl in _classes(ctx):
         methods = decl.methods
         public_count = sum(1 for m in methods if "public" in m.modifiers)
-        worst = max((cyclomatic_complexity(m.body) for m in methods if m.body is not None), default=0)
+        worst = max(
+            (cyclomatic_complexity(m.body, ctx.facts.subtree) for m in methods if m.body is not None), default=0
+        )
         if public_count > max_public or len(methods) > max_total or worst > max_cyclo:
             out.append(
                 ctx.violation(
@@ -240,8 +238,8 @@ def check_law_of_demeter(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     max_chain = rule.threshold("max_chain")
     out = []
     flagged: set[int] = set()
-    for node in n.walk(ctx.unit):
-        if not isinstance(node, n.MethodCall) or id(node) in flagged:
+    for node in ctx.facts.of_type(n.MethodCall):
+        if id(node) in flagged:
             continue
         chain = [node]
         current = node.receiver
@@ -279,7 +277,7 @@ def check_coupling_between_objects(ctx: RuleContext, rule: SmellRule) -> list[Vi
     limit = rule.threshold("max_coupling")
     out = []
     for decl in _classes(ctx):
-        count = len(referenced_type_names(decl))
+        count = len(referenced_type_names(decl, ctx.facts.subtree))
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' couples to {count} types (max {limit})"))
     return out
@@ -289,7 +287,7 @@ def check_class_fan_out(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_fan_out")
     out = []
     for decl in _classes(ctx):
-        count = len(referenced_type_names(decl))
+        count = len(referenced_type_names(decl, ctx.facts.subtree))
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' fans out to {count} types (max {limit})"))
     return out
@@ -299,7 +297,7 @@ def check_class_fan_out(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 def check_visibility_modifier(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         if decl.kind == "interface":
             continue
         for member in decl.members:
@@ -342,7 +340,7 @@ def check_deficient_encapsulation(ctx: RuleContext, rule: SmellRule) -> list[Vio
 
 def check_final_parameters(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if isinstance(member, n.MethodDecl):
                 for p in member.params:
@@ -362,7 +360,7 @@ def check_final_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 def check_hidden_field(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         fields = set(decl.field_names())
         if not fields:
             continue
@@ -373,27 +371,25 @@ def check_hidden_field(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
                 if p.name in fields:
                     out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' shadows a field"))
             if member.body is not None:
-                for node in n.walk(member.body):
-                    if isinstance(node, n.LocalVarDecl):
-                        for d in node.declarators:
-                            if d.name in fields:
-                                out.append(ctx.violation(rule, d.name_span, f"local '{d.name}' shadows a field"))
+                for node in ctx.facts.of_type(n.LocalVarDecl, within=member.body):
+                    for d in node.declarators:
+                        if d.name in fields:
+                            out.append(ctx.violation(rule, d.name_span, f"local '{d.name}' shadows a field"))
     return out
 
 
 def check_unexploited_encapsulation(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     min_checks = rule.threshold("min_type_checks")
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if not isinstance(member, n.MethodDecl) or member.body is None:
                 continue
             per_operand: dict[str, int] = {}
-            for node in n.walk(member.body):
-                if isinstance(node, n.InstanceOf):
-                    name = expr_source_name(node.expr)
-                    if name:
-                        per_operand[name] = per_operand.get(name, 0) + 1
+            for node in ctx.facts.of_type(n.InstanceOf, within=member.body):
+                name = expr_source_name(node.expr)
+                if name:
+                    per_operand[name] = per_operand.get(name, 0) + 1
             for name, count in sorted(per_operand.items()):
                 if count >= min_checks:
                     out.append(
@@ -409,7 +405,7 @@ def check_unexploited_encapsulation(ctx: RuleContext, rule: SmellRule) -> list[V
 # ---- hierarchy ---------------------------------------------------------------
 
 def _classes_by_name(ctx: RuleContext) -> dict[str, n.TypeDecl]:
-    return {t.name: t for t in ctx.unit.all_types()}
+    return {t.name: t for t in ctx.facts.types}
 
 
 def _direct_parents(decl: n.TypeDecl, declared: dict[str, n.TypeDecl]) -> list[str]:
@@ -432,7 +428,7 @@ def check_rebellious_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violat
 def _overriding_violations(ctx: RuleContext, rule: SmellRule, want_empty: bool, reason: str) -> list[Violation]:
     declared = _classes_by_name(ctx)
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         if decl.kind != "class" or not decl.extends:
             continue
         parent = declared.get(decl.extends[0].simple_name)
@@ -455,7 +451,7 @@ def check_cyclic_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]
         return []
     declared = _classes_by_name(ctx)
     subtypes: dict[str, set[str]] = {}
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for parent in _direct_parents(decl, declared):
             subtypes.setdefault(parent, set()).add(decl.name)
     # transitive closure of subtypes
@@ -470,12 +466,12 @@ def check_cyclic_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]
         return seen
 
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         subs = descendants(decl.name)
         if not subs:
             continue
-        used = simple_names(decl) | {
-            r for node in n.walk(decl) if isinstance(node, n.TypeRef) for r in node.referenced_names()
+        used = ctx.facts.simple_names(decl) | {
+            r for node in ctx.facts.of_type(n.TypeRef, within=decl) for r in node.referenced_names()
         }
         used -= {s.simple_name for s in decl.extends + decl.implements}
         hits = sorted(subs & used)
@@ -499,28 +495,28 @@ def check_deep_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 
 def check_missing_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    if len(list(ctx.unit.all_types())) < 2:
+    if len(ctx.facts.types) < 2:
         return []
     min_branches = rule.threshold("min_branches")
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if not isinstance(member, n.MethodDecl) or member.body is None:
                 continue
-            if _has_tag_dispatch(member.body, min_branches):
+            if _has_tag_dispatch(ctx.facts, member.body, min_branches):
                 out.append(
                     ctx.violation(rule, member.name_span, f"'{member.name}' dispatches on a tag value; consider a hierarchy")
                 )
     return out
 
 
-def _has_tag_dispatch(body: n.Block, min_branches: int) -> bool:
-    for node in n.walk(body):
+def _has_tag_dispatch(facts: FileFacts, body: n.Block, min_branches: int) -> bool:
+    for node in facts.of_type(n.SwitchStmt, n.IfStmt, within=body):
         if isinstance(node, n.SwitchStmt):
             selector = strip_parens(node.selector)
             if isinstance(selector, (n.Name, n.FieldAccess)) and node.case_label_count() >= min_branches:
                 return True
-        elif isinstance(node, n.IfStmt):
+        else:
             if _equality_chain_length(node) >= min_branches:
                 return True
     return False
@@ -573,7 +569,7 @@ def check_multipath_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violati
         return seen
 
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         parents = _direct_parents(decl, declared)
         if len(parents) < 2:
             continue
@@ -595,11 +591,11 @@ def check_wide_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_width")
     declared = _classes_by_name(ctx)
     width: dict[str, int] = {}
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for parent in _direct_parents(decl, declared):
             width[parent] = width.get(parent, 0) + 1
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         count = width.get(decl.name, 0)
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' has {count} direct subtypes (max {limit})"))
@@ -645,7 +641,7 @@ def check_multifaceted_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Vi
         methods = [m for m in decl.methods if m.body is not None]
         if len(fields) < 2 or len(methods) < 2:
             continue
-        components = _usage_components(fields, methods)
+        components = _usage_components(ctx.facts, fields, methods)
         full = [c for c in components if c["fields"] and c["methods"]]
         if len(full) >= 2:
             out.append(
@@ -654,7 +650,7 @@ def check_multifaceted_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Vi
     return out
 
 
-def _usage_components(fields: list[str], methods: list[n.MethodDecl]) -> list[dict]:
+def _usage_components(facts: FileFacts, fields: list[str], methods: list[n.MethodDecl]) -> list[dict]:
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:
@@ -671,11 +667,12 @@ def _usage_components(fields: list[str], methods: list[n.MethodDecl]) -> list[di
     for m in methods:
         key = f"m:{m.name}/{len(m.params)}"
         shadowed = {p.name for p in m.params}
-        for node in n.walk(m.body):
-            if isinstance(node, n.LocalVarDecl):
-                shadowed.update(d.name for d in node.declarators)
-        plain = simple_names(m.body)
-        this_acc = _this_accesses(m.body)
+        for node in facts.of_type(n.LocalVarDecl, within=m.body):
+            shadowed.update(d.name for d in node.declarators)
+        plain = facts.simple_names(m.body)
+        this_acc = {
+            node.name for node in facts.of_type(n.FieldAccess, within=m.body) if isinstance(node.receiver, n.ThisExpr)
+        }
         used = {f for f in field_set if (f in plain and f not in shadowed) or f in this_acc}
         uses[key] = used
         for f in used:
@@ -691,14 +688,6 @@ def _usage_components(fields: list[str], methods: list[n.MethodDecl]) -> list[di
     return list(groups.values())
 
 
-def _this_accesses(body: n.Block) -> set[str]:
-    out: set[str] = set()
-    for node in n.walk(body):
-        if isinstance(node, n.FieldAccess) and isinstance(node.receiver, n.ThisExpr):
-            out.add(node.name)
-    return out
-
-
 def check_unnecessary_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     for decl in _classes(ctx):
@@ -712,7 +701,7 @@ def check_unnecessary_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Vio
 
 
 def check_unutilized_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    types = list(ctx.unit.all_types())
+    types = ctx.facts.types
     if len(types) < 2:
         return []
     first_top_level = ctx.unit.types[0].name if ctx.unit.types else None

@@ -11,24 +11,16 @@ import re
 
 from ..java_syntax import nodes as n
 from ..java_syntax.lexer import TokenKind
-from .context import (
-    RuleContext,
-    bodies,
-    call_names,
-    expr_source_name,
-    is_bool_literal,
-    local_decls,
-    simple_names,
-    strip_parens,
-)
+from .context import FileFacts, RuleContext, expr_source_name, is_bool_literal, strip_parens
 from .model import SmellRule, Violation
 
 _CONSTANT_NAME = re.compile(r"^[A-Z][A-Z0-9]*(_[A-Z0-9]+)*$")
+_LOOPS = (n.WhileStmt, n.DoWhileStmt, n.ForStmt, n.ForEachStmt)
 
 
-def _declared_names(unit: n.CompilationUnit):
+def _declared_names(facts: FileFacts):
     """(name, span, is_constant) for every declaration the naming rules see."""
-    for decl in unit.all_types():
+    for decl in facts.types:
         yield decl.name, decl.name_span, False
         for member in decl.members:
             if isinstance(member, n.FieldDecl):
@@ -40,13 +32,12 @@ def _declared_names(unit: n.CompilationUnit):
                     yield member.name, member.name_span, False
                 for p in member.params:
                     yield p.name, p.name_span, False
-    for _, _, body in bodies(unit):
-        for _, d, origin in local_decls(body):
+    for _, _, body in facts.bodies:
+        for _, d, origin in facts.local_decls(body):
             if origin != "resource":
                 yield d.name, d.name_span, False
-        for node in n.walk(body):
-            if isinstance(node, n.ForEachStmt):
-                yield node.var_name, node.var_name_span, False
+        for node in facts.of_type(n.ForEachStmt, within=body):
+            yield node.var_name, node.var_name_span, False
 
 
 # ---- inconsistent-naming ---------------------------------------------------
@@ -54,12 +45,12 @@ def _declared_names(unit: n.CompilationUnit):
 def check_local_variable_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for _, _, body in bodies(ctx.unit):
-        for _, d, _ in local_decls(body):
+    for _, _, body in ctx.facts.bodies:
+        for _, d, _ in ctx.facts.local_decls(body):
             if not pattern.match(d.name):
                 out.append(ctx.violation(rule, d.name_span, f"local variable '{d.name}' is not lowerCamelCase"))
-        for node in n.walk(body):
-            if isinstance(node, n.ForEachStmt) and not pattern.match(node.var_name):
+        for node in ctx.facts.of_type(n.ForEachStmt, within=body):
+            if not pattern.match(node.var_name):
                 out.append(ctx.violation(rule, node.var_name_span, f"loop variable '{node.var_name}' is not lowerCamelCase"))
     return out
 
@@ -67,7 +58,7 @@ def check_local_variable_name(ctx: RuleContext, rule: SmellRule) -> list[Violati
 def check_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if isinstance(member, n.MethodDecl):
                 for p in member.params:
@@ -79,7 +70,7 @@ def check_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_method_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for m in decl.methods:
             if not pattern.match(m.name):
                 out.append(ctx.violation(rule, m.name_span, f"method '{m.name}' is not lowerCamelCase"))
@@ -89,7 +80,7 @@ def check_method_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         if not pattern.match(decl.name):
             out.append(ctx.violation(rule, decl.name_span, f"type '{decl.name}' is not UpperCamelCase"))
     return out
@@ -98,7 +89,7 @@ def check_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_generics_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         params = list(decl.type_params)
         for member in decl.members:
             if isinstance(member, n.MethodDecl):
@@ -113,7 +104,7 @@ def check_abbreviation_as_word_in_name(ctx: RuleContext, rule: SmellRule) -> lis
     limit = rule.threshold("max_consecutive_capitals")
     run = re.compile(r"[A-Z]{%d,}" % (limit + 1))
     out = []
-    for name, span, is_constant in _declared_names(ctx.unit):
+    for name, span, is_constant in _declared_names(ctx.facts):
         if is_constant:
             continue
         if run.search(name):
@@ -124,7 +115,7 @@ def check_abbreviation_as_word_in_name(ctx: RuleContext, rule: SmellRule) -> lis
 def check_abstract_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         if decl.kind == "class" and decl.is_abstract and not pattern.match(decl.name):
             out.append(ctx.violation(rule, decl.name_span, f"abstract class '{decl.name}' should be named Abstract..."))
     return out
@@ -133,9 +124,9 @@ def check_abstract_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violati
 def check_catch_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for _, _, body in bodies(ctx.unit):
-        for node in n.walk(body):
-            if isinstance(node, n.CatchClause) and not pattern.match(node.name):
+    for _, _, body in ctx.facts.bodies:
+        for node in ctx.facts.of_type(n.CatchClause, within=body):
+            if not pattern.match(node.name):
                 out.append(ctx.violation(rule, node.name_span, f"catch parameter '{node.name}' breaks the naming convention"))
     return out
 
@@ -143,7 +134,7 @@ def check_catch_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violat
 def check_constant_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if isinstance(member, n.FieldDecl) and (member.is_static_final or decl.kind == "interface"):
                 for d in member.declarators:
@@ -157,7 +148,7 @@ _ILLEGAL_WORDS = frozenset({"var", "record", "yield", "permits", "sealed"})
 
 def check_illegal_identifier_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for name, span, _ in _declared_names(ctx.unit):
+    for name, span, _ in _declared_names(ctx.facts):
         if name.lower() in _ILLEGAL_WORDS:
             out.append(ctx.violation(rule, span, f"'{name}' is a restricted identifier"))
     return out
@@ -167,7 +158,7 @@ def check_illegal_identifier_name(ctx: RuleContext, rule: SmellRule) -> list[Vio
 
 def check_simplify_boolean_expression(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in n.walk(ctx.unit):
+    for node in ctx.facts.of_type(n.Binary, n.Unary):
         if isinstance(node, n.Binary) and node.op in ("==", "!=", "&&", "||"):
             if is_bool_literal(node.left) or is_bool_literal(node.right):
                 out.append(ctx.violation(rule, node.span, f"boolean expression with literal can be simplified"))
@@ -201,9 +192,7 @@ def _instanceof_name(expr: n.Expr, negated: bool) -> str | None:
 
 def check_simplify_conditional(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in n.walk(ctx.unit):
-        if not isinstance(node, n.Binary):
-            continue
+    for node in ctx.facts.of_type(n.Binary):
         if node.op == "&&":
             for a, b in ((node.left, node.right), (node.right, node.left)):
                 name = _null_check(a, "!=")
@@ -231,9 +220,7 @@ def _bool_return(stmt: n.Stmt | None) -> bool:
 
 def check_simplify_boolean_return(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in n.walk(ctx.unit):
-        if not isinstance(node, n.Block):
-            continue
+    for node in ctx.facts.of_type(n.Block):
         stmts = node.statements
         for i, stmt in enumerate(stmts):
             if not isinstance(stmt, n.IfStmt) or not _bool_return(stmt.then):
@@ -247,8 +234,8 @@ def check_simplify_boolean_return(ctx: RuleContext, rule: SmellRule) -> list[Vio
 
 def check_simplified_ternary(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in n.walk(ctx.unit):
-        if isinstance(node, n.Ternary) and (is_bool_literal(node.if_true) or is_bool_literal(node.if_false)):
+    for node in ctx.facts.of_type(n.Ternary):
+        if is_bool_literal(node.if_true) or is_bool_literal(node.if_false):
             out.append(ctx.violation(rule, node.span, "ternary with a boolean-literal branch"))
     return out
 
@@ -267,7 +254,7 @@ def check_line_length(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_method_length(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_method_lines")
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if isinstance(member, n.MethodDecl) and member.body is not None:
                 lines = member.body.span.end_line - member.span.start_line + 1
@@ -279,7 +266,7 @@ def check_method_length(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_excessive_parameter_list(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_parameters")
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if isinstance(member, n.MethodDecl) and len(member.params) > limit:
                 out.append(
@@ -315,7 +302,7 @@ def check_redundant_import(ctx: RuleContext, rule: SmellRule) -> list[Violation]
 
 def check_redundant_modifier(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         if decl.kind == "interface":
             for member in decl.members:
                 if isinstance(member, n.MethodDecl):
@@ -379,8 +366,8 @@ def check_copy_paste(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 def check_missing_switch_default(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in n.walk(ctx.unit):
-        if isinstance(node, n.SwitchStmt) and not node.has_default:
+    for node in ctx.facts.of_type(n.SwitchStmt):
+        if not node.has_default:
             out.append(ctx.violation(rule, node.span, "switch without a default arm"))
     return out
 
@@ -404,13 +391,13 @@ def _is_empty_body(stmt: n.Stmt | None) -> bool:
 
 def check_empty_control_statement(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in n.walk(ctx.unit):
+    for node in ctx.facts.of_type(n.IfStmt, *_LOOPS, n.SwitchStmt, n.Block):
         if isinstance(node, n.IfStmt):
             if _is_empty_body(node.then):
                 out.append(ctx.violation(rule, node.span, "empty if body"))
             if node.orelse is not None and not isinstance(node.orelse, n.IfStmt) and _is_empty_body(node.orelse):
                 out.append(ctx.violation(rule, node.orelse.span, "empty else body"))
-        elif isinstance(node, (n.WhileStmt, n.DoWhileStmt, n.ForStmt, n.ForEachStmt)):
+        elif isinstance(node, _LOOPS):
             if _is_empty_body(node.body):
                 out.append(ctx.violation(rule, node.span, "empty loop body"))
         elif isinstance(node, n.SwitchStmt):
@@ -425,15 +412,15 @@ def check_empty_control_statement(ctx: RuleContext, rule: SmellRule) -> list[Vio
 
 def check_empty_catch_block(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in n.walk(ctx.unit):
-        if isinstance(node, n.CatchClause) and not node.body.statements:
+    for node in ctx.facts.of_type(n.CatchClause):
+        if not node.body.statements:
             out.append(ctx.violation(rule, node.span, f"empty catch block for '{node.name}'"))
     return out
 
 
 def check_empty_block(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in n.walk(ctx.unit):
+    for node in ctx.facts.of_type(n.TryStmt, n.SynchronizedStmt, n.Initializer):
         if isinstance(node, n.TryStmt):
             if not node.body.statements:
                 out.append(ctx.violation(rule, node.body.span, "empty try block"))
@@ -541,19 +528,23 @@ def check_file_tab_character(ctx: RuleContext, rule: SmellRule) -> list[Violatio
 
 def check_need_braces(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in n.walk(ctx.unit):
+    for node in ctx.facts.of_type(n.IfStmt, *_LOOPS):
         if isinstance(node, n.IfStmt):
             if not isinstance(node.then, n.Block):
                 out.append(ctx.violation(rule, node.span, "if body without braces"))
             if node.orelse is not None and not isinstance(node.orelse, (n.Block, n.IfStmt)):
                 out.append(ctx.violation(rule, node.orelse.span, "else body without braces"))
-        elif isinstance(node, (n.WhileStmt, n.ForStmt, n.ForEachStmt, n.DoWhileStmt)):
+        else:
             if not isinstance(node.body, n.Block):
                 out.append(ctx.violation(rule, node.span, "loop body without braces"))
     return out
 
 
 _ATOMS = (n.Literal, n.Name, n.FieldAccess, n.MethodCall, n.Paren, n.ThisExpr, n.SuperExpr, n.ClassLiteral, n.ArrayAccess)
+_PAREN_SITES = (
+    n.Paren, n.ReturnStmt, n.ThrowStmt, n.Assign, n.VarDeclarator, n.IfStmt, n.WhileStmt, n.DoWhileStmt,
+    n.SwitchStmt, n.SynchronizedStmt, n.AssertStmt, n.ForEachStmt, n.MethodCall, n.ArrayAccess,
+)
 
 
 def check_useless_parentheses(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
@@ -563,7 +554,7 @@ def check_useless_parentheses(ctx: RuleContext, rule: SmellRule) -> list[Violati
         if isinstance(expr, n.Paren):
             flagged[id(expr)] = expr
 
-    for node in n.walk(ctx.unit):
+    for node in ctx.facts.of_type(*_PAREN_SITES):
         if isinstance(node, n.Paren) and isinstance(node.expr, _ATOMS):
             flag(node)
         elif isinstance(node, n.ReturnStmt):
@@ -594,22 +585,22 @@ def check_useless_parentheses(ctx: RuleContext, rule: SmellRule) -> list[Violati
     return [ctx.violation(rule, p.span, "parentheses are not needed here") for p in ordered]
 
 
-def _curly_blocks(unit: n.CompilationUnit):
+def _curly_blocks(facts: FileFacts):
     """Blocks whose opening brace should close the preceding header line."""
-    for decl in unit.all_types():
+    for decl in facts.types:
         yield decl.span, decl
         for member in decl.members:
             if isinstance(member, n.MethodDecl) and member.body is not None:
                 yield member.body.span, member
             elif isinstance(member, n.Initializer):
                 yield member.body.span, member
-    for node in n.walk(unit):
+    for node in facts.of_type(n.IfStmt, *_LOOPS, n.TryStmt, n.SynchronizedStmt):
         if isinstance(node, n.IfStmt):
             if isinstance(node.then, n.Block):
                 yield node.then.span, node
             if isinstance(node.orelse, n.Block):
                 yield node.orelse.span, node
-        elif isinstance(node, (n.WhileStmt, n.ForStmt, n.ForEachStmt, n.DoWhileStmt)):
+        elif isinstance(node, _LOOPS):
             if isinstance(node.body, n.Block):
                 yield node.body.span, node
         elif isinstance(node, n.TryStmt):
@@ -625,7 +616,7 @@ def _curly_blocks(unit: n.CompilationUnit):
 def check_left_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     seen: set[tuple[int, int]] = set()
-    for span, node in _curly_blocks(ctx.unit):
+    for span, node in _curly_blocks(ctx.facts):
         if isinstance(node, n.TypeDecl):
             # locate the type body's brace: first '{' token after the name
             brace = _brace_after(ctx, node.name_span)
@@ -660,7 +651,7 @@ def check_right_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
             span = n.Span(closing.span.end_line, closing.span.end_col - 1, closing.span.end_line, closing.span.end_col)
             out.append(ctx.violation(rule, span, f"closing brace should share the line with '{what}'"))
 
-    for node in n.walk(ctx.unit):
+    for node in ctx.facts.of_type(n.IfStmt, n.DoWhileStmt, n.TryStmt):
         if isinstance(node, n.IfStmt) and node.orelse is not None:
             check_pair(node.then, node.orelse.span.start_line, "else")
         elif isinstance(node, n.DoWhileStmt):
@@ -694,13 +685,12 @@ def check_paren_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_method_param_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     name_spans: list[tuple[n.Span, str]] = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if isinstance(member, n.MethodDecl):
                 name_spans.append((member.name_span, member.name))
-    for node in n.walk(ctx.unit):
-        if isinstance(node, n.MethodCall):
-            name_spans.append((node.name_span, node.name))
+    for node in ctx.facts.of_type(n.MethodCall):
+        name_spans.append((node.name_span, node.name))
     for span, name in name_spans:
         offset = ctx.offset_of(span.end_line, span.end_col)
         if offset < len(ctx.source.text) and ctx.source.text[offset] != "(":
@@ -711,16 +701,17 @@ def check_method_param_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]
 def check_variable_declaration_usage_distance(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_distance")
     out = []
-    for node in n.walk(ctx.unit):
-        if not isinstance(node, n.Block):
-            continue
+    for node in ctx.facts.of_type(n.Block):
         stmts = node.statements
+        used: list[set[str] | None] = [None] * len(stmts)
         for i, stmt in enumerate(stmts):
             if not isinstance(stmt, n.LocalVarDecl):
                 continue
             for d in stmt.declarators:
                 for j in range(i + 1, len(stmts)):
-                    if d.name in simple_names(stmts[j]):
+                    if used[j] is None:
+                        used[j] = ctx.facts.simple_names(stmts[j])
+                    if d.name in used[j]:
                         distance = j - i - 1
                         if distance > limit:
                             out.append(
@@ -738,7 +729,7 @@ _ORDER = {"static-field": 1, "field": 2, "constructor": 3, "method": 4}
 
 def check_declaration_order(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         max_seen = 0
         for member in decl.members:
             if isinstance(member, n.FieldDecl):
@@ -779,48 +770,44 @@ def _numeric_value(lit: n.Literal) -> float | int | None:
 def check_magic_number(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     ignore = set(rule.threshold("ignore_numbers"))
     out: list[Violation] = []
-
-    def visit(node: n.Node, exempt: bool) -> None:
-        if isinstance(node, n.FieldDecl):
-            field_exempt = node.is_static_final
-            for child in n.iter_child_nodes(node):
-                visit(child, exempt or field_exempt)
-            return
-        if isinstance(node, n.Unary) and node.op == "-" and node.prefix and isinstance(node.operand, n.Literal):
-            lit = node.operand
-            if lit.kind is TokenKind.NUMBER and not exempt:
-                value = _numeric_value(lit)
-                if value is not None and -value not in ignore:
-                    out.append(ctx.violation(rule, lit.span, f"magic number {node.op}{lit.lexeme}"))
-            return
-        if isinstance(node, n.Literal):
-            if node.kind is TokenKind.NUMBER and not exempt:
-                value = _numeric_value(node)
-                if value is not None and value not in ignore:
-                    out.append(ctx.violation(rule, node.span, f"magic number {node.lexeme}"))
-            return
-        interface_exempt = isinstance(node, n.TypeDecl) and node.kind == "interface"
-        for child in n.iter_child_nodes(node):
-            if interface_exempt and isinstance(child, n.FieldDecl):
-                visit(child, True)
-            else:
-                visit(child, exempt)
-
-    visit(ctx.unit, False)
+    for lit in ctx.facts.of_type(n.Literal):
+        if lit.kind is not TokenKind.NUMBER or _in_constant(ctx.facts, lit):
+            continue
+        value = _numeric_value(lit)
+        if value is None:
+            continue
+        owner = ctx.facts.parent(lit)
+        if isinstance(owner, n.Unary) and owner.op == "-" and owner.prefix:
+            if -value not in ignore:
+                out.append(ctx.violation(rule, lit.span, f"magic number {owner.op}{lit.lexeme}"))
+        elif value not in ignore:
+            out.append(ctx.violation(rule, lit.span, f"magic number {lit.lexeme}"))
     return out
+
+
+def _in_constant(facts: FileFacts, node: n.Node) -> bool:
+    """True inside a static final field or an interface field, where numbers name constants."""
+    inner = None
+    for outer in facts.ancestors(node):
+        if isinstance(inner, n.FieldDecl) and (
+            inner.is_static_final or isinstance(outer, n.TypeDecl) and outer.kind == "interface"
+        ):
+            return True
+        inner = outer
+    return False
 
 
 # ---- dead-code -------------------------------------------------------------
 
 def check_unused_formal_parameter(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if not isinstance(member, n.MethodDecl) or member.is_constructor:
                 continue
             if "private" not in member.modifiers or member.body is None:
                 continue
-            used = simple_names(member.body)
+            used = ctx.facts.simple_names(member.body)
             for p in member.params:
                 if p.name not in used:
                     out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' is never used"))
@@ -829,9 +816,9 @@ def check_unused_formal_parameter(ctx: RuleContext, rule: SmellRule) -> list[Vio
 
 def check_unused_local_variable(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for _, _, body in bodies(ctx.unit):
-        used = simple_names(body)
-        for _, d, origin in local_decls(body):
+    for _, _, body in ctx.facts.bodies:
+        used = ctx.facts.simple_names(body)
+        for _, d, origin in ctx.facts.local_decls(body):
             if origin == "resource":
                 continue
             if d.name not in used:
@@ -841,13 +828,8 @@ def check_unused_local_variable(ctx: RuleContext, rule: SmellRule) -> list[Viola
 
 def check_unused_private_field(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    used: set[str] = set()
-    for node in n.walk(ctx.unit):
-        if isinstance(node, n.Name):
-            used.add(node.identifier)
-        elif isinstance(node, n.FieldAccess):
-            used.add(node.name)
-    for decl in ctx.unit.all_types():
+    used = ctx.facts.names_used(ctx.unit)
+    for decl in ctx.facts.types:
         for member in decl.members:
             if isinstance(member, n.FieldDecl) and "private" in member.modifiers:
                 for d in member.declarators:
@@ -860,8 +842,8 @@ def check_unused_private_field(ctx: RuleContext, rule: SmellRule) -> list[Violat
 
 def check_unused_private_method(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    called = call_names(ctx.unit)
-    for decl in ctx.unit.all_types():
+    called = ctx.facts.call_names(ctx.unit)
+    for decl in ctx.facts.types:
         for m in decl.methods:
             if "private" in m.modifiers and m.name not in called:
                 out.append(ctx.violation(rule, m.name_span, f"private method '{m.name}' is never called"))
@@ -906,14 +888,14 @@ def _is_resource_type(name: str) -> bool:
 
 def check_close_resource(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for _, _, body in bodies(ctx.unit):
+    for _, _, body in ctx.facts.bodies:
         closed: set[str] = set()
-        for node in n.walk(body):
-            if isinstance(node, n.MethodCall) and node.name == "close":
+        for node in ctx.facts.of_type(n.MethodCall, within=body):
+            if node.name == "close":
                 receiver = expr_source_name(node.receiver) if node.receiver is not None else None
                 if receiver:
                     closed.add(receiver.split(".")[-1])
-        for _, d, origin in local_decls(body):
+        for _, d, origin in ctx.facts.local_decls(body):
             if origin == "resource":
                 continue
             init = strip_parens(d.init) if d.init is not None else None
@@ -926,10 +908,9 @@ def check_close_resource(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_avoid_instantiating_objects_in_loops(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     seen: set[int] = set()
     out = []
-    for node in n.walk(ctx.unit):
-        if isinstance(node, (n.WhileStmt, n.DoWhileStmt, n.ForStmt, n.ForEachStmt)):
-            for sub in n.walk(node.body):
-                if isinstance(sub, (n.NewObject, n.NewArray)) and id(sub) not in seen:
+    for node in ctx.facts.of_type(*_LOOPS):
+        for sub in ctx.facts.of_type(n.NewObject, n.NewArray, within=node.body):
+            if id(sub) not in seen:
                     seen.add(id(sub))
                     out.append(ctx.violation(rule, sub.span, "object created inside a loop"))
     return out
@@ -939,7 +920,7 @@ def check_avoid_instantiating_objects_in_loops(ctx: RuleContext, rule: SmellRule
 
 def check_comment_required(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         if decl.kind == "class" and "public" in decl.modifiers and decl.doc is None:
             out.append(ctx.violation(rule, decl.name_span, f"public class '{decl.name}' has no header comment"))
     return out
@@ -971,7 +952,7 @@ def _has_override(member: n.MethodDecl) -> bool:
 
 def check_javadoc_method(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if not isinstance(member, n.MethodDecl):
                 continue
@@ -986,7 +967,7 @@ def check_javadoc_method(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 def check_javadoc_type(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         if decl.visibility() in ("public", "protected"):
             if decl.doc is None or not decl.doc.is_javadoc:
                 out.append(ctx.violation(rule, decl.name_span, f"type '{decl.name}' has no Javadoc"))
@@ -1011,7 +992,7 @@ def check_missing_javadoc_package(ctx: RuleContext, rule: SmellRule) -> list[Vio
 
 def check_javadoc_variable(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.unit.all_types():
+    for decl in ctx.facts.types:
         for member in decl.members:
             if isinstance(member, n.FieldDecl):
                 if member.doc is None or not member.doc.is_javadoc:

@@ -15,12 +15,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus
-from .java_syntax import ParseOutcome, SourceFile, parse, significant, tokenize
+from .java_syntax import ParseOutcome, SourceFile, parse, significant
 from .rules import catalog as catalog_mod
 from .rules import design as design_checks
 from .rules import implementation as impl_checks
 from .rules.catalog import catalog, rule_types
-from .rules.context import RuleContext
+from .rules.context import FileFacts, RuleContext
 from .rules.model import SmellRule, ViolationReport
 
 BASELINE = "baseline"
@@ -65,8 +65,7 @@ def detect_file(
         message = f"{failure.message} at {failure.first_error_span.as_tuple()}"
         return ViolationReport.build(subject, parse_ok=False, violations=[], rule_types=rule_types(), parse_error=message)
 
-    tokens = tokenize(source)
-    ctx = RuleContext(source=source, unit=outcome.ast, tokens=tokens, sig=significant(tokens))
+    ctx = RuleContext(source=source, facts=FileFacts(outcome.ast), tokens=outcome.tokens, sig=significant(outcome.tokens))
 
     violations = []
     for rule in unique.values():

@@ -189,6 +189,14 @@ class TestParse:
         ctor = decl.constructors[0]
         assert ctor.doc is None
 
+    def test_walk_survives_deep_expressions(self):
+        terms = 3000
+        text = "class A {\n    int f(int a) {\n        return " + "+".join(["a"] * terms) + ";\n    }\n}\n"
+        out = parse_text("A.java", text)
+        assert out.ok
+        names = [node for node in n.walk(out.ast) if isinstance(node, n.Name)]
+        assert len(names) == terms
+
     def test_switch_arms_preserve_order(self):
         text = """\
 class A {

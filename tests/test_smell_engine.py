@@ -4,6 +4,7 @@ per-corpus detection, and the single-class silence of hierarchy rules."""
 from __future__ import annotations
 
 import json
+import sys
 
 from smellscore.java_syntax import SourceFile
 from smellscore.rules.catalog import catalog, rule_by_id, rules_for_category, rules_for_type
@@ -111,6 +112,33 @@ class TestDetectFile:
             report = _report(text, rules=hierarchy, path="A.java")
             assert report.parse_ok
             assert report.violations == [], text
+
+
+    def test_tokenizes_each_file_once(self, monkeypatch):
+        from smellscore.java_syntax import lexer, parse
+
+        calls = 0
+        original = lexer.tokenize
+
+        def counting(source):
+            nonlocal calls
+            calls += 1
+            return original(source)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("smellscore") and getattr(module, "tokenize", None) is original:
+                monkeypatch.setattr(module, "tokenize", counting)
+        source = SourceFile.from_text("Messy.java", SMELLY)
+        report = detect_file(source, ("t", "m"))
+        assert calls == 1
+        assert report.parse_ok and report.violations
+        assert detect_file(source, ("t", "m"), outcome=parse(source)) == report
+        assert calls == 2
+
+    def test_deep_expression_is_analyzed(self):
+        report = _report("class A {\n    int f(int a) {\n        return " + "+".join(["a"] * 3000) + ";\n    }\n}\n")
+        assert report.parse_ok
+        assert report.per_rule_counts.get("line-length") == 1
 
 
 class TestDetectCorpus:
