@@ -17,7 +17,6 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -30,7 +29,8 @@ from .corpus import (
     validate_corpus,
 )
 from .llm_gateway import EndpointConfig, run_generation_batch
-from .rules.catalog import catalog, rule_by_id
+from .outputs import write_if_changed
+from .rules.catalog import catalog
 from .rules.model import IMPLEMENTATION_TYPES, DESIGN_TYPES, SmellRule, ViolationReport
 from .scoreboard import (
     RuleSetSelector,
@@ -38,8 +38,9 @@ from .scoreboard import (
     ScoreCard,
     load_scorecards,
     score_scenario,
+    write_scorecards,
 )
-from .smell_engine import BASELINE, detect_corpus, load_report_store
+from .smell_engine import BASELINE, detect_corpus, load_report_store, write_report_store
 from .tool_adapters import ExternalReport, diff_reports, import_reports
 
 
@@ -80,15 +81,20 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from e
-        return cls(
-            corpus_path=Path(doc["corpus"]),
-            out_dir=Path(doc["out"]),
-            subjects=list(doc.get("subjects", [])),
-            scenarios=[ScenarioSelector.parse(s) for s in doc.get("scenarios", ["all"])],
-            rulesets=[RuleSetSelector.parse(r) for r in doc.get("rulesets", ["all"])],
-            threshold_overrides=doc.get("thresholds", {}),
-            parallelism=int(doc.get("jobs", 1)),
-        )
+        try:
+            return cls(
+                corpus_path=Path(doc["corpus"]),
+                out_dir=Path(doc["out"]),
+                subjects=list(doc.get("subjects", [])),
+                scenarios=[ScenarioSelector.parse(s) for s in doc.get("scenarios", ["all"])],
+                rulesets=[RuleSetSelector.parse(r) for r in doc.get("rulesets", ["all"])],
+                threshold_overrides=doc.get("thresholds", {}),
+                parallelism=int(doc.get("jobs", 1)),
+            )
+        except KeyError as e:
+            raise ConfigError(f"config file {path} is missing {e.args[0]!r}") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"config file {path}: {e}") from e
 
 
 @dataclass
@@ -109,20 +115,6 @@ class RunSummary:
         }
 
 
-def _write_if_changed(path: Path, text: str) -> bool:
-    """Write only when bytes differ; returns True when the file changed."""
-    data = text.encode("utf-8")
-    if path.exists() and path.read_bytes() == data:
-        return False
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    return True
-
-
-def _json_text(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _load_corpus(path: Path) -> Corpus:
     try:
         return load_manifest(path)
@@ -140,21 +132,12 @@ def run_analyze(config: RunConfig, summary: RunSummary) -> dict[str, dict[str, V
     corpus = _load_corpus(config.corpus_path)
     subjects = config.subjects or [BASELINE, *sorted(corpus.models)]
     reports = detect_corpus(corpus, subjects, rules=config.rules(), jobs=config.parallelism)
-
-    for subject in sorted(reports):
-        subject_dir = config.out_dir / "reports" / subject
-        failures = []
-        for task_id in sorted(reports[subject]):
-            report = reports[subject][task_id]
-            changed = _write_if_changed(subject_dir / f"{task_id}.json", _json_text(report.to_json()))
-            summary.reports_written += 1
-            summary.files_changed += int(changed)
-            if not report.parse_ok:
-                failures.append({"task_id": task_id, "error": report.parse_error})
-        changed = _write_if_changed(subject_dir / "_failures.json", _json_text(failures))
-        summary.files_changed += int(changed)
-        if failures:
-            summary.parse_failures[subject] = [f["task_id"] for f in failures]
+    summary.files_changed += write_report_store(reports, config.out_dir)
+    for subject, by_task in reports.items():
+        summary.reports_written += len(by_task)
+        failed = sorted(task_id for task_id, report in by_task.items() if not report.parse_ok)
+        if failed:
+            summary.parse_failures[subject] = failed
     return reports
 
 
@@ -170,11 +153,8 @@ def run_score(config: RunConfig, summary: RunSummary, reports=None) -> list[Scor
         for ruleset in config.rulesets:
             cards = score_scenario(corpus, reports, scenario, ruleset, subjects)
             all_cards.extend(cards)
-            doc = [c.to_json() for c in sorted(cards, key=lambda c: (c.scenario, c.subject))]
-            path = config.out_dir / "scores" / scenario.label / f"{ruleset.label}.json"
-            changed = _write_if_changed(path, _json_text(doc))
             summary.scorecards_written += len(cards)
-            summary.files_changed += int(changed)
+            summary.files_changed += write_scorecards(cards, config.out_dir, scenario.label, ruleset.label)
     return all_cards
 
 
@@ -251,7 +231,7 @@ def emit_heatmap(
     out = []
     for kind, suffix in (("vs", "vs"), ("increase", "increase")):
         path = out_dir / "heatmaps" / f"{row_kind}_{suffix}.csv"
-        changed = _write_if_changed(path, render(kind))
+        changed = write_if_changed(path, render(kind))
         out.append((path, changed))
     return out
 
@@ -390,8 +370,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ConfigError("--subject must look like task_id:model_id")
         externals = [ExternalReport(format=args.format, path=p) for p in args.inputs]
         result = import_reports(externals, subject=(task_id, model_id), source_path=args.source)
-        subject_dir = args.out / "reports" / model_id
-        _write_if_changed(subject_dir / f"{task_id}.json", _json_text(result.report.to_json()))
+        write_report_store({model_id: {task_id: result.report}}, args.out)
         print(json.dumps(
             {"violations": result.report.total_violations, "unmapped": result.unmapped_count},
             sort_keys=True,

@@ -83,12 +83,6 @@ class Corpus:
         if not self.tasks:
             raise ManifestSyntaxError("corpus has no tasks")
 
-    def task(self, task_id: str) -> CodingTask:
-        for t in self.tasks:
-            if t.task_id == task_id:
-                return t
-        raise KeyError(task_id)
-
     def resolve(self, rel_path: str) -> Path:
         return self.root / Path(rel_path)
 

@@ -4,21 +4,22 @@ descriptive statistics used in reports.
 All score arithmetic is exact rational arithmetic; floats appear only in the
 correlation and dispersion helpers where square roots are unavoidable.
 Solutions that failed to parse are excluded from both the numerator and the
-denominator of every score and surface separately as a failure rate.
+denominator of every score; the report store lists them in _failures.json.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .corpus import CodingTask, Corpus
+from .outputs import json_text, write_if_changed
 from .rules.catalog import catalog, rules_for_category, rules_for_type
-from .rules.model import SmellRule, ViolationReport
+from .rules.model import ALL_TYPES, SmellRule, ViolationReport
 
 
 class EmptyScenarioError(Exception):
@@ -120,7 +121,10 @@ class RuleSetSelector:
         if text in ("implementation", "design"):
             return cls(kind="by_category", category=text)
         if text.startswith("type:"):
-            return cls(kind="by_type", smell_type=text.split(":", 1)[1])
+            smell_type = text.split(":", 1)[1]
+            if smell_type not in ALL_TYPES:
+                raise ValueError(f"unknown smell type {smell_type!r}")
+            return cls(kind="by_type", smell_type=smell_type)
         raise ValueError(f"unknown ruleset {text!r}")
 
 
@@ -193,16 +197,21 @@ def partition(corpus: Corpus, selector: ScenarioSelector) -> list[tuple[str, lis
 def compute_vs(reports: Iterable[ViolationReport], rules: Sequence[SmellRule] | set[str]) -> Fraction:
     """Average rule violations per analyzed (parse-clean) solution."""
     rule_ids = {r.rule_id for r in rules} if not isinstance(rules, set) else rules
-    total = 0
-    analyzed = 0
-    for report in reports:
-        if not report.parse_ok:
-            continue
-        analyzed += 1
-        total += report.count_for_rules(rule_ids)
+    total, analyzed = _tally(reports, rule_ids)
     if analyzed == 0:
         raise EmptyScenarioError("no analyzable solutions in scenario")
     return Fraction(total, analyzed)
+
+
+def _tally(reports: Iterable[ViolationReport], rule_ids: set[str]) -> tuple[int, int]:
+    """(violations of the given rules, parse-clean reports) over a collection."""
+    total = 0
+    analyzed = 0
+    for report in reports:
+        if report.parse_ok:
+            analyzed += 1
+            total += report.count_for_rules(rule_ids)
+    return total, analyzed
 
 
 def compute_baseline_vs(reference_reports: Iterable[ViolationReport], rules: Sequence[SmellRule] | set[str]) -> Fraction:
@@ -299,14 +308,10 @@ def score_scenario(
             baseline_vs = None
 
         for subject in subjects:
-            subject_reports = _select(reports.get(subject, {}), task_ids)
-            if not subject_reports:
-                continue
-            analyzed = [r for r in subject_reports if r.parse_ok]
+            total, analyzed = _tally(_select(reports.get(subject, {}), task_ids), rule_ids)
             if not analyzed:
                 continue
-            total = sum(r.count_for_rules(rule_ids) for r in analyzed)
-            vs = Fraction(total, len(analyzed))
+            vs = Fraction(total, analyzed)
             increase: Fraction | None = None
             if baseline_vs is not None and baseline_vs > 0:
                 increase = compute_increase(vs, baseline_vs)
@@ -316,7 +321,7 @@ def score_scenario(
                     scenario=f"{scenario.label}/{label}",
                     ruleset=ruleset.label,
                     n_tasks=len(tasks),
-                    n_analyzed=len(analyzed),
+                    n_analyzed=analyzed,
                     total_violations=total,
                     vs=vs,
                     baseline_vs=baseline_vs,
@@ -330,12 +335,12 @@ def _select(by_task: dict[str, ViolationReport], task_ids: Sequence[str]) -> lis
     return [by_task[t] for t in task_ids if t in by_task]
 
 
-def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: str, ruleset: str) -> Path:
+def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: str, ruleset: str) -> bool:
+    """Persist one (scenario, ruleset) cell grid in canonical order, only when
+    its bytes change; returns True when the file changed."""
     path = Path(out_dir) / "scores" / scenario / f"{ruleset}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = [c.to_json() for c in sorted(cards, key=lambda c: (c.scenario, c.subject))]
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return write_if_changed(path, json_text(doc))
 
 
 def load_scorecards(path: str | Path) -> list[ScoreCard]:
@@ -441,14 +446,3 @@ def top_smells(reports_by_subject: dict[str, Iterable[ViolationReport]], smell_t
     ]
     out.sort(key=lambda s: (-s.weight, s.rule_id))
     return out
-
-
-def failure_rate(reports: Iterable[ViolationReport]) -> tuple[int, int]:
-    """(failed, total) parse outcomes for a report collection."""
-    failed = 0
-    total = 0
-    for r in reports:
-        total += 1
-        if not r.parse_ok:
-            failed += 1
-    return failed, total

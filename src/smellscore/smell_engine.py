@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .corpus import Corpus
 from .java_syntax import ParseOutcome, SourceFile, parse, significant
-from .rules import catalog as catalog_mod
+from .outputs import json_text, write_if_changed
 from .rules import design as design_checks
 from .rules import implementation as impl_checks
 from .rules.catalog import catalog, rule_types
@@ -62,8 +62,7 @@ def detect_file(
         outcome = parse(source)
     if not outcome.ok:
         failure = outcome.failure
-        message = f"{failure.message} at {failure.first_error_span.as_tuple()}"
-        return ViolationReport.build(subject, parse_ok=False, violations=[], rule_types=rule_types(), parse_error=message)
+        return _failure_report(subject, f"{failure.message} at {failure.first_error_span.as_tuple()}")
 
     ctx = RuleContext(source=source, facts=FileFacts(outcome.ast), tokens=outcome.tokens, sig=significant(outcome.tokens))
 
@@ -76,6 +75,10 @@ def detect_file(
     return ViolationReport.build(subject, parse_ok=True, violations=violations, rule_types=rule_types())
 
 
+def _failure_report(subject: tuple[str, str], message: str) -> ViolationReport:
+    return ViolationReport.build(subject, parse_ok=False, violations=[], rule_types=rule_types(), parse_error=message)
+
+
 def detect_corpus(
     corpus: Corpus,
     subjects: Iterable[str],
@@ -85,9 +88,9 @@ def detect_corpus(
 ) -> dict[str, dict[str, ViolationReport]]:
     """One report per (subject, task).  Subjects are model ids or 'baseline'.
 
-    Per-file parse failures are recorded in the reports, never raised.  When
-    out_dir is given the reports are persisted in canonical order so results
-    are independent of worker scheduling.
+    Per-file parse and decode failures are recorded in the reports, never
+    raised.  When out_dir is given the reports are persisted in canonical
+    order so results are independent of worker scheduling.
     """
     work: list[tuple[str, str, Path]] = []
     for subject in sorted(set(subjects)):
@@ -103,7 +106,10 @@ def detect_corpus(
 
     def run(item: tuple[str, str, Path]) -> tuple[str, str, ViolationReport]:
         subject, task_id, path = item
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            return subject, task_id, _failure_report((task_id, subject), f"source is not valid UTF-8: {e}")
         source = SourceFile.from_text(str(path), text)
         return subject, task_id, detect_file(source, (task_id, subject), rules)
 
@@ -125,25 +131,20 @@ def detect_corpus(
 # Report store
 # --------------------------------------------------------------------------
 
-def write_report_store(results: dict[str, dict[str, ViolationReport]], out_dir: str | Path) -> list[Path]:
-    """Persist reports deterministically; returns the files written."""
+def write_report_store(results: dict[str, dict[str, ViolationReport]], out_dir: str | Path) -> int:
+    """Persist reports in canonical order, each file only when its bytes
+    change; returns how many files changed."""
     base = Path(out_dir) / "reports"
-    written: list[Path] = []
+    changed = 0
     for subject in sorted(results):
-        subject_dir = base / subject
-        subject_dir.mkdir(parents=True, exist_ok=True)
         failures: list[dict] = []
         for task_id in sorted(results[subject]):
             report = results[subject][task_id]
-            path = subject_dir / f"{task_id}.json"
-            _write_json(path, report.to_json())
-            written.append(path)
+            changed += write_if_changed(base / subject / f"{task_id}.json", json_text(report.to_json()))
             if not report.parse_ok:
                 failures.append({"task_id": task_id, "error": report.parse_error})
-        failure_path = subject_dir / "_failures.json"
-        _write_json(failure_path, failures)
-        written.append(failure_path)
-    return written
+        changed += write_if_changed(base / subject / "_failures.json", json_text(failures))
+    return changed
 
 
 def load_report_store(out_dir: str | Path) -> dict[str, dict[str, ViolationReport]]:
@@ -160,7 +161,3 @@ def load_report_store(out_dir: str | Path) -> dict[str, dict[str, ViolationRepor
             doc = json.loads(report_path.read_text(encoding="utf-8"))
             results[subject][report_path.stem] = ViolationReport.from_json(doc)
     return results
-
-
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -19,7 +19,7 @@ import csv
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 from .java_syntax import SourceFile, parse
 from .java_syntax.lexer import Span
@@ -44,7 +44,6 @@ class UnknownDetectorError(Exception):
 class ExternalReport:
     format: str
     path: Path
-    detector_version: str | None = None
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:

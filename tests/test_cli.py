@@ -6,6 +6,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from smellscore.cli import main
 from smellscore.scoreboard import load_scorecards
 
@@ -88,6 +90,28 @@ class TestRun:
 
     def test_bad_scenario_is_config_error(self, tmp_path):
         assert run(["run", "--corpus", str(MINI), "--out", str(tmp_path), "--scenario", "bogus"]) == 1
+
+    def _run_config(self, tmp_path, doc) -> int:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        return run(["run", "--config", str(config)])
+
+    @pytest.mark.parametrize("missing", ["corpus", "out"])
+    def test_config_missing_key_is_config_error(self, tmp_path, capsys, missing):
+        doc = {"corpus": str(MINI), "out": str(tmp_path / "out")}
+        del doc[missing]
+        assert self._run_config(tmp_path, doc) == 1
+        assert capsys.readouterr().err.startswith(f"config error: config file {tmp_path / 'run.json'} is missing '{missing}'")
+
+    def test_config_non_integer_jobs_is_config_error(self, tmp_path, capsys):
+        assert self._run_config(tmp_path, {"corpus": str(MINI), "out": str(tmp_path / "out"), "jobs": "x"}) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_unknown_smell_type_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["run", "--corpus", str(MINI), "--out", str(out), "--ruleset", "type:nope"]) == 1
+        assert capsys.readouterr().err == "config error: unknown smell type 'nope'\n"
+        assert not out.exists()
 
 
 class TestHeatmaps:

@@ -27,8 +27,10 @@ from smellscore.scoreboard import (
     dispersion,
     partition,
     pearson,
+    load_scorecards,
     rank_topics,
     top_smells,
+    write_scorecards,
     ScoreCard,
 )
 
@@ -270,6 +272,23 @@ class TestTopSmells:
         reports = {"m1": [report({"unused-import": 7, "unused-private-field": 2, "unused-local-variable": 3})]}
         out = top_smells(reports, "dead-code")
         assert sum(s.weight for s in out) == 1
+
+
+class TestScorecardStore:
+    def test_identical_rewrite_leaves_file_alone(self, tmp_path):
+        cards = [card("Inheritance", 3, increase=2), card("String", 1)]
+        assert write_scorecards(cards, tmp_path, "topic", "all") is True
+        path = tmp_path / "scores" / "topic" / "all.json"
+        before = path.stat().st_mtime_ns
+        assert write_scorecards(list(reversed(cards)), tmp_path, "topic", "all") is False
+        assert path.stat().st_mtime_ns == before
+        assert load_scorecards(path) == cards
+        assert write_scorecards(cards[:1], tmp_path, "topic", "all") is True
+
+    def test_unknown_smell_type_is_rejected_when_parsed(self):
+        assert RuleSetSelector.parse("type:magic-number").smell_type == "magic-number"
+        with pytest.raises(ValueError, match="unknown smell type"):
+            RuleSetSelector.parse("type:nope")
 
 
 class TestPerTypeConsistency:

@@ -180,6 +180,27 @@ class TestDetectCorpus:
         parallel = detect_corpus(corpus, [BASELINE, "m1"], jobs=4)
         assert serial == parallel
 
+    def test_non_utf8_source_is_a_recorded_failure(self, tmp_path):
+        corpus = self._fixture(tmp_path)
+        (tmp_path / "solutions" / "m1" / "T5.java").write_bytes(b'class A { String s = "caf\xe9"; }\n')
+        out = tmp_path / "out"
+        results = detect_corpus(corpus, [BASELINE, "m1"], out_dir=out)
+        report = results["m1"]["T5"]
+        assert not report.parse_ok and report.violations == []
+        assert "UTF-8" in report.parse_error
+        roster = json.loads((out / "reports" / "m1" / "_failures.json").read_text())
+        assert [r["task_id"] for r in roster] == ["T3", "T5"]
+        assert results["m1"]["T4"].parse_ok
+
+    def test_rewrite_counts_only_changed_files(self, tmp_path):
+        corpus = self._fixture(tmp_path)
+        results = detect_corpus(corpus, [BASELINE, "m1"])
+        out = tmp_path / "out"
+        assert write_report_store(results, out) == 22  # 2 subjects x (10 reports + roster)
+        assert write_report_store(results, out) == 0
+        results["m1"]["T0"] = results["m1"]["T1"]
+        assert write_report_store(results, out) == 1
+
     def test_store_round_trip(self, tmp_path):
         corpus = self._fixture(tmp_path)
         results = detect_corpus(corpus, [BASELINE, "m1"])
