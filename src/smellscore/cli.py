@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -65,6 +65,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        known = {rule.rule_id: rule.thresholds for rule in catalog()}
+        for rule_id, overrides in self.threshold_overrides.items():
+            if rule_id not in known:
+                raise ConfigError(f"unknown rule id in thresholds: {rule_id!r}")
+            for key in overrides:
+                if key not in known[rule_id]:
+                    raise ConfigError(f"unknown threshold {key!r} for rule {rule_id!r}")
 
     def rules(self) -> list[SmellRule]:
         out = []
@@ -288,8 +295,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             config.rulesets = [RuleSetSelector.parse(r) for r in args.ruleset]
         except ValueError as e:
             raise ConfigError(str(e)) from e
-    if getattr(args, "jobs", None):
-        config.parallelism = args.jobs
+    if getattr(args, "jobs", None) is not None:
+        config = replace(config, parallelism=args.jobs)  # replace() runs __post_init__ again
     if not config.corpus_path.exists():
         raise ConfigError(f"corpus not found: {config.corpus_path}")
     return config

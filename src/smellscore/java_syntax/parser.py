@@ -78,11 +78,14 @@ def parse(source: SourceFile) -> ParseOutcome:
     except LexError as e:
         span = Span(e.line, e.col, e.line, e.col + 1)
         return ParseOutcome(failure=ParseFailure(span, e.message))
+    parser = _Parser(tokens)
     try:
-        unit = _Parser(tokens).compilation_unit()
-        return ParseOutcome(ast=unit, tokens=tokens)
+        return ParseOutcome(ast=parser.compilation_unit(), tokens=tokens)
     except _ParseError as e:
-        return ParseOutcome(failure=ParseFailure(e.span, e.message))
+        error = e
+    except RecursionError:  # located at the token the parser had reached
+        error = parser.error("nesting too deep")
+    return ParseOutcome(failure=ParseFailure(error.span, error.message))
 
 
 def parse_text(path: str, text: str) -> ParseOutcome:
@@ -101,6 +104,7 @@ class _Parser:
                 self.toks.append(t)
                 self.full_index.append(i)
         self.i = 0
+        self.splits: list[tuple[int, Token]] = []  # (index, token) of each split '>>', for _attempt to undo
         self.comments = [
             n.Comment(span=t.span, kind=t.kind, text=t.lexeme) for t in all_tokens if t.kind in COMMENT_KINDS
         ]
@@ -145,6 +149,12 @@ class _Parser:
         self.i += 1
         return t
 
+    def here(self) -> Span:
+        """The current token's span; end of file is a parse error."""
+        if self.peek() is None:
+            raise self.error("unexpected end of file")
+        return self.peek().span
+
     def error(self, message: str) -> _ParseError:
         t = self.peek()
         span = t.span if t else (self.toks[-1].span if self.toks else Span(1, 1, 1, 1))
@@ -168,41 +178,33 @@ class _Parser:
                 t.lexeme[1:],
                 Span(t.span.start_line, t.span.start_col + 1, t.span.end_line, t.span.end_col),
             )
-            self.toks[self.i] = rest
+            self.splits.append((self.i, t))
+            self.toks[self.i : self.i + 1] = [head, rest]
             self.full_index.insert(self.i, self.full_index[self.i])
-            return head
+            return self.next()
         raise self.error("expected '>'")
 
-    def preceding_comment(self, tok_index: int) -> n.Comment | None:
-        """The comment directly above a declaration, if any.
-
-        Annotations and whitespace may sit between the comment and the token.
-        """
-        j = self.full_index[tok_index] - 1 if tok_index < len(self.full_index) else len(self.all_tokens) - 1
-        depth = 0
-        while j >= 0:
-            t = self.all_tokens[j]
-            if t.kind is TokenKind.WHITESPACE:
-                j -= 1
-                continue
-            if t.kind in COMMENT_KINDS:
-                return n.Comment(span=t.span, kind=t.kind, text=t.lexeme)
-            # Skip over a trailing annotation: ... @ Name ( ... )
-            if t.lexeme == ")" and depth == 0:
-                depth = 1
-                j -= 1
-                continue
-            if depth > 0:
-                if t.lexeme == ")":
-                    depth += 1
-                elif t.lexeme == "(":
-                    depth -= 1
-                j -= 1
-                continue
-            if t.kind is TokenKind.IDENTIFIER or t.lexeme == "@" or t.lexeme in MODIFIER_WORDS:
-                j -= 1
-                continue
+    def _attempt(self, rule):
+        """The result of ``rule()``, or None with the position and any '>>' splits undone."""
+        i, splits = self.i, len(self.splits)
+        try:
+            return rule()
+        except _ParseError:
+            while len(self.splits) > splits:
+                j, t = self.splits.pop()
+                self.toks[j : j + 2] = [t]
+                del self.full_index[j]
+            self.i = i
             return None
+
+    def preceding_comment(self, tok_index: int) -> n.Comment | None:
+        """The comment directly above a declaration's first token, if only whitespace parts them."""
+        j = self.full_index[tok_index] - 1
+        while j >= 0 and self.all_tokens[j].kind is TokenKind.WHITESPACE:
+            j -= 1
+        if j >= 0 and self.all_tokens[j].kind in COMMENT_KINDS:
+            t = self.all_tokens[j]
+            return n.Comment(span=t.span, kind=t.kind, text=t.lexeme)
         return None
 
     def span_between(self, start: Span, end: Span) -> Span:
@@ -221,6 +223,8 @@ class _Parser:
             name = self.qualified_name()
             end = self.expect(";")
             package = n.PackageDecl(span=self.span_between(pkg_tok.span, end.span), name=name)
+        else:
+            self.i = 0  # no package: the annotations open the first type declaration
 
         while self.at("import"):
             imp_tok = self.next()
@@ -531,7 +535,7 @@ class _Parser:
         )
 
     def parse_param(self) -> n.Param:
-        start = self.peek().span
+        start = self.here()
         anns = self.parse_annotations()
         mods: list[str] = []
         while self.at("final"):
@@ -565,7 +569,7 @@ class _Parser:
         self.expect("<")
         params: list[n.TypeParam] = []
         while True:
-            start = self.peek().span
+            start = self.here()
             self.parse_annotations()
             name_tok = self.expect_ident()
             bounds: list[n.TypeRef] = []
@@ -596,15 +600,6 @@ class _Parser:
         if t.lexeme in PRIMITIVE_TYPES and t.kind is TokenKind.KEYWORD:
             self.next()
             ref = n.TypeRef(span=t.span, name=t.lexeme)
-        elif t.lexeme == "?":
-            self.next()
-            ref = n.TypeRef(span=t.span, name="?")
-            if self.at("extends") or self.at("super"):
-                kind = self.next().lexeme
-                ref.bound_kind = kind
-                ref.bound = self.parse_type()
-                ref.span = self.span_between(t.span, ref.bound.span)
-            return ref
         elif t.kind is TokenKind.IDENTIFIER:
             start = t.span
             name = self.qualified_name()
@@ -628,12 +623,26 @@ class _Parser:
         if self.at(">") or (self.peek() and self.peek().lexeme.startswith(">")):
             self.split_gt()  # diamond <>
             return args
-        args.append(self.parse_type())
+        args.append(self.parse_type_arg())
         while self.at(","):
             self.next()
-            args.append(self.parse_type())
+            args.append(self.parse_type_arg())
         self.split_gt()
         return args
+
+    def parse_type_arg(self) -> n.TypeRef:
+        """A type, or a wildcard: '?' with an optional bound."""
+        self.parse_annotations()
+        t = self.peek()
+        if t is None or t.lexeme != "?":
+            return self.parse_type()
+        self.next()
+        ref = n.TypeRef(span=t.span, name="?")
+        if self.at("extends") or self.at("super"):
+            ref.bound_kind = self.next().lexeme
+            ref.bound = self.parse_type()
+            ref.span = self.span_between(t.span, ref.bound.span)
+        return ref
 
     # ---- statements -------------------------------------------------------------
 
@@ -717,8 +726,9 @@ class _Parser:
             stmt = self.statement()
             return n.LabeledStmt(span=self.span_between(label_tok.span, stmt.span), label=label_tok.lexeme, stmt=stmt)
 
-        if self._looks_like_local_var_decl():
-            decl = self.local_var_decl()
+        head = self._attempt(self.local_var_head)
+        if head is not None:
+            decl = self.local_var_declarators(head)
             end = self.expect(";")
             decl.span = self.span_between(decl.span, end.span)
             return decl
@@ -774,24 +784,17 @@ class _Parser:
         tok = self.expect("for")
         self.expect("(")
 
-        if self._looks_like_foreach():
-            start = self.peek().span
-            anns = self.parse_annotations()
-            mods = []
-            while self.at("final"):
-                self.next()
-                mods.append("final")
-            var_type = self.parse_type()
-            name_tok = self.expect_ident()
-            self.expect(":")
+        head = self._attempt(self.local_var_head)
+        if head is not None and self.at(":"):
+            decl, name_tok = head
+            self.next()
             iterable = self.expression()
             self.expect(")")
             body = self.statement()
-            del anns, start
             return n.ForEachStmt(
                 span=self.span_between(tok.span, body.span),
-                var_modifiers=mods,
-                var_type=var_type,
+                var_modifiers=decl.modifiers,
+                var_type=decl.type,
                 var_name=name_tok.lexeme,
                 var_name_span=name_tok.span,
                 iterable=iterable,
@@ -799,16 +802,15 @@ class _Parser:
             )
 
         init: list[n.Stmt] = []
-        if not self.at(";"):
-            if self._looks_like_local_var_decl():
-                init.append(self.local_var_decl())
-            else:
+        if head is not None:
+            init.append(self.local_var_declarators(head))
+        elif not self.at(";"):
+            expr = self.expression()
+            init.append(n.ExprStmt(span=expr.span, expr=expr))
+            while self.at(","):
+                self.next()
                 expr = self.expression()
                 init.append(n.ExprStmt(span=expr.span, expr=expr))
-                while self.at(","):
-                    self.next()
-                    expr = self.expression()
-                    init.append(n.ExprStmt(span=expr.span, expr=expr))
         self.expect(";")
 
         cond = None
@@ -826,103 +828,12 @@ class _Parser:
         body = self.statement()
         return n.ForStmt(span=self.span_between(tok.span, body.span), init=init, cond=cond, update=update, body=body)
 
-    def _looks_like_foreach(self) -> bool:
-        """Scan ahead inside 'for (' for a ':' before ';' at paren depth 0."""
-        depth = 0
-        angle = 0
-        j = 0
-        while True:
-            t = self.peek(j)
-            if t is None:
-                return False
-            lex = t.lexeme
-            if lex in ("(", "["):
-                depth += 1
-            elif lex in (")", "]"):
-                if depth == 0:
-                    return False
-                depth -= 1
-            elif lex == "<":
-                angle += 1
-            elif lex in (">", ">>", ">>>") and angle > 0:
-                angle = max(0, angle - len(lex))
-            elif lex == ";" and depth == 0:
-                return False
-            elif lex == ":" and depth == 0 and angle == 0:
-                return True
-            elif lex == "?":
-                # wildcard inside generics is fine; conditional would confuse
-                if angle == 0:
-                    return False
-            j += 1
+    def local_var_head(self) -> tuple[n.LocalVarDecl, Token]:
+        """Annotations and 'final', a type, then the first variable's name.
 
-    def _looks_like_local_var_decl(self) -> bool:
-        """True when the upcoming tokens read as 'Mods? Type Ident'."""
-        j = 0
-        while True:
-            t = self.peek(j)
-            if t is None:
-                return False
-            if t.lexeme == "@":
-                # skip annotation: @ Name (.Name)* ( balanced )?
-                j += 2
-                while self.at(".", j):
-                    j += 2
-                if self.at("(", j):
-                    depth = 0
-                    while True:
-                        tk = self.peek(j)
-                        if tk is None:
-                            return False
-                        if tk.lexeme == "(":
-                            depth += 1
-                        elif tk.lexeme == ")":
-                            depth -= 1
-                            if depth == 0:
-                                j += 1
-                                break
-                        j += 1
-                continue
-            if t.lexeme == "final":
-                j += 1
-                continue
-            break
-
-        t = self.peek(j)
-        if t is None:
-            return False
-        if t.lexeme in PRIMITIVE_TYPES and t.kind is TokenKind.KEYWORD:
-            j += 1
-        elif t.kind is TokenKind.IDENTIFIER:
-            j += 1
-            while self.at(".", j) and self.at_kind(TokenKind.IDENTIFIER, j + 1):
-                j += 2
-            if self.at("<", j):
-                depth = 0
-                while True:
-                    tk = self.peek(j)
-                    if tk is None:
-                        return False
-                    lex = tk.lexeme
-                    if lex == "<":
-                        depth += 1
-                    elif lex in (">", ">>", ">>>"):
-                        depth -= len(lex)
-                        if depth <= 0:
-                            j += 1
-                            break
-                    elif lex in (";", "{", ")", "=") or lex in _ASSIGN_OPS:
-                        return False
-                    j += 1
-        else:
-            return False
-
-        while self.at("[", j) and self.at("]", j + 1):
-            j += 2
-        return self.at_kind(TokenKind.IDENTIFIER, j)
-
-    def local_var_decl(self) -> n.LocalVarDecl:
-        start = self.peek().span
+        Returns the declaration without declarators, and that name.
+        """
+        first = self.peek()
         anns = self.parse_annotations()
         mods: list[str] = []
         while self.at("final"):
@@ -930,18 +841,18 @@ class _Parser:
             mods.append("final")
             anns.extend(self.parse_annotations())
         var_type = self.parse_type()
-        declarators = [self.parse_declarator(self.expect_ident())]
+        name_tok = self.expect_ident()
+        decl = n.LocalVarDecl(span=first.span, modifiers=mods, annotations=anns, type=var_type, declarators=[])
+        return decl, name_tok
+
+    def local_var_declarators(self, head: tuple[n.LocalVarDecl, Token]) -> n.LocalVarDecl:
+        decl, name_tok = head
+        decl.declarators.append(self.parse_declarator(name_tok))
         while self.at(","):
             self.next()
-            declarators.append(self.parse_declarator(self.expect_ident()))
-        end_span = declarators[-1].span
-        return n.LocalVarDecl(
-            span=self.span_between(start, end_span),
-            modifiers=mods,
-            annotations=anns,
-            type=var_type,
-            declarators=declarators,
-        )
+            decl.declarators.append(self.parse_declarator(self.expect_ident()))
+        decl.span = self.span_between(decl.span, decl.declarators[-1].span)
+        return decl
 
     def switch_statement(self) -> n.SwitchStmt:
         tok = self.expect("switch")
@@ -979,7 +890,7 @@ class _Parser:
         if self.at("("):
             self.next()
             while not self.at(")"):
-                resources.append(self.local_var_decl())
+                resources.append(self.local_var_declarators(self.local_var_head()))
                 if self.at(";"):
                     self.next()
             self.expect(")")

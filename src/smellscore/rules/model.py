@@ -41,7 +41,6 @@ class SmellRule:
     origin_tags: frozenset[str]
     description: str
     thresholds: dict[str, Any] = field(default_factory=dict)
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.category == IMPLEMENTATION and self.smell_type not in IMPLEMENTATION_TYPES:
@@ -64,7 +63,6 @@ class SmellRule:
             origin_tags=self.origin_tags,
             description=self.description,
             thresholds=merged,
-            enabled=self.enabled,
         )
 
 

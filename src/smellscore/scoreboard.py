@@ -46,7 +46,6 @@ class UnknownTopicError(Exception):
 class ScenarioSelector:
     kind: str  # all | by_topic | by_complexity | by_source | by_correctness
     metric: str = "cyclomatic"  # for by_complexity
-    bucket_width: int | None = None  # None = per-metric default
     model_id: str | None = None  # for by_correctness
     topics: tuple[str, ...] = ()  # optional by_topic filter
 
@@ -81,10 +80,9 @@ class ScenarioSelector:
 
 @dataclass(frozen=True)
 class RuleSetSelector:
-    kind: str  # all | by_category | by_type | explicit
+    kind: str  # all | by_category | by_type
     category: str | None = None
     smell_type: str | None = None
-    rule_ids: tuple[str, ...] = ()
 
     @property
     def label(self) -> str:
@@ -92,8 +90,6 @@ class RuleSetSelector:
             return self.category or ""
         if self.kind == "by_type":
             return f"type-{self.smell_type}"
-        if self.kind == "explicit":
-            return "explicit"
         return "all"
 
     def resolve(self) -> list[SmellRule]:
@@ -103,10 +99,6 @@ class RuleSetSelector:
             rules = rules_for_category(self.category)
         elif self.kind == "by_type":
             rules = rules_for_type(self.smell_type)
-        elif self.kind == "explicit":
-            from .rules.catalog import rule_by_id
-
-            rules = [rule_by_id(r) for r in self.rule_ids]
         else:
             raise ValueError(f"unknown rule-set kind {self.kind!r}")
         if not rules:
@@ -163,7 +155,7 @@ def partition(corpus: Corpus, selector: ScenarioSelector) -> list[tuple[str, lis
         return sorted(groups.items())
 
     if selector.kind == "by_complexity":
-        width = selector.bucket_width or ScenarioSelector.DEFAULT_WIDTHS[selector.metric]
+        width = ScenarioSelector.DEFAULT_WIDTHS[selector.metric]
         groups = {}
         for task in tasks:
             value = task.complexity.value(selector.metric)

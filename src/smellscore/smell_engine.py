@@ -68,8 +68,6 @@ def detect_file(
 
     violations = []
     for rule in unique.values():
-        if not rule.enabled:
-            continue
         checker = _REGISTRY[rule.rule_id]
         violations.extend(checker(ctx, rule))
     return ViolationReport.build(subject, parse_ok=True, violations=violations, rule_types=rule_types())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,37 @@ class TestRun:
         assert run(["run", "--corpus", str(MINI), "--out", str(out), "--ruleset", "type:nope"]) == 1
         assert capsys.readouterr().err == "config error: unknown smell type 'nope'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert run(["analyze", "--corpus", str(MINI), "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == "config error: parallelism must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ({"no-such-rule": {"x": 1}}, "unknown rule id in thresholds: 'no-such-rule'"),
+        ({"line-length": {"bogus": 1}}, "unknown threshold 'bogus' for rule 'line-length'"),
+    ])
+    def test_unknown_threshold_override_is_config_error(self, tmp_path, capsys, thresholds, message):
+        doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), "thresholds": thresholds}
+        assert self._run_config(tmp_path, doc) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_source_is_a_recorded_failure(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        nested = "(" * 80 + "1" + ")" * 80
+        (corpus / "solutions" / "m1" / "T01.java").write_text(
+            f"class A {{\n    int f() {{\n        return {nested};\n    }}\n}}\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        assert run(["analyze", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["parse_failures"]["m1"] == ["T01"]
+        roster = json.loads((out / "reports" / "m1" / "_failures.json").read_text(encoding="utf-8"))
+        assert [r["task_id"] for r in roster] == ["T01"]
+        assert roster[0]["error"].startswith("nesting too deep at (3, ")
 
 
 class TestHeatmaps:

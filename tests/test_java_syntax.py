@@ -189,6 +189,50 @@ class TestParse:
         ctor = decl.constructors[0]
         assert ctor.doc is None
 
+    def test_doc_comment_after_shift_split_type(self):
+        text = """\
+class G {
+    private java.util.Map<String, java.util.List<Integer>> m;
+
+    /** Documented. */
+    public void f() {
+    }
+}
+"""
+        out = parse_text("G.java", text)
+        assert out.ok, out.failure
+        method = out.ast.types[0].methods[0]
+        assert method.doc is not None and method.doc.text == "/** Documented. */"
+
+    def test_annotations_before_first_type_belong_to_it(self):
+        out = parse_text("A.java", "/** Doc. */\n@Deprecated\npublic class A {\n}\n")
+        assert out.ok, out.failure
+        decl = out.ast.types[0]
+        assert [a.name for a in decl.annotations] == ["Deprecated"]
+        assert decl.span.start_line == 2
+        assert decl.doc is not None and decl.doc.text == "/** Doc. */"
+        with_package = parse_text("A.java", "@Deprecated\npackage p;\nclass A {\n}\n")
+        assert with_package.ok and with_package.ast.types[0].annotations == []
+
+    def test_wildcard_is_only_a_type_argument(self):
+        assert parse_text("A.java", "class A { java.util.List<? super Integer> xs; }").ok
+        out = parse_text("A.java", "class A { private ? x; }")
+        assert not out.ok
+        assert out.failure.message == "expected type, found '?'"
+
+    @pytest.mark.parametrize("text", ["class A { <", "class A { void m("])
+    def test_end_of_file_inside_a_list_is_a_parse_failure(self, text):
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == "unexpected end of file"
+
+    def test_deep_nesting_is_a_parse_failure(self):
+        text = "class A {\n    int f() {\n        return " + "(" * 80 + "1" + ")" * 80 + ";\n    }\n}\n"
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == "nesting too deep"
+        assert out.failure.first_error_span.start_line == 3
+
     def test_walk_survives_deep_expressions(self):
         terms = 3000
         text = "class A {\n    int f(int a) {\n        return " + "+".join(["a"] * terms) + ";\n    }\n}\n"
@@ -270,6 +314,37 @@ enum Planet {
         src = _src(SAMPLE)
         assert src.line_index[0] == 0
         assert all(a < b for a, b in zip(src.line_index, src.line_index[1:]))
+
+
+DECLARATION_OR_EXPRESSION = [
+    ("Map<K, List<V>> m = new HashMap<>();", n.LocalVarDecl, None),
+    ("List<? extends Number> xs = null;", n.LocalVarDecl, None),
+    ("int[] a = new int[3];", n.LocalVarDecl, None),
+    ("var x = 1;", n.LocalVarDecl, None),
+    ("final @Deprecated int y = 1;", n.LocalVarDecl, None),
+    ('String s = a < b ? "x" : "y";', n.LocalVarDecl, None),
+    ("a[i] = 1;", n.ExprStmt, None),
+    ("foo.bar = 1;", n.ExprStmt, None),
+    ("x.y.z();", n.ExprStmt, None),
+    ("i++;", n.ExprStmt, None),
+    ("n = n >> 1;", n.ExprStmt, None),
+    ("i < n >> 1;", n.ExprStmt, None),  # a '>>' split while trying a type is undone
+    ("for (final var x : xs) {}", n.ForEachStmt, None),
+    ("for (Map.Entry<K, List<V>> e : m.entrySet()) {}", n.ForEachStmt, None),
+    ("for (int i = c ? 1 : 2; i < n; i++) {}", n.ForStmt, [n.LocalVarDecl]),
+    ("for (i = 0, j = n >> 1; i < j; i++) {}", n.ForStmt, [n.ExprStmt, n.ExprStmt]),
+    ("for (;;) {}", n.ForStmt, []),
+]
+
+
+@pytest.mark.parametrize("stmt, kind, init", DECLARATION_OR_EXPRESSION)
+def test_declaration_or_expression(stmt, kind, init):
+    out = parse_text("A.java", f"class A {{\n    void m() {{\n        {stmt}\n    }}\n}}\n")
+    assert out.ok, out.failure
+    [parsed] = out.ast.types[0].methods[0].body.statements
+    assert type(parsed) is kind
+    if init is not None:
+        assert [type(s) for s in parsed.init] == init
 
 
 STRESS_SAMPLES = {

@@ -62,6 +62,19 @@ class TestDetectFile:
         assert report.violations == []
         assert report.parse_error
 
+    def test_doc_after_shift_split_type_is_found(self):
+        text = """\
+class G {
+    private java.util.Map<String, java.util.List<Integer>> m;
+
+    /** Documented. */
+    public void f() {
+    }
+}
+"""
+        report = _report(text, rules=[rule_by_id("javadoc-method")])
+        assert report.violations == []
+
     def test_origin_tags_never_multiply_counts(self):
         rule = rule_by_id("empty-catch-block")
         once = _report(SMELLY, rules=[rule])
