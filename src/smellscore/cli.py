@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -65,13 +66,27 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        if not isinstance(self.threshold_overrides, dict):
+            raise ConfigError("thresholds must be an object keyed by rule id")
         known = {rule.rule_id: rule.thresholds for rule in catalog()}
         for rule_id, overrides in self.threshold_overrides.items():
             if rule_id not in known:
                 raise ConfigError(f"unknown rule id in thresholds: {rule_id!r}")
-            for key in overrides:
+            if not isinstance(overrides, dict):
+                raise ConfigError(f"thresholds for rule {rule_id!r} must be an object")
+            for key, value in overrides.items():
                 if key not in known[rule_id]:
                     raise ConfigError(f"unknown threshold {key!r} for rule {rule_id!r}")
+                default = known[rule_id][key]
+                if not _fits(default, value):
+                    raise ConfigError(
+                        f"threshold {key!r} for rule {rule_id!r} must be {_type_name(default)}, got {value!r}"
+                    )
+                if key == "pattern":
+                    try:
+                        re.compile(value)
+                    except re.error as e:
+                        raise ConfigError(f"threshold 'pattern' for rule {rule_id!r} is not a regex: {e}") from e
 
     def rules(self) -> list[SmellRule]:
         out = []
@@ -102,6 +117,20 @@ class RunConfig:
             raise ConfigError(f"config file {path} is missing {e.args[0]!r}") from e
         except (TypeError, ValueError) as e:
             raise ConfigError(f"config file {path}: {e}") from e
+
+
+def _fits(default: Any, value: Any) -> bool:
+    """Whether a JSON value can replace a catalog threshold default: the same
+    type (so no bool for an int), or a list of the items of a tuple default."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(default[0], item) for item in value)
+    return type(value) is type(default)
+
+
+def _type_name(default: Any) -> str:
+    if isinstance(default, tuple):
+        return f"a list of {type(default[0]).__name__}"
+    return type(default).__name__
 
 
 @dataclass
@@ -361,10 +390,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"bad endpoint config: {e}") from e
         corpus_root = args.corpus if args.corpus.is_dir() else args.corpus.parent
-        records = run_generation_batch(
-            corpus_root, args.model, EndpointConfig.from_json(doc),
-            timeout=args.timeout, max_retries=args.retries,
-        )
+        try:
+            records = run_generation_batch(
+                corpus_root, args.model, EndpointConfig.from_json(doc),
+                timeout=args.timeout, max_retries=args.retries,
+            )
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         counts: dict[str, int] = {}
         for r in records:
             counts[r.status] = counts.get(r.status, 0) + 1

@@ -9,6 +9,7 @@ analysis workers.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
@@ -84,7 +85,7 @@ class Corpus:
             raise ManifestSyntaxError("corpus has no tasks")
 
     def resolve(self, rel_path: str) -> Path:
-        return self.root / Path(rel_path)
+        return _inside(self.root, rel_path)
 
     def topics(self) -> set[str]:
         return {t.topic for t in self.tasks}
@@ -158,14 +159,16 @@ def _parse_task(raw: Any, root: Path) -> CodingTask:
 
     if not isinstance(complexity_raw, dict):
         raise ManifestSyntaxError(f"task {task_id}: complexity must be an object")
-    try:
-        complexity = ComplexityTriple(
-            cyclomatic=int(complexity_raw["cyclomatic"]),
-            cognitive=int(complexity_raw["cognitive"]),
-            loc=int(complexity_raw["loc"]),
-        )
-    except KeyError as e:
-        raise ManifestSyntaxError(f"task {task_id}: complexity missing {e.args[0]!r}") from e
+    values: dict[str, int] = {}
+    for key in ("cyclomatic", "cognitive", "loc"):
+        if key not in complexity_raw:
+            raise ManifestSyntaxError(f"task {task_id}: complexity missing {key!r}")
+        value = complexity_raw[key]
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not integral:
+            raise ManifestSyntaxError(f"task {task_id}: complexity {key} must be an integer, got {value!r}")
+        values[key] = int(value)
+    complexity = ComplexityTriple(**values)
 
     _require_file(root, reference_path, task_id)
 
@@ -197,8 +200,18 @@ def _parse_task(raw: Any, root: Path) -> CodingTask:
     )
 
 
+def _inside(root: Path, rel: str, task_id: str | None = None) -> Path:
+    """``root / rel``, refusing a path that leads out of the root.  The test is
+    on the path's text, so a symlink inside the root may point anywhere."""
+    normal = os.path.normpath(rel)
+    if os.path.isabs(normal) or normal == os.pardir or normal.startswith(os.pardir + os.sep):
+        where = f"task {task_id}: " if task_id else ""
+        raise ManifestSyntaxError(f"{where}path leaves the corpus root: {rel}")
+    return root / rel
+
+
 def _require_file(root: Path, rel: str, task_id: str) -> None:
-    p = root / Path(rel)
+    p = _inside(root, rel, task_id)
     if not p.is_file():
         raise MissingFileError(f"task {task_id}: file not found: {rel}")
 

@@ -2,11 +2,13 @@
 
 Produces a token stream that retains whitespace and comments so that the
 concatenation of all lexemes reproduces the input byte for byte.  Columns are
-1-based and count a tab as a single column; span ends are exclusive.
+1-based and count a tab as a single column; span ends are exclusive.  The
+tokens are the successive matches of one compiled pattern of named groups.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -112,40 +114,40 @@ class LexError(Exception):
         self.col = col
 
 
-_HEX_DIGITS = set("0123456789abcdefABCDEF_")
-_NUM_SUFFIXES = set("lLfFdD")
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self, count: int = 1) -> str:
-        taken = self.text[self.pos : self.pos + count]
-        for ch in taken:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return taken
-
-    def mark(self) -> tuple[int, int, int]:
-        return (self.pos, self.line, self.col)
-
-    def span_from(self, mark: tuple[int, int, int]) -> Span:
-        return Span(mark[1], mark[2], self.line, self.col)
+# Tried in this order at each position.  A string, char or block comment that
+# does not close falls through to its "open_" group, which raises at the
+# opening delimiter; "illegal" takes any character nothing else matches.
+_TOKEN_RULES = (
+    ("WHITESPACE", r"[ \t\r\n\f]+"),
+    ("LINE_COMMENT", r"//[^\n]*"),
+    ("BLOCK_COMMENT", r"/\*[\s\S]*?\*/"),
+    ("open_comment", r"/\*"),
+    ("STRING", r'"(?:[^"\\\n]|\\[\s\S])*"'),
+    ("open_string", '"'),
+    ("CHAR", r"'(?:[^'\\\n]|\\[\s\S])*'"),
+    ("open_char", "'"),
+    # Hex, binary, or decimal with optional fraction and exponent; the suffix
+    # after a binary literal is taken even though only l/L is legal Java.
+    ("NUMBER", r"0[xX][0-9a-fA-F_]*[lL]?|0[bB][01_]*[lLfFdD]?"
+               r"|(?:\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)(?:[eE][+-]?\d+)?[lLfFdD]?"),
+    ("word", r"[\w$]+"),
+    ("OPERATOR", "|".join(map(re.escape, OPERATORS))),
+    ("SEPARATOR", "[" + re.escape("".join(sorted(SEPARATORS))) + "]"),
+    ("illegal", r"[\s\S]"),
+)
+_TOKEN = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_RULES))
+_UNTERMINATED = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_char": "unterminated char literal",
+}
+_WORD_KINDS = {
+    **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
+    "true": TokenKind.BOOL,
+    "false": TokenKind.BOOL,
+    "null": TokenKind.NULL,
+}
+_OCTAL = re.compile(r"0[0-7_]+[lL]?")
 
 
 def tokenize(source: SourceFile) -> list[Token]:
@@ -154,159 +156,50 @@ def tokenize(source: SourceFile) -> list[Token]:
     Raises LexError for an unterminated string, char, or block comment and for
     characters outside the Java lexical grammar.
     """
-    sc = _Scanner(source.text)
     tokens: list[Token] = []
+    line = col = 1
+    for m in _TOKEN.finditer(source.text):
+        group = m.lastgroup
+        lexeme = m.group()
+        if group in _UNTERMINATED:
+            raise LexError(_UNTERMINATED[group], line, col)
+        # \w also admits digits like '²' and numerals like '½', which cannot
+        # start a Java identifier.
+        if group == "illegal" or group == "word" and not (lexeme[0].isalpha() or lexeme[0] in "_$"):
+            raise LexError(f"illegal character {lexeme[0]!r}", line, col)
+        if group == "word":
+            kind = _WORD_KINDS.get(lexeme, TokenKind.IDENTIFIER)
+        elif group == "BLOCK_COMMENT" and lexeme.startswith("/**") and lexeme != "/**/":
+            kind = TokenKind.JAVADOC
+        else:
+            kind = TokenKind[group]
 
-    while not sc.eof():
-        start = sc.mark()
-        ch = sc.peek()
-
-        if ch in " \t\r\n\f":
-            while not sc.eof() and sc.peek() in " \t\r\n\f":
-                sc.advance()
-            tokens.append(Token(TokenKind.WHITESPACE, source.text[start[0] : sc.pos], sc.span_from(start)))
-            continue
-
-        if ch == "/" and sc.peek(1) == "/":
-            while not sc.eof() and sc.peek() != "\n":
-                sc.advance()
-            tokens.append(Token(TokenKind.LINE_COMMENT, source.text[start[0] : sc.pos], sc.span_from(start)))
-            continue
-
-        if ch == "/" and sc.peek(1) == "*":
-            kind = TokenKind.JAVADOC if sc.peek(2) == "*" and sc.peek(3) != "/" else TokenKind.BLOCK_COMMENT
-            sc.advance(2)
-            closed = False
-            while not sc.eof():
-                if sc.peek() == "*" and sc.peek(1) == "/":
-                    sc.advance(2)
-                    closed = True
-                    break
-                sc.advance()
-            if not closed:
-                raise LexError("unterminated block comment", start[1], start[2])
-            tokens.append(Token(kind, source.text[start[0] : sc.pos], sc.span_from(start)))
-            continue
-
-        if ch == '"':
-            sc.advance()
-            while True:
-                if sc.eof() or sc.peek() == "\n":
-                    raise LexError("unterminated string literal", start[1], start[2])
-                c = sc.advance()
-                if c == "\\":
-                    if sc.eof():
-                        raise LexError("unterminated string literal", start[1], start[2])
-                    sc.advance()
-                elif c == '"':
-                    break
-            tokens.append(Token(TokenKind.STRING, source.text[start[0] : sc.pos], sc.span_from(start)))
-            continue
-
-        if ch == "'":
-            sc.advance()
-            while True:
-                if sc.eof() or sc.peek() == "\n":
-                    raise LexError("unterminated char literal", start[1], start[2])
-                c = sc.advance()
-                if c == "\\":
-                    if sc.eof():
-                        raise LexError("unterminated char literal", start[1], start[2])
-                    sc.advance()
-                elif c == "'":
-                    break
-            tokens.append(Token(TokenKind.CHAR, source.text[start[0] : sc.pos], sc.span_from(start)))
-            continue
-
-        if ch.isdigit() or (ch == "." and sc.peek(1).isdigit()):
-            tokens.append(_scan_number(sc, source, start))
-            continue
-
-        if ch.isalpha() or ch == "_" or ch == "$":
-            while not sc.eof() and (sc.peek().isalnum() or sc.peek() in "_$"):
-                sc.advance()
-            word = source.text[start[0] : sc.pos]
-            span = sc.span_from(start)
-            if word in ("true", "false"):
-                tokens.append(Token(TokenKind.BOOL, word, span))
-            elif word == "null":
-                tokens.append(Token(TokenKind.NULL, word, span))
-            elif word in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, word, span))
-            else:
-                tokens.append(Token(TokenKind.IDENTIFIER, word, span))
-            continue
-
-        if ch in SEPARATORS:
-            if ch == "." and sc.peek(1) == "." and sc.peek(2) == ".":
-                sc.advance(3)
-                tokens.append(Token(TokenKind.OPERATOR, "...", sc.span_from(start)))
-            else:
-                sc.advance()
-                tokens.append(Token(TokenKind.SEPARATOR, ch, sc.span_from(start)))
-            continue
-
-        matched = False
-        for op in OPERATORS:
-            if source.text.startswith(op, sc.pos):
-                sc.advance(len(op))
-                tokens.append(Token(TokenKind.OPERATOR, op, sc.span_from(start)))
-                matched = True
-                break
-        if matched:
-            continue
-
-        raise LexError(f"illegal character {ch!r}", start[1], start[2])
-
+        newlines = lexeme.count("\n")
+        if newlines:
+            end_line, end_col = line + newlines, len(lexeme) - lexeme.rfind("\n")
+        else:
+            end_line, end_col = line, col + len(lexeme)
+        token = Token(kind, lexeme, Span(line, col, end_line, end_col))
+        if kind is TokenKind.NUMBER:
+            token.radix, token.suffix = _radix_and_suffix(lexeme)
+        tokens.append(token)
+        line, col = end_line, end_col
     return tokens
 
 
-def _scan_number(sc: _Scanner, source: SourceFile, start: tuple[int, int, int]) -> Token:
-    radix = 10
-    is_float = False
-
-    if sc.peek() == "0" and sc.peek(1) in ("x", "X"):
-        radix = 16
-        sc.advance(2)
-        while not sc.eof() and sc.peek() in _HEX_DIGITS:
-            sc.advance()
-    elif sc.peek() == "0" and sc.peek(1) in ("b", "B"):
-        radix = 2
-        sc.advance(2)
-        while not sc.eof() and sc.peek() in "01_":
-            sc.advance()
-    else:
-        digits_before = 0
-        while not sc.eof() and (sc.peek().isdigit() or sc.peek() == "_"):
-            sc.advance()
-            digits_before += 1
-        if sc.peek() == "." and (sc.peek(1).isdigit() or digits_before):
-            is_float = True
-            sc.advance()
-            while not sc.eof() and (sc.peek().isdigit() or sc.peek() == "_"):
-                sc.advance()
-        if sc.peek() in ("e", "E") and (sc.peek(1).isdigit() or (sc.peek(1) in "+-" and sc.peek(2).isdigit())):
-            is_float = True
-            sc.advance()
-            if sc.peek() in "+-":
-                sc.advance()
-            while not sc.eof() and sc.peek().isdigit():
-                sc.advance()
-        if not is_float and digits_before > 1 and source.text[start[0]] == "0":
-            body = source.text[start[0] : sc.pos]
-            if all(c in "01234567_" for c in body[1:]):
-                radix = 8
-
-    suffix = None
-    if sc.peek() in _NUM_SUFFIXES:
-        suffix = sc.advance()
-        if suffix in "fFdD":
-            is_float = True
-
-    lexeme = source.text[start[0] : sc.pos]
-    if is_float:
-        radix = 10
-    return Token(TokenKind.NUMBER, lexeme, sc.span_from(start), radix=radix, suffix=suffix)
+def _radix_and_suffix(lexeme: str) -> tuple[int, str | None]:
+    """Radix and type suffix of a NUMBER lexeme.  An f/F/d/D suffix makes any
+    literal but a hex one a radix-10 float, so ``0b1f`` has radix 10; ``0``
+    followed only by octal digits and underscores is octal, ``0_`` included."""
+    suffix = lexeme[-1] if lexeme[-1] in "lLfFdD" else None
+    prefix = lexeme[:2].lower()
+    if prefix == "0x":
+        return 16, suffix if suffix in ("l", "L") else None
+    if suffix in ("f", "F", "d", "D"):
+        return 10, suffix
+    if prefix == "0b":
+        return 2, suffix
+    return (8 if _OCTAL.fullmatch(lexeme) else 10), suffix
 
 
 def significant(tokens: list[Token]) -> list[Token]:

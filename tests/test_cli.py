@@ -32,6 +32,31 @@ class TestIngest:
     def test_missing_corpus_is_config_error(self, tmp_path):
         assert run(["ingest", "--corpus", str(tmp_path / "nope")]) == 1
 
+    def test_non_integer_complexity_is_config_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        doc = json.loads((corpus / "corpus.json").read_text(encoding="utf-8"))
+        doc["tasks"][0]["complexity"]["cyclomatic"] = "x"
+        (corpus / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["ingest", "--corpus", str(corpus)]) == 1
+        task_id = doc["tasks"][0]["task_id"]
+        assert capsys.readouterr().err == f"config error: task {task_id}: complexity cyclomatic must be an integer, got 'x'\n"
+
+
+class TestGenerate:
+    def test_model_id_with_a_path_is_config_error(self, tmp_path, capsys, monkeypatch):
+        import smellscore.llm_gateway as gateway
+
+        monkeypatch.setattr(gateway, "_http_post", lambda *args: pytest.fail("a request was made"))
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"url": "http://127.0.0.1:1"}), encoding="utf-8")
+        argv = ["generate", "--corpus", str(corpus), "--model", "../../x", "--endpoint-config", str(endpoint)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: model id must be a plain name")
+        assert not (corpus / "generation.log.jsonl").exists()
+
 
 class TestRun:
     def test_full_pipeline_and_idempotence(self, tmp_path, capsys):
@@ -130,6 +155,30 @@ class TestRun:
         assert self._run_config(tmp_path, doc) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ([1], "thresholds must be an object keyed by rule id"),
+        ({"line-length": 5}, "thresholds for rule 'line-length' must be an object"),
+        ({"line-length": {"max_line_length": "x"}}, "threshold 'max_line_length' for rule 'line-length' must be int, got 'x'"),
+        ({"line-length": {"max_line_length": True}}, "threshold 'max_line_length' for rule 'line-length' must be int, got True"),
+        ({"method-name": {"pattern": "("}},
+         "threshold 'pattern' for rule 'method-name' is not a regex: missing ), unterminated subpattern at position 0"),
+        ({"magic-number": {"ignore_numbers": 3}}, "threshold 'ignore_numbers' for rule 'magic-number' must be a list of int, got 3"),
+        ({"magic-number": {"ignore_numbers": [1, "2"]}},
+         "threshold 'ignore_numbers' for rule 'magic-number' must be a list of int, got [1, '2']"),
+    ], ids=["list", "rule-not-object", "str-for-int", "bool-for-int", "bad-pattern", "int-for-list", "mixed-list"])
+    def test_malformed_threshold_override_is_config_error(self, tmp_path, capsys, thresholds, message):
+        doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), "thresholds": thresholds}
+        assert self._run_config(tmp_path, doc) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_well_typed_threshold_overrides_run(self, tmp_path, capsys):
+        thresholds = {"line-length": {"max_line_length": 80}, "magic-number": {"ignore_numbers": [0, 1]},
+                      "method-name": {"pattern": "^[a-z]"}, "comment-content": {"disallowed_words": ["todo"]}}
+        doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), "thresholds": thresholds}
+        assert self._run_config(tmp_path, doc) == 0
+        assert json.loads(capsys.readouterr().out)["reports_written"] == 30
 
     def test_deeply_nested_source_is_a_recorded_failure(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

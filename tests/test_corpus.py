@@ -92,6 +92,44 @@ class TestLoadManifest:
         with pytest.raises(ManifestSyntaxError):
             load_manifest(tmp_path)
 
+    @pytest.mark.parametrize("value", ["x", "3", True, 1.5, None, [1]])
+    def test_non_integer_complexity(self, tmp_path, value):
+        task = make_task(tmp_path, "T1")
+        task["complexity"]["cyclomatic"] = value
+        write_manifest(tmp_path, [task])
+        with pytest.raises(ManifestSyntaxError) as err:
+            load_manifest(tmp_path)
+        assert str(err.value) == f"task T1: complexity cyclomatic must be an integer, got {value!r}"
+
+    def test_integral_float_complexity_is_an_integer(self, tmp_path):
+        task = make_task(tmp_path, "T1")
+        task["complexity"]["loc"] = 7.0
+        write_manifest(tmp_path, [task])
+        assert load_manifest(tmp_path).tasks[0].complexity.loc == 7
+
+    @pytest.mark.parametrize("field", ["reference", "solution", "absolute"])
+    def test_paths_stay_inside_the_root(self, tmp_path, field):
+        other = tmp_path / "c"
+        make_task(other, "T2")
+        root = tmp_path / "d"
+        task = make_task(root, "T1")
+        if field == "reference":
+            task["reference_path"] = "../c/refs/T2.java"
+        elif field == "solution":
+            task["solutions"][0]["path"] = "solutions/../../c/solutions/m1/T2.java"
+        else:
+            task["reference_path"] = str(other / "refs" / "T2.java")
+        write_manifest(root, [task])
+        with pytest.raises(ManifestSyntaxError, match="^task T1: path leaves the corpus root: "):
+            load_manifest(root)
+
+    def test_resolve_refuses_a_path_out_of_the_root(self, tmp_path):
+        write_manifest(tmp_path, [make_task(tmp_path, "T1")])
+        corpus = load_manifest(tmp_path)
+        assert corpus.resolve("refs/../refs/T1.java") == tmp_path / "refs/../refs/T1.java"
+        with pytest.raises(ManifestSyntaxError):
+            corpus.resolve("refs/../../T1.java")
+
     def test_ten_tasks_two_models_three_unknown_flags(self, tmp_path):
         flags = {
             "T1": (True, True), "T2": (True, None), "T3": (False, True), "T4": (True, True),

@@ -96,6 +96,22 @@ class TestTokenize:
         with pytest.raises(LexError):
             tokenize(_src("int x = #;"))
 
+    @pytest.mark.parametrize(
+        "line3, message, col",
+        [
+            ("  x /* open\n}", "unterminated block comment", 5),
+            ('  s = "abc', "unterminated string literal", 7),
+            ("  c = 'x", "unterminated char literal", 7),
+            ("\tint x = #;", "illegal character '#'", 10),  # a tab is one column
+            ('  s = "ab\ncd";', "unterminated string literal", 7),
+        ],
+        ids=["block-comment", "string", "char", "illegal", "string-newline"],
+    )
+    def test_lex_error_position(self, line3, message, col):
+        with pytest.raises(LexError) as err:
+            tokenize(_src("class A {\n  /** doc */\n" + line3))
+        assert (err.value.message, err.value.line, err.value.col) == (message, 3, col)
+
     def test_mixed_token_kind_sequence(self):
         text = (
             '// note\nclass A { String s = "x"; char c = \'y\'; boolean b = true; '

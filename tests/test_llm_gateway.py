@@ -170,6 +170,17 @@ class TestGenerationBatch:
         assert len(log_lines) == 2
         assert json.loads(log_lines[0])["status"] == STATUS_OK
 
+    @pytest.mark.parametrize("model_id", ["", "../../x", "a/b", "a\\b", ".."])
+    def test_model_id_that_leaves_solutions_is_refused(self, tmp_path, model_id):
+        write_manifest(tmp_path, [make_task(tmp_path, "T1", models=())])
+
+        def transport(url, payload, headers, timeout):
+            pytest.fail("a request was made")
+
+        with pytest.raises(ValueError, match="^model id must be a plain name"):
+            run_generation_batch(tmp_path, model_id, EndpointConfig(url="http://127.0.0.1:1"), transport=transport)
+        assert not (tmp_path / "generation.log.jsonl").exists()
+
     def test_existing_solutions_never_rewritten(self, tmp_path, stub_server):
         url, handler = stub_server
         write_manifest(tmp_path, [make_task(tmp_path, "T1", models=())])
