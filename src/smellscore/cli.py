@@ -27,6 +27,7 @@ from .corpus import (
     ManifestSyntaxError,
     MissingFileError,
     load_manifest,
+    require_plain_name,
     validate_corpus,
 )
 from .llm_gateway import EndpointConfig, run_generation_batch
@@ -42,7 +43,7 @@ from .scoreboard import (
     write_scorecards,
 )
 from .smell_engine import BASELINE, detect_corpus, load_report_store, write_report_store
-from .tool_adapters import ExternalReport, diff_reports, import_reports
+from .tool_adapters import ExternalReport, FormatError, diff_reports, import_reports
 
 
 class ConfigError(Exception):
@@ -407,8 +408,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         task_id, _, model_id = args.subject.partition(":")
         if not model_id:
             raise ConfigError("--subject must look like task_id:model_id")
+        try:
+            require_plain_name("task id", task_id)
+            require_plain_name("model id", model_id)
+        except ValueError as e:
+            raise ConfigError(f"--subject: {e}") from e
         externals = [ExternalReport(format=args.format, path=p) for p in args.inputs]
-        result = import_reports(externals, subject=(task_id, model_id), source_path=args.source)
+        try:
+            result = import_reports(externals, subject=(task_id, model_id), source_path=args.source)
+        except FormatError as e:
+            raise ConfigError(str(e)) from e
         write_report_store({model_id: {task_id: result.report}}, args.out)
         print(json.dumps(
             {"violations": result.report.total_violations, "unmapped": result.unmapped_count},

@@ -96,6 +96,15 @@ class Corpus:
                 yield t, s
 
 
+def require_plain_name(what: str, name: str) -> str:
+    """``name``, if it can be one segment of a path: task and model ids name
+    directories and files under the output and solutions trees.  A name that is
+    empty or holds '/', '\\' or '..' raises ValueError."""
+    if not name or "/" in name or "\\" in name or ".." in name:
+        raise ValueError(f"{what} must be a plain name without '/', '\\' or '..': {name!r}")
+    return name
+
+
 def load_manifest(path: str | Path) -> Corpus:
     """Load and validate a corpus manifest.
 
@@ -136,7 +145,7 @@ def _parse_task(raw: Any, root: Path) -> CodingTask:
     if not isinstance(raw, dict):
         raise ManifestSyntaxError("each task must be an object")
     try:
-        task_id = str(raw["task_id"])
+        task_id = require_plain_name("task id", str(raw["task_id"]))
         source = str(raw["source"])
         topic = str(raw["topic"])
         description = str(raw["description"])
@@ -144,6 +153,8 @@ def _parse_task(raw: Any, root: Path) -> CodingTask:
         complexity_raw = raw["complexity"]
     except KeyError as e:
         raise ManifestSyntaxError(f"task missing required field {e.args[0]!r}") from e
+    except ValueError as e:
+        raise ManifestSyntaxError(str(e)) from e
 
     if source not in VALID_SOURCES:
         raise ManifestSyntaxError(f"task {task_id}: source must be one of {VALID_SOURCES}, got {source!r}")
@@ -177,7 +188,10 @@ def _parse_task(raw: Any, root: Path) -> CodingTask:
     for sol_raw in raw.get("solutions", []):
         if not isinstance(sol_raw, dict) or "model_id" not in sol_raw or "path" not in sol_raw:
             raise ManifestSyntaxError(f"task {task_id}: each solution needs model_id and path")
-        model_id = str(sol_raw["model_id"])
+        try:
+            model_id = require_plain_name("model id", str(sol_raw["model_id"]))
+        except ValueError as e:
+            raise ManifestSyntaxError(f"task {task_id}: {e}") from e
         if model_id in seen_models:
             raise DuplicateTaskError(f"task {task_id}: duplicate solution for model {model_id!r}")
         seen_models.add(model_id)

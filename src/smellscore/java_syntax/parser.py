@@ -715,11 +715,6 @@ class _Parser:
                 message = self.expression()
             end = self.expect(";")
             return n.AssertStmt(span=self.span_between(tok.span, end.span), cond=cond, message=message)
-        if lex in ("class", "interface", "enum") or (
-            lex in ("abstract", "final", "static") and self._peek_type_decl_after_modifiers()
-        ):
-            decl = self.type_declaration()
-            return n.LocalTypeDecl(span=decl.span, decl=decl)
         if t.kind is TokenKind.IDENTIFIER and self.at(":", 1) and not self.at(":", 2):
             label_tok = self.next()
             self.next()  # ':'
@@ -732,21 +727,13 @@ class _Parser:
             end = self.expect(";")
             decl.span = self.span_between(decl.span, end.span)
             return decl
+        if lex in ("class", "interface", "enum", "abstract", "final", "static"):  # none can start an expression
+            decl = self.type_declaration()
+            return n.LocalTypeDecl(span=decl.span, decl=decl)
 
         expr = self.expression()
         end = self.expect(";")
         return n.ExprStmt(span=self.span_between(expr.span, end.span), expr=expr)
-
-    def _peek_type_decl_after_modifiers(self) -> bool:
-        j = 0
-        while True:
-            t = self.peek(j)
-            if t is None:
-                return False
-            if t.lexeme in MODIFIER_WORDS:
-                j += 1
-                continue
-            return t.lexeme in ("class", "interface", "enum")
 
     def if_statement(self) -> n.IfStmt:
         tok = self.expect("if")
@@ -994,68 +981,35 @@ class _Parser:
             op_tok = self.next()
             operand = self.unary()
             return n.Unary(span=self.span_between(op_tok.span, operand.span), op=op_tok.lexeme, operand=operand, prefix=True)
-        if t.lexeme == "(" and self._looks_like_cast():
-            open_tok = self.next()
-            ctype = self.parse_type()
-            self.expect(")")
-            expr = self.unary()
-            return n.Cast(span=self.span_between(open_tok.span, expr.span), type=ctype, expr=expr)
+        if t.lexeme == "(":
+            head = self._attempt(self._cast_head)
+            if head is not None:
+                open_tok, ctype = head
+                expr = self.unary()
+                return n.Cast(span=self.span_between(open_tok.span, expr.span), type=ctype, expr=expr)
         return self.postfix()
 
-    def _looks_like_cast(self) -> bool:
-        """Decide '(X) y' cast vs parenthesized expression by scanning to ')'.
+    def _cast_head(self) -> tuple[Token, n.TypeRef]:
+        """'(' type ')' followed by a token that can start the cast's operand.
 
-        The parenthesized tokens must all be type-ish; primitives, brackets,
-        and generics force a cast, otherwise the token after ')' must be able
-        to start an operand.
+        A primitive, array or generic type cannot be an expression, so any
+        operand start will do; a plain name needs an operand that cannot
+        continue a binary expression, which keeps '(a) - b' a subtraction.
         """
-        depth = 0
-        j = 0
-        seen_type_only_syntax = False
-        inner_count = 0
-        while True:
-            t = self.peek(j)
-            if t is None:
-                return False
-            lex = t.lexeme
-            if lex == "(":
-                depth += 1
-                j += 1
-                continue
-            if lex == ")":
-                depth -= 1
-                j += 1
-                if depth == 0:
-                    break
-                continue
-            if depth == 1:
-                inner_count += 1
-                if t.kind in _LITERAL_KINDS:
-                    return False
-                if t.kind is TokenKind.KEYWORD and lex in PRIMITIVE_TYPES:
-                    seen_type_only_syntax = True
-                elif lex in ("[", "]", "<", "?"):
-                    seen_type_only_syntax = True
-                elif lex in (">", ">>", ">>>", ",", ".", "&", "extends", "super", "@"):
-                    pass
-                elif t.kind is TokenKind.IDENTIFIER:
-                    pass
-                else:
-                    return False
-            else:
-                return False  # nested parens never appear inside a cast type
-            j += 1
-        if inner_count == 0:
-            return False
-        after = self.peek(j)
-        if after is None:
-            return False
-        if seen_type_only_syntax:
-            return after.lexeme not in (")", "]", ";", ",", ".")
-        return (
-            after.kind in (TokenKind.IDENTIFIER, *(_LITERAL_KINDS))
-            or after.lexeme in ("(", "!", "~", "new", "this", "super")
-        )
+        open_tok = self.expect("(")
+        ctype = self.parse_type()
+        generic = self.at(">", -1)  # a type ends in '>' only after type arguments
+        self.expect(")")
+        t = self.peek()
+        if ctype.name in PRIMITIVE_TYPES or ctype.array_dims or generic:
+            operand = t is not None and t.lexeme not in (")", "]", ";", ",", ".")
+        else:
+            operand = t is not None and (
+                t.kind is TokenKind.IDENTIFIER or t.kind in _LITERAL_KINDS or t.lexeme in ("(", "!", "~", "new", "this", "super")
+            )
+        if not operand:
+            raise self.error("not a cast")
+        return open_tok, ctype
 
     def postfix(self) -> n.Expr:
         expr = self.primary()
@@ -1158,19 +1112,11 @@ class _Parser:
                     )
                 ],
             )
-        if lex == "(" and self._lambda_ahead():
-            open_tok = self.next()
-            params: list[n.Param] = []
-            if not self.at(")"):
-                params.append(self._lambda_param())
-                while self.at(","):
-                    self.next()
-                    params.append(self._lambda_param())
-            self.expect(")")
-            self.expect("->")
-            return self._finish_lambda(open_tok.span, params)
-
         if lex == "(":
+            head = self._attempt(self._lambda_head)
+            if head is not None:
+                open_tok, params = head
+                return self._finish_lambda(open_tok.span, params)
             open_tok = self.next()
             inner = self.expression()
             close = self.expect(")")
@@ -1198,20 +1144,10 @@ class _Parser:
             new_tok = self.next()
             return self._object_creation(new_tok.span)
 
-        if t.kind is TokenKind.KEYWORD and lex in PRIMITIVE_TYPES or lex == "void":
-            # primitive class literal (int.class) or primitive method ref base
-            self.next()
-            ref = n.TypeRef(span=t.span, name=lex)
-            while self.at("[") and self.at("]", 1):
-                self.next()
-                end = self.next()
-                ref.array_dims += 1
-                ref.span = self.span_between(ref.span, end.span)
-            if self.at(".") and self.at("class", 1):
-                self.next()
-                end = self.next()
-                return n.ClassLiteral(span=self.span_between(t.span, end.span), type=ref)
-            raise self.error(f"unexpected type keyword {lex!r} in expression")
+        if t.kind is TokenKind.KEYWORD and lex in PRIMITIVE_TYPES or lex == "void" or (
+            t.kind is TokenKind.IDENTIFIER and self.at("[", 1) and self.at("]", 2)
+        ):
+            return self._type_literal()
 
         if t.kind is TokenKind.IDENTIFIER:
             name_tok = self.next()
@@ -1224,47 +1160,54 @@ class _Parser:
                     name_span=name_tok.span,
                     args=args,
                 )
-            # Array-typed method references and class literals: Foo[]::new
-            if self.at("[") and self.at("]", 1):
-                j = 0
-                dims = 0
-                while self.at("[", j) and self.at("]", j + 1):
-                    j += 2
-                    dims += 1
-                after = self.peek(j)
-                if after is not None and after.lexeme in ("::", ".") and (
-                    after.lexeme == "::" or self.at("class", j + 1)
-                ):
-                    ref = n.TypeRef(span=name_tok.span, name=name_tok.lexeme, array_dims=dims)
-                    for _ in range(dims):
-                        self.next()
-                        end = self.next()
-                        ref.span = self.span_between(ref.span, end.span)
-                    if self.at("::"):
-                        self.next()
-                        end_tok = self.next()  # identifier or 'new'
-                        return n.MethodRef(span=self.span_between(name_tok.span, end_tok.span), receiver=ref, name=end_tok.lexeme)
-                    self.next()
-                    end = self.next()
-                    return n.ClassLiteral(span=self.span_between(name_tok.span, end.span), type=ref)
             return n.Name(span=name_tok.span, identifier=name_tok.lexeme)
 
         raise self.error(f"unexpected token {lex!r} in expression")
 
+    def _type_literal(self) -> n.Expr:
+        """A class literal on a primitive, void or array type, or a method
+        reference on an array of a named type: int.class, int[].class, Foo[]::new."""
+        t = self.next()
+        ref = n.TypeRef(span=t.span, name=t.lexeme)
+        while self.at("[") and self.at("]", 1):
+            self.next()
+            end = self.next()
+            ref.array_dims += 1
+            ref.span = self.span_between(ref.span, end.span)
+        if self.at("::") and t.kind is TokenKind.IDENTIFIER:
+            self.next()
+            end = self.next()  # identifier or 'new'
+            return n.MethodRef(span=self.span_between(t.span, end.span), receiver=ref, name=end.lexeme)
+        if self.at(".") and self.at("class", 1):
+            self.next()
+            end = self.next()
+            return n.ClassLiteral(span=self.span_between(t.span, end.span), type=ref)
+        what = "type" if t.kind is TokenKind.IDENTIFIER else "type keyword"
+        raise self.error(f"unexpected {what} {t.lexeme!r} in expression")
+
+    def _lambda_head(self) -> tuple[Token, list[n.Param]]:
+        """'(' parameters ')' '->'."""
+        open_tok = self.expect("(")
+        params: list[n.Param] = []
+        if not self.at(")"):
+            params.append(self._lambda_param())
+            while self.at(","):
+                self.next()
+                params.append(self._lambda_param())
+        self.expect(")")
+        self.expect("->")
+        return open_tok, params
+
     def _lambda_param(self) -> n.Param:
-        start = self.peek().span
+        """A typed parameter, or else an inferred one: a bare name."""
+        param = self._attempt(self.parse_param)
+        if param is not None:
+            return param
         self.parse_annotations()
         mods: list[str] = []
         while self.at("final"):
             self.next()
             mods.append("final")
-        # Typed param when two name-ish tokens in a row, else inferred.
-        if (self.at_kind(TokenKind.IDENTIFIER) or (self.peek() and self.peek().lexeme in PRIMITIVE_TYPES)) and not (
-            self.at(",", 1) or self.at(")", 1)
-        ):
-            ptype = self.parse_type()
-            name_tok = self.expect_ident()
-            return n.Param(span=self.span_between(start, name_tok.span), type=ptype, name=name_tok.lexeme, name_span=name_tok.span, modifiers=mods)
         name_tok = self.expect_ident()
         return n.Param(
             span=name_tok.span,
@@ -1280,23 +1223,6 @@ class _Parser:
         else:
             body = self.expression()
         return n.Lambda(span=self.span_between(start, body.span), params=params, body=body)
-
-    def _lambda_ahead(self) -> bool:
-        """At '(': true when the matching ')' is directly followed by '->'."""
-        depth = 0
-        j = 0
-        while True:
-            t = self.peek(j)
-            if t is None:
-                return False
-            if t.lexeme == "(":
-                depth += 1
-            elif t.lexeme == ")":
-                depth -= 1
-                if depth == 0:
-                    after = self.peek(j + 1)
-                    return after is not None and after.lexeme == "->"
-            j += 1
 
     def _object_creation(self, start: Span, outer: n.Expr | None = None) -> n.Expr:
         del outer  # qualified creation keeps only the inner type

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from .corpus import require_plain_name
 from .java_syntax import parse_text
 
 STATUS_OK = "ok"
@@ -237,15 +238,16 @@ def run_generation_batch(
     Solutions land in solutions/<model_id>/<task_id>.java relative to the
     corpus root; the manifest gains one entry per success, and every record is
     appended to generation.log.jsonl.  Sequential by design: rate limits
-    dominate, and ordering keeps the log reproducible.  A model id that is
-    empty or holds '/', '\\' or '..' would leave that directory, so it raises
-    ValueError before any request is made.
+    dominate, and ordering keeps the log reproducible.  A model id or task id
+    that is empty or holds '/', '\\' or '..' would leave that directory, so it
+    raises ValueError before any request is made.
     """
-    if not model_id or any(part in model_id for part in ("/", "\\", "..")):
-        raise ValueError(f"model id must be a plain name without '/', '\\' or '..': {model_id!r}")
+    require_plain_name("model id", model_id)
     root = Path(corpus_root)
     manifest_path = root / "corpus.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for task in manifest["tasks"]:
+        require_plain_name("task id", str(task["task_id"]))
     log_path = root / "generation.log.jsonl"
 
     records: list[GenerationRecord] = []

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .corpus import CodingTask, Corpus
+from .corpus import CodingTask, Corpus, require_plain_name
 from .outputs import json_text, write_if_changed
 from .rules.catalog import catalog, rules_for_category, rules_for_type
 from .rules.model import ALL_TYPES, SmellRule, ViolationReport
@@ -74,7 +74,8 @@ class ScenarioSelector:
                 raise ValueError(f"unknown complexity metric {metric!r}")
             return cls(kind="by_complexity", metric=metric)
         if text.startswith("correctness:"):
-            return cls(kind="by_correctness", model_id=text.split(":", 1)[1])
+            # the label names a directory under scores/
+            return cls(kind="by_correctness", model_id=require_plain_name("model id", text.split(":", 1)[1]))
         raise ValueError(f"unknown scenario {text!r}")
 
 

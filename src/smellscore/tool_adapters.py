@@ -236,6 +236,13 @@ def _parse_xml(path: Path) -> ET.Element:
         raise FormatError(f"{path}: not parseable XML: {e}") from e
 
 
+def _integer(path: Path, tag: str, name: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise FormatError(f"{path}: <{tag}> attribute {name}={value!r} is not an integer") from None
+
+
 def _read_checkstyle(path: Path) -> list[_Finding]:
     root = _parse_xml(path)
     if root.tag != "checkstyle":
@@ -258,8 +265,8 @@ def _read_checkstyle(path: Path) -> list[_Finding]:
                     detector="checkstyle",
                     native_rule=native,
                     file=name,
-                    line=int(line),
-                    col=int(err.get("column", "1") or "1"),
+                    line=_integer(path, "error", "line", line),
+                    col=_integer(path, "error", "column", err.get("column", "1") or "1"),
                     message=err.get("message", ""),
                 )
             )
@@ -290,8 +297,8 @@ def _read_pmd(path: Path) -> list[_Finding]:
                     detector="pmd",
                     native_rule=rule,
                     file=name,
-                    line=int(beginline),
-                    col=int(violation.get("begincolumn", "1") or "1"),
+                    line=_integer(path, "violation", "beginline", beginline),
+                    col=_integer(path, "violation", "begincolumn", violation.get("begincolumn", "1") or "1"),
                     message=(violation.text or "").strip(),
                 )
             )
@@ -311,7 +318,7 @@ def _read_designite(path: Path, source_path: str | Path | None) -> list[_Finding
             if missing:
                 raise FormatError(f"{path}: missing columns {missing}")
             rows = list(reader)
-    except csv.Error as e:
+    except (csv.Error, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: not parseable CSV: {e}") from e
 
     spans = _designite_spans(source_path) if source_path is not None else ({}, {})
@@ -344,7 +351,11 @@ def _designite_spans(source_path: str | Path) -> tuple[dict[str, int], dict[tupl
     path = Path(source_path)
     if not path.is_file():
         return {}, {}
-    outcome = parse(SourceFile.from_text(str(path), path.read_text(encoding="utf-8")))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: the Java source is not UTF-8: {e}") from e
+    outcome = parse(SourceFile.from_text(str(path), text))
     if not outcome.ok:
         return {}, {}
     type_lines: dict[str, int] = {}

@@ -43,6 +43,62 @@ class TestIngest:
         assert capsys.readouterr().err == f"config error: task {task_id}: complexity cyclomatic must be an integer, got 'x'\n"
 
 
+class TestOutputIds:
+    """Task and model ids name files under --out, so a path in one is a config error."""
+
+    @pytest.mark.parametrize("field", ["task_id", "model_id"])
+    def test_manifest_id_with_a_path_is_config_error(self, tmp_path, capsys, field):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        doc = json.loads((corpus / "corpus.json").read_text(encoding="utf-8"))
+        task = doc["tasks"][0]
+        if field == "task_id":
+            task["task_id"] = "../../../T1"
+        else:
+            task["solutions"][0]["model_id"] = "../../m"
+        (corpus / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o" / "out"
+        assert run(["analyze", "--corpus", str(corpus), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "must be a plain name" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+    @pytest.mark.parametrize("subject", ["../../../T9:x", "T9:../../x", "T9:a/b", ":x"])
+    def test_import_subject_with_a_path_is_config_error(self, tmp_path, capsys, subject):
+        out = tmp_path / "o" / "out"
+        argv = [
+            "import-reports", "--format", "checkstyle_xml", "--in", str(EXTERNAL / "sample_checkstyle.xml"),
+            "--out", str(out), "--subject", subject,
+        ]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: --subject: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_correctness_model_with_a_path_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o" / "out"
+        argv = ["run", "--corpus", str(MINI), "--out", str(out), "--scenario", "correctness:/../../../x"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: model id must be a plain name")
+        assert not (tmp_path / "o").exists()
+
+    def test_generate_task_id_with_a_path_is_config_error(self, tmp_path, capsys, monkeypatch):
+        import smellscore.llm_gateway as gateway
+
+        monkeypatch.setattr(gateway, "_http_post", lambda *args: pytest.fail("a request was made"))
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        doc = json.loads((corpus / "corpus.json").read_text(encoding="utf-8"))
+        doc["tasks"][-1]["task_id"] = "../T10"
+        (corpus / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"url": "http://127.0.0.1:1"}), encoding="utf-8")
+        argv = ["generate", "--corpus", str(corpus), "--model", "m3", "--endpoint-config", str(endpoint)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "config error: task id must be a plain name without '/', '\\' or '..': '../T10'\n"
+        assert not (corpus / "generation.log.jsonl").exists()
+
+
 class TestGenerate:
     def test_model_id_with_a_path_is_config_error(self, tmp_path, capsys, monkeypatch):
         import smellscore.llm_gateway as gateway
@@ -225,6 +281,44 @@ class TestHeatmaps:
         assert type_rows[0][0] == "smell-type"
         labels = [r[0] for r in type_rows[1:]]
         assert labels == ["magic-number", "documentation"]  # catalog order
+
+
+class TestImportMalformedReports:
+    """A report that does not match its format is a one-line config error, not a traceback."""
+
+    @pytest.mark.parametrize("fmt, name, content, expected", [
+        ("pmd_xml", "p.xml", b'<pmd><file name="A.java"><violation rule="X"/></file></pmd>',
+         "<violation> needs rule and beginline attributes"),
+        ("pmd_xml", "p.xml", b'<pmd><file name="A.java"><violation rule="X" beginline="7" begincolumn="c"/></file></pmd>',
+         "<violation> attribute begincolumn='c' is not an integer"),
+        ("checkstyle_xml", "c.xml", b"this is not XML", "not parseable XML"),
+        ("checkstyle_xml", "c.xml", b'<checkstyle><file name="A.java"><error source="a.LineLengthCheck" line="x"/></file></checkstyle>',
+         "<error> attribute line='x' is not an integer"),
+        ("checkstyle_xml", "c.xml", b'<checkstyle><file name="A.java"><error source="a.LineLengthCheck" line="3" column="-"/></file></checkstyle>',
+         "<error> attribute column='-' is not an integer"),
+        ("designite_csv", "d.csv", b"Project Name,Package Name,Type Name,Method Name,Code Smell\nd,p,Caf\xe9,,Long Method\n",
+         "not parseable CSV"),
+    ], ids=["pmd-without-beginline", "pmd-begincolumn", "not-xml", "checkstyle-line", "checkstyle-column", "csv-not-utf8"])
+    def test_malformed_report_is_config_error(self, tmp_path, capsys, fmt, name, content, expected):
+        report = tmp_path / name
+        report.write_bytes(content)
+        argv = ["import-reports", "--format", fmt, "--in", str(report), "--out", str(tmp_path / "out"), "--subject", "T1:x"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {report}: ") and err.count("\n") == 1
+        assert expected in err
+        assert not (tmp_path / "out").exists()
+
+    def test_source_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        source = tmp_path / "Subject.java"
+        source.write_bytes(b'class Subject { String s = "caf\xe9"; }\n')
+        argv = [
+            "import-reports", "--format", "designite_csv", "--in", str(EXTERNAL / "sample_designite.csv"),
+            "--out", str(tmp_path / "out"), "--subject", "T1:x", "--source", str(source),
+        ]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {source}: the Java source is not UTF-8: ") and err.count("\n") == 1
 
 
 class TestImportAndDiff:

@@ -123,6 +123,23 @@ class TestLoadManifest:
         with pytest.raises(ManifestSyntaxError, match="^task T1: path leaves the corpus root: "):
             load_manifest(root)
 
+    @pytest.mark.parametrize("field, name", [
+        ("task_id", "../../../T1"), ("task_id", "a/T1"), ("task_id", ""),
+        ("model_id", "../../m"), ("model_id", "m\\x"), ("model_id", ".."),
+    ])
+    def test_ids_are_plain_names(self, tmp_path, field, name):
+        task = make_task(tmp_path, "T1")
+        if field == "task_id":
+            task["task_id"] = name
+            expected = f"task id must be a plain name without '/', '\\' or '..': {name!r}"
+        else:
+            task["solutions"][0]["model_id"] = name
+            expected = f"task T1: model id must be a plain name without '/', '\\' or '..': {name!r}"
+        write_manifest(tmp_path, [task])
+        with pytest.raises(ManifestSyntaxError) as err:
+            load_manifest(tmp_path)
+        assert str(err.value) == expected
+
     def test_resolve_refuses_a_path_out_of_the_root(self, tmp_path):
         write_manifest(tmp_path, [make_task(tmp_path, "T1")])
         corpus = load_manifest(tmp_path)

@@ -3,6 +3,8 @@ the supported subset, located failures, and determinism."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from smellscore.java_syntax import (
@@ -350,6 +352,8 @@ DECLARATION_OR_EXPRESSION = [
     ("for (int i = c ? 1 : 2; i < n; i++) {}", n.ForStmt, [n.LocalVarDecl]),
     ("for (i = 0, j = n >> 1; i < j; i++) {}", n.ForStmt, [n.ExprStmt, n.ExprStmt]),
     ("for (;;) {}", n.ForStmt, []),
+    ("abstract class L {}", n.LocalTypeDecl, None),
+    ("final @Deprecated class L {}", n.LocalTypeDecl, None),
 ]
 
 
@@ -361,6 +365,62 @@ def test_declaration_or_expression(stmt, kind, init):
     assert type(parsed) is kind
     if init is not None:
         assert [type(s) for s in parsed.init] == init
+
+
+def shape(e: n.Expr) -> str:
+    """An expression's node kinds, outermost first, with operators, cast and
+    literal types and lambda parameters: '(a) - b' is 'Binary-(Paren(Name), Name)'."""
+
+    def typename(t: n.TypeRef) -> str:
+        return t.name + "[]" * t.array_dims
+
+    label = type(e).__name__
+    if isinstance(e, (n.Binary, n.Unary)):
+        label += e.op
+    elif isinstance(e, (n.Cast, n.ClassLiteral)):
+        label += f"<{typename(e.type)}>"
+    elif isinstance(e, n.MethodRef) and isinstance(e.receiver, n.TypeRef):
+        label += f"<{typename(e.receiver)}>::{e.name}"
+    elif isinstance(e, n.Lambda):
+        params = (" ".join([*p.modifiers, typename(p.type), p.name]).strip() for p in e.params)
+        label += f"[{', '.join(params)}]"
+    kids = [shape(v) for f in dataclasses.fields(e) if isinstance(v := getattr(e, f.name), n.Expr)]
+    return label + (f"({', '.join(kids)})" if kids else "")
+
+
+# '(' opens a cast, a lambda or a parenthesized expression; the parser decides
+# by trying the cast head and then the lambda head.
+PARSE_DECISIONS = [
+    ("(a < b) ? c : d", "Ternary(Paren(Binary<(Name, Name)), Name, Name)"),
+    ("(a < b) && ok", "Binary&&(Paren(Binary<(Name, Name)), Name)"),
+    ("(i < n) + 1", "Binary+(Paren(Binary<(Name, Name)), Literal)"),
+    ("(a[i]) - b", "Binary-(Paren(ArrayAccess(Name, Name)), Name)"),
+    ("(int x) -> x", "Lambda[int x](Name)"),
+    ("(int[] a) -> a", "Lambda[int[] a](Name)"),
+    ("(List<String> l) -> l", "Lambda[List l](Name)"),
+    ("(String... s) -> s", "Lambda[String s](Name)"),
+    ("(a) - b", "Binary-(Paren(Name), Name)"),
+    ("(int) -b", "Cast<int>(Unary-(Name))"),
+    ('(String) "x"', "Cast<String>(Literal)"),
+    ("(T) new X()", "Cast<T>(NewObject)"),
+    ("(List<String>) -x", "Cast<List>(Unary-(Name))"),
+    ("((a)) + b", "Binary+(Paren(Paren(Name)), Name)"),
+    ("(i < n >> 1)", "Paren(Binary<(Name, Binary>>(Name, Literal)))"),
+    ("(x) -> x", "Lambda[x](Name)"),
+    ("() -> 1", "Lambda[](Literal)"),
+    ("(a, b) -> a", "Lambda[a, b](Name)"),
+    ("(final int x) -> x", "Lambda[final int x](Name)"),
+    ("Foo[]::new", "MethodRef<Foo[]>::new"),
+    ("int[].class", "ClassLiteral<int[]>"),
+]
+
+
+@pytest.mark.parametrize("expr, expected", PARSE_DECISIONS)
+def test_parse_decision(expr, expected):
+    out = parse_text("A.java", f"class A {{\n    Object m() {{\n        return {expr};\n    }}\n}}\n")
+    assert out.ok, out.failure
+    [ret] = out.ast.types[0].methods[0].body.statements
+    assert shape(ret.value) == expected
 
 
 STRESS_SAMPLES = {

@@ -75,6 +75,10 @@ class G {
         report = _report(text, rules=[rule_by_id("javadoc-method")])
         assert report.violations == []
 
+    def test_parenthesized_comparison_before_ternary_is_analyzed(self):
+        report = _report("class A {\n    int min(int a, int b) {\n        return (a < b) ? a : b;\n    }\n}\n")
+        assert report.parse_ok, report.parse_error
+
     def test_origin_tags_never_multiply_counts(self):
         rule = rule_by_id("empty-catch-block")
         once = _report(SMELLY, rules=[rule])
