@@ -42,7 +42,14 @@ from .scoreboard import (
     score_scenario,
     write_scorecards,
 )
-from .smell_engine import BASELINE, detect_corpus, load_report_store, write_report_store
+from .smell_engine import (
+    BASELINE,
+    ReportFileError,
+    detect_corpus,
+    load_report_store,
+    read_report,
+    write_report_store,
+)
 from .tool_adapters import ExternalReport, FormatError, diff_reports, import_reports
 
 
@@ -286,11 +293,9 @@ def run_pipeline(config: RunConfig) -> RunSummary:
 # argparse wiring
 # --------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, corpus: bool = True, out: bool = True) -> None:
-    if corpus:
-        p.add_argument("--corpus", type=Path, help="corpus directory or corpus.json path")
-    if out:
-        p.add_argument("--out", type=Path, help="output directory")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", type=Path, help="corpus directory or corpus.json path")
+    p.add_argument("--out", type=Path, help="output directory")
     p.add_argument("--config", type=Path, help="JSON config file mirroring the run options")
     p.add_argument("--subjects", help="comma-separated subject list (e.g. baseline,m1)")
     p.add_argument("--scenario", action="append", default=None,
@@ -370,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as e:
+    except (ConfigError, ReportFileError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (IoError, OSError) as e:
@@ -426,8 +431,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "diff":
-        native = ViolationReport.from_json(json.loads(args.native.read_text(encoding="utf-8")))
-        imported = ViolationReport.from_json(json.loads(args.imported.read_text(encoding="utf-8")))
+        native = read_report(args.native)
+        imported = read_report(args.imported)
         try:
             summary = diff_reports(native, imported)
         except ValueError as e:

@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 VALID_SOURCES = ("textbook", "stackoverflow")
 
@@ -86,14 +86,6 @@ class Corpus:
 
     def resolve(self, rel_path: str) -> Path:
         return _inside(self.root, rel_path)
-
-    def topics(self) -> set[str]:
-        return {t.topic for t in self.tasks}
-
-    def iter_solutions(self) -> Iterator[tuple[CodingTask, GeneratedSolution]]:
-        for t in self.tasks:
-            for s in t.solutions:
-                yield t, s
 
 
 def require_plain_name(what: str, name: str) -> str:
@@ -228,35 +220,6 @@ def _require_file(root: Path, rel: str, task_id: str) -> None:
     p = _inside(root, rel, task_id)
     if not p.is_file():
         raise MissingFileError(f"task {task_id}: file not found: {rel}")
-
-
-def save_manifest(corpus: Corpus, path: str | Path) -> None:
-    """Serialize a corpus back to manifest JSON (paths stay relative)."""
-    doc = {"tasks": [_task_to_json(t) for t in corpus.tasks]}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _task_to_json(task: CodingTask) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "task_id": task.task_id,
-        "source": task.source,
-        "topic": task.topic,
-        "description": task.description,
-        "input_length": task.input_length,
-        "complexity": {
-            "cyclomatic": task.complexity.cyclomatic,
-            "cognitive": task.complexity.cognitive,
-            "loc": task.complexity.loc,
-        },
-        "reference_path": task.reference_path,
-        "solutions": [],
-    }
-    for s in task.solutions:
-        sol: dict[str, Any] = {"model_id": s.model_id, "path": s.path}
-        if s.correct is not None:
-            sol["correct"] = s.correct
-        out["solutions"].append(sol)
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -727,7 +727,7 @@ class _Parser:
             end = self.expect(";")
             decl.span = self.span_between(decl.span, end.span)
             return decl
-        if lex in ("class", "interface", "enum", "abstract", "final", "static"):  # none can start an expression
+        if lex in ("@", "class", "interface", "enum", "abstract", "final", "static"):  # none can start an expression
             decl = self.type_declaration()
             return n.LocalTypeDecl(span=decl.span, decl=decl)
 
@@ -1166,7 +1166,7 @@ class _Parser:
 
     def _type_literal(self) -> n.Expr:
         """A class literal on a primitive, void or array type, or a method
-        reference on an array of a named type: int.class, int[].class, Foo[]::new."""
+        reference on an array type: int.class, int[].class, Foo[]::new, int[]::clone."""
         t = self.next()
         ref = n.TypeRef(span=t.span, name=t.lexeme)
         while self.at("[") and self.at("]", 1):
@@ -1174,9 +1174,9 @@ class _Parser:
             end = self.next()
             ref.array_dims += 1
             ref.span = self.span_between(ref.span, end.span)
-        if self.at("::") and t.kind is TokenKind.IDENTIFIER:
+        if self.at("::") and ref.array_dims:
             self.next()
-            end = self.next()  # identifier or 'new'
+            end = self.next() if self.at("new") else self.expect_ident()
             return n.MethodRef(span=self.span_between(t.span, end.span), receiver=ref, name=end.lexeme)
         if self.at(".") and self.at("class", 1):
             self.next()

@@ -1,30 +1,1 @@
 """Rule catalog and checkers."""
-
-from .catalog import catalog, multi_origin_rules, rule_by_id, rule_types, rules_for_category, rules_for_type
-from .model import (
-    ALL_TYPES,
-    DESIGN,
-    DESIGN_TYPES,
-    IMPLEMENTATION,
-    IMPLEMENTATION_TYPES,
-    SmellRule,
-    Violation,
-    ViolationReport,
-)
-
-__all__ = [
-    "catalog",
-    "multi_origin_rules",
-    "rule_by_id",
-    "rule_types",
-    "rules_for_category",
-    "rules_for_type",
-    "ALL_TYPES",
-    "DESIGN",
-    "DESIGN_TYPES",
-    "IMPLEMENTATION",
-    "IMPLEMENTATION_TYPES",
-    "SmellRule",
-    "Violation",
-    "ViolationReport",
-]

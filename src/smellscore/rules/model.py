@@ -3,7 +3,7 @@ external-report adapters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..java_syntax.lexer import Span
@@ -38,7 +38,7 @@ class SmellRule:
     rule_id: str
     smell_type: str
     category: str  # implementation | design
-    origin_tags: frozenset[str]
+    origins: tuple[tuple[str, str], ...]  # (detector, native rule name)
     description: str
     thresholds: dict[str, Any] = field(default_factory=dict)
 
@@ -47,23 +47,19 @@ class SmellRule:
             raise ValueError(f"{self.rule_id}: {self.smell_type} is not an implementation smell type")
         if self.category == DESIGN and self.smell_type not in DESIGN_TYPES:
             raise ValueError(f"{self.rule_id}: {self.smell_type} is not a design smell type")
-        if not self.origin_tags:
-            raise ValueError(f"{self.rule_id}: needs at least one origin tag")
+        if not self.origins:
+            raise ValueError(f"{self.rule_id}: needs at least one origin")
+
+    @property
+    def origin_tags(self) -> frozenset[str]:
+        """The detectors that implement this rule."""
+        return frozenset(detector for detector, _ in self.origins)
 
     def threshold(self, name: str) -> Any:
         return self.thresholds[name]
 
     def with_thresholds(self, **overrides: Any) -> "SmellRule":
-        merged = dict(self.thresholds)
-        merged.update(overrides)
-        return SmellRule(
-            rule_id=self.rule_id,
-            smell_type=self.smell_type,
-            category=self.category,
-            origin_tags=self.origin_tags,
-            description=self.description,
-            thresholds=merged,
-        )
+        return replace(self, thresholds={**self.thresholds, **overrides})
 
 
 @dataclass(frozen=True)

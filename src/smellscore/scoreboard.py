@@ -34,10 +34,6 @@ class DegenerateInputError(Exception):
     """Correlation input has zero variance or too few points."""
 
 
-class UnknownTopicError(Exception):
-    """A topic filter names a topic absent from the corpus."""
-
-
 # --------------------------------------------------------------------------
 # Selectors
 # --------------------------------------------------------------------------
@@ -47,7 +43,6 @@ class ScenarioSelector:
     kind: str  # all | by_topic | by_complexity | by_source | by_correctness
     metric: str = "cyclomatic"  # for by_complexity
     model_id: str | None = None  # for by_correctness
-    topics: tuple[str, ...] = ()  # optional by_topic filter
 
     DEFAULT_WIDTHS = {"cyclomatic": 1, "cognitive": 5, "loc": 10}
 
@@ -137,15 +132,8 @@ def partition(corpus: Corpus, selector: ScenarioSelector) -> list[tuple[str, lis
         return [("all", tasks)]
 
     if selector.kind == "by_topic":
-        if selector.topics:
-            known = corpus.topics()
-            for t in selector.topics:
-                if t not in known:
-                    raise UnknownTopicError(f"topic {t!r} not in corpus")
         groups: dict[str, list[CodingTask]] = {}
         for task in tasks:
-            if selector.topics and task.topic not in selector.topics:
-                continue
             groups.setdefault(task.topic, []).append(task)
         return sorted(groups.items())
 

@@ -26,6 +26,10 @@ from .rules.model import SmellRule, ViolationReport
 BASELINE = "baseline"
 
 
+class ReportFileError(Exception):
+    """A stored report file is not a well-formed ViolationReport."""
+
+
 def _build_registry() -> dict[str, object]:
     registry: dict[str, object] = {}
     for rule in catalog():
@@ -156,6 +160,19 @@ def load_report_store(out_dir: str | Path) -> dict[str, dict[str, ViolationRepor
         for report_path in sorted(subject_dir.glob("*.json")):
             if report_path.name == "_failures.json":
                 continue
-            doc = json.loads(report_path.read_text(encoding="utf-8"))
-            results[subject][report_path.stem] = ViolationReport.from_json(doc)
+            results[subject][report_path.stem] = read_report(report_path)
     return results
+
+
+def read_report(path: Path) -> ViolationReport:
+    """One stored report; a file that is not a well-formed report raises
+    ReportFileError naming it."""
+    try:
+        report = ViolationReport.from_json(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError) as e:  # ValueError covers JSON and UTF-8 decode errors
+        raise ReportFileError(f"{path}: not a well-formed report: {type(e).__name__}: {e}") from e
+    for counts in (report.per_rule_counts, report.per_type_counts):
+        for key, count in counts.items():
+            if type(count) is not int:
+                raise ReportFileError(f"{path}: not a well-formed report: count of {key!r} is {count!r}")
+    return report

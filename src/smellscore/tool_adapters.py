@@ -1,9 +1,9 @@
 """Importers for reports produced by external detectors (PMD XML, Checkstyle
 XML, DesigniteJava CSV), mapped into canonical violation reports.
 
-Rule names native to each detector are translated through a rule map; the
-shipped default map is the single authority for that translation, and
-findings it does not know are collected in an unmapped bucket, counted,
+Rule names native to each detector are translated through the (detector,
+native rule name) origins that each rule declares in the rule catalog;
+findings no rule declares are collected in an unmapped bucket, counted,
 never silently dropped.  Findings that reach the same canonical rule at the
 same (file, line) collapse to one violation, so importing the same rule from
 two detectors cannot double count.
@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .java_syntax import SourceFile, parse
 from .java_syntax.lexer import Span
-from .rules.catalog import rule_types
+from .rules.catalog import CHECKSTYLE, DESIGNITE, PMD, rule_for_origin, rule_types
 from .rules.model import Violation, ViolationReport
 
 PMD_XML = "pmd_xml"
@@ -60,104 +60,6 @@ class ImportResult:
         return len(self.unmapped)
 
 
-# (detector, native rule name) -> canonical rule id
-DEFAULT_RULE_MAP: dict[tuple[str, str], str] = {
-    # PMD
-    ("pmd", "LocalVariableNamingConventions"): "local-variable-name",
-    ("pmd", "FormalParameterNamingConventions"): "parameter-name",
-    ("pmd", "MethodNamingConventions"): "method-name",
-    ("pmd", "ClassNamingConventions"): "class-name",
-    ("pmd", "GenericsNaming"): "generics-name",
-    ("pmd", "SimplifyConditional"): "simplify-conditional",
-    ("pmd", "SimplifyBooleanReturns"): "simplify-boolean-return",
-    ("pmd", "SimplifiedTernary"): "simplified-ternary",
-    ("pmd", "ExcessiveParameterList"): "excessive-parameter-list",
-    ("pmd", "CopyPasteDetector"): "copy-paste",
-    ("pmd", "CPD"): "copy-paste",
-    ("pmd", "EmptyControlStatement"): "empty-control-statement",
-    ("pmd", "EmptyCatchBlock"): "empty-catch-block",
-    ("pmd", "UselessParentheses"): "useless-parentheses",
-    ("pmd", "UnusedFormalParameter"): "unused-formal-parameter",
-    ("pmd", "UnusedLocalVariable"): "unused-local-variable",
-    ("pmd", "UnusedPrivateField"): "unused-private-field",
-    ("pmd", "UnusedPrivateMethod"): "unused-private-method",
-    ("pmd", "CloseResource"): "close-resource",
-    ("pmd", "AvoidInstantiatingObjectsInLoops"): "avoid-instantiating-objects-in-loops",
-    ("pmd", "CommentRequired"): "comment-required",
-    ("pmd", "CommentSize"): "comment-size",
-    ("pmd", "CommentContent"): "comment-content",
-    ("pmd", "GodClass"): "god-class",
-    ("pmd", "DataClass"): "data-class",
-    ("pmd", "TooManyMethods"): "too-many-methods",
-    ("pmd", "TooManyFields"): "too-many-fields",
-    ("pmd", "UseUtilityClass"): "use-utility-class",
-    ("pmd", "LawOfDemeter"): "law-of-demeter",
-    ("pmd", "CouplingBetweenObjects"): "coupling-between-objects",
-    ("pmd", "ExcessivePublicCount"): "excessive-public-count",
-    # Checkstyle (source attribute's last segment, trailing "Check" dropped)
-    ("checkstyle", "LocalVariableName"): "local-variable-name",
-    ("checkstyle", "MethodName"): "method-name",
-    ("checkstyle", "AbbreviationAsWordInName"): "abbreviation-as-word-in-name",
-    ("checkstyle", "AbstractClassName"): "abstract-class-name",
-    ("checkstyle", "CatchParameterName"): "catch-parameter-name",
-    ("checkstyle", "ConstantName"): "constant-name",
-    ("checkstyle", "IllegalIdentifierName"): "illegal-identifier-name",
-    ("checkstyle", "SimplifyBooleanExpression"): "simplify-boolean-expression",
-    ("checkstyle", "SimplifyBooleanReturn"): "simplify-boolean-return",
-    ("checkstyle", "LineLength"): "line-length",
-    ("checkstyle", "MethodLength"): "method-length",
-    ("checkstyle", "RedundantImport"): "redundant-import",
-    ("checkstyle", "RedundantModifier"): "redundant-modifier",
-    ("checkstyle", "MissingSwitchDefault"): "missing-switch-default",
-    ("checkstyle", "TodoComment"): "todo-comment",
-    ("checkstyle", "EmptyCatchBlock"): "empty-catch-block",
-    ("checkstyle", "EmptyBlock"): "empty-block",
-    ("checkstyle", "Indentation"): "indentation",
-    ("checkstyle", "FileTabCharacter"): "file-tab-character",
-    ("checkstyle", "NeedBraces"): "need-braces",
-    ("checkstyle", "LeftCurly"): "left-curly",
-    ("checkstyle", "RightCurly"): "right-curly",
-    ("checkstyle", "ParenPad"): "paren-pad",
-    ("checkstyle", "MethodParamPad"): "method-param-pad",
-    ("checkstyle", "VariableDeclarationUsageDistance"): "variable-declaration-usage-distance",
-    ("checkstyle", "DeclarationOrder"): "declaration-order",
-    ("checkstyle", "MagicNumber"): "magic-number",
-    ("checkstyle", "UnusedLocalVariable"): "unused-local-variable",
-    ("checkstyle", "UnusedImports"): "unused-import",
-    ("checkstyle", "JavadocMethod"): "javadoc-method",
-    ("checkstyle", "JavadocType"): "javadoc-type",
-    ("checkstyle", "MissingJavadocPackage"): "missing-javadoc-package",
-    ("checkstyle", "JavadocVariable"): "javadoc-variable",
-    ("checkstyle", "HideUtilityClassConstructor"): "hide-utility-class-constructor",
-    ("checkstyle", "ClassFanOutComplexity"): "class-fan-out",
-    ("checkstyle", "VisibilityModifier"): "visibility-modifier",
-    ("checkstyle", "FinalParameters"): "final-parameters",
-    ("checkstyle", "FinalClass"): "final-class",
-    ("checkstyle", "HiddenField"): "hidden-field",
-    # DesigniteJava (smell column text)
-    ("designite", "Long Method"): "method-length",
-    ("designite", "Long Parameter List"): "excessive-parameter-list",
-    ("designite", "Broken Modularization"): "broken-modularization",
-    ("designite", "Cyclically-dependent Modularization"): "cyclically-dependent-modularization",
-    ("designite", "Hub-like Modularization"): "hub-like-modularization",
-    ("designite", "Insufficient Modularization"): "insufficient-modularization",
-    ("designite", "Deficient Encapsulation"): "deficient-encapsulation",
-    ("designite", "Unexploited Encapsulation"): "unexploited-encapsulation",
-    ("designite", "Broken Hierarchy"): "broken-hierarchy",
-    ("designite", "Cyclic Hierarchy"): "cyclic-hierarchy",
-    ("designite", "Deep Hierarchy"): "deep-hierarchy",
-    ("designite", "Missing Hierarchy"): "missing-hierarchy",
-    ("designite", "Multipath Hierarchy"): "multipath-hierarchy",
-    ("designite", "Rebellious Hierarchy"): "rebellious-hierarchy",
-    ("designite", "Wide Hierarchy"): "wide-hierarchy",
-    ("designite", "Dependency Cycles btw Packages"): "dependency-cycles-between-packages",
-    ("designite", "Imperative Abstraction"): "imperative-abstraction",
-    ("designite", "Multifaceted Abstraction"): "multifaceted-abstraction",
-    ("designite", "Unnecessary Abstraction"): "unnecessary-abstraction",
-    ("designite", "Unutilized Abstraction"): "unutilized-abstraction",
-}
-
-
 @dataclass(frozen=True)
 class _Finding:
     detector: str
@@ -170,17 +72,15 @@ class _Finding:
 
 def import_report(
     report: ExternalReport,
-    rule_map: dict[tuple[str, str], str] | None = None,
     subject: tuple[str, str] = ("external", "imported"),
     source_path: str | Path | None = None,
 ) -> ImportResult:
     """Translate one external report file into a canonical ViolationReport."""
-    return import_reports([report], rule_map=rule_map, subject=subject, source_path=source_path)
+    return import_reports([report], subject=subject, source_path=source_path)
 
 
 def import_reports(
     reports: Iterable[ExternalReport],
-    rule_map: dict[tuple[str, str], str] | None = None,
     subject: tuple[str, str] = ("external", "imported"),
     source_path: str | Path | None = None,
 ) -> ImportResult:
@@ -190,7 +90,6 @@ def import_reports(
     violation, which is what makes footnote-merged rules count once when both
     detectors report them.
     """
-    rule_map = DEFAULT_RULE_MAP if rule_map is None else rule_map
     findings: list[_Finding] = []
     for report in reports:
         findings.extend(_read_findings(report, source_path))
@@ -200,7 +99,7 @@ def import_reports(
     seen: set[tuple[str, str, int]] = set()
     violations: list[Violation] = []
     for f in findings:
-        rule_id = rule_map.get((f.detector, f.native_rule))
+        rule_id = rule_for_origin(f.detector, f.native_rule)
         if rule_id is None:
             unmapped.append((f"{f.detector}:{f.native_rule}", f.file))
             continue
@@ -262,7 +161,7 @@ def _read_checkstyle(path: Path) -> list[_Finding]:
                 native = native[: -len("Check")]
             out.append(
                 _Finding(
-                    detector="checkstyle",
+                    detector=CHECKSTYLE,
                     native_rule=native,
                     file=name,
                     line=_integer(path, "error", "line", line),
@@ -294,7 +193,7 @@ def _read_pmd(path: Path) -> list[_Finding]:
                 raise FormatError(f"{path}: <violation> needs rule and beginline attributes")
             out.append(
                 _Finding(
-                    detector="pmd",
+                    detector=PMD,
                     native_rule=rule,
                     file=name,
                     line=_integer(path, "violation", "beginline", beginline),
@@ -335,7 +234,7 @@ def _read_designite(path: Path, source_path: str | Path | None) -> list[_Finding
         file_name = str(source_path) if source_path is not None else f"{row['Package Name'].strip()}.{type_name}"
         out.append(
             _Finding(
-                detector="designite",
+                detector=DESIGNITE,
                 native_rule=row["Code Smell"].strip(),
                 file=file_name,
                 line=line,

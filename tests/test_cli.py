@@ -340,3 +340,29 @@ class TestImportAndDiff:
         rows = diff_csv.read_text().splitlines()
         assert rows[0] == "rule_id,native_count,imported_count,delta"
         assert all(row.endswith(",0") for row in rows[1:])
+
+
+class TestMalformedReportFiles:
+    """A stored report that is not a well-formed report is a one-line config error naming the file."""
+
+    @pytest.mark.parametrize("content", ["not json", "{}"], ids=["not-json", "empty-object"])
+    def test_diff_of_malformed_report_is_config_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content, encoding="utf-8")
+        assert run(["diff", "--native", str(bad), "--imported", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: not a well-formed report: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: [],
+        lambda doc: {**doc, "per_rule_counts": {"line-length": "x"}},
+    ], ids=["list", "string-count"])
+    def test_score_of_malformed_store_is_config_error(self, tmp_path, capsys, mangle):
+        out = tmp_path / "out"
+        assert run(["analyze", "--corpus", str(MINI), "--out", str(out)]) == 0
+        capsys.readouterr()
+        bad = out / "reports" / "m1" / "T01.json"
+        bad.write_text(json.dumps(mangle(json.loads(bad.read_text(encoding="utf-8")))), encoding="utf-8")
+        assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: not a well-formed report: ") and err.count("\n") == 1

@@ -14,7 +14,6 @@ from smellscore.corpus import (
     ManifestSyntaxError,
     MissingFileError,
     load_manifest,
-    save_manifest,
     validate_corpus,
 )
 
@@ -159,20 +158,9 @@ class TestLoadManifest:
         ]
         write_manifest(tmp_path, tasks)
         corpus = load_manifest(tmp_path)
-        solutions = [s for _, s in corpus.iter_solutions()]
+        solutions = [s for t in corpus.tasks for s in t.solutions]
         assert len(solutions) == 20
         assert sum(1 for s in solutions if s.correct is None) == 3
-
-    def test_round_trip(self, tmp_path):
-        write_manifest(tmp_path, [
-            make_task(tmp_path, "T1", models=("m1", "m2"), correct_flags=(True, None)),
-            make_task(tmp_path, "T2", topic="Array"),
-        ])
-        first = load_manifest(tmp_path)
-        save_manifest(first, tmp_path / "copy.json")
-        second = load_manifest(tmp_path / "copy.json")
-        assert first.tasks == second.tasks
-        assert first.models == second.models
 
 
 class TestValidateCorpus:

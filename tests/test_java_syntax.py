@@ -238,6 +238,15 @@ class G {
         assert not out.ok
         assert out.failure.message == "expected type, found '?'"
 
+    @pytest.mark.parametrize("ref, message", [
+        ("int::x", "unexpected type keyword 'int' in expression"),
+        ("Foo[]::+", "expected identifier, found '+'"),
+    ])
+    def test_malformed_method_reference_is_a_parse_failure(self, ref, message):
+        out = parse_text("A.java", f"class A {{ Object f = {ref}; }}")
+        assert not out.ok
+        assert out.failure.message == message
+
     @pytest.mark.parametrize("text", ["class A { <", "class A { void m("])
     def test_end_of_file_inside_a_list_is_a_parse_failure(self, text):
         out = parse_text("A.java", text)
@@ -354,6 +363,9 @@ DECLARATION_OR_EXPRESSION = [
     ("for (;;) {}", n.ForStmt, []),
     ("abstract class L {}", n.LocalTypeDecl, None),
     ("final @Deprecated class L {}", n.LocalTypeDecl, None),
+    ("@Deprecated class L {}", n.LocalTypeDecl, None),
+    ('@SuppressWarnings("x") interface L {}', n.LocalTypeDecl, None),
+    ('@SuppressWarnings("x") int y = 1;', n.LocalVarDecl, None),
 ]
 
 
@@ -411,6 +423,8 @@ PARSE_DECISIONS = [
     ("(a, b) -> a", "Lambda[a, b](Name)"),
     ("(final int x) -> x", "Lambda[final int x](Name)"),
     ("Foo[]::new", "MethodRef<Foo[]>::new"),
+    ("int[]::clone", "MethodRef<int[]>::clone"),
+    ("int[][]::new", "MethodRef<int[][]>::new"),
     ("int[].class", "ClassLiteral<int[]>"),
 ]
 

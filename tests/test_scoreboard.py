@@ -20,7 +20,6 @@ from smellscore.scoreboard import (
     RuleSetSelector,
     ScenarioSelector,
     UndefinedBaselineError,
-    UnknownTopicError,
     compute_baseline_vs,
     compute_increase,
     compute_vs,
@@ -136,11 +135,6 @@ class TestPartition:
             ("A", ["t1", "t2"]),
             ("B", ["t3"]),
         ]
-
-    def test_unknown_topic_filter(self):
-        c = corpus([task("t1", topic="A")])
-        with pytest.raises(UnknownTopicError):
-            partition(c, ScenarioSelector(kind="by_topic", topics=("Nope",)))
 
     def test_by_complexity_unit_buckets(self):
         c = corpus([task(f"t{i}", cyclomatic=i) for i in range(1, 7)])

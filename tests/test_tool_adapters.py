@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 from smellscore.java_syntax.lexer import Span
-from smellscore.rules.catalog import multi_origin_rules
+from smellscore.rules.catalog import CHECKSTYLE, DESIGNITE, PMD, catalog, multi_origin_rules, rule_types
 from smellscore.rules.model import Violation, ViolationReport
-from smellscore.rules.catalog import rule_types
 from smellscore.tool_adapters import (
     CHECKSTYLE_XML,
     DESIGNITE_CSV,
@@ -125,6 +124,26 @@ class TestImport:
     def test_unknown_detector(self, tmp_path):
         with pytest.raises(UnknownDetectorError):
             ExternalReport(format="lint_txt", path=tmp_path / "x")
+
+
+class TestDeclaredOrigins:
+    """Every (detector, native rule name) pair a catalog rule declares imports
+    to a single violation of that rule."""
+
+    ORIGINS = [(detector, native, rule.rule_id) for rule in catalog() for detector, native in rule.origins]
+
+    @pytest.mark.parametrize("detector, native, rule_id", ORIGINS, ids=[f"{d}:{n}" for d, n, _ in ORIGINS])
+    def test_origin_imports_to_its_rule(self, tmp_path, detector, native, rule_id):
+        if detector == PMD:
+            report = _pmd(tmp_path / "p.xml", [(native, 3)])
+        elif detector == CHECKSTYLE:
+            report = _checkstyle(tmp_path / "c.xml", [(native, 3)])
+        else:
+            assert detector == DESIGNITE
+            report = _designite(tmp_path / "d.csv", [("Subject", "", native)])
+        result = import_report(report, subject=SUBJECT)
+        assert [v.rule_id for v in result.report.violations] == [rule_id]
+        assert result.unmapped_count == 0
 
 
 class TestCountOnceMerge:
