@@ -38,6 +38,7 @@ from .scoreboard import (
     RuleSetSelector,
     ScenarioSelector,
     ScoreCard,
+    ScorecardFileError,
     load_scorecards,
     score_scenario,
     write_scorecards,
@@ -375,7 +376,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, ReportFileError) as e:
+    except (ConfigError, ReportFileError, ScorecardFileError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (IoError, OSError) as e:

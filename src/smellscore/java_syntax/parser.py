@@ -1017,14 +1017,13 @@ class _Parser:
             t = self.peek()
             if t is None:
                 return expr
+            if (t.lexeme == "." and self.at("class", 1)) or (t.lexeme == "[" and self.at("]", 1)):
+                name = _dotted_name(expr)
+                if name is not None:  # a type: String.class, Foo[]::new, java.lang.String[].class
+                    expr = self._type_literal(n.TypeRef(span=expr.span, name=name), "type")
+                    continue
             if t.lexeme == ".":
                 nxt = self.peek(1)
-                if nxt is not None and nxt.lexeme == "class":
-                    self.next()
-                    end = self.next()
-                    ref = self._expr_as_typeref(expr)
-                    expr = n.ClassLiteral(span=self.span_between(expr.span, end.span), type=ref)
-                    continue
                 if nxt is not None and nxt.lexeme == "new":
                     self.next()
                     self.next()
@@ -1069,16 +1068,6 @@ class _Parser:
                 expr = n.Unary(span=self.span_between(expr.span, op_tok.span), op=op_tok.lexeme, operand=expr, prefix=False)
                 continue
             return expr
-
-    def _expr_as_typeref(self, expr: n.Expr) -> n.TypeRef:
-        parts: list[str] = []
-        node = expr
-        while isinstance(node, n.FieldAccess):
-            parts.append(node.name)
-            node = node.receiver
-        if isinstance(node, n.Name):
-            parts.append(node.identifier)
-        return n.TypeRef(span=expr.span, name=".".join(reversed(parts)) or "?")
 
     def _call_args(self) -> tuple[list[n.Expr], Span]:
         self.expect("(")
@@ -1144,10 +1133,9 @@ class _Parser:
             new_tok = self.next()
             return self._object_creation(new_tok.span)
 
-        if t.kind is TokenKind.KEYWORD and lex in PRIMITIVE_TYPES or lex == "void" or (
-            t.kind is TokenKind.IDENTIFIER and self.at("[", 1) and self.at("]", 2)
-        ):
-            return self._type_literal()
+        if t.kind is TokenKind.KEYWORD and lex in PRIMITIVE_TYPES or lex == "void":
+            self.next()
+            return self._type_literal(n.TypeRef(span=t.span, name=lex), "type keyword")
 
         if t.kind is TokenKind.IDENTIFIER:
             name_tok = self.next()
@@ -1164,11 +1152,12 @@ class _Parser:
 
         raise self.error(f"unexpected token {lex!r} in expression")
 
-    def _type_literal(self) -> n.Expr:
-        """A class literal on a primitive, void or array type, or a method
-        reference on an array type: int.class, int[].class, Foo[]::new, int[]::clone."""
-        t = self.next()
-        ref = n.TypeRef(span=t.span, name=t.lexeme)
+    def _type_literal(self, ref: n.TypeRef, what: str) -> n.Expr:
+        """What follows a primitive, void or (dotted) type name that must be a
+        type: a class literal on it or its array type, or a method reference
+        on its array type: int.class, int[].class, Foo[]::new,
+        java.lang.String[]::new, int[]::clone."""
+        start = ref.span
         while self.at("[") and self.at("]", 1):
             self.next()
             end = self.next()
@@ -1177,13 +1166,12 @@ class _Parser:
         if self.at("::") and ref.array_dims:
             self.next()
             end = self.next() if self.at("new") else self.expect_ident()
-            return n.MethodRef(span=self.span_between(t.span, end.span), receiver=ref, name=end.lexeme)
+            return n.MethodRef(span=self.span_between(start, end.span), receiver=ref, name=end.lexeme)
         if self.at(".") and self.at("class", 1):
             self.next()
             end = self.next()
-            return n.ClassLiteral(span=self.span_between(t.span, end.span), type=ref)
-        what = "type" if t.kind is TokenKind.IDENTIFIER else "type keyword"
-        raise self.error(f"unexpected {what} {t.lexeme!r} in expression")
+            return n.ClassLiteral(span=self.span_between(start, end.span), type=ref)
+        raise self.error(f"unexpected {what} {ref.name!r} in expression")
 
     def _lambda_head(self) -> tuple[Token, list[n.Param]]:
         """'(' parameters ')' '->'."""
@@ -1275,3 +1263,16 @@ class _Parser:
                 self.next()
         close = self.expect("}")
         return n.ArrayInitializer(span=self.span_between(open_tok.span, close.span), values=values)
+
+
+def _dotted_name(expr: n.Expr) -> str | None:
+    """The name an expression spells when it is only names and dots
+    (``java.lang.String``), else None."""
+    parts: list[str] = []
+    while isinstance(expr, n.FieldAccess):
+        parts.append(expr.name)
+        expr = expr.receiver
+    if not isinstance(expr, n.Name):
+        return None
+    parts.append(expr.identifier)
+    return ".".join(reversed(parts))

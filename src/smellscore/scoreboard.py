@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,10 @@ class UndefinedBaselineError(Exception):
 
 class DegenerateInputError(Exception):
     """Correlation input has zero variance or too few points."""
+
+
+class ScorecardFileError(Exception):
+    """A stored scorecard file is not a list of well-formed scorecards."""
 
 
 # --------------------------------------------------------------------------
@@ -100,6 +105,15 @@ class RuleSetSelector:
         if not rules:
             raise ValueError(f"rule-set selector {self.label!r} resolves to no rules")
         return rules
+
+    @property
+    def smell_types(self) -> tuple[str, ...]:
+        """The smell types whose rules make up the set, in catalog order.
+
+        Every selector takes whole types, so a report's count for the set is
+        the sum of its per-type counts for these types.
+        """
+        return tuple(dict.fromkeys(r.smell_type for r in self.resolve()))
 
     @classmethod
     def parse(cls, text: str) -> "RuleSetSelector":
@@ -238,28 +252,43 @@ class ScoreCard:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "ScoreCard":
+        """Inverse of to_json; a missing or mistyped field raises KeyError,
+        TypeError or ValueError."""
+        baseline_vs = doc["baseline_vs"]
+        increase_rate = doc["increase_rate"]
         return cls(
-            subject=doc["subject"],
-            scenario=doc["scenario"],
-            ruleset=doc["ruleset"],
-            n_tasks=doc["n_tasks"],
-            n_analyzed=doc["n_analyzed"],
-            total_violations=doc["total_violations"],
+            subject=_typed(doc, "subject", str),
+            scenario=_typed(doc, "scenario", str),
+            ruleset=_typed(doc, "ruleset", str),
+            n_tasks=_typed(doc, "n_tasks", int),
+            n_analyzed=_typed(doc, "n_analyzed", int),
+            total_violations=_typed(doc, "total_violations", int),
             vs=_frac_parse(doc["vs"]),
-            baseline_vs=_frac_parse(doc["baseline_vs"]) if doc.get("baseline_vs") is not None else None,
-            increase_rate=(
-                _frac_parse(doc["increase_rate"]) if doc.get("increase_rate") not in (None, "undefined") else None
-            ),
+            baseline_vs=None if baseline_vs is None else _frac_parse(baseline_vs),
+            increase_rate=None if increase_rate == "undefined" else _frac_parse(increase_rate),
         )
+
+
+def _typed(doc: dict[str, Any], key: str, kind: type) -> Any:
+    value = doc[key]
+    if type(value) is not kind:  # exact, so a bool is no count
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def _frac_json(value: Fraction) -> dict[str, Any]:
     return {"fraction": f"{value.numerator}/{value.denominator}", "float": float(value)}
 
 
+_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def _frac_parse(doc: dict[str, Any]) -> Fraction:
-    num, den = doc["fraction"].split("/")
-    return Fraction(int(num), int(den))
+    text = doc["fraction"]
+    match = _FRACTION.fullmatch(text) if isinstance(text, str) else None
+    if match is None or int(match[2]) == 0:
+        raise ValueError(f"malformed fraction {doc!r}")
+    return Fraction(int(match[1]), int(match[2]))
 
 
 def score_scenario(
@@ -276,20 +305,18 @@ def score_scenario(
     """
     from .smell_engine import BASELINE
 
-    rule_ids = {r.rule_id for r in ruleset.resolve()}
+    types = ruleset.smell_types
+    counts = {subject: _counts_by_task(reports.get(subject, {}), types) for subject in {BASELINE, *subjects}}
     cards: list[ScoreCard] = []
     for label, tasks in partition(corpus, scenario):
         if not tasks:
             continue
         task_ids = [t.task_id for t in tasks]
-        baseline_reports = _select(reports.get(BASELINE, {}), task_ids)
-        try:
-            baseline_vs = compute_vs(baseline_reports, rule_ids)
-        except EmptyScenarioError:
-            baseline_vs = None
+        baseline_total, baseline_analyzed = _sum_counts(counts[BASELINE], task_ids)
+        baseline_vs = Fraction(baseline_total, baseline_analyzed) if baseline_analyzed else None
 
         for subject in subjects:
-            total, analyzed = _tally(_select(reports.get(subject, {}), task_ids), rule_ids)
+            total, analyzed = _sum_counts(counts[subject], task_ids)
             if not analyzed:
                 continue
             vs = Fraction(total, analyzed)
@@ -312,8 +339,23 @@ def score_scenario(
     return cards
 
 
-def _select(by_task: dict[str, ViolationReport], task_ids: Sequence[str]) -> list[ViolationReport]:
-    return [by_task[t] for t in task_ids if t in by_task]
+def _counts_by_task(by_task: dict[str, ViolationReport], smell_types: Sequence[str]) -> dict[str, int]:
+    """Violations of the given smell types in each parse-clean report, by task."""
+    out: dict[str, int] = {}
+    for task_id, report in by_task.items():
+        if report.parse_ok:
+            per_type = report.per_type_counts
+            count = 0
+            for smell_type in smell_types:
+                count += per_type.get(smell_type, 0)
+            out[task_id] = count
+    return out
+
+
+def _sum_counts(by_task: dict[str, int], task_ids: Sequence[str]) -> tuple[int, int]:
+    """(sum of the counts, how many) over the given tasks that have a count."""
+    present = [by_task[t] for t in task_ids if t in by_task]
+    return sum(present), len(present)
 
 
 def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: str, ruleset: str) -> bool:
@@ -325,8 +367,15 @@ def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: 
 
 
 def load_scorecards(path: str | Path) -> list[ScoreCard]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [ScoreCard.from_json(item) for item in doc]
+    """Scorecards stored by write_scorecards; a file that is not a JSON list
+    of well-formed scorecards raises ScorecardFileError naming it."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, list):
+            raise TypeError(f"expected a list of scorecards, got {type(doc).__name__}")
+        return [ScoreCard.from_json(item) for item in doc]
+    except (ValueError, KeyError, TypeError) as e:  # ValueError covers JSON and UTF-8 decode errors
+        raise ScorecardFileError(f"{path}: not a well-formed scorecard file: {type(e).__name__}: {e}") from e
 
 
 # --------------------------------------------------------------------------

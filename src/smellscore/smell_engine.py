@@ -164,9 +164,16 @@ def load_report_store(out_dir: str | Path) -> dict[str, dict[str, ViolationRepor
     return results
 
 
+_RULE_TYPES = rule_types()
+
+
 def read_report(path: Path) -> ViolationReport:
     """One stored report; a file that is not a well-formed report raises
-    ReportFileError naming it."""
+    ReportFileError naming it.
+
+    Scores are summed from per_type_counts, so those must be exactly the
+    per-type sums of per_rule_counts, and every rule id must be cataloged.
+    """
     try:
         report = ViolationReport.from_json(json.loads(path.read_text(encoding="utf-8")))
     except (ValueError, KeyError, TypeError) as e:  # ValueError covers JSON and UTF-8 decode errors
@@ -175,4 +182,15 @@ def read_report(path: Path) -> ViolationReport:
         for key, count in counts.items():
             if type(count) is not int:
                 raise ReportFileError(f"{path}: not a well-formed report: count of {key!r} is {count!r}")
+    per_type: dict[str, int] = {}
+    for rule_id, count in report.per_rule_counts.items():
+        smell_type = _RULE_TYPES.get(rule_id)
+        if smell_type is None:
+            raise ReportFileError(f"{path}: not a well-formed report: unknown rule id {rule_id!r}")
+        per_type[smell_type] = per_type.get(smell_type, 0) + count
+    if per_type != report.per_type_counts:
+        raise ReportFileError(
+            f"{path}: not a well-formed report: per_type_counts {report.per_type_counts} "
+            f"are not the per-type sums of per_rule_counts {per_type}"
+        )
     return report

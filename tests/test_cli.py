@@ -366,3 +366,56 @@ class TestMalformedReportFiles:
         assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {bad}: not a well-formed report: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda doc: {**doc, "per_rule_counts": {**doc["per_rule_counts"], "no-such-rule": 1}},
+         "unknown rule id 'no-such-rule'"),
+        (lambda doc: {**doc, "per_type_counts": {**doc["per_type_counts"], "magic-number": doc["per_type_counts"]["magic-number"] + 1}},
+         "per_type_counts "),
+    ], ids=["unknown-rule-id", "type-count-off-by-one"])
+    def test_report_whose_counts_cannot_be_scored_is_config_error(self, tmp_path, capsys, mangle, message):
+        """Scores sum per_type_counts, so they must be the per-type sums of cataloged rule counts."""
+        out = tmp_path / "out"
+        assert run(["analyze", "--corpus", str(MINI), "--out", str(out)]) == 0
+        capsys.readouterr()
+        bad = out / "reports" / "m1" / "T01.json"
+        bad.write_text(json.dumps(mangle(json.loads(bad.read_text(encoding="utf-8")))), encoding="utf-8")
+        expected = f"config error: {bad}: not a well-formed report: {message}"
+        assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and err.count("\n") == 1
+        assert run(["diff", "--native", str(bad), "--imported", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("finished") / "out"
+    assert run(["run", "--corpus", str(MINI), "--out", str(out), "--scenario", "all", "--scenario", "topic"]) == 0
+    return out
+
+
+def _first_card_with(**fields):
+    return lambda cards: [{**cards[0], **fields}]
+
+
+class TestMalformedScorecardFiles:
+    """A stored scorecard file that is not a list of scorecards is a one-line config error naming the file."""
+
+    @pytest.mark.parametrize("mangle", [
+        "not json",
+        lambda cards: {"x": 1},
+        lambda cards: [{"x": 1}],
+        _first_card_with(n_tasks="3"),
+        _first_card_with(vs={"fraction": "1/0", "float": 0.0}),
+    ], ids=["not-json", "not-a-list", "missing-field", "mistyped-field", "malformed-fraction"])
+    def test_report_of_malformed_scorecards_is_config_error(self, finished_run, tmp_path, capsys, mangle):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run, out)
+        bad = out / "scores" / "topic" / "all.json"
+        text = mangle if isinstance(mangle, str) else json.dumps(mangle(json.loads(bad.read_text(encoding="utf-8"))))
+        bad.write_text(text, encoding="utf-8")
+        assert run(["report", "--corpus", str(MINI), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: not a well-formed scorecard file: ") and err.count("\n") == 1

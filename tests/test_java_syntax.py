@@ -241,6 +241,9 @@ class G {
     @pytest.mark.parametrize("ref, message", [
         ("int::x", "unexpected type keyword 'int' in expression"),
         ("Foo[]::+", "expected identifier, found '+'"),
+        ("a.b[] + 1", "unexpected type 'a.b' in expression"),
+        ("f()[]::new", "unexpected token ']' in expression"),
+        ("f().class", "expected identifier, found 'class'"),
     ])
     def test_malformed_method_reference_is_a_parse_failure(self, ref, message):
         out = parse_text("A.java", f"class A {{ Object f = {ref}; }}")
@@ -426,6 +429,11 @@ PARSE_DECISIONS = [
     ("int[]::clone", "MethodRef<int[]>::clone"),
     ("int[][]::new", "MethodRef<int[][]>::new"),
     ("int[].class", "ClassLiteral<int[]>"),
+    ("java.lang.String[]::new", "MethodRef<java.lang.String[]>::new"),
+    ("java.util.List[][].class", "ClassLiteral<java.util.List[][]>"),
+    ("java.util.List[].class.getName()", "MethodCall(ClassLiteral<java.util.List[]>)"),
+    ("java.lang.String::new", "MethodRef(FieldAccess(FieldAccess(Name)))"),
+    ("java.lang.String.class", "ClassLiteral<java.lang.String>"),
 ]
 
 

@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smellscore.corpus import CodingTask, ComplexityTriple, Corpus, GeneratedSolution
+from smellscore.corpus import CodingTask, ComplexityTriple, Corpus, GeneratedSolution, load_manifest
 from smellscore.java_syntax.lexer import Span
-from smellscore.rules.catalog import catalog, rule_types
-from smellscore.rules.model import Violation, ViolationReport
+from smellscore.rules.catalog import catalog, rule_types, rules_for_type
+from smellscore.rules.model import ALL_TYPES, Violation, ViolationReport
 from smellscore.scoreboard import (
     DegenerateInputError,
     EmptyScenarioError,
     RuleSetSelector,
     ScenarioSelector,
     UndefinedBaselineError,
+    _tally,
     compute_baseline_vs,
     compute_increase,
     compute_vs,
@@ -30,8 +31,10 @@ from smellscore.scoreboard import (
     rank_topics,
     top_smells,
     write_scorecards,
+    score_scenario,
     ScoreCard,
 )
+from smellscore.smell_engine import BASELINE, detect_corpus, load_report_store
 
 RULE_IDS = [r.rule_id for r in catalog()]
 TYPES = rule_types()
@@ -307,6 +310,55 @@ class TestPerTypeConsistency:
         all_rules = rules(*one_rule_per_type.values())
         overall = compute_increase(compute_vs(subject, all_rules), compute_vs(baseline, all_rules))
         assert overall == mean_increase
+
+
+RULESETS = ["all", "implementation", "design", *(f"type:{t}" for t in ALL_TYPES)]
+SCENARIOS = ["all", "topic", "source", "complexity:cyclomatic", "complexity:cognitive", "complexity:loc",
+             "correctness:m1"]
+MINI = Path(__file__).parent / "data" / "mini_corpus"
+
+
+@pytest.fixture(scope="module")
+def mini_store(tmp_path_factory):
+    """The mini corpus and its reports, read back from a written store."""
+    mini = load_manifest(MINI)
+    out = tmp_path_factory.mktemp("mini")
+    detect_corpus(mini, [BASELINE, *sorted(mini.models)], out_dir=out)
+    return mini, load_report_store(out)
+
+
+class TestScoreFromTypeCounts:
+    """Cards are summed from per-type counts; they must equal the rule-id tally."""
+
+    @pytest.mark.parametrize("text", RULESETS)
+    def test_ruleset_is_the_union_of_its_smell_types(self, text):
+        selector = RuleSetSelector.parse(text)
+        from_types = {r.rule_id for t in selector.smell_types for r in rules_for_type(t)}
+        assert from_types == {r.rule_id for r in selector.resolve()}
+
+    @pytest.mark.parametrize("scenario_text", SCENARIOS)
+    def test_cards_equal_the_rule_tally(self, mini_store, scenario_text):
+        mini, reports = mini_store
+        scenario = ScenarioSelector.parse(scenario_text)
+        subjects = sorted(reports)
+        for ruleset_text in RULESETS:
+            ruleset = RuleSetSelector.parse(ruleset_text)
+            rule_ids = {r.rule_id for r in ruleset.resolve()}
+            expected = {}
+            for label, tasks in partition(mini, scenario):
+                tallies = {
+                    subject: _tally([reports[subject][t.task_id] for t in tasks if t.task_id in reports[subject]], rule_ids)
+                    for subject in subjects
+                }
+                base_total, base_analyzed = tallies[BASELINE]
+                baseline_vs = Fraction(base_total, base_analyzed) if base_analyzed else None
+                for subject, (total, analyzed) in tallies.items():
+                    if analyzed:
+                        expected[(f"{scenario.label}/{label}", subject)] = (total, analyzed, baseline_vs)
+            cards = score_scenario(mini, reports, scenario, ruleset, subjects)
+            got = {(c.scenario, c.subject): (c.total_violations, c.n_analyzed, c.baseline_vs) for c in cards}
+            assert got == expected
+            assert len(cards) == len(expected)
 
 
 COUNT_STRATEGY = st.dictionaries(
