@@ -112,20 +112,35 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from e
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        for key in doc:
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"config file {path}: unknown key {key!r}")
+        for key in ("subjects", "scenarios", "rulesets"):
+            value = doc.get(key, [])
+            if type(value) is not list or any(type(item) is not str for item in value):
+                raise ConfigError(f"config file {path}: {key!r} must be a list of strings, got {value!r}")
+        jobs = doc.get("jobs", 1)
+        if type(jobs) is not int:  # exact, so neither true nor 2.9 is a worker count
+            raise ConfigError(f"config file {path}: 'jobs' must be an integer, got {jobs!r}")
         try:
             return cls(
                 corpus_path=Path(doc["corpus"]),
                 out_dir=Path(doc["out"]),
-                subjects=list(doc.get("subjects", [])),
+                subjects=doc.get("subjects", []),
                 scenarios=[ScenarioSelector.parse(s) for s in doc.get("scenarios", ["all"])],
                 rulesets=[RuleSetSelector.parse(r) for r in doc.get("rulesets", ["all"])],
                 threshold_overrides=doc.get("thresholds", {}),
-                parallelism=int(doc.get("jobs", 1)),
+                parallelism=jobs,
             )
         except KeyError as e:
             raise ConfigError(f"config file {path} is missing {e.args[0]!r}") from e
         except (TypeError, ValueError) as e:
             raise ConfigError(f"config file {path}: {e}") from e
+
+
+_CONFIG_KEYS = ("corpus", "out", "subjects", "scenarios", "rulesets", "thresholds", "jobs")
 
 
 def _fits(default: Any, value: Any) -> bool:

@@ -126,8 +126,7 @@ class _Parser:
     def next(self) -> Token:
         t = self.peek()
         if t is None:
-            last = self.toks[-1].span if self.toks else Span(1, 1, 1, 1)
-            raise _ParseError("unexpected end of file", last)
+            raise self.error("unexpected end of file")
         self.i += 1
         return t
 
@@ -135,8 +134,7 @@ class _Parser:
         t = self.peek()
         if t is None or t.lexeme != lexeme:
             got = t.lexeme if t else "end of file"
-            span = t.span if t else (self.toks[-1].span if self.toks else Span(1, 1, 1, 1))
-            raise _ParseError(f"expected {lexeme!r}, found {got!r}", span)
+            raise self.error(f"expected {lexeme!r}, found {got!r}")
         self.i += 1
         return t
 
@@ -144,8 +142,7 @@ class _Parser:
         t = self.peek()
         if t is None or t.kind is not TokenKind.IDENTIFIER:
             got = t.lexeme if t else "end of file"
-            span = t.span if t else Span(1, 1, 1, 1)
-            raise _ParseError(f"expected identifier, found {got!r}", span)
+            raise self.error(f"expected identifier, found {got!r}")
         self.i += 1
         return t
 
@@ -156,9 +153,20 @@ class _Parser:
         return self.peek().span
 
     def error(self, message: str) -> _ParseError:
+        """An error at the current token, or at the last one at end of file."""
         t = self.peek()
         span = t.span if t else (self.toks[-1].span if self.toks else Span(1, 1, 1, 1))
         return _ParseError(message, span)
+
+    def separated(self, item, sep: str = ",", close: str | None = None) -> list:
+        """``item (sep item)*``, or no items when the token ``close`` comes next."""
+        if close is not None and self.at(close):
+            return []
+        items = [item()]
+        while self.at(sep):
+            self.next()
+            items.append(item())
+        return items
 
     def split_gt(self) -> Token:
         """Consume a single '>' even when lexed as part of a shift operator."""
@@ -296,9 +304,7 @@ class _Parser:
             anns.append(n.Annotation(span=self.span_between(at_tok.span, end_span), name=name))
         return anns
 
-    def parse_modifiers(self) -> tuple[list[str], list[n.Annotation], int]:
-        """Returns (modifiers, annotations, index of first modifier token)."""
-        first = self.i
+    def parse_modifiers(self) -> tuple[list[str], list[n.Annotation]]:
         mods: list[str] = []
         anns: list[n.Annotation] = []
         while True:
@@ -306,30 +312,33 @@ class _Parser:
             t = self.peek()
             if t is not None and t.lexeme in MODIFIER_WORDS and t.kind is TokenKind.KEYWORD:
                 mods.append(self.next().lexeme)
-            elif t is not None and t.lexeme == "default" and t.kind is TokenKind.KEYWORD:
-                mods.append(self.next().lexeme)
             else:
                 break
-        return mods, anns, first
+        return mods, anns
+
+    def final_prefix(self) -> tuple[list[str], list[n.Annotation]]:
+        """The modifiers of a parameter or local variable: annotations, and 'final' among them."""
+        anns = self.parse_annotations()
+        mods: list[str] = []
+        while self.at("final"):
+            self.next()
+            mods.append("final")
+            anns.extend(self.parse_annotations())
+        return mods, anns
 
     def type_declaration(self) -> n.TypeDecl:
         decl_start = self.i
-        mods, anns, _ = self.parse_modifiers()
+        mods, anns = self.parse_modifiers()
         t = self.peek()
         if t is None:
             raise self.error("expected type declaration")
-        if t.lexeme == "class":
-            return self.class_body_decl("class", mods, anns, decl_start)
-        if t.lexeme == "interface":
-            return self.class_body_decl("interface", mods, anns, decl_start)
-        if t.lexeme == "enum":
-            return self.class_body_decl("enum", mods, anns, decl_start)
-        raise self.error(f"expected class, interface, or enum, found {t.lexeme!r}")
+        if t.lexeme not in ("class", "interface", "enum"):
+            raise self.error(f"expected class, interface, or enum, found {t.lexeme!r}")
+        return self.class_body_decl(mods, anns, decl_start)
 
-    def class_body_decl(
-        self, kind: str, mods: list[str], anns: list[n.Annotation], decl_start: int
-    ) -> n.TypeDecl:
+    def class_body_decl(self, mods: list[str], anns: list[n.Annotation], decl_start: int) -> n.TypeDecl:
         kw = self.next()
+        kind = kw.lexeme
         name_tok = self.expect_ident()
         type_params = self.parse_type_params() if self.at("<") else []
 
@@ -337,16 +346,10 @@ class _Parser:
         implements: list[n.TypeRef] = []
         if self.at("extends"):
             self.next()
-            extends.append(self.parse_type())
-            while kind == "interface" and self.at(","):
-                self.next()
-                extends.append(self.parse_type())
+            extends = self.separated(self.parse_type) if kind == "interface" else [self.parse_type()]
         if self.at("implements"):
             self.next()
-            implements.append(self.parse_type())
-            while self.at(","):
-                self.next()
-                implements.append(self.parse_type())
+            implements = self.separated(self.parse_type)
 
         self.expect("{")
         enum_constants: list[n.EnumConstant] = []
@@ -381,13 +384,7 @@ class _Parser:
             args: list[n.Expr] = []
             end_span = name_tok.span
             if self.at("("):
-                self.next()
-                if not self.at(")"):
-                    args.append(self.expression())
-                    while self.at(","):
-                        self.next()
-                        args.append(self.expression())
-                end_span = self.expect(")").span
+                args, end_span = self._call_args()
             if self.at("{"):  # constant class body, parsed structurally
                 self.next()
                 self.parse_members("")
@@ -414,10 +411,10 @@ class _Parser:
 
     def parse_member(self, enclosing_name: str):
         decl_start = self.i
-        mods, anns, _ = self.parse_modifiers()
+        mods, anns = self.parse_modifiers()
 
         if self.at("class") or self.at("interface") or self.at("enum"):
-            return self.class_body_decl(self.peek().lexeme, mods, anns, decl_start)
+            return self.class_body_decl(mods, anns, decl_start)
 
         if self.at("{"):  # initializer block
             body = self.block()
@@ -442,11 +439,7 @@ class _Parser:
         if self.at("("):
             return self.finish_method(decl_start, mods, anns, type_params, ret_type, name_tok, is_constructor=False)
 
-        # Field declaration
-        declarators = [self.parse_declarator(name_tok)]
-        while self.at(","):
-            self.next()
-            declarators.append(self.parse_declarator(self.expect_ident()))
+        declarators = self.var_declarators(name_tok)  # a field
         end = self.expect(";")
         start_span = self.toks[decl_start].span
         doc = self.preceding_comment(decl_start)
@@ -459,13 +452,13 @@ class _Parser:
             doc=doc,
         )
 
+    def var_declarators(self, name_tok: Token) -> list[n.VarDeclarator]:
+        """The declarators of a field or local variable whose first name is already read."""
+        first = [name_tok]
+        return self.separated(lambda: self.parse_declarator(first.pop() if first else self.expect_ident()))
+
     def parse_declarator(self, name_tok: Token) -> n.VarDeclarator:
-        extra_dims = 0
-        end_span = name_tok.span
-        while self.at("["):
-            self.next()
-            end_span = self.expect("]").span
-            extra_dims += 1
+        extra_dims, end_span = self.name_dims(name_tok.span)
         init = None
         if self.at("="):
             self.next()
@@ -479,6 +472,15 @@ class _Parser:
             init=init,
         )
 
+    def name_dims(self, end_span: Span) -> tuple[int, Span]:
+        """The '[]' pairs after a declared name (int a[]), and the span that ends there."""
+        dims = 0
+        while self.at("["):
+            self.next()
+            end_span = self.expect("]").span
+            dims += 1
+        return dims, end_span
+
     def finish_method(
         self,
         decl_start: int,
@@ -490,25 +492,13 @@ class _Parser:
         is_constructor: bool,
     ) -> n.MethodDecl:
         self.expect("(")
-        params: list[n.Param] = []
-        if not self.at(")"):
-            params.append(self.parse_param())
-            while self.at(","):
-                self.next()
-                params.append(self.parse_param())
-        self.expect(")")
-
-        while self.at("["):  # archaic int m()[] form
-            self.next()
-            self.expect("]")
+        params = self.separated(self.parse_param, close=")")
+        self.name_dims(self.expect(")").span)  # archaic int m()[] form
 
         throws: list[n.TypeRef] = []
         if self.at("throws"):
             self.next()
-            throws.append(self.parse_type())
-            while self.at(","):
-                self.next()
-                throws.append(self.parse_type())
+            throws = self.separated(self.parse_type)
 
         body = None
         if self.at("{"):
@@ -536,23 +526,15 @@ class _Parser:
 
     def parse_param(self) -> n.Param:
         start = self.here()
-        anns = self.parse_annotations()
-        mods: list[str] = []
-        while self.at("final"):
-            self.next()
-            mods.append("final")
-            anns.extend(self.parse_annotations())
+        mods, anns = self.final_prefix()
         ptype = self.parse_type()
         varargs = False
         if self.at("..."):
             self.next()
             varargs = True
         name_tok = self.expect_ident()
-        end_span = name_tok.span
-        while self.at("["):
-            self.next()
-            end_span = self.expect("]").span
-            ptype.array_dims += 1
+        extra_dims, end_span = self.name_dims(name_tok.span)
+        ptype.array_dims += extra_dims
         return n.Param(
             span=self.span_between(start, end_span),
             type=ptype,
@@ -567,26 +549,20 @@ class _Parser:
 
     def parse_type_params(self) -> list[n.TypeParam]:
         self.expect("<")
-        params: list[n.TypeParam] = []
-        while True:
-            start = self.here()
-            self.parse_annotations()
-            name_tok = self.expect_ident()
-            bounds: list[n.TypeRef] = []
-            if self.at("extends"):
-                self.next()
-                bounds.append(self.parse_type())
-                while self.at("&"):
-                    self.next()
-                    bounds.append(self.parse_type())
-            end_span = bounds[-1].span if bounds else name_tok.span
-            params.append(n.TypeParam(span=self.span_between(start, end_span), name=name_tok.lexeme, bounds=bounds))
-            if self.at(","):
-                self.next()
-            else:
-                break
+        params = self.separated(self.parse_type_param)
         self.split_gt()
         return params
+
+    def parse_type_param(self) -> n.TypeParam:
+        start = self.here()
+        self.parse_annotations()
+        name_tok = self.expect_ident()
+        bounds: list[n.TypeRef] = []
+        if self.at("extends"):
+            self.next()
+            bounds = self.separated(self.parse_type, "&")
+        end_span = bounds[-1].span if bounds else name_tok.span
+        return n.TypeParam(span=self.span_between(start, end_span), name=name_tok.lexeme, bounds=bounds)
 
     def parse_type(self, allow_void: bool = False) -> n.TypeRef:
         self.parse_annotations()
@@ -609,7 +585,10 @@ class _Parser:
                 ref.span = self.span_between(start, self.toks[self.i - 1].span)
         else:
             raise self.error(f"expected type, found {t.lexeme!r}")
+        return self.array_dims(ref)
 
+    def array_dims(self, ref: n.TypeRef) -> n.TypeRef:
+        """``ref`` with each following '[]' added to its dimensions and span."""
         while self.at("[") and self.at("]", 1):
             self.next()
             end = self.next()
@@ -619,14 +598,10 @@ class _Parser:
 
     def parse_type_args(self) -> list[n.TypeRef]:
         self.expect("<")
-        args: list[n.TypeRef] = []
         if self.at(">") or (self.peek() and self.peek().lexeme.startswith(">")):
             self.split_gt()  # diamond <>
-            return args
-        args.append(self.parse_type_arg())
-        while self.at(","):
-            self.next()
-            args.append(self.parse_type_arg())
+            return []
+        args = self.separated(self.parse_type_arg)
         self.split_gt()
         return args
 
@@ -689,21 +664,15 @@ class _Parser:
             expr = self.expression()
             end = self.expect(";")
             return n.ThrowStmt(span=self.span_between(tok.span, end.span), expr=expr)
-        if lex == "break":
+        if lex in ("break", "continue"):
             tok = self.next()
             label = self.next().lexeme if self.at_kind(TokenKind.IDENTIFIER) else None
             end = self.expect(";")
-            return n.BreakStmt(span=self.span_between(tok.span, end.span), label=label)
-        if lex == "continue":
-            tok = self.next()
-            label = self.next().lexeme if self.at_kind(TokenKind.IDENTIFIER) else None
-            end = self.expect(";")
-            return n.ContinueStmt(span=self.span_between(tok.span, end.span), label=label)
+            jump = n.BreakStmt if lex == "break" else n.ContinueStmt
+            return jump(span=self.span_between(tok.span, end.span), label=label)
         if lex == "synchronized":
             tok = self.next()
-            self.expect("(")
-            lock = self.expression()
-            self.expect(")")
+            lock = self.parenthesized()
             body = self.block()
             return n.SynchronizedStmt(span=self.span_between(tok.span, body.span), lock=lock, body=body)
         if lex == "assert":
@@ -735,11 +704,16 @@ class _Parser:
         end = self.expect(";")
         return n.ExprStmt(span=self.span_between(expr.span, end.span), expr=expr)
 
+    def parenthesized(self) -> n.Expr:
+        """'(' expression ')', as after if, while, switch and synchronized."""
+        self.expect("(")
+        expr = self.expression()
+        self.expect(")")
+        return expr
+
     def if_statement(self) -> n.IfStmt:
         tok = self.expect("if")
-        self.expect("(")
-        cond = self.expression()
-        self.expect(")")
+        cond = self.parenthesized()
         then = self.statement()
         orelse = None
         end_span = then.span
@@ -751,9 +725,7 @@ class _Parser:
 
     def while_statement(self) -> n.WhileStmt:
         tok = self.expect("while")
-        self.expect("(")
-        cond = self.expression()
-        self.expect(")")
+        cond = self.parenthesized()
         body = self.statement()
         return n.WhileStmt(span=self.span_between(tok.span, body.span), cond=cond, body=body)
 
@@ -761,9 +733,7 @@ class _Parser:
         tok = self.expect("do")
         body = self.statement()
         self.expect("while")
-        self.expect("(")
-        cond = self.expression()
-        self.expect(")")
+        cond = self.parenthesized()
         end = self.expect(";")
         return n.DoWhileStmt(span=self.span_between(tok.span, end.span), body=body, cond=cond)
 
@@ -788,16 +758,10 @@ class _Parser:
                 body=body,
             )
 
-        init: list[n.Stmt] = []
         if head is not None:
-            init.append(self.local_var_declarators(head))
-        elif not self.at(";"):
-            expr = self.expression()
-            init.append(n.ExprStmt(span=expr.span, expr=expr))
-            while self.at(","):
-                self.next()
-                expr = self.expression()
-                init.append(n.ExprStmt(span=expr.span, expr=expr))
+            init: list[n.Stmt] = [self.local_var_declarators(head)]
+        else:
+            init = [n.ExprStmt(span=e.span, expr=e) for e in self.separated(self.expression, close=";")]
         self.expect(";")
 
         cond = None
@@ -805,12 +769,7 @@ class _Parser:
             cond = self.expression()
         self.expect(";")
 
-        update: list[n.Expr] = []
-        if not self.at(")"):
-            update.append(self.expression())
-            while self.at(","):
-                self.next()
-                update.append(self.expression())
+        update = self.separated(self.expression, close=")")
         self.expect(")")
         body = self.statement()
         return n.ForStmt(span=self.span_between(tok.span, body.span), init=init, cond=cond, update=update, body=body)
@@ -821,12 +780,7 @@ class _Parser:
         Returns the declaration without declarators, and that name.
         """
         first = self.peek()
-        anns = self.parse_annotations()
-        mods: list[str] = []
-        while self.at("final"):
-            self.next()
-            mods.append("final")
-            anns.extend(self.parse_annotations())
+        mods, anns = self.final_prefix()
         var_type = self.parse_type()
         name_tok = self.expect_ident()
         decl = n.LocalVarDecl(span=first.span, modifiers=mods, annotations=anns, type=var_type, declarators=[])
@@ -834,18 +788,13 @@ class _Parser:
 
     def local_var_declarators(self, head: tuple[n.LocalVarDecl, Token]) -> n.LocalVarDecl:
         decl, name_tok = head
-        decl.declarators.append(self.parse_declarator(name_tok))
-        while self.at(","):
-            self.next()
-            decl.declarators.append(self.parse_declarator(self.expect_ident()))
+        decl.declarators = self.var_declarators(name_tok)
         decl.span = self.span_between(decl.span, decl.declarators[-1].span)
         return decl
 
     def switch_statement(self) -> n.SwitchStmt:
         tok = self.expect("switch")
-        self.expect("(")
-        selector = self.expression()
-        self.expect(")")
+        selector = self.parenthesized()
         self.expect("{")
         arms: list[n.SwitchArm] = []
         while not self.at("}"):
@@ -887,15 +836,8 @@ class _Parser:
         while self.at("catch"):
             c_tok = self.next()
             self.expect("(")
-            mods: list[str] = []
-            self.parse_annotations()
-            while self.at("final"):
-                self.next()
-                mods.append("final")
-            types = [self.parse_type()]
-            while self.at("|"):
-                self.next()
-                types.append(self.parse_type())
+            mods, _ = self.final_prefix()  # a catch parameter's annotations are not kept
+            types = self.separated(self.parse_type, "|")
             name_tok = self.expect_ident()
             self.expect(")")
             c_body = self.block()
@@ -1013,7 +955,7 @@ class _Parser:
 
     def postfix(self) -> n.Expr:
         expr = self.primary()
-        while True:
+        while not isinstance(expr, n.MethodRef):  # a method reference takes no selector (JLS 15.13)
             t = self.peek()
             if t is None:
                 return expr
@@ -1027,7 +969,7 @@ class _Parser:
                 if nxt is not None and nxt.lexeme == "new":
                     self.next()
                     self.next()
-                    expr = self._object_creation(expr.span, outer=expr)
+                    expr = self._object_creation(expr.span)
                     continue
                 if nxt is not None and nxt.lexeme in ("this", "super"):
                     self.next()
@@ -1055,28 +997,18 @@ class _Parser:
                 expr = n.ArrayAccess(span=self.span_between(expr.span, end.span), array=expr, index=index)
                 continue
             if t.lexeme == "::":
-                self.next()
-                if self.at("new"):
-                    end = self.next()
-                    expr = n.MethodRef(span=self.span_between(expr.span, end.span), receiver=expr, name="new")
-                else:
-                    name_tok = self.expect_ident()
-                    expr = n.MethodRef(span=self.span_between(expr.span, name_tok.span), receiver=expr, name=name_tok.lexeme)
+                expr = self._method_ref(expr)
                 continue
             if t.lexeme in ("++", "--"):
                 op_tok = self.next()
                 expr = n.Unary(span=self.span_between(expr.span, op_tok.span), op=op_tok.lexeme, operand=expr, prefix=False)
                 continue
             return expr
+        return expr
 
     def _call_args(self) -> tuple[list[n.Expr], Span]:
         self.expect("(")
-        args: list[n.Expr] = []
-        if not self.at(")"):
-            args.append(self.expression())
-            while self.at(","):
-                self.next()
-                args.append(self.expression())
+        args = self.separated(self.expression, close=")")
         end = self.expect(")")
         return args, end.span
 
@@ -1088,19 +1020,9 @@ class _Parser:
 
         # Lambda forms: Ident -> ...   and   ( params ) -> ...
         if t.kind is TokenKind.IDENTIFIER and self.at("->", 1):
-            name_tok = self.next()
+            param = self._inferred_param()
             self.next()
-            return self._finish_lambda(
-                name_tok.span,
-                [
-                    n.Param(
-                        span=name_tok.span,
-                        type=n.TypeRef(span=name_tok.span, name=""),
-                        name=name_tok.lexeme,
-                        name_span=name_tok.span,
-                    )
-                ],
-            )
+            return self._finish_lambda(t.span, [param])
         if lex == "(":
             head = self._attempt(self._lambda_head)
             if head is not None:
@@ -1157,45 +1079,36 @@ class _Parser:
         type: a class literal on it or its array type, or a method reference
         on its array type: int.class, int[].class, Foo[]::new,
         java.lang.String[]::new, int[]::clone."""
-        start = ref.span
-        while self.at("[") and self.at("]", 1):
-            self.next()
-            end = self.next()
-            ref.array_dims += 1
-            ref.span = self.span_between(ref.span, end.span)
+        self.array_dims(ref)
         if self.at("::") and ref.array_dims:
-            self.next()
-            end = self.next() if self.at("new") else self.expect_ident()
-            return n.MethodRef(span=self.span_between(start, end.span), receiver=ref, name=end.lexeme)
+            return self._method_ref(ref)
         if self.at(".") and self.at("class", 1):
             self.next()
             end = self.next()
-            return n.ClassLiteral(span=self.span_between(start, end.span), type=ref)
+            return n.ClassLiteral(span=self.span_between(ref.span, end.span), type=ref)
         raise self.error(f"unexpected {what} {ref.name!r} in expression")
+
+    def _method_ref(self, receiver: n.Expr | n.TypeRef) -> n.MethodRef:
+        """'::' and a method name or 'new' after the receiver."""
+        self.expect("::")
+        end = self.next() if self.at("new") else self.expect_ident()
+        return n.MethodRef(span=self.span_between(receiver.span, end.span), receiver=receiver, name=end.lexeme)
 
     def _lambda_head(self) -> tuple[Token, list[n.Param]]:
         """'(' parameters ')' '->'."""
         open_tok = self.expect("(")
-        params: list[n.Param] = []
-        if not self.at(")"):
-            params.append(self._lambda_param())
-            while self.at(","):
-                self.next()
-                params.append(self._lambda_param())
+        params = self.separated(self._lambda_param, close=")")
         self.expect(")")
         self.expect("->")
         return open_tok, params
 
     def _lambda_param(self) -> n.Param:
-        """A typed parameter, or else an inferred one: a bare name."""
-        param = self._attempt(self.parse_param)
-        if param is not None:
-            return param
-        self.parse_annotations()
-        mods: list[str] = []
-        while self.at("final"):
-            self.next()
-            mods.append("final")
+        """A typed parameter, or else an inferred one."""
+        return self._attempt(self.parse_param) or self._inferred_param()
+
+    def _inferred_param(self) -> n.Param:
+        """A bare name, perhaps with modifiers."""
+        mods, _ = self.final_prefix()  # an inferred parameter's annotations are not kept
         name_tok = self.expect_ident()
         return n.Param(
             span=name_tok.span,
@@ -1212,8 +1125,8 @@ class _Parser:
             body = self.expression()
         return n.Lambda(span=self.span_between(start, body.span), params=params, body=body)
 
-    def _object_creation(self, start: Span, outer: n.Expr | None = None) -> n.Expr:
-        del outer  # qualified creation keeps only the inner type
+    def _object_creation(self, start: Span) -> n.Expr:
+        """What follows 'new'; a qualified creation (outer.new Inner()) keeps only the inner type."""
         ctype = self.parse_type()
         if ctype.array_dims or self.at("["):
             # parse_type consumes empty bracket pairs, so new int[]{...}

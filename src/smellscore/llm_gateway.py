@@ -86,14 +86,24 @@ class EndpointConfig:
     delay_seconds: float = 0.0
 
     @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "EndpointConfig":
-        return cls(
-            url=doc["url"],
-            api_key_env=doc.get("api_key_env"),
-            request_template=doc.get("request_template", {"model": "{model}", "prompt": "{prompt}"}),
-            response_path=doc.get("response_path", "text"),
-            delay_seconds=doc.get("delay_seconds", 0.0),
-        )
+    def from_json(cls, doc: Any) -> "EndpointConfig":
+        """The config a JSON object describes; a missing url or a field of
+        another type raises ValueError."""
+        if not isinstance(doc, dict) or "url" not in doc:
+            raise ValueError("endpoint config must be a JSON object with a 'url'")
+        for key, (kinds, what) in _ENDPOINT_FIELDS.items():
+            if key in doc and type(doc[key]) not in kinds:
+                raise ValueError(f"endpoint config {key!r} must be {what}, got {doc[key]!r}")
+        return cls(**{key: doc[key] for key in _ENDPOINT_FIELDS if key in doc})
+
+
+_ENDPOINT_FIELDS = {
+    "url": ((str,), "a string"),
+    "api_key_env": ((str, type(None)), "a string or null"),
+    "request_template": ((dict,), "an object"),
+    "response_path": ((str,), "a string"),
+    "delay_seconds": ((int, float), "a number"),  # exact types, so not a bool
+}
 
 
 _FENCE = re.compile(r"```([^\n`]*)\n(.*?)```", re.DOTALL)

@@ -1,12 +1,22 @@
 """Deterministic output files shared by the report store, the scorecards and
 the heat maps: canonical JSON text, written only when its bytes change, so a
-rerun over unchanged inputs leaves every file (and its mtime) untouched."""
+rerun over unchanged inputs leaves every file (and its mtime) untouched.
+Reading them back, ``typed`` checks each field's exact JSON type."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 from typing import Any
+
+
+def typed(doc: dict[str, Any], key: str, kind: type) -> Any:
+    """``doc[key]`` when its type is exactly ``kind`` (so a bool is no count),
+    else KeyError or TypeError."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def json_text(doc: Any) -> str:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..java_syntax.lexer import Span
+from ..outputs import typed
 
 IMPLEMENTATION = "implementation"
 DESIGN = "design"
@@ -82,6 +83,18 @@ class Violation:
             "snippet": self.snippet,
         }
 
+    @classmethod
+    def from_json(cls, doc: dict[str, Any]) -> "Violation":
+        """Inverse of to_json; a missing or mistyped field raises KeyError or
+        TypeError."""
+        fields = (doc["rule_id"], doc["file"], doc["message"], doc["snippet"], *doc["span"])
+        if list(map(type, fields)) != _VIOLATION_TYPES:  # exact, so no bools in the span
+            raise TypeError(f"a violation has string rule_id, file, message and snippet and a span of 4 ints, not {doc!r}")
+        return cls(fields[0], fields[1], Span(*fields[4:]), fields[2], fields[3])
+
+
+_VIOLATION_TYPES = [str] * 4 + [int] * 4
+
 
 @dataclass
 class ViolationReport:
@@ -139,21 +152,15 @@ class ViolationReport:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "ViolationReport":
-        violations = [
-            Violation(
-                rule_id=v["rule_id"],
-                file=v["file"],
-                span=Span(*v["span"]),
-                message=v["message"],
-                snippet=v["snippet"],
-            )
-            for v in doc["violations"]
-        ]
+        """Inverse of to_json; a missing or mistyped field raises KeyError or
+        TypeError."""
+        violations = [Violation.from_json(v) for v in typed(doc, "violations", list)]
+        subject = typed(doc, "subject", dict)
         return cls(
-            subject=(doc["subject"]["task_id"], doc["subject"]["model_id"]),
-            parse_ok=doc["parse_ok"],
+            subject=(typed(subject, "task_id", str), typed(subject, "model_id", str)),
+            parse_ok=typed(doc, "parse_ok", bool),
             violations=violations,
-            per_rule_counts=dict(doc["per_rule_counts"]),
-            per_type_counts=dict(doc["per_type_counts"]),
-            parse_error=doc.get("parse_error"),
+            per_rule_counts=typed(doc, "per_rule_counts", dict),
+            per_type_counts=typed(doc, "per_type_counts", dict),
+            parse_error=typed(doc, "parse_error", str) if "parse_error" in doc else None,
         )

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .corpus import CodingTask, Corpus, require_plain_name
-from .outputs import json_text, write_if_changed
+from .outputs import json_text, typed, write_if_changed
 from .rules.catalog import catalog, rules_for_category, rules_for_type
 from .rules.model import ALL_TYPES, SmellRule, ViolationReport
 
@@ -257,23 +257,16 @@ class ScoreCard:
         baseline_vs = doc["baseline_vs"]
         increase_rate = doc["increase_rate"]
         return cls(
-            subject=_typed(doc, "subject", str),
-            scenario=_typed(doc, "scenario", str),
-            ruleset=_typed(doc, "ruleset", str),
-            n_tasks=_typed(doc, "n_tasks", int),
-            n_analyzed=_typed(doc, "n_analyzed", int),
-            total_violations=_typed(doc, "total_violations", int),
+            subject=typed(doc, "subject", str),
+            scenario=typed(doc, "scenario", str),
+            ruleset=typed(doc, "ruleset", str),
+            n_tasks=typed(doc, "n_tasks", int),
+            n_analyzed=typed(doc, "n_analyzed", int),
+            total_violations=typed(doc, "total_violations", int),
             vs=_frac_parse(doc["vs"]),
             baseline_vs=None if baseline_vs is None else _frac_parse(baseline_vs),
             increase_rate=None if increase_rate == "undefined" else _frac_parse(increase_rate),
         )
-
-
-def _typed(doc: dict[str, Any], key: str, kind: type) -> Any:
-    value = doc[key]
-    if type(value) is not kind:  # exact, so a bool is no count
-        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 def _frac_json(value: Fraction) -> dict[str, Any]:

@@ -157,7 +157,7 @@ def load_report_store(out_dir: str | Path) -> dict[str, dict[str, ViolationRepor
     for subject_dir in sorted(p for p in base.iterdir() if p.is_dir()):
         subject = subject_dir.name
         results[subject] = {}
-        for report_path in sorted(subject_dir.glob("*.json")):
+        for report_path in sorted(subject_dir.glob("*.json"), key=lambda p: p.name):  # same order as the paths, compared faster
             if report_path.name == "_failures.json":
                 continue
             results[subject][report_path.stem] = read_report(report_path)
@@ -173,6 +173,7 @@ def read_report(path: Path) -> ViolationReport:
 
     Scores are summed from per_type_counts, so those must be exactly the
     per-type sums of per_rule_counts, and every rule id must be cataloged.
+    per_rule_counts must be the counts of the violations, since diff reads both.
     """
     try:
         report = ViolationReport.from_json(json.loads(path.read_text(encoding="utf-8")))
@@ -192,5 +193,16 @@ def read_report(path: Path) -> ViolationReport:
         raise ReportFileError(
             f"{path}: not a well-formed report: per_type_counts {report.per_type_counts} "
             f"are not the per-type sums of per_rule_counts {per_type}"
+        )
+    per_rule: dict[str, int] = {}
+    for v in report.violations:
+        per_rule[v.rule_id] = per_rule.get(v.rule_id, 0) + 1
+    if per_rule != report.per_rule_counts:  # equal counts have only cataloged ids
+        unknown = sorted(per_rule.keys() - _RULE_TYPES.keys())
+        if unknown:
+            raise ReportFileError(f"{path}: not a well-formed report: unknown rule id {unknown[0]!r} in violations")
+        raise ReportFileError(
+            f"{path}: not a well-formed report: per_rule_counts {report.per_rule_counts} "
+            f"are not the counts of the violations {dict(sorted(per_rule.items()))}"
         )
     return report

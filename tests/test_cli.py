@@ -113,6 +113,26 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("config error: model id must be a plain name")
         assert not (corpus / "generation.log.jsonl").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "endpoint config must be a JSON object with a 'url'"),
+        ({"url": "http://127.0.0.1:1", "delay_seconds": "x"}, "endpoint config 'delay_seconds' must be a number, got 'x'"),
+        ({"url": 1}, "endpoint config 'url' must be a string, got 1"),
+        ({"url": "http://127.0.0.1:1", "request_template": "x"}, "endpoint config 'request_template' must be an object, got 'x'"),
+        ({"url": "http://127.0.0.1:1", "delay_seconds": True}, "endpoint config 'delay_seconds' must be a number, got True"),
+    ], ids=["no-url", "string-delay", "int-url", "string-template", "bool-delay"])
+    def test_malformed_endpoint_config_is_config_error(self, tmp_path, capsys, monkeypatch, doc, message):
+        import smellscore.llm_gateway as gateway
+
+        monkeypatch.setattr(gateway, "_http_post", lambda *args: pytest.fail("a request was made"))
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["generate", "--corpus", str(corpus), "--model", "m9", "--endpoint-config", str(endpoint)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (corpus / "generation.log.jsonl").exists()
+
 
 class TestRun:
     def test_full_pipeline_and_idempotence(self, tmp_path, capsys):
@@ -188,6 +208,20 @@ class TestRun:
     def test_config_non_integer_jobs_is_config_error(self, tmp_path, capsys):
         assert self._run_config(tmp_path, {"corpus": str(MINI), "out": str(tmp_path / "out"), "jobs": "x"}) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"subjects": "baseline,m1"}, "'subjects' must be a list of strings, got 'baseline,m1'"),
+        ({"scenario": ["topic"]}, "unknown key 'scenario'"),
+        ({"jobs": 2.9}, "'jobs' must be an integer, got 2.9"),
+        ({"jobs": True}, "'jobs' must be an integer, got True"),
+        ({"rulesets": [1]}, "'rulesets' must be a list of strings, got [1]"),
+        ({"scenarios": "all"}, "'scenarios' must be a list of strings, got 'all'"),
+    ], ids=["string-subjects", "misspelled-key", "float-jobs", "bool-jobs", "int-ruleset", "string-scenarios"])
+    def test_mistyped_config_file_is_config_error(self, tmp_path, capsys, extra, message):
+        doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), **extra}
+        assert self._run_config(tmp_path, doc) == 1
+        assert capsys.readouterr().err == f"config error: config file {tmp_path / 'run.json'}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_smell_type_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -387,6 +421,41 @@ class TestMalformedReportFiles:
         assert run(["diff", "--native", str(bad), "--imported", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(expected) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda doc: {**doc, "violations": [{**doc["violations"][0], "rule_id": 7}]},
+         "TypeError: a violation has string rule_id, file, message and snippet and a span of 4 ints"),
+        (lambda doc: {**doc, "violations": [{**doc["violations"][0], "span": ["a", None, 3, 4]}]},
+         "TypeError: a violation has string rule_id, file, message and snippet and a span of 4 ints"),
+        (lambda doc: {**doc, "violations": [{**v, "rule_id": "no-such-rule"} for v in doc["violations"]]},
+         "unknown rule id 'no-such-rule' in violations"),
+        (lambda doc: {**doc, "violations": doc["violations"][1:]},
+         "per_rule_counts "),
+    ], ids=["int-rule-id", "mistyped-span", "uncataloged-violation", "violation-missing"])
+    def test_diff_of_report_whose_violations_disagree_is_config_error(self, tmp_path, capsys, mangle, message):
+        """diff reads both the violations and per_rule_counts, so they must agree."""
+        out = tmp_path / "out"
+        assert run(["analyze", "--corpus", str(MINI), "--out", str(out)]) == 0
+        capsys.readouterr()
+        good = out / "reports" / "m1" / "T01.json"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mangle(json.loads(good.read_text(encoding="utf-8")))), encoding="utf-8")
+        assert run(["diff", "--native", str(bad), "--imported", str(good)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: not a well-formed report: {message}") and err.count("\n") == 1
+
+    def test_score_of_report_with_string_parse_ok_is_config_error(self, tmp_path, capsys):
+        """A failed parse marked "no" would be counted as analyzed."""
+        out = tmp_path / "out"
+        assert run(["analyze", "--corpus", str(MINI), "--out", str(out)]) == 0
+        capsys.readouterr()
+        bad = out / "reports" / "m2" / "T09.json"
+        doc = json.loads(bad.read_text(encoding="utf-8"))
+        assert doc["parse_ok"] is False
+        bad.write_text(json.dumps({**doc, "parse_ok": "no"}), encoding="utf-8")
+        assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {bad}: not a well-formed report: TypeError: 'parse_ok' must be bool, got 'no'\n"
 
 
 @pytest.fixture(scope="module")

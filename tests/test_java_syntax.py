@@ -256,6 +256,44 @@ class G {
         assert not out.ok
         assert out.failure.message == "unexpected end of file"
 
+    @pytest.mark.parametrize("text, span", [
+        ("class", (1, 1, 1, 6)),
+        ("class A {\n  int", (2, 3, 2, 6)),
+        ("class A { int a,", (1, 16, 1, 17)),
+        ("class A { void m(int", (1, 18, 1, 21)),
+        ("class A { void m() { try (Reader", (1, 27, 1, 33)),
+    ])
+    def test_end_of_file_where_a_name_is_due_points_at_the_last_token(self, text, span):
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == "expected identifier, found 'end of file'"
+        assert out.failure.first_error_span.as_tuple() == span
+
+    @pytest.mark.parametrize("ref", [
+        "Foo::bar.x",
+        "this::m.x",
+        "Foo::new[0]",
+        "Foo::bar++",
+        "String::valueOf.length()",
+        "Foo[]::new.x",
+        "int[]::clone.x",
+        "java.lang.String[]::new.x",
+    ])
+    def test_method_reference_takes_no_selector(self, ref):
+        out = parse_text("A.java", f"class A {{ Object f = {ref}; }}")
+        assert not out.ok
+
+    @pytest.mark.parametrize("expr", ["this::run", "f(A::g, B::new)", "java.lang.String[]::new", "(Foo::bar).x"])
+    def test_method_reference_operand_still_parses(self, expr):
+        out = parse_text("A.java", f"class A {{ Object f = {expr}; }}")
+        assert out.ok, out.failure
+
+    def test_class_extends_one_type(self):
+        assert parse_text("A.java", "interface I extends A, B {}").ok
+        out = parse_text("A.java", "class A extends B, C {}")
+        assert not out.ok
+        assert out.failure.message == "expected '{', found ','"
+
     def test_deep_nesting_is_a_parse_failure(self):
         text = "class A {\n    int f() {\n        return " + "(" * 80 + "1" + ")" * 80 + ";\n    }\n}\n"
         out = parse_text("A.java", text)
@@ -443,6 +481,41 @@ def test_parse_decision(expr, expected):
     assert out.ok, out.failure
     [ret] = out.ast.types[0].methods[0].body.statements
     assert shape(ret.value) == expected
+
+
+def _statement(decl: n.TypeDecl) -> n.Stmt:
+    return decl.methods[0].body.statements[0]
+
+
+# Each separated list of the grammar: a source with the list at ITEMS, two
+# items and their separator, the fewest items the grammar takes, and where
+# the parsed items land.
+LIST_SITES = {
+    "call arguments": ("class A { void m() { f(ITEMS); } }", ("a", "b"), ", ", 0, lambda t: _statement(t).expr.args),
+    "method parameters": ("class A { void m(ITEMS) {} }", ("int a", "int b"), ", ", 0, lambda t: t.methods[0].params),
+    "throws": ("class A { void m() throws ITEMS {} }", ("A", "B"), ", ", 1, lambda t: t.methods[0].throws),
+    "type parameters": ("class A { <ITEMS> void m() {} }", ("A", "B extends C & D"), ", ", 1, lambda t: t.methods[0].type_params),
+    "type parameter bounds": ("class A<T extends ITEMS> {}", ("C", "D"), " & ", 1, lambda t: t.type_params[0].bounds),
+    "type arguments": ("class A { Map<ITEMS> f; }", ("K", "V"), ", ", 1, lambda t: t.fields[0].type.type_args),
+    "catch types": ("class A { void m() { try {} catch (ITEMS e) {} } }", ("A", "B"), " | ", 1, lambda t: _statement(t).catches[0].types),
+    "for init": ("class A { void m() { for (ITEMS; ; ) {} } }", ("i = 0", "j = 1"), ", ", 0, lambda t: _statement(t).init),
+    "for update": ("class A { void m() { for (; ; ITEMS) {} } }", ("i++", "j++"), ", ", 0, lambda t: _statement(t).update),
+    "interface extends": ("interface I extends ITEMS {}", ("A", "B"), ", ", 1, lambda t: t.extends),
+    "class implements": ("class A implements ITEMS {}", ("A", "B"), ", ", 1, lambda t: t.implements),
+    "field declarators": ("class A { int ITEMS; }", ("a", "b = 1"), ", ", 1, lambda t: t.fields[0].declarators),
+    "local declarators": ("class A { void m() { int ITEMS; } }", ("a", "b = 1"), ", ", 1, lambda t: _statement(t).declarators),
+    "lambda parameters": ("class A { Object f = (ITEMS) -> a; }", ("a", "b"), ", ", 0, lambda t: t.fields[0].declarators[0].init.params),
+    "typed lambda parameters": ("class A { Object f = (ITEMS) -> a; }", ("int a", "final int b"), ", ", 1, lambda t: t.fields[0].declarators[0].init.params),
+    "enum constant arguments": ("enum E { X(ITEMS) }", ("1", "2"), ", ", 0, lambda t: t.enum_constants[0].args),
+}
+
+
+@pytest.mark.parametrize("site, count", [(site, k) for site, spec in LIST_SITES.items() for k in range(spec[3], 3)])
+def test_separated_list_site(site, count):
+    template, items, sep, _, items_of = LIST_SITES[site]
+    out = parse_text("A.java", template.replace("ITEMS", sep.join(items[:count])))
+    assert out.ok, out.failure
+    assert len(items_of(out.ast.types[0])) == count
 
 
 STRESS_SAMPLES = {
