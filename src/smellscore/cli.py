@@ -30,7 +30,6 @@ from .corpus import (
     require_plain_name,
     validate_corpus,
 )
-from .llm_gateway import EndpointConfig, run_generation_batch
 from .outputs import write_if_changed
 from .rules.catalog import catalog
 from .rules.model import IMPLEMENTATION_TYPES, DESIGN_TYPES, SmellRule, ViolationReport
@@ -51,7 +50,6 @@ from .smell_engine import (
     read_report,
     write_report_store,
 )
-from .tool_adapters import ExternalReport, FormatError, diff_reports, import_reports
 
 
 class ConfigError(Exception):
@@ -406,7 +404,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(json.dumps(summary.to_json(), indent=2, sort_keys=True))
         return 0
 
+    # generate, import-reports and diff import their modules here, so that the
+    # other verbs load neither the HTTP client nor the XML parser.
     if args.verb == "generate":
+        from .llm_gateway import EndpointConfig, run_generation_batch
+
         try:
             doc = json.loads(args.endpoint_config.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as e:
@@ -426,6 +428,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "import-reports":
+        from .tool_adapters import ExternalReport, FormatError, import_reports
+
         task_id, _, model_id = args.subject.partition(":")
         if not model_id:
             raise ConfigError("--subject must look like task_id:model_id")
@@ -447,6 +451,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "diff":
+        from .tool_adapters import diff_reports
+
         native = read_report(args.native)
         imported = read_report(args.imported)
         try:

@@ -14,13 +14,34 @@ from typing import Iterator, Optional, Union
 
 from .lexer import Span, TokenKind
 
+# Every node class is a dataclass for its __init__ and fields; the __repr__
+# and __eq__ that dataclass would generate per class are written once on Node.
+_node = dataclass(repr=False, eq=False)
 
-@dataclass
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+@_node
 class Node:
     span: Span
 
+    __hash__ = None  # equal nodes need equal hashes, and a node's fields can change
 
-@dataclass
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _field_names(type(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = _field_names(type(self))
+        return tuple(getattr(self, name) for name in names) == tuple(getattr(other, name) for name in names)
+
+
+@_node
 class Comment(Node):
     kind: TokenKind  # LINE_COMMENT, BLOCK_COMMENT, or JAVADOC
     text: str
@@ -38,7 +59,7 @@ class Comment(Node):
 # Types and declarations
 # --------------------------------------------------------------------------
 
-@dataclass
+@_node
 class TypeRef(Node):
     """A textual type reference: dotted name, type arguments, array dims."""
 
@@ -62,30 +83,30 @@ class TypeRef(Node):
             yield from self.bound.referenced_names()
 
 
-@dataclass
+@_node
 class Annotation(Node):
     name: str
 
 
-@dataclass
+@_node
 class TypeParam(Node):
     name: str
     bounds: list[TypeRef] = field(default_factory=list)
 
 
-@dataclass
+@_node
 class PackageDecl(Node):
     name: str
 
 
-@dataclass
+@_node
 class ImportDecl(Node):
     name: str  # dotted name without the trailing ".*"
     is_static: bool = False
     on_demand: bool = False
 
 
-@dataclass
+@_node
 class Param(Node):
     type: TypeRef
     name: str
@@ -99,7 +120,7 @@ class Param(Node):
         return "final" in self.modifiers
 
 
-@dataclass
+@_node
 class VarDeclarator(Node):
     name: str
     name_span: Span
@@ -107,7 +128,7 @@ class VarDeclarator(Node):
     init: Optional["Expr"] = None
 
 
-@dataclass
+@_node
 class FieldDecl(Node):
     modifiers: list[str]
     annotations: list[Annotation]
@@ -120,7 +141,7 @@ class FieldDecl(Node):
         return "static" in self.modifiers and "final" in self.modifiers
 
 
-@dataclass
+@_node
 class MethodDecl(Node):
     modifiers: list[str]
     annotations: list[Annotation]
@@ -149,19 +170,19 @@ class MethodDecl(Node):
         return "package"
 
 
-@dataclass
+@_node
 class Initializer(Node):
     static: bool
     body: "Block"
 
 
-@dataclass
+@_node
 class EnumConstant(Node):
     name: str
     args: list["Expr"] = field(default_factory=list)
 
 
-@dataclass
+@_node
 class TypeDecl(Node):
     kind: str  # "class" | "interface" | "enum"
     name: str
@@ -209,7 +230,7 @@ class TypeDecl(Node):
         return [d.name for f in self.fields for d in f.declarators]
 
 
-@dataclass
+@_node
 class CompilationUnit(Node):
     package: PackageDecl | None
     imports: list[ImportDecl]
@@ -229,22 +250,22 @@ class CompilationUnit(Node):
 # Statements
 # --------------------------------------------------------------------------
 
-@dataclass
+@_node
 class Stmt(Node):
     pass
 
 
-@dataclass
+@_node
 class Expr(Node):
     pass
 
 
-@dataclass
+@_node
 class Block(Stmt):
     statements: list[Stmt]
 
 
-@dataclass
+@_node
 class LocalVarDecl(Stmt):
     modifiers: list[str]
     annotations: list[Annotation]
@@ -252,31 +273,31 @@ class LocalVarDecl(Stmt):
     declarators: list[VarDeclarator]
 
 
-@dataclass
+@_node
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass
+@_node
 class IfStmt(Stmt):
     cond: Expr
     then: Stmt
     orelse: Stmt | None = None
 
 
-@dataclass
+@_node
 class WhileStmt(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@_node
 class DoWhileStmt(Stmt):
     body: Stmt
     cond: Expr
 
 
-@dataclass
+@_node
 class ForStmt(Stmt):
     init: list[Stmt]  # LocalVarDecl or ExprStmt entries
     cond: Expr | None
@@ -284,7 +305,7 @@ class ForStmt(Stmt):
     body: Stmt
 
 
-@dataclass
+@_node
 class ForEachStmt(Stmt):
     var_modifiers: list[str]
     var_type: TypeRef
@@ -294,7 +315,7 @@ class ForEachStmt(Stmt):
     body: Stmt
 
 
-@dataclass
+@_node
 class SwitchArm(Node):
     labels: list[Expr | None]  # None marks the default label
     statements: list[Stmt]
@@ -304,7 +325,7 @@ class SwitchArm(Node):
         return any(lbl is None for lbl in self.labels)
 
 
-@dataclass
+@_node
 class SwitchStmt(Stmt):
     selector: Expr
     arms: list[SwitchArm]
@@ -317,7 +338,7 @@ class SwitchStmt(Stmt):
         return sum(1 for arm in self.arms for lbl in arm.labels if lbl is not None)
 
 
-@dataclass
+@_node
 class CatchClause(Node):
     types: list[TypeRef]  # multi-catch alternatives
     name: str
@@ -326,7 +347,7 @@ class CatchClause(Node):
     body: Block
 
 
-@dataclass
+@_node
 class TryStmt(Stmt):
     resources: list[LocalVarDecl]
     body: Block
@@ -334,50 +355,50 @@ class TryStmt(Stmt):
     finally_block: Block | None = None
 
 
-@dataclass
+@_node
 class ReturnStmt(Stmt):
     value: Expr | None = None
 
 
-@dataclass
+@_node
 class ThrowStmt(Stmt):
     expr: Expr = None  # type: ignore[assignment]
 
 
-@dataclass
+@_node
 class BreakStmt(Stmt):
     label: str | None = None
 
 
-@dataclass
+@_node
 class ContinueStmt(Stmt):
     label: str | None = None
 
 
-@dataclass
+@_node
 class EmptyStmt(Stmt):
     pass
 
 
-@dataclass
+@_node
 class SynchronizedStmt(Stmt):
     lock: Expr
     body: Block
 
 
-@dataclass
+@_node
 class LabeledStmt(Stmt):
     label: str
     stmt: Stmt
 
 
-@dataclass
+@_node
 class AssertStmt(Stmt):
     cond: Expr
     message: Expr | None = None
 
 
-@dataclass
+@_node
 class LocalTypeDecl(Stmt):
     decl: TypeDecl
 
@@ -386,47 +407,47 @@ class LocalTypeDecl(Stmt):
 # Expressions
 # --------------------------------------------------------------------------
 
-@dataclass
+@_node
 class Assign(Expr):
     target: Expr
     op: str  # "=", "+=", ...
     value: Expr
 
 
-@dataclass
+@_node
 class Ternary(Expr):
     cond: Expr
     if_true: Expr
     if_false: Expr
 
 
-@dataclass
+@_node
 class Binary(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass
+@_node
 class Unary(Expr):
     op: str
     operand: Expr
     prefix: bool = True
 
 
-@dataclass
+@_node
 class Cast(Expr):
     type: TypeRef
     expr: Expr
 
 
-@dataclass
+@_node
 class InstanceOf(Expr):
     expr: Expr
     type: TypeRef
 
 
-@dataclass
+@_node
 class MethodCall(Expr):
     receiver: Expr | None
     name: str
@@ -434,28 +455,28 @@ class MethodCall(Expr):
     args: list[Expr]
 
 
-@dataclass
+@_node
 class FieldAccess(Expr):
     receiver: Expr
     name: str
 
 
-@dataclass
+@_node
 class Name(Expr):
     identifier: str
 
 
-@dataclass
+@_node
 class ThisExpr(Expr):
     pass
 
 
-@dataclass
+@_node
 class SuperExpr(Expr):
     pass
 
 
-@dataclass
+@_node
 class Literal(Expr):
     kind: TokenKind
     lexeme: str
@@ -463,19 +484,19 @@ class Literal(Expr):
     suffix: str | None = None
 
 
-@dataclass
+@_node
 class Paren(Expr):
     expr: Expr
 
 
-@dataclass
+@_node
 class NewObject(Expr):
     type: TypeRef
     args: list[Expr]
     anon_body: list[Union[FieldDecl, MethodDecl, Initializer, TypeDecl]] | None = None
 
 
-@dataclass
+@_node
 class NewArray(Expr):
     type: TypeRef
     dim_exprs: list[Expr]
@@ -483,30 +504,30 @@ class NewArray(Expr):
     initializer: Optional["ArrayInitializer"] = None
 
 
-@dataclass
+@_node
 class ArrayInitializer(Expr):
     values: list[Expr]
 
 
-@dataclass
+@_node
 class ArrayAccess(Expr):
     array: Expr
     index: Expr
 
 
-@dataclass
+@_node
 class Lambda(Expr):
     params: list[Param]  # inferred-type params carry a name-only TypeRef ""
     body: Union[Expr, Block]
 
 
-@dataclass
+@_node
 class MethodRef(Expr):
     receiver: Expr | TypeRef
     name: str  # method name or "new"
 
 
-@dataclass
+@_node
 class ClassLiteral(Expr):
     type: TypeRef
 

@@ -311,6 +311,8 @@ class _Parser:
             anns.extend(self.parse_annotations())
             t = self.peek()
             if t is not None and t.lexeme in MODIFIER_WORDS and t.kind is TokenKind.KEYWORD:
+                if t.lexeme in mods:  # JLS 8.1.1, 8.3.1, 8.4.3
+                    raise self.error(f"repeated modifier {t.lexeme!r}")
                 mods.append(self.next().lexeme)
             else:
                 break
@@ -321,6 +323,8 @@ class _Parser:
         anns = self.parse_annotations()
         mods: list[str] = []
         while self.at("final"):
+            if mods:  # JLS 8.4.1, 14.4
+                raise self.error("repeated modifier 'final'")
             self.next()
             mods.append("final")
             anns.extend(self.parse_annotations())

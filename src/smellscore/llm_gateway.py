@@ -87,10 +87,13 @@ class EndpointConfig:
 
     @classmethod
     def from_json(cls, doc: Any) -> "EndpointConfig":
-        """The config a JSON object describes; a missing url or a field of
-        another type raises ValueError."""
+        """The config a JSON object describes; a missing url, an unknown key
+        or a field of another type raises ValueError."""
         if not isinstance(doc, dict) or "url" not in doc:
             raise ValueError("endpoint config must be a JSON object with a 'url'")
+        for key in doc:
+            if key not in _ENDPOINT_FIELDS:  # a misspelled field would silently keep its default
+                raise ValueError(f"endpoint config has unknown key {key!r}")
         for key, (kinds, what) in _ENDPOINT_FIELDS.items():
             if key in doc and type(doc[key]) not in kinds:
                 raise ValueError(f"endpoint config {key!r} must be {what}, got {doc[key]!r}")

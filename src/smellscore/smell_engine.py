@@ -10,7 +10,6 @@ Report store layout under an output directory:
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -117,6 +116,8 @@ def detect_corpus(
 
     results: dict[str, dict[str, ViolationReport]] = {}
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: one worker needs no thread pool
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(run, work))
     else:

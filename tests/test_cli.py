@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,7 +122,8 @@ class TestGenerate:
         ({"url": 1}, "endpoint config 'url' must be a string, got 1"),
         ({"url": "http://127.0.0.1:1", "request_template": "x"}, "endpoint config 'request_template' must be an object, got 'x'"),
         ({"url": "http://127.0.0.1:1", "delay_seconds": True}, "endpoint config 'delay_seconds' must be a number, got True"),
-    ], ids=["no-url", "string-delay", "int-url", "string-template", "bool-delay"])
+        ({"url": "http://127.0.0.1:1", "delay_second": 5}, "endpoint config has unknown key 'delay_second'"),
+    ], ids=["no-url", "string-delay", "int-url", "string-template", "bool-delay", "misspelled-key"])
     def test_malformed_endpoint_config_is_config_error(self, tmp_path, capsys, monkeypatch, doc, message):
         import smellscore.llm_gateway as gateway
 
@@ -488,3 +492,21 @@ class TestMalformedScorecardFiles:
         assert run(["report", "--corpus", str(MINI), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {bad}: not a well-formed scorecard file: ") and err.count("\n") == 1
+
+
+# Modules only generate (the HTTP client), import-reports and diff (the XML
+# parser) or --jobs above 1 (the thread pool) need.
+VERB_ONLY_MODULES = (
+    "smellscore.llm_gateway", "smellscore.tool_adapters", "urllib.request", "http.client", "ssl",
+    "xml.etree.ElementTree", "concurrent.futures",
+)
+
+
+def test_importing_the_cli_loads_no_verb_only_module():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import json, sys, smellscore.cli; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert "smellscore.cli" in loaded
+    assert loaded.isdisjoint(VERB_ONLY_MODULES), sorted(loaded.intersection(VERB_ONLY_MODULES))

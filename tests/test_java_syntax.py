@@ -4,12 +4,17 @@ the supported subset, located failures, and determinism."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
 from smellscore.java_syntax import (
     LexError,
     SourceFile,
+    Span,
     TokenKind,
     parse,
     parse_text,
@@ -293,6 +298,29 @@ class G {
         out = parse_text("A.java", "class A extends B, C {}")
         assert not out.ok
         assert out.failure.message == "expected '{', found ','"
+
+    @pytest.mark.parametrize("text, word, span", [
+        ("class A { public public int x; }", "public", (1, 18, 1, 24)),
+        ("class A { public static public void m() {} }", "public", (1, 25, 1, 31)),
+        ("class A { @X final @Y final int x; }", "final", (1, 23, 1, 28)),
+        ("class A { void m(final final int x) {} }", "final", (1, 24, 1, 29)),
+        ("class A { void m() { final final int x = 1; } }", "final", (1, 28, 1, 33)),
+        ("final final class A {}", "final", (1, 7, 1, 12)),
+    ], ids=["field", "method", "annotated-field", "parameter", "local", "class"])
+    def test_repeated_modifier_fails_at_its_second_occurrence(self, text, word, span):
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == f"repeated modifier {word!r}"
+        assert out.failure.first_error_span.as_tuple() == span
+
+    def test_each_modifier_once_still_parses(self):
+        text = (
+            "public final class A { private static final int X = 1;"
+            " public static synchronized void m(final @N int x) { final int y = x;"
+            " try (final R r = o) {} catch (final E e) {} } }"
+        )
+        out = parse_text("A.java", text)
+        assert out.ok, out.failure
 
     def test_deep_nesting_is_a_parse_failure(self):
         text = "class A {\n    int f() {\n        return " + "(" * 80 + "1" + ")" * 80 + ";\n    }\n}\n"
@@ -686,3 +714,77 @@ def test_stress_sample_parses_and_round_trips(name):
     assert out.ok, out.failure
     toks = tokenize(_src(text))
     assert "".join(t.lexeme for t in toks) == text
+
+
+# --------------------------------------------------------------------------
+# Node contract: one __repr__ and __eq__ on Node stand in for the methods
+# dataclass would generate for each node class.
+# --------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# sha256 over repr(parse_text(path, text)) of every tests/**/*.java file, in
+# path order, as printed when each node class had dataclass's own __repr__.
+TEST_TREES_REPR_SHA256 = "464a79df7871f0adc7896fd9e1f940bc4e44538df43c95310d7091864080dd42"
+
+
+def _test_java_files() -> list[tuple[str, str]]:
+    return [
+        (path.relative_to(ROOT).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted(ROOT.glob("tests/**/*.java"))
+    ]
+
+
+def _perfbench_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclass looks the module up to resolve annotations
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestNodeContract:
+    def test_repr_of_the_test_trees_is_unchanged(self):
+        digest = hashlib.sha256()
+        for path, text in _test_java_files():
+            digest.update(repr(parse_text(path, text)).encode())
+        assert digest.hexdigest() == TEST_TREES_REPR_SHA256
+
+    def test_repr_names_the_class_and_each_field_in_order(self):
+        span = Span(1, 2, 1, 3)
+        assert repr(n.Name(span=span, identifier="x")) == "Name(span=Span(start_line=1, start_col=2, end_line=1, end_col=3), identifier='x')"
+        assert repr(n.EmptyStmt(span=span)) == f"EmptyStmt(span={span!r})"
+
+    def test_nodes_are_unhashable(self):
+        out = parse_text("S.java", SAMPLE)
+        for node in n.walk(out.ast):
+            with pytest.raises(TypeError):
+                hash(node)
+
+    def test_equal_fields_of_one_class_compare_equal(self):
+        first, second = parse_text("S.java", SAMPLE).ast, parse_text("S.java", SAMPLE).ast
+        assert first is not second and first == second
+        renamed = parse_text("S.java", SAMPLE.replace("total", "sum"))
+        assert first != renamed.ast
+
+    def test_nodes_of_different_classes_never_compare_equal(self):
+        span = Span(1, 1, 1, 2)
+        same_fields = [cls(span=span) for cls in (n.Node, n.Stmt, n.Expr, n.EmptyStmt, n.ThisExpr, n.SuperExpr)]
+        for i, a in enumerate(same_fields):
+            for j, b in enumerate(same_fields):
+                assert (a == b) is (i == j)
+                assert (a != b) is (i != j)
+        assert n.EmptyStmt(span=span) != span and n.EmptyStmt(span=span) != (span,)
+
+    def test_node_classes_stay_dataclasses_under_one_base(self):
+        assert n.Node.__mro__ == (n.Node, object)
+        node_classes = [c for c in vars(n).values() if isinstance(c, type) and issubclass(c, n.Node)]
+        assert n.CompilationUnit in node_classes
+        assert all(dataclasses.is_dataclass(c) for c in node_classes)
+
+    def test_perfbench_node_count_agrees_with_walk(self):
+        count_nodes = _perfbench_spans().count_nodes
+        trees = [parse_text("S.java", SAMPLE).ast]
+        trees += [out.ast for out in (parse_text(path, text) for path, text in _test_java_files()) if out.ok]
+        for tree in trees:
+            assert count_nodes(tree) == len(list(n.walk(tree)))

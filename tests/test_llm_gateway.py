@@ -71,6 +71,19 @@ class TestGenerationRecordInvariant:
             GenerationRequest("t", "p", "m", "http://x", timeout=0)
 
 
+class TestEndpointConfig:
+    def test_misspelled_key_is_rejected_not_defaulted(self):
+        with pytest.raises(ValueError, match="unknown key 'delay_second'"):
+            EndpointConfig.from_json({"url": "http://x", "delay_second": 5})
+
+    def test_every_documented_key_is_accepted(self):
+        config = EndpointConfig.from_json({
+            "url": "http://x", "api_key_env": None, "request_template": {"q": "{prompt}"},
+            "response_path": "out.text", "delay_seconds": 1.5,
+        })
+        assert (config.response_path, config.delay_seconds) == ("out.text", 1.5)
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     responses: list[str] = []
     requests_seen: list[dict] = []
