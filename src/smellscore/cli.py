@@ -30,21 +30,19 @@ from .corpus import (
     require_plain_name,
     validate_corpus,
 )
-from .outputs import write_if_changed
+from .outputs import DocumentError, optional, read_json, write_if_changed
 from .rules.catalog import catalog
 from .rules.model import IMPLEMENTATION_TYPES, DESIGN_TYPES, SmellRule, ViolationReport
 from .scoreboard import (
     RuleSetSelector,
     ScenarioSelector,
     ScoreCard,
-    ScorecardFileError,
     load_scorecards,
     score_scenario,
     write_scorecards,
 )
 from .smell_engine import (
     BASELINE,
-    ReportFileError,
     detect_corpus,
     load_report_store,
     read_report,
@@ -73,27 +71,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
-        if not isinstance(self.threshold_overrides, dict):
-            raise ConfigError("thresholds must be an object keyed by rule id")
-        known = {rule.rule_id: rule.thresholds for rule in catalog()}
-        for rule_id, overrides in self.threshold_overrides.items():
-            if rule_id not in known:
-                raise ConfigError(f"unknown rule id in thresholds: {rule_id!r}")
-            if not isinstance(overrides, dict):
-                raise ConfigError(f"thresholds for rule {rule_id!r} must be an object")
-            for key, value in overrides.items():
-                if key not in known[rule_id]:
-                    raise ConfigError(f"unknown threshold {key!r} for rule {rule_id!r}")
-                default = known[rule_id][key]
-                if not _fits(default, value):
-                    raise ConfigError(
-                        f"threshold {key!r} for rule {rule_id!r} must be {_type_name(default)}, got {value!r}"
-                    )
-                if key == "pattern":
-                    try:
-                        re.compile(value)
-                    except re.error as e:
-                        raise ConfigError(f"threshold 'pattern' for rule {rule_id!r} is not a regex: {e}") from e
 
     def rules(self) -> list[SmellRule]:
         out = []
@@ -105,23 +82,16 @@ class RunConfig:
     @classmethod
     def from_json_file(cls, path: Path) -> "RunConfig":
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = read_json(path, _config_spec(), ConfigError)
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {path}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from e
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        for key in doc:
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"config file {path}: unknown key {key!r}")
-        for key in ("subjects", "scenarios", "rulesets"):
-            value = doc.get(key, [])
-            if type(value) is not list or any(type(item) is not str for item in value):
-                raise ConfigError(f"config file {path}: {key!r} must be a list of strings, got {value!r}")
-        jobs = doc.get("jobs", 1)
-        if type(jobs) is not int:  # exact, so neither true nor 2.9 is a worker count
-            raise ConfigError(f"config file {path}: 'jobs' must be an integer, got {jobs!r}")
+        thresholds = doc.get("thresholds", {})
+        for rule_id, overrides in thresholds.items():
+            if "pattern" in overrides:
+                try:
+                    re.compile(overrides["pattern"])
+                except re.error as e:
+                    raise ConfigError(f"threshold 'pattern' for rule {rule_id!r} is not a regex: {e}") from e
         try:
             return cls(
                 corpus_path=Path(doc["corpus"]),
@@ -129,30 +99,27 @@ class RunConfig:
                 subjects=doc.get("subjects", []),
                 scenarios=[ScenarioSelector.parse(s) for s in doc.get("scenarios", ["all"])],
                 rulesets=[RuleSetSelector.parse(r) for r in doc.get("rulesets", ["all"])],
-                threshold_overrides=doc.get("thresholds", {}),
-                parallelism=jobs,
+                threshold_overrides=thresholds,
+                parallelism=doc.get("jobs", 1),
             )
-        except KeyError as e:
-            raise ConfigError(f"config file {path} is missing {e.args[0]!r}") from e
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(f"config file {path}: {e}") from e
 
 
-_CONFIG_KEYS = ("corpus", "out", "subjects", "scenarios", "rulesets", "thresholds", "jobs")
-
-
-def _fits(default: Any, value: Any) -> bool:
-    """Whether a JSON value can replace a catalog threshold default: the same
-    type (so no bool for an int), or a list of the items of a tuple default."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_fits(default[0], item) for item in value)
-    return type(value) is type(default)
-
-
-def _type_name(default: Any) -> str:
-    if isinstance(default, tuple):
-        return f"a list of {type(default[0]).__name__}"
-    return type(default).__name__
+def _config_spec() -> dict[Any, Any]:
+    """The run config's spec: a threshold takes the type of its catalog
+    default, or a list of the items of a tuple default."""
+    thresholds = {
+        optional(rule.rule_id): {
+            optional(key): [type(default[0])] if type(default) is tuple else type(default)
+            for key, default in rule.thresholds.items()
+        }
+        for rule in catalog()
+    }
+    return {
+        "corpus": str, "out": str, optional("subjects"): [str], optional("scenarios"): [str],
+        optional("rulesets"): [str], optional("thresholds"): thresholds, optional("jobs"): int,
+    }
 
 
 @dataclass
@@ -173,21 +140,25 @@ class RunSummary:
         }
 
 
-def _load_corpus(path: Path) -> Corpus:
-    try:
-        return load_manifest(path)
-    except (ManifestSyntaxError, DuplicateTaskError) as e:
-        raise ConfigError(str(e)) from e
-    except MissingFileError as e:
-        raise ConfigError(str(e)) from e
-
-
 # --------------------------------------------------------------------------
 # Pipeline stages
 # --------------------------------------------------------------------------
 
+def _load_selected_corpus(config: RunConfig) -> Corpus:
+    """The config's corpus, which must hold every model that the config's
+    subjects and correctness scenarios name."""
+    corpus = load_manifest(config.corpus_path)
+    for subject in config.subjects:
+        if subject != BASELINE and subject not in corpus.models:
+            raise ConfigError(f"subject {subject!r} is neither {BASELINE!r} nor a model of the corpus")
+    for scenario in config.scenarios:
+        if scenario.kind == "by_correctness" and scenario.model_id not in corpus.models:
+            raise ConfigError(f"correctness model {scenario.model_id!r} is not a model of the corpus")
+    return corpus
+
+
 def run_analyze(config: RunConfig, summary: RunSummary) -> dict[str, dict[str, ViolationReport]]:
-    corpus = _load_corpus(config.corpus_path)
+    corpus = _load_selected_corpus(config)
     subjects = config.subjects or [BASELINE, *sorted(corpus.models)]
     reports = detect_corpus(corpus, subjects, rules=config.rules(), jobs=config.parallelism)
     summary.files_changed += write_report_store(reports, config.out_dir)
@@ -200,7 +171,7 @@ def run_analyze(config: RunConfig, summary: RunSummary) -> dict[str, dict[str, V
 
 
 def run_score(config: RunConfig, summary: RunSummary, reports=None) -> list[ScoreCard]:
-    corpus = _load_corpus(config.corpus_path)
+    corpus = _load_selected_corpus(config)
     if reports is None:
         reports = load_report_store(config.out_dir)
         if not reports:
@@ -389,7 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, ReportFileError, ScorecardFileError) as e:
+    except (ConfigError, DocumentError, ManifestSyntaxError, DuplicateTaskError, MissingFileError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (IoError, OSError) as e:
@@ -399,7 +370,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.verb == "ingest":
-        corpus = _load_corpus(args.corpus)
+        corpus = load_manifest(args.corpus)
         summary = validate_corpus(corpus)
         print(json.dumps(summary.to_json(), indent=2, sort_keys=True))
         return 0
@@ -410,14 +381,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .llm_gateway import EndpointConfig, run_generation_batch
 
         try:
-            doc = json.loads(args.endpoint_config.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"bad endpoint config: {e}") from e
+            endpoint = EndpointConfig.from_json(json.loads(args.endpoint_config.read_text(encoding="utf-8")))
+        except (OSError, ValueError) as e:  # unreadable, not JSON, or not an endpoint config
+            raise ConfigError(f"{args.endpoint_config}: {e}") from e
         corpus_root = args.corpus if args.corpus.is_dir() else args.corpus.parent
         try:
             records = run_generation_batch(
-                corpus_root, args.model, EndpointConfig.from_json(doc),
-                timeout=args.timeout, max_retries=args.retries,
+                corpus_root, args.model, endpoint, timeout=args.timeout, max_retries=args.retries,
             )
         except ValueError as e:
             raise ConfigError(str(e)) from e

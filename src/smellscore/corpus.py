@@ -8,11 +8,12 @@ analysis workers.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from .outputs import optional, read_json
 
 VALID_SOURCES = ("textbook", "stackoverflow")
 
@@ -110,14 +111,7 @@ def load_manifest(path: str | Path) -> Corpus:
         raise MissingFileError(f"manifest not found: {manifest_path}")
     root = manifest_path.parent
 
-    try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ManifestSyntaxError(f"manifest is not valid JSON: {e}") from e
-
-    if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
-        raise ManifestSyntaxError("manifest must be an object with a 'tasks' array")
-
+    doc = read_json(manifest_path, MANIFEST_SPEC, ManifestSyntaxError)
     tasks: list[CodingTask] = []
     seen_ids: set[str] = set()
     models: set[str] = set()
@@ -133,77 +127,53 @@ def load_manifest(path: str | Path) -> Corpus:
     return Corpus(root=root, tasks=tuple(tasks), models=frozenset(models))
 
 
-def _parse_task(raw: Any, root: Path) -> CodingTask:
-    if not isinstance(raw, dict):
-        raise ManifestSyntaxError("each task must be an object")
+_COUNT = (int, float)  # integral, which _parse_task checks
+MANIFEST_SPEC = {"tasks": [{
+    "task_id": str, "source": str, "topic": str, "description": str, optional("input_length"): int,
+    "complexity": {"cyclomatic": _COUNT, "cognitive": _COUNT, "loc": _COUNT}, "reference_path": str,
+    optional("solutions"): [{"model_id": str, "path": str, optional("correct"): (bool, type(None))}],
+}]}
+
+
+def _parse_task(raw: dict[str, Any], root: Path) -> CodingTask:
+    """One task of a manifest that fits MANIFEST_SPEC."""
     try:
-        task_id = require_plain_name("task id", str(raw["task_id"]))
-        source = str(raw["source"])
-        topic = str(raw["topic"])
-        description = str(raw["description"])
-        reference_path = str(raw["reference_path"])
-        complexity_raw = raw["complexity"]
-    except KeyError as e:
-        raise ManifestSyntaxError(f"task missing required field {e.args[0]!r}") from e
+        task_id = require_plain_name("task id", raw["task_id"])
     except ValueError as e:
         raise ManifestSyntaxError(str(e)) from e
-
-    if source not in VALID_SOURCES:
-        raise ManifestSyntaxError(f"task {task_id}: source must be one of {VALID_SOURCES}, got {source!r}")
-    if not topic:
+    if raw["source"] not in VALID_SOURCES:
+        raise ManifestSyntaxError(f"task {task_id}: source must be one of {VALID_SOURCES}, got {raw['source']!r}")
+    if not raw["topic"]:
         raise ManifestSyntaxError(f"task {task_id}: topic must be non-empty")
 
-    word_count = len(description.split())
+    word_count = len(raw["description"].split())
     input_length = raw.get("input_length", word_count)
-    if not isinstance(input_length, int) or input_length != word_count:
+    if input_length != word_count:
         raise ManifestSyntaxError(
             f"task {task_id}: input_length {input_length!r} does not match description word count {word_count}"
         )
 
-    if not isinstance(complexity_raw, dict):
-        raise ManifestSyntaxError(f"task {task_id}: complexity must be an object")
-    values: dict[str, int] = {}
-    for key in ("cyclomatic", "cognitive", "loc"):
-        if key not in complexity_raw:
-            raise ManifestSyntaxError(f"task {task_id}: complexity missing {key!r}")
-        value = complexity_raw[key]
-        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-        if isinstance(value, bool) or not integral:
+    for key, value in raw["complexity"].items():
+        if type(value) is float and not value.is_integer():
             raise ManifestSyntaxError(f"task {task_id}: complexity {key} must be an integer, got {value!r}")
-        values[key] = int(value)
-    complexity = ComplexityTriple(**values)
+    complexity = ComplexityTriple(**{key: int(value) for key, value in raw["complexity"].items()})
 
-    _require_file(root, reference_path, task_id)
+    _require_file(root, raw["reference_path"], task_id)
 
     solutions: list[GeneratedSolution] = []
-    seen_models: set[str] = set()
     for sol_raw in raw.get("solutions", []):
-        if not isinstance(sol_raw, dict) or "model_id" not in sol_raw or "path" not in sol_raw:
-            raise ManifestSyntaxError(f"task {task_id}: each solution needs model_id and path")
         try:
-            model_id = require_plain_name("model id", str(sol_raw["model_id"]))
+            model_id = require_plain_name("model id", sol_raw["model_id"])
         except ValueError as e:
             raise ManifestSyntaxError(f"task {task_id}: {e}") from e
-        if model_id in seen_models:
+        if any(s.model_id == model_id for s in solutions):
             raise DuplicateTaskError(f"task {task_id}: duplicate solution for model {model_id!r}")
-        seen_models.add(model_id)
-        sol_path = str(sol_raw["path"])
-        _require_file(root, sol_path, task_id)
-        correct = sol_raw.get("correct")
-        if correct is not None and not isinstance(correct, bool):
-            raise ManifestSyntaxError(f"task {task_id}: correct flag must be boolean when present")
-        solutions.append(GeneratedSolution(model_id=model_id, path=sol_path, correct=correct))
+        _require_file(root, sol_raw["path"], task_id)
+        solutions.append(GeneratedSolution(**sol_raw))
 
-    return CodingTask(
-        task_id=task_id,
-        source=source,
-        topic=topic,
-        description=description,
-        input_length=word_count,
-        complexity=complexity,
-        reference_path=reference_path,
-        solutions=tuple(solutions),
-    )
+    return CodingTask(**{
+        **raw, "input_length": word_count, "complexity": complexity, "solutions": tuple(solutions),
+    })
 
 
 def _inside(root: Path, rel: str, task_id: str | None = None) -> Path:

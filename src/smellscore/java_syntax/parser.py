@@ -71,6 +71,11 @@ class _ParseError(Exception):
         self.span = span
 
 
+class _RepeatedModifier(_ParseError):
+    """No reading of the tokens allows a repeated modifier, so _attempt lets
+    this error through instead of trying another rule."""
+
+
 def parse(source: SourceFile) -> ParseOutcome:
     """Parse a source file; failure is a value, never an exception."""
     try:
@@ -197,6 +202,8 @@ class _Parser:
         i, splits = self.i, len(self.splits)
         try:
             return rule()
+        except _RepeatedModifier:
+            raise
         except _ParseError:
             while len(self.splits) > splits:
                 j, t = self.splits.pop()
@@ -312,7 +319,7 @@ class _Parser:
             t = self.peek()
             if t is not None and t.lexeme in MODIFIER_WORDS and t.kind is TokenKind.KEYWORD:
                 if t.lexeme in mods:  # JLS 8.1.1, 8.3.1, 8.4.3
-                    raise self.error(f"repeated modifier {t.lexeme!r}")
+                    raise _RepeatedModifier(f"repeated modifier {t.lexeme!r}", t.span)
                 mods.append(self.next().lexeme)
             else:
                 break
@@ -324,7 +331,7 @@ class _Parser:
         mods: list[str] = []
         while self.at("final"):
             if mods:  # JLS 8.4.1, 14.4
-                raise self.error("repeated modifier 'final'")
+                raise _RepeatedModifier("repeated modifier 'final'", self.peek().span)
             self.next()
             mods.append("final")
             anns.extend(self.parse_annotations())

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from .corpus import require_plain_name
+from .corpus import MANIFEST_SPEC, require_plain_name
+from .outputs import check, optional, read_json
 from .java_syntax import parse_text
 
 STATUS_OK = "ok"
@@ -87,25 +88,16 @@ class EndpointConfig:
 
     @classmethod
     def from_json(cls, doc: Any) -> "EndpointConfig":
-        """The config a JSON object describes; a missing url, an unknown key
-        or a field of another type raises ValueError."""
-        if not isinstance(doc, dict) or "url" not in doc:
-            raise ValueError("endpoint config must be a JSON object with a 'url'")
-        for key in doc:
-            if key not in _ENDPOINT_FIELDS:  # a misspelled field would silently keep its default
-                raise ValueError(f"endpoint config has unknown key {key!r}")
-        for key, (kinds, what) in _ENDPOINT_FIELDS.items():
-            if key in doc and type(doc[key]) not in kinds:
-                raise ValueError(f"endpoint config {key!r} must be {what}, got {doc[key]!r}")
-        return cls(**{key: doc[key] for key in _ENDPOINT_FIELDS if key in doc})
+        """The config a JSON document describes; one that does not fit
+        _ENDPOINT_SPEC (a missing url, an unknown key, a field of another type)
+        raises SpecError."""
+        check(doc, _ENDPOINT_SPEC)
+        return cls(**doc)
 
 
-_ENDPOINT_FIELDS = {
-    "url": ((str,), "a string"),
-    "api_key_env": ((str, type(None)), "a string or null"),
-    "request_template": ((dict,), "an object"),
-    "response_path": ((str,), "a string"),
-    "delay_seconds": ((int, float), "a number"),  # exact types, so not a bool
+_ENDPOINT_SPEC = {
+    "url": str, optional("api_key_env"): (str, type(None)), optional("request_template"): dict,
+    optional("response_path"): str, optional("delay_seconds"): (int, float),
 }
 
 
@@ -251,16 +243,17 @@ def run_generation_batch(
     Solutions land in solutions/<model_id>/<task_id>.java relative to the
     corpus root; the manifest gains one entry per success, and every record is
     appended to generation.log.jsonl.  Sequential by design: rate limits
-    dominate, and ordering keeps the log reproducible.  A model id or task id
-    that is empty or holds '/', '\\' or '..' would leave that directory, so it
-    raises ValueError before any request is made.
+    dominate, and ordering keeps the log reproducible.  A manifest that does
+    not fit MANIFEST_SPEC, and a model id or task id that is empty or holds '/',
+    '\\' or '..' (it would leave that directory), raise ValueError before any
+    request is made.
     """
     require_plain_name("model id", model_id)
     root = Path(corpus_root)
     manifest_path = root / "corpus.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path, MANIFEST_SPEC, ValueError)
     for task in manifest["tasks"]:
-        require_plain_name("task id", str(task["task_id"]))
+        require_plain_name("task id", task["task_id"])
     log_path = root / "generation.log.jsonl"
 
     records: list[GenerationRecord] = []

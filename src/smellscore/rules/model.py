@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..java_syntax.lexer import Span
-from ..outputs import typed
+from ..outputs import optional
 
 IMPLEMENTATION = "implementation"
 DESIGN = "design"
@@ -85,15 +85,11 @@ class Violation:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Violation":
-        """Inverse of to_json; a missing or mistyped field raises KeyError or
-        TypeError."""
-        fields = (doc["rule_id"], doc["file"], doc["message"], doc["snippet"], *doc["span"])
-        if list(map(type, fields)) != _VIOLATION_TYPES:  # exact, so no bools in the span
-            raise TypeError(f"a violation has string rule_id, file, message and snippet and a span of 4 ints, not {doc!r}")
-        return cls(fields[0], fields[1], Span(*fields[4:]), fields[2], fields[3])
+        """Inverse of to_json, for a doc that fits _VIOLATION_SPEC."""
+        return cls(doc["rule_id"], doc["file"], Span(*doc["span"]), doc["message"], doc["snippet"])
 
 
-_VIOLATION_TYPES = [str] * 4 + [int] * 4
+_VIOLATION_SPEC = {"rule_id": str, "file": str, "span": [int] * 4, "message": str, "snippet": str}
 
 
 @dataclass
@@ -152,15 +148,13 @@ class ViolationReport:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "ViolationReport":
-        """Inverse of to_json; a missing or mistyped field raises KeyError or
-        TypeError."""
-        violations = [Violation.from_json(v) for v in typed(doc, "violations", list)]
-        subject = typed(doc, "subject", dict)
-        return cls(
-            subject=(typed(subject, "task_id", str), typed(subject, "model_id", str)),
-            parse_ok=typed(doc, "parse_ok", bool),
-            violations=violations,
-            per_rule_counts=typed(doc, "per_rule_counts", dict),
-            per_type_counts=typed(doc, "per_type_counts", dict),
-            parse_error=typed(doc, "parse_error", str) if "parse_error" in doc else None,
-        )
+        """Inverse of to_json, for a doc that fits REPORT_SPEC."""
+        subject = doc["subject"]
+        violations = [Violation.from_json(v) for v in doc["violations"]]
+        return cls(**{**doc, "subject": (subject["task_id"], subject["model_id"]), "violations": violations})
+
+
+REPORT_SPEC = {
+    "subject": {"task_id": str, "model_id": str}, "parse_ok": bool, "violations": [_VIOLATION_SPEC],
+    "per_rule_counts": {str: int}, "per_type_counts": {str: int}, optional("parse_error"): str,
+}

@@ -9,7 +9,6 @@ denominator of every score; the report store lists them in _failures.json.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .corpus import CodingTask, Corpus, require_plain_name
-from .outputs import json_text, typed, write_if_changed
+from .outputs import DocumentError, json_text, read_json, write_if_changed
 from .rules.catalog import catalog, rules_for_category, rules_for_type
 from .rules.model import ALL_TYPES, SmellRule, ViolationReport
 
@@ -33,10 +32,6 @@ class UndefinedBaselineError(Exception):
 
 class DegenerateInputError(Exception):
     """Correlation input has zero variance or too few points."""
-
-
-class ScorecardFileError(Exception):
-    """A stored scorecard file is not a list of well-formed scorecards."""
 
 
 # --------------------------------------------------------------------------
@@ -252,21 +247,22 @@ class ScoreCard:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "ScoreCard":
-        """Inverse of to_json; a missing or mistyped field raises KeyError,
-        TypeError or ValueError."""
-        baseline_vs = doc["baseline_vs"]
-        increase_rate = doc["increase_rate"]
-        return cls(
-            subject=typed(doc, "subject", str),
-            scenario=typed(doc, "scenario", str),
-            ruleset=typed(doc, "ruleset", str),
-            n_tasks=typed(doc, "n_tasks", int),
-            n_analyzed=typed(doc, "n_analyzed", int),
-            total_violations=typed(doc, "total_violations", int),
-            vs=_frac_parse(doc["vs"]),
-            baseline_vs=None if baseline_vs is None else _frac_parse(baseline_vs),
-            increase_rate=None if increase_rate == "undefined" else _frac_parse(increase_rate),
-        )
+        """Inverse of to_json, for a doc that fits _SCORECARD_SPEC; a malformed
+        fraction raises ValueError."""
+        baseline_vs, increase_rate = doc["baseline_vs"], doc["increase_rate"]
+        return cls(**{
+            **doc,
+            "vs": _frac_parse(doc["vs"]),
+            "baseline_vs": None if baseline_vs is None else _frac_parse(baseline_vs),
+            "increase_rate": None if increase_rate == "undefined" else _frac_parse(increase_rate),
+        })
+
+
+_FRACTION_SPEC = {"fraction": str, "float": float}
+_SCORECARD_SPEC = {
+    "subject": str, "scenario": str, "ruleset": str, "n_tasks": int, "n_analyzed": int, "total_violations": int,
+    "vs": _FRACTION_SPEC, "baseline_vs": (_FRACTION_SPEC, type(None)), "increase_rate": (_FRACTION_SPEC, str),
+}
 
 
 def _frac_json(value: Fraction) -> dict[str, Any]:
@@ -276,9 +272,8 @@ def _frac_json(value: Fraction) -> dict[str, Any]:
 _FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
-def _frac_parse(doc: dict[str, Any]) -> Fraction:
-    text = doc["fraction"]
-    match = _FRACTION.fullmatch(text) if isinstance(text, str) else None
+def _frac_parse(doc: dict[str, Any] | str) -> Fraction:
+    match = None if type(doc) is str else _FRACTION.fullmatch(doc["fraction"])
     if match is None or int(match[2]) == 0:
         raise ValueError(f"malformed fraction {doc!r}")
     return Fraction(int(match[1]), int(match[2]))
@@ -361,14 +356,12 @@ def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: 
 
 def load_scorecards(path: str | Path) -> list[ScoreCard]:
     """Scorecards stored by write_scorecards; a file that is not a JSON list
-    of well-formed scorecards raises ScorecardFileError naming it."""
+    of well-formed scorecards raises DocumentError naming it."""
+    doc = read_json(Path(path), [_SCORECARD_SPEC], DocumentError)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, list):
-            raise TypeError(f"expected a list of scorecards, got {type(doc).__name__}")
         return [ScoreCard.from_json(item) for item in doc]
-    except (ValueError, KeyError, TypeError) as e:  # ValueError covers JSON and UTF-8 decode errors
-        raise ScorecardFileError(f"{path}: not a well-formed scorecard file: {type(e).__name__}: {e}") from e
+    except ValueError as e:  # a malformed fraction
+        raise DocumentError(f"{path}: not a well-formed scorecard file: {e}") from e
 
 
 # --------------------------------------------------------------------------

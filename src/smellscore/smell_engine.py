@@ -9,24 +9,19 @@ Report store layout under an output directory:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import Corpus
 from .java_syntax import ParseOutcome, SourceFile, parse, significant
-from .outputs import json_text, write_if_changed
+from .outputs import DocumentError, json_text, read_json, write_if_changed
 from .rules import design as design_checks
 from .rules import implementation as impl_checks
 from .rules.catalog import catalog, rule_types
 from .rules.context import FileFacts, RuleContext
-from .rules.model import SmellRule, ViolationReport
+from .rules.model import REPORT_SPEC, SmellRule, ViolationReport
 
 BASELINE = "baseline"
-
-
-class ReportFileError(Exception):
-    """A stored report file is not a well-formed ViolationReport."""
 
 
 def _build_registry() -> dict[str, object]:
@@ -170,28 +165,21 @@ _RULE_TYPES = rule_types()
 
 def read_report(path: Path) -> ViolationReport:
     """One stored report; a file that is not a well-formed report raises
-    ReportFileError naming it.
+    DocumentError naming it.
 
     Scores are summed from per_type_counts, so those must be exactly the
     per-type sums of per_rule_counts, and every rule id must be cataloged.
     per_rule_counts must be the counts of the violations, since diff reads both.
     """
-    try:
-        report = ViolationReport.from_json(json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError) as e:  # ValueError covers JSON and UTF-8 decode errors
-        raise ReportFileError(f"{path}: not a well-formed report: {type(e).__name__}: {e}") from e
-    for counts in (report.per_rule_counts, report.per_type_counts):
-        for key, count in counts.items():
-            if type(count) is not int:
-                raise ReportFileError(f"{path}: not a well-formed report: count of {key!r} is {count!r}")
+    report = ViolationReport.from_json(read_json(path, REPORT_SPEC, DocumentError))
     per_type: dict[str, int] = {}
     for rule_id, count in report.per_rule_counts.items():
         smell_type = _RULE_TYPES.get(rule_id)
         if smell_type is None:
-            raise ReportFileError(f"{path}: not a well-formed report: unknown rule id {rule_id!r}")
+            raise DocumentError(f"{path}: not a well-formed report: unknown rule id {rule_id!r}")
         per_type[smell_type] = per_type.get(smell_type, 0) + count
     if per_type != report.per_type_counts:
-        raise ReportFileError(
+        raise DocumentError(
             f"{path}: not a well-formed report: per_type_counts {report.per_type_counts} "
             f"are not the per-type sums of per_rule_counts {per_type}"
         )
@@ -201,8 +189,8 @@ def read_report(path: Path) -> ViolationReport:
     if per_rule != report.per_rule_counts:  # equal counts have only cataloged ids
         unknown = sorted(per_rule.keys() - _RULE_TYPES.keys())
         if unknown:
-            raise ReportFileError(f"{path}: not a well-formed report: unknown rule id {unknown[0]!r} in violations")
-        raise ReportFileError(
+            raise DocumentError(f"{path}: not a well-formed report: unknown rule id {unknown[0]!r} in violations")
+        raise DocumentError(
             f"{path}: not a well-formed report: per_rule_counts {report.per_rule_counts} "
             f"are not the counts of the violations {dict(sorted(per_rule.items()))}"
         )

@@ -42,8 +42,39 @@ class TestIngest:
         doc["tasks"][0]["complexity"]["cyclomatic"] = "x"
         (corpus / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
         assert run(["ingest", "--corpus", str(corpus)]) == 1
-        task_id = doc["tasks"][0]["task_id"]
-        assert capsys.readouterr().err == f"config error: task {task_id}: complexity cyclomatic must be an integer, got 'x'\n"
+        assert capsys.readouterr().err == (
+            f"config error: {corpus / 'corpus.json'}: $.tasks[0].complexity.cyclomatic: must be an integer or a float, got \"x\"\n"
+        )
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda doc: doc["tasks"][3].update(solution=doc["tasks"][3].pop("solutions")),
+         "$.tasks[3]: unknown key 'solution'"),
+        (lambda doc: doc["tasks"][3]["solutions"][0].update(corect=doc["tasks"][3]["solutions"][0].pop("correct")),
+         "$.tasks[3].solutions[0]: unknown key 'corect'"),
+        (lambda doc: doc["tasks"][0].update(input_lenght=doc["tasks"][0].pop("input_length")),
+         "$.tasks[0]: unknown key 'input_lenght'"),
+        (lambda doc: doc["tasks"][0]["complexity"].update(cyclomatc=doc["tasks"][0]["complexity"].pop("cyclomatic")),
+         "$.tasks[0].complexity: unknown key 'cyclomatc'"),
+        (lambda doc: doc["tasks"][0]["complexity"].update(halstead=3), "$.tasks[0].complexity: unknown key 'halstead'"),
+        (lambda doc: doc.update(version=2), "$: unknown key 'version'"),
+        (lambda doc: doc["tasks"][1].update(task_id=12), "$.tasks[1].task_id: must be a string, got 12"),
+        (lambda doc: doc["tasks"][1].update(topic=7), "$.tasks[1].topic: must be a string, got 7"),
+        (lambda doc: doc["tasks"][1]["solutions"][1].update(model_id=5), "$.tasks[1].solutions[1].model_id: must be a string, got 5"),
+        (lambda doc: doc["tasks"][1].update(input_length=True), "$.tasks[1].input_length: must be an integer, got true"),
+        (lambda doc: doc.update(tasks={}), "$.tasks: must be a list, got an object"),
+    ], ids=["solutions-misspelled", "correct-misspelled", "input-length-misspelled", "complexity-key-misspelled",
+            "complexity-extra-key", "top-level-extra-key", "int-task-id", "int-topic", "int-model-id",
+            "bool-input-length", "tasks-not-a-list"])
+    def test_manifest_that_does_not_fit_its_spec_is_config_error(self, tmp_path, capsys, mangle, message):
+        """Before the spec, each of these loaded: a misspelled key was ignored
+        and a number taken for an id."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        doc = json.loads((corpus / "corpus.json").read_text(encoding="utf-8"))
+        mangle(doc)
+        (corpus / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["ingest", "--corpus", str(corpus)]) == 1
+        assert capsys.readouterr().err == f"config error: {corpus / 'corpus.json'}: {message}\n"
 
 
 class TestOutputIds:
@@ -103,6 +134,22 @@ class TestOutputIds:
 
 
 class TestGenerate:
+    def test_manifest_that_does_not_fit_its_spec_is_config_error(self, tmp_path, capsys, monkeypatch):
+        import smellscore.llm_gateway as gateway
+
+        monkeypatch.setattr(gateway, "_http_post", lambda *args: pytest.fail("a request was made"))
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        doc = json.loads((corpus / "corpus.json").read_text(encoding="utf-8"))
+        doc["tasks"][2]["task_id"] = 12
+        (corpus / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"url": "http://127.0.0.1:1"}), encoding="utf-8")
+        argv = ["generate", "--corpus", str(corpus), "--model", "m3", "--endpoint-config", str(endpoint)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"config error: {corpus / 'corpus.json'}: $.tasks[2].task_id: must be a string, got 12\n"
+        assert not (corpus / "generation.log.jsonl").exists()
+
     def test_model_id_with_a_path_is_config_error(self, tmp_path, capsys, monkeypatch):
         import smellscore.llm_gateway as gateway
 
@@ -117,13 +164,17 @@ class TestGenerate:
         assert not (corpus / "generation.log.jsonl").exists()
 
     @pytest.mark.parametrize("doc, message", [
-        ({}, "endpoint config must be a JSON object with a 'url'"),
-        ({"url": "http://127.0.0.1:1", "delay_seconds": "x"}, "endpoint config 'delay_seconds' must be a number, got 'x'"),
-        ({"url": 1}, "endpoint config 'url' must be a string, got 1"),
-        ({"url": "http://127.0.0.1:1", "request_template": "x"}, "endpoint config 'request_template' must be an object, got 'x'"),
-        ({"url": "http://127.0.0.1:1", "delay_seconds": True}, "endpoint config 'delay_seconds' must be a number, got True"),
-        ({"url": "http://127.0.0.1:1", "delay_second": 5}, "endpoint config has unknown key 'delay_second'"),
-    ], ids=["no-url", "string-delay", "int-url", "string-template", "bool-delay", "misspelled-key"])
+        ({}, "$: missing key 'url'"),
+        ({"url": "http://127.0.0.1:1", "delay_seconds": "x"}, "$.delay_seconds: must be an integer or a float, got \"x\""),
+        ({"url": 1}, "$.url: must be a string, got 1"),
+        ({"url": "http://127.0.0.1:1", "request_template": "x"}, "$.request_template: must be an object, got \"x\""),
+        ({"url": "http://127.0.0.1:1", "delay_seconds": True}, "$.delay_seconds: must be an integer or a float, got true"),
+        ({"url": "http://127.0.0.1:1", "delay_second": 5}, "$: unknown key 'delay_second'"),
+        ({"url": "http://127.0.0.1:1", "headers": {}}, "$: unknown key 'headers'"),
+        ({"url": "http://127.0.0.1:1", "api_key_env": 7}, "$.api_key_env: must be a string or null, got 7"),
+        ([], "$: must be an object, got a list"),
+    ], ids=["no-url", "string-delay", "int-url", "string-template", "bool-delay", "misspelled-key", "unknown-key",
+            "int-key-env", "not-an-object"])
     def test_malformed_endpoint_config_is_config_error(self, tmp_path, capsys, monkeypatch, doc, message):
         import smellscore.llm_gateway as gateway
 
@@ -134,7 +185,7 @@ class TestGenerate:
         endpoint.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["generate", "--corpus", str(corpus), "--model", "m9", "--endpoint-config", str(endpoint)]
         assert run(argv) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {endpoint}: {message}\n"
         assert not (corpus / "generation.log.jsonl").exists()
 
 
@@ -207,24 +258,28 @@ class TestRun:
         doc = {"corpus": str(MINI), "out": str(tmp_path / "out")}
         del doc[missing]
         assert self._run_config(tmp_path, doc) == 1
-        assert capsys.readouterr().err.startswith(f"config error: config file {tmp_path / 'run.json'} is missing '{missing}'")
+        assert capsys.readouterr().err == f"config error: {tmp_path / 'run.json'}: $: missing key '{missing}'\n"
 
     def test_config_non_integer_jobs_is_config_error(self, tmp_path, capsys):
         assert self._run_config(tmp_path, {"corpus": str(MINI), "out": str(tmp_path / "out"), "jobs": "x"}) == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("extra, message", [
-        ({"subjects": "baseline,m1"}, "'subjects' must be a list of strings, got 'baseline,m1'"),
-        ({"scenario": ["topic"]}, "unknown key 'scenario'"),
-        ({"jobs": 2.9}, "'jobs' must be an integer, got 2.9"),
-        ({"jobs": True}, "'jobs' must be an integer, got True"),
-        ({"rulesets": [1]}, "'rulesets' must be a list of strings, got [1]"),
-        ({"scenarios": "all"}, "'scenarios' must be a list of strings, got 'all'"),
-    ], ids=["string-subjects", "misspelled-key", "float-jobs", "bool-jobs", "int-ruleset", "string-scenarios"])
+        ({"subjects": "baseline,m1"}, "$.subjects: must be a list, got \"baseline,m1\""),
+        ({"scenario": ["topic"]}, "$: unknown key 'scenario'"),
+        ({"jobs": 2.9}, "$.jobs: must be an integer, got 2.9"),
+        ({"jobs": True}, "$.jobs: must be an integer, got true"),
+        ({"rulesets": [1]}, "$.rulesets[0]: must be a string, got 1"),
+        ({"scenarios": "all"}, "$.scenarios: must be a list, got \"all\""),
+        ({"verbose": True}, "$: unknown key 'verbose'"),
+        ({"corpus": 5}, "$.corpus: must be a string, got 5"),
+        ({"subjects": ["baseline", 1]}, "$.subjects[1]: must be a string, got 1"),
+    ], ids=["string-subjects", "misspelled-key", "float-jobs", "bool-jobs", "int-ruleset", "string-scenarios",
+            "unknown-key", "int-corpus", "int-subject"])
     def test_mistyped_config_file_is_config_error(self, tmp_path, capsys, extra, message):
         doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), **extra}
         assert self._run_config(tmp_path, doc) == 1
-        assert capsys.readouterr().err == f"config error: config file {tmp_path / 'run.json'}: {message}\n"
+        assert capsys.readouterr().err == f"config error: {tmp_path / 'run.json'}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_smell_type_is_config_error(self, tmp_path, capsys):
@@ -241,31 +296,50 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("thresholds, message", [
-        ({"no-such-rule": {"x": 1}}, "unknown rule id in thresholds: 'no-such-rule'"),
-        ({"line-length": {"bogus": 1}}, "unknown threshold 'bogus' for rule 'line-length'"),
-    ])
+        ({"no-such-rule": {"x": 1}}, "$.thresholds: unknown key 'no-such-rule'"),
+        ({"line-length": {"bogus": 1}}, "$.thresholds['line-length']: unknown key 'bogus'"),
+    ], ids=["thresholds0-unknown rule id in thresholds: 'no-such-rule'",
+            "thresholds1-unknown threshold 'bogus' for rule 'line-length'"])
     def test_unknown_threshold_override_is_config_error(self, tmp_path, capsys, thresholds, message):
         doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), "thresholds": thresholds}
         assert self._run_config(tmp_path, doc) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {tmp_path / 'run.json'}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("thresholds, message", [
-        ([1], "thresholds must be an object keyed by rule id"),
-        ({"line-length": 5}, "thresholds for rule 'line-length' must be an object"),
-        ({"line-length": {"max_line_length": "x"}}, "threshold 'max_line_length' for rule 'line-length' must be int, got 'x'"),
-        ({"line-length": {"max_line_length": True}}, "threshold 'max_line_length' for rule 'line-length' must be int, got True"),
+        ([1], "{config}: $.thresholds: must be an object, got a list"),
+        ({"line-length": 5}, "{config}: $.thresholds['line-length']: must be an object, got 5"),
+        ({"line-length": {"max_line_length": "x"}},
+         "{config}: $.thresholds['line-length'].max_line_length: must be an integer, got \"x\""),
+        ({"line-length": {"max_line_length": True}},
+         "{config}: $.thresholds['line-length'].max_line_length: must be an integer, got true"),
         ({"method-name": {"pattern": "("}},
          "threshold 'pattern' for rule 'method-name' is not a regex: missing ), unterminated subpattern at position 0"),
-        ({"magic-number": {"ignore_numbers": 3}}, "threshold 'ignore_numbers' for rule 'magic-number' must be a list of int, got 3"),
+        ({"magic-number": {"ignore_numbers": 3}}, "{config}: $.thresholds['magic-number'].ignore_numbers: must be a list, got 3"),
         ({"magic-number": {"ignore_numbers": [1, "2"]}},
-         "threshold 'ignore_numbers' for rule 'magic-number' must be a list of int, got [1, '2']"),
+         "{config}: $.thresholds['magic-number'].ignore_numbers[1]: must be an integer, got \"2\""),
     ], ids=["list", "rule-not-object", "str-for-int", "bool-for-int", "bad-pattern", "int-for-list", "mixed-list"])
     def test_malformed_threshold_override_is_config_error(self, tmp_path, capsys, thresholds, message):
         doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), "thresholds": thresholds}
         assert self._run_config(tmp_path, doc) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {message.format(config=tmp_path / 'run.json')}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--subjects", "baseline,m9"], "subject 'm9' is neither 'baseline' nor a model of the corpus"),
+        (["--scenario", "correctness:m9"], "correctness model 'm9' is not a model of the corpus"),
+    ], ids=["subject", "correctness-model"])
+    @pytest.mark.parametrize("verb", ["run", "score"])
+    def test_model_the_corpus_lacks_is_config_error(self, tmp_path, capsys, argv, message, verb):
+        """Each once scored only the models the corpus has, or wrote an empty scorecard file."""
+        out = tmp_path / "out"
+        if verb == "score":
+            assert run(["analyze", "--corpus", str(MINI), "--out", str(out)]) == 0
+            capsys.readouterr()
+        snapshot = sorted(p for p in tmp_path.rglob("*"))
+        assert run([verb, "--corpus", str(MINI), "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sorted(p for p in tmp_path.rglob("*")) == snapshot
 
     def test_well_typed_threshold_overrides_run(self, tmp_path, capsys):
         thresholds = {"line-length": {"max_line_length": 80}, "magic-number": {"ignore_numbers": [0, 1]},
@@ -383,27 +457,33 @@ class TestImportAndDiff:
 class TestMalformedReportFiles:
     """A stored report that is not a well-formed report is a one-line config error naming the file."""
 
-    @pytest.mark.parametrize("content", ["not json", "{}"], ids=["not-json", "empty-object"])
-    def test_diff_of_malformed_report_is_config_error(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize("content, message", [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("{}", "$: missing key 'subject'"),
+    ], ids=["not-json", "empty-object"])
+    def test_diff_of_malformed_report_is_config_error(self, tmp_path, capsys, content, message):
         bad = tmp_path / "bad.json"
         bad.write_text(content, encoding="utf-8")
         assert run(["diff", "--native", str(bad), "--imported", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {bad}: not a well-formed report: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"config error: {bad}: {message}\n"
 
-    @pytest.mark.parametrize("mangle", [
-        lambda doc: [],
-        lambda doc: {**doc, "per_rule_counts": {"line-length": "x"}},
-    ], ids=["list", "string-count"])
-    def test_score_of_malformed_store_is_config_error(self, tmp_path, capsys, mangle):
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda doc: [], "$: must be an object, got a list"),
+        (lambda doc: {**doc, "per_rule_counts": {"line-length": "x"}},
+         "$.per_rule_counts['line-length']: must be an integer, got \"x\""),
+        (lambda doc: {**doc, "score": 3}, "$: unknown key 'score'"),
+        (lambda doc: {**doc, "parse_eror": "x"}, "$: unknown key 'parse_eror'"),
+        (lambda doc: {**doc, "subject": {**doc["subject"], "task_id": 12}}, "$.subject.task_id: must be a string, got 12"),
+        (lambda doc: {**doc, "subject": {**doc["subject"], "model_id": 5}}, "$.subject.model_id: must be a string, got 5"),
+    ], ids=["list", "string-count", "unknown-key", "parse-error-misspelled", "int-task-id", "int-model-id"])
+    def test_score_of_malformed_store_is_config_error(self, tmp_path, capsys, mangle, message):
         out = tmp_path / "out"
         assert run(["analyze", "--corpus", str(MINI), "--out", str(out)]) == 0
         capsys.readouterr()
         bad = out / "reports" / "m1" / "T01.json"
         bad.write_text(json.dumps(mangle(json.loads(bad.read_text(encoding="utf-8")))), encoding="utf-8")
         assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {bad}: not a well-formed report: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"config error: {bad}: {message}\n"
 
     @pytest.mark.parametrize("mangle, message", [
         (lambda doc: {**doc, "per_rule_counts": {**doc["per_rule_counts"], "no-such-rule": 1}},
@@ -428,14 +508,16 @@ class TestMalformedReportFiles:
 
     @pytest.mark.parametrize("mangle, message", [
         (lambda doc: {**doc, "violations": [{**doc["violations"][0], "rule_id": 7}]},
-         "TypeError: a violation has string rule_id, file, message and snippet and a span of 4 ints"),
+         "$.violations[0].rule_id: must be a string, got 7\n"),
         (lambda doc: {**doc, "violations": [{**doc["violations"][0], "span": ["a", None, 3, 4]}]},
-         "TypeError: a violation has string rule_id, file, message and snippet and a span of 4 ints"),
+         "$.violations[0].span[0]: must be an integer, got \"a\"\n"),
         (lambda doc: {**doc, "violations": [{**v, "rule_id": "no-such-rule"} for v in doc["violations"]]},
-         "unknown rule id 'no-such-rule' in violations"),
+         "not a well-formed report: unknown rule id 'no-such-rule' in violations"),
         (lambda doc: {**doc, "violations": doc["violations"][1:]},
-         "per_rule_counts "),
-    ], ids=["int-rule-id", "mistyped-span", "uncataloged-violation", "violation-missing"])
+         "not a well-formed report: per_rule_counts "),
+        (lambda doc: {**doc, "violations": [*doc["violations"][:1], {**doc["violations"][1], "span": [1, 2, 3]}]},
+         "$.violations[1].span: must hold 4 items, got 3\n"),
+    ], ids=["int-rule-id", "mistyped-span", "uncataloged-violation", "violation-missing", "short-span"])
     def test_diff_of_report_whose_violations_disagree_is_config_error(self, tmp_path, capsys, mangle, message):
         """diff reads both the violations and per_rule_counts, so they must agree."""
         out = tmp_path / "out"
@@ -446,7 +528,7 @@ class TestMalformedReportFiles:
         bad.write_text(json.dumps(mangle(json.loads(good.read_text(encoding="utf-8")))), encoding="utf-8")
         assert run(["diff", "--native", str(bad), "--imported", str(good)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {bad}: not a well-formed report: {message}") and err.count("\n") == 1
+        assert err.startswith(f"config error: {bad}: {message}") and err.count("\n") == 1
 
     def test_score_of_report_with_string_parse_ok_is_config_error(self, tmp_path, capsys):
         """A failed parse marked "no" would be counted as analyzed."""
@@ -459,7 +541,7 @@ class TestMalformedReportFiles:
         bad.write_text(json.dumps({**doc, "parse_ok": "no"}), encoding="utf-8")
         assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"config error: {bad}: not a well-formed report: TypeError: 'parse_ok' must be bool, got 'no'\n"
+        assert err == f"config error: {bad}: $.parse_ok: must be a boolean, got \"no\"\n"
 
 
 @pytest.fixture(scope="module")
@@ -476,22 +558,29 @@ def _first_card_with(**fields):
 class TestMalformedScorecardFiles:
     """A stored scorecard file that is not a list of scorecards is a one-line config error naming the file."""
 
-    @pytest.mark.parametrize("mangle", [
-        "not json",
-        lambda cards: {"x": 1},
-        lambda cards: [{"x": 1}],
-        _first_card_with(n_tasks="3"),
-        _first_card_with(vs={"fraction": "1/0", "float": 0.0}),
-    ], ids=["not-json", "not-a-list", "missing-field", "mistyped-field", "malformed-fraction"])
-    def test_report_of_malformed_scorecards_is_config_error(self, finished_run, tmp_path, capsys, mangle):
+    @pytest.mark.parametrize("mangle, message", [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        (lambda cards: {"x": 1}, "$: must be a list, got an object"),
+        (lambda cards: [{"x": 1}], "$[0]: unknown key 'x'"),
+        (_first_card_with(n_tasks="3"), "$[0].n_tasks: must be an integer, got \"3\""),
+        (_first_card_with(vs={"fraction": "1/0", "float": 0.0}),
+         "not a well-formed scorecard file: malformed fraction {'fraction': '1/0', 'float': 0.0}"),
+        (_first_card_with(note="x"), "$[0]: unknown key 'note'"),
+        (lambda cards: [{("n_task" if k == "n_tasks" else k): v for k, v in cards[0].items()}], "$[0]: unknown key 'n_task'"),
+        (_first_card_with(subject=5), "$[0].subject: must be a string, got 5"),
+        (_first_card_with(scenario=7), "$[0].scenario: must be a string, got 7"),
+        (_first_card_with(increase_rate="1/2"),
+         "not a well-formed scorecard file: malformed fraction '1/2'"),
+    ], ids=["not-json", "not-a-list", "missing-field", "mistyped-field", "malformed-fraction", "unknown-key",
+            "misspelled-key", "int-subject", "int-scenario", "string-rate"])
+    def test_report_of_malformed_scorecards_is_config_error(self, finished_run, tmp_path, capsys, mangle, message):
         out = tmp_path / "out"
         shutil.copytree(finished_run, out)
         bad = out / "scores" / "topic" / "all.json"
         text = mangle if isinstance(mangle, str) else json.dumps(mangle(json.loads(bad.read_text(encoding="utf-8"))))
         bad.write_text(text, encoding="utf-8")
         assert run(["report", "--corpus", str(MINI), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {bad}: not a well-formed scorecard file: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"config error: {bad}: {message}\n"
 
 
 # Modules only generate (the HTTP client), import-reports and diff (the XML

@@ -91,14 +91,21 @@ class TestLoadManifest:
         with pytest.raises(ManifestSyntaxError):
             load_manifest(tmp_path)
 
-    @pytest.mark.parametrize("value", ["x", "3", True, 1.5, None, [1]])
-    def test_non_integer_complexity(self, tmp_path, value):
+    @pytest.mark.parametrize("value, message", [
+        ("x", '{manifest}: $.tasks[0].complexity.cyclomatic: must be an integer or a float, got "x"'),
+        ("3", '{manifest}: $.tasks[0].complexity.cyclomatic: must be an integer or a float, got "3"'),
+        (True, "{manifest}: $.tasks[0].complexity.cyclomatic: must be an integer or a float, got true"),
+        (1.5, "task T1: complexity cyclomatic must be an integer, got 1.5"),
+        (None, "{manifest}: $.tasks[0].complexity.cyclomatic: must be an integer or a float, got null"),
+        ([1], "{manifest}: $.tasks[0].complexity.cyclomatic: must be an integer or a float, got a list"),
+    ], ids=["x", "3", "True", "1.5", "None", "value5"])
+    def test_non_integer_complexity(self, tmp_path, value, message):
         task = make_task(tmp_path, "T1")
         task["complexity"]["cyclomatic"] = value
         write_manifest(tmp_path, [task])
         with pytest.raises(ManifestSyntaxError) as err:
             load_manifest(tmp_path)
-        assert str(err.value) == f"task T1: complexity cyclomatic must be an integer, got {value!r}"
+        assert str(err.value) == message.format(manifest=tmp_path / "corpus.json")
 
     def test_integral_float_complexity_is_an_integer(self, tmp_path):
         task = make_task(tmp_path, "T1")

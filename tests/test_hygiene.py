@@ -1,6 +1,8 @@
 """Source hygiene that needs no third-party linter: every module-level import
-in the package is used by the module that makes it, and every private
-function or method is referred to somewhere in the package."""
+in the package is used by the module that makes it, every private function
+or method is referred to somewhere in the package, and every public top-level
+function is reached from the package's own code, or is on the list of those
+only tests call."""
 
 from __future__ import annotations
 
@@ -71,3 +73,70 @@ def test_scan_finds_an_orphaned_private_function():
         "b.py": "from a import _kept\n\n_kept()\n",
     }
     assert orphaned_private_functions(sources) == ["a.py:4: _orphan"]
+
+
+def unreached_public_functions(sources: dict[str, str], entry_points: frozenset[str] = frozenset()) -> list[str]:
+    """'<module>:<line>: <name>' for each public top-level function that no code
+    of the package reaches.  Code outside public top-level functions (classes,
+    private helpers, module statements) runs, and so do the functions named in
+    ``entry_points``; every function such code names is reached, and so on.
+    Functions are matched by name."""
+    defined: list[tuple[str, int, str]] = []
+    calls: dict[str, set[str]] = {}
+    roots = set(entry_points)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_"):
+                defined.append((module, stmt.lineno, stmt.name))
+                calls.setdefault(stmt.name, set()).update(names - {stmt.name})
+            else:
+                roots |= names
+    reached: set[str] = set()
+    todo = [name for name in calls if name in roots]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(calls[name] & calls.keys())
+    return [f"{module}:{line}: {name}" for module, line, name in defined if name not in reached]
+
+
+# Public functions that only tests call.  Give one a caller in the package, or
+# delete it, and take it off this list; add none.
+TEST_ONLY = {
+    "class_metrics", "cognitive_complexity", "compute_baseline_vs", "compute_vs", "dispersion", "import_report",
+    "max_method_cyclomatic", "method_metrics", "multi_origin_rules", "pearson", "rank_topics", "rule_by_id",
+    "top_smells",
+}
+
+
+def test_package_has_no_unreached_public_functions():
+    from smellscore.smell_engine import _REGISTRY
+
+    sources = {str(p.relative_to(PACKAGE)): p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))}
+    checkers = frozenset(fn.__name__ for fn in _REGISTRY.values())  # looked up by rule id, never named
+    unreached = unreached_public_functions(sources, checkers)
+    assert sorted(entry.rsplit(" ", 1)[1] for entry in unreached) == sorted(TEST_ONLY), unreached
+
+
+def test_scan_finds_an_unreached_public_function():
+    sources = {
+        "a.py": (
+            "def used():\n    helper()\n\n"
+            "def helper():\n    pass\n\n"
+            "def orphan():\n    leaf()\n\n"
+            "def leaf():\n    pass\n\n"
+            "def recursive():\n    recursive()\n\n"
+            "def check_x():\n    pass\n\n"
+            "class C:\n    def m(self):\n        return used()\n"
+        ),
+        "b.py": "from a import leaf\n\ndef _private():\n    return 1\n",
+    }
+    assert unreached_public_functions(sources, frozenset({"check_x"})) == [
+        "a.py:7: orphan", "a.py:10: leaf", "a.py:13: recursive",
+    ]

@@ -306,7 +306,9 @@ class G {
         ("class A { void m(final final int x) {} }", "final", (1, 24, 1, 29)),
         ("class A { void m() { final final int x = 1; } }", "final", (1, 28, 1, 33)),
         ("final final class A {}", "final", (1, 7, 1, 12)),
-    ], ids=["field", "method", "annotated-field", "parameter", "local", "class"])
+        ("class A { void m() { for (final final int x : xs) {} } }", "final", (1, 33, 1, 38)),
+        ("class A { void m() { f((final final int x) -> {}); } }", "final", (1, 31, 1, 36)),
+    ], ids=["field", "method", "annotated-field", "parameter", "local", "class", "for-each", "lambda"])
     def test_repeated_modifier_fails_at_its_second_occurrence(self, text, word, span):
         out = parse_text("A.java", text)
         assert not out.ok
