@@ -15,6 +15,7 @@ from smellscore.java_syntax import (
     LexError,
     SourceFile,
     Span,
+    Token,
     TokenKind,
     parse,
     parse_text,
@@ -148,6 +149,68 @@ class TestTokenize:
             assert start == offset
             offset += len(t.lexeme)
         assert offset == len(SAMPLE)
+
+
+def _char_loop_line_index(text: str) -> list[int]:
+    """The offset at which each line starts, found one character at a time."""
+    index = [0]
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            index.append(i + 1)
+    return index
+
+
+class TestSourceFile:
+    @pytest.mark.parametrize("text", ["", "\n", "a\nb", "a\nb\n", "a\r\nb\r\n", "\r\n\r\nx", "\n\n\n"])
+    def test_line_index_matches_the_char_loop(self, text):
+        assert SourceFile.from_text("T.java", text).line_index == _char_loop_line_index(text)
+
+    def test_line_index_of_every_test_source_matches_the_char_loop(self):
+        paths = sorted(Path(__file__).parent.rglob("*.java"))
+        assert len(paths) >= 31
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert SourceFile.from_text(str(path), text).line_index == _char_loop_line_index(text), path
+
+
+class TestSpanAndTokenContract:
+    def test_span_fields_cannot_be_assigned(self):
+        span = Span(1, 2, 3, 4)
+        for name in ("start_line", "start_col", "end_line", "end_col"):
+            with pytest.raises(AttributeError):
+                setattr(span, name, 9)
+        assert span.as_tuple() == (1, 2, 3, 4)
+
+    def test_equal_spans_hash_alike_and_key_a_dict(self):
+        first, second = Span(1, 2, 3, 4), Span(1, 2, 3, 4)
+        assert first == second and hash(first) == hash(second)
+        assert first != Span(1, 2, 3, 5)
+        table = {first: "a"}
+        table[second] = "b"
+        assert table == {Span(1, 2, 3, 4): "b"}
+
+    def test_span_repr_and_as_tuple(self):
+        span = Span(1, 2, 3, 4)
+        assert repr(span) == "Span(start_line=1, start_col=2, end_line=3, end_col=4)"
+        assert type(span.as_tuple()) is tuple and span.as_tuple() == (1, 2, 3, 4)
+        assert (span.start_line, span.start_col, span.end_line, span.end_col) == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("kind", list(TokenKind), ids=lambda k: k.value)
+    def test_token_is_trivia_for_every_kind(self, kind):
+        trivia = {TokenKind.WHITESPACE, TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT, TokenKind.JAVADOC}
+        assert Token(kind, "x", Span(1, 1, 1, 2)).is_trivia is (kind in trivia)
+
+    def test_token_equality_repr_and_numeric_fields(self):
+        span = Span(1, 1, 1, 3)
+        token = Token(TokenKind.NUMBER, "0x", span)
+        assert (token.radix, token.suffix) == (None, None)
+        token.radix, token.suffix = 16, "L"
+        assert token == Token(TokenKind.NUMBER, "0x", Span(1, 1, 1, 3), radix=16, suffix="L")
+        assert token != Token(TokenKind.NUMBER, "0x", span, radix=16)
+        assert token != Token(TokenKind.IDENTIFIER, "0x", span, radix=16, suffix="L")
+        assert repr(token) == "Token(number, '0x', (1, 1, 1, 3))"
+        with pytest.raises(TypeError):
+            hash(token)
 
 
 class TestParse:
