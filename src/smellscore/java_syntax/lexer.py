@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -30,6 +31,7 @@ class TokenKind(Enum):
 
 
 COMMENT_KINDS = (TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT, TokenKind.JAVADOC)
+_TRIVIA_KINDS = (TokenKind.WHITESPACE, *COMMENT_KINDS)  # a tuple: Enum hashes in Python
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -52,15 +54,17 @@ OPERATORS = (
 SEPARATORS = frozenset("(){}[];,.@")
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """Immutable and hashable, and cheap to build: one per token.  Being a
+    tuple, a span also compares equal to the plain tuple of its fields."""
+
     start_line: int
     start_col: int
     end_line: int
     end_col: int
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.start_line, self.start_col, self.end_line, self.end_col)
+        return tuple(self)
 
 
 @dataclass
@@ -74,9 +78,7 @@ class SourceFile:
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceFile":
         index = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                index.append(i + 1)
+        index.extend(m.end() for m in _NEWLINE.finditer(text))
         return cls(path=path, text=text, line_index=index)
 
     def line_text(self, line: int) -> str:
@@ -90,17 +92,30 @@ class SourceFile:
         return len(self.line_index)
 
 
-@dataclass
-class Token:
-    kind: TokenKind
-    lexeme: str
-    span: Span
-    radix: int | None = None  # numeric literals only
-    suffix: str | None = None  # numeric literals only
+_NEWLINE = re.compile("\n")
 
-    @property
-    def is_trivia(self) -> bool:
-        return self.kind is TokenKind.WHITESPACE or self.kind in COMMENT_KINDS
+
+class Token:
+    __slots__ = ("kind", "lexeme", "span", "radix", "suffix", "is_trivia")
+
+    def __init__(
+        self, kind: TokenKind, lexeme: str, span: Span, radix: int | None = None, suffix: str | None = None
+    ) -> None:
+        self.kind = kind
+        self.lexeme = lexeme
+        self.span = span
+        self.radix = radix  # numeric literals only
+        self.suffix = suffix  # numeric literals only
+        self.is_trivia = kind in _TRIVIA_KINDS  # whitespace or a comment
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return (self.kind, self.lexeme, self.span, self.radix, self.suffix) == (
+            other.kind, other.lexeme, other.span, other.radix, other.suffix
+        )
+
+    __hash__ = None  # equal tokens need equal hashes, and radix and suffix can change
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Token({self.kind.value}, {self.lexeme!r}, {self.span.as_tuple()})"
@@ -147,6 +162,7 @@ _WORD_KINDS = {
     "false": TokenKind.BOOL,
     "null": TokenKind.NULL,
 }
+_GROUP_KINDS = {name: TokenKind[name] for name, _ in _TOKEN_RULES if name in TokenKind.__members__}
 _OCTAL = re.compile(r"0[0-7_]+[lL]?")
 
 
@@ -157,32 +173,35 @@ def tokenize(source: SourceFile) -> list[Token]:
     characters outside the Java lexical grammar.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    new_span = tuple.__new__  # Span's own __new__ costs twice as much
     line = col = 1
     for m in _TOKEN.finditer(source.text):
         group = m.lastgroup
         lexeme = m.group()
-        if group in _UNTERMINATED:
-            raise LexError(_UNTERMINATED[group], line, col)
-        # \w also admits digits like '²' and numerals like '½', which cannot
-        # start a Java identifier.
-        if group == "illegal" or group == "word" and not (lexeme[0].isalpha() or lexeme[0] in "_$"):
-            raise LexError(f"illegal character {lexeme[0]!r}", line, col)
         if group == "word":
+            # \w also admits digits like '²' and numerals like '½', which
+            # cannot start a Java identifier.
+            if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
+                raise LexError(f"illegal character {lexeme[0]!r}", line, col)
             kind = _WORD_KINDS.get(lexeme, TokenKind.IDENTIFIER)
-        elif group == "BLOCK_COMMENT" and lexeme.startswith("/**") and lexeme != "/**/":
-            kind = TokenKind.JAVADOC
         else:
-            kind = TokenKind[group]
+            kind = _GROUP_KINDS.get(group)
+            if kind is None:
+                raise LexError(_UNTERMINATED.get(group) or f"illegal character {lexeme[0]!r}", line, col)
+            if kind is TokenKind.BLOCK_COMMENT and lexeme.startswith("/**") and lexeme != "/**/":
+                kind = TokenKind.JAVADOC
 
         newlines = lexeme.count("\n")
         if newlines:
             end_line, end_col = line + newlines, len(lexeme) - lexeme.rfind("\n")
         else:
             end_line, end_col = line, col + len(lexeme)
-        token = Token(kind, lexeme, Span(line, col, end_line, end_col))
+        span = new_span(Span, (line, col, end_line, end_col))
         if kind is TokenKind.NUMBER:
-            token.radix, token.suffix = _radix_and_suffix(lexeme)
-        tokens.append(token)
+            append(Token(kind, lexeme, span, *_radix_and_suffix(lexeme)))
+        else:
+            append(Token(kind, lexeme, span))
         line, col = end_line, end_col
     return tokens
 

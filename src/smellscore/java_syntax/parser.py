@@ -43,6 +43,9 @@ _BINARY_LEVELS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+# Each binary operator's binding power: its level above.
+_BINARY_POWER = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+_TOP_POWER = len(_BINARY_LEVELS) - 1
 
 _LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR, TokenKind.BOOL, TokenKind.NULL)
 
@@ -100,14 +103,12 @@ def parse_text(path: str, text: str) -> ParseOutcome:
 class _Parser:
     def __init__(self, all_tokens: list[Token]):
         self.all_tokens = all_tokens
-        # Significant tokens plus, for each, the index of the token that
-        # precedes it in the full stream (for comment attachment).
-        self.toks: list[Token] = []
-        self.full_index: list[int] = []
-        for i, t in enumerate(all_tokens):
-            if not t.is_trivia:
-                self.toks.append(t)
-                self.full_index.append(i)
+        # The significant tokens; for each, its index in the full stream (for
+        # comment attachment); and their lexemes, padded with None for end of
+        # file as far as any lookahead reaches, for the hot lexeme tests.
+        self.full_index = [i for i, t in enumerate(all_tokens) if not t.is_trivia]
+        self.toks = [all_tokens[i] for i in self.full_index]
+        self.lexemes: list[str | None] = [t.lexeme for t in self.toks] + [None] * 3
         self.i = 0
         self.splits: list[tuple[int, Token]] = []  # (index, token) of each split '>>', for _attempt to undo
         self.comments = [
@@ -121,27 +122,27 @@ class _Parser:
         return self.toks[j] if j < len(self.toks) else None
 
     def at(self, lexeme: str, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        return t is not None and t.lexeme == lexeme
+        return self.lexemes[self.i + offset] == lexeme  # offset <= 2
 
     def at_kind(self, kind: TokenKind, offset: int = 0) -> bool:
         t = self.peek(offset)
         return t is not None and t.kind is kind
 
     def next(self) -> Token:
-        t = self.peek()
-        if t is None:
+        i = self.i
+        if self.lexemes[i] is None:
             raise self.error("unexpected end of file")
-        self.i += 1
-        return t
+        self.i = i + 1
+        return self.toks[i]
 
     def expect(self, lexeme: str) -> Token:
-        t = self.peek()
-        if t is None or t.lexeme != lexeme:
-            got = t.lexeme if t else "end of file"
+        i = self.i
+        got = self.lexemes[i]
+        if got != lexeme:
+            got = "end of file" if got is None else got
             raise self.error(f"expected {lexeme!r}, found {got!r}")
-        self.i += 1
-        return t
+        self.i = i + 1
+        return self.toks[i]
 
     def expect_ident(self) -> Token:
         t = self.peek()
@@ -193,6 +194,7 @@ class _Parser:
             )
             self.splits.append((self.i, t))
             self.toks[self.i : self.i + 1] = [head, rest]
+            self.lexemes[self.i : self.i + 1] = [head.lexeme, rest.lexeme]
             self.full_index.insert(self.i, self.full_index[self.i])
             return self.next()
         raise self.error("expected '>'")
@@ -208,6 +210,7 @@ class _Parser:
             while len(self.splits) > splits:
                 j, t = self.splits.pop()
                 self.toks[j : j + 2] = [t]
+                self.lexemes[j : j + 2] = [t.lexeme]
                 del self.full_index[j]
             self.i = i
             return None
@@ -881,49 +884,52 @@ class _Parser:
     # ---- expressions ---------------------------------------------------------
 
     def expression(self) -> n.Expr:
-        return self.assignment()
-
-    def assignment(self) -> n.Expr:
+        """An assignment (right-associative), or else a conditional expression."""
         left = self.ternary()
-        t = self.peek()
-        if t is not None and t.lexeme in _ASSIGN_OPS:
+        if self.lexemes[self.i] in _ASSIGN_OPS:
             op = self.next().lexeme
-            value = self.assignment()
+            value = self.expression()
             return n.Assign(span=self.span_between(left.span, value.span), target=left, op=op, value=value)
         return left
 
     def ternary(self) -> n.Expr:
-        cond = self.binary(0)
+        cond = self.binary()
         if self.at("?"):
             self.next()
             if_true = self.expression()
             self.expect(":")
-            if_false = self.assignment()
+            if_false = self.expression()
             return n.Ternary(span=self.span_between(cond.span, if_false.span), cond=cond, if_true=if_true, if_false=if_false)
         return cond
 
-    def binary(self, level: int) -> n.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.unary()
-        ops = _BINARY_LEVELS[level]
-        left = self.binary(level + 1)
+    def binary(self, min_power: int = 0) -> n.Expr:
+        """Binary operators and instanceof, by precedence climbing.
+
+        The loop takes each operator whose power (_BINARY_POWER) is at least
+        ``min_power``; its right operand takes only operators of higher power,
+        which makes every level left-associative.  After an operator of power
+        p, the loop takes only operators of power p or lower, as a grammar
+        with one rule per level would: so in ``a instanceof T - b`` the '-'
+        ends the expression instead of taking the instanceof as its operand.
+        """
+        left = self.unary()
+        lexemes = self.lexemes
+        ceiling = _TOP_POWER
         while True:
-            t = self.peek()
-            if t is None:
+            lex = lexemes[self.i]
+            power = _BINARY_POWER.get(lex)
+            if power is None or power < min_power or power > ceiling:
                 return left
-            lex = t.lexeme
-            if lex not in ops:
-                return left
+            self.i += 1
+            ceiling = power
             if lex == "instanceof":
-                self.next()
                 ty = self.parse_type()
                 left = n.InstanceOf(span=self.span_between(left.span, ty.span), expr=left, type=ty)
                 continue
             # '<' here may open type arguments of a method call like
             # Collections.<String>emptyList(); the subset does not support
             # that form, and plain '<' comparison is far more common.
-            self.next()
-            right = self.binary(level + 1)
+            right = self.binary(power + 1)
             left = n.Binary(span=self.span_between(left.span, right.span), op=lex, left=left, right=right)
 
     def unary(self) -> n.Expr:

@@ -248,7 +248,8 @@ class ScoreCard:
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "ScoreCard":
         """Inverse of to_json, for a doc that fits _SCORECARD_SPEC; a malformed
-        fraction raises ValueError."""
+        fraction, or a float that is not float() of its fraction, raises
+        ValueError."""
         baseline_vs, increase_rate = doc["baseline_vs"], doc["increase_rate"]
         return cls(**{
             **doc,
@@ -276,7 +277,10 @@ def _frac_parse(doc: dict[str, Any] | str) -> Fraction:
     match = None if type(doc) is str else _FRACTION.fullmatch(doc["fraction"])
     if match is None or int(match[2]) == 0:
         raise ValueError(f"malformed fraction {doc!r}")
-    return Fraction(int(match[1]), int(match[2]))
+    value = Fraction(int(match[1]), int(match[2]))
+    if doc["float"] != float(value):
+        raise ValueError(f"float {doc['float']!r} is not float({doc['fraction']})")
+    return value
 
 
 def score_scenario(
@@ -360,7 +364,7 @@ def load_scorecards(path: str | Path) -> list[ScoreCard]:
     doc = read_json(Path(path), [_SCORECARD_SPEC], DocumentError)
     try:
         return [ScoreCard.from_json(item) for item in doc]
-    except ValueError as e:  # a malformed fraction
+    except ValueError as e:  # a malformed fraction, or a float that disagrees with it
         raise DocumentError(f"{path}: not a well-formed scorecard file: {e}") from e
 
 

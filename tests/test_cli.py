@@ -351,7 +351,7 @@ class TestRun:
     def test_deeply_nested_source_is_a_recorded_failure(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(MINI, corpus)
-        nested = "(" * 80 + "1" + ")" * 80
+        nested = "(" * 2000 + "1" + ")" * 2000
         (corpus / "solutions" / "m1" / "T01.java").write_text(
             f"class A {{\n    int f() {{\n        return {nested};\n    }}\n}}\n", encoding="utf-8"
         )
@@ -571,8 +571,10 @@ class TestMalformedScorecardFiles:
         (_first_card_with(scenario=7), "$[0].scenario: must be a string, got 7"),
         (_first_card_with(increase_rate="1/2"),
          "not a well-formed scorecard file: malformed fraction '1/2'"),
+        (lambda cards: [{**cards[0], "vs": {**cards[0]["vs"], "float": 99.0}}],
+         "not a well-formed scorecard file: float 99.0 is not float(1/1)"),
     ], ids=["not-json", "not-a-list", "missing-field", "mistyped-field", "malformed-fraction", "unknown-key",
-            "misspelled-key", "int-subject", "int-scenario", "string-rate"])
+            "misspelled-key", "int-subject", "int-scenario", "string-rate", "float-not-fraction"])
     def test_report_of_malformed_scorecards_is_config_error(self, finished_run, tmp_path, capsys, mangle, message):
         out = tmp_path / "out"
         shutil.copytree(finished_run, out)

@@ -388,11 +388,18 @@ class G {
         assert out.ok, out.failure
 
     def test_deep_nesting_is_a_parse_failure(self):
-        text = "class A {\n    int f() {\n        return " + "(" * 80 + "1" + ")" * 80 + ";\n    }\n}\n"
+        text = "class A {\n    int f() {\n        return " + "(" * 2000 + "1" + ")" * 2000 + ";\n    }\n}\n"
         out = parse_text("A.java", text)
         assert not out.ok
         assert out.failure.message == "nesting too deep"
         assert out.failure.first_error_span.start_line == 3
+
+    def test_hundred_nested_parentheses_parse(self):
+        text = "class A {\n    int f() {\n        return " + "(" * 100 + "1" + ")" * 100 + ";\n    }\n}\n"
+        out = parse_text("A.java", text)
+        assert out.ok, out.failure
+        parens = [node for node in n.walk(out.ast) if isinstance(node, n.Paren)]
+        assert len(parens) == 100
 
     def test_walk_survives_deep_expressions(self):
         terms = 3000
