@@ -67,6 +67,9 @@ class Span(NamedTuple):
         return tuple(self)
 
 
+_NEWLINE = re.compile("\n")
+
+
 @dataclass
 class SourceFile:
     """A Java source text plus the offsets at which each line starts."""
@@ -92,9 +95,6 @@ class SourceFile:
         return len(self.line_index)
 
 
-_NEWLINE = re.compile("\n")
-
-
 class Token:
     __slots__ = ("kind", "lexeme", "span", "radix", "suffix", "is_trivia")
 
@@ -109,7 +109,7 @@ class Token:
         self.is_trivia = kind in _TRIVIA_KINDS  # whitespace or a comment
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Token:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.kind, self.lexeme, self.span, self.radix, self.suffix) == (
             other.kind, other.lexeme, other.span, other.radix, other.suffix

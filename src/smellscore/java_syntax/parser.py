@@ -122,7 +122,7 @@ class _Parser:
         return self.toks[j] if j < len(self.toks) else None
 
     def at(self, lexeme: str, offset: int = 0) -> bool:
-        return self.lexemes[self.i + offset] == lexeme  # offset <= 2
+        return self.lexemes[self.i + offset] == lexeme  # no caller looks further ahead than the padding
 
     def at_kind(self, kind: TokenKind, offset: int = 0) -> bool:
         t = self.peek(offset)
