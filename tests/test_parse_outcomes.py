@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import sys
 import threading
 from collections import defaultdict
 from pathlib import Path
@@ -107,18 +106,29 @@ def _tokens(text: str) -> list[Token]:
     return tokenize(SourceFile.from_text("G.java", text))
 
 
-def cases() -> list[tuple[str, str]]:
-    """Every generated input, as (case id, source text), in a fixed order."""
-    rng = random.Random(SEED)
-    sources = [_tokens(path.read_text(encoding="utf-8")) for path in sorted(TESTS.rglob("*.java"))]
+def _vocabulary(tokens: list[Token]) -> dict[TokenKind, list[str]]:
+    """The lexemes of each kind among ``tokens`` and the fixed lexemes."""
     by_kind: dict[TokenKind, set[str]] = defaultdict(set)
-    for t in (t for tokens in sources + [_tokens(" ".join(VOCABULARY + ATOMS))] for t in tokens):
+    for t in tokens + _tokens(" ".join(VOCABULARY + ATOMS)):
         by_kind[t.kind].add(t.lexeme)
-    vocabulary = {kind: sorted(lexemes) for kind, lexemes in by_kind.items()}
+    return {kind: sorted(lexemes) for kind, lexemes in by_kind.items()}
+
+
+def cases() -> list[tuple[str, str]]:
+    """Every generated input, as (case id, source text), in a fixed order.
+
+    Each source and the expressions draw from their own seeded generator, so
+    adding a test source adds cases without changing any other.
+    """
     out = []
-    for s, tokens in enumerate(sources):
-        for k in range(MUTATIONS_PER_SOURCE):
-            out.append((f"m{s:02d}.{k:02d}", _mutate(tokens, rng, vocabulary)))
+    for path in sorted(TESTS.rglob("*.java")):
+        name = f"{path.parent.name}/{path.stem}"
+        rng = random.Random(f"{SEED}:{name}")
+        tokens = _tokens(path.read_text(encoding="utf-8"))
+        vocabulary = _vocabulary(tokens)
+        out += [(f"{name}.{k:02d}", _mutate(tokens, rng, vocabulary)) for k in range(MUTATIONS_PER_SOURCE)]
+    rng = random.Random(f"{SEED}:expressions")
+    vocabulary = _vocabulary([])
     for k in range(EXPRESSIONS):
         text = _method(_expression(rng, rng.randint(1, 6)))
         if k % 4 == 3:
@@ -174,7 +184,9 @@ def changes(old: dict[str, str], new: dict[str, str]) -> dict[str, list[str]]:
 
 def test_generator_covers_sources_expressions_and_both_outcomes():
     got = read_golden()
-    assert len(got) == 31 * MUTATIONS_PER_SOURCE + EXPRESSIONS + len(NESTING_DEPTHS)
+    sources = len(list(TESTS.rglob("*.java")))
+    assert sources >= 31
+    assert len(got) == sources * MUTATIONS_PER_SOURCE + EXPRESSIONS + len(NESTING_DEPTHS)
     failures = sum(v.startswith("fail ") for v in got.values())
     assert 500 < failures < len(got) - 500
     assert GOLDEN.stat().st_size < 300_000
@@ -195,4 +207,3 @@ if __name__ == "__main__":
         print(f"{cls}: {len(ids)}")
         for case_id in ids:
             print(f"  {case_id}: {before.get(case_id)} => {after.get(case_id)}")
-    sys.exit(0)
