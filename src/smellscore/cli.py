@@ -34,6 +34,7 @@ from .outputs import DocumentError, optional, read_json, write_if_changed
 from .rules.catalog import catalog
 from .rules.model import IMPLEMENTATION_TYPES, DESIGN_TYPES, SmellRule, ViolationReport
 from .scoreboard import (
+    ReportCounts,
     RuleSetSelector,
     ScenarioSelector,
     ScoreCard,
@@ -177,10 +178,11 @@ def run_score(config: RunConfig, summary: RunSummary, reports=None) -> list[Scor
         if not reports:
             raise IoError(f"no report store under {config.out_dir}")
     subjects = config.subjects or sorted(reports)
+    counts = ReportCounts(corpus, reports)
     all_cards: list[ScoreCard] = []
     for scenario in config.scenarios:
         for ruleset in config.rulesets:
-            cards = score_scenario(corpus, reports, scenario, ruleset, subjects)
+            cards = score_scenario(corpus, counts, scenario, ruleset, subjects)
             all_cards.extend(cards)
             summary.scorecards_written += len(cards)
             summary.files_changed += write_scorecards(cards, config.out_dir, scenario.label, ruleset.label)

@@ -44,11 +44,6 @@ class ComplexityTriple:
         if self.loc < 1:
             raise ManifestSyntaxError(f"loc must be >= 1, got {self.loc}")
 
-    def value(self, metric: str) -> int:
-        if metric not in ("cyclomatic", "cognitive", "loc"):
-            raise ValueError(f"unknown complexity metric {metric!r}")
-        return getattr(self, metric)
-
 
 @dataclass(frozen=True)
 class GeneratedSolution:
@@ -86,7 +81,8 @@ class Corpus:
             raise ManifestSyntaxError("corpus has no tasks")
 
     def resolve(self, rel_path: str) -> Path:
-        return _inside(self.root, rel_path)
+        _check_inside(rel_path)
+        return self.root / rel_path
 
 
 def require_plain_name(what: str, name: str) -> str:
@@ -176,19 +172,18 @@ def _parse_task(raw: dict[str, Any], root: Path) -> CodingTask:
     })
 
 
-def _inside(root: Path, rel: str, task_id: str | None = None) -> Path:
-    """``root / rel``, refusing a path that leads out of the root.  The test is
-    on the path's text, so a symlink inside the root may point anywhere."""
+def _check_inside(rel: str, task_id: str | None = None) -> None:
+    """Refuse a relative path that leads out of the root.  The test is on the
+    path's text, so a symlink inside the root may point anywhere."""
     normal = os.path.normpath(rel)
     if os.path.isabs(normal) or normal == os.pardir or normal.startswith(os.pardir + os.sep):
         where = f"task {task_id}: " if task_id else ""
         raise ManifestSyntaxError(f"{where}path leaves the corpus root: {rel}")
-    return root / rel
 
 
 def _require_file(root: Path, rel: str, task_id: str) -> None:
-    p = _inside(root, rel, task_id)
-    if not p.is_file():
+    _check_inside(rel, task_id)
+    if not os.path.isfile(os.path.join(root, rel)):  # a string join: a Path per file costs more than the stat
         raise MissingFileError(f"task {task_id}: file not found: {rel}")
 
 

@@ -47,6 +47,22 @@ _BINARY_LEVELS = (
 _BINARY_POWER = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 _TOP_POWER = len(_BINARY_LEVELS) - 1
 
+# Nesting bound.  Expressions, calls, statements and types each add about the stack
+# frames one level of them takes to _Parser.depth; past _MAX_DEPTH the parse
+# fails with "nesting too deep".  So where that failure strikes depends on the
+# input alone, and not, as a RecursionError does, on how deep the caller's
+# stack already was.  _MAX_DEPTH lets about 115 parentheses nest in a method,
+# and leaves room below Python's default limit of 1000 frames for callers up
+# to about 250 frames deep.  RecursionError stays the backstop for what does
+# not count: chains of prefix operators, nested class bodies and array
+# initializers, and the frames some nestings take beyond their count (a
+# lambda body one more than a parenthesis).
+_EXPRESSION_DEPTH = 6  # expression, ternary, binary, unary, postfix, primary: one parenthesis
+_CALL_DEPTH = 2  # _call_args and separated, on top of an expression: one call's arguments
+_STATEMENT_DEPTH = 3  # statement, _statement and the block or if that holds the next one
+_TYPE_DEPTH = 4  # parse_type, parse_type_args, separated, parse_type_arg: one type argument
+_MAX_DEPTH = 700
+
 _LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR, TokenKind.BOOL, TokenKind.NULL)
 
 
@@ -77,6 +93,10 @@ class _ParseError(Exception):
 class _RepeatedModifier(_ParseError):
     """No reading of the tokens allows a repeated modifier, so _attempt lets
     this error through instead of trying another rule."""
+
+
+class _TooDeep(_ParseError):
+    """Nesting past _MAX_DEPTH; _attempt lets it through, as a repeated modifier."""
 
 
 def parse(source: SourceFile) -> ParseOutcome:
@@ -110,6 +130,7 @@ class _Parser:
         self.toks = [all_tokens[i] for i in self.full_index]
         self.lexemes: list[str | None] = [t.lexeme for t in self.toks] + [None] * 3
         self.i = 0
+        self.depth = 0  # see _MAX_DEPTH
         self.splits: list[tuple[int, Token]] = []  # (index, token) of each split '>>', for _attempt to undo
         self.comments = [
             n.Comment(span=t.span, kind=t.kind, text=t.lexeme) for t in all_tokens if t.kind in COMMENT_KINDS
@@ -158,11 +179,18 @@ class _Parser:
             raise self.error("unexpected end of file")
         return self.peek().span
 
-    def error(self, message: str) -> _ParseError:
+    def error(self, message: str, kind: type[_ParseError] = _ParseError) -> _ParseError:
         """An error at the current token, or at the last one at end of file."""
         t = self.peek()
         span = t.span if t else (self.toks[-1].span if self.toks else Span(1, 1, 1, 1))
-        return _ParseError(message, span)
+        return kind(message, span)
+
+    def nest(self, frames: int) -> None:
+        """Count one more level of nesting that takes ``frames`` stack frames;
+        the caller takes them off ``depth`` again when the level returns."""
+        self.depth += frames
+        if self.depth > _MAX_DEPTH:
+            raise self.error("nesting too deep", _TooDeep)
 
     def separated(self, item, sep: str = ",", close: str | None = None) -> list:
         """``item (sep item)*``, or no items when the token ``close`` comes next."""
@@ -200,11 +228,12 @@ class _Parser:
         raise self.error("expected '>'")
 
     def _attempt(self, rule):
-        """The result of ``rule()``, or None with the position and any '>>' splits undone."""
-        i, splits = self.i, len(self.splits)
+        """The result of ``rule()``, or None with the position, the nesting
+        depth and any '>>' splits undone."""
+        i, splits, depth = self.i, len(self.splits), self.depth
         try:
             return rule()
-        except _RepeatedModifier:
+        except (_RepeatedModifier, _TooDeep):
             raise
         except _ParseError:
             while len(self.splits) > splits:
@@ -212,7 +241,7 @@ class _Parser:
                 self.toks[j : j + 2] = [t]
                 self.lexemes[j : j + 2] = [t.lexeme]
                 del self.full_index[j]
-            self.i = i
+            self.i, self.depth = i, depth
             return None
 
     def preceding_comment(self, tok_index: int) -> n.Comment | None:
@@ -595,7 +624,9 @@ class _Parser:
             name = self.qualified_name()
             ref = n.TypeRef(span=self.span_between(start, self.toks[self.i - 1].span), name=name)
             if self.at("<"):
+                self.nest(_TYPE_DEPTH)
                 ref.type_args = self.parse_type_args()
+                self.depth -= _TYPE_DEPTH
                 ref.span = self.span_between(start, self.toks[self.i - 1].span)
         else:
             raise self.error(f"expected type, found {t.lexeme!r}")
@@ -646,6 +677,12 @@ class _Parser:
         return n.Block(span=self.span_between(open_tok.span, close.span), statements=stmts)
 
     def statement(self) -> n.Stmt:
+        self.nest(_STATEMENT_DEPTH)
+        stmt = self._statement()
+        self.depth -= _STATEMENT_DEPTH
+        return stmt
+
+    def _statement(self) -> n.Stmt:
         t = self.peek()
         if t is None:
             raise self.error("expected statement")
@@ -885,11 +922,13 @@ class _Parser:
 
     def expression(self) -> n.Expr:
         """An assignment (right-associative), or else a conditional expression."""
+        self.nest(_EXPRESSION_DEPTH)
         left = self.ternary()
         if self.lexemes[self.i] in _ASSIGN_OPS:
             op = self.next().lexeme
             value = self.expression()
-            return n.Assign(span=self.span_between(left.span, value.span), target=left, op=op, value=value)
+            left = n.Assign(span=self.span_between(left.span, value.span), target=left, op=op, value=value)
+        self.depth -= _EXPRESSION_DEPTH
         return left
 
     def ternary(self) -> n.Expr:
@@ -924,6 +963,8 @@ class _Parser:
             ceiling = power
             if lex == "instanceof":
                 ty = self.parse_type()
+                if ty.name in PRIMITIVE_TYPES and not ty.array_dims:  # JLS 15.20.2
+                    raise _ParseError(f"instanceof needs a reference type, found {ty.name!r}", ty.span)
                 left = n.InstanceOf(span=self.span_between(left.span, ty.span), expr=left, type=ty)
                 continue
             # '<' here may open type arguments of a method call like
@@ -1025,7 +1066,9 @@ class _Parser:
 
     def _call_args(self) -> tuple[list[n.Expr], Span]:
         self.expect("(")
+        self.nest(_CALL_DEPTH)
         args = self.separated(self.expression, close=")")
+        self.depth -= _CALL_DEPTH
         end = self.expect(")")
         return args, end.span
 

@@ -156,7 +156,7 @@ def partition(corpus: Corpus, selector: ScenarioSelector) -> list[tuple[str, lis
         width = ScenarioSelector.DEFAULT_WIDTHS[selector.metric]
         groups = {}
         for task in tasks:
-            value = task.complexity.value(selector.metric)
+            value = getattr(task.complexity, selector.metric)  # the selector's parse checked the name
             if width == 1:
                 label = str(value)
             else:
@@ -283,14 +283,61 @@ def _frac_parse(doc: dict[str, Any] | str) -> Fraction:
     return value
 
 
+class ReportCounts:
+    """The counts scoring reads from a report store, built in one pass.
+
+    For each subject, ``columns[subject][smell_type]`` holds each task's
+    count of that type and ``clean[subject]`` 1 for each parse-clean report,
+    both indexed by the task's row in ``corpus.tasks`` (``rows`` maps a task
+    id to it).  A task without a parse-clean report counts 0 everywhere, a
+    type no report has gets no column, and a report whose task the manifest
+    lacks is ignored.
+    """
+
+    def __init__(self, corpus: Corpus, reports: dict[str, dict[str, ViolationReport]]):
+        self.rows = {task.task_id: row for row, task in enumerate(corpus.tasks)}
+        size = len(self.rows)
+        self.columns: dict[str, dict[str, list[int]]] = {}
+        self.clean: dict[str, list[int]] = {}
+        for subject, by_task in reports.items():
+            columns: dict[str, list[int]] = {}
+            clean = [0] * size
+            for task_id, report in by_task.items():
+                row = self.rows.get(task_id)
+                if row is None or not report.parse_ok:
+                    continue
+                clean[row] = 1
+                for smell_type, count in report.per_type_counts.items():
+                    column = columns.get(smell_type)
+                    if column is None:
+                        column = columns[smell_type] = [0] * size
+                    column[row] = count
+            self.columns[subject] = columns
+            self.clean[subject] = clean
+
+    def tally(self, subject: str, smell_types: Sequence[str], rows: Sequence[int]) -> tuple[int, int]:
+        """(violations of the given types, parse-clean reports) of a subject over the given rows."""
+        clean = self.clean.get(subject)
+        if clean is None:
+            return 0, 0
+        columns = self.columns[subject]
+        total = 0
+        for smell_type in smell_types:
+            column = columns.get(smell_type)
+            if column is not None:
+                total += sum(map(column.__getitem__, rows))
+        return total, sum(map(clean.__getitem__, rows))
+
+
 def score_scenario(
     corpus: Corpus,
-    reports: dict[str, dict[str, ViolationReport]],
+    reports: ReportCounts,
     scenario: ScenarioSelector,
     ruleset: RuleSetSelector,
     subjects: Sequence[str],
 ) -> list[ScoreCard]:
-    """ScoreCards for every (label, subject) cell of a scenario.
+    """ScoreCards for every (label, subject) cell of a scenario, summed from
+    the count table of the corpus's report store.
 
     Labels whose task subset has no analyzable solutions for a subject are
     skipped rather than reported as zero.
@@ -298,17 +345,16 @@ def score_scenario(
     from .smell_engine import BASELINE
 
     types = ruleset.smell_types
-    counts = {subject: _counts_by_task(reports.get(subject, {}), types) for subject in {BASELINE, *subjects}}
     cards: list[ScoreCard] = []
     for label, tasks in partition(corpus, scenario):
         if not tasks:
             continue
-        task_ids = [t.task_id for t in tasks]
-        baseline_total, baseline_analyzed = _sum_counts(counts[BASELINE], task_ids)
+        rows = [reports.rows[t.task_id] for t in tasks]
+        baseline_total, baseline_analyzed = reports.tally(BASELINE, types, rows)
         baseline_vs = Fraction(baseline_total, baseline_analyzed) if baseline_analyzed else None
 
         for subject in subjects:
-            total, analyzed = _sum_counts(counts[subject], task_ids)
+            total, analyzed = reports.tally(subject, types, rows)
             if not analyzed:
                 continue
             vs = Fraction(total, analyzed)
@@ -329,25 +375,6 @@ def score_scenario(
                 )
             )
     return cards
-
-
-def _counts_by_task(by_task: dict[str, ViolationReport], smell_types: Sequence[str]) -> dict[str, int]:
-    """Violations of the given smell types in each parse-clean report, by task."""
-    out: dict[str, int] = {}
-    for task_id, report in by_task.items():
-        if report.parse_ok:
-            per_type = report.per_type_counts
-            count = 0
-            for smell_type in smell_types:
-                count += per_type.get(smell_type, 0)
-            out[task_id] = count
-    return out
-
-
-def _sum_counts(by_task: dict[str, int], task_ids: Sequence[str]) -> tuple[int, int]:
-    """(sum of the counts, how many) over the given tasks that have a count."""
-    present = [by_task[t] for t in task_ids if t in by_task]
-    return sum(present), len(present)
 
 
 def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: str, ruleset: str) -> bool:

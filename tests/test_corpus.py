@@ -72,6 +72,13 @@ class TestLoadManifest:
         with pytest.raises(MissingFileError):
             load_manifest(tmp_path)
 
+    def test_solution_path_that_is_a_directory(self, tmp_path):
+        task = make_task(tmp_path, "T1")
+        task["solutions"][0]["path"] = "solutions/m1"
+        write_manifest(tmp_path, [task])
+        with pytest.raises(MissingFileError, match="^task T1: file not found: solutions/m1$"):
+            load_manifest(tmp_path)
+
     def test_malformed_json(self, tmp_path):
         (tmp_path / "corpus.json").write_text("{not json", encoding="utf-8")
         with pytest.raises(ManifestSyntaxError):

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -400,6 +401,38 @@ class G {
         assert out.ok, out.failure
         parens = [node for node in n.walk(out.ast) if isinstance(node, n.Paren)]
         assert len(parens) == 100
+
+    def test_nesting_failure_does_not_depend_on_the_caller(self):
+        text = "class A {\n    int f() {\n        return " + "(" * 2000 + "1" + ")" * 2000 + ";\n    }\n}\n"
+
+        def failure():
+            out = parse_text("A.java", text)
+            return out.failure.message, out.failure.first_error_span.as_tuple()
+
+        def from_depth(k):
+            return failure() if k == 0 else from_depth(k - 1)
+
+        on_thread = []
+        worker = threading.Thread(target=lambda: on_thread.append(failure()))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert failure() == from_depth(200) == on_thread[0]
+        assert failure()[0] == "nesting too deep"
+
+    @pytest.mark.parametrize("type_name", ["int", "boolean", "double"])
+    def test_instanceof_takes_a_reference_type(self, type_name):
+        text = f"class A {{ boolean f() {{ return a instanceof {type_name}; }} }}"
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == f"instanceof needs a reference type, found {type_name!r}"
+        start = text.index(type_name + ";") + 1
+        assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(type_name))
+
+    @pytest.mark.parametrize("type_name", ["int[]", "int[][]", "Integer", "java.util.List<String>"])
+    def test_instanceof_reference_types_parse(self, type_name):
+        out = parse_text("A.java", f"class A {{ boolean f() {{ return a instanceof {type_name}; }} }}")
+        assert out.ok, out.failure
 
     def test_walk_survives_deep_expressions(self):
         terms = 3000

@@ -3,6 +3,7 @@ descriptive statistics, and the algebraic properties of the score."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smellscore import cli
 from smellscore.corpus import CodingTask, ComplexityTriple, Corpus, GeneratedSolution, load_manifest
 from smellscore.java_syntax.lexer import Span
 from smellscore.rules.catalog import catalog, rule_types, rules_for_type
@@ -17,6 +19,7 @@ from smellscore.rules.model import ALL_TYPES, Violation, ViolationReport
 from smellscore.scoreboard import (
     DegenerateInputError,
     EmptyScenarioError,
+    ReportCounts,
     RuleSetSelector,
     ScenarioSelector,
     UndefinedBaselineError,
@@ -355,10 +358,99 @@ class TestScoreFromTypeCounts:
                 for subject, (total, analyzed) in tallies.items():
                     if analyzed:
                         expected[(f"{scenario.label}/{label}", subject)] = (total, analyzed, baseline_vs)
-            cards = score_scenario(mini, reports, scenario, ruleset, subjects)
+            cards = score_scenario(mini, ReportCounts(mini, reports), scenario, ruleset, subjects)
             got = {(c.scenario, c.subject): (c.total_violations, c.n_analyzed, c.baseline_vs) for c in cards}
             assert got == expected
             assert len(cards) == len(expected)
+
+
+def _tallied_cards(mini, reports, scenario, ruleset, subjects):
+    """(scenario, subject) -> (total, analyzed, baseline_vs, increase_rate),
+    worked out from the rule tally of each label's reports."""
+    rule_ids = {r.rule_id for r in ruleset.resolve()}
+    expected = {}
+    for label, tasks in partition(mini, scenario):
+        def tally(subject):
+            by_task = reports.get(subject, {})
+            return _tally([by_task[t.task_id] for t in tasks if t.task_id in by_task], rule_ids)
+
+        base_total, base_analyzed = tally(BASELINE)
+        baseline_vs = Fraction(base_total, base_analyzed) if base_analyzed else None
+        for subject in subjects:
+            total, analyzed = tally(subject)
+            if analyzed:
+                vs = Fraction(total, analyzed)
+                increase = compute_increase(vs, baseline_vs) if baseline_vs else None
+                expected[(f"{scenario.label}/{label}", subject)] = (total, analyzed, baseline_vs, increase)
+    return expected
+
+
+class TestCountTable:
+    """Cards from the count table against the rule tally, on stores that
+    lack reports, baselines, tasks or parse-clean solutions."""
+
+    @staticmethod
+    def cards(mini, reports, subjects, scenario="topic", ruleset="all"):
+        scenario, ruleset = ScenarioSelector.parse(scenario), RuleSetSelector.parse(ruleset)
+        cards = score_scenario(mini, ReportCounts(mini, reports), scenario, ruleset, subjects)
+        got = {(c.scenario, c.subject): (c.total_violations, c.n_analyzed, c.baseline_vs, c.increase_rate) for c in cards}
+        assert len(cards) == len(got)
+        assert got == _tallied_cards(mini, reports, scenario, ruleset, subjects)
+        return got
+
+    def test_subject_without_reports_gets_no_cards(self, mini_store):
+        mini, reports = mini_store
+        got = self.cards(mini, reports, ["m1", "ghost"])
+        assert {subject for _, subject in got} == {"m1"}
+
+    def test_store_without_baseline_has_no_baseline_or_increase(self, mini_store):
+        mini, reports = mini_store
+        without = {subject: by_task for subject, by_task in reports.items() if subject != BASELINE}
+        got = self.cards(mini, without, ["m1", "m2"], scenario="all", ruleset="implementation")
+        assert got and all(baseline is None and increase is None for _, _, baseline, increase in got.values())
+
+    def test_report_for_a_task_outside_the_manifest_is_ignored(self, mini_store):
+        mini, reports = mini_store
+        extra = {**reports, "m1": {**reports["m1"], "T99": report({"magic-number": 5}, subject=("T99", "m1"))}}
+        assert self.cards(mini, extra, ["m1", "m2"]) == self.cards(mini, reports, ["m1", "m2"])
+
+    def test_label_whose_solutions_all_failed_to_parse_has_no_card(self, mini_store):
+        mini, reports = mini_store
+        label, tasks = partition(mini, ScenarioSelector.parse("topic"))[0]
+        failed = {t.task_id for t in tasks}
+        m1 = {task_id: replace(r, parse_ok=False) if task_id in failed else r for task_id, r in reports["m1"].items()}
+        got = self.cards(mini, {**reports, "m1": m1}, ["m1", "m2"])
+        assert (f"topic/{label}", "m1") not in got
+        assert (f"topic/{label}", "m2") in got
+
+    def test_task_without_a_solution_by_one_model(self, mini_store):
+        mini, reports = mini_store
+        m2 = dict(reports["m2"])
+        del m2["T01"]
+        got = self.cards(mini, {**reports, "m2": m2}, ["m1", "m2"], scenario="all")
+        full = self.cards(mini, reports, ["m1", "m2"], scenario="all")
+        assert got[("all/all", "m2")][1] == full[("all/all", "m2")][1] - 1
+
+    def test_one_run_score_builds_one_table(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(ReportCounts):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cli, "ReportCounts", Counted)
+        config = cli.RunConfig(
+            corpus_path=MINI,
+            out_dir=tmp_path,
+            scenarios=[ScenarioSelector.parse(s) for s in SCENARIOS],
+            rulesets=[RuleSetSelector.parse(r) for r in RULESETS],
+        )
+        summary = cli.RunSummary()
+        cli.run_analyze(config, summary)
+        cards = cli.run_score(config, summary)
+        assert len(SCENARIOS) * len(RULESETS) == 7 * 16
+        assert cards and len(built) == 1
 
 
 COUNT_STRATEGY = st.dictionaries(
