@@ -51,13 +51,13 @@ _TOP_POWER = len(_BINARY_LEVELS) - 1
 # frames one level of them takes to _Parser.depth; past _MAX_DEPTH the parse
 # fails with "nesting too deep".  So where that failure strikes depends on the
 # input alone, and not, as a RecursionError does, on how deep the caller's
-# stack already was.  _MAX_DEPTH lets about 115 parentheses nest in a method,
-# and leaves room below Python's default limit of 1000 frames for callers up
-# to about 250 frames deep.  RecursionError stays the backstop for what does
-# not count: chains of prefix operators, nested class bodies and array
-# initializers, and the frames some nestings take beyond their count (a
-# lambda body one more than a parenthesis).
+# stack already was.  _MAX_DEPTH lets about 115 parentheses or 98 lambdas
+# nest in a method, and leaves room below Python's default limit of 1000 frames
+# for callers up to about 250 frames deep.  RecursionError stays the backstop
+# for what does not count: chains of prefix operators, nested class bodies and
+# array initializers, and the frames some nestings take beyond their count.
 _EXPRESSION_DEPTH = 6  # expression, ternary, binary, unary, postfix, primary: one parenthesis
+_LAMBDA_DEPTH = 1  # _finish_lambda, on top of the expression that is a lambda's body
 _CALL_DEPTH = 2  # _call_args and separated, on top of an expression: one call's arguments
 _STATEMENT_DEPTH = 3  # statement, _statement and the block or if that holds the next one
 _TYPE_DEPTH = 4  # parse_type, parse_type_args, separated, parse_type_arg: one type argument
@@ -1182,7 +1182,9 @@ class _Parser:
         if self.at("{"):
             body: n.Expr | n.Block = self.block()
         else:
+            self.nest(_LAMBDA_DEPTH)
             body = self.expression()
+            self.depth -= _LAMBDA_DEPTH
         return n.Lambda(span=self.span_between(start, body.span), params=params, body=body)
 
     def _object_creation(self, start: Span) -> n.Expr:

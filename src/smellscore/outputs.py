@@ -37,11 +37,12 @@ class DocumentError(Exception):
     """A stored report or scorecard file is malformed; the message names it."""
 
 
-def read_json(path: Path, spec: Any, error: type[Exception]) -> Any:
+def read_json(path: str | Path, spec: Any, error: type[Exception]) -> Any:
     """The JSON document in the file at ``path``.  A file that is not UTF-8
     JSON, or does not fit ``spec``, raises ``error`` with the file's name."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            doc = json.loads(f.read())
         check(doc, spec)
     except ValueError as e:  # UnicodeDecodeError, JSONDecodeError or SpecError
         raise error(f"{path}: {e}") from e

@@ -14,12 +14,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .corpus import CodingTask, Corpus, require_plain_name
 from .outputs import DocumentError, json_text, read_json, write_if_changed
 from .rules.catalog import catalog, rules_for_category, rules_for_type
 from .rules.model import ALL_TYPES, SmellRule, ViolationReport
+
+if TYPE_CHECKING:
+    from .smell_engine import StoredCounts
 
 
 class EmptyScenarioError(Exception):
@@ -286,15 +289,16 @@ def _frac_parse(doc: dict[str, Any] | str) -> Fraction:
 class ReportCounts:
     """The counts scoring reads from a report store, built in one pass.
 
-    For each subject, ``columns[subject][smell_type]`` holds each task's
-    count of that type and ``clean[subject]`` 1 for each parse-clean report,
-    both indexed by the task's row in ``corpus.tasks`` (``rows`` maps a task
-    id to it).  A task without a parse-clean report counts 0 everywhere, a
-    type no report has gets no column, and a report whose task the manifest
-    lacks is ignored.
+    Each report is a ViolationReport or the StoredCounts load_report_store
+    gives; only its parse_ok and per_type_counts are read.  For each subject,
+    ``columns[subject][smell_type]`` holds each task's count of that type and
+    ``clean[subject]`` 1 for each parse-clean report, both indexed by the
+    task's row in ``corpus.tasks`` (``rows`` maps a task id to it).  A task
+    without a parse-clean report counts 0 everywhere, a type no report has
+    gets no column, and a report whose task the manifest lacks is ignored.
     """
 
-    def __init__(self, corpus: Corpus, reports: dict[str, dict[str, ViolationReport]]):
+    def __init__(self, corpus: Corpus, reports: dict[str, dict[str, ViolationReport | StoredCounts]]):
         self.rows = {task.task_id: row for row, task in enumerate(corpus.tasks)}
         size = len(self.rows)
         self.columns: dict[str, dict[str, list[int]]] = {}

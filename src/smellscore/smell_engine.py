@@ -9,8 +9,9 @@ Report store layout under an output directory:
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .java_syntax import ParseOutcome, SourceFile, parse, significant
@@ -145,53 +146,69 @@ def write_report_store(results: dict[str, dict[str, ViolationReport]], out_dir: 
     return changed
 
 
-def load_report_store(out_dir: str | Path) -> dict[str, dict[str, ViolationReport]]:
-    base = Path(out_dir) / "reports"
-    results: dict[str, dict[str, ViolationReport]] = {}
-    if not base.is_dir():
+class StoredCounts(NamedTuple):
+    """What scoring reads of one stored report."""
+
+    parse_ok: bool
+    per_type_counts: dict[str, int]
+
+
+def load_report_store(out_dir: str | Path) -> dict[str, dict[str, StoredCounts]]:
+    """Each stored report's StoredCounts by subject and task id.  Every report
+    passes read_report's checks, but no Violation is built."""
+    base = os.path.join(Path(out_dir), "reports")
+    results: dict[str, dict[str, StoredCounts]] = {}
+    if not os.path.isdir(base):
         return results
-    for subject_dir in sorted(p for p in base.iterdir() if p.is_dir()):
-        subject = subject_dir.name
-        results[subject] = {}
-        for report_path in sorted(subject_dir.glob("*.json"), key=lambda p: p.name):  # same order as the paths, compared faster
-            if report_path.name == "_failures.json":
-                continue
-            results[subject][report_path.stem] = read_report(report_path)
+    for subject in sorted(entry.name for entry in os.scandir(base) if entry.is_dir()):
+        prefix = os.path.join(base, subject, "")
+        by_task = results[subject] = {}
+        for name in sorted(os.listdir(prefix)):
+            if name.endswith(".json") and name != "_failures.json":
+                doc = _checked_report(prefix + name)
+                by_task[name[:-5]] = StoredCounts(doc["parse_ok"], doc["per_type_counts"])
     return results
 
 
 _RULE_TYPES = rule_types()
 
 
-def read_report(path: Path) -> ViolationReport:
+def read_report(path: str | Path) -> ViolationReport:
     """One stored report; a file that is not a well-formed report raises
-    DocumentError naming it.
+    DocumentError naming it."""
+    return ViolationReport.from_json(_checked_report(path))
+
+
+def _checked_report(path: str | Path) -> dict[str, Any]:
+    """The JSON document of a well-formed stored report, else DocumentError.
 
     Scores are summed from per_type_counts, so those must be exactly the
     per-type sums of per_rule_counts, and every rule id must be cataloged.
     per_rule_counts must be the counts of the violations, since diff reads both.
     """
-    report = ViolationReport.from_json(read_json(path, REPORT_SPEC, DocumentError))
+    doc = read_json(path, REPORT_SPEC, DocumentError)
+    per_rule_counts, per_type_counts = doc["per_rule_counts"], doc["per_type_counts"]
     per_type: dict[str, int] = {}
-    for rule_id, count in report.per_rule_counts.items():
+    for rule_id, count in per_rule_counts.items():
         smell_type = _RULE_TYPES.get(rule_id)
         if smell_type is None:
             raise DocumentError(f"{path}: not a well-formed report: unknown rule id {rule_id!r}")
         per_type[smell_type] = per_type.get(smell_type, 0) + count
-    if per_type != report.per_type_counts:
+    if per_type != per_type_counts:
         raise DocumentError(
-            f"{path}: not a well-formed report: per_type_counts {report.per_type_counts} "
+            f"{path}: not a well-formed report: per_type_counts {per_type_counts} "
             f"are not the per-type sums of per_rule_counts {per_type}"
         )
     per_rule: dict[str, int] = {}
-    for v in report.violations:
-        per_rule[v.rule_id] = per_rule.get(v.rule_id, 0) + 1
-    if per_rule != report.per_rule_counts:  # equal counts have only cataloged ids
+    for v in doc["violations"]:
+        rule_id = v["rule_id"]
+        per_rule[rule_id] = per_rule.get(rule_id, 0) + 1
+    if per_rule != per_rule_counts:  # equal counts have only cataloged ids
         unknown = sorted(per_rule.keys() - _RULE_TYPES.keys())
         if unknown:
             raise DocumentError(f"{path}: not a well-formed report: unknown rule id {unknown[0]!r} in violations")
         raise DocumentError(
-            f"{path}: not a well-formed report: per_rule_counts {report.per_rule_counts} "
+            f"{path}: not a well-formed report: per_rule_counts {per_rule_counts} "
             f"are not the counts of the violations {dict(sorted(per_rule.items()))}"
         )
-    return report
+    return doc

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from smellscore.cli import main
+from smellscore.rules.model import Violation
 from smellscore.scoreboard import load_scorecards
+from smellscore.smell_engine import read_report
 
 MINI = Path(__file__).parent / "data" / "mini_corpus"
 EXTERNAL = Path(__file__).parent / "data" / "external"
@@ -454,6 +456,22 @@ class TestImportAndDiff:
         assert all(row.endswith(",0") for row in rows[1:])
 
 
+# One stored report's violations mangled so that they disagree with the spec
+# or with per_rule_counts, and the message that names the misfit.
+VIOLATION_MANGLES = pytest.mark.parametrize("mangle, message", [
+    (lambda doc: {**doc, "violations": [{**doc["violations"][0], "rule_id": 7}]},
+     "$.violations[0].rule_id: must be a string, got 7\n"),
+    (lambda doc: {**doc, "violations": [{**doc["violations"][0], "span": ["a", None, 3, 4]}]},
+     "$.violations[0].span[0]: must be an integer, got \"a\"\n"),
+    (lambda doc: {**doc, "violations": [{**v, "rule_id": "no-such-rule"} for v in doc["violations"]]},
+     "not a well-formed report: unknown rule id 'no-such-rule' in violations"),
+    (lambda doc: {**doc, "violations": doc["violations"][1:]},
+     "not a well-formed report: per_rule_counts "),
+    (lambda doc: {**doc, "violations": [*doc["violations"][:1], {**doc["violations"][1], "span": [1, 2, 3]}]},
+     "$.violations[1].span: must hold 4 items, got 3\n"),
+], ids=["int-rule-id", "mistyped-span", "uncataloged-violation", "violation-missing", "short-span"])
+
+
 class TestMalformedReportFiles:
     """A stored report that is not a well-formed report is a one-line config error naming the file."""
 
@@ -506,18 +524,7 @@ class TestMalformedReportFiles:
         err = capsys.readouterr().err
         assert err.startswith(expected) and err.count("\n") == 1
 
-    @pytest.mark.parametrize("mangle, message", [
-        (lambda doc: {**doc, "violations": [{**doc["violations"][0], "rule_id": 7}]},
-         "$.violations[0].rule_id: must be a string, got 7\n"),
-        (lambda doc: {**doc, "violations": [{**doc["violations"][0], "span": ["a", None, 3, 4]}]},
-         "$.violations[0].span[0]: must be an integer, got \"a\"\n"),
-        (lambda doc: {**doc, "violations": [{**v, "rule_id": "no-such-rule"} for v in doc["violations"]]},
-         "not a well-formed report: unknown rule id 'no-such-rule' in violations"),
-        (lambda doc: {**doc, "violations": doc["violations"][1:]},
-         "not a well-formed report: per_rule_counts "),
-        (lambda doc: {**doc, "violations": [*doc["violations"][:1], {**doc["violations"][1], "span": [1, 2, 3]}]},
-         "$.violations[1].span: must hold 4 items, got 3\n"),
-    ], ids=["int-rule-id", "mistyped-span", "uncataloged-violation", "violation-missing", "short-span"])
+    @VIOLATION_MANGLES
     def test_diff_of_report_whose_violations_disagree_is_config_error(self, tmp_path, capsys, mangle, message):
         """diff reads both the violations and per_rule_counts, so they must agree."""
         out = tmp_path / "out"
@@ -527,6 +534,18 @@ class TestMalformedReportFiles:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(mangle(json.loads(good.read_text(encoding="utf-8")))), encoding="utf-8")
         assert run(["diff", "--native", str(bad), "--imported", str(good)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: {message}") and err.count("\n") == 1
+
+    @VIOLATION_MANGLES
+    def test_score_of_report_whose_violations_disagree_is_config_error(self, tmp_path, capsys, mangle, message):
+        """score checks every violation too, though it builds none."""
+        out = tmp_path / "out"
+        assert run(["analyze", "--corpus", str(MINI), "--out", str(out)]) == 0
+        capsys.readouterr()
+        bad = out / "reports" / "m1" / "T01.json"
+        bad.write_text(json.dumps(mangle(json.loads(bad.read_text(encoding="utf-8")))), encoding="utf-8")
+        assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {bad}: {message}") and err.count("\n") == 1
 
@@ -542,6 +561,28 @@ class TestMalformedReportFiles:
         assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"config error: {bad}: $.parse_ok: must be a boolean, got \"no\"\n"
+
+
+def test_score_builds_no_violation(tmp_path, capsys, monkeypatch):
+    """score reads each stored report as counts: it builds no Violation and
+    writes the same scores."""
+    plain, counted = tmp_path / "plain", tmp_path / "counted"
+    assert run(["analyze", "--corpus", str(MINI), "--out", str(plain)]) == 0
+    shutil.copytree(plain, counted)
+    assert run(["score", "--corpus", str(MINI), "--out", str(plain)]) == 0
+
+    def refuse(doc):
+        raise AssertionError("a Violation was built")
+
+    monkeypatch.setattr(Violation, "from_json", refuse)
+    with pytest.raises(AssertionError, match="a Violation was built"):
+        read_report(counted / "reports" / "m1" / "T01.json")
+    assert run(["score", "--corpus", str(MINI), "--out", str(counted)]) == 0
+    assert _scores(plain) and _scores(counted) == _scores(plain)
+
+
+def _scores(out: Path) -> dict[Path, bytes]:
+    return {p.relative_to(out): p.read_bytes() for p in (out / "scores").rglob("*") if p.is_file()}
 
 
 @pytest.fixture(scope="module")

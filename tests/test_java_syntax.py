@@ -420,6 +420,22 @@ class G {
         assert failure() == from_depth(200) == on_thread[0]
         assert failure()[0] == "nesting too deep"
 
+    @pytest.mark.parametrize("levels, parses", [(98, True), (115, False)])
+    def test_nested_lambda_outcome_does_not_depend_on_the_caller(self, levels, parses):
+        """A lambda with an expression body counts every stack frame it takes."""
+        text = "class A {\n    Object f() {\n        return " + "x -> " * levels + "1;\n    }\n}\n"
+
+        def outcome():
+            out = parse_text("A.java", text)
+            return out.ok, out.failure and (out.failure.message, out.failure.first_error_span.as_tuple())
+
+        def from_depth(k):
+            return outcome() if k == 0 else from_depth(k - 1)
+
+        ok, failure = outcome()
+        assert from_depth(200) == (ok, failure)
+        assert ok is parses and (parses or failure[0] == "nesting too deep")
+
     @pytest.mark.parametrize("type_name", ["int", "boolean", "double"])
     def test_instanceof_takes_a_reference_type(self, type_name):
         text = f"class A {{ boolean f() {{ return a instanceof {type_name}; }} }}"

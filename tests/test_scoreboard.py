@@ -37,7 +37,7 @@ from smellscore.scoreboard import (
     score_scenario,
     ScoreCard,
 )
-from smellscore.smell_engine import BASELINE, detect_corpus, load_report_store
+from smellscore.smell_engine import BASELINE, detect_corpus, load_report_store, read_report
 
 RULE_IDS = [r.rule_id for r in catalog()]
 TYPES = rule_types()
@@ -321,13 +321,25 @@ SCENARIOS = ["all", "topic", "source", "complexity:cyclomatic", "complexity:cogn
 MINI = Path(__file__).parent / "data" / "mini_corpus"
 
 
+def _write_mini_store(out: Path):
+    mini = load_manifest(MINI)
+    detect_corpus(mini, [BASELINE, *sorted(mini.models)], out_dir=out)
+    return mini
+
+
 @pytest.fixture(scope="module")
 def mini_store(tmp_path_factory):
-    """The mini corpus and its reports, read back from a written store."""
-    mini = load_manifest(MINI)
+    """The mini corpus and its full reports, each read back from a written
+    store with read_report."""
     out = tmp_path_factory.mktemp("mini")
-    detect_corpus(mini, [BASELINE, *sorted(mini.models)], out_dir=out)
-    return mini, load_report_store(out)
+    mini = _write_mini_store(out)
+    reports = {
+        subject_dir.name: {
+            path.stem: read_report(path) for path in sorted(subject_dir.glob("*.json")) if path.name != "_failures.json"
+        }
+        for subject_dir in sorted((out / "reports").iterdir())
+    }
+    return mini, reports
 
 
 class TestScoreFromTypeCounts:
@@ -430,6 +442,14 @@ class TestCountTable:
         got = self.cards(mini, {**reports, "m2": m2}, ["m1", "m2"], scenario="all")
         full = self.cards(mini, reports, ["m1", "m2"], scenario="all")
         assert got[("all/all", "m2")][1] == full[("all/all", "m2")][1] - 1
+
+    def test_stored_counts_give_the_table_of_the_full_reports(self, mini_store, tmp_path):
+        mini, reports = mini_store
+        _write_mini_store(tmp_path)
+        stored = load_report_store(tmp_path)
+        assert {s: by_task.keys() for s, by_task in stored.items()} == {s: by_task.keys() for s, by_task in reports.items()}
+        from_store, from_reports = ReportCounts(mini, stored), ReportCounts(mini, reports)
+        assert (from_store.columns, from_store.clean) == (from_reports.columns, from_reports.clean)
 
     def test_one_run_score_builds_one_table(self, tmp_path, monkeypatch):
         built = []

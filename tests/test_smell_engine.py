@@ -8,7 +8,15 @@ import sys
 
 from smellscore.java_syntax import SourceFile
 from smellscore.rules.catalog import catalog, rule_by_id, rules_for_category, rules_for_type
-from smellscore.smell_engine import BASELINE, detect_corpus, detect_file, load_report_store, write_report_store
+from smellscore.smell_engine import (
+    BASELINE,
+    StoredCounts,
+    detect_corpus,
+    detect_file,
+    load_report_store,
+    read_report,
+    write_report_store,
+)
 
 from test_corpus import make_task, write_manifest
 from smellscore.corpus import load_manifest
@@ -221,6 +229,12 @@ class TestDetectCorpus:
     def test_store_round_trip(self, tmp_path):
         corpus = self._fixture(tmp_path)
         results = detect_corpus(corpus, [BASELINE, "m1"])
-        write_report_store(results, tmp_path / "out")
-        loaded = load_report_store(tmp_path / "out")
-        assert loaded == results
+        out = tmp_path / "out"
+        write_report_store(results, out)
+        for subject, by_task in results.items():
+            for task_id, report in by_task.items():
+                assert read_report(out / "reports" / subject / f"{task_id}.json") == report
+        assert load_report_store(out) == {
+            subject: {task_id: StoredCounts(report.parse_ok, report.per_type_counts) for task_id, report in by_task.items()}
+            for subject, by_task in results.items()
+        }
