@@ -563,7 +563,7 @@ class TestMalformedReportFiles:
         assert err == f"config error: {bad}: $.parse_ok: must be a boolean, got \"no\"\n"
 
 
-def test_score_builds_no_violation(tmp_path, capsys, monkeypatch):
+def test_score_builds_no_violation(tmp_path, monkeypatch):
     """score reads each stored report as counts: it builds no Violation and
     writes the same scores."""
     plain, counted = tmp_path / "plain", tmp_path / "counted"

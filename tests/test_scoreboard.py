@@ -321,7 +321,7 @@ SCENARIOS = ["all", "topic", "source", "complexity:cyclomatic", "complexity:cogn
 MINI = Path(__file__).parent / "data" / "mini_corpus"
 
 
-def _write_mini_store(out: Path):
+def _write_mini_store(out: Path) -> Corpus:
     mini = load_manifest(MINI)
     detect_corpus(mini, [BASELINE, *sorted(mini.models)], out_dir=out)
     return mini
