@@ -72,6 +72,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        # Each subject is a column and each (scenario, ruleset) a file: a
+        # repeat would duplicate cards or overwrite a file it already wrote.
+        for what, labels in (
+            ("subject", self.subjects),
+            ("scenario", [s.label for s in self.scenarios]),
+            ("ruleset", [r.label for r in self.rulesets]),
+        ):
+            seen: set[str] = set()
+            for label in labels:
+                if label in seen:
+                    raise ConfigError(f"repeated {what} {label!r}")
+                seen.add(label)
 
     def rules(self) -> list[SmellRule]:
         out = []
@@ -301,24 +313,23 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not getattr(args, "out", None):
             raise ConfigError("--out is required (or provide --config)")
         config = RunConfig(corpus_path=args.corpus, out_dir=args.out)
+    flags: dict[str, Any] = {}
     if getattr(args, "corpus", None):
-        config.corpus_path = args.corpus
+        flags["corpus_path"] = args.corpus
     if getattr(args, "out", None):
-        config.out_dir = args.out
+        flags["out_dir"] = args.out
     if getattr(args, "subjects", None):
-        config.subjects = [s.strip() for s in args.subjects.split(",") if s.strip()]
-    if getattr(args, "scenario", None):
-        try:
-            config.scenarios = [ScenarioSelector.parse(s) for s in args.scenario]
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    if getattr(args, "ruleset", None):
-        try:
-            config.rulesets = [RuleSetSelector.parse(r) for r in args.ruleset]
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        flags["subjects"] = [s.strip() for s in args.subjects.split(",") if s.strip()]
+    try:
+        if getattr(args, "scenario", None):
+            flags["scenarios"] = [ScenarioSelector.parse(s) for s in args.scenario]
+        if getattr(args, "ruleset", None):
+            flags["rulesets"] = [RuleSetSelector.parse(r) for r in args.ruleset]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     if getattr(args, "jobs", None) is not None:
-        config = replace(config, parallelism=args.jobs)  # replace() runs __post_init__ again
+        flags["parallelism"] = args.jobs
+    config = replace(config, **flags)  # replace() runs __post_init__'s checks on the flags too
     if not config.corpus_path.exists():
         raise ConfigError(f"corpus not found: {config.corpus_path}")
     return config

@@ -64,6 +64,7 @@ _TYPE_DEPTH = 4  # parse_type, parse_type_args, separated, parse_type_arg: one t
 _MAX_DEPTH = 700
 
 _LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR, TokenKind.BOOL, TokenKind.NULL)
+_CHECKED_LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.CHAR)  # the lexer lets malformed ones through
 
 
 @dataclass
@@ -132,6 +133,7 @@ class _Parser:
         self.i = 0
         self.depth = 0  # see _MAX_DEPTH
         self.splits: list[tuple[int, Token]] = []  # (index, token) of each split '>>', for _attempt to undo
+        self.negated = -1  # index of the token right after the last unary '-' read
         self.comments = [
             n.Comment(span=t.span, kind=t.kind, text=t.lexeme) for t in all_tokens if t.kind in COMMENT_KINDS
         ]
@@ -763,16 +765,25 @@ class _Parser:
         return expr
 
     def if_statement(self) -> n.IfStmt:
-        tok = self.expect("if")
-        cond = self.parenthesized()
-        then = self.statement()
-        orelse = None
-        end_span = then.span
-        if self.at("else"):
+        """An if statement.  An else-if chain is read in a loop, so its length
+        adds no nesting; each else-if is the orelse of the if before it."""
+        heads: list[tuple[Token, n.Expr, n.Stmt]] = []
+        orelse: n.Stmt | None = None
+        while True:
+            tok = self.expect("if")
+            cond = self.parenthesized()
+            then = self.statement()
+            heads.append((tok, cond, then))
+            if not self.at("else"):
+                break
             self.next()
-            orelse = self.statement()
-            end_span = orelse.span
-        return n.IfStmt(span=self.span_between(tok.span, end_span), cond=cond, then=then, orelse=orelse)
+            if not self.at("if"):
+                orelse = self.statement()
+                break
+        end_span = (then if orelse is None else orelse).span
+        for tok, cond, then in reversed(heads):
+            orelse = n.IfStmt(span=self.span_between(tok.span, end_span), cond=cond, then=then, orelse=orelse)
+        return orelse
 
     def while_statement(self) -> n.WhileStmt:
         tok = self.expect("while")
@@ -923,23 +934,32 @@ class _Parser:
     def expression(self) -> n.Expr:
         """An assignment (right-associative), or else a conditional expression."""
         self.nest(_EXPRESSION_DEPTH)
-        left = self.ternary()
-        if self.lexemes[self.i] in _ASSIGN_OPS:
-            op = self.next().lexeme
-            value = self.expression()
-            left = n.Assign(span=self.span_between(left.span, value.span), target=left, op=op, value=value)
+        expr = self.ternary()
         self.depth -= _EXPRESSION_DEPTH
-        return left
+        return expr
 
     def ternary(self) -> n.Expr:
-        cond = self.binary()
-        if self.at("?"):
-            self.next()
+        """An assignment or a conditional expression.  A chain
+        ``a ? b : c ? d : e`` is read in a loop, so its length adds no
+        nesting, and nests to the right; its last false arm, like an
+        expression without '?', may be an assignment or a lambda."""
+        heads: list[tuple[n.Expr, n.Expr]] = []
+        expr = self.binary()
+        lexemes = self.lexemes
+        while lexemes[self.i] == "?":
+            self.i += 1
             if_true = self.expression()
             self.expect(":")
-            if_false = self.expression()
-            return n.Ternary(span=self.span_between(cond.span, if_false.span), cond=cond, if_true=if_true, if_false=if_false)
-        return cond
+            heads.append((expr, if_true))
+            expr = self.binary()
+        if lexemes[self.i] in _ASSIGN_OPS:
+            op = self.next().lexeme
+            value = self.expression()
+            expr = n.Assign(span=self.span_between(expr.span, value.span), target=expr, op=op, value=value)
+        while heads:
+            cond, if_true = heads.pop()
+            expr = n.Ternary(span=self.span_between(cond.span, expr.span), cond=cond, if_true=if_true, if_false=expr)
+        return expr
 
     def binary(self, min_power: int = 0) -> n.Expr:
         """Binary operators and instanceof, by precedence climbing.
@@ -979,6 +999,8 @@ class _Parser:
             raise self.error("expected expression")
         if t.lexeme in ("+", "-", "!", "~", "++", "--"):
             op_tok = self.next()
+            if op_tok.lexeme == "-":
+                self.negated = self.i
             operand = self.unary()
             return n.Unary(span=self.span_between(op_tok.span, operand.span), op=op_tok.lexeme, operand=operand, prefix=True)
         if t.lexeme == "(":
@@ -1094,6 +1116,10 @@ class _Parser:
             return n.Paren(span=self.span_between(open_tok.span, close.span), expr=inner)
 
         if t.kind in _LITERAL_KINDS:
+            if t.kind in _CHECKED_LITERAL_KINDS:
+                malformed = _malformed_literal(t, self.negated == self.i)
+                if malformed:
+                    raise _ParseError(malformed, t.span)
             self.next()
             return n.Literal(span=t.span, kind=t.kind, lexeme=t.lexeme, radix=t.radix, suffix=t.suffix)
 
@@ -1238,6 +1264,42 @@ class _Parser:
                 self.next()
         close = self.expect("}")
         return n.ArrayInitializer(span=self.span_between(open_tok.span, close.span), values=values)
+
+
+# (largest decimal, largest hex, octal or binary) literal of int and of long:
+# the largest decimal one only as the operand of unary minus (JLS 3.10.1).
+_INTEGER_LIMITS = {None: (2**31, 2**32 - 1), "l": (2**63, 2**64 - 1), "L": (2**63, 2**64 - 1)}
+
+
+def _malformed_literal(t: Token, negated: bool) -> str | None:
+    """Why the lexer's literal token is no Java literal, or None: an empty
+    char literal (JLS 3.10.4), or an integer literal with a decimal digit
+    after a leading 0, without digits, or out of its type's range (JLS
+    3.10.1).  ``negated``: the token is the operand of unary minus."""
+    lexeme = t.lexeme
+    if t.kind is TokenKind.CHAR:
+        return "empty char literal" if lexeme == "''" else None
+    if len(lexeme) < 10 and lexeme.isdigit() and (lexeme[0] != "0" or len(lexeme) == 1):
+        return None  # the common case: a decimal int literal of at most 9 digits
+    if t.suffix in ("f", "F", "d", "D"):
+        return None
+    if t.radix == 10 and ("." in lexeme or "e" in lexeme or "E" in lexeme):  # floating point
+        return None
+    digits = (lexeme[:-1] if t.suffix else lexeme).replace("_", "")
+    if t.radix == 10 and digits[0] == "0" and len(digits) > 1:
+        return f"digit 8 or 9 in octal literal {lexeme!r}"
+    try:
+        value = int(digits, t.radix)  # int() takes the 0x/0b prefix of its base
+    except ValueError:
+        return f"integer literal {lexeme!r} has no digits"
+    decimal_max, other_max = _INTEGER_LIMITS[t.suffix]
+    if t.radix == 10:
+        too_large = value > decimal_max or (value == decimal_max and not negated)
+    else:
+        too_large = value > other_max
+    if too_large:
+        return f"{'int' if t.suffix is None else 'long'} literal {lexeme!r} out of range"
+    return None
 
 
 def _dotted_name(expr: n.Expr) -> str | None:

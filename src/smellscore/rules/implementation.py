@@ -456,11 +456,13 @@ def check_indentation(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
             walk_stmt(stmt, depth + 1)
 
     def walk_if(stmt: n.IfStmt, depth: int) -> None:
-        check(stmt.span, depth, "statement")
-        walk_body(stmt.then, depth)
-        if isinstance(stmt.orelse, n.IfStmt):
-            walk_if(stmt.orelse, depth)
-        elif stmt.orelse is not None:
+        while True:  # an else-if chain in a loop: the parser accepts any length
+            check(stmt.span, depth, "statement")
+            walk_body(stmt.then, depth)
+            if not isinstance(stmt.orelse, n.IfStmt):
+                break
+            stmt = stmt.orelse
+        if stmt.orelse is not None:
             walk_body(stmt.orelse, depth)
 
     def walk_stmt(stmt: n.Stmt, depth: int) -> None:

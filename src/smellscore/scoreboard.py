@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
 from .corpus import CodingTask, Corpus, require_plain_name
 from .outputs import DocumentError, json_text, read_json, write_if_changed
@@ -286,6 +286,26 @@ def _frac_parse(doc: dict[str, Any] | str) -> Fraction:
     return value
 
 
+class LabelCounts(NamedTuple):
+    """One non-empty label of a scenario: its task count, and per subject of
+    the store the parse-clean reports and the violations per smell type over
+    the label's tasks (``clean``, ``by_type``).  A type without a column in
+    ReportCounts has no key here and counts 0."""
+
+    label: str
+    n_tasks: int
+    clean: dict[str, int]
+    by_type: dict[str, dict[str, int]]
+
+    def cell(self, subject: str, smell_types: Sequence[str]) -> tuple[int, int]:
+        """(violations of the given types, parse-clean reports) of a subject;
+        (0, 0) for a subject the store lacks."""
+        by_type = self.by_type.get(subject)
+        if by_type is None:
+            return 0, 0
+        return sum(by_type.get(t, 0) for t in smell_types), self.clean[subject]
+
+
 class ReportCounts:
     """The counts scoring reads from a report store, built in one pass.
 
@@ -296,6 +316,9 @@ class ReportCounts:
     task's row in ``corpus.tasks`` (``rows`` maps a task id to it).  A task
     without a parse-clean report counts 0 everywhere, a type no report has
     gets no column, and a report whose task the manifest lacks is ignored.
+
+    ``labels`` sums those columns once per scenario: every rule set of the
+    scenario then reads its cells from the same LabelCounts.
     """
 
     def __init__(self, corpus: Corpus, reports: dict[str, dict[str, ViolationReport | StoredCounts]]):
@@ -303,6 +326,7 @@ class ReportCounts:
         size = len(self.rows)
         self.columns: dict[str, dict[str, list[int]]] = {}
         self.clean: dict[str, list[int]] = {}
+        self._labels: dict[ScenarioSelector, list[LabelCounts]] = {}
         for subject, by_task in reports.items():
             columns: dict[str, list[int]] = {}
             clean = [0] * size
@@ -319,18 +343,25 @@ class ReportCounts:
             self.columns[subject] = columns
             self.clean[subject] = clean
 
-    def tally(self, subject: str, smell_types: Sequence[str], rows: Sequence[int]) -> tuple[int, int]:
-        """(violations of the given types, parse-clean reports) of a subject over the given rows."""
-        clean = self.clean.get(subject)
-        if clean is None:
-            return 0, 0
-        columns = self.columns[subject]
-        total = 0
-        for smell_type in smell_types:
-            column = columns.get(smell_type)
-            if column is not None:
-                total += sum(map(column.__getitem__, rows))
-        return total, sum(map(clean.__getitem__, rows))
+    def labels(self, corpus: Corpus, scenario: ScenarioSelector) -> list[LabelCounts]:
+        """The scenario's non-empty labels in partition order, each with its
+        sums; the first call for a scenario partitions the corpus, later calls
+        return the same list."""
+        table = self._labels.get(scenario)
+        if table is None:
+            table = []
+            for label, tasks in partition(corpus, scenario):
+                if not tasks:
+                    continue
+                rows = [self.rows[t.task_id] for t in tasks]
+                clean = {subject: sum(map(flags.__getitem__, rows)) for subject, flags in self.clean.items()}
+                by_type = {
+                    subject: {t: sum(map(column.__getitem__, rows)) for t, column in columns.items()}
+                    for subject, columns in self.columns.items()
+                }
+                table.append(LabelCounts(label, len(tasks), clean, by_type))
+            self._labels[scenario] = table
+        return table
 
 
 def score_scenario(
@@ -341,7 +372,7 @@ def score_scenario(
     subjects: Sequence[str],
 ) -> list[ScoreCard]:
     """ScoreCards for every (label, subject) cell of a scenario, summed from
-    the count table of the corpus's report store.
+    the scenario's label counts in the count table of the report store.
 
     Labels whose task subset has no analyzable solutions for a subject are
     skipped rather than reported as zero.
@@ -350,15 +381,12 @@ def score_scenario(
 
     types = ruleset.smell_types
     cards: list[ScoreCard] = []
-    for label, tasks in partition(corpus, scenario):
-        if not tasks:
-            continue
-        rows = [reports.rows[t.task_id] for t in tasks]
-        baseline_total, baseline_analyzed = reports.tally(BASELINE, types, rows)
+    for counts in reports.labels(corpus, scenario):
+        baseline_total, baseline_analyzed = counts.cell(BASELINE, types)
         baseline_vs = Fraction(baseline_total, baseline_analyzed) if baseline_analyzed else None
 
         for subject in subjects:
-            total, analyzed = reports.tally(subject, types, rows)
+            total, analyzed = counts.cell(subject, types)
             if not analyzed:
                 continue
             vs = Fraction(total, analyzed)
@@ -368,9 +396,9 @@ def score_scenario(
             cards.append(
                 ScoreCard(
                     subject=subject,
-                    scenario=f"{scenario.label}/{label}",
+                    scenario=f"{scenario.label}/{counts.label}",
                     ruleset=ruleset.label,
-                    n_tasks=len(tasks),
+                    n_tasks=counts.n_tasks,
                     n_analyzed=analyzed,
                     total_violations=total,
                     vs=vs,

@@ -297,6 +297,30 @@ class TestRun:
         assert capsys.readouterr().err == "config error: parallelism must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--subjects", "baseline,m1, m1"], "repeated subject 'm1'"),
+        (["--scenario", "topic", "--scenario", "all", "--scenario", "topic"], "repeated scenario 'topic'"),
+        (["--scenario", "complexity:loc", "--scenario", "complexity:loc"], "repeated scenario 'complexity-loc'"),
+        (["--ruleset", "all", "--ruleset", "type:dead-code", "--ruleset", "type:dead-code"],
+         "repeated ruleset 'type-dead-code'"),
+    ], ids=["subject", "scenario", "complexity-scenario", "ruleset"])
+    def test_repeated_flag_is_config_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert run(["run", "--corpus", str(MINI), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"subjects": ["baseline", "baseline"]}, "repeated subject 'baseline'"),
+        ({"scenarios": ["source", "correctness:m1", "correctness:m1"]}, "repeated scenario 'correctness-m1'"),
+        ({"rulesets": ["design", "all", "design"]}, "repeated ruleset 'design'"),
+    ], ids=["subject", "scenario", "ruleset"])
+    def test_repeated_config_entry_is_config_error(self, tmp_path, capsys, extra, message):
+        doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), **extra}
+        assert self._run_config(tmp_path, doc) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("thresholds, message", [
         ({"no-such-rule": {"x": 1}}, "$.thresholds: unknown key 'no-such-rule'"),
         ({"line-length": {"bogus": 1}}, "$.thresholds['line-length']: unknown key 'bogus'"),

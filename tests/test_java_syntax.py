@@ -436,6 +436,64 @@ class G {
         assert from_depth(200) == (ok, failure)
         assert ok is parses and (parses or failure[0] == "nesting too deep")
 
+    @pytest.mark.parametrize("branches", [300, 2000])
+    def test_long_else_if_chain_parses(self, branches):
+        """An else-if chain is read in a loop, so its length adds no nesting."""
+        chain = " else ".join(f"if (x == {i}) {{ y = {i}; }}" for i in range(branches))
+        out = parse_text("A.java", f"class A {{\n    void f() {{\n        {chain} else {{ y = -1; }}\n    }}\n}}\n")
+        assert out.ok, out.failure
+        [stmt] = out.ast.types[0].methods[0].body.statements
+        end = stmt.span[2:]
+        for i in range(branches):
+            assert isinstance(stmt, n.IfStmt) and stmt.cond.right.lexeme == str(i) and stmt.span[2:] == end
+            stmt = stmt.orelse
+        assert isinstance(stmt, n.Block)
+
+    @pytest.mark.parametrize("arms", [300, 2000])
+    def test_long_conditional_chain_parses(self, arms):
+        """A ? : chain is read in a loop, so its length adds no nesting."""
+        chain = " : ".join(f"x == {i} ? {i}" for i in range(arms))
+        out = parse_text("A.java", f"class A {{\n    int f() {{\n        return {chain} : -1;\n    }}\n}}\n")
+        assert out.ok, out.failure
+        [ret] = out.ast.types[0].methods[0].body.statements
+        expr, end = ret.value, ret.value.span[2:]
+        for i in range(arms):
+            assert isinstance(expr, n.Ternary) and expr.if_true.lexeme == str(i) and expr.span[2:] == end
+            expr = expr.if_false
+        assert isinstance(expr, n.Unary)
+
+    @pytest.mark.parametrize("expr, literal, message", [
+        ("09", "09", "digit 8 or 9 in octal literal '09'"),
+        ("018L", "018L", "digit 8 or 9 in octal literal '018L'"),
+        ("''", "''", "empty char literal"),
+        ("2147483649", "2147483649", "int literal '2147483649' out of range"),
+        ("2147483648", "2147483648", "int literal '2147483648' out of range"),
+        ("x - 2147483648", "2147483648", "int literal '2147483648' out of range"),
+        ("-(2147483648)", "2147483648", "int literal '2147483648' out of range"),
+        ("99999999999", "99999999999", "int literal '99999999999' out of range"),
+        ("0x100000000", "0x100000000", "int literal '0x100000000' out of range"),
+        ("040000000000", "040000000000", "int literal '040000000000' out of range"),
+        ("9223372036854775808L", "9223372036854775808L", "long literal '9223372036854775808L' out of range"),
+        ("0x1_0000_0000_0000_0000L", "0x1_0000_0000_0000_0000L", "long literal '0x1_0000_0000_0000_0000L' out of range"),
+        ("0x", "0x", "integer literal '0x' has no digits"),
+    ])
+    def test_malformed_literal_is_a_located_failure(self, expr, literal, message):
+        text = f"class A {{ Object f() {{ return {expr}; }} }}"
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == message
+        start = text.index(literal, text.index("return")) + 1
+        assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(literal))
+
+    @pytest.mark.parametrize("expr", [
+        "09.5", "09e1", "09f", "09D", "0", "00", "017", "0L", "'a'", "'\\''",
+        "-2147483648", "- -2147483648", "(int) -2147483648", "2147483647", "0xFFFFFFFF", "037777777777",
+        "0b11111111111111111111111111111111", "-9223372036854775808L", "0xFFFFFFFFFFFFFFFFL", "99999999999L", "1e400",
+    ])
+    def test_valid_literal_parses(self, expr):
+        out = parse_text("A.java", f"class A {{ Object f() {{ return {expr}; }} }}")
+        assert out.ok, out.failure
+
     @pytest.mark.parametrize("type_name", ["int", "boolean", "double"])
     def test_instanceof_takes_a_reference_type(self, type_name):
         text = f"class A {{ boolean f() {{ return a instanceof {type_name}; }} }}"
@@ -621,6 +679,14 @@ PARSE_DECISIONS = [
     ("java.util.List[].class.getName()", "MethodCall(ClassLiteral<java.util.List[]>)"),
     ("java.lang.String::new", "MethodRef(FieldAccess(FieldAccess(Name)))"),
     ("java.lang.String.class", "ClassLiteral<java.lang.String>"),
+    # A conditional chain nests to the right; its last false arm is read as an expression.
+    ("a ? b : c ? d : e", "Ternary(Name, Name, Ternary(Name, Name, Name))"),
+    ("a ? b = c : d", "Ternary(Name, Assign(Name, Name), Name)"),
+    ("a ? b : c = d", "Ternary(Name, Name, Assign(Name, Name))"),
+    ("a ? b : c ? d : e = f", "Ternary(Name, Name, Ternary(Name, Name, Assign(Name, Name)))"),
+    ("a = b ? c : d = e", "Assign(Name, Ternary(Name, Name, Assign(Name, Name)))"),
+    ("a ? b : x -> c ? d : e", "Ternary(Name, Name, Lambda[x](Ternary(Name, Name, Name)))"),
+    ("a ? b : c ? x -> d : e", "Ternary(Name, Name, Ternary(Name, Lambda[x](Name), Name))"),
 ]
 
 

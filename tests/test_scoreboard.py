@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smellscore import cli
+from smellscore import cli, scoreboard
 from smellscore.corpus import CodingTask, ComplexityTriple, Corpus, GeneratedSolution, load_manifest
 from smellscore.java_syntax.lexer import Span
 from smellscore.rules.catalog import catalog, rule_types, rules_for_type
@@ -403,12 +403,20 @@ class TestCountTable:
 
     @staticmethod
     def cards(mini, reports, subjects, scenario="topic", ruleset="all"):
-        scenario, ruleset = ScenarioSelector.parse(scenario), RuleSetSelector.parse(ruleset)
-        cards = score_scenario(mini, ReportCounts(mini, reports), scenario, ruleset, subjects)
-        got = {(c.scenario, c.subject): (c.total_violations, c.n_analyzed, c.baseline_vs, c.increase_rate) for c in cards}
-        assert len(cards) == len(got)
-        assert got == _tallied_cards(mini, reports, scenario, ruleset, subjects)
-        return got
+        """Scores every rule set of the scenario through one shared table, so
+        label sums left over from another rule set would show; returns the
+        cards of ``ruleset``."""
+        scenario = ScenarioSelector.parse(scenario)
+        counts = ReportCounts(mini, reports)
+        by_ruleset = {}
+        for text in RULESETS:
+            selector = RuleSetSelector.parse(text)
+            cards = score_scenario(mini, counts, scenario, selector, subjects)
+            got = {(c.scenario, c.subject): (c.total_violations, c.n_analyzed, c.baseline_vs, c.increase_rate) for c in cards}
+            assert len(cards) == len(got)
+            assert got == _tallied_cards(mini, reports, scenario, selector, subjects), text
+            by_ruleset[text] = got
+        return by_ruleset[ruleset]
 
     def test_subject_without_reports_gets_no_cards(self, mini_store):
         mini, reports = mini_store
@@ -471,6 +479,25 @@ class TestCountTable:
         cards = cli.run_score(config, summary)
         assert len(SCENARIOS) * len(RULESETS) == 7 * 16
         assert cards and len(built) == 1
+
+    def test_one_run_score_partitions_each_scenario_once(self, tmp_path, monkeypatch):
+        config = cli.RunConfig(
+            corpus_path=MINI,
+            out_dir=tmp_path,
+            scenarios=[ScenarioSelector.parse(s) for s in SCENARIOS],
+            rulesets=[RuleSetSelector.parse(r) for r in RULESETS],
+        )
+        summary = cli.RunSummary()
+        cli.run_analyze(config, summary)
+        partitioned = []
+
+        def counted(corpus, selector):
+            partitioned.append(selector)
+            return partition(corpus, selector)
+
+        monkeypatch.setattr(scoreboard, "partition", counted)
+        cards = cli.run_score(config, summary)
+        assert cards and sorted(map(repr, partitioned)) == sorted(map(repr, config.scenarios))
 
 
 COUNT_STRATEGY = st.dictionaries(

@@ -165,6 +165,17 @@ class G {
         assert report.parse_ok
         assert report.per_rule_counts.get("line-length") == 1
 
+    def test_long_else_if_and_conditional_chains_are_analyzed(self):
+        """The parser reads both chains in a loop, so no rule may recurse once per link."""
+        branches = " else ".join(f"if (a == {i}) {{\n            a = {i};\n        }}" for i in range(2000))
+        arms = " : ".join(f"a == {i} ? {i}" for i in range(2000))
+        report = _report(
+            f"class A {{\n    int f(int a) {{\n        {branches} else {{\n            a = -1;\n        }}\n"
+            f"        return {arms} : -1;\n    }}\n}}\n"
+        )
+        assert report.parse_ok
+        assert "indentation" not in report.per_rule_counts
+
 
 class TestDetectCorpus:
     def _fixture(self, tmp_path):
