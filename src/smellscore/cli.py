@@ -99,13 +99,13 @@ class RunConfig:
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {path}") from e
         thresholds = doc.get("thresholds", {})
-        for rule_id, overrides in thresholds.items():
-            if "pattern" in overrides:
-                try:
-                    re.compile(overrides["pattern"])
-                except re.error as e:
-                    raise ConfigError(f"threshold 'pattern' for rule {rule_id!r} is not a regex: {e}") from e
         try:
+            for rule_id, overrides in thresholds.items():
+                if "pattern" in overrides:
+                    try:
+                        re.compile(overrides["pattern"])
+                    except re.error as e:
+                        raise ConfigError(f"threshold 'pattern' for rule {rule_id!r} is not a regex: {e}") from e
             return cls(
                 corpus_path=Path(doc["corpus"]),
                 out_dir=Path(doc["out"]),
@@ -115,8 +115,8 @@ class RunConfig:
                 threshold_overrides=thresholds,
                 parallelism=doc.get("jobs", 1),
             )
-        except ValueError as e:
-            raise ConfigError(f"config file {path}: {e}") from e
+        except (ConfigError, ValueError) as e:  # named by the file, as read_json names spec misfits
+            raise ConfigError(f"{path}: {e}") from e
 
 
 def _config_spec() -> dict[Any, Any]:

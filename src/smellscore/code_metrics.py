@@ -1,5 +1,5 @@
 """Source metrics: lines of code, cyclomatic and cognitive complexity, and
-structural class counts.
+the type references and inheritance depth of a class.
 
 Cyclomatic complexity is 1 plus the number of decision points: if, loop,
 non-default case label, catch clause, ternary, and each && or || operator.
@@ -38,19 +38,6 @@ class MethodMetrics:
     loc: int
     cyclomatic: int
     cognitive: int
-    parameter_count: int
-    statement_count: int
-
-
-@dataclass
-class ClassMetrics:
-    name: str
-    method_count: int  # NOM
-    field_count: int  # NOA
-    public_member_count: int
-    fan_out: int
-    depth_of_inheritance_hint: int
-    loc: int
 
 
 _LOOPS = (n.WhileStmt, n.DoWhileStmt, n.ForStmt, n.ForEachStmt)
@@ -65,8 +52,6 @@ def method_metrics(method: n.MethodDecl) -> MethodMetrics:
         loc=body.span.end_line - body.span.start_line + 1,
         cyclomatic=cyclomatic_complexity(body),
         cognitive=cognitive_complexity(body),
-        parameter_count=len(method.params),
-        statement_count=_statement_count(body),
     )
 
 
@@ -85,10 +70,6 @@ def cyclomatic_complexity(body: n.Block, subtree: Callable[[n.Node], Iterable[n.
         elif isinstance(node, n.Binary) and node.op in ("&&", "||"):
             count += 1
     return count
-
-
-def _statement_count(body: n.Block) -> int:
-    return sum(1 for node in n.walk(body) if isinstance(node, n.Stmt) and not isinstance(node, n.Block))
 
 
 def cognitive_complexity(body: n.Block) -> int:
@@ -218,26 +199,10 @@ class _CognitiveWalker:
 
 
 # --------------------------------------------------------------------------
-# Class metrics
+# Class structure
 # --------------------------------------------------------------------------
 
-def class_metrics(decl: n.TypeDecl, unit: n.CompilationUnit | None = None) -> ClassMetrics:
-    methods = decl.methods
-    field_count = sum(len(f.declarators) for f in decl.fields)
-    public_methods = sum(1 for m in methods if "public" in m.modifiers)
-    public_fields = sum(len(f.declarators) for f in decl.fields if "public" in f.modifiers)
-    return ClassMetrics(
-        name=decl.name,
-        method_count=len(methods),
-        field_count=field_count,
-        public_member_count=public_methods + public_fields,
-        fan_out=len(referenced_type_names(decl)),
-        depth_of_inheritance_hint=inheritance_depth_hint(decl, unit),
-        loc=decl.span.end_line - decl.span.start_line + 1,
-    )
-
-
-def referenced_type_names(decl: n.TypeDecl, subtree: Callable[[n.Node], Iterable[n.Node]] = n.walk) -> set[str]:
+def referenced_type_names(decl: n.TypeDecl, subtree: Callable[[n.Node], Iterable[n.Node]]) -> set[str]:
     """Distinct simple type names referenced from type positions in a class.
 
     Name-based and per-file: primitives, wildcards, the class's own name, and
@@ -270,7 +235,7 @@ def referenced_type_names(decl: n.TypeDecl, subtree: Callable[[n.Node], Iterable
     return names
 
 
-def inheritance_depth_hint(decl: n.TypeDecl, unit: n.CompilationUnit | None) -> int:
+def inheritance_depth_hint(decl: n.TypeDecl, unit: n.CompilationUnit) -> int:
     """Length of the extends chain walkable from this class.
 
     The first edge counts even when the parent is not declared in the file;
@@ -278,8 +243,6 @@ def inheritance_depth_hint(decl: n.TypeDecl, unit: n.CompilationUnit | None) -> 
     """
     if decl.kind != "class" or not decl.extends:
         return 0
-    if unit is None:
-        return 1
     by_name = {t.name: t for t in unit.all_types() if t.kind == "class"}
     depth = 0
     seen = {decl.name}
@@ -293,14 +256,3 @@ def inheritance_depth_hint(decl: n.TypeDecl, unit: n.CompilationUnit | None) -> 
         current = by_name.get(parent_name)
     return depth
 
-
-def max_method_cyclomatic(unit: n.CompilationUnit) -> int:
-    """Highest cyclomatic complexity across all method bodies in the file."""
-    best = 0
-    for decl in unit.all_types():
-        for member in decl.members:
-            if isinstance(member, n.MethodDecl) and member.body is not None:
-                best = max(best, cyclomatic_complexity(member.body))
-            elif isinstance(member, n.Initializer):
-                best = max(best, cyclomatic_complexity(member.body))
-    return best

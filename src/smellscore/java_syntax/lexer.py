@@ -142,7 +142,8 @@ _TOKEN_RULES = (
     ("CHAR", r"'(?:[^'\\\n]|\\[\s\S])*'"),
     ("open_char", "'"),
     # Hex, binary, or decimal with optional fraction and exponent; the suffix
-    # after a binary literal is taken even though only l/L is legal Java.
+    # after a binary literal is taken even though only l/L is legal Java (the
+    # parser rejects the others).
     ("NUMBER", r"0[xX][0-9a-fA-F_]*[lL]?|0[bB][01_]*[lLfFdD]?"
                r"|(?:\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)(?:[eE][+-]?\d+)?[lLfFdD]?"),
     ("word", r"[\w$]+"),

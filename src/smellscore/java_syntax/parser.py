@@ -10,6 +10,7 @@ recovery, so a report is either built from a complete tree or not at all.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .lexer import (
@@ -65,6 +66,7 @@ _MAX_DEPTH = 700
 
 _LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR, TokenKind.BOOL, TokenKind.NULL)
 _CHECKED_LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.CHAR)  # the lexer lets malformed ones through
+_OPERAND_END_KINDS = (TokenKind.IDENTIFIER, *_LITERAL_KINDS)  # a '-' after one of these is binary
 
 
 @dataclass
@@ -91,13 +93,14 @@ class _ParseError(Exception):
         self.span = span
 
 
-class _RepeatedModifier(_ParseError):
-    """No reading of the tokens allows a repeated modifier, so _attempt lets
-    this error through instead of trying another rule."""
+class _NoReading(_ParseError):
+    """No reading of the tokens allows a repeated modifier or a malformed
+    literal, so _attempt lets this error through instead of trying another
+    rule."""
 
 
 class _TooDeep(_ParseError):
-    """Nesting past _MAX_DEPTH; _attempt lets it through, as a repeated modifier."""
+    """Nesting past _MAX_DEPTH; _attempt lets it through, as _NoReading."""
 
 
 def parse(source: SourceFile) -> ParseOutcome:
@@ -187,6 +190,13 @@ class _Parser:
         span = t.span if t else (self.toks[-1].span if self.toks else Span(1, 1, 1, 1))
         return kind(message, span)
 
+    def check_literal(self, t: Token, negated: bool) -> None:
+        """Raise at a NUMBER or CHAR token that is no Java literal; ``negated``
+        as for _malformed_literal."""
+        malformed = _malformed_literal(t, negated)
+        if malformed:
+            raise _NoReading(malformed, t.span)
+
     def nest(self, frames: int) -> None:
         """Count one more level of nesting that takes ``frames`` stack frames;
         the caller takes them off ``depth`` again when the level returns."""
@@ -235,7 +245,7 @@ class _Parser:
         i, splits, depth = self.i, len(self.splits), self.depth
         try:
             return rule()
-        except (_RepeatedModifier, _TooDeep):
+        except (_NoReading, _TooDeep):
             raise
         except _ParseError:
             while len(self.splits) > splits:
@@ -335,7 +345,14 @@ class _Parser:
                 depth = 0
                 while True:
                     t = self.next()
-                    if t.lexeme == "(":
+                    if t.kind in _CHECKED_LITERAL_KINDS:
+                        # A '-' is unary when no operand ends before it; a ')' is
+                        # taken to close a cast, so '(int) -2147483648' passes.
+                        j = self.i - 1
+                        self.check_literal(
+                            t, self.lexemes[j - 1] == "-" and self.toks[j - 2].kind not in _OPERAND_END_KINDS
+                        )
+                    elif t.lexeme == "(":
                         depth += 1
                     elif t.lexeme == ")":
                         depth -= 1
@@ -353,7 +370,7 @@ class _Parser:
             t = self.peek()
             if t is not None and t.lexeme in MODIFIER_WORDS and t.kind is TokenKind.KEYWORD:
                 if t.lexeme in mods:  # JLS 8.1.1, 8.3.1, 8.4.3
-                    raise _RepeatedModifier(f"repeated modifier {t.lexeme!r}", t.span)
+                    raise _NoReading(f"repeated modifier {t.lexeme!r}", t.span)
                 mods.append(self.next().lexeme)
             else:
                 break
@@ -365,7 +382,7 @@ class _Parser:
         mods: list[str] = []
         while self.at("final"):
             if mods:  # JLS 8.4.1, 14.4
-                raise _RepeatedModifier("repeated modifier 'final'", self.peek().span)
+                raise _NoReading("repeated modifier 'final'", self.peek().span)
             self.next()
             mods.append("final")
             anns.extend(self.parse_annotations())
@@ -1117,9 +1134,7 @@ class _Parser:
 
         if t.kind in _LITERAL_KINDS:
             if t.kind in _CHECKED_LITERAL_KINDS:
-                malformed = _malformed_literal(t, self.negated == self.i)
-                if malformed:
-                    raise _ParseError(malformed, t.span)
+                self.check_literal(t, self.negated == self.i)
             self.next()
             return n.Literal(span=t.span, kind=t.kind, lexeme=t.lexeme, radix=t.radix, suffix=t.suffix)
 
@@ -1269,19 +1284,34 @@ class _Parser:
 # (largest decimal, largest hex, octal or binary) literal of int and of long:
 # the largest decimal one only as the operand of unary minus (JLS 3.10.1).
 _INTEGER_LIMITS = {None: (2**31, 2**32 - 1), "l": (2**63, 2**64 - 1), "L": (2**63, 2**64 - 1)}
+# One character or escape between quotes: an octal escape takes at most three
+# digits and stays below \400, a unicode escape takes four hex digits.
+_ONE_CHAR = re.compile(r"'(?:[^\\]|\\(?:[0-3][0-7]{0,2}|[4-7][0-7]?|u+[0-9a-fA-F]{4}|[\s\S]))'")
+# An underscore whose run has no digit on one side; hex digits count only in a hex literal.
+_STRAY_UNDERSCORE = re.compile(r"(?<![0-9_])_|_(?![0-9_])")
+_STRAY_HEX_UNDERSCORE = re.compile(r"(?<![0-9a-fA-F_])_|_(?![0-9a-fA-F_])")
 
 
 def _malformed_literal(t: Token, negated: bool) -> str | None:
-    """Why the lexer's literal token is no Java literal, or None: an empty
-    char literal (JLS 3.10.4), or an integer literal with a decimal digit
-    after a leading 0, without digits, or out of its type's range (JLS
-    3.10.1).  ``negated``: the token is the operand of unary minus."""
+    """Why the lexer's literal token is no Java literal, or None: a char
+    literal that is empty or holds more than one character (JLS 3.10.4); a
+    number with an underscore that does not stand between two digits, or a
+    binary one with a floating-point suffix (JLS 3.10.1, 3.10.2); an integer
+    literal with a decimal digit after a leading 0, without digits, or out of
+    its type's range (JLS 3.10.1).  ``negated``: the token is the operand of
+    unary minus."""
     lexeme = t.lexeme
     if t.kind is TokenKind.CHAR:
-        return "empty char literal" if lexeme == "''" else None
+        if lexeme == "''":
+            return "empty char literal"
+        return None if _ONE_CHAR.fullmatch(lexeme) else f"char literal {lexeme} holds more than one character"
     if len(lexeme) < 10 and lexeme.isdigit() and (lexeme[0] != "0" or len(lexeme) == 1):
         return None  # the common case: a decimal int literal of at most 9 digits
+    if "_" in lexeme and (_STRAY_HEX_UNDERSCORE if t.radix == 16 else _STRAY_UNDERSCORE).search(lexeme):
+        return f"underscore not between digits in literal {lexeme!r}"
     if t.suffix in ("f", "F", "d", "D"):
+        if lexeme[:2] in ("0b", "0B"):
+            return f"binary literal {lexeme!r} has a floating-point suffix"
         return None
     if t.radix == 10 and ("." in lexeme or "e" in lexeme or "E" in lexeme):  # floating point
         return None

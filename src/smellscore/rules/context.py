@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..java_syntax import nodes as n
-from ..java_syntax.lexer import SourceFile, Span, Token
+from ..java_syntax.lexer import SourceFile, Span, Token, TokenKind
 from .model import SmellRule, Violation
 
 
@@ -180,8 +180,6 @@ def strip_parens(expr: n.Expr) -> n.Expr:
 
 
 def is_bool_literal(expr: n.Expr) -> bool:
-    from ..java_syntax.lexer import TokenKind
-
     e = strip_parens(expr)
     return isinstance(e, n.Literal) and e.kind is TokenKind.BOOL
 

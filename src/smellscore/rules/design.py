@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from ..code_metrics import cyclomatic_complexity, referenced_type_names
+from ..code_metrics import cyclomatic_complexity, inheritance_depth_hint, referenced_type_names
 from ..java_syntax import nodes as n
 from .context import FileFacts, RuleContext, expr_source_name, strip_parens
 from .model import SmellRule, Violation
@@ -483,8 +483,6 @@ def check_cyclic_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]
 def check_deep_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     if not _hierarchy_applicable(ctx):
         return []
-    from ..code_metrics import inheritance_depth_hint
-
     limit = rule.threshold("max_depth")
     out = []
     for decl in _classes(ctx):

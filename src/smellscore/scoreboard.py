@@ -14,15 +14,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .corpus import CodingTask, Corpus, require_plain_name
 from .outputs import DocumentError, json_text, read_json, write_if_changed
 from .rules.catalog import catalog, rules_for_category, rules_for_type
 from .rules.model import ALL_TYPES, SmellRule, ViolationReport
-
-if TYPE_CHECKING:
-    from .smell_engine import StoredCounts
+from .smell_engine import BASELINE, StoredCounts
 
 
 class EmptyScenarioError(Exception):
@@ -377,8 +375,6 @@ def score_scenario(
     Labels whose task subset has no analyzable solutions for a subject are
     skipped rather than reported as zero.
     """
-    from .smell_engine import BASELINE
-
     types = ruleset.smell_types
     cards: list[ScoreCard] = []
     for counts in reports.labels(corpus, scenario):
@@ -483,45 +479,3 @@ def rank_topics(cards: Sequence[ScoreCard], k: int) -> TopicRankings:
         most_improved=by_rate[:k],
         most_worsened=sorted(by_rate, key=lambda kv: (-kv[1], kv[0]))[:k],
     )
-
-
-@dataclass
-class TopSmell:
-    rule_id: str
-    avg_violations: Fraction  # average per subject
-    weight: Fraction  # share of the smell type's violations
-
-
-def top_smells(reports_by_subject: dict[str, Iterable[ViolationReport]], smell_type: str) -> list[TopSmell]:
-    """Most prevalent rules of one smell type, averaged across subjects.
-
-    Weights are each rule's share of the type's total violations and sum to 1
-    when every rule is listed.  Zero violations yield an empty list.
-    """
-    rules = rules_for_type(smell_type)
-    if not rules:
-        raise ValueError(f"no rules of type {smell_type!r}")
-    rule_ids = [r.rule_id for r in rules]
-    totals = {r: 0 for r in rule_ids}
-    n_subjects = 0
-    for _, reports in sorted(reports_by_subject.items()):
-        n_subjects += 1
-        for report in reports:
-            if not report.parse_ok:
-                continue
-            for rule_id in rule_ids:
-                totals[rule_id] += report.per_rule_counts.get(rule_id, 0)
-    group_total = sum(totals.values())
-    if group_total == 0 or n_subjects == 0:
-        return []
-    out = [
-        TopSmell(
-            rule_id=rule_id,
-            avg_violations=Fraction(count, n_subjects),
-            weight=Fraction(count, group_total),
-        )
-        for rule_id, count in totals.items()
-        if count > 0
-    ]
-    out.sort(key=lambda s: (-s.weight, s.rule_id))
-    return out

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .java_syntax import SourceFile, parse
+from .java_syntax import nodes as n
 from .java_syntax.lexer import Span
 from .rules.catalog import CHECKSTYLE, DESIGNITE, PMD, rule_for_origin, rule_types
 from .rules.model import Violation, ViolationReport
@@ -262,8 +263,6 @@ def _designite_spans(source_path: str | Path) -> tuple[dict[str, int], dict[tupl
     for decl in outcome.ast.all_types():
         type_lines.setdefault(decl.name, decl.span.start_line)
         for member in decl.members:
-            from .java_syntax import nodes as n
-
             if isinstance(member, n.MethodDecl):
                 method_lines.setdefault((decl.name, member.name), member.span.start_line)
     return type_lines, method_lines

@@ -314,11 +314,15 @@ class TestRun:
         ({"subjects": ["baseline", "baseline"]}, "repeated subject 'baseline'"),
         ({"scenarios": ["source", "correctness:m1", "correctness:m1"]}, "repeated scenario 'correctness-m1'"),
         ({"rulesets": ["design", "all", "design"]}, "repeated ruleset 'design'"),
-    ], ids=["subject", "scenario", "ruleset"])
+        ({"jobs": 0}, "parallelism must be >= 1"),
+        ({"scenarios": ["bogus"]}, "unknown scenario 'bogus'"),
+        ({"rulesets": ["type:nope"]}, "unknown smell type 'nope'"),
+    ], ids=["subject", "scenario", "ruleset", "jobs-zero", "unknown-scenario", "unknown-ruleset"])
     def test_repeated_config_entry_is_config_error(self, tmp_path, capsys, extra, message):
+        """Every fault of a config file is named by the file, as a spec misfit is."""
         doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), **extra}
         assert self._run_config(tmp_path, doc) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {tmp_path / 'run.json'}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("thresholds, message", [
@@ -340,7 +344,7 @@ class TestRun:
         ({"line-length": {"max_line_length": True}},
          "{config}: $.thresholds['line-length'].max_line_length: must be an integer, got true"),
         ({"method-name": {"pattern": "("}},
-         "threshold 'pattern' for rule 'method-name' is not a regex: missing ), unterminated subpattern at position 0"),
+         "{config}: threshold 'pattern' for rule 'method-name' is not a regex: missing ), unterminated subpattern at position 0"),
         ({"magic-number": {"ignore_numbers": 3}}, "{config}: $.thresholds['magic-number'].ignore_numbers: must be a list, got 3"),
         ({"magic-number": {"ignore_numbers": [1, "2"]}},
          "{config}: $.thresholds['magic-number'].ignore_numbers[1]: must be an integer, got \"2\""),

@@ -1,4 +1,4 @@
-"""Method and class metrics: counting rules, invariances, and guard rails."""
+"""Method metrics and class structure: counting rules, invariances, and guard rails."""
 
 from __future__ import annotations
 
@@ -6,14 +6,15 @@ import pytest
 
 from smellscore.code_metrics import (
     AbstractBodyError,
-    class_metrics,
     cognitive_complexity,
     cyclomatic_complexity,
     inheritance_depth_hint,
-    max_method_cyclomatic,
     method_metrics,
+    referenced_type_names,
 )
+from smellscore.java_syntax import nodes as n
 from smellscore.java_syntax import parse_text
+from smellscore.rules.context import FileFacts
 
 
 def method_of(body: str, params: str = "int a, int b"):
@@ -69,11 +70,6 @@ class TestMethodMetrics:
         assert m.cyclomatic == 3
         assert m.cognitive == 3  # if +1, else-if +1, else +1
 
-    def test_parameter_and_statement_counts(self):
-        m = method_metrics(method_of("        int x = 0;\n        x = a;\n        return;", params="int a"))
-        assert m.parameter_count == 1
-        assert m.statement_count == 3
-
     def test_loc_is_physical_body_lines(self):
         m = method_metrics(method_of("        int x = 0;"))
         # opening brace line through closing brace line
@@ -96,29 +92,27 @@ class TestMethodMetrics:
         assert m.cognitive == 2
 
 
+def fan_out(text: str) -> list[set[str]]:
+    """The names ``referenced_type_names`` gives for the first class of
+    ``text``, once walking the tree and once through the rules' FileFacts."""
+    out = parse_text("A.java", text)
+    assert out.ok, out.failure
+    decl = out.ast.types[0]
+    return [referenced_type_names(decl, n.walk), referenced_type_names(decl, FileFacts(out.ast).subtree)]
+
+
 class TestClassMetrics:
     def test_empty_class(self):
-        out = parse_text("A.java", "class A {}")
-        cm = class_metrics(out.ast.types[0])
-        assert (cm.method_count, cm.field_count, cm.fan_out) == (0, 0, 0)
-
-    def test_counts_match_declarations(self):
-        methods = "\n".join(f"    public void m{i}() {{\n    }}" for i in range(12))
-        fields = "\n".join(f"    private int f{i};" for i in range(9))
-        out = parse_text("A.java", f"class A {{\n{fields}\n{methods}\n}}\n")
-        cm = class_metrics(out.ast.types[0])
-        assert cm.method_count == 12
-        assert cm.field_count == 9
-        assert cm.public_member_count == 12
+        assert fan_out("class A {}") == [set(), set()]
 
     def test_fan_out_distinct_type_names(self):
-        fields = "\n".join(f"    T{i} f{i};" for i in range(21))
-        out = parse_text("A.java", f"class A {{\n{fields}\n}}\n")
-        assert class_metrics(out.ast.types[0]).fan_out == 21
+        fields = "\n".join(f"    T{i} f{i};" for i in range(21)) + "\n    T0 again;"
+        names = {f"T{i}" for i in range(21)}
+        assert fan_out(f"class A {{\n{fields}\n}}\n") == [names, names]
 
     def test_fan_out_ignores_primitives_own_name_and_type_params(self):
-        out = parse_text("A.java", "class A<T> { T value; int count; A next; String label; }")
-        assert class_metrics(out.ast.types[0]).fan_out == 1  # only String
+        text = "class A<T> { T value; int count; A next; String label; <U> U pick(U u, long[] v) { var w = u; return w; } }"
+        assert fan_out(text) == [{"String"}, {"String"}]
 
     def test_inheritance_hint_within_file(self):
         out = parse_text("A.java", "class A {}\nclass B extends A {}\nclass C extends B {}\nclass D extends External {}\n")
@@ -126,10 +120,3 @@ class TestClassMetrics:
         assert inheritance_depth_hint(by_name["A"], out.ast) == 0
         assert inheritance_depth_hint(by_name["C"], out.ast) == 2
         assert inheritance_depth_hint(by_name["D"], out.ast) == 1
-
-    def test_max_method_cyclomatic(self):
-        out = parse_text(
-            "A.java",
-            "class A { void m() { if (x > 0) { x = 1; } } void n() { while (x > 0) { if (y > 0) { y = 1; } } } }",
-        )
-        assert max_method_cyclomatic(out.ast) == 3

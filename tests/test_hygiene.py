@@ -1,8 +1,9 @@
 """Source hygiene that needs no third-party linter: every module-level import
-in the package is used by the module that makes it, every private function
-or method is referred to somewhere in the package, and every public top-level
-function is reached from the package's own code, or is on the list of those
-only tests call."""
+in the package is used by the module that makes it, no function imports
+unless it is on the list of those that must, every private function or method
+is referred to somewhere in the package, and every public top-level function
+is reached from the package's own code, or is on the list of those only tests
+call."""
 
 from __future__ import annotations
 
@@ -42,6 +43,50 @@ def test_package_has_no_unused_imports():
 def test_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport json\nimport os.path\nfrom typing import Any\n\nx: Any = os.sep\n"
     assert unused_imports(source) == ["2: json"]
+
+
+def function_local_imports(source: str) -> list[tuple[str, int]]:
+    """(function, line) for each import statement inside a function body,
+    named by the innermost function that holds it."""
+    found: list[tuple[str, int]] = []
+    todo: list[tuple[ast.AST, str | None]] = [(ast.parse(source), None)]
+    while todo:
+        node, function = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.append((child, child.name))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and function is not None:
+                found.append((function, child.lineno))
+            else:
+                todo.append((child, function))
+    return sorted(found, key=lambda entry: entry[1])
+
+
+# The functions that import inside their bodies, each with its reason.  A
+# module the whole module needs is imported once, at the top.
+LOCAL_IMPORTS = {
+    ("cli.py", "_dispatch"): "generate, import-reports and diff load their modules only when run (VERB_ONLY_MODULES)",
+    ("smell_engine.py", "detect_corpus"): "one worker needs no thread pool",
+}
+
+
+def test_package_imports_only_at_module_level():
+    found = {
+        (str(path.relative_to(PACKAGE)), function)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for function, _ in function_local_imports(path.read_text(encoding="utf-8"))
+    }
+    assert sorted(found) == sorted(LOCAL_IMPORTS)
+
+
+def test_scan_finds_a_function_local_import():
+    source = (
+        "import os\n\n"
+        "def f():\n    import json\n    return json\n\n"
+        "class C:\n    def m(self):\n        def inner():\n            from os import path\n        return inner\n\n"
+        "if os.sep:\n    import re\n"
+    )
+    assert function_local_imports(source) == [("f", 4), ("inner", 10)]
 
 
 def orphaned_private_functions(sources: dict[str, str]) -> list[str]:
@@ -109,9 +154,8 @@ def unreached_public_functions(sources: dict[str, str], entry_points: frozenset[
 # Public functions that only tests call.  Give one a caller in the package, or
 # delete it, and take it off this list; add none.
 TEST_ONLY = {
-    "class_metrics", "cognitive_complexity", "compute_baseline_vs", "compute_vs", "dispersion", "import_report",
-    "max_method_cyclomatic", "method_metrics", "multi_origin_rules", "pearson", "rank_topics", "rule_by_id",
-    "top_smells",
+    "cognitive_complexity", "compute_baseline_vs", "compute_vs", "dispersion", "import_report", "method_metrics",
+    "multi_origin_rules", "pearson", "rank_topics", "rule_by_id",
 }
 
 

@@ -476,6 +476,15 @@ class G {
         ("9223372036854775808L", "9223372036854775808L", "long literal '9223372036854775808L' out of range"),
         ("0x1_0000_0000_0000_0000L", "0x1_0000_0000_0000_0000L", "long literal '0x1_0000_0000_0000_0000L' out of range"),
         ("0x", "0x", "integer literal '0x' has no digits"),
+        ("'ab'", "'ab'", "char literal 'ab' holds more than one character"),
+        ("'\\400'", "'\\400'", "char literal '\\400' holds more than one character"),
+        ("0b1f", "0b1f", "binary literal '0b1f' has a floating-point suffix"),
+        ("0B1d", "0B1d", "binary literal '0B1d' has a floating-point suffix"),
+        ("1_", "1_", "underscore not between digits in literal '1_'"),
+        ("0x_1", "0x_1", "underscore not between digits in literal '0x_1'"),
+        ("0_", "0_", "underscore not between digits in literal '0_'"),
+        ("1_.5", "1_.5", "underscore not between digits in literal '1_.5'"),
+        ("0x1_L", "0x1_L", "underscore not between digits in literal '0x1_L'"),
     ])
     def test_malformed_literal_is_a_located_failure(self, expr, literal, message):
         text = f"class A {{ Object f() {{ return {expr}; }} }}"
@@ -489,9 +498,30 @@ class G {
         "09.5", "09e1", "09f", "09D", "0", "00", "017", "0L", "'a'", "'\\''",
         "-2147483648", "- -2147483648", "(int) -2147483648", "2147483647", "0xFFFFFFFF", "037777777777",
         "0b11111111111111111111111111111111", "-9223372036854775808L", "0xFFFFFFFFFFFFFFFFL", "99999999999L", "1e400",
+        "'\\n'", "'\\377'", "'\\0'", "'\\u0041'", "'A'", "0_7", "1_000", "1__000", "0x1_F", "0b1_0", "1.5f", "1_0.5_0",
     ])
     def test_valid_literal_parses(self, expr):
         out = parse_text("A.java", f"class A {{ Object f() {{ return {expr}; }} }}")
+        assert out.ok, out.failure
+
+    @pytest.mark.parametrize("text, literal, message", [
+        ("@A(09) class X {}", "09", "digit 8 or 9 in octal literal '09'"),
+        ("@A(x = 2147483648) class X {}", "2147483648", "int literal '2147483648' out of range"),
+        ("@A(x = 1 - 2147483648) class X {}", "2147483648", "int literal '2147483648' out of range"),
+        ("@A({'a', 'ab'}) class X {}", "'ab'", "char literal 'ab' holds more than one character"),
+        ("class X { void f() { @A(1_) int y = 0; } }", "1_", "underscore not between digits in literal '1_'"),
+        ("class X { void f(@A(0b1f) int y) {} }", "0b1f", "binary literal '0b1f' has a floating-point suffix"),
+    ])
+    def test_annotation_argument_literal_is_checked(self, text, literal, message):
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == message
+        start = text.index(literal) + 1
+        assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(literal))
+
+    @pytest.mark.parametrize("args", ["-2147483648", "0x7fffffff", "x = {1, -2147483648}", "(int) -2147483648", "'\\''"])
+    def test_valid_annotation_argument_parses(self, args):
+        out = parse_text("A.java", f"@A({args}) class X {{}}")
         assert out.ok, out.failure
 
     @pytest.mark.parametrize("type_name", ["int", "boolean", "double"])

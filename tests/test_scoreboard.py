@@ -32,7 +32,6 @@ from smellscore.scoreboard import (
     pearson,
     load_scorecards,
     rank_topics,
-    top_smells,
     write_scorecards,
     score_scenario,
     ScoreCard,
@@ -245,33 +244,6 @@ class TestRankings:
         # ties break lexicographically: Beta before Delta at vs=2
         assert [t for t, _ in ranked.best] == ["Beta", "Delta", "Alpha"]
         assert [t for t, _ in ranked.worst] == ["Gamma", "Echo", "Alpha"]
-
-
-class TestTopSmells:
-    def test_single_rule_group_weight_one(self):
-        reports = {"m1": [report({"magic-number": 5})]}
-        out = top_smells(reports, "magic-number")
-        assert len(out) == 1
-        assert out[0].weight == 1
-
-    def test_thirty_ten_split(self):
-        reports = {
-            "m1": [report({"magic-number": 30})],  # magic-number group has one rule,
-        }
-        # use a two-rule type: dead-code has several rules
-        reports = {"m1": [report({"unused-import": 30, "unused-local-variable": 10})]}
-        out = top_smells(reports, "dead-code")
-        by_rule = {s.rule_id: s for s in out}
-        assert by_rule["unused-import"].weight == Fraction(3, 4)
-        assert by_rule["unused-local-variable"].weight == Fraction(1, 4)
-
-    def test_zero_violations_gives_empty_list(self):
-        assert top_smells({"m1": [report({})]}, "dead-code") == []
-
-    def test_weights_sum_to_one(self):
-        reports = {"m1": [report({"unused-import": 7, "unused-private-field": 2, "unused-local-variable": 3})]}
-        out = top_smells(reports, "dead-code")
-        assert sum(s.weight for s in out) == 1
 
 
 class TestScorecardStore:
