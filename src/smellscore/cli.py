@@ -395,7 +395,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         try:
             endpoint = EndpointConfig.from_json(json.loads(args.endpoint_config.read_text(encoding="utf-8")))
-        except (OSError, ValueError) as e:  # unreadable, not JSON, or not an endpoint config
+        except (OSError, ValueError, RecursionError) as e:  # unreadable, not JSON (or too deep), or not an endpoint config
             raise ConfigError(f"{args.endpoint_config}: {e}") from e
         corpus_root = args.corpus if args.corpus.is_dir() else args.corpus.parent
         try:

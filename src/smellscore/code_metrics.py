@@ -16,7 +16,8 @@ Cognitive complexity follows the published increment scheme:
   add no structural increment.  try and finally bodies do not nest.
 
 Recursion detection is out of scope (no call resolution), so recursive calls
-never add an increment.
+never add an increment.  The tables ``_STRUCTURES`` and ``_DEEPER`` restate
+this scheme, and one loop over an explicit stack applies them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class MethodMetrics:
 
 
 _LOOPS = (n.WhileStmt, n.DoWhileStmt, n.ForStmt, n.ForEachStmt)
+_BOOL_OPS = ("&&", "||")
 
 
 def method_metrics(method: n.MethodDecl) -> MethodMetrics:
@@ -67,135 +69,77 @@ def cyclomatic_complexity(body: n.Block, subtree: Callable[[n.Node], Iterable[n.
             count += 1
         elif isinstance(node, n.SwitchStmt):
             count += node.case_label_count()
-        elif isinstance(node, n.Binary) and node.op in ("&&", "||"):
+        elif isinstance(node, n.Binary) and node.op in _BOOL_OPS:
             count += 1
     return count
 
 
-def cognitive_complexity(body: n.Block) -> int:
-    return _CognitiveWalker().walk_block(body, 0)
+# README's cognitive increment table as data.  Each of these adds +1 plus
+# the current nesting; an if does so only as the head of its else-if chain.
+_STRUCTURES = frozenset({n.IfStmt, n.Ternary, n.SwitchStmt, *_LOOPS, n.CatchClause})
+# The (node class, field) pairs whose nodes sit one nesting level deeper.
+_DEEPER = frozenset({
+    *((loop, "body") for loop in _LOOPS), (n.CatchClause, "body"), (n.Lambda, "body"),
+    (n.IfStmt, "then"), (n.IfStmt, "orelse"), (n.SwitchStmt, "arms"),
+    (n.Ternary, "if_true"), (n.Ternary, "if_false"),
+})
+# Fields that are not walked: members of an anonymous class, and case labels.
+_SKIPPED = frozenset({(n.NewObject, "anon_body"), (n.SwitchArm, "labels")})
 
 
-class _CognitiveWalker:
-    def __init__(self) -> None:
-        self.total = 0
+def cognitive_complexity(body: n.Node) -> int:
+    total = 0
+    else_ifs: set[int] = set()  # ids of the ifs that continue an else-if chain
+    stack: list[tuple[n.Node, int]] = [(body, 0)]
+    while stack:
+        node, nesting = stack.pop()
+        cls = type(node)
+        if cls is n.LocalTypeDecl:  # a local class counts its own methods
+            continue
+        if cls in _STRUCTURES and id(node) not in else_ifs:
+            total += 1 + nesting
+        elif isinstance(node, (n.BreakStmt, n.ContinueStmt)):
+            total += node.label is not None
+        elif isinstance(node, n.Binary) and node.op in _BOOL_OPS:
+            ops, operands = _bool_tree(node)
+            total += 1 + sum(a != b for a, b in zip(ops, ops[1:]))
+            stack += ((operand, nesting) for operand in operands)
+            continue
+        for name in n.child_fields(cls):
+            if (cls, name) in _SKIPPED:
+                continue
+            value = getattr(node, name)
+            depth = nesting + 1 if (cls, name) in _DEEPER else nesting
+            if cls is n.IfStmt and name == "orelse" and value is not None:
+                total += 1  # else or else-if
+                if type(value) is n.IfStmt:  # else-if: flat, at this nesting
+                    else_ifs.add(id(value))
+                    depth = nesting
+            for child in value if isinstance(value, list) else (value,):
+                if isinstance(child, n.Node):
+                    stack.append((child, depth))
+    return total
 
-    # -- statements ---------------------------------------------------------
 
-    def walk_block(self, block: n.Block, nesting: int) -> int:
-        for stmt in block.statements:
-            self.walk_stmt(stmt, nesting)
-        return self.total
-
-    def walk_stmt(self, stmt: n.Stmt, nesting: int) -> None:
-        if isinstance(stmt, n.Block):
-            self.walk_block(stmt, nesting)
-        elif isinstance(stmt, n.IfStmt):
-            self._walk_if(stmt, nesting, chained=False)
-        elif isinstance(stmt, _LOOPS):
-            self.total += 1 + nesting
-            if isinstance(stmt, n.ForStmt):
-                for s in stmt.init:
-                    self.walk_stmt(s, nesting)
-                if stmt.cond is not None:
-                    self.walk_expr(stmt.cond, nesting)
-                for e in stmt.update:
-                    self.walk_expr(e, nesting)
-            elif isinstance(stmt, n.ForEachStmt):
-                self.walk_expr(stmt.iterable, nesting)
-            else:
-                self.walk_expr(stmt.cond, nesting)
-            self.walk_stmt(stmt.body, nesting + 1)
-        elif isinstance(stmt, n.SwitchStmt):
-            self.total += 1 + nesting
-            self.walk_expr(stmt.selector, nesting)
-            for arm in stmt.arms:
-                for s in arm.statements:
-                    self.walk_stmt(s, nesting + 1)
-        elif isinstance(stmt, n.TryStmt):
-            for res in stmt.resources:
-                self.walk_stmt(res, nesting)
-            self.walk_block(stmt.body, nesting)
-            for catch in stmt.catches:
-                self.total += 1 + nesting
-                self.walk_block(catch.body, nesting + 1)
-            if stmt.finally_block is not None:
-                self.walk_block(stmt.finally_block, nesting)
-        elif isinstance(stmt, (n.BreakStmt, n.ContinueStmt)):
-            if stmt.label is not None:
-                self.total += 1
-        elif isinstance(stmt, n.LabeledStmt):
-            self.walk_stmt(stmt.stmt, nesting)
-        elif isinstance(stmt, n.SynchronizedStmt):
-            self.walk_expr(stmt.lock, nesting)
-            self.walk_block(stmt.body, nesting)
-        elif isinstance(stmt, n.LocalVarDecl):
-            for d in stmt.declarators:
-                if d.init is not None:
-                    self.walk_expr(d.init, nesting)
-        elif isinstance(stmt, n.ExprStmt):
-            self.walk_expr(stmt.expr, nesting)
-        elif isinstance(stmt, n.ReturnStmt):
-            if stmt.value is not None:
-                self.walk_expr(stmt.value, nesting)
-        elif isinstance(stmt, n.ThrowStmt):
-            self.walk_expr(stmt.expr, nesting)
-        elif isinstance(stmt, n.AssertStmt):
-            self.walk_expr(stmt.cond, nesting)
-            if stmt.message is not None:
-                self.walk_expr(stmt.message, nesting)
-        elif isinstance(stmt, (n.EmptyStmt, n.LocalTypeDecl)):
-            pass
-
-    def _walk_if(self, stmt: n.IfStmt, nesting: int, chained: bool) -> None:
-        self.total += 1 if chained else 1 + nesting
-        self.walk_expr(stmt.cond, nesting)
-        self.walk_stmt(stmt.then, nesting + 1)
-        if stmt.orelse is None:
-            return
-        if isinstance(stmt.orelse, n.IfStmt):
-            self._walk_if(stmt.orelse, nesting, chained=True)
+def _bool_tree(expr: n.Binary) -> tuple[list[str], list[n.Expr]]:
+    """The && / || operators of a boolean expression tree in source order,
+    read through parentheses and !, and the operands that are not part of it."""
+    ops: list[str] = []
+    operands: list[n.Expr] = []
+    stack: list[n.Expr | str] = [expr]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            ops.append(item)
+        elif type(item) is n.Binary and item.op in _BOOL_OPS:
+            stack += (item.right, item.op, item.left)
+        elif type(item) is n.Paren:
+            stack.append(item.expr)
+        elif type(item) is n.Unary and item.op == "!":
+            stack.append(item.operand)
         else:
-            self.total += 1
-            self.walk_stmt(stmt.orelse, nesting + 1)
-
-    # -- expressions ----------------------------------------------------------
-
-    def walk_expr(self, expr: n.Expr, nesting: int) -> None:
-        if isinstance(expr, n.Binary) and expr.op in ("&&", "||"):
-            ops: list[str] = []
-            self._collect_bool_ops(expr, ops, nesting)
-            runs = 1 + sum(1 for a, b in zip(ops, ops[1:]) if a != b)
-            self.total += runs
-        elif isinstance(expr, n.Ternary):
-            self.total += 1 + nesting
-            self.walk_expr(expr.cond, nesting)
-            self.walk_expr(expr.if_true, nesting + 1)
-            self.walk_expr(expr.if_false, nesting + 1)
-        elif isinstance(expr, n.Lambda):
-            if isinstance(expr.body, n.Block):
-                self.walk_block(expr.body, nesting + 1)
-            else:
-                self.walk_expr(expr.body, nesting + 1)
-        else:
-            for child in n.iter_child_nodes(expr):
-                if isinstance(child, n.Expr):
-                    self.walk_expr(child, nesting)
-                elif isinstance(child, n.Block):
-                    self.walk_block(child, nesting)
-
-    def _collect_bool_ops(self, expr: n.Expr, ops: list[str], nesting: int) -> None:
-        """In-order && / || operator collection, transparent through parens."""
-        if isinstance(expr, n.Binary) and expr.op in ("&&", "||"):
-            self._collect_bool_ops(expr.left, ops, nesting)
-            ops.append(expr.op)
-            self._collect_bool_ops(expr.right, ops, nesting)
-        elif isinstance(expr, n.Paren):
-            self._collect_bool_ops(expr.expr, ops, nesting)
-        elif isinstance(expr, n.Unary) and expr.op == "!":
-            self._collect_bool_ops(expr.operand, ops, nesting)
-        else:
-            self.walk_expr(expr, nesting)
+            operands.append(item)
+    return ops, operands
 
 
 # --------------------------------------------------------------------------

@@ -30,15 +30,58 @@ class Node:
 
     __hash__ = None  # equal nodes need equal hashes, and a node's fields can change
 
+    # Both walk the tree over an explicit stack, so a tree of any depth (the
+    # parser reads else-if and ternary chains of any length) prints and compares.
+
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _field_names(type(self)))
-        return f"{type(self).__qualname__}({fields})"
+        """``Class(field=value, ...)``, the text a dataclass repr would give."""
+        out: list[str] = []
+        todo: list[_ReprPiece] = [self]  # text to emit, or a node or list to expand
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            if isinstance(item, Node):
+                pieces: list[_ReprPiece] = [f"{type(item).__qualname__}("]
+                for i, name in enumerate(_field_names(type(item))):
+                    pieces += (f"{', ' if i else ''}{name}=", _repr_piece(getattr(item, name)))
+                pieces.append(")")
+            else:
+                pieces = ["["]
+                for i, value in enumerate(item):
+                    pieces += (", " if i else "", _repr_piece(value))
+                pieces.append("]")
+            todo.extend(reversed(pieces))
+        return "".join(out)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        names = _field_names(type(self))
-        return tuple(getattr(self, name) for name in names) == tuple(getattr(other, name) for name in names)
+        pairs: list[tuple[object, object]] = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, Node):
+                if b.__class__ is not a.__class__:
+                    return False
+                pairs += ((getattr(a, name), getattr(b, name)) for name in _field_names(type(a)))
+            elif isinstance(a, list):
+                if not isinstance(b, list) or len(a) != len(b):
+                    return False
+                pairs += zip(a, b)
+            elif a != b:
+                return False
+        return True
+
+
+_ReprPiece = Union[str, Node, list]
+
+
+def _repr_piece(value: object) -> _ReprPiece:
+    """A node or list, left for Node.__repr__ to expand, or any other value's repr."""
+    return value if isinstance(value, (Node, list)) else repr(value)
 
 
 @_node
@@ -542,7 +585,7 @@ _LEAF_ANNOTATIONS = frozenset({"Span", "TokenKind", "str", "str | None", "int", 
 
 
 @functools.cache
-def _child_fields(cls: type) -> tuple[str, ...]:
+def child_fields(cls: type) -> tuple[str, ...]:
     """Names of the fields of a node class that may hold child nodes.
 
     Keyed on the class, so the cache holds one entry per node class.
@@ -552,7 +595,7 @@ def _child_fields(cls: type) -> tuple[str, ...]:
 
 def iter_child_nodes(node: Node) -> Iterator[Node]:
     """Yield the direct Node children of a node, in field order."""
-    for name in _child_fields(type(node)):
+    for name in child_fields(type(node)):
         value = getattr(node, name)
         if isinstance(value, Node):
             yield value

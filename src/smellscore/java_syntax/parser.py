@@ -65,7 +65,7 @@ _TYPE_DEPTH = 4  # parse_type, parse_type_args, separated, parse_type_arg: one t
 _MAX_DEPTH = 700
 
 _LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR, TokenKind.BOOL, TokenKind.NULL)
-_CHECKED_LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.CHAR)  # the lexer lets malformed ones through
+_CHECKED_LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR)  # the lexer lets malformed ones through
 _OPERAND_END_KINDS = (TokenKind.IDENTIFIER, *_LITERAL_KINDS)  # a '-' after one of these is binary
 
 
@@ -191,8 +191,8 @@ class _Parser:
         return kind(message, span)
 
     def check_literal(self, t: Token, negated: bool) -> None:
-        """Raise at a NUMBER or CHAR token that is no Java literal; ``negated``
-        as for _malformed_literal."""
+        """Raise at a NUMBER, STRING or CHAR token that is no Java literal;
+        ``negated`` as for _malformed_literal."""
         malformed = _malformed_literal(t, negated)
         if malformed:
             raise _NoReading(malformed, t.span)
@@ -1284,27 +1284,40 @@ class _Parser:
 # (largest decimal, largest hex, octal or binary) literal of int and of long:
 # the largest decimal one only as the operand of unary minus (JLS 3.10.1).
 _INTEGER_LIMITS = {None: (2**31, 2**32 - 1), "l": (2**63, 2**64 - 1), "L": (2**63, 2**64 - 1)}
-# One character or escape between quotes: an octal escape takes at most three
-# digits and stays below \400, a unicode escape takes four hex digits.
-_ONE_CHAR = re.compile(r"'(?:[^\\]|\\(?:[0-3][0-7]{0,2}|[4-7][0-7]?|u+[0-9a-fA-F]{4}|[\s\S]))'")
+# One escape sequence (JLS 3.10.7) or unicode escape (JLS 3.3): an octal
+# escape takes at most three digits and stays below \400, a unicode escape
+# takes four hex digits.  Group 1 holds a character no escape may start with.
+_ESCAPE = re.compile(r"\\(?:u+[0-9a-fA-F]{4}|[0-3][0-7]{0,2}|[4-7][0-7]?|[btnfrs\"'\\]|([\s\S]))")
 # An underscore whose run has no digit on one side; hex digits count only in a hex literal.
 _STRAY_UNDERSCORE = re.compile(r"(?<![0-9_])_|_(?![0-9_])")
 _STRAY_HEX_UNDERSCORE = re.compile(r"(?<![0-9a-fA-F_])_|_(?![0-9a-fA-F_])")
 
 
 def _malformed_literal(t: Token, negated: bool) -> str | None:
-    """Why the lexer's literal token is no Java literal, or None: a char
-    literal that is empty or holds more than one character (JLS 3.10.4); a
-    number with an underscore that does not stand between two digits, or a
-    binary one with a floating-point suffix (JLS 3.10.1, 3.10.2); an integer
-    literal with a decimal digit after a leading 0, without digits, or out of
-    its type's range (JLS 3.10.1).  ``negated``: the token is the operand of
-    unary minus."""
+    """Why the lexer's literal token is no Java literal, or None: a string
+    or char literal with an invalid escape sequence (JLS 3.10.7); a char
+    literal that is empty, holds more than one character, or holds one that
+    needs two UTF-16 code units (JLS 3.10.4); a number with an underscore
+    that does not stand between two digits, or a binary one with a
+    floating-point suffix (JLS 3.10.1, 3.10.2); an integer literal with a
+    decimal digit after a leading 0, without digits, or out of its type's
+    range (JLS 3.10.1).  ``negated``: the token is the operand of unary
+    minus."""
     lexeme = t.lexeme
-    if t.kind is TokenKind.CHAR:
-        if lexeme == "''":
+    if t.kind is not TokenKind.NUMBER:  # a string or char literal
+        body = lexeme[1:-1]
+        if "\\" in body:
+            for m in _ESCAPE.finditer(body):
+                if m.group(1) is not None:
+                    return f"invalid escape character {m.group(1)!r} after a backslash"
+            body = _ESCAPE.sub("x", body)  # one character for each escape
+        if t.kind is TokenKind.STRING:
+            return None
+        if not body:
             return "empty char literal"
-        return None if _ONE_CHAR.fullmatch(lexeme) else f"char literal {lexeme} holds more than one character"
+        if len(body) > 1:
+            return f"char literal {lexeme} holds more than one character"
+        return f"char literal {lexeme} needs two UTF-16 code units" if body > "\uffff" else None
     if len(lexeme) < 10 and lexeme.isdigit() and (lexeme[0] != "0" or len(lexeme) == 1):
         return None  # the common case: a decimal int literal of at most 9 digits
     if "_" in lexeme and (_STRAY_HEX_UNDERSCORE if t.radix == 16 else _STRAY_UNDERSCORE).search(lexeme):

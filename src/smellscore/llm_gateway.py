@@ -201,7 +201,7 @@ def generate_solution(
     try:
         doc = json.loads(raw)
         text = _pluck(doc, config.response_path)
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+    except (json.JSONDecodeError, RecursionError, KeyError, IndexError, TypeError):
         return GenerationRecord(
             task_id=request.task_id,
             model_id=request.model_id,

@@ -39,12 +39,13 @@ class DocumentError(Exception):
 
 def read_json(path: str | Path, spec: Any, error: type[Exception]) -> Any:
     """The JSON document in the file at ``path``.  A file that is not UTF-8
-    JSON, or does not fit ``spec``, raises ``error`` with the file's name."""
+    JSON, nests deeper than the decoder's stack, or does not fit ``spec``,
+    raises ``error`` with the file's name."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.loads(f.read())
         check(doc, spec)
-    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError or SpecError
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError, JSONDecodeError, SpecError; too deep
         raise error(f"{path}: {e}") from e
     return doc
 

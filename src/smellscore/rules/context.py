@@ -186,12 +186,15 @@ def is_bool_literal(expr: n.Expr) -> bool:
 
 def expr_source_name(expr: n.Expr) -> str | None:
     """Dotted source text for simple name chains (a, a.b, this.a), else None."""
+    names: list[str] = []
     e = strip_parens(expr)
+    while isinstance(e, n.FieldAccess):  # a loop: the parser reads chains of any length
+        names.append(e.name)
+        e = strip_parens(e.receiver)
     if isinstance(e, n.Name):
-        return e.identifier
-    if isinstance(e, n.ThisExpr):
-        return "this"
-    if isinstance(e, n.FieldAccess):
-        base = expr_source_name(e.receiver)
-        return f"{base}.{e.name}" if base else None
-    return None
+        names.append(e.identifier)
+    elif isinstance(e, n.ThisExpr):
+        names.append("this")
+    else:
+        return None
+    return ".".join(reversed(names))

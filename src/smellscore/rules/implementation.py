@@ -211,10 +211,8 @@ def check_simplify_conditional(ctx: RuleContext, rule: SmellRule) -> list[Violat
 
 
 def _bool_return(stmt: n.Stmt | None) -> bool:
-    if stmt is None:
-        return False
-    if isinstance(stmt, n.Block):
-        return len(stmt.statements) == 1 and _bool_return(stmt.statements[0])
+    while isinstance(stmt, n.Block) and len(stmt.statements) == 1:
+        stmt = stmt.statements[0]
     return isinstance(stmt, n.ReturnStmt) and stmt.value is not None and is_bool_literal(stmt.value)
 
 
@@ -447,73 +445,51 @@ def check_indentation(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
         if actual != expected:
             out.append(ctx.violation(rule, span, f"{what} indented {actual} columns, expected {expected}"))
 
-    def walk_body(stmt: n.Stmt, depth: int) -> None:
-        """A control-structure body: block children or single statement nest."""
-        if isinstance(stmt, n.Block):
-            for s in stmt.statements:
-                walk_stmt(s, depth + 1)
-        else:
-            walk_stmt(stmt, depth + 1)
+    def body(stmt: n.Stmt, depth: int) -> tuple[n.Node, int]:
+        """A control-structure body: a block's statements or the single statement nest."""
+        return (stmt, depth) if isinstance(stmt, n.Block) else (stmt, depth + 1)
 
-    def walk_if(stmt: n.IfStmt, depth: int) -> None:
-        while True:  # an else-if chain in a loop: the parser accepts any length
-            check(stmt.span, depth, "statement")
-            walk_body(stmt.then, depth)
-            if not isinstance(stmt.orelse, n.IfStmt):
-                break
-            stmt = stmt.orelse
-        if stmt.orelse is not None:
-            walk_body(stmt.orelse, depth)
-
-    def walk_stmt(stmt: n.Stmt, depth: int) -> None:
-        if isinstance(stmt, n.IfStmt):
-            walk_if(stmt, depth)
-            return
-        if isinstance(stmt, n.Block):
-            for s in stmt.statements:
-                walk_stmt(s, depth + 1)
-            return
-        check(stmt.span, depth, "statement")
-        if isinstance(stmt, (n.WhileStmt, n.ForStmt, n.ForEachStmt, n.DoWhileStmt)):
-            walk_body(stmt.body, depth)
-        elif isinstance(stmt, n.SwitchStmt):
-            for arm in stmt.arms:
-                check(arm.span, depth + 1, "case label")
-                for s in arm.statements:
-                    walk_stmt(s, depth + 2)
-        elif isinstance(stmt, n.TryStmt):
-            for s in stmt.body.statements:
-                walk_stmt(s, depth + 1)
-            for c in stmt.catches:
-                for s in c.body.statements:
-                    walk_stmt(s, depth + 1)
-            if stmt.finally_block is not None:
-                for s in stmt.finally_block.statements:
-                    walk_stmt(s, depth + 1)
-        elif isinstance(stmt, n.SynchronizedStmt):
-            for s in stmt.body.statements:
-                walk_stmt(s, depth + 1)
-        elif isinstance(stmt, n.LabeledStmt):
-            walk_stmt(stmt.stmt, depth)
-        elif isinstance(stmt, n.LocalTypeDecl):
-            walk_type(stmt.decl, depth)
-
-    def walk_type(decl: n.TypeDecl, depth: int) -> None:
-        check(decl.span, depth, "type declaration")
-        for member in decl.members:
-            if isinstance(member, n.TypeDecl):
-                walk_type(member, depth + 1)
-                continue
-            check(member.span, depth + 1, "member declaration")
-            if isinstance(member, n.MethodDecl) and member.body is not None:
-                for s in member.body.statements:
-                    walk_stmt(s, depth + 2)
-            elif isinstance(member, n.Initializer):
-                for s in member.body.statements:
-                    walk_stmt(s, depth + 2)
-
-    for decl in ctx.unit.types:
-        walk_type(decl, 0)
+    # (node, depth) pairs over an explicit stack, each node's children pushed
+    # last first so they come off in source order.  A block stands for its
+    # statements one level deeper.
+    todo: list[tuple[n.Node, int]] = [(decl, 0) for decl in reversed(ctx.unit.types)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, n.Block):
+            todo += [(s, depth + 1) for s in reversed(node.statements)]
+        elif isinstance(node, n.Stmt):
+            check(node.span, depth, "statement")
+            if isinstance(node, n.IfStmt):
+                if isinstance(node.orelse, n.IfStmt):  # an else-if continues the chain at this depth
+                    todo.append((node.orelse, depth))
+                elif node.orelse is not None:
+                    todo.append(body(node.orelse, depth))
+                todo.append(body(node.then, depth))
+            elif isinstance(node, (n.WhileStmt, n.ForStmt, n.ForEachStmt, n.DoWhileStmt)):
+                todo.append(body(node.body, depth))
+            elif isinstance(node, n.SwitchStmt):
+                todo += [(arm, depth + 1) for arm in reversed(node.arms)]
+            elif isinstance(node, n.TryStmt):
+                if node.finally_block is not None:
+                    todo.append((node.finally_block, depth))
+                todo += [(c.body, depth) for c in reversed(node.catches)]
+                todo.append((node.body, depth))
+            elif isinstance(node, n.SynchronizedStmt):
+                todo.append((node.body, depth))
+            elif isinstance(node, n.LabeledStmt):
+                todo.append((node.stmt, depth))
+            elif isinstance(node, n.LocalTypeDecl):
+                todo.append((node.decl, depth))
+        elif isinstance(node, n.SwitchArm):
+            check(node.span, depth, "case label")
+            todo += [(s, depth + 1) for s in reversed(node.statements)]
+        elif isinstance(node, n.TypeDecl):
+            check(node.span, depth, "type declaration")
+            todo += [(member, depth + 1) for member in reversed(node.members)]
+        else:  # a field, method or initializer
+            check(node.span, depth, "member declaration")
+            if not isinstance(node, n.FieldDecl) and node.body is not None:
+                todo.append((node.body, depth))
     return out
 
 

@@ -19,6 +19,8 @@ from smellscore.smell_engine import read_report
 
 MINI = Path(__file__).parent / "data" / "mini_corpus"
 EXTERNAL = Path(__file__).parent / "data" / "external"
+# JSON nested deeper than the decoder's stack allows.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def run(argv: list[str]) -> int:
@@ -33,6 +35,12 @@ class TestIngest:
         assert doc["n_solutions"] == 20
         assert doc["per_source"]["textbook"]["n_tasks"] == 6
         assert doc["per_source"]["stackoverflow"]["n_tasks"] == 4
+
+    def test_deeply_nested_manifest_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "corpus.json").write_text(DEEP_JSON, encoding="utf-8")
+        assert run(["ingest", "--corpus", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {tmp_path / 'corpus.json'}: ") and err.count("\n") == 1
 
     def test_missing_corpus_is_config_error(self, tmp_path):
         assert run(["ingest", "--corpus", str(tmp_path / "nope")]) == 1
@@ -151,6 +159,17 @@ class TestGenerate:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"config error: {corpus / 'corpus.json'}: $.tasks[2].task_id: must be a string, got 12\n"
         assert not (corpus / "generation.log.jsonl").exists()
+
+    def test_deeply_nested_endpoint_config_is_config_error(self, tmp_path, capsys, monkeypatch):
+        import smellscore.llm_gateway as gateway
+
+        monkeypatch.setattr(gateway, "_http_post", lambda *args: pytest.fail("a request was made"))
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(DEEP_JSON, encoding="utf-8")
+        argv = ["generate", "--corpus", str(MINI), "--model", "m3", "--endpoint-config", str(endpoint)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {endpoint}: ") and err.count("\n") == 1
 
     def test_model_id_with_a_path_is_config_error(self, tmp_path, capsys, monkeypatch):
         import smellscore.llm_gateway as gateway
@@ -283,6 +302,26 @@ class TestRun:
         assert self._run_config(tmp_path, doc) == 1
         assert capsys.readouterr().err == f"config error: {tmp_path / 'run.json'}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_config_file_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(DEEP_JSON, encoding="utf-8")
+        assert run(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: ") and err.count("\n") == 1
+
+    def test_long_field_access_chain_is_analyzed(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        chain = "a" + ".b" * 2000
+        (corpus / "solutions" / "m1" / "T01.java").write_text(
+            f"class A {{\n    void m(Object a) {{\n        if ({chain} instanceof String) {{}}\n"
+            f"        if ({chain} instanceof String) {{}}\n    }}\n}}\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        assert run(["analyze", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert "m1" not in json.loads(capsys.readouterr().out)["parse_failures"]
+        assert read_report(out / "reports" / "m1" / "T01.json").parse_ok
 
     def test_unknown_smell_type_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -6,6 +6,7 @@ import pytest
 
 from smellscore.code_metrics import (
     AbstractBodyError,
+    MethodMetrics,
     cognitive_complexity,
     cyclomatic_complexity,
     inheritance_depth_hint,
@@ -90,6 +91,61 @@ class TestMethodMetrics:
         m = method_metrics(method_of("        items.forEach(s -> {\n            if (a > 0) {\n                run(s);\n            }\n        });"))
         # lambda adds nesting but no structural increment: if at nesting 1
         assert m.cognitive == 2
+
+    def test_cognitive_increments_skip_anonymous_and_local_classes_and_case_labels(self):
+        body = (
+            "        Runnable r = new Runnable() { public void run() { if (a > 0) { b = 1; } } };\n"
+            "        class L { void q() { while (a > 0) { a--; } } }\n"
+            "        switch (a) { case 1: b = a > 0 && b > 0 ? 1 : 2; break; default: break; }"
+        )
+        # switch +1; in its arm (nesting 1): the && run +1, the ternary +2
+        assert method_metrics(method_of(body)).cognitive == 4
+
+    def test_cognitive_reads_boolean_runs_through_parentheses_and_not(self):
+        # (a && b) && !(c && d) is one run; || starts a second, f(a && b) a third
+        m = method_metrics(method_of("        boolean x = (a > 0 && b > 0) && !(a < 9 && b < 9) || f(a > 1 && b > 1);"))
+        assert m.cognitive == 3
+
+
+# A chain of N links: an else-if chain scores +1 per branch; a ternary nested
+# in each false arm scores 1 + its nesting, so N + N(N-1)/2.
+LONG_CHAIN = 10_000
+LONG_CHAINS = {
+    "else-if": ("if (a) { x(); }" + " else if (a) { x(); }" * (LONG_CHAIN - 1), LONG_CHAIN),
+    "ternary": ("return " + "a ? 1 : " * LONG_CHAIN + "2;", LONG_CHAIN + LONG_CHAIN * (LONG_CHAIN - 1) // 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LONG_CHAINS))
+def long_chain(request):
+    """(source, expected cognitive complexity, its tree) for a 10,000-link chain."""
+    body, expected = LONG_CHAINS[request.param]
+    text = "class A {\n    int m(boolean a) {\n        %s\n    }\n}\n" % body
+    out = parse_text("A.java", text)
+    assert out.ok, out.failure
+    return text, expected, out.ast
+
+
+class TestLongChains:
+    """The parser reads else-if and ternary chains of any length in a loop;
+    what walks the tree afterwards must return on them too."""
+
+    def test_metrics_return(self, long_chain):
+        _, expected, unit = long_chain
+        method = unit.types[0].methods[0]
+        assert cognitive_complexity(method.body) == expected
+        assert method_metrics(method) == MethodMetrics(name="m", loc=3, cyclomatic=LONG_CHAIN + 1, cognitive=expected)
+
+    def test_repr_and_eq_return(self, long_chain):
+        text, _, unit = long_chain
+        text_repr = repr(unit)
+        assert text_repr.startswith("CompilationUnit(span=")
+        assert text_repr.count("IfStmt(") + text_repr.count("Ternary(") == LONG_CHAIN
+        again = parse_text("A.java", text).ast
+        assert again == unit
+        deepest = [node for node in n.walk(again) if isinstance(node, n.Name)][-1]
+        deepest.identifier = "b"
+        assert again != unit
 
 
 def fan_out(text: str) -> list[set[str]]:

@@ -184,3 +184,64 @@ def test_scan_finds_an_unreached_public_function():
     assert unreached_public_functions(sources, frozenset({"check_x"})) == [
         "a.py:7: orphan", "a.py:10: leaf", "a.py:13: recursive",
     ]
+
+
+def self_calling_functions(source: str) -> list[str]:
+    """The dotted name (classes and functions that hold it, then its own) of
+    each function whose body calls a function or method of its own name:
+    recursion, or a call that only shares the name, such as ``x.to_json()``
+    in a ``to_json``."""
+    found: list[str] = []
+    todo: list[tuple[ast.AST, str]] = [(ast.parse(source), "")]
+    while todo:
+        node, prefix = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(call, ast.Call) and child.name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                    for call in ast.walk(child)
+                ):
+                    found.append(name)
+                todo.append((child, name + "."))
+            else:
+                todo.append((child, prefix))
+    return sorted(found)
+
+
+# The functions that call their own name, each with the reason its depth is
+# bounded.  A tree walk takes an explicit stack, so the tree's depth, which
+# the parser does not bound for chains it reads in a loop, cannot exhaust
+# the call stack.
+SELF_CALLS = {
+    ("java_syntax/parser.py", "_Parser.binary"): "a tighter operator's right operand: one call per precedence level",
+    ("java_syntax/parser.py", "_Parser.unary"): "prefix operators and casts; parse records RecursionError as 'nesting too deep'",
+    ("java_syntax/parser.py", "_Parser.array_initializer"): "nested initializers; parse records RecursionError as 'nesting too deep'",
+    ("java_syntax/nodes.py", "TypeRef.referenced_names"): "type arguments, which the parser counts against _MAX_DEPTH",
+    ("outputs.py", "check"): "as deep as the spec, which is a constant",
+    ("llm_gateway.py", "_render_template"): "a request template from JSON, whose depth json.loads and json.dumps bound",
+    ("java_syntax/lexer.py", "LexError.__init__"): "name only: calls super().__init__",
+    ("java_syntax/parser.py", "_ParseError.__init__"): "name only: calls super().__init__",
+    ("rules/model.py", "ViolationReport.to_json"): "name only: calls Violation.to_json",
+    ("rules/model.py", "ViolationReport.from_json"): "name only: calls Violation.from_json",
+    ("code_metrics.py", "referenced_type_names.add"): "name only: calls set.add",
+}
+
+
+def test_package_recurses_only_where_listed():
+    found = {
+        (str(path.relative_to(PACKAGE)), name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in self_calling_functions(path.read_text(encoding="utf-8"))
+    }
+    assert sorted(found) == sorted(SELF_CALLS)
+
+
+def test_scan_finds_a_function_that_calls_its_own_name():
+    source = (
+        "def walk(node):\n    for child in node:\n        walk(child)\n\n"
+        "def flat(node):\n    return [node]\n\n"
+        "class C:\n    def to_json(self):\n        return [x.to_json() for x in self.xs]\n\n"
+        "    def m(self):\n        def inner():\n            return inner()\n        return inner\n"
+    )
+    assert self_calling_functions(source) == ["C.m.inner", "C.to_json", "walk"]

@@ -485,6 +485,12 @@ class G {
         ("0_", "0_", "underscore not between digits in literal '0_'"),
         ("1_.5", "1_.5", "underscore not between digits in literal '1_.5'"),
         ("0x1_L", "0x1_L", "underscore not between digits in literal '0x1_L'"),
+        ("'\\q'", "'\\q'", "invalid escape character 'q' after a backslash"),
+        ("'\\8'", "'\\8'", "invalid escape character '8' after a backslash"),
+        ('"a\\qb"', '"a\\qb"', "invalid escape character 'q' after a backslash"),
+        ('"\\\\\\q"', '"\\\\\\q"', "invalid escape character 'q' after a backslash"),
+        ('"\\u00g1"', '"\\u00g1"', "invalid escape character 'u' after a backslash"),
+        ("'\U0001F600'", "'\U0001F600'", "char literal '\U0001F600' needs two UTF-16 code units"),
     ])
     def test_malformed_literal_is_a_located_failure(self, expr, literal, message):
         text = f"class A {{ Object f() {{ return {expr}; }} }}"
@@ -499,6 +505,7 @@ class G {
         "-2147483648", "- -2147483648", "(int) -2147483648", "2147483647", "0xFFFFFFFF", "037777777777",
         "0b11111111111111111111111111111111", "-9223372036854775808L", "0xFFFFFFFFFFFFFFFFL", "99999999999L", "1e400",
         "'\\n'", "'\\377'", "'\\0'", "'\\u0041'", "'A'", "0_7", "1_000", "1__000", "0x1_F", "0b1_0", "1.5f", "1_0.5_0",
+        "'\\s'", "'\\b'", "'\\uuD83D'", "'\u00e9'", '"\\u0041"', '"\\\\q"', r'"\400 \t\b\n\f\r\s\"\'\\"', '"\U0001F600"',
     ])
     def test_valid_literal_parses(self, expr):
         out = parse_text("A.java", f"class A {{ Object f() {{ return {expr}; }} }}")
@@ -511,6 +518,7 @@ class G {
         ("@A({'a', 'ab'}) class X {}", "'ab'", "char literal 'ab' holds more than one character"),
         ("class X { void f() { @A(1_) int y = 0; } }", "1_", "underscore not between digits in literal '1_'"),
         ("class X { void f(@A(0b1f) int y) {} }", "0b1f", "binary literal '0b1f' has a floating-point suffix"),
+        ('@A("\\q") class X {}', '"\\q"', "invalid escape character 'q' after a backslash"),
     ])
     def test_annotation_argument_literal_is_checked(self, text, literal, message):
         out = parse_text("A.java", text)

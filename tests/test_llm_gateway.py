@@ -164,6 +164,13 @@ class TestGenerateSolution:
         assert record.status == STATUS_OK
         assert record.extracted_code == "class C {}"
 
+    def test_deeply_nested_response_is_a_transport_error(self):
+        record = generate_solution(
+            GenerationRequest("T1", "p", "m1", "http://127.0.0.1:1", timeout=5),
+            transport=lambda *args: "[" * 100_000 + "]" * 100_000,
+        )
+        assert record.status == STATUS_TRANSPORT_ERROR
+
 
 class TestGenerationBatch:
     def test_batch_writes_files_manifest_and_log(self, tmp_path, stub_server):

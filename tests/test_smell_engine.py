@@ -176,6 +176,13 @@ class G {
         assert report.parse_ok
         assert "indentation" not in report.per_rule_counts
 
+    def test_long_field_access_chain_is_analyzed(self):
+        """The parser reads a postfix chain in a loop; a rule reading a.b.c as a name must too."""
+        chain = "a" + ".b" * 2000
+        test = f"if ({chain} instanceof String) {{}}"
+        report = _report(f"class A {{ void m(Object a) {{ {test} {test} }} }}")
+        assert report.parse_ok
+
 
 class TestDetectCorpus:
     def _fixture(self, tmp_path):
