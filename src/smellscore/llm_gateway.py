@@ -130,13 +130,19 @@ def extract_code(response_text: str) -> str | None:
 
 
 def _render_template(template: Any, model: str, prompt: str) -> Any:
-    if isinstance(template, str):
-        return template.replace("{model}", model).replace("{prompt}", prompt)
-    if isinstance(template, dict):
-        return {k: _render_template(v, model, prompt) for k, v in template.items()}
-    if isinstance(template, list):
-        return [_render_template(v, model, prompt) for v in template]
-    return template
+    """A copy of the JSON template with {model} and {prompt} filled into every
+    string, built over an explicit stack."""
+    root = [template]
+    todo: list[tuple[Any, Any]] = [(root, 0)]  # (container, key) of each value left to render
+    while todo:
+        container, key = todo.pop()
+        value = container[key]
+        if isinstance(value, str):
+            container[key] = value.replace("{model}", model).replace("{prompt}", prompt)
+        elif isinstance(value, (dict, list)):
+            container[key] = value = value.copy()
+            todo += ((value, k) for k in (value if isinstance(value, dict) else range(len(value))))
+    return root[0]
 
 
 def _pluck(doc: Any, path: str) -> str:

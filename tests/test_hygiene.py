@@ -219,7 +219,6 @@ SELF_CALLS = {
     ("java_syntax/parser.py", "_Parser.array_initializer"): "nested initializers; parse records RecursionError as 'nesting too deep'",
     ("java_syntax/nodes.py", "TypeRef.referenced_names"): "type arguments, which the parser counts against _MAX_DEPTH",
     ("outputs.py", "check"): "as deep as the spec, which is a constant",
-    ("llm_gateway.py", "_render_template"): "a request template from JSON, whose depth json.loads and json.dumps bound",
     ("java_syntax/lexer.py", "LexError.__init__"): "name only: calls super().__init__",
     ("java_syntax/parser.py", "_ParseError.__init__"): "name only: calls super().__init__",
     ("rules/model.py", "ViolationReport.to_json"): "name only: calls Violation.to_json",
