@@ -23,10 +23,13 @@ this scheme, and one loop over an explicit stack applies them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .java_syntax import nodes as n
 from .java_syntax.lexer import PRIMITIVE_TYPES
+
+if TYPE_CHECKING:
+    from .rules.context import FileFacts
 
 
 class AbstractBodyError(Exception):
@@ -146,48 +149,33 @@ def _bool_tree(expr: n.Binary) -> tuple[list[str], list[n.Expr]]:
 # Class structure
 # --------------------------------------------------------------------------
 
-def referenced_type_names(decl: n.TypeDecl, subtree: Callable[[n.Node], Iterable[n.Node]]) -> set[str]:
+def referenced_type_names(decl: n.TypeDecl, facts: FileFacts) -> set[str]:
     """Distinct simple type names referenced from type positions in a class.
 
     Name-based and per-file: primitives, wildcards, the class's own name, and
-    its type-parameter names are excluded.  ``subtree`` is as for
-    cyclomatic_complexity.
+    its type-parameter names are excluded.  ``facts`` indexes the unit that
+    declares the class.
     """
     excluded = {decl.name, "void", "var", ""} | PRIMITIVE_TYPES
     excluded.update(tp.name for tp in decl.type_params)
+    refs = decl.extends + decl.implements
     for member in decl.members:
         if isinstance(member, n.MethodDecl):
             excluded.update(tp.name for tp in member.type_params)
-
-    names: set[str] = set()
-
-    def add(ref: n.TypeRef | None) -> None:
-        if ref is None:
-            return
-        for name in ref.referenced_names():
-            if name not in excluded:
-                names.add(name)
-
-    for ref in decl.extends + decl.implements:
-        add(ref)
-    for member in decl.members:
-        if isinstance(member, n.TypeDecl):
-            continue  # nested types count their own references
-        for node in subtree(member):
-            if isinstance(node, n.TypeRef):
-                add(node)
-    return names
+        if not isinstance(member, n.TypeDecl):  # nested types count their own references
+            refs += facts.of_type(n.TypeRef, within=member)
+    return {name for ref in refs for name in ref.referenced_names() if name not in excluded}
 
 
-def inheritance_depth_hint(decl: n.TypeDecl, unit: n.CompilationUnit) -> int:
+def inheritance_depth_hint(decl: n.TypeDecl, facts: FileFacts) -> int:
     """Length of the extends chain walkable from this class.
 
     The first edge counts even when the parent is not declared in the file;
-    beyond that only classes declared in the same unit extend the chain.
+    beyond that only classes declared in the same unit (``facts``) extend the
+    chain.
     """
     if decl.kind != "class" or not decl.extends:
         return 0
-    by_name = {t.name: t for t in unit.all_types() if t.kind == "class"}
     depth = 0
     seen = {decl.name}
     current: n.TypeDecl | None = decl
@@ -197,6 +185,5 @@ def inheritance_depth_hint(decl: n.TypeDecl, unit: n.CompilationUnit) -> int:
         if parent_name in seen:
             break
         seen.add(parent_name)
-        current = by_name.get(parent_name)
+        current = facts.class_by_name.get(parent_name)
     return depth
-

@@ -66,7 +66,6 @@ _MAX_DEPTH = 700
 
 _LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR, TokenKind.BOOL, TokenKind.NULL)
 _CHECKED_LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR)  # the lexer lets malformed ones through
-_OPERAND_END_KINDS = (TokenKind.IDENTIFIER, *_LITERAL_KINDS)  # a '-' after one of these is binary
 
 
 @dataclass
@@ -338,29 +337,47 @@ class _Parser:
     def parse_annotations(self) -> list[n.Annotation]:
         anns: list[n.Annotation] = []
         while self.at("@") and not self.at("interface", 1):
-            at_tok = self.next()
-            name = self.qualified_name()
-            end_span = self.toks[self.i - 1].span
-            if self.at("("):
-                depth = 0
-                while True:
-                    t = self.next()
-                    if t.kind in _CHECKED_LITERAL_KINDS:
-                        # A '-' is unary when no operand ends before it; a ')' is
-                        # taken to close a cast, so '(int) -2147483648' passes.
-                        j = self.i - 1
-                        self.check_literal(
-                            t, self.lexemes[j - 1] == "-" and self.toks[j - 2].kind not in _OPERAND_END_KINDS
-                        )
-                    elif t.lexeme == "(":
-                        depth += 1
-                    elif t.lexeme == ")":
-                        depth -= 1
-                        if depth == 0:
-                            end_span = t.span
-                            break
-            anns.append(n.Annotation(span=self.span_between(at_tok.span, end_span), name=name))
+            anns.append(self.annotation())
         return anns
+
+    def annotation(self) -> n.Annotation:
+        """'@' name and its arguments (JLS 9.7.1): element-value pairs
+        ``name = value``, or one element value.  The values are checked and
+        dropped; the tree keeps only the name."""
+        at_tok = self.next()
+        name = self.qualified_name()
+        end_span = self.toks[self.i - 1].span
+        if self.at("("):
+            self.next()
+            if self.at_kind(TokenKind.IDENTIFIER) and self.at("=", 1):
+                self.separated(self.element_value_pair)
+            elif not self.at(")"):
+                self.element_value()
+            end_span = self.expect(")").span
+        return n.Annotation(span=self.span_between(at_tok.span, end_span), name=name)
+
+    def element_value_pair(self) -> None:
+        self.expect_ident()
+        self.expect("=")
+        self.element_value()
+
+    def element_value(self) -> None:
+        """An annotation, an expression, or element values in braces with an
+        optional trailing comma."""
+        if self.at("@"):
+            self.annotation()
+        elif not self.at("{"):
+            self.expression()
+        else:
+            self.next()
+            if self.at(",") and self.at("}", 1):  # '{,}' is an empty list too
+                self.next()
+            while not self.at("}"):
+                self.element_value()
+                if not self.at(","):
+                    break
+                self.next()
+            self.expect("}")
 
     def parse_modifiers(self) -> tuple[list[str], list[n.Annotation]]:
         mods: list[str] = []

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
+from ..code_metrics import referenced_type_names
 from ..java_syntax import nodes as n
 from ..java_syntax.lexer import SourceFile, Span, Token, TokenKind
 from .model import SmellRule, Violation
@@ -15,13 +17,31 @@ Body = tuple[n.TypeDecl, n.MethodDecl | n.Initializer, n.Block]
 
 
 class FileFacts:
-    """One file's AST, indexed in a single preorder pass for every rule.
+    """One file's AST, indexed in a single preorder pass, and the per-file
+    facts the rules share.
 
     ``nodes`` lists the unit's nodes in the order ``n.walk(unit)`` yields
     them, so every subtree is a contiguous slice of it that starts at its
     root.  A subtree walk is therefore a slice, and a typed query on a
     subtree bisects the sorted positions of that type.  The engine builds
     one index per parsed file and drops it with the file's RuleContext.
+
+    The facts, each derived once per file:
+
+    * ``types``: the top-level and member types, outer first; ``classes``:
+      those of kind class;
+    * ``by_name``: every type by simple name; ``class_by_name``: the classes
+      alone (a later declaration of a name wins in both);
+    * ``members``: (type, member) pairs of every type's members, each
+      type's together and in declaration order; ``methods`` and ``fields``:
+      those whose member is a method (constructors included) or a field;
+    * ``bodies``: (type, member, block) for each method body and initializer;
+    * ``hierarchy_applies``: whether the unit declares several types or
+      uses extends/implements, which gates the hierarchy rules;
+    * ``edges`` (lazy): the in-unit reference edges between types;
+    * ``class_refs`` (lazy): each class with its referenced type names.
+
+    A checker reads these and derives none of them itself.
     """
 
     def __init__(self, unit: n.CompilationUnit) -> None:
@@ -54,12 +74,43 @@ class FileFacts:
         self._index = {id(node): i for i, node in enumerate(nodes)}
         self._positions = positions
         self.types: list[n.TypeDecl] = list(unit.all_types())
+        self.classes = [t for t in self.types if t.kind == "class"]
+        self.by_name = {t.name: t for t in self.types}
+        self.class_by_name = {t.name: t for t in self.classes}
+        self.members: list[tuple[n.TypeDecl, n.Node]] = [(decl, member) for decl in self.types for member in decl.members]
+        self.methods: list[tuple[n.TypeDecl, n.MethodDecl]] = [p for p in self.members if isinstance(p[1], n.MethodDecl)]
+        self.fields: list[tuple[n.TypeDecl, n.FieldDecl]] = [p for p in self.members if isinstance(p[1], n.FieldDecl)]
         self.bodies: list[Body] = [
             (decl, member, member.body)
-            for decl in self.types
-            for member in decl.members
+            for decl, member in self.members
             if isinstance(member, n.Initializer) or isinstance(member, n.MethodDecl) and member.body is not None
         ]
+        self.hierarchy_applies = len(self.types) > 1 or any(t.extends or t.implements for t in self.types)
+
+    @cached_property
+    def edges(self) -> dict[str, set[str]]:
+        """Each declared type name with the other declared type names that
+        its header and its own members (not its nested types) mention."""
+        declared = self.by_name.keys()
+        edges: dict[str, set[str]] = {name: set() for name in declared}
+        for decl in self.types:
+            refs = {ref.simple_name for ref in decl.extends + decl.implements}
+            for member in decl.members:
+                if isinstance(member, n.TypeDecl):
+                    continue  # nested types collect their own edges
+                for node in self.of_type(n.TypeRef, n.Name, within=member):
+                    if isinstance(node, n.TypeRef):
+                        refs.update(node.referenced_names())
+                    else:
+                        refs.add(node.identifier)
+            refs.discard(decl.name)
+            edges[decl.name] = refs & declared
+        return edges
+
+    @cached_property
+    def class_refs(self) -> list[tuple[n.TypeDecl, set[str]]]:
+        """Each class with the type names it references (code_metrics.referenced_type_names)."""
+        return [(decl, referenced_type_names(decl, self)) for decl in self.classes]
 
     def subtree(self, node: n.Node) -> list[n.Node]:
         """node and all its descendants, in ``n.walk`` order."""

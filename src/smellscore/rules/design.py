@@ -11,23 +11,12 @@ from __future__ import annotations
 
 import re
 
-from ..code_metrics import cyclomatic_complexity, inheritance_depth_hint, referenced_type_names
+from ..code_metrics import cyclomatic_complexity, inheritance_depth_hint
 from ..java_syntax import nodes as n
 from .context import FileFacts, RuleContext, expr_source_name, strip_parens
 from .model import SmellRule, Violation
 
 _ACCESSOR = re.compile(r"^(get|set|is)[A-Z_$].*")
-
-
-def _classes(ctx: RuleContext) -> list[n.TypeDecl]:
-    return [t for t in ctx.facts.types if t.kind == "class"]
-
-
-def _hierarchy_applicable(ctx: RuleContext) -> bool:
-    types = ctx.facts.types
-    if len(types) > 1:
-        return True
-    return any(t.extends or t.implements for t in types)
 
 
 # ---- modularity -------------------------------------------------------------
@@ -36,7 +25,7 @@ def check_god_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     max_members = rule.threshold("max_members")
     max_foreign = rule.threshold("max_foreign_accesses")
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         size = len(decl.methods) + sum(len(f.declarators) for f in decl.fields)
         if size <= max_members:
             continue
@@ -70,7 +59,7 @@ def _foreign_receivers(facts: FileFacts, decl: n.TypeDecl) -> set[str]:
 def check_data_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     min_accessors = rule.threshold("min_accessors")
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         methods = decl.methods
         if not decl.fields or len(methods) < min_accessors:
             continue
@@ -88,7 +77,7 @@ def _is_accessor(m: n.MethodDecl) -> bool:
 def check_too_many_methods(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_methods")
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         count = len(decl.methods)
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' declares {count} methods (max {limit})"))
@@ -98,7 +87,7 @@ def check_too_many_methods(ctx: RuleContext, rule: SmellRule) -> list[Violation]
 def check_too_many_fields(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_fields")
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         count = sum(len(f.declarators) for f in decl.fields)
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' declares {count} fields (max {limit})"))
@@ -117,7 +106,7 @@ def _all_static_members(decl: n.TypeDecl) -> bool:
 
 def check_use_utility_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         if decl.is_abstract or not decl.methods:
             continue
         if not _all_static_members(decl):
@@ -131,7 +120,7 @@ def check_use_utility_class(ctx: RuleContext, rule: SmellRule) -> list[Violation
 
 def check_hide_utility_class_constructor(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         if decl.is_abstract:
             continue
         if not decl.fields and not decl.methods:
@@ -147,35 +136,15 @@ def check_hide_utility_class_constructor(ctx: RuleContext, rule: SmellRule) -> l
 
 def check_broken_modularization(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         instance_fields = [f for f in decl.fields if "static" not in f.modifiers]
         if instance_fields and not decl.methods and not decl.constructors:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' holds data with no behavior"))
     return out
 
 
-def _reference_edges(ctx: RuleContext) -> dict[str, set[str]]:
-    """Type-to-type reference edges within the unit (simple names)."""
-    declared = {t.name for t in ctx.facts.types}
-    edges: dict[str, set[str]] = {name: set() for name in declared}
-    for decl in ctx.facts.types:
-        refs: set[str] = set()
-        for ref in decl.extends + decl.implements:
-            refs.add(ref.simple_name)
-        for member in decl.members:
-            if isinstance(member, n.TypeDecl):
-                continue  # nested types collect their own edges
-            for node in ctx.facts.of_type(n.TypeRef, n.Name, within=member):
-                if isinstance(node, n.TypeRef):
-                    refs.update(node.referenced_names())
-                else:
-                    refs.add(node.identifier)
-        edges[decl.name] = {r for r in refs & declared if r != decl.name}
-    return edges
-
-
 def check_cyclically_dependent_modularization(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    edges = _reference_edges(ctx)
+    edges = ctx.facts.edges
     in_cycle: set[str] = set()
     for start in edges:
         stack = [(start, [start])]
@@ -198,7 +167,7 @@ def check_cyclically_dependent_modularization(ctx: RuleContext, rule: SmellRule)
 def check_hub_like_modularization(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     min_in = rule.threshold("min_fan_in")
     min_out = rule.threshold("min_fan_out")
-    edges = _reference_edges(ctx)
+    edges = ctx.facts.edges
     fan_in: dict[str, int] = {name: 0 for name in edges}
     for src, targets in edges.items():
         for t in targets:
@@ -217,7 +186,7 @@ def check_insufficient_modularization(ctx: RuleContext, rule: SmellRule) -> list
     max_total = rule.threshold("max_total_methods")
     max_cyclo = rule.threshold("max_method_cyclomatic")
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         methods = decl.methods
         public_count = sum(1 for m in methods if "public" in m.modifiers)
         worst = max(
@@ -276,8 +245,8 @@ def _is_builder_chain(chain: list[n.MethodCall], base: n.Expr | None) -> bool:
 def check_coupling_between_objects(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_coupling")
     out = []
-    for decl in _classes(ctx):
-        count = len(referenced_type_names(decl, ctx.facts.subtree))
+    for decl, names in ctx.facts.class_refs:
+        count = len(names)
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' couples to {count} types (max {limit})"))
     return out
@@ -286,8 +255,8 @@ def check_coupling_between_objects(ctx: RuleContext, rule: SmellRule) -> list[Vi
 def check_class_fan_out(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_fan_out")
     out = []
-    for decl in _classes(ctx):
-        count = len(referenced_type_names(decl, ctx.facts.subtree))
+    for decl, names in ctx.facts.class_refs:
+        count = len(names)
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' fans out to {count} types (max {limit})"))
     return out
@@ -297,24 +266,17 @@ def check_class_fan_out(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 def check_visibility_modifier(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.facts.types:
-        if decl.kind == "interface":
-            continue
-        for member in decl.members:
-            if not isinstance(member, n.FieldDecl):
-                continue
-            if member.is_static_final:
-                continue
-            if "private" not in member.modifiers:
-                names = ", ".join(d.name for d in member.declarators)
-                out.append(ctx.violation(rule, member.span, f"field '{names}' must be private"))
+    for decl, member in ctx.facts.fields:
+        if decl.kind != "interface" and not member.is_static_final and "private" not in member.modifiers:
+            names = ", ".join(d.name for d in member.declarators)
+            out.append(ctx.violation(rule, member.span, f"field '{names}' must be private"))
     return out
 
 
 def check_excessive_public_count(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_public")
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         count = sum(1 for m in decl.methods if "public" in m.modifiers)
         count += sum(len(f.declarators) for f in decl.fields if "public" in f.modifiers)
         if count > limit:
@@ -324,7 +286,7 @@ def check_excessive_public_count(ctx: RuleContext, rule: SmellRule) -> list[Viol
 
 def check_deficient_encapsulation(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         exposed = [
             d.name
             for f in decl.fields
@@ -340,18 +302,16 @@ def check_deficient_encapsulation(ctx: RuleContext, rule: SmellRule) -> list[Vio
 
 def check_final_parameters(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if isinstance(member, n.MethodDecl):
-                for p in member.params:
-                    if not p.is_final:
-                        out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' should be final"))
+    for _, member in ctx.facts.methods:
+        for p in member.params:
+            if not p.is_final:
+                out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' should be final"))
     return out
 
 
 def check_final_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         ctors = decl.constructors
         if ctors and all("private" in c.modifiers for c in ctors) and "final" not in decl.modifiers:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' has only private constructors; declare it final"))
@@ -360,53 +320,45 @@ def check_final_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 def check_hidden_field(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.facts.types:
-        fields = set(decl.field_names())
+    for decl, member in ctx.facts.methods:
+        fields = decl.field_names()
         if not fields:
             continue
-        for member in decl.members:
-            if not isinstance(member, n.MethodDecl):
-                continue
-            for p in member.params:
-                if p.name in fields:
-                    out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' shadows a field"))
-            if member.body is not None:
-                for node in ctx.facts.of_type(n.LocalVarDecl, within=member.body):
-                    for d in node.declarators:
-                        if d.name in fields:
-                            out.append(ctx.violation(rule, d.name_span, f"local '{d.name}' shadows a field"))
+        for p in member.params:
+            if p.name in fields:
+                out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' shadows a field"))
+        if member.body is not None:
+            for node in ctx.facts.of_type(n.LocalVarDecl, within=member.body):
+                for d in node.declarators:
+                    if d.name in fields:
+                        out.append(ctx.violation(rule, d.name_span, f"local '{d.name}' shadows a field"))
     return out
 
 
 def check_unexploited_encapsulation(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     min_checks = rule.threshold("min_type_checks")
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if not isinstance(member, n.MethodDecl) or member.body is None:
-                continue
-            per_operand: dict[str, int] = {}
-            for node in ctx.facts.of_type(n.InstanceOf, within=member.body):
-                name = expr_source_name(node.expr)
-                if name:
-                    per_operand[name] = per_operand.get(name, 0) + 1
-            for name, count in sorted(per_operand.items()):
-                if count >= min_checks:
-                    out.append(
-                        ctx.violation(
-                            rule, member.name_span,
-                            f"'{member.name}' type-checks '{name}' {count} times instead of using polymorphism",
-                        )
+    for _, member in ctx.facts.methods:
+        if member.body is None:
+            continue
+        per_operand: dict[str, int] = {}
+        for node in ctx.facts.of_type(n.InstanceOf, within=member.body):
+            name = expr_source_name(node.expr)
+            if name:
+                per_operand[name] = per_operand.get(name, 0) + 1
+        for name, count in sorted(per_operand.items()):
+            if count >= min_checks:
+                out.append(
+                    ctx.violation(
+                        rule, member.name_span,
+                        f"'{member.name}' type-checks '{name}' {count} times instead of using polymorphism",
                     )
-                    break
+                )
+                break
     return out
 
 
 # ---- hierarchy ---------------------------------------------------------------
-
-def _classes_by_name(ctx: RuleContext) -> dict[str, n.TypeDecl]:
-    return {t.name: t for t in ctx.facts.types}
-
 
 def _direct_parents(decl: n.TypeDecl, declared: dict[str, n.TypeDecl]) -> list[str]:
     names = [r.simple_name for r in decl.extends + decl.implements]
@@ -414,22 +366,22 @@ def _direct_parents(decl: n.TypeDecl, declared: dict[str, n.TypeDecl]) -> list[s
 
 
 def check_broken_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    if not _hierarchy_applicable(ctx):
+    if not ctx.facts.hierarchy_applies:
         return []
     return _overriding_violations(ctx, rule, want_empty=True, reason="silently drops inherited behavior")
 
 
 def check_rebellious_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    if not _hierarchy_applicable(ctx):
+    if not ctx.facts.hierarchy_applies:
         return []
     return _overriding_violations(ctx, rule, want_empty=False, reason="rejects the supertype contract by throwing")
 
 
 def _overriding_violations(ctx: RuleContext, rule: SmellRule, want_empty: bool, reason: str) -> list[Violation]:
-    declared = _classes_by_name(ctx)
+    declared = ctx.facts.by_name
     out = []
-    for decl in ctx.facts.types:
-        if decl.kind != "class" or not decl.extends:
+    for decl in ctx.facts.classes:
+        if not decl.extends:
             continue
         parent = declared.get(decl.extends[0].simple_name)
         if parent is None:
@@ -447,9 +399,9 @@ def _overriding_violations(ctx: RuleContext, rule: SmellRule, want_empty: bool, 
 
 
 def check_cyclic_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    if not _hierarchy_applicable(ctx):
+    if not ctx.facts.hierarchy_applies:
         return []
-    declared = _classes_by_name(ctx)
+    declared = ctx.facts.by_name
     subtypes: dict[str, set[str]] = {}
     for decl in ctx.facts.types:
         for parent in _direct_parents(decl, declared):
@@ -481,12 +433,12 @@ def check_cyclic_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]
 
 
 def check_deep_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    if not _hierarchy_applicable(ctx):
+    if not ctx.facts.hierarchy_applies:
         return []
     limit = rule.threshold("max_depth")
     out = []
-    for decl in _classes(ctx):
-        depth = inheritance_depth_hint(decl, ctx.unit)
+    for decl in ctx.facts.classes:
+        depth = inheritance_depth_hint(decl, ctx.facts)
         if depth > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' sits {depth} levels deep (max {limit})"))
     return out
@@ -497,14 +449,11 @@ def check_missing_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation
         return []
     min_branches = rule.threshold("min_branches")
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if not isinstance(member, n.MethodDecl) or member.body is None:
-                continue
-            if _has_tag_dispatch(ctx.facts, member.body, min_branches):
-                out.append(
-                    ctx.violation(rule, member.name_span, f"'{member.name}' dispatches on a tag value; consider a hierarchy")
-                )
+    for _, member in ctx.facts.methods:
+        if member.body is not None and _has_tag_dispatch(ctx.facts, member.body, min_branches):
+            out.append(
+                ctx.violation(rule, member.name_span, f"'{member.name}' dispatches on a tag value; consider a hierarchy")
+            )
     return out
 
 
@@ -548,9 +497,9 @@ def _equality_operand(cond: n.Expr) -> str | None:
 
 
 def check_multipath_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    if not _hierarchy_applicable(ctx):
+    if not ctx.facts.hierarchy_applies:
         return []
-    declared = _classes_by_name(ctx)
+    declared = ctx.facts.by_name
 
     def closure(name: str) -> set[str]:
         seen: set[str] = set()
@@ -584,10 +533,10 @@ def check_multipath_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violati
 
 
 def check_wide_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    if not _hierarchy_applicable(ctx):
+    if not ctx.facts.hierarchy_applies:
         return []
     limit = rule.threshold("max_width")
-    declared = _classes_by_name(ctx)
+    declared = ctx.facts.by_name
     width: dict[str, int] = {}
     for decl in ctx.facts.types:
         for parent in _direct_parents(decl, declared):
@@ -601,7 +550,7 @@ def check_wide_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 
 def check_dependency_cycles_between_packages(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    if not _hierarchy_applicable(ctx):
+    if not ctx.facts.hierarchy_applies:
         return []
     pkg = ctx.unit.package
     if pkg is None:
@@ -619,7 +568,7 @@ def check_dependency_cycles_between_packages(ctx: RuleContext, rule: SmellRule) 
 def check_imperative_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     max_fields = rule.threshold("max_fields")
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         if decl.is_abstract:
             continue
         methods = decl.methods
@@ -634,7 +583,7 @@ def check_imperative_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Viol
 
 def check_multifaceted_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         fields = [d.name for f in decl.fields if "static" not in f.modifiers for d in f.declarators]
         methods = [m for m in decl.methods if m.body is not None]
         if len(fields) < 2 or len(methods) < 2:
@@ -688,7 +637,7 @@ def _usage_components(facts: FileFacts, fields: list[str], methods: list[n.Metho
 
 def check_unnecessary_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in _classes(ctx):
+    for decl in ctx.facts.classes:
         if decl.methods or decl.constructors or decl.initializers or decl.nested_types:
             continue
         instance_fields = [f for f in decl.fields if "static" not in f.modifiers]

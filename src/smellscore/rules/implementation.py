@@ -22,16 +22,15 @@ def _declared_names(facts: FileFacts):
     """(name, span, is_constant) for every declaration the naming rules see."""
     for decl in facts.types:
         yield decl.name, decl.name_span, False
-        for member in decl.members:
-            if isinstance(member, n.FieldDecl):
-                constant = member.is_static_final or decl.kind == "interface"
-                for d in member.declarators:
-                    yield d.name, d.name_span, constant
-            elif isinstance(member, n.MethodDecl):
-                if not member.is_constructor:
-                    yield member.name, member.name_span, False
-                for p in member.params:
-                    yield p.name, p.name_span, False
+    for decl, member in facts.fields:
+        constant = member.is_static_final or decl.kind == "interface"
+        for d in member.declarators:
+            yield d.name, d.name_span, constant
+    for _, member in facts.methods:
+        if not member.is_constructor:
+            yield member.name, member.name_span, False
+        for p in member.params:
+            yield p.name, p.name_span, False
     for _, _, body in facts.bodies:
         for _, d, origin in facts.local_decls(body):
             if origin != "resource":
@@ -58,22 +57,19 @@ def check_local_variable_name(ctx: RuleContext, rule: SmellRule) -> list[Violati
 def check_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if isinstance(member, n.MethodDecl):
-                for p in member.params:
-                    if not pattern.match(p.name):
-                        out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' is not lowerCamelCase"))
+    for _, member in ctx.facts.methods:
+        for p in member.params:
+            if not pattern.match(p.name):
+                out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' is not lowerCamelCase"))
     return out
 
 
 def check_method_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.facts.types:
-        for m in decl.methods:
-            if not pattern.match(m.name):
-                out.append(ctx.violation(rule, m.name_span, f"method '{m.name}' is not lowerCamelCase"))
+    for _, m in ctx.facts.methods:
+        if not m.is_constructor and not pattern.match(m.name):
+            out.append(ctx.violation(rule, m.name_span, f"method '{m.name}' is not lowerCamelCase"))
     return out
 
 
@@ -89,14 +85,11 @@ def check_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_generics_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.facts.types:
-        params = list(decl.type_params)
-        for member in decl.members:
-            if isinstance(member, n.MethodDecl):
-                params.extend(member.type_params)
-        for tp in params:
-            if not pattern.match(tp.name):
-                out.append(ctx.violation(rule, tp.span, f"type parameter '{tp.name}' should be a single capital"))
+    params = [tp for decl in ctx.facts.types for tp in decl.type_params]
+    params += [tp for _, member in ctx.facts.methods for tp in member.type_params]
+    for tp in params:
+        if not pattern.match(tp.name):
+            out.append(ctx.violation(rule, tp.span, f"type parameter '{tp.name}' should be a single capital"))
     return out
 
 
@@ -134,12 +127,11 @@ def check_catch_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violat
 def check_constant_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = re.compile(rule.threshold("pattern"))
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if isinstance(member, n.FieldDecl) and (member.is_static_final or decl.kind == "interface"):
-                for d in member.declarators:
-                    if not pattern.match(d.name):
-                        out.append(ctx.violation(rule, d.name_span, f"constant '{d.name}' is not UPPER_SNAKE_CASE"))
+    for decl, member in ctx.facts.fields:
+        if member.is_static_final or decl.kind == "interface":
+            for d in member.declarators:
+                if not pattern.match(d.name):
+                    out.append(ctx.violation(rule, d.name_span, f"constant '{d.name}' is not UPPER_SNAKE_CASE"))
     return out
 
 
@@ -252,24 +244,22 @@ def check_line_length(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_method_length(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_method_lines")
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if isinstance(member, n.MethodDecl) and member.body is not None:
-                lines = member.body.span.end_line - member.span.start_line + 1
-                if lines > limit:
-                    out.append(ctx.violation(rule, member.name_span, f"method '{member.name}' spans {lines} lines (max {limit})"))
+    for _, member in ctx.facts.methods:
+        if member.body is not None:
+            lines = member.body.span.end_line - member.span.start_line + 1
+            if lines > limit:
+                out.append(ctx.violation(rule, member.name_span, f"method '{member.name}' spans {lines} lines (max {limit})"))
     return out
 
 
 def check_excessive_parameter_list(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_parameters")
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if isinstance(member, n.MethodDecl) and len(member.params) > limit:
-                out.append(
-                    ctx.violation(rule, member.name_span, f"'{member.name}' takes {len(member.params)} parameters (max {limit})")
-                )
+    for _, member in ctx.facts.methods:
+        if len(member.params) > limit:
+            out.append(
+                ctx.violation(rule, member.name_span, f"'{member.name}' takes {len(member.params)} parameters (max {limit})")
+            )
     return out
 
 
@@ -300,29 +290,26 @@ def check_redundant_import(ctx: RuleContext, rule: SmellRule) -> list[Violation]
 
 def check_redundant_modifier(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.facts.types:
+    for decl, member in ctx.facts.methods:
         if decl.kind == "interface":
-            for member in decl.members:
-                if isinstance(member, n.MethodDecl):
-                    for mod in ("public", "abstract"):
-                        if mod in member.modifiers:
-                            out.append(ctx.violation(rule, member.name_span, f"'{mod}' is redundant on an interface method"))
-                elif isinstance(member, n.FieldDecl):
-                    for mod in ("public", "static", "final"):
-                        if mod in member.modifiers:
-                            out.append(ctx.violation(rule, member.span, f"'{mod}' is redundant on an interface field"))
-                elif isinstance(member, n.TypeDecl):
-                    for mod in ("public", "static"):
-                        if mod in member.modifiers:
-                            out.append(ctx.violation(rule, member.name_span, f"'{mod}' is redundant on a nested interface type"))
-        else:
-            if "final" in decl.modifiers:
-                for m in decl.methods:
-                    if "final" in m.modifiers:
-                        out.append(ctx.violation(rule, m.name_span, "'final' is redundant in a final class"))
-            for member in decl.nested_types:
-                if member.kind in ("interface", "enum") and "static" in member.modifiers:
-                    out.append(ctx.violation(rule, member.name_span, f"'static' is redundant on a nested {member.kind}"))
+            for mod in ("public", "abstract"):
+                if mod in member.modifiers:
+                    out.append(ctx.violation(rule, member.name_span, f"'{mod}' is redundant on an interface method"))
+        elif "final" in decl.modifiers and "final" in member.modifiers and not member.is_constructor:
+            out.append(ctx.violation(rule, member.name_span, "'final' is redundant in a final class"))
+    for decl, member in ctx.facts.fields:
+        if decl.kind == "interface":
+            for mod in ("public", "static", "final"):
+                if mod in member.modifiers:
+                    out.append(ctx.violation(rule, member.span, f"'{mod}' is redundant on an interface field"))
+    for decl in ctx.facts.types:
+        for member in decl.nested_types:
+            if decl.kind == "interface":
+                for mod in ("public", "static"):
+                    if mod in member.modifiers:
+                        out.append(ctx.violation(rule, member.name_span, f"'{mod}' is redundant on a nested interface type"))
+            elif member.kind in ("interface", "enum") and "static" in member.modifiers:
+                out.append(ctx.violation(rule, member.name_span, f"'static' is redundant on a nested {member.kind}"))
     return out
 
 
@@ -567,11 +554,8 @@ def _curly_blocks(facts: FileFacts):
     """Blocks whose opening brace should close the preceding header line."""
     for decl in facts.types:
         yield decl.span, decl
-        for member in decl.members:
-            if isinstance(member, n.MethodDecl) and member.body is not None:
-                yield member.body.span, member
-            elif isinstance(member, n.Initializer):
-                yield member.body.span, member
+    for _, member, body in facts.bodies:
+        yield body.span, member
     for node in facts.of_type(n.IfStmt, *_LOOPS, n.TryStmt, n.SynchronizedStmt):
         if isinstance(node, n.IfStmt):
             if isinstance(node.then, n.Block):
@@ -662,11 +646,7 @@ def check_paren_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 def check_method_param_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    name_spans: list[tuple[n.Span, str]] = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if isinstance(member, n.MethodDecl):
-                name_spans.append((member.name_span, member.name))
+    name_spans = [(member.name_span, member.name) for _, member in ctx.facts.methods]
     for node in ctx.facts.of_type(n.MethodCall):
         name_spans.append((node.name_span, node.name))
     for span, name in name_spans:
@@ -707,21 +687,22 @@ _ORDER = {"static-field": 1, "field": 2, "constructor": 3, "method": 4}
 
 def check_declaration_order(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.facts.types:
-        max_seen = 0
-        for member in decl.members:
-            if isinstance(member, n.FieldDecl):
-                cat = "static-field" if "static" in member.modifiers else "field"
-                span = member.span
-            elif isinstance(member, n.MethodDecl):
-                cat = "constructor" if member.is_constructor else "method"
-                span = member.name_span
-            else:
-                continue
-            rank = _ORDER[cat]
-            if rank < max_seen:
-                out.append(ctx.violation(rule, span, f"{cat.replace('-', ' ')} declared after later-ranked members"))
-            max_seen = max(max_seen, rank)
+    owner, max_seen = None, 0
+    for decl, member in ctx.facts.members:
+        if decl is not owner:  # each type's members come one after another
+            owner, max_seen = decl, 0
+        if isinstance(member, n.FieldDecl):
+            cat = "static-field" if "static" in member.modifiers else "field"
+            span = member.span
+        elif isinstance(member, n.MethodDecl):
+            cat = "constructor" if member.is_constructor else "method"
+            span = member.name_span
+        else:
+            continue
+        rank = _ORDER[cat]
+        if rank < max_seen:
+            out.append(ctx.violation(rule, span, f"{cat.replace('-', ' ')} declared after later-ranked members"))
+        max_seen = max(max_seen, rank)
     return out
 
 
@@ -779,16 +760,13 @@ def _in_constant(facts: FileFacts, node: n.Node) -> bool:
 
 def check_unused_formal_parameter(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if not isinstance(member, n.MethodDecl) or member.is_constructor:
-                continue
-            if "private" not in member.modifiers or member.body is None:
-                continue
-            used = ctx.facts.simple_names(member.body)
-            for p in member.params:
-                if p.name not in used:
-                    out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' is never used"))
+    for _, member in ctx.facts.methods:
+        if member.is_constructor or "private" not in member.modifiers or member.body is None:
+            continue
+        used = ctx.facts.simple_names(member.body)
+        for p in member.params:
+            if p.name not in used:
+                out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' is never used"))
     return out
 
 
@@ -807,24 +785,20 @@ def check_unused_local_variable(ctx: RuleContext, rule: SmellRule) -> list[Viola
 def check_unused_private_field(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     used = ctx.facts.names_used(ctx.unit)
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if isinstance(member, n.FieldDecl) and "private" in member.modifiers:
-                for d in member.declarators:
-                    if d.name == "serialVersionUID":
-                        continue
-                    if d.name not in used:
-                        out.append(ctx.violation(rule, d.name_span, f"private field '{d.name}' is never used"))
+    for _, member in ctx.facts.fields:
+        if "private" in member.modifiers:
+            for d in member.declarators:
+                if d.name != "serialVersionUID" and d.name not in used:
+                    out.append(ctx.violation(rule, d.name_span, f"private field '{d.name}' is never used"))
     return out
 
 
 def check_unused_private_method(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     called = ctx.facts.call_names(ctx.unit)
-    for decl in ctx.facts.types:
-        for m in decl.methods:
-            if "private" in m.modifiers and m.name not in called:
-                out.append(ctx.violation(rule, m.name_span, f"private method '{m.name}' is never called"))
+    for _, m in ctx.facts.methods:
+        if not m.is_constructor and "private" in m.modifiers and m.name not in called:
+            out.append(ctx.violation(rule, m.name_span, f"private method '{m.name}' is never called"))
     return out
 
 
@@ -930,16 +904,13 @@ def _has_override(member: n.MethodDecl) -> bool:
 
 def check_javadoc_method(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if not isinstance(member, n.MethodDecl):
-                continue
-            visible = member.visibility() in ("public", "protected") or decl.kind == "interface"
-            if not visible or _has_override(member):
-                continue
-            if member.doc is None or not member.doc.is_javadoc:
-                kind = "constructor" if member.is_constructor else "method"
-                out.append(ctx.violation(rule, member.name_span, f"{kind} '{member.name}' has no Javadoc"))
+    for decl, member in ctx.facts.methods:
+        visible = member.visibility() in ("public", "protected") or decl.kind == "interface"
+        if not visible or _has_override(member):
+            continue
+        if member.doc is None or not member.doc.is_javadoc:
+            kind = "constructor" if member.is_constructor else "method"
+            out.append(ctx.violation(rule, member.name_span, f"{kind} '{member.name}' has no Javadoc"))
     return out
 
 
@@ -970,10 +941,8 @@ def check_missing_javadoc_package(ctx: RuleContext, rule: SmellRule) -> list[Vio
 
 def check_javadoc_variable(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for decl in ctx.facts.types:
-        for member in decl.members:
-            if isinstance(member, n.FieldDecl):
-                if member.doc is None or not member.doc.is_javadoc:
-                    names = ", ".join(d.name for d in member.declarators)
-                    out.append(ctx.violation(rule, member.span, f"field '{names}' has no Javadoc"))
+    for _, member in ctx.facts.fields:
+        if member.doc is None or not member.doc.is_javadoc:
+            names = ", ".join(d.name for d in member.declarators)
+            out.append(ctx.violation(rule, member.span, f"field '{names}' has no Javadoc"))
     return out

@@ -37,6 +37,7 @@ def _build_registry() -> dict[str, object]:
 
 
 _REGISTRY = _build_registry()
+_RULE_TYPES = rule_types()
 
 
 def detect_file(
@@ -69,11 +70,11 @@ def detect_file(
     for rule in unique.values():
         checker = _REGISTRY[rule.rule_id]
         violations.extend(checker(ctx, rule))
-    return ViolationReport.build(subject, parse_ok=True, violations=violations, rule_types=rule_types())
+    return ViolationReport.build(subject, parse_ok=True, violations=violations, rule_types=_RULE_TYPES)
 
 
 def _failure_report(subject: tuple[str, str], message: str) -> ViolationReport:
-    return ViolationReport.build(subject, parse_ok=False, violations=[], rule_types=rule_types(), parse_error=message)
+    return ViolationReport.build(subject, parse_ok=False, violations=[], rule_types=_RULE_TYPES, parse_error=message)
 
 
 def detect_corpus(
@@ -168,9 +169,6 @@ def load_report_store(out_dir: str | Path) -> dict[str, dict[str, StoredCounts]]
                 doc = _checked_report(prefix + name)
                 by_task[name[:-5]] = StoredCounts(doc["parse_ok"], doc["per_type_counts"])
     return results
-
-
-_RULE_TYPES = rule_types()
 
 
 def read_report(path: str | Path) -> ViolationReport:

@@ -148,31 +148,39 @@ class TestLongChains:
         assert again != unit
 
 
-def fan_out(text: str) -> list[set[str]]:
-    """The names ``referenced_type_names`` gives for the first class of
-    ``text``, once walking the tree and once through the rules' FileFacts."""
+def fan_out(text: str) -> set[str]:
+    """The names ``referenced_type_names`` gives for the first class of ``text``."""
     out = parse_text("A.java", text)
     assert out.ok, out.failure
-    decl = out.ast.types[0]
-    return [referenced_type_names(decl, n.walk), referenced_type_names(decl, FileFacts(out.ast).subtree)]
+    return referenced_type_names(out.ast.types[0], FileFacts(out.ast))
 
 
 class TestClassMetrics:
     def test_empty_class(self):
-        assert fan_out("class A {}") == [set(), set()]
+        assert fan_out("class A {}") == set()
 
     def test_fan_out_distinct_type_names(self):
         fields = "\n".join(f"    T{i} f{i};" for i in range(21)) + "\n    T0 again;"
-        names = {f"T{i}" for i in range(21)}
-        assert fan_out(f"class A {{\n{fields}\n}}\n") == [names, names]
+        assert fan_out(f"class A {{\n{fields}\n}}\n") == {f"T{i}" for i in range(21)}
 
     def test_fan_out_ignores_primitives_own_name_and_type_params(self):
         text = "class A<T> { T value; int count; A next; String label; <U> U pick(U u, long[] v) { var w = u; return w; } }"
-        assert fan_out(text) == [{"String"}, {"String"}]
+        assert fan_out(text) == {"String"}
+
+    def test_fan_out_leaves_nested_types_to_themselves(self):
+        text = "class A extends B<C> { D d; class Inner { E e; } }"
+        assert fan_out(text) == {"B", "C", "D"}
 
     def test_inheritance_hint_within_file(self):
         out = parse_text("A.java", "class A {}\nclass B extends A {}\nclass C extends B {}\nclass D extends External {}\n")
-        by_name = {t.name: t for t in out.ast.types}
-        assert inheritance_depth_hint(by_name["A"], out.ast) == 0
-        assert inheritance_depth_hint(by_name["C"], out.ast) == 2
-        assert inheritance_depth_hint(by_name["D"], out.ast) == 1
+        facts = FileFacts(out.ast)
+        assert inheritance_depth_hint(facts.by_name["A"], facts) == 0
+        assert inheritance_depth_hint(facts.by_name["C"], facts) == 2
+        assert inheritance_depth_hint(facts.by_name["D"], facts) == 1
+
+    def test_inheritance_hint_follows_classes_only(self):
+        # the interface B declared last does not hide the class B
+        out = parse_text("A.java", "class A {}\nclass B extends A {}\nclass C extends B {}\ninterface B {}\n")
+        facts = FileFacts(out.ast)
+        assert facts.by_name["B"].kind == "interface"
+        assert inheritance_depth_hint(facts.by_name["C"], facts) == 2

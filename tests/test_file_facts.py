@@ -1,9 +1,12 @@
-"""FileFacts, the per-file AST index the rules share, against reference walks.
+"""FileFacts, the per-file AST index and facts the rules share, against
+reference walks and derivations.
 
 The reference implementations below are the reflective ``iter_child_nodes``,
 the recursive ``walk`` and the body-rescanning ``local_decls`` the rules used
-before the index existed.  The index must reproduce them exactly, node for
-node and in order, on every rule fixture and every mini-corpus file.
+before the index existed, and the class lists, name maps, member loops and
+reference edges each checker once derived for itself.  FileFacts must
+reproduce them exactly, node for node and in order, on every rule fixture
+and every mini-corpus file.
 """
 
 from __future__ import annotations
@@ -13,12 +16,14 @@ from pathlib import Path
 from typing import Iterator
 
 from smellscore.java_syntax import SourceFile, nodes as n, parse
+from smellscore.java_syntax.lexer import PRIMITIVE_TYPES
 from smellscore.rules.context import FileFacts
 from smellscore.smell_engine import detect_file
 
 from test_smell_rules import CASES
 
-MINI = Path(__file__).parent / "data" / "mini_corpus"
+TESTS = Path(__file__).parent
+MINI = TESTS / "data" / "mini_corpus"
 
 
 def reference_children(node: n.Node) -> Iterator[n.Node]:
@@ -129,11 +134,12 @@ def test_typed_queries_and_parents_match_reference():
                 assert facts.parent(child) is node, (source.path, child.span)
 
 
-def test_rule_checks_walk_each_node_at_most_twice(monkeypatch):
-    """One indexing pass per file: the rules may not add walks of their own."""
-    files = [SourceFile.from_text(str(p), p.read_text(encoding="utf-8")) for p in sorted(MINI.rglob("*.java"))]
+def test_detect_file_walks_each_tree_once(monkeypatch):
+    """One indexing pass per file, and no walk of the rules' own: detect_file
+    asks each node for its children exactly once."""
+    files = [SourceFile.from_text(str(p), p.read_text(encoding="utf-8")) for p in sorted(TESTS.rglob("*.java"))]
     outcomes = [(source, parse(source)) for source in files]
-    nodes = sum(len(list(reference_walk(o.ast))) for _, o in outcomes if o.ok)
+    expected = [len(FileFacts(o.ast).nodes) if o.ok else 0 for _, o in outcomes]
     calls = 0
     original = n.iter_child_nodes
 
@@ -143,7 +149,138 @@ def test_rule_checks_walk_each_node_at_most_twice(monkeypatch):
         return original(node)
 
     monkeypatch.setattr(n, "iter_child_nodes", counting)
+    got = []
     for source, outcome in outcomes:
+        calls = 0
         detect_file(source, ("t", "s"), outcome=outcome)
-    assert nodes > 0
-    assert calls <= 2 * nodes, f"{calls} child iterations for {nodes} nodes"
+        got.append(calls)
+    assert len(files) >= 31 and sum(expected) > 0
+    assert got == expected
+
+
+# ---- the shared per-file facts, against the per-checker derivations they replace
+
+# Inputs that the fixtures do not hold: nested types, two types of one name,
+# and a class and an interface of one name declared after it.
+EXTRA_SOURCES = {
+    "nested": (
+        "class Outer<T> extends Base implements Api {\n"
+        "  Inner first; int n;\n"
+        "  Outer() {}\n"
+        "  <U> U pick(U u, Other o) { Helper h = null; return u; }\n"
+        "  static { }\n"
+        "  class Inner extends Outer<String> { Outer back; void go() { Deep.run(); } }\n"
+        "  interface Api { int X = 1; void call(Inner i); }\n"
+        "  enum Mode { A, B; Mode next() { return A; } }\n"
+        "}\n"
+        "class Deep { static void run() { Outer o = new Outer(); } }\n"
+    ),
+    "same-name": "class A { B b; }\nclass B { A a; }\nclass A extends B { void m() {} }\n",
+    "class-and-interface": "class A {}\nclass B extends A {}\nclass C extends B { I i; }\ninterface B { C c(); }\ninterface I {}\n",
+}
+
+
+def reference_referenced_type_names(decl: n.TypeDecl) -> set[str]:
+    """The type names a class references, as code_metrics derived them by walking each member."""
+    excluded = {decl.name, "void", "var", ""} | PRIMITIVE_TYPES
+    excluded.update(tp.name for tp in decl.type_params)
+    for member in decl.members:
+        if isinstance(member, n.MethodDecl):
+            excluded.update(tp.name for tp in member.type_params)
+    names: set[str] = set()
+    refs = list(decl.extends + decl.implements)
+    for member in decl.members:
+        if not isinstance(member, n.TypeDecl):
+            refs += [node for node in reference_walk(member) if isinstance(node, n.TypeRef)]
+    for ref in refs:
+        names.update(name for name in ref.referenced_names() if name not in excluded)
+    return names
+
+
+def reference_edges(unit: n.CompilationUnit) -> dict[str, set[str]]:
+    """The in-unit reference edges, as the design rules built them per checker."""
+    types = list(unit.all_types())
+    declared = {t.name for t in types}
+    edges: dict[str, set[str]] = {name: set() for name in declared}
+    for decl in types:
+        refs: set[str] = set()
+        for ref in decl.extends + decl.implements:
+            refs.add(ref.simple_name)
+        for member in decl.members:
+            if isinstance(member, n.TypeDecl):
+                continue
+            for node in reference_walk(member):
+                if isinstance(node, n.TypeRef):
+                    refs.update(node.referenced_names())
+                elif isinstance(node, n.Name):
+                    refs.add(node.identifier)
+        edges[decl.name] = {r for r in refs & declared if r != decl.name}
+    return edges
+
+
+def _fact_units() -> list[tuple[str, n.CompilationUnit]]:
+    units = [(source.path, unit) for source, unit in UNITS]
+    for name, text in EXTRA_SOURCES.items():
+        outcome = parse(SourceFile.from_text(name, text))
+        assert outcome.ok, (name, outcome.failure)
+        units.append((name, outcome.ast))
+    return units
+
+
+def _pair_ids(pairs) -> list[tuple[int, ...]]:
+    return [tuple(id(x) for x in pair) for pair in pairs]
+
+
+def test_type_facts_match_reference():
+    for path, unit in _fact_units():
+        facts = FileFacts(unit)
+        types = list(unit.all_types())
+        assert _ids(facts.types) == _ids(types), path
+        assert _ids(facts.classes) == _ids(t for t in types if t.kind == "class"), path
+        assert {k: id(v) for k, v in facts.by_name.items()} == {t.name: id(t) for t in types}, path
+        class_map = {t.name: id(t) for t in types if t.kind == "class"}
+        assert {k: id(v) for k, v in facts.class_by_name.items()} == class_map, path
+        gate = len(types) > 1 or any(t.extends or t.implements for t in types)
+        assert facts.hierarchy_applies == gate, path
+
+
+def test_member_pairs_match_nested_member_loops():
+    for path, unit in _fact_units():
+        facts = FileFacts(unit)
+        members, methods, fields, bodies = [], [], [], []
+        for decl in unit.all_types():
+            for member in decl.members:
+                members.append((decl, member))
+                if isinstance(member, n.MethodDecl):
+                    methods.append((decl, member))
+                    if member.body is not None:
+                        bodies.append((decl, member, member.body))
+                elif isinstance(member, n.FieldDecl):
+                    fields.append((decl, member))
+                elif isinstance(member, n.Initializer):
+                    bodies.append((decl, member, member.body))
+        assert _pair_ids(facts.members) == _pair_ids(members), path
+        assert _pair_ids(facts.methods) == _pair_ids(methods), path
+        assert _pair_ids(facts.fields) == _pair_ids(fields), path
+        assert _pair_ids(facts.bodies) == _pair_ids(bodies), path
+
+
+def test_reference_facts_match_reference():
+    for path, unit in _fact_units():
+        facts = FileFacts(unit)
+        assert facts.edges == reference_edges(unit), path
+        classes = [t for t in unit.all_types() if t.kind == "class"]
+        assert _pair_ids((decl,) for decl, _ in facts.class_refs) == _pair_ids((decl,) for decl in classes), path
+        assert [names for _, names in facts.class_refs] == [reference_referenced_type_names(d) for d in classes], path
+
+
+def test_extra_sources_exercise_the_facts():
+    facts = {name: FileFacts(unit) for name, unit in _fact_units() if name in EXTRA_SOURCES}
+    nested = facts["nested"]
+    assert [t.name for t in nested.types] == ["Outer", "Inner", "Api", "Mode", "Deep"]
+    assert nested.edges["Outer"] == {"Api", "Inner"} and nested.edges["Inner"] == {"Outer", "Deep"}
+    assert nested.class_refs[0][1] == {"Base", "Api", "Inner", "Other", "Helper"}
+    same = facts["same-name"]
+    assert len(same.types) == 3 and same.by_name["A"] is same.types[2]
+    mixed = facts["class-and-interface"]
+    assert mixed.by_name["B"].kind == "interface" and mixed.class_by_name["B"].kind == "class"

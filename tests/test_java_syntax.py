@@ -527,10 +527,40 @@ class G {
         start = text.index(literal) + 1
         assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(literal))
 
-    @pytest.mark.parametrize("args", ["-2147483648", "0x7fffffff", "x = {1, -2147483648}", "(int) -2147483648", "'\\''"])
+    @pytest.mark.parametrize("args", [
+        "-2147483648", "0x7fffffff", "x = {1, -2147483648}", "(int) -2147483648", "'\\''",
+        "x = {1, 2}, y = @B", "{}", "{1,}", "{,}", "", "@B(@C({1, {2, @D}}))", "value = Foo.class, n = a ? 1 : 2",
+    ])
     def test_valid_annotation_argument_parses(self, args):
         out = parse_text("A.java", f"@A({args}) class X {{}}")
         assert out.ok, out.failure
+
+    @pytest.mark.parametrize("expr", ["(x) - 2147483648", "1 +", "foo bar"])
+    def test_annotation_argument_fails_as_the_same_expression_returned(self, expr):
+        # at the same token of the expression; ')' ends it where ';' does in the return
+        offsets = []
+        for text in (f"class X {{ int f() {{ return {expr}; }} }}", f"@A({expr}) class X {{}}"):
+            out = parse_text("A.java", text)
+            assert not out.ok
+            offsets.append(out.failure.first_error_span.start_col - text.index(expr))
+        assert offsets[0] == offsets[1]
+
+    @pytest.mark.parametrize("args, message", [
+        ("x = 1, y", "expected '=', found ')'"),
+        ("{1 2}", "expected '}', found '2'"),
+        ("{1,,}", "unexpected token ',' in expression"),
+        ("{", "unexpected token ')' in expression"),
+    ])
+    def test_malformed_element_values_fail(self, args, message):
+        out = parse_text("A.java", f"@A({args}) class X {{}}")
+        assert not out.ok
+        assert out.failure.message == message
+
+    @pytest.mark.parametrize("args", ["{" * 3000 + "}" * 3000, "@B(" * 3000 + ")" * 3000])
+    def test_deeply_nested_element_values_are_a_parse_failure(self, args):
+        out = parse_text("A.java", f"@A({args}) class X {{}}")
+        assert not out.ok
+        assert out.failure.message == "nesting too deep"
 
     @pytest.mark.parametrize("type_name", ["int", "boolean", "double"])
     def test_instanceof_takes_a_reference_type(self, type_name):
