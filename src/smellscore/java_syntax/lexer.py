@@ -222,6 +222,16 @@ def _radix_and_suffix(lexeme: str) -> tuple[int, str | None]:
     return (8 if _OCTAL.fullmatch(lexeme) else 10), suffix
 
 
+def numeric_value(lexeme: str, radix: int, suffix: str | None) -> int | float:
+    """The value of a NUMBER lexeme of the given radix and suffix: a float
+    when it is decimal with a fraction or an exponent, else an int.  Raises
+    ValueError for a lexeme without digits, such as ``0x``."""
+    digits = (lexeme[:-1] if suffix else lexeme).replace("_", "")
+    if radix == 10 and ("." in digits or "e" in digits or "E" in digits):
+        return float(digits)
+    return int(digits, radix)  # int() takes the 0x/0b prefix of its base
+
+
 def significant(tokens: list[Token]) -> list[Token]:
     """Drop whitespace and comment tokens."""
     return [t for t in tokens if not t.is_trivia]

@@ -21,6 +21,7 @@ from .lexer import (
     Span,
     Token,
     TokenKind,
+    numeric_value,
     tokenize,
 )
 from . import nodes as n
@@ -28,6 +29,7 @@ from . import nodes as n
 MODIFIER_WORDS = frozenset(
     "public protected private static final abstract native synchronized transient volatile strictfp default".split()
 )
+_FINAL = frozenset(["final"])  # the one modifier of a parameter or local variable
 
 _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="])
 
@@ -55,8 +57,9 @@ _TOP_POWER = len(_BINARY_LEVELS) - 1
 # stack already was.  _MAX_DEPTH lets about 115 parentheses or 98 lambdas
 # nest in a method, and leaves room below Python's default limit of 1000 frames
 # for callers up to about 250 frames deep.  RecursionError stays the backstop
-# for what does not count: chains of prefix operators, nested class bodies and
-# array initializers, and the frames some nestings take beyond their count.
+# for what does not count: chains of prefix operators, nested class bodies,
+# array initializers and element values, and the frames some nestings take
+# beyond their count.
 _EXPRESSION_DEPTH = 6  # expression, ternary, binary, unary, postfix, primary: one parenthesis
 _LAMBDA_DEPTH = 1  # _finish_lambda, on top of the expression that is a lambda's body
 _CALL_DEPTH = 2  # _call_args and separated, on top of an expression: one call's arguments
@@ -203,13 +206,22 @@ class _Parser:
         if self.depth > _MAX_DEPTH:
             raise self.error("nesting too deep", _TooDeep)
 
-    def separated(self, item, sep: str = ",", close: str | None = None) -> list:
-        """``item (sep item)*``, or no items when the token ``close`` comes next."""
-        if close is not None and self.at(close):
-            return []
+    def separated(self, item, sep: str = ",", close: str | None = None, trailing: tuple[str, ...] = ()) -> list:
+        """``item (sep item)*``.  Before a token in ``trailing``, one more
+        ``sep`` may end the list (JLS 8.9.1, 9.7.1, 10.6, 14.20.3).  Given
+        ``close``, the list may be empty: no items when ``close`` or a token
+        in ``trailing`` comes next, or a lone ``sep`` before one, as in ``{,}``."""
+        lexemes = self.lexemes
+        if close is not None:
+            if lexemes[self.i] == sep and lexemes[self.i + 1] in trailing:
+                self.i += 1
+            if lexemes[self.i] == close or lexemes[self.i] in trailing:
+                return []
         items = [item()]
-        while self.at(sep):
-            self.next()
+        while lexemes[self.i] == sep:
+            self.i += 1
+            if lexemes[self.i] in trailing:
+                break
             items.append(item())
         return items
 
@@ -362,48 +374,29 @@ class _Parser:
         self.element_value()
 
     def element_value(self) -> None:
-        """An annotation, an expression, or element values in braces with an
-        optional trailing comma."""
+        """An annotation, an expression, or element values in braces."""
         if self.at("@"):
             self.annotation()
-        elif not self.at("{"):
-            self.expression()
-        else:
+        elif self.at("{"):
             self.next()
-            if self.at(",") and self.at("}", 1):  # '{,}' is an empty list too
-                self.next()
-            while not self.at("}"):
-                self.element_value()
-                if not self.at(","):
-                    break
-                self.next()
+            self.separated(self.element_value, close="}", trailing=("}",))
             self.expect("}")
+        else:
+            self.expression()
 
-    def parse_modifiers(self) -> tuple[list[str], list[n.Annotation]]:
+    def parse_modifiers(self, words: frozenset[str] = MODIFIER_WORDS) -> tuple[list[str], list[n.Annotation]]:
+        """Annotations, and the modifiers among ``words`` between them, each
+        at most once (JLS 8.1.1, 8.3.1, 8.4.1, 8.4.3, 14.4)."""
         mods: list[str] = []
         anns: list[n.Annotation] = []
         while True:
             anns.extend(self.parse_annotations())
-            t = self.peek()
-            if t is not None and t.lexeme in MODIFIER_WORDS and t.kind is TokenKind.KEYWORD:
-                if t.lexeme in mods:  # JLS 8.1.1, 8.3.1, 8.4.3
-                    raise _NoReading(f"repeated modifier {t.lexeme!r}", t.span)
-                mods.append(self.next().lexeme)
-            else:
-                break
-        return mods, anns
-
-    def final_prefix(self) -> tuple[list[str], list[n.Annotation]]:
-        """The modifiers of a parameter or local variable: annotations, and 'final' among them."""
-        anns = self.parse_annotations()
-        mods: list[str] = []
-        while self.at("final"):
-            if mods:  # JLS 8.4.1, 14.4
-                raise _NoReading("repeated modifier 'final'", self.peek().span)
-            self.next()
-            mods.append("final")
-            anns.extend(self.parse_annotations())
-        return mods, anns
+            word = self.lexemes[self.i]
+            if word not in words:  # every modifier word is a keyword, so no other token spells one
+                return mods, anns
+            if word in mods:
+                raise _NoReading(f"repeated modifier {word!r}", self.peek().span)
+            mods.append(self.next().lexeme)
 
     def type_declaration(self) -> n.TypeDecl:
         decl_start = self.i
@@ -456,26 +449,24 @@ class _Parser:
         )
 
     def parse_enum_constants(self) -> list[n.EnumConstant]:
-        constants: list[n.EnumConstant] = []
-        while self.at_kind(TokenKind.IDENTIFIER) or self.at("@"):
-            self.parse_annotations()
-            name_tok = self.expect_ident()
-            args: list[n.Expr] = []
-            end_span = name_tok.span
-            if self.at("("):
-                args, end_span = self._call_args()
-            if self.at("{"):  # constant class body, parsed structurally
-                self.next()
-                self.parse_members("")
-                end_span = self.expect("}").span
-            constants.append(n.EnumConstant(span=self.span_between(name_tok.span, end_span), name=name_tok.lexeme, args=args))
-            if self.at(","):
-                self.next()
-            else:
-                break
-        if self.at(";"):
-            self.next()
+        """The constants of an enum body, and the ';' that ends them unless the body does."""
+        constants = self.separated(self.enum_constant, close="}", trailing=("}", ";"))
+        if not self.at("}"):
+            self.expect(";")
         return constants
+
+    def enum_constant(self) -> n.EnumConstant:
+        self.parse_annotations()
+        name_tok = self.expect_ident()
+        args: list[n.Expr] = []
+        end_span = name_tok.span
+        if self.at("("):
+            args, end_span = self._call_args()
+        if self.at("{"):  # constant class body, parsed structurally
+            self.next()
+            self.parse_members("")
+            end_span = self.expect("}").span
+        return n.EnumConstant(span=self.span_between(name_tok.span, end_span), name=name_tok.lexeme, args=args)
 
     def parse_members(self, enclosing_name: str) -> list:
         members: list = []
@@ -541,7 +532,7 @@ class _Parser:
         init = None
         if self.at("="):
             self.next()
-            init = self.array_initializer() if self.at("{") else self.expression()
+            init = self.variable_initializer()
             end_span = init.span
         return n.VarDeclarator(
             span=self.span_between(name_tok.span, end_span),
@@ -605,7 +596,7 @@ class _Parser:
 
     def parse_param(self) -> n.Param:
         start = self.here()
-        mods, anns = self.final_prefix()
+        mods, anns = self.parse_modifiers(_FINAL)
         ptype = self.parse_type()
         varargs = False
         if self.at("..."):
@@ -876,7 +867,7 @@ class _Parser:
         Returns the declaration without declarators, and that name.
         """
         first = self.peek()
-        mods, anns = self.final_prefix()
+        mods, anns = self.parse_modifiers(_FINAL)
         var_type = self.parse_type()
         name_tok = self.expect_ident()
         decl = n.LocalVarDecl(span=first.span, modifiers=mods, annotations=anns, type=var_type, declarators=[])
@@ -921,10 +912,7 @@ class _Parser:
         resources: list[n.LocalVarDecl] = []
         if self.at("("):
             self.next()
-            while not self.at(")"):
-                resources.append(self.local_var_declarators(self.local_var_head()))
-                if self.at(";"):
-                    self.next()
+            resources = self.separated(lambda: self.local_var_declarators(self.local_var_head()), ";", trailing=(")",))
             self.expect(")")
         body = self.block()
         catches: list[n.CatchClause] = []
@@ -932,7 +920,7 @@ class _Parser:
         while self.at("catch"):
             c_tok = self.next()
             self.expect("(")
-            mods, _ = self.final_prefix()  # a catch parameter's annotations are not kept
+            mods, _ = self.parse_modifiers(_FINAL)  # a catch parameter's annotations are not kept
             types = self.separated(self.parse_type, "|")
             name_tok = self.expect_ident()
             self.expect(")")
@@ -1093,14 +1081,7 @@ class _Parser:
                 self.next()
                 name_tok = self.expect_ident()
                 if self.at("("):
-                    args, end_span = self._call_args()
-                    expr = n.MethodCall(
-                        span=self.span_between(expr.span, end_span),
-                        receiver=expr,
-                        name=name_tok.lexeme,
-                        name_span=name_tok.span,
-                        args=args,
-                    )
+                    expr = self._method_call(expr, name_tok, *self._call_args())
                 else:
                     expr = n.FieldAccess(span=self.span_between(expr.span, name_tok.span), receiver=expr, name=name_tok.lexeme)
                 continue
@@ -1119,6 +1100,15 @@ class _Parser:
                 continue
             return expr
         return expr
+
+    def _method_call(self, receiver: n.Expr | None, name_tok: Token, args: list[n.Expr], end: Span) -> n.MethodCall:
+        """The call of ``name_tok`` (a method name, 'this' or 'super') on
+        ``receiver`` or on none, with the arguments that _call_args read.  The
+        caller reads them, so a call nests as many frames as _CALL_DEPTH counts."""
+        start = name_tok.span if receiver is None else receiver.span
+        return n.MethodCall(
+            span=self.span_between(start, end), receiver=receiver, name=name_tok.lexeme, name_span=name_tok.span, args=args
+        )
 
     def _call_args(self) -> tuple[list[n.Expr], Span]:
         self.expect("(")
@@ -1155,19 +1145,15 @@ class _Parser:
             self.next()
             return n.Literal(span=t.span, kind=t.kind, lexeme=t.lexeme, radix=t.radix, suffix=t.suffix)
 
-        if lex == "this":
+        if t.kind is TokenKind.IDENTIFIER or lex == "this" or lex == "super":
             self.next()
             if self.at("("):
-                args, end_span = self._call_args()
-                return n.MethodCall(span=self.span_between(t.span, end_span), receiver=None, name="this", name_span=t.span, args=args)
-            return n.ThisExpr(span=t.span)
-
-        if lex == "super":
-            self.next()
-            if self.at("("):
-                args, end_span = self._call_args()
-                return n.MethodCall(span=self.span_between(t.span, end_span), receiver=None, name="super", name_span=t.span, args=args)
-            return n.SuperExpr(span=t.span)
+                return self._method_call(None, t, *self._call_args())
+            if lex == "this":
+                return n.ThisExpr(span=t.span)
+            if lex == "super":
+                return n.SuperExpr(span=t.span)
+            return n.Name(span=t.span, identifier=lex)
 
         if lex == "new":
             new_tok = self.next()
@@ -1176,19 +1162,6 @@ class _Parser:
         if t.kind is TokenKind.KEYWORD and lex in PRIMITIVE_TYPES or lex == "void":
             self.next()
             return self._type_literal(n.TypeRef(span=t.span, name=lex), "type keyword")
-
-        if t.kind is TokenKind.IDENTIFIER:
-            name_tok = self.next()
-            if self.at("("):
-                args, end_span = self._call_args()
-                return n.MethodCall(
-                    span=self.span_between(name_tok.span, end_span),
-                    receiver=None,
-                    name=name_tok.lexeme,
-                    name_span=name_tok.span,
-                    args=args,
-                )
-            return n.Name(span=name_tok.span, identifier=name_tok.lexeme)
 
         raise self.error(f"unexpected token {lex!r} in expression")
 
@@ -1226,7 +1199,7 @@ class _Parser:
 
     def _inferred_param(self) -> n.Param:
         """A bare name, perhaps with modifiers."""
-        mods, _ = self.final_prefix()  # an inferred parameter's annotations are not kept
+        mods, _ = self.parse_modifiers(_FINAL)  # an inferred parameter's annotations are not kept
         name_tok = self.expect_ident()
         return n.Param(
             span=name_tok.span,
@@ -1284,16 +1257,13 @@ class _Parser:
             end_span = end.span
         return n.NewObject(span=self.span_between(start, end_span), type=ctype, args=args, anon_body=anon_body)
 
+    def variable_initializer(self) -> n.Expr:
+        """What a variable or array element is initialized with: an array initializer or an expression."""
+        return self.array_initializer() if self.at("{") else self.expression()
+
     def array_initializer(self) -> n.ArrayInitializer:
         open_tok = self.expect("{")
-        values: list[n.Expr] = []
-        while not self.at("}"):
-            if self.at("{"):
-                values.append(self.array_initializer())
-            else:
-                values.append(self.expression())
-            if self.at(","):
-                self.next()
+        values = self.separated(self.variable_initializer, close="}", trailing=("}",))
         close = self.expect("}")
         return n.ArrayInitializer(span=self.span_between(open_tok.span, close.span), values=values)
 
@@ -1301,10 +1271,18 @@ class _Parser:
 # (largest decimal, largest hex, octal or binary) literal of int and of long:
 # the largest decimal one only as the operand of unary minus (JLS 3.10.1).
 _INTEGER_LIMITS = {None: (2**31, 2**32 - 1), "l": (2**63, 2**64 - 1), "L": (2**63, 2**64 - 1)}
-# One escape sequence (JLS 3.10.7) or unicode escape (JLS 3.3): an octal
-# escape takes at most three digits and stays below \400, a unicode escape
-# takes four hex digits.  Group 1 holds a character no escape may start with.
-_ESCAPE = re.compile(r"\\(?:u+[0-9a-fA-F]{4}|[0-3][0-7]{0,2}|[4-7][0-7]?|[btnfrs\"'\\]|([\s\S]))")
+# A unicode escape (JLS 3.3): its backslash follows an even number of
+# backslashes (group 1), and four hex digits (group 2) give its character.
+_UNICODE_ESCAPE = re.compile(r"(?<!\\)((?:\\\\)*)\\u+([0-9a-fA-F]{4})")
+# The text of an unbroken string or char literal once its unicode escapes are
+# translated: each quote of its kind is escaped, and each backslash escapes a character.
+_UNBROKEN = {
+    TokenKind.STRING: re.compile(r'(?:[^"\\]|\\[\s\S])*'),
+    TokenKind.CHAR: re.compile(r"(?:[^'\\]|\\[\s\S])*"),
+}
+# One escape sequence (JLS 3.10.7): an octal escape takes at most three digits
+# and stays below \400.  Group 1 holds a character no escape may start with.
+_ESCAPE = re.compile(r"\\(?:[0-3][0-7]{0,2}|[4-7][0-7]?|[btnfrs\"'\\]|([\s\S]))")
 # An underscore whose run has no digit on one side; hex digits count only in a hex literal.
 _STRAY_UNDERSCORE = re.compile(r"(?<![0-9_])_|_(?![0-9_])")
 _STRAY_HEX_UNDERSCORE = re.compile(r"(?<![0-9a-fA-F_])_|_(?![0-9a-fA-F_])")
@@ -1312,17 +1290,24 @@ _STRAY_HEX_UNDERSCORE = re.compile(r"(?<![0-9a-fA-F_])_|_(?![0-9a-fA-F_])")
 
 def _malformed_literal(t: Token, negated: bool) -> str | None:
     """Why the lexer's literal token is no Java literal, or None: a string
-    or char literal with an invalid escape sequence (JLS 3.10.7); a char
-    literal that is empty, holds more than one character, or holds one that
-    needs two UTF-16 code units (JLS 3.10.4); a number with an underscore
-    that does not stand between two digits, or a binary one with a
-    floating-point suffix (JLS 3.10.1, 3.10.2); an integer literal with a
+    or char literal whose unicode escapes (JLS 3.3) give a line terminator or
+    break it (JLS 3.10.4, 3.10.5), or with an invalid escape sequence (JLS
+    3.10.7); a char literal that is empty, holds more than one character, or
+    holds one that needs two UTF-16 code units (JLS 3.10.4); a number with an
+    underscore that does not stand between two digits, or a binary one with
+    a floating-point suffix (JLS 3.10.1, 3.10.2); an integer literal with a
     decimal digit after a leading 0, without digits, or out of its type's
     range (JLS 3.10.1).  ``negated``: the token is the operand of unary
     minus."""
     lexeme = t.lexeme
     if t.kind is not TokenKind.NUMBER:  # a string or char literal
         body = lexeme[1:-1]
+        if "\\u" in body:
+            body = _UNICODE_ESCAPE.sub(lambda m: m.group(1) + chr(int(m.group(2), 16)), body)
+            if "\n" in body or "\r" in body:
+                return f"line terminator in literal {lexeme}"
+            if not _UNBROKEN[t.kind].fullmatch(body):
+                return f"literal {lexeme} does not end at its closing quote"
         if "\\" in body:
             for m in _ESCAPE.finditer(body):
                 if m.group(1) is not None:
@@ -1345,11 +1330,10 @@ def _malformed_literal(t: Token, negated: bool) -> str | None:
         return None
     if t.radix == 10 and ("." in lexeme or "e" in lexeme or "E" in lexeme):  # floating point
         return None
-    digits = (lexeme[:-1] if t.suffix else lexeme).replace("_", "")
-    if t.radix == 10 and digits[0] == "0" and len(digits) > 1:
+    if t.radix == 10 and lexeme[0] == "0" and lexeme.rstrip("lL") != "0":
         return f"digit 8 or 9 in octal literal {lexeme!r}"
     try:
-        value = int(digits, t.radix)  # int() takes the 0x/0b prefix of its base
+        value = numeric_value(lexeme, t.radix, t.suffix)
     except ValueError:
         return f"integer literal {lexeme!r} has no digits"
     decimal_max, other_max = _INTEGER_LIMITS[t.suffix]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from ..java_syntax import nodes as n
-from ..java_syntax.lexer import TokenKind
+from ..java_syntax.lexer import TokenKind, numeric_value
 from .context import FileFacts, RuleContext, expr_source_name, is_bool_literal, strip_parens
 from .model import SmellRule, Violation
 
@@ -708,33 +708,13 @@ def check_declaration_order(ctx: RuleContext, rule: SmellRule) -> list[Violation
 
 # ---- magic-number ---------------------------------------------------------
 
-def _numeric_value(lit: n.Literal) -> float | int | None:
-    text = lit.lexeme.replace("_", "")
-    if lit.suffix:
-        text = text[: -1]
-    try:
-        if lit.radix == 16:
-            return int(text, 16)
-        if lit.radix == 2:
-            return int(text, 2)
-        if lit.radix == 8 and len(text) > 1:
-            return int(text, 8)
-        if any(c in text for c in ".eE") and lit.radix == 10:
-            return float(text)
-        return int(text)
-    except ValueError:
-        return None
-
-
 def check_magic_number(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     ignore = set(rule.threshold("ignore_numbers"))
     out: list[Violation] = []
     for lit in ctx.facts.of_type(n.Literal):
         if lit.kind is not TokenKind.NUMBER or _in_constant(ctx.facts, lit):
             continue
-        value = _numeric_value(lit)
-        if value is None:
-            continue
+        value = numeric_value(lit.lexeme, lit.radix, lit.suffix)  # a literal that parsed has digits
         owner = ctx.facts.parent(lit)
         if isinstance(owner, n.Unary) and owner.op == "-" and owner.prefix:
             if -value not in ignore:

@@ -205,11 +205,6 @@ def _tally(reports: Iterable[ViolationReport], rule_ids: set[str]) -> tuple[int,
     return total, analyzed
 
 
-def compute_baseline_vs(reference_reports: Iterable[ViolationReport], rules: Sequence[SmellRule] | set[str]) -> Fraction:
-    """Same average computed over the human-written reference solutions."""
-    return compute_vs(reference_reports, rules)
-
-
 def compute_increase(vs: Fraction, baseline_vs: Fraction) -> Fraction:
     """Relative change of a subject's score against the baseline."""
     if baseline_vs == 0:

@@ -71,15 +71,6 @@ class _Finding:
     message: str
 
 
-def import_report(
-    report: ExternalReport,
-    subject: tuple[str, str] = ("external", "imported"),
-    source_path: str | Path | None = None,
-) -> ImportResult:
-    """Translate one external report file into a canonical ViolationReport."""
-    return import_reports([report], subject=subject, source_path=source_path)
-
-
 def import_reports(
     reports: Iterable[ExternalReport],
     subject: tuple[str, str] = ("external", "imported"),

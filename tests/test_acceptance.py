@@ -25,7 +25,6 @@ from smellscore.rules.model import Violation, ViolationReport
 from smellscore.scoreboard import (
     RuleSetSelector,
     ScenarioSelector,
-    compute_baseline_vs,
     compute_increase,
     compute_vs,
     dispersion,
@@ -34,7 +33,7 @@ from smellscore.scoreboard import (
     pearson,
 )
 from smellscore.smell_engine import BASELINE, detect_file
-from smellscore.tool_adapters import CHECKSTYLE_XML, DESIGNITE_CSV, PMD_XML, ExternalReport, diff_reports, import_report
+from smellscore.tool_adapters import CHECKSTYLE_XML, DESIGNITE_CSV, PMD_XML, ExternalReport, diff_reports, import_reports
 
 import test_smell_rules
 import test_tool_adapters
@@ -85,7 +84,7 @@ def test_criterion_1_metric_oracle_equivalence():
         assert vs == Fraction(total, analyzed)
 
         b_total, b_analyzed = brute(baseline_reports)
-        baseline_vs = compute_baseline_vs(baseline_reports, selected)
+        baseline_vs = compute_vs(baseline_reports, selected)
         assert baseline_vs == Fraction(b_total, b_analyzed)
 
         if baseline_vs > 0:
@@ -371,15 +370,15 @@ def test_criterion_10_adapter_fidelity():
     external = DATA / "external"
     subject = ("T1", "m1")
 
-    cs = import_report(ExternalReport(format=CHECKSTYLE_XML, path=external / "sample_checkstyle.xml"), subject=subject)
+    cs = import_reports([ExternalReport(format=CHECKSTYLE_XML, path=external / "sample_checkstyle.xml")], subject=subject)
     assert cs.report.per_rule_counts == {"javadoc-method": 1, "magic-number": 1}
     assert cs.unmapped_count == 1
 
-    pmd = import_report(ExternalReport(format=PMD_XML, path=external / "sample_pmd.xml"), subject=subject)
+    pmd = import_reports([ExternalReport(format=PMD_XML, path=external / "sample_pmd.xml")], subject=subject)
     assert pmd.report.per_rule_counts == {"empty-catch-block": 1, "unused-local-variable": 1}
 
-    designite = import_report(
-        ExternalReport(format=DESIGNITE_CSV, path=external / "sample_designite.csv"),
+    designite = import_reports(
+        [ExternalReport(format=DESIGNITE_CSV, path=external / "sample_designite.csv")],
         subject=subject,
         source_path=external / "Subject.java",
     )

@@ -490,6 +490,11 @@ class G {
         ('"a\\qb"', '"a\\qb"', "invalid escape character 'q' after a backslash"),
         ('"\\\\\\q"', '"\\\\\\q"', "invalid escape character 'q' after a backslash"),
         ('"\\u00g1"', '"\\u00g1"', "invalid escape character 'u' after a backslash"),
+        ("'\\u000a'", "'\\u000a'", "line terminator in literal '\\u000a'"),
+        ('"a\\u000ab"', '"a\\u000ab"', 'line terminator in literal "a\\u000ab"'),
+        ('"\\u005cq"', '"\\u005cq"', "invalid escape character 'q' after a backslash"),
+        ("'\\u0027'", "'\\u0027'", "literal '\\u0027' does not end at its closing quote"),
+        ('"\\u005c"', '"\\u005c"', 'literal "\\u005c" does not end at its closing quote'),
         ("'\U0001F600'", "'\U0001F600'", "char literal '\U0001F600' needs two UTF-16 code units"),
     ])
     def test_malformed_literal_is_a_located_failure(self, expr, literal, message):
@@ -506,6 +511,7 @@ class G {
         "0b11111111111111111111111111111111", "-9223372036854775808L", "0xFFFFFFFFFFFFFFFFL", "99999999999L", "1e400",
         "'\\n'", "'\\377'", "'\\0'", "'\\u0041'", "'A'", "0_7", "1_000", "1__000", "0x1_F", "0b1_0", "1.5f", "1_0.5_0",
         "'\\s'", "'\\b'", "'\\uuD83D'", "'\u00e9'", '"\\u0041"', '"\\\\q"', r'"\400 \t\b\n\f\r\s\"\'\\"', '"\U0001F600"',
+        '"\\\\u0041"', "'\\u005c\\u005c'", '"\\\\\\u0041"',
     ])
     def test_valid_literal_parses(self, expr):
         out = parse_text("A.java", f"class A {{ Object f() {{ return {expr}; }} }}")
@@ -790,7 +796,12 @@ LIST_SITES = {
     "lambda parameters": ("class A { Object f = (ITEMS) -> a; }", ("a", "b"), ", ", 0, lambda t: t.fields[0].declarators[0].init.params),
     "typed lambda parameters": ("class A { Object f = (ITEMS) -> a; }", ("int a", "final int b"), ", ", 1, lambda t: t.fields[0].declarators[0].init.params),
     "enum constant arguments": ("enum E { X(ITEMS) }", ("1", "2"), ", ", 0, lambda t: t.enum_constants[0].args),
+    "array initializer": ("class A { int[] f = {ITEMS}; }", ("1", "{2}"), ", ", 0, lambda t: t.fields[0].declarators[0].init.values),
+    "enum constants": ("enum E { ITEMS }", ("A", "@N B(1) {}"), ", ", 0, lambda t: t.enum_constants),
+    "resources": ("class A { void m() { try (ITEMS) {} } }", ("R a = f()", "final R b = g()"), "; ", 1, lambda t: _statement(t).resources),
 }
+# The lists that may end in one more separator (JLS 8.9.1, 10.6, 14.20.3).
+TRAILING_SEPARATOR_SITES = {"array initializer", "enum constants", "resources"}
 
 
 @pytest.mark.parametrize("site, count", [(site, k) for site, spec in LIST_SITES.items() for k in range(spec[3], 3)])
@@ -799,6 +810,75 @@ def test_separated_list_site(site, count):
     out = parse_text("A.java", template.replace("ITEMS", sep.join(items[:count])))
     assert out.ok, out.failure
     assert len(items_of(out.ast.types[0])) == count
+
+
+@pytest.mark.parametrize("site, count", [(site, k) for site, spec in LIST_SITES.items() for k in range(max(spec[3], 1), 3)])
+def test_only_some_lists_take_a_trailing_separator(site, count):
+    template, items, sep, _, items_of = LIST_SITES[site]
+    out = parse_text("A.java", template.replace("ITEMS", sep.join(items[:count]) + sep.strip()))
+    assert out.ok == (site in TRAILING_SEPARATOR_SITES), out.failure
+    if out.ok:
+        assert len(items_of(out.ast.types[0])) == count
+
+
+# Brace lists and whether Java takes them.  An annotation's element value and
+# an array initializer read each one alike (JLS 9.7.1, 10.6).
+BRACE_LISTS = [
+    ("{}", True), ("{,}", True), ("{1}", True), ("{1,}", True), ("{1, 2}", True), ("{1, 2,}", True),
+    ("{{1}, {2,}, {}}", True), ("{{,}, {,},}", True),
+    ("{1 2}", False), ("{,,}", False), ("{1,,}", False), ("{, 1}", False), ("{1; 2}", False), ("{{1 2}}", False),
+]
+
+
+@pytest.mark.parametrize("items, ok", BRACE_LISTS)
+def test_element_value_and_array_initializer_agree(items, ok):
+    annotation = parse_text("A.java", f"@A({items}) class X {{}}")
+    initializer = parse_text("A.java", f"class X {{ int[] a = {items}; }}")
+    assert annotation.ok == initializer.ok == ok
+    if not ok:
+        assert annotation.failure.message == initializer.failure.message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("enum E { , }", None),
+    ("enum E { , ; }", None),
+    ("enum E { ; }", None),
+    ("enum E { A, ; void m() {} }", None),
+    ("enum E { A,, }", "expected identifier, found ','"),
+    ("enum E { void m() {} }", "expected identifier, found 'void'"),
+    ("enum E { A int x; }", "expected ';', found 'int'"),
+    ("class A { void m() { try (R a = f(); R b = g();) {} } }", None),
+    ("class A { void m() { try (R a = f() R b = g()) {} } }", "expected ')', found 'R'"),
+    ("class A { void m() { try () {} catch (E e) {} } }", "expected type, found ')'"),
+    ("class A { void m() { try (;) {} catch (E e) {} } }", "expected type, found ';'"),
+], ids=[
+    "enum-comma", "enum-comma-semicolon", "enum-semicolon", "enum-trailing-comma-then-body", "enum-two-commas",
+    "enum-body-without-semicolon", "enum-member-without-semicolon", "try-trailing-semicolon", "try-no-separator",
+    "try-empty", "try-semicolon-only",
+])
+def test_enum_constant_and_resource_lists(text, message):
+    out = parse_text("A.java", text)
+    assert out.ok == (message is None), out.failure
+    if message is not None:
+        assert out.failure.message == message
+
+
+def test_method_call_trees():
+    text = "class A { A() { this(1); } A(int x) { super(x); } void m() { f(x); a.b.f(x, y); } }"
+    calls = [s.expr for c in parse_text("A.java", text).ast.types[0].members for s in c.body.statements]
+
+    def span(fragment: str, length: int | None = None) -> tuple[int, int, int, int]:
+        """The span of ``length`` characters (all of ``fragment`` by default) from where ``fragment`` starts."""
+        start = text.index(fragment) + 1
+        return (1, start, 1, start + (len(fragment) if length is None else length))
+
+    assert [(c.receiver, c.name, c.span, c.name_span, len(c.args)) for c in calls] == [
+        (None, "this", span("this(1)"), span("this"), 1),
+        (None, "super", span("super(x)"), span("super"), 1),
+        (None, "f", span("f(x)"), span("f(x)", 1), 1),
+        (calls[3].receiver, "f", span("a.b.f(x, y)"), span("f(x, y)", 1), 2),
+    ]
+    assert isinstance(calls[3].receiver, n.FieldAccess) and calls[3].receiver.span == span("a.b")
 
 
 STRESS_SAMPLES = {

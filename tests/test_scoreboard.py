@@ -24,7 +24,6 @@ from smellscore.scoreboard import (
     ScenarioSelector,
     UndefinedBaselineError,
     _tally,
-    compute_baseline_vs,
     compute_increase,
     compute_vs,
     dispersion,
@@ -91,13 +90,7 @@ class TestScoreFormulas:
 
     def test_baseline_hand_example(self):
         reference = [report({"magic-number": 1}), report({"magic-number": 1})]
-        assert compute_baseline_vs(reference, rules("magic-number", "line-length")) == Fraction(1)
-
-    def test_baseline_equals_vs_on_same_inputs(self):
-        reports = [report({"magic-number": 2}), report({"line-length": 4})]
-        assert compute_vs(reports, rules("magic-number", "line-length")) == compute_baseline_vs(
-            reports, rules("magic-number", "line-length")
-        )
+        assert compute_vs(reference, rules("magic-number", "line-length")) == Fraction(1)
 
     def test_parse_failures_leave_both_sides_of_the_ratio(self):
         reports = [report({"magic-number": 4}), report({"magic-number": 100}, parse_ok=False)]

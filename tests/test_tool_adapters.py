@@ -18,7 +18,6 @@ from smellscore.tool_adapters import (
     FormatError,
     UnknownDetectorError,
     diff_reports,
-    import_report,
     import_reports,
 )
 
@@ -60,7 +59,7 @@ def _designite(path: Path, rows: list[tuple[str, str, str]]) -> ExternalReport:
 class TestImport:
     def test_checkstyle_magic_number(self, tmp_path):
         report = _checkstyle(tmp_path / "cs.xml", [("MagicNumber", 5)])
-        result = import_report(report, subject=SUBJECT)
+        result = import_reports([report], subject=SUBJECT)
         assert result.report.per_rule_counts == {"magic-number": 1}
         v = result.report.violations[0]
         assert v.span.start_line == 5
@@ -69,20 +68,20 @@ class TestImport:
     def test_empty_checkstyle_document(self, tmp_path):
         path = tmp_path / "empty.xml"
         path.write_text('<?xml version="1.0"?>\n<checkstyle version="10"/>\n', encoding="utf-8")
-        result = import_report(ExternalReport(format=CHECKSTYLE_XML, path=path), subject=SUBJECT)
+        result = import_reports([ExternalReport(format=CHECKSTYLE_XML, path=path)], subject=SUBJECT)
         assert result.report.total_violations == 0
 
     def test_committed_sample_files(self):
-        cs = import_report(ExternalReport(format=CHECKSTYLE_XML, path=DATA / "sample_checkstyle.xml"), subject=SUBJECT)
+        cs = import_reports([ExternalReport(format=CHECKSTYLE_XML, path=DATA / "sample_checkstyle.xml")], subject=SUBJECT)
         assert cs.report.per_rule_counts == {"javadoc-method": 1, "magic-number": 1}
         assert cs.unmapped_count == 1  # the MadeUpCheck row is surfaced, not dropped
 
-        pmd = import_report(ExternalReport(format=PMD_XML, path=DATA / "sample_pmd.xml"), subject=SUBJECT)
+        pmd = import_reports([ExternalReport(format=PMD_XML, path=DATA / "sample_pmd.xml")], subject=SUBJECT)
         assert pmd.report.per_rule_counts == {"empty-catch-block": 1, "unused-local-variable": 1}
         assert pmd.unmapped_count == 0
 
-        designite = import_report(
-            ExternalReport(format=DESIGNITE_CSV, path=DATA / "sample_designite.csv"),
+        designite = import_reports(
+            [ExternalReport(format=DESIGNITE_CSV, path=DATA / "sample_designite.csv")],
             subject=SUBJECT,
             source_path=DATA / "Subject.java",
         )
@@ -94,7 +93,7 @@ class TestImport:
 
     def test_designite_without_source_defaults_to_line_one(self, tmp_path):
         report = _designite(tmp_path / "d.csv", [("Subject", "", "Deficient Encapsulation")])
-        result = import_report(report, subject=SUBJECT)
+        result = import_reports([report], subject=SUBJECT)
         assert result.report.violations[0].span.start_line == 1
 
     def test_import_is_lossless_modulo_mapping(self, tmp_path):
@@ -102,7 +101,7 @@ class TestImport:
             tmp_path / "cs.xml",
             [("MagicNumber", 5), ("MagicNumber", 5), ("Unknown", 6), ("LineLength", 2)],
         )
-        result = import_report(report, subject=SUBJECT)
+        result = import_reports([report], subject=SUBJECT)
         external_findings = 4
         collapsed = 1  # the repeated MagicNumber line
         assert result.report.total_violations + result.unmapped_count == external_findings - collapsed
@@ -111,15 +110,15 @@ class TestImport:
         path = tmp_path / "bad.xml"
         path.write_text("<nonsense/>", encoding="utf-8")
         with pytest.raises(FormatError):
-            import_report(ExternalReport(format=CHECKSTYLE_XML, path=path), subject=SUBJECT)
+            import_reports([ExternalReport(format=CHECKSTYLE_XML, path=path)], subject=SUBJECT)
         with pytest.raises(FormatError):
-            import_report(ExternalReport(format=PMD_XML, path=path), subject=SUBJECT)
+            import_reports([ExternalReport(format=PMD_XML, path=path)], subject=SUBJECT)
 
     def test_missing_designite_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
         with pytest.raises(FormatError):
-            import_report(ExternalReport(format=DESIGNITE_CSV, path=path), subject=SUBJECT)
+            import_reports([ExternalReport(format=DESIGNITE_CSV, path=path)], subject=SUBJECT)
 
     def test_unknown_detector(self, tmp_path):
         with pytest.raises(UnknownDetectorError):
@@ -141,7 +140,7 @@ class TestDeclaredOrigins:
         else:
             assert detector == DESIGNITE
             report = _designite(tmp_path / "d.csv", [("Subject", "", native)])
-        result = import_report(report, subject=SUBJECT)
+        result = import_reports([report], subject=SUBJECT)
         assert [v.rule_id for v in result.report.violations] == [rule_id]
         assert result.unmapped_count == 0
 
