@@ -46,6 +46,8 @@ class MethodMetrics:
 
 _LOOPS = (n.WhileStmt, n.DoWhileStmt, n.ForStmt, n.ForEachStmt)
 _BOOL_OPS = ("&&", "||")
+# Node classes that add one decision point each (no node class subclasses another).
+_DECISIONS = frozenset({n.IfStmt, *_LOOPS, n.Ternary, n.CatchClause})
 
 
 def method_metrics(method: n.MethodDecl) -> MethodMetrics:
@@ -68,18 +70,19 @@ def cyclomatic_complexity(body: n.Block, subtree: Callable[[n.Node], Iterable[n.
     """
     count = 1
     for node in subtree(body):
-        if isinstance(node, (n.IfStmt, *_LOOPS, n.Ternary, n.CatchClause)):
+        cls = type(node)
+        if cls in _DECISIONS:
             count += 1
-        elif isinstance(node, n.SwitchStmt):
+        elif cls is n.SwitchStmt:
             count += node.case_label_count()
-        elif isinstance(node, n.Binary) and node.op in _BOOL_OPS:
+        elif cls is n.Binary and node.op in _BOOL_OPS:
             count += 1
     return count
 
 
 # README's cognitive increment table as data.  Each of these adds +1 plus
 # the current nesting; an if does so only as the head of its else-if chain.
-_STRUCTURES = frozenset({n.IfStmt, n.Ternary, n.SwitchStmt, *_LOOPS, n.CatchClause})
+_STRUCTURES = _DECISIONS | {n.SwitchStmt}
 # The (node class, field) pairs whose nodes sit one nesting level deeper.
 _DEEPER = frozenset({
     *((loop, "body") for loop in _LOOPS), (n.CatchClause, "body"), (n.Lambda, "body"),
@@ -158,13 +161,15 @@ def referenced_type_names(decl: n.TypeDecl, facts: FileFacts) -> set[str]:
     """
     excluded = {decl.name, "void", "var", ""} | PRIMITIVE_TYPES
     excluded.update(tp.name for tp in decl.type_params)
-    refs = decl.extends + decl.implements
     for member in decl.members:
         if isinstance(member, n.MethodDecl):
             excluded.update(tp.name for tp in member.type_params)
-        if not isinstance(member, n.TypeDecl):  # nested types count their own references
-            refs += facts.of_type(n.TypeRef, within=member)
-    return {name for ref in refs for name in ref.referenced_names() if name not in excluded}
+    excluded.add("?")  # a wildcard names no type
+    names = {name for ref in decl.extends + decl.implements for name in ref.referenced_names()}
+    # Nested type arguments are TypeRefs of the members as well, so each
+    # reference's own simple name is all it adds; nested types count their own.
+    names.update([ref.simple_name for ref in facts.member_nodes(decl, n.TypeRef)])
+    return names - excluded
 
 
 def inheritance_depth_hint(decl: n.TypeDecl, facts: FileFacts) -> int:

@@ -252,10 +252,6 @@ class TypeDecl(Node):
         return [m for m in self.members if isinstance(m, MethodDecl) and m.is_constructor]
 
     @property
-    def initializers(self) -> list[Initializer]:
-        return [m for m in self.members if isinstance(m, Initializer)]
-
-    @property
     def nested_types(self) -> list["TypeDecl"]:
         return [m for m in self.members if isinstance(m, TypeDecl)]
 
@@ -268,9 +264,6 @@ class TypeDecl(Node):
             if m in self.modifiers:
                 return m
         return "package"
-
-    def field_names(self) -> list[str]:
-        return [d.name for f in self.fields for d in f.declarators]
 
 
 @_node
@@ -593,16 +586,19 @@ def child_fields(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls) if f.type not in _LEAF_ANNOTATIONS)
 
 
-def iter_child_nodes(node: Node) -> Iterator[Node]:
-    """Yield the direct Node children of a node, in field order."""
+def iter_child_nodes(node: Node) -> list[Node]:
+    """The direct Node children of a node, in field order, as a new list.
+
+    A list rather than a generator: the index pass calls this once per node.
+    """
+    out: list[Node] = []
     for name in child_fields(type(node)):
         value = getattr(node, name)
         if isinstance(value, Node):
-            yield value
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
+            out.append(value)
+        elif value.__class__ is list and value:
+            out += [item for item in value if isinstance(item, Node)]
+    return out
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -614,6 +610,6 @@ def walk(node: Node) -> Iterator[Node]:
     while stack:
         current = stack.pop()
         yield current
-        children = list(iter_child_nodes(current))
+        children = iter_child_nodes(current)
         children.reverse()
-        stack.extend(children)
+        stack += children

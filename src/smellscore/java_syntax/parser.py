@@ -96,9 +96,9 @@ class _ParseError(Exception):
 
 
 class _NoReading(_ParseError):
-    """No reading of the tokens allows a repeated modifier or a malformed
-    literal, so _attempt lets this error through instead of trying another
-    rule."""
+    """No reading of the tokens allows a repeated modifier, a malformed
+    literal or a varargs parameter that is not last, so _attempt lets this
+    error through instead of trying another rule."""
 
 
 class _TooDeep(_ParseError):
@@ -598,12 +598,11 @@ class _Parser:
         start = self.here()
         mods, anns = self.parse_modifiers(_FINAL)
         ptype = self.parse_type()
-        varargs = False
-        if self.at("..."):
-            self.next()
-            varargs = True
+        dots = self.next() if self.at("...") else None
         name_tok = self.expect_ident()
         extra_dims, end_span = self.name_dims(name_tok.span)
+        if dots is not None and self.at(","):  # JLS 8.4.1: only the last parameter may be variable arity
+            raise _NoReading("varargs parameter must be the last parameter", dots.span)
         ptype.array_dims += extra_dims
         return n.Param(
             span=self.span_between(start, end_span),
@@ -612,7 +611,7 @@ class _Parser:
             name_span=name_tok.span,
             modifiers=mods,
             annotations=anns,
-            varargs=varargs,
+            varargs=dots is not None,
         )
 
     # ---- types ----------------------------------------------------------------
@@ -912,7 +911,7 @@ class _Parser:
         resources: list[n.LocalVarDecl] = []
         if self.at("("):
             self.next()
-            resources = self.separated(lambda: self.local_var_declarators(self.local_var_head()), ";", trailing=(")",))
+            resources = self.separated(self.resource, ";", trailing=(")",))
             self.expect(")")
         body = self.block()
         catches: list[n.CatchClause] = []
@@ -950,6 +949,18 @@ class _Parser:
             catches=catches,
             finally_block=finally_block,
         )
+
+    def resource(self) -> n.LocalVarDecl:
+        """One try resource: a single variable with an initializer (JLS 14.20.3)."""
+        decl, name_tok = self.local_var_head()
+        declarator = self.parse_declarator(name_tok)
+        if declarator.init is None:
+            raise self.error("try resource needs an initializer")
+        if self.at(","):
+            raise self.error("try resource declares more than one variable")
+        decl.declarators = [declarator]
+        decl.span = self.span_between(decl.span, declarator.span)
+        return decl
 
     # ---- expressions ---------------------------------------------------------
 
@@ -1223,7 +1234,9 @@ class _Parser:
         ctype = self.parse_type()
         if ctype.array_dims or self.at("["):
             # parse_type consumes empty bracket pairs, so new int[]{...}
-            # arrives here with its dims already on the type
+            # arrives here with its dims already on the type.  JLS 15.10.1:
+            # dimension expressions and then empty pairs, or empty pairs and
+            # an initializer.
             dim_exprs: list[n.Expr] = []
             extra_dims = ctype.array_dims
             end_span = ctype.span
@@ -1233,14 +1246,20 @@ class _Parser:
                     end = self.next()
                     extra_dims += 1
                     end_span = end.span
+                elif extra_dims:
+                    raise self.error("array dimension expression after '[]'")
                 else:
                     dim_exprs.append(self.expression())
                     end = self.expect("]")
                     end_span = end.span
             initializer = None
             if self.at("{"):
+                if dim_exprs:
+                    raise self.error("array creation with dimension expressions takes no initializer")
                 initializer = self.array_initializer()
                 end_span = initializer.span
+            elif not dim_exprs:
+                raise self.error("array creation needs a dimension expression or an initializer")
             return n.NewArray(
                 span=self.span_between(start, end_span),
                 type=ctype,

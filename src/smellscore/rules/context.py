@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import NamedTuple
 
 from ..code_metrics import referenced_type_names
 from ..java_syntax import nodes as n
@@ -16,6 +16,15 @@ from .model import SmellRule, Violation
 Body = tuple[n.TypeDecl, n.MethodDecl | n.Initializer, n.Block]
 
 
+class TypeMembers(NamedTuple):
+    """A type's members by kind, each in declaration order."""
+
+    methods: list[n.MethodDecl]  # constructors excluded
+    constructors: list[n.MethodDecl]
+    fields: list[n.FieldDecl]
+    field_names: list[str]  # the names the fields declare
+
+
 class FileFacts:
     """One file's AST, indexed in a single preorder pass, and the per-file
     facts the rules share.
@@ -23,8 +32,9 @@ class FileFacts:
     ``nodes`` lists the unit's nodes in the order ``n.walk(unit)`` yields
     them, so every subtree is a contiguous slice of it that starts at its
     root.  A subtree walk is therefore a slice, and a typed query on a
-    subtree bisects the sorted positions of that type.  The engine builds
-    one index per parsed file and drops it with the file's RuleContext.
+    subtree bisects the sorted positions of that type and slices the list
+    of that type's nodes.  The engine builds one index per parsed file and
+    drops it with the file's RuleContext.
 
     The facts, each derived once per file:
 
@@ -36,8 +46,12 @@ class FileFacts:
       type's together and in declaration order; ``methods`` and ``fields``:
       those whose member is a method (constructors included) or a field;
     * ``bodies``: (type, member, block) for each method body and initializer;
+    * ``type_members(decl)`` (lazy, per type): decl's members by kind;
+    * ``local_decls(body)`` (lazy, per body): the body's local declarations;
     * ``hierarchy_applies``: whether the unit declares several types or
       uses extends/implements, which gates the hierarchy rules;
+    * ``declared_names`` (lazy): (name, span, is_constant) of every
+      declaration the naming rules see;
     * ``edges`` (lazy): the in-unit reference edges between types;
     * ``class_refs`` (lazy): each class with its referenced type names.
 
@@ -47,15 +61,29 @@ class FileFacts:
     def __init__(self, unit: n.CompilationUnit) -> None:
         nodes: list[n.Node] = []
         parents: list[int] = []
-        stack: list[tuple[n.Node, int]] = [(unit, -1)]
+        children_of = n.iter_child_nodes
+        # Nodes still to visit, and the position of each one's parent.
+        stack: list[n.Node] = [unit]
+        parent_of: list[int] = [-1]
         while stack:
-            node, parent = stack.pop()
-            here = len(nodes)
+            node = stack.pop()
+            parents.append(parent_of.pop())
             nodes.append(node)
-            parents.append(parent)
-            children = [(child, here) for child in n.iter_child_nodes(node)]
-            children.reverse()
-            stack.extend(children)
+            children = children_of(node)
+            if children:
+                children.reverse()
+                stack += children
+                parent_of += [len(nodes) - 1] * len(children)
+        positions: dict[type, list[int]] = {}
+        by_class: dict[type, list[n.Node]] = {}
+        for i, node in enumerate(nodes):
+            cls = type(node)
+            if cls in positions:
+                positions[cls].append(i)
+                by_class[cls].append(node)
+            else:
+                positions[cls] = [i]
+                by_class[cls] = [node]
         # Descendants follow their ancestors, so one backward sweep settles
         # every subtree's end before it is propagated to the parent.
         end = list(range(1, len(nodes) + 1))
@@ -63,16 +91,16 @@ class FileFacts:
             p = parents[i]
             if end[i] > end[p]:
                 end[p] = end[i]
-        positions: dict[type, list[int]] = {}
-        for i, node in enumerate(nodes):
-            positions.setdefault(type(node), []).append(i)
 
         self.unit = unit
         self.nodes = nodes
         self._end = end
         self._parents = parents
-        self._index = {id(node): i for i, node in enumerate(nodes)}
+        self._index = dict(zip(map(id, nodes), range(len(nodes))))
         self._positions = positions
+        self._by_class = by_class
+        self._local_decls: dict[int, list[tuple[n.LocalVarDecl, n.VarDeclarator, str]]] = {}
+        self._type_members: dict[int, TypeMembers] = {}
         self.types: list[n.TypeDecl] = list(unit.all_types())
         self.classes = [t for t in self.types if t.kind == "class"]
         self.by_name = {t.name: t for t in self.types}
@@ -95,17 +123,29 @@ class FileFacts:
         edges: dict[str, set[str]] = {name: set() for name in declared}
         for decl in self.types:
             refs = {ref.simple_name for ref in decl.extends + decl.implements}
-            for member in decl.members:
-                if isinstance(member, n.TypeDecl):
-                    continue  # nested types collect their own edges
-                for node in self.of_type(n.TypeRef, n.Name, within=member):
-                    if isinstance(node, n.TypeRef):
-                        refs.update(node.referenced_names())
-                    else:
-                        refs.add(node.identifier)
+            # Nested type arguments are TypeRefs of the members too, so each
+            # reference's own simple name is all it adds.
+            refs.update([node.simple_name for node in self.member_nodes(decl, n.TypeRef)])
+            refs.update([node.identifier for node in self.member_nodes(decl, n.Name)])
             refs.discard(decl.name)
             edges[decl.name] = refs & declared
         return edges
+
+    @cached_property
+    def declared_names(self) -> list[tuple[str, Span, bool]]:
+        """(name, span, is_constant) for every declaration the naming rules see."""
+        out = [(decl.name, decl.name_span, False) for decl in self.types]
+        for decl, member in self.fields:
+            constant = member.is_static_final or decl.kind == "interface"
+            out += [(d.name, d.name_span, constant) for d in member.declarators]
+        for _, member in self.methods:
+            if not member.is_constructor:
+                out.append((member.name, member.name_span, False))
+            out += [(p.name, p.name_span, False) for p in member.params]
+        for _, _, body in self.bodies:
+            out += [(d.name, d.name_span, False) for _, d, origin in self.local_decls(body) if origin != "resource"]
+            out += [(node.var_name, node.var_name_span, False) for node in self.of_type(n.ForEachStmt, within=body)]
+        return out
 
     @cached_property
     def class_refs(self) -> list[tuple[n.TypeDecl, set[str]]]:
@@ -123,50 +163,89 @@ class FileFacts:
         With ``within``, only that node's subtree (the node included) is
         searched.
         """
-        if within is None:
-            lo, hi = 0, len(self.nodes)
+        positions = self._positions
+        if len(classes) == 1:  # a slice of the class's own nodes
+            cls = classes[0]
+            if cls not in positions:
+                return []
+            if within is None:
+                return self._by_class[cls][:]
+            pos = positions[cls]
+            lo = self._index[id(within)]
+            start = bisect_left(pos, lo)
+            return self._by_class[cls][start : bisect_left(pos, self._end[lo], start)]
+        if within is None:  # the whole file: every position, nothing to bisect
+            found = [i for cls in classes for i in positions.get(cls, ())]
         else:
             lo = self._index[id(within)]
             hi = self._end[lo]
-        found: list[int] = []
-        for cls in classes:
-            pos = self._positions.get(cls)
-            if pos:
-                found.extend(pos[bisect_left(pos, lo) : bisect_left(pos, hi)])
-        if len(classes) > 1:
-            found.sort()
-        nodes = self.nodes
-        return [nodes[i] for i in found]
+            found = []
+            for cls in classes:
+                pos = positions.get(cls)
+                if pos:
+                    found += pos[bisect_left(pos, lo) : bisect_left(pos, hi)]
+        found.sort()
+        return list(map(self.nodes.__getitem__, found))
 
-    def ancestors(self, node: n.Node) -> Iterator[n.Node]:
-        """The enclosing nodes of node, innermost first."""
-        p = self._parents[self._index[id(node)]]
-        while p >= 0:
-            yield self.nodes[p]
-            p = self._parents[p]
+    def type_members(self, decl: n.TypeDecl) -> TypeMembers:
+        """decl's members by kind, partitioned once per type."""
+        found = self._type_members.get(id(decl))
+        if found is None:
+            methods, constructors, fields = [], [], []
+            for member in decl.members:
+                cls = type(member)
+                if cls is n.MethodDecl:
+                    (constructors if member.is_constructor else methods).append(member)
+                elif cls is n.FieldDecl:
+                    fields.append(member)
+            names = [d.name for f in fields for d in f.declarators]
+            found = self._type_members[id(decl)] = TypeMembers(methods, constructors, fields, names)
+        return found
+
+    def member_nodes(self, decl: n.TypeDecl, cls: type) -> list[n.Node]:
+        """Nodes whose class is exactly ``cls`` in decl's members, in ``n.walk``
+        order; nested types are members that collect their own."""
+        pos = self._positions.get(cls)
+        if not pos or not decl.members:
+            return []
+        of_cls = self._by_class[cls]
+        index, end = self._index, self._end
+        # The members' subtrees follow one another, so only the nested types
+        # cut holes into one range of positions.
+        lo = index[id(decl.members[0])]
+        found: list[n.Node] = []
+        for member in decl.members:
+            if type(member) is n.TypeDecl:
+                i = index[id(member)]
+                found += of_cls[bisect_left(pos, lo) : bisect_left(pos, i)]
+                lo = end[i]
+        return found + of_cls[bisect_left(pos, lo) : bisect_left(pos, end[index[id(decl.members[-1])]])]
 
     def parent(self, node: n.Node) -> n.Node | None:
-        return next(self.ancestors(node), None)
+        p = self._parents[self._index[id(node)]]
+        return self.nodes[p] if p >= 0 else None
 
-    def local_decls(self, body: n.Block) -> Iterator[tuple[n.LocalVarDecl, n.VarDeclarator, str]]:
+    def local_decls(self, body: n.Block) -> list[tuple[n.LocalVarDecl, n.VarDeclarator, str]]:
         """All local declarations in body with their origin: plain, for, or resource.
 
-        For-init and resource declarations are yielded at their for or try
-        statement, ahead of anything declared inside them.
+        For-init and resource declarations come at their for or try
+        statement, ahead of anything declared inside them.  Several rules
+        read each body's list, so it is built once per body and shared:
+        callers must not change it.
         """
+        found = self._local_decls.get(id(body))
+        if found is not None:
+            return found
+        found = self._local_decls[id(body)] = []
         for node in self.of_type(n.ForStmt, n.TryStmt, n.LocalVarDecl, within=body):
             if isinstance(node, n.ForStmt):
-                for stmt in node.init:
-                    if isinstance(stmt, n.LocalVarDecl):
-                        for d in stmt.declarators:
-                            yield stmt, d, "for"
+                inits = [stmt for stmt in node.init if isinstance(stmt, n.LocalVarDecl)]
+                found += [(stmt, d, "for") for stmt in inits for d in stmt.declarators]
             elif isinstance(node, n.TryStmt):
-                for res in node.resources:
-                    for d in res.declarators:
-                        yield res, d, "resource"
+                found += [(res, d, "resource") for res in node.resources for d in res.declarators]
             elif not self._in_header(node):
-                for d in node.declarators:
-                    yield node, d, "plain"
+                found += [(node, d, "plain") for d in node.declarators]
+        return found
 
     def _in_header(self, decl: n.LocalVarDecl) -> bool:
         """True when decl is a for-init or a try-resource declaration."""
@@ -220,8 +299,8 @@ class RuleContext:
 
     def first_on_line(self, span: Span) -> bool:
         """True when nothing but whitespace precedes the span on its line."""
-        text = self.source.line_text(span.start_line)
-        return text[: span.start_col - 1].strip() == ""
+        start = self.source.line_index[span.start_line - 1]
+        return not self.source.text[start : start + span.start_col - 1].strip()
 
 
 def strip_parens(expr: n.Expr) -> n.Expr:

@@ -13,7 +13,7 @@ import re
 
 from ..code_metrics import cyclomatic_complexity, inheritance_depth_hint
 from ..java_syntax import nodes as n
-from .context import FileFacts, RuleContext, expr_source_name, strip_parens
+from .context import FileFacts, RuleContext, TypeMembers, expr_source_name, strip_parens
 from .model import SmellRule, Violation
 
 _ACCESSOR = re.compile(r"^(get|set|is)[A-Z_$].*")
@@ -26,7 +26,8 @@ def check_god_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     max_foreign = rule.threshold("max_foreign_accesses")
     out = []
     for decl in ctx.facts.classes:
-        size = len(decl.methods) + sum(len(f.declarators) for f in decl.fields)
+        members = ctx.facts.type_members(decl)
+        size = len(members.methods) + len(members.field_names)
         if size <= max_members:
             continue
         foreign = _foreign_receivers(ctx.facts, decl)
@@ -60,8 +61,8 @@ def check_data_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     min_accessors = rule.threshold("min_accessors")
     out = []
     for decl in ctx.facts.classes:
-        methods = decl.methods
-        if not decl.fields or len(methods) < min_accessors:
+        methods, _, fields, _ = ctx.facts.type_members(decl)
+        if not fields or len(methods) < min_accessors:
             continue
         if all(_is_accessor(m) for m in methods):
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' only stores data behind accessors"))
@@ -78,7 +79,7 @@ def check_too_many_methods(ctx: RuleContext, rule: SmellRule) -> list[Violation]
     limit = rule.threshold("max_methods")
     out = []
     for decl in ctx.facts.classes:
-        count = len(decl.methods)
+        count = len(ctx.facts.type_members(decl).methods)
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' declares {count} methods (max {limit})"))
     return out
@@ -88,17 +89,17 @@ def check_too_many_fields(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_fields")
     out = []
     for decl in ctx.facts.classes:
-        count = sum(len(f.declarators) for f in decl.fields)
+        count = len(ctx.facts.type_members(decl).field_names)
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' declares {count} fields (max {limit})"))
     return out
 
 
-def _all_static_members(decl: n.TypeDecl) -> bool:
-    for f in decl.fields:
+def _all_static_members(members: TypeMembers) -> bool:
+    for f in members.fields:
         if "static" not in f.modifiers:
             return False
-    for m in decl.methods:
+    for m in members.methods:
         if not m.is_static:
             return False
     return True
@@ -107,11 +108,12 @@ def _all_static_members(decl: n.TypeDecl) -> bool:
 def check_use_utility_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     for decl in ctx.facts.classes:
-        if decl.is_abstract or not decl.methods:
+        members = ctx.facts.type_members(decl)
+        if decl.is_abstract or not members.methods:
             continue
-        if not _all_static_members(decl):
+        if not _all_static_members(members):
             continue
-        ctors = decl.constructors
+        ctors = members.constructors
         if ctors and all("private" in c.modifiers for c in ctors):
             continue
         out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' has only static methods; make it a utility class"))
@@ -123,11 +125,12 @@ def check_hide_utility_class_constructor(ctx: RuleContext, rule: SmellRule) -> l
     for decl in ctx.facts.classes:
         if decl.is_abstract:
             continue
-        if not decl.fields and not decl.methods:
+        members = ctx.facts.type_members(decl)
+        if not members.fields and not members.methods:
             continue
-        if not _all_static_members(decl):
+        if not _all_static_members(members):
             continue
-        ctors = decl.constructors
+        ctors = members.constructors
         if ctors and all("private" in c.modifiers for c in ctors):
             continue
         out.append(ctx.violation(rule, decl.name_span, f"utility class '{decl.name}' should hide its constructor"))
@@ -137,8 +140,9 @@ def check_hide_utility_class_constructor(ctx: RuleContext, rule: SmellRule) -> l
 def check_broken_modularization(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     for decl in ctx.facts.classes:
-        instance_fields = [f for f in decl.fields if "static" not in f.modifiers]
-        if instance_fields and not decl.methods and not decl.constructors:
+        methods, constructors, fields, _ = ctx.facts.type_members(decl)
+        instance_fields = [f for f in fields if "static" not in f.modifiers]
+        if instance_fields and not methods and not constructors:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' holds data with no behavior"))
     return out
 
@@ -187,7 +191,7 @@ def check_insufficient_modularization(ctx: RuleContext, rule: SmellRule) -> list
     max_cyclo = rule.threshold("max_method_cyclomatic")
     out = []
     for decl in ctx.facts.classes:
-        methods = decl.methods
+        methods = ctx.facts.type_members(decl).methods
         public_count = sum(1 for m in methods if "public" in m.modifiers)
         worst = max(
             (cyclomatic_complexity(m.body, ctx.facts.subtree) for m in methods if m.body is not None), default=0
@@ -277,8 +281,9 @@ def check_excessive_public_count(ctx: RuleContext, rule: SmellRule) -> list[Viol
     limit = rule.threshold("max_public")
     out = []
     for decl in ctx.facts.classes:
-        count = sum(1 for m in decl.methods if "public" in m.modifiers)
-        count += sum(len(f.declarators) for f in decl.fields if "public" in f.modifiers)
+        methods, _, fields, _ = ctx.facts.type_members(decl)
+        count = sum(1 for m in methods if "public" in m.modifiers)
+        count += sum(len(f.declarators) for f in fields if "public" in f.modifiers)
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' exposes {count} public members (max {limit})"))
     return out
@@ -289,7 +294,7 @@ def check_deficient_encapsulation(ctx: RuleContext, rule: SmellRule) -> list[Vio
     for decl in ctx.facts.classes:
         exposed = [
             d.name
-            for f in decl.fields
+            for f in ctx.facts.type_members(decl).fields
             if "public" in f.modifiers and not f.is_static_final
             for d in f.declarators
         ]
@@ -312,7 +317,7 @@ def check_final_parameters(ctx: RuleContext, rule: SmellRule) -> list[Violation]
 def check_final_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     for decl in ctx.facts.classes:
-        ctors = decl.constructors
+        ctors = ctx.facts.type_members(decl).constructors
         if ctors and all("private" in c.modifiers for c in ctors) and "final" not in decl.modifiers:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' has only private constructors; declare it final"))
     return out
@@ -321,7 +326,7 @@ def check_final_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def check_hidden_field(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     for decl, member in ctx.facts.methods:
-        fields = decl.field_names()
+        fields = ctx.facts.type_members(decl).field_names
         if not fields:
             continue
         for p in member.params:
@@ -386,8 +391,8 @@ def _overriding_violations(ctx: RuleContext, rule: SmellRule, want_empty: bool, 
         parent = declared.get(decl.extends[0].simple_name)
         if parent is None:
             continue
-        parent_sigs = {(m.name, len(m.params)) for m in parent.methods}
-        for m in decl.methods:
+        parent_sigs = {(m.name, len(m.params)) for m in ctx.facts.type_members(parent).methods}
+        for m in ctx.facts.type_members(decl).methods:
             if (m.name, len(m.params)) not in parent_sigs or m.body is None:
                 continue
             stmts = m.body.statements
@@ -422,9 +427,7 @@ def check_cyclic_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]
         subs = descendants(decl.name)
         if not subs:
             continue
-        used = ctx.facts.simple_names(decl) | {
-            r for node in ctx.facts.of_type(n.TypeRef, within=decl) for r in node.referenced_names()
-        }
+        used = ctx.facts.simple_names(decl) | {node.simple_name for node in ctx.facts.of_type(n.TypeRef, within=decl)}
         used -= {s.simple_name for s in decl.extends + decl.implements}
         hits = sorted(subs & used)
         if hits:
@@ -571,11 +574,11 @@ def check_imperative_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Viol
     for decl in ctx.facts.classes:
         if decl.is_abstract:
             continue
-        methods = decl.methods
-        if len(methods) != 1:
+        members = ctx.facts.type_members(decl)
+        if len(members.methods) != 1:
             continue
-        m = methods[0]
-        field_count = sum(len(f.declarators) for f in decl.fields)
+        m = members.methods[0]
+        field_count = len(members.field_names)
         if "public" in m.modifiers and not m.is_static and field_count <= max_fields:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' wraps the single operation '{m.name}'"))
     return out
@@ -584,8 +587,9 @@ def check_imperative_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Viol
 def check_multifaceted_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     for decl in ctx.facts.classes:
-        fields = [d.name for f in decl.fields if "static" not in f.modifiers for d in f.declarators]
-        methods = [m for m in decl.methods if m.body is not None]
+        members = ctx.facts.type_members(decl)
+        fields = [d.name for f in members.fields if "static" not in f.modifiers for d in f.declarators]
+        methods = [m for m in members.methods if m.body is not None]
         if len(fields) < 2 or len(methods) < 2:
             continue
         components = _usage_components(ctx.facts, fields, methods)
@@ -638,9 +642,10 @@ def _usage_components(facts: FileFacts, fields: list[str], methods: list[n.Metho
 def check_unnecessary_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     for decl in ctx.facts.classes:
-        if decl.methods or decl.constructors or decl.initializers or decl.nested_types:
+        fields = ctx.facts.type_members(decl).fields
+        if len(fields) < len(decl.members):  # a method, constructor, initializer or nested type
             continue
-        instance_fields = [f for f in decl.fields if "static" not in f.modifiers]
+        instance_fields = [f for f in fields if "static" not in f.modifiers]
         if instance_fields:
             continue
         out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' has no behavior and no instance data"))

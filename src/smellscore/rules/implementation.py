@@ -8,41 +8,27 @@ ordering is normalized later by the engine.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate
+from operator import add
 
 from ..java_syntax import nodes as n
-from ..java_syntax.lexer import TokenKind, numeric_value
+from ..java_syntax.lexer import Token, TokenKind, numeric_value
 from .context import FileFacts, RuleContext, expr_source_name, is_bool_literal, strip_parens
 from .model import SmellRule, Violation
 
-_CONSTANT_NAME = re.compile(r"^[A-Z][A-Z0-9]*(_[A-Z0-9]+)*$")
+# A checker's pattern comes from its rule's thresholds, so it is compiled
+# once per distinct value, never once per call.
+_regex = lru_cache(maxsize=64)(re.compile)
 _LOOPS = (n.WhileStmt, n.DoWhileStmt, n.ForStmt, n.ForEachStmt)
-
-
-def _declared_names(facts: FileFacts):
-    """(name, span, is_constant) for every declaration the naming rules see."""
-    for decl in facts.types:
-        yield decl.name, decl.name_span, False
-    for decl, member in facts.fields:
-        constant = member.is_static_final or decl.kind == "interface"
-        for d in member.declarators:
-            yield d.name, d.name_span, constant
-    for _, member in facts.methods:
-        if not member.is_constructor:
-            yield member.name, member.name_span, False
-        for p in member.params:
-            yield p.name, p.name_span, False
-    for _, _, body in facts.bodies:
-        for _, d, origin in facts.local_decls(body):
-            if origin != "resource":
-                yield d.name, d.name_span, False
-        for node in facts.of_type(n.ForEachStmt, within=body):
-            yield node.var_name, node.var_name_span, False
+_LOOP_CLASSES = frozenset(_LOOPS)
 
 
 # ---- inconsistent-naming ---------------------------------------------------
 
 def check_local_variable_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = re.compile(rule.threshold("pattern"))
+    pattern = _regex(rule.threshold("pattern"))
     out = []
     for _, _, body in ctx.facts.bodies:
         for _, d, _ in ctx.facts.local_decls(body):
@@ -55,7 +41,7 @@ def check_local_variable_name(ctx: RuleContext, rule: SmellRule) -> list[Violati
 
 
 def check_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = re.compile(rule.threshold("pattern"))
+    pattern = _regex(rule.threshold("pattern"))
     out = []
     for _, member in ctx.facts.methods:
         for p in member.params:
@@ -65,7 +51,7 @@ def check_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 
 def check_method_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = re.compile(rule.threshold("pattern"))
+    pattern = _regex(rule.threshold("pattern"))
     out = []
     for _, m in ctx.facts.methods:
         if not m.is_constructor and not pattern.match(m.name):
@@ -74,7 +60,7 @@ def check_method_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 
 def check_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = re.compile(rule.threshold("pattern"))
+    pattern = _regex(rule.threshold("pattern"))
     out = []
     for decl in ctx.facts.types:
         if not pattern.match(decl.name):
@@ -83,7 +69,7 @@ def check_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 
 def check_generics_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = re.compile(rule.threshold("pattern"))
+    pattern = _regex(rule.threshold("pattern"))
     out = []
     params = [tp for decl in ctx.facts.types for tp in decl.type_params]
     params += [tp for _, member in ctx.facts.methods for tp in member.type_params]
@@ -95,9 +81,9 @@ def check_generics_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 def check_abbreviation_as_word_in_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_consecutive_capitals")
-    run = re.compile(r"[A-Z]{%d,}" % (limit + 1))
+    run = _regex(r"[A-Z]{%d,}" % (limit + 1))
     out = []
-    for name, span, is_constant in _declared_names(ctx.facts):
+    for name, span, is_constant in ctx.facts.declared_names:
         if is_constant:
             continue
         if run.search(name):
@@ -106,7 +92,7 @@ def check_abbreviation_as_word_in_name(ctx: RuleContext, rule: SmellRule) -> lis
 
 
 def check_abstract_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = re.compile(rule.threshold("pattern"))
+    pattern = _regex(rule.threshold("pattern"))
     out = []
     for decl in ctx.facts.types:
         if decl.kind == "class" and decl.is_abstract and not pattern.match(decl.name):
@@ -115,7 +101,7 @@ def check_abstract_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violati
 
 
 def check_catch_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = re.compile(rule.threshold("pattern"))
+    pattern = _regex(rule.threshold("pattern"))
     out = []
     for _, _, body in ctx.facts.bodies:
         for node in ctx.facts.of_type(n.CatchClause, within=body):
@@ -125,7 +111,7 @@ def check_catch_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violat
 
 
 def check_constant_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = re.compile(rule.threshold("pattern"))
+    pattern = _regex(rule.threshold("pattern"))
     out = []
     for decl, member in ctx.facts.fields:
         if member.is_static_final or decl.kind == "interface":
@@ -140,7 +126,7 @@ _ILLEGAL_WORDS = frozenset({"var", "record", "yield", "permits", "sealed"})
 
 def check_illegal_identifier_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for name, span, _ in _declared_names(ctx.facts):
+    for name, span, _ in ctx.facts.declared_names:
         if name.lower() in _ILLEGAL_WORDS:
             out.append(ctx.violation(rule, span, f"'{name}' is a restricted identifier"))
     return out
@@ -232,9 +218,11 @@ def check_simplified_ternary(ctx: RuleContext, rule: SmellRule) -> list[Violatio
 
 def check_line_length(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_line_length")
+    lines = ctx.source.text.split("\n")  # the lines line_text gives, in order
+    if max(map(len, lines)) <= limit:
+        return []
     out = []
-    for line in range(1, ctx.source.line_count + 1):
-        text = ctx.source.line_text(line)
+    for line, text in enumerate(lines, 1):
         if len(text) > limit:
             span = n.Span(line, limit + 1, line, len(text) + 1)
             out.append(ctx.violation(rule, span, f"line is {len(text)} characters (max {limit})"))
@@ -316,15 +304,21 @@ def check_redundant_modifier(ctx: RuleContext, rule: SmellRule) -> list[Violatio
 def check_copy_paste(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     window = rule.threshold("min_duplicate_tokens")
     toks = ctx.sig
-    lex = [t.lexeme for t in toks]
-    total = len(lex)
+    total = len(toks)
     if total < 2 * window:
         return []
+    lex = [t.lexeme for t in toks]
+    # A window is keyed by the text of its lexemes, each followed by a newline.
+    # The parser rejects a line break inside a literal, so no lexeme of a
+    # parsed file holds one, and two windows are equal exactly when their
+    # texts are.
+    text = "\n".join(lex) + "\n"
+    starts = list(map(add, accumulate(map(len, lex), initial=0), range(total + 1)))  # token k's offset in text
     out = []
-    first_seen: dict[tuple[str, ...], int] = {}
+    first_seen: dict[str, int] = {}
     i = 0
     while i <= total - window:
-        key = tuple(lex[i : i + window])
+        key = text[starts[i] : starts[i + window]]
         j = first_seen.get(key)
         if j is not None and j + window <= i:
             length = window
@@ -376,7 +370,7 @@ def _is_empty_body(stmt: n.Stmt | None) -> bool:
 
 def check_empty_control_statement(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
-    for node in ctx.facts.of_type(n.IfStmt, *_LOOPS, n.SwitchStmt, n.Block):
+    for node in ctx.facts.of_type(n.IfStmt, *_LOOPS, n.SwitchStmt):
         if isinstance(node, n.IfStmt):
             if _is_empty_body(node.then):
                 out.append(ctx.violation(rule, node.span, "empty if body"))
@@ -385,13 +379,11 @@ def check_empty_control_statement(ctx: RuleContext, rule: SmellRule) -> list[Vio
         elif isinstance(node, _LOOPS):
             if _is_empty_body(node.body):
                 out.append(ctx.violation(rule, node.span, "empty loop body"))
-        elif isinstance(node, n.SwitchStmt):
-            if not node.arms:
-                out.append(ctx.violation(rule, node.span, "switch with no arms"))
-        elif isinstance(node, n.Block):
-            for stmt in node.statements:
-                if isinstance(stmt, n.EmptyStmt):
-                    out.append(ctx.violation(rule, stmt.span, "stray semicolon"))
+        elif not node.arms:
+            out.append(ctx.violation(rule, node.span, "switch with no arms"))
+    for stmt in ctx.facts.of_type(n.EmptyStmt):
+        if type(ctx.facts.parent(stmt)) is n.Block:
+            out.append(ctx.violation(rule, stmt.span, "stray semicolon"))
     return out
 
 
@@ -424,66 +416,63 @@ def check_indentation(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     width = rule.threshold("indent_width")
     out: list[Violation] = []
 
-    def check(span: n.Span, depth: int, what: str) -> None:
-        if not ctx.first_on_line(span):
-            return
-        expected = depth * width
-        actual = span.start_col - 1
-        if actual != expected:
-            out.append(ctx.violation(rule, span, f"{what} indented {actual} columns, expected {expected}"))
-
-    def body(stmt: n.Stmt, depth: int) -> tuple[n.Node, int]:
-        """A control-structure body: a block's statements or the single statement nest."""
-        return (stmt, depth) if isinstance(stmt, n.Block) else (stmt, depth + 1)
-
     # (node, depth) pairs over an explicit stack, each node's children pushed
     # last first so they come off in source order.  A block stands for its
-    # statements one level deeper.
+    # statements one level deeper; a control-structure body that is a single
+    # statement nests one level deeper itself.
     todo: list[tuple[n.Node, int]] = [(decl, 0) for decl in reversed(ctx.unit.types)]
     while todo:
         node, depth = todo.pop()
-        if isinstance(node, n.Block):
+        cls = type(node)
+        if cls is n.Block:
             todo += [(s, depth + 1) for s in reversed(node.statements)]
-        elif isinstance(node, n.Stmt):
-            check(node.span, depth, "statement")
-            if isinstance(node, n.IfStmt):
-                if isinstance(node.orelse, n.IfStmt):  # an else-if continues the chain at this depth
-                    todo.append((node.orelse, depth))
-                elif node.orelse is not None:
-                    todo.append(body(node.orelse, depth))
-                todo.append(body(node.then, depth))
-            elif isinstance(node, (n.WhileStmt, n.ForStmt, n.ForEachStmt, n.DoWhileStmt)):
-                todo.append(body(node.body, depth))
-            elif isinstance(node, n.SwitchStmt):
+            continue
+        if isinstance(node, n.Stmt):
+            what = "statement"
+            if cls is n.IfStmt:
+                orelse = node.orelse
+                if type(orelse) is n.IfStmt:  # an else-if continues the chain at this depth
+                    todo.append((orelse, depth))
+                elif orelse is not None:
+                    todo.append((orelse, depth if type(orelse) is n.Block else depth + 1))
+                todo.append((node.then, depth if type(node.then) is n.Block else depth + 1))
+            elif cls in _LOOP_CLASSES:
+                todo.append((node.body, depth if type(node.body) is n.Block else depth + 1))
+            elif cls is n.SwitchStmt:
                 todo += [(arm, depth + 1) for arm in reversed(node.arms)]
-            elif isinstance(node, n.TryStmt):
+            elif cls is n.TryStmt:
                 if node.finally_block is not None:
                     todo.append((node.finally_block, depth))
                 todo += [(c.body, depth) for c in reversed(node.catches)]
                 todo.append((node.body, depth))
-            elif isinstance(node, n.SynchronizedStmt):
+            elif cls is n.SynchronizedStmt:
                 todo.append((node.body, depth))
-            elif isinstance(node, n.LabeledStmt):
+            elif cls is n.LabeledStmt:
                 todo.append((node.stmt, depth))
-            elif isinstance(node, n.LocalTypeDecl):
+            elif cls is n.LocalTypeDecl:
                 todo.append((node.decl, depth))
-        elif isinstance(node, n.SwitchArm):
-            check(node.span, depth, "case label")
+        elif cls is n.SwitchArm:
+            what = "case label"
             todo += [(s, depth + 1) for s in reversed(node.statements)]
-        elif isinstance(node, n.TypeDecl):
-            check(node.span, depth, "type declaration")
+        elif cls is n.TypeDecl:
+            what = "type declaration"
             todo += [(member, depth + 1) for member in reversed(node.members)]
         else:  # a field, method or initializer
-            check(node.span, depth, "member declaration")
-            if not isinstance(node, n.FieldDecl) and node.body is not None:
+            what = "member declaration"
+            if cls is not n.FieldDecl and node.body is not None:
                 todo.append((node.body, depth))
+        expected = depth * width
+        actual = node.span.start_col - 1
+        if actual != expected and ctx.first_on_line(node.span):
+            out.append(ctx.violation(rule, node.span, f"{what} indented {actual} columns, expected {expected}"))
     return out
 
 
 def check_file_tab_character(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
+    if "\t" not in ctx.source.text:
+        return []
     out = []
-    for line in range(1, ctx.source.line_count + 1):
-        text = ctx.source.line_text(line)
+    for line, text in enumerate(ctx.source.text.split("\n"), 1):
         col = text.find("\t")
         if col >= 0:
             span = n.Span(line, col + 1, line, col + 2)
@@ -506,103 +495,77 @@ def check_need_braces(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 
 _ATOMS = (n.Literal, n.Name, n.FieldAccess, n.MethodCall, n.Paren, n.ThisExpr, n.SuperExpr, n.ClassLiteral, n.ArrayAccess)
-_PAREN_SITES = (
-    n.Paren, n.ReturnStmt, n.ThrowStmt, n.Assign, n.VarDeclarator, n.IfStmt, n.WhileStmt, n.DoWhileStmt,
-    n.SwitchStmt, n.SynchronizedStmt, n.AssertStmt, n.ForEachStmt, n.MethodCall, n.ArrayAccess,
-)
+# The field of each node class in which a parenthesized expression needs no
+# parentheses.  Method call arguments and a parenthesized atom are the others.
+_PAREN_FIELDS = {
+    n.ReturnStmt: "value", n.ThrowStmt: "expr", n.Assign: "value", n.VarDeclarator: "init",
+    n.IfStmt: "cond", n.WhileStmt: "cond", n.DoWhileStmt: "cond", n.SwitchStmt: "selector",
+    n.SynchronizedStmt: "lock", n.AssertStmt: "cond", n.ForEachStmt: "iterable", n.ArrayAccess: "index",
+}
 
 
 def check_useless_parentheses(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    flagged: dict[int, n.Paren] = {}
+    flagged = []
+    for paren in ctx.facts.of_type(n.Paren):  # few, so each is asked where it sits
+        if not isinstance(paren.expr, _ATOMS):
+            owner = ctx.facts.parent(paren)
+            cls = type(owner)
+            if cls is n.MethodCall:
+                if not any(arg is paren for arg in owner.args):
+                    continue
+            elif cls not in _PAREN_FIELDS or getattr(owner, _PAREN_FIELDS[cls]) is not paren:
+                continue
+        flagged.append(paren)
 
-    def flag(expr: n.Expr | None) -> None:
-        if isinstance(expr, n.Paren):
-            flagged[id(expr)] = expr
-
-    for node in ctx.facts.of_type(*_PAREN_SITES):
-        if isinstance(node, n.Paren) and isinstance(node.expr, _ATOMS):
-            flag(node)
-        elif isinstance(node, n.ReturnStmt):
-            flag(node.value)
-        elif isinstance(node, n.ThrowStmt):
-            flag(node.expr)
-        elif isinstance(node, n.Assign):
-            flag(node.value)
-        elif isinstance(node, n.VarDeclarator):
-            flag(node.init)
-        elif isinstance(node, (n.IfStmt, n.WhileStmt, n.DoWhileStmt)):
-            flag(node.cond)
-        elif isinstance(node, n.SwitchStmt):
-            flag(node.selector)
-        elif isinstance(node, n.SynchronizedStmt):
-            flag(node.lock)
-        elif isinstance(node, n.AssertStmt):
-            flag(node.cond)
-        elif isinstance(node, n.ForEachStmt):
-            flag(node.iterable)
-        elif isinstance(node, n.MethodCall):
-            for arg in node.args:
-                flag(arg)
-        elif isinstance(node, n.ArrayAccess):
-            flag(node.index)
-
-    ordered = sorted(flagged.values(), key=lambda p: (p.span.start_line, p.span.start_col))
+    ordered = sorted(flagged, key=lambda p: (p.span.start_line, p.span.start_col))
     return [ctx.violation(rule, p.span, "parentheses are not needed here") for p in ordered]
 
 
-def _curly_blocks(facts: FileFacts):
-    """Blocks whose opening brace should close the preceding header line."""
-    for decl in facts.types:
-        yield decl.span, decl
-    for _, member, body in facts.bodies:
-        yield body.span, member
+def _curly_blocks(ctx: RuleContext) -> list[n.Span]:
+    """Where the blocks start whose opening brace should close the preceding
+    header line: type bodies, member bodies, then statement blocks."""
+    facts = ctx.facts
+    # a type body's brace is the first '{' token after the type's name
+    spans = [brace for decl in facts.types if (brace := _brace_after(ctx, decl.name_span)) is not None]
+    spans += [body.span for _, _, body in facts.bodies]
     for node in facts.of_type(n.IfStmt, *_LOOPS, n.TryStmt, n.SynchronizedStmt):
-        if isinstance(node, n.IfStmt):
-            if isinstance(node.then, n.Block):
-                yield node.then.span, node
-            if isinstance(node.orelse, n.Block):
-                yield node.orelse.span, node
-        elif isinstance(node, _LOOPS):
-            if isinstance(node.body, n.Block):
-                yield node.body.span, node
-        elif isinstance(node, n.TryStmt):
-            yield node.body.span, node
-            for c in node.catches:
-                yield c.body.span, c
+        cls = type(node)
+        if cls is n.IfStmt:
+            spans += [part.span for part in (node.then, node.orelse) if type(part) is n.Block]
+        elif cls is n.TryStmt:
+            spans.append(node.body.span)
+            spans += [c.body.span for c in node.catches]
             if node.finally_block is not None:
-                yield node.finally_block.span, node
-        elif isinstance(node, n.SynchronizedStmt):
-            yield node.body.span, node
+                spans.append(node.finally_block.span)
+        elif cls is n.SynchronizedStmt or type(node.body) is n.Block:
+            spans.append(node.body.span)
+    return spans
 
 
 def check_left_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     seen: set[tuple[int, int]] = set()
-    for span, node in _curly_blocks(ctx.facts):
-        if isinstance(node, n.TypeDecl):
-            # locate the type body's brace: first '{' token after the name
-            brace = _brace_after(ctx, node.name_span)
-            if brace is None:
-                continue
-            span = brace
-        key = (span.start_line, span.start_col)
+    for span in _curly_blocks(ctx):
+        line, col = key = span[:2]
         if key in seen:
             continue
         seen.add(key)
-        if ctx.first_on_line(n.Span(span.start_line, span.start_col, span.start_line, span.start_col + 1)):
-            brace_span = n.Span(span.start_line, span.start_col, span.start_line, span.start_col + 1)
-            out.append(ctx.violation(rule, brace_span, "opening brace should end the previous line"))
+        if ctx.first_on_line(span):
+            out.append(ctx.violation(rule, n.Span(line, col, line, col + 1), "opening brace should end the previous line"))
     return out
 
 
 def _brace_after(ctx: RuleContext, span: n.Span) -> n.Span | None:
-    for t in ctx.sig:
-        if t.lexeme == "{" and (
-            t.span.start_line > span.end_line
-            or (t.span.start_line == span.end_line and t.span.start_col >= span.end_col)
-        ):
-            return t.span
+    """The first '{' token that starts at or after span's end."""
+    sig = ctx.sig
+    for i in range(bisect_left(sig, span[2:], key=_token_start), len(sig)):
+        if sig[i].lexeme == "{":
+            return sig[i].span
     return None
+
+
+def _token_start(t: Token) -> tuple[int, int]:
+    return t.span[:2]
 
 
 def check_right_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
@@ -631,7 +594,17 @@ def check_right_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     return out
 
 
+# A whitespace token without a newline starts and ends with one of these
+# characters, so a text neither pattern is found in has no padded parenthesis.
+# (Two searches run faster than one alternation.)
+_SPACE_AFTER_OPEN = re.compile(r"\([ \t\r\f]")
+_SPACE_BEFORE_CLOSE = re.compile(r"[ \t\r\f]\)")
+
+
 def check_paren_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
+    text = ctx.source.text
+    if not (_SPACE_AFTER_OPEN.search(text) or _SPACE_BEFORE_CLOSE.search(text)):
+        return []
     out = []
     toks = ctx.tokens
     for i, t in enumerate(toks):
@@ -709,10 +682,14 @@ def check_declaration_order(ctx: RuleContext, rule: SmellRule) -> list[Violation
 # ---- magic-number ---------------------------------------------------------
 
 def check_magic_number(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
+    numbers = [lit for lit in ctx.facts.of_type(n.Literal) if lit.kind is TokenKind.NUMBER]
+    if not numbers:
+        return []
     ignore = set(rule.threshold("ignore_numbers"))
+    constant = _constant_literals(ctx.facts)
     out: list[Violation] = []
-    for lit in ctx.facts.of_type(n.Literal):
-        if lit.kind is not TokenKind.NUMBER or _in_constant(ctx.facts, lit):
+    for lit in numbers:
+        if id(lit) in constant:
             continue
         value = numeric_value(lit.lexeme, lit.radix, lit.suffix)  # a literal that parsed has digits
         owner = ctx.facts.parent(lit)
@@ -724,16 +701,14 @@ def check_magic_number(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     return out
 
 
-def _in_constant(facts: FileFacts, node: n.Node) -> bool:
-    """True inside a static final field or an interface field, where numbers name constants."""
-    inner = None
-    for outer in facts.ancestors(node):
-        if isinstance(inner, n.FieldDecl) and (
-            inner.is_static_final or isinstance(outer, n.TypeDecl) and outer.kind == "interface"
-        ):
-            return True
-        inner = outer
-    return False
+def _constant_literals(facts: FileFacts) -> set[int]:
+    """ids of the literals inside a static final field or an interface field, where numbers name constants."""
+    found: set[int] = set()
+    for field in facts.of_type(n.FieldDecl):
+        owner = facts.parent(field)
+        if field.is_static_final or isinstance(owner, n.TypeDecl) and owner.kind == "interface":
+            found.update([id(lit) for lit in facts.of_type(n.Literal, within=field)])
+    return found
 
 
 # ---- dead-code -------------------------------------------------------------
@@ -783,18 +758,15 @@ def check_unused_private_method(ctx: RuleContext, rule: SmellRule) -> list[Viola
 
 
 def check_unused_import(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
+    imports = ctx.unit.imports
+    if not imports:
+        return []
     out = []
-    import_spans = [imp.span for imp in ctx.unit.imports]
-
-    def in_imports(t) -> bool:
-        return any(
-            s.start_line <= t.span.start_line <= s.end_line for s in import_spans
-        )
-
+    import_lines = {line for imp in imports for line in range(imp.span.start_line, imp.span.end_line + 1)}
     body_idents = {
-        t.lexeme for t in ctx.sig if t.kind is TokenKind.IDENTIFIER and not in_imports(t)
+        t.lexeme for t in ctx.sig if t.kind is TokenKind.IDENTIFIER and t.span.start_line not in import_lines
     }
-    for imp in ctx.unit.imports:
+    for imp in imports:
         if imp.on_demand:
             continue
         simple = imp.name.rsplit(".", 1)[-1]
@@ -868,14 +840,18 @@ def check_comment_size(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 
 def check_comment_content(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    words = rule.threshold("disallowed_words")
-    pattern = re.compile(r"\b(" + "|".join(re.escape(w) for w in words) + r")\b", re.IGNORECASE)
+    pattern = _any_word(tuple(rule.threshold("disallowed_words")))
     out = []
     for c in ctx.unit.comments:
         m = pattern.search(c.text)
         if m:
             out.append(ctx.violation(rule, c.span, f"comment contains disallowed word '{m.group(1)}'"))
     return out
+
+
+@lru_cache(maxsize=64)
+def _any_word(words: tuple[str, ...]) -> re.Pattern[str]:
+    return re.compile(r"\b(" + "|".join(re.escape(w) for w in words) + r")\b", re.IGNORECASE)
 
 
 def _has_override(member: n.MethodDecl) -> bool:

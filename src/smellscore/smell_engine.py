@@ -40,6 +40,25 @@ _REGISTRY = _build_registry()
 _RULE_TYPES = rule_types()
 
 
+class _UniqueRules(tuple):
+    """Rules already collapsed by rule_id, first occurrence kept."""
+
+
+_CATALOG_RULES = _UniqueRules(catalog())  # catalog ids are unique
+
+
+def _unique_rules(rules: Sequence[SmellRule] | None) -> _UniqueRules:
+    """rules (default: the full catalog) collapsed by rule_id."""
+    if rules is None:
+        return _CATALOG_RULES
+    if isinstance(rules, _UniqueRules):
+        return rules
+    unique: dict[str, SmellRule] = {}
+    for r in rules:
+        unique.setdefault(r.rule_id, r)
+    return _UniqueRules(unique.values())
+
+
 def detect_file(
     source: SourceFile,
     subject: tuple[str, str],
@@ -52,12 +71,7 @@ def detect_file(
     Duplicate rules in the input are collapsed by rule_id, so passing a rule
     once per origin tag cannot multiply counts.
     """
-    if rules is None:
-        rules = catalog()
-    unique: dict[str, SmellRule] = {}
-    for r in rules:
-        unique.setdefault(r.rule_id, r)
-
+    unique = _unique_rules(rules)
     if outcome is None:
         outcome = parse(source)
     if not outcome.ok:
@@ -67,9 +81,8 @@ def detect_file(
     ctx = RuleContext(source=source, facts=FileFacts(outcome.ast), tokens=outcome.tokens, sig=significant(outcome.tokens))
 
     violations = []
-    for rule in unique.values():
-        checker = _REGISTRY[rule.rule_id]
-        violations.extend(checker(ctx, rule))
+    for rule in unique:
+        violations += _REGISTRY[rule.rule_id](ctx, rule)  # looked up per call: a hook may replace the entry
     return ViolationReport.build(subject, parse_ok=True, violations=violations, rule_types=_RULE_TYPES)
 
 
@@ -90,6 +103,7 @@ def detect_corpus(
     raised.  When out_dir is given the reports are persisted in canonical
     order so results are independent of worker scheduling.
     """
+    rules = _unique_rules(rules)  # once, not once per file
     work: list[tuple[str, str, Path]] = []
     for subject in sorted(set(subjects)):
         for task in corpus.tasks:

@@ -274,6 +274,33 @@ def test_reference_facts_match_reference():
         assert [names for _, names in facts.class_refs] == [reference_referenced_type_names(d) for d in classes], path
 
 
+def test_type_members_match_type_properties():
+    for path, unit in _fact_units():
+        facts = FileFacts(unit)
+        for decl in facts.types:
+            got = facts.type_members(decl)
+            assert _ids(got.methods) == _ids(decl.methods), (path, decl.name)
+            assert _ids(got.constructors) == _ids(decl.constructors), (path, decl.name)
+            assert _ids(got.fields) == _ids(decl.fields), (path, decl.name)
+            assert got.field_names == [d.name for f in decl.fields for d in f.declarators], (path, decl.name)
+            assert facts.type_members(decl) is got
+
+
+def test_member_nodes_match_member_walks():
+    for path, unit in _fact_units():
+        facts = FileFacts(unit)
+        for decl in facts.types:
+            for cls in (n.TypeRef, n.Name, n.MethodCall):
+                want = [
+                    node
+                    for member in decl.members
+                    if not isinstance(member, n.TypeDecl)
+                    for node in reference_walk(member)
+                    if type(node) is cls
+                ]
+                assert _ids(facts.member_nodes(decl, cls)) == _ids(want), (path, decl.name, cls)
+
+
 def test_extra_sources_exercise_the_facts():
     facts = {name: FileFacts(unit) for name, unit in _fact_units() if name in EXTRA_SOURCES}
     nested = facts["nested"]

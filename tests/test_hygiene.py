@@ -242,3 +242,52 @@ def test_scan_finds_a_function_that_calls_its_own_name():
         "    def m(self):\n        def inner():\n            return inner()\n        return inner\n"
     )
     assert self_calling_functions(source) == ["C.m.inner", "C.to_json", "walk"]
+
+
+def compiling_checkers(source: str) -> list[str]:
+    """The name of each ``check_*`` function whose body calls ``re.compile``
+    (or a ``compile`` imported from ``re``), with the line of the call."""
+    tree = ast.parse(source)
+    local = {
+        alias.asname or alias.name
+        for stmt in tree.body
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "re"
+        for alias in stmt.names
+        if alias.name == "compile"
+    }
+    found: list[str] = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name.startswith("check_"):
+            for call in ast.walk(stmt):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if (
+                    isinstance(func, ast.Attribute) and func.attr == "compile"
+                    and isinstance(func.value, ast.Name) and func.value.id == "re"
+                ) or (isinstance(func, ast.Name) and func.id in local):
+                    found.append(f"{stmt.name}:{call.lineno}")
+    return found
+
+
+def test_checkers_compile_no_pattern_per_call():
+    """A checker runs once per file, so its patterns live at module level or
+    are cached per threshold value."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{entry}"
+        for path in sorted((PACKAGE / "rules").glob("*.py"))
+        for entry in compiling_checkers(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_scan_finds_a_checker_that_compiles_a_pattern():
+    source = (
+        "import re\nfrom re import compile as c\n\n"
+        "_P = re.compile('x')\n\n"
+        "def _cached(p):\n    return re.compile(p)\n\n"
+        "def check_a(ctx, rule):\n    return re.compile(rule.threshold('pattern'))\n\n"
+        "def check_b(ctx, rule):\n    def inner():\n        return c('y')\n    return inner\n\n"
+        "def check_c(ctx, rule):\n    return _cached(rule.threshold('pattern'))\n"
+    )
+    assert compiling_checkers(source) == ["check_a:10", "check_b:14"]

@@ -505,6 +505,18 @@ class G {
         start = text.index(literal, text.index("return")) + 1
         assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(literal))
 
+    @pytest.mark.parametrize("literal, message", [
+        ('"a\\\nb"', "invalid escape character '\\n' after a backslash"),
+        ("'\\\n'", "invalid escape character '\\n' after a backslash"),
+        ('"a\\\r\nb"', "unterminated string literal"),
+    ])
+    def test_no_literal_holds_a_line_break(self, literal, message):
+        """copy-paste keys token windows by their newline-joined lexemes, which
+        needs every token of a parsed file to be free of line breaks."""
+        out = parse_text("A.java", f"class A {{ Object f() {{ return {literal}; }} }}")
+        assert not out.ok
+        assert out.failure.message == message
+
     @pytest.mark.parametrize("expr", [
         "09.5", "09e1", "09f", "09D", "0", "00", "017", "0L", "'a'", "'\\''",
         "-2147483648", "- -2147483648", "(int) -2147483648", "2147483647", "0xFFFFFFFF", "037777777777",
@@ -861,6 +873,50 @@ def test_enum_constant_and_resource_lists(text, message):
     assert out.ok == (message is None), out.failure
     if message is not None:
         assert out.failure.message == message
+
+
+# Forms JLS 14.20.3 (one initialized variable per resource), 15.10.1 (array
+# creation) and 8.4.1 (the variable arity parameter comes last) reject.  Each
+# fails at the one token that ``at`` starts with.
+@pytest.mark.parametrize("text, at, message", [
+    ("class A { void m() { try (R a) {} } }", ") {}", "try resource needs an initializer"),
+    ("class A { void m() { try (R a, b = g()) {} } }", ", b", "try resource needs an initializer"),
+    ("class A { void m() { try (R a = f(), b = g()) {} } }", ", b", "try resource declares more than one variable"),
+    ("class A { Object o = new int[]; }", ";", "array creation needs a dimension expression or an initializer"),
+    ("class A { Object o = new String[][]; }", ";", "array creation needs a dimension expression or an initializer"),
+    ("class A { Object o = new int[2]{1, 2}; }", "{1", "array creation with dimension expressions takes no initializer"),
+    ("class A { Object o = new int[][2]; }", "2]", "array dimension expression after '[]'"),
+    ("class A { void m(int... a, int b) {} }", "...", "varargs parameter must be the last parameter"),
+    ("class A { void m(String... a[], int b) {} }", "...", "varargs parameter must be the last parameter"),
+    ("class A { Object o = (int... a, int b) -> a; }", "...", "varargs parameter must be the last parameter"),
+], ids=[
+    "resource-without-initializer", "resource-first-of-two-without-initializer", "resource-with-two-variables",
+    "array-without-dims-or-initializer", "array-of-arrays-without-dims-or-initializer", "array-dims-and-initializer",
+    "array-dim-after-empty-pair", "varargs-not-last", "varargs-with-dims-not-last", "lambda-varargs-not-last",
+])
+def test_jls_rejected_form_is_a_located_failure(text, at, message):
+    out = parse_text("A.java", text)
+    assert not out.ok
+    assert out.failure.message == message
+    assert text.count(at) == 1
+    start = text.index(at) + 1
+    assert out.failure.first_error_span.as_tuple()[:2] == (1, start)
+
+
+@pytest.mark.parametrize("text", [
+    "class A { void m() { try (final R a = f()) {} } }",
+    "class A { void m() { try (R a = f(); R b = g()) {} } }",
+    "class A { Object o = new int[3]; }",
+    "class A { Object o = new int[3][]; }",
+    "class A { Object o = new int[2][3][]; }",
+    "class A { Object o = new int[]{1, 2}; }",
+    "class A { Object o = new int[][]{{1}, {}}; }",
+    "class A { void m(int b, String... a) {} }",
+    "class A { Object o = (int a, int... b) -> a; }",
+])
+def test_jls_accepted_form_parses(text):
+    out = parse_text("A.java", text)
+    assert out.ok, out.failure
 
 
 def test_method_call_trees():

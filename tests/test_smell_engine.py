@@ -3,12 +3,17 @@ per-corpus detection, and the single-class silence of hierarchy rules."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
+from collections import Counter
+from pathlib import Path
 
 from smellscore.java_syntax import SourceFile
+from smellscore.outputs import json_text
 from smellscore.rules.catalog import catalog, rule_by_id, rules_for_category, rules_for_type
 from smellscore.smell_engine import (
+    _REGISTRY,
     BASELINE,
     StoredCounts,
     detect_corpus,
@@ -19,6 +24,7 @@ from smellscore.smell_engine import (
 )
 
 from test_corpus import make_task, write_manifest
+from test_smell_rules import CASES
 from smellscore.corpus import load_manifest
 
 SMELLY = """\
@@ -182,6 +188,65 @@ class G {
         test = f"if ({chain} instanceof String) {{}}"
         report = _report(f"class A {{ void m(Object a) {{ {test} {test} }} }}")
         assert report.parse_ok
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# sha256 over json_text(detect_file(...).to_json()) with the full catalog, for
+# every tests/**/*.java file in path order and then every CASES fixture text
+# (positive, then negative), as printed before the rule layer's fast paths.
+DETECT_FILE_JSON_SHA256 = "8cb5ad529e8f4c138a1a1eae794ce2f0a635ba0ecd4fe6e45d925a6dd4acf289"
+
+
+def _golden_sources() -> list[tuple[str, str]]:
+    out = [
+        (path.relative_to(ROOT).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted(ROOT.glob("tests/**/*.java"))
+    ]
+    for case in CASES:
+        out += [(case.path, case.positive), (case.path, case.negative)]
+    return out
+
+
+def _wrap_everywhere(monkeypatch, fn, wrapper) -> None:
+    """Put wrapper wherever a smellscore module holds fn: in its namespace or
+    in a dict of its namespace, as the benchmark's tracer hooks checkers."""
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("smellscore") or module is None:
+            continue
+        for key, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, key, wrapper)
+            elif isinstance(value, dict) and not key.startswith("__"):
+                for k, v in list(value.items()):
+                    if v is fn:
+                        monkeypatch.setitem(value, k, wrapper)
+
+
+class TestRuleLayer:
+    def test_detect_file_json_is_unchanged(self):
+        digest = hashlib.sha256()
+        sources = _golden_sources()
+        for path, text in sources:
+            report = detect_file(SourceFile.from_text(path, text), ("golden", "test"))
+            digest.update(json_text(report.to_json()).encode())
+        assert len(sources) > 2 * len(CASES)
+        assert digest.hexdigest() == DETECT_FILE_JSON_SHA256
+
+    def test_every_checker_runs_once_per_parsed_file(self, monkeypatch):
+        """A checker that skipped a file would leave its span unrecorded on a
+        workload where every file skips it."""
+        calls: Counter[str] = Counter()
+        for rule_id, fn in list(_REGISTRY.items()):
+            def counting(ctx, rule, fn=fn, rule_id=rule_id):
+                calls[rule_id] += 1
+                return fn(ctx, rule)
+
+            _wrap_everywhere(monkeypatch, fn, counting)
+        report = detect_file(SourceFile.from_text("A.java", "class A {}\n"), ("t", "m"))
+        assert report.parse_ok
+        assert len(_REGISTRY) == 82
+        assert calls == {rule.rule_id: 1 for rule in catalog()}
 
 
 class TestDetectCorpus:
