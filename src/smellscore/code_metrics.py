@@ -1,5 +1,4 @@
-"""Source metrics: lines of code, cyclomatic and cognitive complexity, and
-the type references and inheritance depth of a class.
+"""Source metrics: lines of code, cyclomatic and cognitive complexity.
 
 Cyclomatic complexity is 1 plus the number of decision points: if, loop,
 non-default case label, catch clause, ternary, and each && or || operator.
@@ -23,13 +22,9 @@ this scheme, and one loop over an explicit stack applies them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from .java_syntax import nodes as n
-from .java_syntax.lexer import PRIMITIVE_TYPES
-
-if TYPE_CHECKING:
-    from .rules.context import FileFacts
 
 
 class AbstractBodyError(Exception):
@@ -146,49 +141,3 @@ def _bool_tree(expr: n.Binary) -> tuple[list[str], list[n.Expr]]:
         else:
             operands.append(item)
     return ops, operands
-
-
-# --------------------------------------------------------------------------
-# Class structure
-# --------------------------------------------------------------------------
-
-def referenced_type_names(decl: n.TypeDecl, facts: FileFacts) -> set[str]:
-    """Distinct simple type names referenced from type positions in a class.
-
-    Name-based and per-file: primitives, wildcards, the class's own name, and
-    its type-parameter names are excluded.  ``facts`` indexes the unit that
-    declares the class.
-    """
-    excluded = {decl.name, "void", "var", ""} | PRIMITIVE_TYPES
-    excluded.update(tp.name for tp in decl.type_params)
-    for member in decl.members:
-        if isinstance(member, n.MethodDecl):
-            excluded.update(tp.name for tp in member.type_params)
-    excluded.add("?")  # a wildcard names no type
-    names = {name for ref in decl.extends + decl.implements for name in ref.referenced_names()}
-    # Nested type arguments are TypeRefs of the members as well, so each
-    # reference's own simple name is all it adds; nested types count their own.
-    names.update([ref.simple_name for ref in facts.member_nodes(decl, n.TypeRef)])
-    return names - excluded
-
-
-def inheritance_depth_hint(decl: n.TypeDecl, facts: FileFacts) -> int:
-    """Length of the extends chain walkable from this class.
-
-    The first edge counts even when the parent is not declared in the file;
-    beyond that only classes declared in the same unit (``facts``) extend the
-    chain.
-    """
-    if decl.kind != "class" or not decl.extends:
-        return 0
-    depth = 0
-    seen = {decl.name}
-    current: n.TypeDecl | None = decl
-    while current is not None and current.extends:
-        depth += 1
-        parent_name = current.extends[0].simple_name
-        if parent_name in seen:
-            break
-        seen.add(parent_name)
-        current = facts.class_by_name.get(parent_name)
-    return depth

@@ -9,7 +9,6 @@ from .lexer import (
     Span,
     Token,
     TokenKind,
-    significant,
     tokenize,
 )
 from .parser import ParseFailure, ParseOutcome, parse, parse_text
@@ -24,7 +23,6 @@ __all__ = [
     "Span",
     "Token",
     "TokenKind",
-    "significant",
     "tokenize",
     "ParseFailure",
     "ParseOutcome",

@@ -90,10 +90,6 @@ class SourceFile:
         end = self.line_index[line] - 1 if line < len(self.line_index) else len(self.text)
         return self.text[start:end].rstrip("\n")
 
-    @property
-    def line_count(self) -> int:
-        return len(self.line_index)
-
 
 class Token:
     __slots__ = ("kind", "lexeme", "span", "radix", "suffix", "is_trivia")
@@ -230,8 +226,3 @@ def numeric_value(lexeme: str, radix: int, suffix: str | None) -> int | float:
     if radix == 10 and ("." in digits or "e" in digits or "E" in digits):
         return float(digits)
     return int(digits, radix)  # int() takes the 0x/0b prefix of its base
-
-
-def significant(tokens: list[Token]) -> list[Token]:
-    """Drop whitespace and comment tokens."""
-    return [t for t in tokens if not t.is_trivia]

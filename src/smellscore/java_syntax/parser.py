@@ -81,7 +81,7 @@ class ParseFailure:
 class ParseOutcome:
     ast: n.CompilationUnit | None = None
     failure: ParseFailure | None = None
-    tokens: list[Token] = field(default_factory=list)  # lossless stream the AST came from; empty on failure
+    tokens: list[Token] = field(default_factory=list)  # the AST's significant tokens, '>>' unsplit; empty on failure
 
     @property
     def ok(self) -> bool:
@@ -114,7 +114,7 @@ def parse(source: SourceFile) -> ParseOutcome:
         return ParseOutcome(failure=ParseFailure(span, e.message))
     parser = _Parser(tokens)
     try:
-        return ParseOutcome(ast=parser.compilation_unit(), tokens=tokens)
+        return ParseOutcome(ast=parser.compilation_unit(), tokens=parser.significant)
     except _ParseError as e:
         error = e
     except RecursionError:  # located at the token the parser had reached
@@ -129,11 +129,13 @@ def parse_text(path: str, text: str) -> ParseOutcome:
 class _Parser:
     def __init__(self, all_tokens: list[Token]):
         self.all_tokens = all_tokens
-        # The significant tokens; for each, its index in the full stream (for
-        # comment attachment); and their lexemes, padded with None for end of
-        # file as far as any lookahead reaches, for the hot lexeme tests.
+        # The significant tokens; the copy split_gt rewrites; for each, its
+        # index in the full stream (for comment attachment); and their
+        # lexemes, padded with None for end of file as far as any lookahead
+        # reaches, for the hot lexeme tests.
         self.full_index = [i for i, t in enumerate(all_tokens) if not t.is_trivia]
-        self.toks = [all_tokens[i] for i in self.full_index]
+        self.significant = [all_tokens[i] for i in self.full_index]
+        self.toks = self.significant[:]
         self.lexemes: list[str | None] = [t.lexeme for t in self.toks] + [None] * 3
         self.i = 0
         self.depth = 0  # see _MAX_DEPTH

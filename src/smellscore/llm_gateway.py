@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from .corpus import MANIFEST_SPEC, require_plain_name
-from .outputs import check, optional, read_json
+from .corpus import load_manifest, require_plain_name
+from .outputs import check, optional
 from .java_syntax import parse_text
 
 STATUS_OK = "ok"
@@ -249,17 +249,16 @@ def run_generation_batch(
     Solutions land in solutions/<model_id>/<task_id>.java relative to the
     corpus root; the manifest gains one entry per success, and every record is
     appended to generation.log.jsonl.  Sequential by design: rate limits
-    dominate, and ordering keeps the log reproducible.  A manifest that does
-    not fit MANIFEST_SPEC, and a model id or task id that is empty or holds '/',
-    '\\' or '..' (it would leave that directory), raise ValueError before any
-    request is made.
+    dominate, and ordering keeps the log reproducible.  A model id that is
+    empty or holds '/', '\\' or '..' (it would leave that directory) raises
+    ValueError, and a manifest that load_manifest rejects raises its error,
+    before any request is made.
     """
     require_plain_name("model id", model_id)
     root = Path(corpus_root)
     manifest_path = root / "corpus.json"
-    manifest = read_json(manifest_path, MANIFEST_SPEC, ValueError)
-    for task in manifest["tasks"]:
-        require_plain_name("task id", task["task_id"])
+    load_manifest(manifest_path)
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))  # each success extends and rewrites it
     log_path = root / "generation.log.jsonl"
 
     records: list[GenerationRecord] = []

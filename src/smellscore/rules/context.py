@@ -5,11 +5,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from ..code_metrics import referenced_type_names
 from ..java_syntax import nodes as n
-from ..java_syntax.lexer import SourceFile, Span, Token, TokenKind
+from ..java_syntax.lexer import PRIMITIVE_TYPES, SourceFile, Span, Token, TokenKind
 from .model import SmellRule, Violation
 
 
@@ -50,12 +49,17 @@ class FileFacts:
     * ``local_decls(body)`` (lazy, per body): the body's local declarations;
     * ``hierarchy_applies``: whether the unit declares several types or
       uses extends/implements, which gates the hierarchy rules;
+    * ``supertypes(decl)`` (lazy, per type): the declared types decl
+      extends or implements; ``subtypes`` (lazy): each declared type's
+      direct subtypes, by name;
+    * ``inheritance_depth(decl)``: the length of decl's extends chain;
     * ``declared_names`` (lazy): (name, span, is_constant) of every
       declaration the naming rules see;
     * ``edges`` (lazy): the in-unit reference edges between types;
     * ``class_refs`` (lazy): each class with its referenced type names.
 
-    A checker reads these and derives none of them itself.
+    A checker reads these and derives none of them itself; ``reachable``
+    walks the type graphs among them.
     """
 
     def __init__(self, unit: n.CompilationUnit) -> None:
@@ -101,6 +105,7 @@ class FileFacts:
         self._by_class = by_class
         self._local_decls: dict[int, list[tuple[n.LocalVarDecl, n.VarDeclarator, str]]] = {}
         self._type_members: dict[int, TypeMembers] = {}
+        self._supertypes: dict[int, list[str]] = {}
         self.types: list[n.TypeDecl] = list(unit.all_types())
         self.classes = [t for t in self.types if t.kind == "class"]
         self.by_name = {t.name: t for t in self.types}
@@ -149,8 +154,65 @@ class FileFacts:
 
     @cached_property
     def class_refs(self) -> list[tuple[n.TypeDecl, set[str]]]:
-        """Each class with the type names it references (code_metrics.referenced_type_names)."""
-        return [(decl, referenced_type_names(decl, self)) for decl in self.classes]
+        """Each class with the type names it references."""
+        return [(decl, self.referenced_type_names(decl)) for decl in self.classes]
+
+    def referenced_type_names(self, decl: n.TypeDecl) -> set[str]:
+        """Distinct simple type names referenced from type positions in a class.
+
+        Name-based and per-file: primitives, wildcards, the class's own name,
+        and its type-parameter names are excluded.
+        """
+        excluded = {decl.name, "void", "var", "", "?"} | PRIMITIVE_TYPES  # '?': a wildcard names no type
+        excluded.update(tp.name for tp in decl.type_params)
+        for member in decl.members:
+            if isinstance(member, n.MethodDecl):
+                excluded.update(tp.name for tp in member.type_params)
+        names = {name for ref in decl.extends + decl.implements for name in ref.referenced_names()}
+        # Nested type arguments are TypeRefs of the members as well, so each
+        # reference's own simple name is all it adds; nested types count their own.
+        names.update([ref.simple_name for ref in self.member_nodes(decl, n.TypeRef)])
+        return names - excluded
+
+    def supertypes(self, decl: n.TypeDecl) -> list[str]:
+        """The declared types that decl extends or implements, by simple name
+        in source order; a parent named twice is listed twice."""
+        found = self._supertypes.get(id(decl))
+        if found is None:
+            declared = self.by_name
+            refs = decl.extends + decl.implements
+            found = self._supertypes[id(decl)] = [r.simple_name for r in refs if r.simple_name in declared]
+        return found
+
+    @cached_property
+    def subtypes(self) -> dict[str, list[str]]:
+        """Each declared type name with the names of the declarations that
+        extend or implement it: one entry per (declaration, parent) pair."""
+        subtypes: dict[str, list[str]] = {name: [] for name in self.by_name}
+        for decl in self.types:
+            for parent in self.supertypes(decl):
+                subtypes[parent].append(decl.name)
+        return subtypes
+
+    def inheritance_depth(self, decl: n.TypeDecl) -> int:
+        """Length of the extends chain walkable from a class.
+
+        The first edge counts even when the parent is not declared in the
+        file; beyond that only classes declared in the file extend the chain.
+        """
+        if decl.kind != "class" or not decl.extends:
+            return 0
+        depth = 0
+        seen = {decl.name}
+        current: n.TypeDecl | None = decl
+        while current is not None and current.extends:
+            depth += 1
+            parent_name = current.extends[0].simple_name
+            if parent_name in seen:
+                break
+            seen.add(parent_name)
+            current = self.class_by_name.get(parent_name)
+        return depth
 
     def subtree(self, node: n.Node) -> list[n.Node]:
         """node and all its descendants, in ``n.walk`` order."""
@@ -275,8 +337,7 @@ class FileFacts:
 class RuleContext:
     source: SourceFile
     facts: FileFacts
-    tokens: list[Token]  # lossless stream
-    sig: list[Token]  # significant tokens only
+    tokens: list[Token]  # the significant tokens: no whitespace or comments
 
     @property
     def unit(self) -> n.CompilationUnit:
@@ -301,6 +362,20 @@ class RuleContext:
         """True when nothing but whitespace precedes the span on its line."""
         start = self.source.line_index[span.start_line - 1]
         return not self.source.text[start : start + span.start_col - 1].strip()
+
+
+def reachable(graph: Callable[[str], Iterable[str]], starts: Iterable[str]) -> set[str]:
+    """``starts`` and every node reachable from them, where ``graph(node)``
+    gives node's successors.  A node lies on a cycle exactly when it is
+    reachable from its own successors."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for succ in graph(stack.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
 
 
 def strip_parens(expr: n.Expr) -> n.Expr:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 
-from ..code_metrics import cyclomatic_complexity, inheritance_depth_hint
+from ..code_metrics import cyclomatic_complexity
 from ..java_syntax import nodes as n
-from .context import FileFacts, RuleContext, TypeMembers, expr_source_name, strip_parens
+from .context import FileFacts, RuleContext, TypeMembers, expr_source_name, reachable, strip_parens
 from .model import SmellRule, Violation
 
 _ACCESSOR = re.compile(r"^(get|set|is)[A-Z_$].*")
@@ -149,18 +149,7 @@ def check_broken_modularization(ctx: RuleContext, rule: SmellRule) -> list[Viola
 
 def check_cyclically_dependent_modularization(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     edges = ctx.facts.edges
-    in_cycle: set[str] = set()
-    for start in edges:
-        stack = [(start, [start])]
-        visited: set[str] = set()
-        while stack:
-            node, path = stack.pop()
-            for succ in edges.get(node, ()):
-                if succ == start:
-                    in_cycle.update(path)
-                elif succ not in visited:
-                    visited.add(succ)
-                    stack.append((succ, path + [succ]))
+    in_cycle = {name for name, succs in edges.items() if name in reachable(edges.__getitem__, succs)}
     out = []
     for decl in ctx.facts.types:
         if decl.name in in_cycle:
@@ -365,11 +354,6 @@ def check_unexploited_encapsulation(ctx: RuleContext, rule: SmellRule) -> list[V
 
 # ---- hierarchy ---------------------------------------------------------------
 
-def _direct_parents(decl: n.TypeDecl, declared: dict[str, n.TypeDecl]) -> list[str]:
-    names = [r.simple_name for r in decl.extends + decl.implements]
-    return [p for p in names if p in declared]
-
-
 def check_broken_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     if not ctx.facts.hierarchy_applies:
         return []
@@ -406,25 +390,10 @@ def _overriding_violations(ctx: RuleContext, rule: SmellRule, want_empty: bool, 
 def check_cyclic_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     if not ctx.facts.hierarchy_applies:
         return []
-    declared = ctx.facts.by_name
-    subtypes: dict[str, set[str]] = {}
-    for decl in ctx.facts.types:
-        for parent in _direct_parents(decl, declared):
-            subtypes.setdefault(parent, set()).add(decl.name)
-    # transitive closure of subtypes
-    def descendants(name: str) -> set[str]:
-        seen: set[str] = set()
-        stack = list(subtypes.get(name, ()))
-        while stack:
-            s = stack.pop()
-            if s not in seen:
-                seen.add(s)
-                stack.extend(subtypes.get(s, ()))
-        return seen
-
+    subtypes = ctx.facts.subtypes
     out = []
     for decl in ctx.facts.types:
-        subs = descendants(decl.name)
+        subs = reachable(subtypes.__getitem__, subtypes[decl.name])
         if not subs:
             continue
         used = ctx.facts.simple_names(decl) | {node.simple_name for node in ctx.facts.of_type(n.TypeRef, within=decl)}
@@ -441,7 +410,7 @@ def check_deep_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_depth")
     out = []
     for decl in ctx.facts.classes:
-        depth = inheritance_depth_hint(decl, ctx.facts)
+        depth = ctx.facts.inheritance_depth(decl)
         if depth > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' sits {depth} levels deep (max {limit})"))
     return out
@@ -502,30 +471,19 @@ def _equality_operand(cond: n.Expr) -> str | None:
 def check_multipath_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     if not ctx.facts.hierarchy_applies:
         return []
-    declared = ctx.facts.by_name
+    facts = ctx.facts
 
-    def closure(name: str) -> set[str]:
-        seen: set[str] = set()
-        stack = [name]
-        while stack:
-            t = stack.pop()
-            decl = declared.get(t)
-            if decl is None:
-                continue
-            for p in _direct_parents(decl, declared):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return seen
+    def parents(name: str) -> list[str]:
+        return facts.supertypes(facts.by_name[name])
 
     out = []
-    for decl in ctx.facts.types:
-        parents = _direct_parents(decl, declared)
-        if len(parents) < 2:
+    for decl in facts.types:
+        direct = facts.supertypes(decl)
+        if len(direct) < 2:
             continue
         reached: dict[str, int] = {}
-        for p in parents:
-            for ancestor in closure(p) | {p}:
+        for p in direct:
+            for ancestor in reachable(parents, [p]):
                 reached[ancestor] = reached.get(ancestor, 0) + 1
         shared = sorted(a for a, count in reached.items() if count >= 2)
         if shared:
@@ -539,14 +497,10 @@ def check_wide_hierarchy(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     if not ctx.facts.hierarchy_applies:
         return []
     limit = rule.threshold("max_width")
-    declared = ctx.facts.by_name
-    width: dict[str, int] = {}
-    for decl in ctx.facts.types:
-        for parent in _direct_parents(decl, declared):
-            width[parent] = width.get(parent, 0) + 1
+    subtypes = ctx.facts.subtypes
     out = []
     for decl in ctx.facts.types:
-        count = width.get(decl.name, 0)
+        count = len(subtypes[decl.name])
         if count > limit:
             out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' has {count} direct subtypes (max {limit})"))
     return out
@@ -669,7 +623,7 @@ def check_unutilized_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Viol
 
 def _referenced_outside(ctx: RuleContext, decl: n.TypeDecl) -> bool:
     span = decl.span
-    for t in ctx.sig:
+    for t in ctx.tokens:
         if t.lexeme != decl.name:
             continue
         inside = (

@@ -303,7 +303,7 @@ def check_redundant_modifier(ctx: RuleContext, rule: SmellRule) -> list[Violatio
 
 def check_copy_paste(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     window = rule.threshold("min_duplicate_tokens")
-    toks = ctx.sig
+    toks = ctx.tokens
     total = len(toks)
     if total < 2 * window:
         return []
@@ -557,10 +557,10 @@ def check_left_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 
 def _brace_after(ctx: RuleContext, span: n.Span) -> n.Span | None:
     """The first '{' token that starts at or after span's end."""
-    sig = ctx.sig
-    for i in range(bisect_left(sig, span[2:], key=_token_start), len(sig)):
-        if sig[i].lexeme == "{":
-            return sig[i].span
+    toks = ctx.tokens
+    for i in range(bisect_left(toks, span[2:], key=_token_start), len(toks)):
+        if toks[i].lexeme == "{":
+            return toks[i].span
     return None
 
 
@@ -599,6 +599,10 @@ def check_right_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 # (Two searches run faster than one alternation.)
 _SPACE_AFTER_OPEN = re.compile(r"\([ \t\r\f]")
 _SPACE_BEFORE_CLOSE = re.compile(r"[ \t\r\f]\)")
+# The lexer's whitespace token: the one that starts at an offset, and the one
+# that ends where the searched text ends.
+_BLANKS = re.compile(r"[ \t\r\n\f]+")
+_BLANKS_AT_END = re.compile(r"[ \t\r\n\f]+\Z")
 
 
 def check_paren_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
@@ -607,13 +611,21 @@ def check_paren_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
         return []
     out = []
     toks = ctx.tokens
+    offset_of = ctx.offset_of
     for i, t in enumerate(toks):
-        if t.lexeme == "(" and t.kind is TokenKind.SEPARATOR:
-            if i + 1 < len(toks) and toks[i + 1].kind is TokenKind.WHITESPACE and "\n" not in toks[i + 1].lexeme:
-                out.append(ctx.violation(rule, t.span, "space after '('"))
-        elif t.lexeme == ")" and t.kind is TokenKind.SEPARATOR:
-            if i - 1 >= 0 and toks[i - 1].kind is TokenKind.WHITESPACE and "\n" not in toks[i - 1].lexeme:
-                out.append(ctx.violation(rule, t.span, "space before ')'"))
+        if t.lexeme == "(":
+            blanks = _BLANKS.match(text, offset_of(t.span.end_line, t.span.end_col))
+            message = "space after '('"
+        elif t.lexeme == ")":
+            # Only trivia lies between the previous token and the ')'.
+            before = toks[i - 1].span
+            start = offset_of(before.end_line, before.end_col)
+            blanks = _BLANKS_AT_END.search(text, start, offset_of(t.span.start_line, t.span.start_col))
+            message = "space before ')'"
+        else:
+            continue
+        if blanks and "\n" not in blanks.group():
+            out.append(ctx.violation(rule, t.span, message))
     return out
 
 
@@ -764,7 +776,7 @@ def check_unused_import(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     import_lines = {line for imp in imports for line in range(imp.span.start_line, imp.span.end_line + 1)}
     body_idents = {
-        t.lexeme for t in ctx.sig if t.kind is TokenKind.IDENTIFIER and t.span.start_line not in import_lines
+        t.lexeme for t in ctx.tokens if t.kind is TokenKind.IDENTIFIER and t.span.start_line not in import_lines
     }
     for imp in imports:
         if imp.on_demand:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .java_syntax import ParseOutcome, SourceFile, parse, significant
+from .java_syntax import ParseOutcome, SourceFile, parse
 from .outputs import DocumentError, json_text, read_json, write_if_changed
 from .rules import design as design_checks
 from .rules import implementation as impl_checks
@@ -78,7 +78,7 @@ def detect_file(
         failure = outcome.failure
         return _failure_report(subject, f"{failure.message} at {failure.first_error_span.as_tuple()}")
 
-    ctx = RuleContext(source=source, facts=FileFacts(outcome.ast), tokens=outcome.tokens, sig=significant(outcome.tokens))
+    ctx = RuleContext(source=source, facts=FileFacts(outcome.ast), tokens=outcome.tokens)
 
     violations = []
     for rule in unique:

@@ -160,6 +160,36 @@ class TestGenerate:
         assert capsys.readouterr().err == f"config error: {corpus / 'corpus.json'}: $.tasks[2].task_id: must be a string, got 12\n"
         assert not (corpus / "generation.log.jsonl").exists()
 
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda tasks: tasks[4].update(source="blog"), "source must be one of"),
+        (lambda tasks: tasks[6].update(task_id=tasks[5]["task_id"]), "duplicate task_id"),
+        (lambda tasks: tasks[8].update(reference_path="../outside.java"), "path leaves the corpus root: ../outside.java"),
+    ], ids=["unknown-source", "repeated-task-id", "reference-outside-root"])
+    def test_manifest_that_ingest_rejects_is_config_error_before_any_request(
+        self, tmp_path, capsys, monkeypatch, mangle, message
+    ):
+        import smellscore.llm_gateway as gateway
+
+        requests = []
+        monkeypatch.setattr(gateway, "_http_post", lambda *args: requests.append(args) or "{}")
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        (tmp_path / "outside.java").write_text("class Outside {}\n", encoding="utf-8")
+        doc = json.loads((corpus / "corpus.json").read_text(encoding="utf-8"))
+        mangle(doc["tasks"])
+        manifest = json.dumps(doc)
+        (corpus / "corpus.json").write_text(manifest, encoding="utf-8")
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"url": "http://127.0.0.1:1"}), encoding="utf-8")
+        argv = ["generate", "--corpus", str(corpus), "--model", "m3", "--endpoint-config", str(endpoint)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+        assert requests == []
+        assert (corpus / "corpus.json").read_text(encoding="utf-8") == manifest
+        assert not (corpus / "generation.log.jsonl").exists()
+        assert not (corpus / "solutions" / "m3").exists()
+
     def test_deeply_nested_endpoint_config_is_config_error(self, tmp_path, capsys, monkeypatch):
         import smellscore.llm_gateway as gateway
 

@@ -9,9 +9,7 @@ from smellscore.code_metrics import (
     MethodMetrics,
     cognitive_complexity,
     cyclomatic_complexity,
-    inheritance_depth_hint,
     method_metrics,
-    referenced_type_names,
 )
 from smellscore.java_syntax import nodes as n
 from smellscore.java_syntax import parse_text
@@ -149,10 +147,10 @@ class TestLongChains:
 
 
 def fan_out(text: str) -> set[str]:
-    """The names ``referenced_type_names`` gives for the first class of ``text``."""
+    """The names ``FileFacts.referenced_type_names`` gives for the first class of ``text``."""
     out = parse_text("A.java", text)
     assert out.ok, out.failure
-    return referenced_type_names(out.ast.types[0], FileFacts(out.ast))
+    return FileFacts(out.ast).referenced_type_names(out.ast.types[0])
 
 
 class TestClassMetrics:
@@ -174,13 +172,13 @@ class TestClassMetrics:
     def test_inheritance_hint_within_file(self):
         out = parse_text("A.java", "class A {}\nclass B extends A {}\nclass C extends B {}\nclass D extends External {}\n")
         facts = FileFacts(out.ast)
-        assert inheritance_depth_hint(facts.by_name["A"], facts) == 0
-        assert inheritance_depth_hint(facts.by_name["C"], facts) == 2
-        assert inheritance_depth_hint(facts.by_name["D"], facts) == 1
+        assert facts.inheritance_depth(facts.by_name["A"]) == 0
+        assert facts.inheritance_depth(facts.by_name["C"]) == 2
+        assert facts.inheritance_depth(facts.by_name["D"]) == 1
 
     def test_inheritance_hint_follows_classes_only(self):
         # the interface B declared last does not hide the class B
         out = parse_text("A.java", "class A {}\nclass B extends A {}\nclass C extends B {}\ninterface B {}\n")
         facts = FileFacts(out.ast)
         assert facts.by_name["B"].kind == "interface"
-        assert inheritance_depth_hint(facts.by_name["C"], facts) == 2
+        assert facts.inheritance_depth(facts.by_name["C"]) == 2

@@ -4,9 +4,9 @@ reference walks and derivations.
 The reference implementations below are the reflective ``iter_child_nodes``,
 the recursive ``walk`` and the body-rescanning ``local_decls`` the rules used
 before the index existed, and the class lists, name maps, member loops and
-reference edges each checker once derived for itself.  FileFacts must
-reproduce them exactly, node for node and in order, on every rule fixture
-and every mini-corpus file.
+reference edges and type graphs each checker once derived and walked for
+itself.  FileFacts must reproduce them exactly, node for node and in order,
+on every rule fixture and every Java file under tests/.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from typing import Iterator
 
 from smellscore.java_syntax import SourceFile, nodes as n, parse
 from smellscore.java_syntax.lexer import PRIMITIVE_TYPES
-from smellscore.rules.context import FileFacts
+from smellscore.rules.catalog import rule_by_id
+from smellscore.rules.context import FileFacts, reachable
 from smellscore.smell_engine import detect_file
 
 from test_smell_rules import CASES
 
 TESTS = Path(__file__).parent
-MINI = TESTS / "data" / "mini_corpus"
 
 
 def reference_children(node: n.Node) -> Iterator[n.Node]:
@@ -73,7 +73,7 @@ def reference_is_for_init_or_resource(decl: n.LocalVarDecl, body: n.Block) -> bo
 
 
 def _sources() -> list[tuple[str, str]]:
-    out = [(str(p), p.read_text(encoding="utf-8")) for p in sorted(MINI.rglob("*.java"))]
+    out = [(str(p), p.read_text(encoding="utf-8")) for p in sorted(TESTS.rglob("*.java"))]
     for case in CASES:
         out.append((f"{case.rule_id}+{case.path}", case.positive))
         out.append((f"{case.rule_id}-{case.path}", case.negative))
@@ -161,7 +161,8 @@ def test_detect_file_walks_each_tree_once(monkeypatch):
 # ---- the shared per-file facts, against the per-checker derivations they replace
 
 # Inputs that the fixtures do not hold: nested types, two types of one name,
-# and a class and an interface of one name declared after it.
+# a class and an interface of one name declared after it, a parent named
+# twice, and an inheritance cycle.
 EXTRA_SOURCES = {
     "nested": (
         "class Outer<T> extends Base implements Api {\n"
@@ -177,6 +178,11 @@ EXTRA_SOURCES = {
     ),
     "same-name": "class A { B b; }\nclass B { A a; }\nclass A extends B { void m() {} }\n",
     "class-and-interface": "class A {}\nclass B extends A {}\nclass C extends B { I i; }\ninterface B { C c(); }\ninterface I {}\n",
+    "repeated-parent": (
+        "interface X {}\ninterface Y extends X {}\nclass A implements X, X {}\nclass A implements Y {}\n"
+        "class B extends A implements Y, X {}\nclass C extends B {}\n"
+    ),
+    "cycle": "class A extends C { B b; }\nclass B extends A {}\nclass C extends B {}\nclass D extends D {}\n",
 }
 
 
@@ -311,3 +317,106 @@ def test_extra_sources_exercise_the_facts():
     assert len(same.types) == 3 and same.by_name["A"] is same.types[2]
     mixed = facts["class-and-interface"]
     assert mixed.by_name["B"].kind == "interface" and mixed.class_by_name["B"].kind == "class"
+    repeated = facts["repeated-parent"]
+    first_a, second_a = repeated.types[2], repeated.types[3]
+    assert repeated.supertypes(first_a) == ["X", "X"] and repeated.supertypes(second_a) == ["Y"]
+    assert repeated.subtypes["X"] == ["Y", "A", "A", "B"] and repeated.subtypes["A"] == ["B"]
+    cycle = facts["cycle"]
+    assert reachable(cycle.subtypes.__getitem__, cycle.subtypes["A"]) == {"A", "B", "C"}
+    assert reachable(cycle.subtypes.__getitem__, cycle.subtypes["D"]) == {"D"}
+
+
+# ---- the type graphs and their walks, against the hierarchy checkers' own
+
+def reference_direct_parents(decl: n.TypeDecl, declared: dict[str, n.TypeDecl]) -> list[str]:
+    names = [r.simple_name for r in decl.extends + decl.implements]
+    return [p for p in names if p in declared]
+
+
+def reference_descendants(types: list[n.TypeDecl], name: str) -> set[str]:
+    """The transitive subtypes of a name, as cyclic-hierarchy derived them."""
+    declared = {t.name: t for t in types}
+    subtypes: dict[str, set[str]] = {}
+    for decl in types:
+        for parent in reference_direct_parents(decl, declared):
+            subtypes.setdefault(parent, set()).add(decl.name)
+    seen: set[str] = set()
+    stack = list(subtypes.get(name, ()))
+    while stack:
+        s = stack.pop()
+        if s not in seen:
+            seen.add(s)
+            stack.extend(subtypes.get(s, ()))
+    return seen
+
+
+def reference_closure(declared: dict[str, n.TypeDecl], name: str) -> set[str]:
+    """The transitive supertypes of a name, as multipath-hierarchy derived them."""
+    seen: set[str] = set()
+    stack = [name]
+    while stack:
+        decl = declared.get(stack.pop())
+        if decl is None:
+            continue
+        for p in reference_direct_parents(decl, declared):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
+def reference_in_cycle(edges: dict[str, set[str]]) -> set[str]:
+    """The names on a reference cycle, as cyclically-dependent-modularization found them."""
+    in_cycle: set[str] = set()
+    for start in edges:
+        stack = [(start, [start])]
+        visited: set[str] = set()
+        while stack:
+            node, path = stack.pop()
+            for succ in edges.get(node, ()):
+                if succ == start:
+                    in_cycle.update(path)
+                elif succ not in visited:
+                    visited.add(succ)
+                    stack.append((succ, path + [succ]))
+    return in_cycle
+
+
+def test_type_graph_matches_reference():
+    for path, unit in _fact_units():
+        facts = FileFacts(unit)
+        types = list(unit.all_types())
+        declared = {t.name: t for t in types}
+        width: dict[str, int] = dict.fromkeys(declared, 0)  # as wide-hierarchy counted direct subtypes
+        for decl in types:
+            parents = reference_direct_parents(decl, declared)
+            assert facts.supertypes(decl) == parents, (path, decl.name)
+            assert facts.supertypes(decl) is facts.supertypes(decl)
+            for parent in parents:
+                width[parent] += 1
+        assert {name: len(subs) for name, subs in facts.subtypes.items()} == width, path
+
+        def parents_of(name: str) -> list[str]:
+            return facts.supertypes(facts.by_name[name])
+
+        for name in declared:
+            assert reachable(facts.subtypes.__getitem__, facts.subtypes[name]) == reference_descendants(types, name), path
+            assert reachable(parents_of, [name]) == reference_closure(declared, name) | {name}, path
+        edges = facts.edges
+        in_cycle = {name for name, succs in edges.items() if name in reachable(edges.__getitem__, succs)}
+        assert in_cycle == reference_in_cycle(edges), path
+
+
+def test_graph_inputs_hold_hierarchies_and_cycles():
+    units = [FileFacts(unit) for _, unit in _fact_units()]
+    assert sum(any(facts.subtypes.values()) for facts in units) >= 10
+    assert sum(bool(reference_in_cycle(facts.edges)) for facts in units) >= 3
+
+
+def test_multipath_counts_a_parent_named_twice():
+    text = EXTRA_SOURCES["repeated-parent"]
+    report = detect_file(SourceFile.from_text("R.java", text), ("t", "s"), rules=[rule_by_id("multipath-hierarchy")])
+    assert [(v.span.start_line, v.message) for v in report.violations] == [
+        (3, "'A' inherits 'X' through multiple paths"),
+        (5, "'B' inherits 'X' through multiple paths"),
+    ]

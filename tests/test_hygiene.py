@@ -1,9 +1,9 @@
 """Source hygiene that needs no third-party linter: every module-level import
 in the package is used by the module that makes it, no function imports
 unless it is on the list of those that must, every private function or method
-is referred to somewhere in the package, and every public top-level function
+is referred to somewhere in the package, every public top-level function
 is reached from the package's own code, or is on the list of those only tests
-call."""
+call, and so is every method and property of a package class."""
 
 from __future__ import annotations
 
@@ -183,6 +183,83 @@ def test_scan_finds_an_unreached_public_function():
     }
     assert unreached_public_functions(sources, frozenset({"check_x"})) == [
         "a.py:7: orphan", "a.py:10: leaf", "a.py:13: recursive",
+    ]
+
+
+def unread_members(sources: dict[str, str]) -> list[str]:
+    """'<module>:<line>: <Class>.<name>' for each method or property of a
+    package class, dunders aside, whose name no module of the package reads
+    as an attribute.  Members are matched by name."""
+    defined: list[tuple[str, int, str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (module, stmt.lineno, node.name, stmt.name)
+                    for stmt in node.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}:{line}: {cls}.{name}" for module, line, cls, name in defined if name not in read]
+
+
+# Members that only tests read, each with the reason it stays.  Give one a
+# reader in the package, or delete it, and take it off this list.
+TEST_ONLY_MEMBERS = {
+    "DiffSummary.is_empty": "acceptance criterion 10 checks that a report diffs empty against itself",
+}
+
+
+def test_package_has_no_unread_members():
+    sources = {str(p.relative_to(PACKAGE)): p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))}
+    unread = unread_members(sources)
+    assert sorted(entry.rsplit(" ", 1)[1] for entry in unread) == sorted(TEST_ONLY_MEMBERS), unread
+
+
+def test_scan_finds_an_unread_member():
+    sources = {
+        "a.py": (
+            "class C:\n"
+            "    def __init__(self):\n        self.used()\n\n"
+            "    def used(self):\n        return self.size\n\n"
+            "    @property\n    def size(self):\n        return 1\n\n"
+            "    def orphan(self):\n        pass\n\n"
+            "    def stored(self):\n        pass\n\n"
+            "def free():\n    pass\n"
+        ),
+        "b.py": "from a import C\n\nc = C()\nc.stored = None\norphan = 1\n",
+    }
+    assert unread_members(sources) == ["a.py:12: C.orphan", "a.py:15: C.stored"]
+
+
+def imported_modules(source: str) -> list[str]:
+    """The dotted name of each module, or name in a module, that source imports
+    anywhere, relative ones without their leading dots."""
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names]
+    return found
+
+
+def test_code_metrics_imports_nothing_from_the_rules():
+    imported = imported_modules((PACKAGE / "code_metrics.py").read_text(encoding="utf-8"))
+    assert imported
+    assert [name for name in imported if name == "rules" or name.startswith(("rules.", "smellscore.rules"))] == []
+
+
+def test_scan_finds_imports_from_the_rules():
+    source = (
+        "from typing import TYPE_CHECKING\nfrom . import rules\n\n"
+        "if TYPE_CHECKING:\n    from .rules.context import FileFacts\n    import smellscore.rules.model\n"
+    )
+    assert imported_modules(source) == [
+        "typing.TYPE_CHECKING", "rules", "rules.context.FileFacts", "smellscore.rules.model",
     ]
 
 

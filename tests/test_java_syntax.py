@@ -20,7 +20,6 @@ from smellscore.java_syntax import (
     TokenKind,
     parse,
     parse_text,
-    significant,
     tokenize,
 )
 from smellscore.java_syntax import nodes as n
@@ -64,13 +63,18 @@ def _src(text: str, path: str = "T.java") -> SourceFile:
     return SourceFile.from_text(path, text)
 
 
+def _significant(text: str) -> list[Token]:
+    """The tokens of text that are neither whitespace nor comments."""
+    return [t for t in tokenize(_src(text)) if not t.is_trivia]
+
+
 class TestTokenize:
     def test_round_trip_is_byte_exact(self):
         toks = tokenize(_src(SAMPLE))
         assert "".join(t.lexeme for t in toks) == SAMPLE
 
     def test_hex_literal_classification(self):
-        toks = significant(tokenize(_src("int x = 0x1F;")))
+        toks = _significant("int x = 0x1F;")
         kinds = [(t.kind, t.lexeme) for t in toks]
         assert kinds == [
             (TokenKind.KEYWORD, "int"),
@@ -83,7 +87,7 @@ class TestTokenize:
         assert number.radix == 16
 
     def test_numeric_suffix_and_radix(self):
-        toks = significant(tokenize(_src("long a = 10L; double b = 1.5e3d; int c = 0b101; int d = 0777;")))
+        toks = _significant("long a = 10L; double b = 1.5e3d; int c = 0b101; int d = 0777;")
         numbers = [t for t in toks if t.kind is TokenKind.NUMBER]
         assert [(t.lexeme, t.radix, t.suffix) for t in numbers] == [
             ("10L", 10, "L"),
@@ -126,7 +130,7 @@ class TestTokenize:
             '// note\nclass A { String s = "x"; char c = \'y\'; boolean b = true; '
             "Object o = null; int[] ns = {1, 2}; double d = 1.5e2; }\n"
         )
-        kinds = [t.kind for t in significant(tokenize(_src(text)))]
+        kinds = [t.kind for t in _significant(text)]
         K, I, S, O = TokenKind.KEYWORD, TokenKind.IDENTIFIER, TokenKind.SEPARATOR, TokenKind.OPERATOR
         expected = [
             K, I, S,  # class A {
@@ -1115,8 +1119,12 @@ def test_stress_sample_parses_and_round_trips(name):
 ROOT = Path(__file__).resolve().parent.parent
 
 # sha256 over repr(parse_text(path, text)) of every tests/**/*.java file, in
-# path order, as printed when each node class had dataclass's own __repr__.
-TEST_TREES_REPR_SHA256 = "464a79df7871f0adc7896fd9e1f940bc4e44538df43c95310d7091864080dd42"
+# path order: the trees as each node class printed with dataclass's own
+# __repr__, and the significant tokens each outcome carries.
+TEST_TREES_REPR_SHA256 = "6a5af48aa42670f56b934c64f7dfa8147cfc70823ba262e5cf9ff81289da7180"
+# sha256 over repr(outcome.ast) and repr(outcome.failure) of the same files:
+# the trees and failures alone, whatever token list the outcome carries.
+TEST_TREES_AND_FAILURES_SHA256 = "4c735c5cfc50079fc8a53a79943f611f7a050073bb55ae1b83c968a62a21719b"
 
 
 def _test_java_files() -> list[tuple[str, str]]:
@@ -1140,6 +1148,14 @@ class TestNodeContract:
         for path, text in _test_java_files():
             digest.update(repr(parse_text(path, text)).encode())
         assert digest.hexdigest() == TEST_TREES_REPR_SHA256
+
+    def test_trees_and_failures_of_the_test_files_are_unchanged(self):
+        digest = hashlib.sha256()
+        for path, text in _test_java_files():
+            outcome = parse_text(path, text)
+            digest.update(repr(outcome.ast).encode())
+            digest.update(repr(outcome.failure).encode())
+        assert digest.hexdigest() == TEST_TREES_AND_FAILURES_SHA256
 
     def test_repr_names_the_class_and_each_field_in_order(self):
         span = Span(1, 2, 1, 3)
@@ -1179,3 +1195,27 @@ class TestNodeContract:
         trees += [out.ast for out in (parse_text(path, text) for path, text in _test_java_files()) if out.ok]
         for tree in trees:
             assert count_nodes(tree) == len(list(n.walk(tree)))
+
+
+class TestOutcomeTokens:
+    """ParseOutcome.tokens is the one token list the rules read: the
+    significant tokens of the source, as the lexer made them."""
+
+    def test_outcome_tokens_are_the_significant_tokens_of_each_test_file(self):
+        parsed = 0
+        for path, text in _test_java_files():
+            outcome = parse_text(path, text)
+            assert outcome.tokens == (_significant(text) if outcome.ok else []), path
+            parsed += outcome.ok
+        assert parsed >= 30
+
+    @pytest.mark.parametrize("text, closers", [
+        ("class A { List<List<String>> x; }", [">>"]),
+        ("class A { Map<K, List<List<V>>> x; int y = x >> 1; }", [">>>", ">>"]),
+        ("class A { void m() { List<List<String>> x = new ArrayList<>(); } }", [">>", ">"]),
+    ])
+    def test_a_shift_split_into_closing_brackets_stays_one_token(self, text, closers):
+        outcome = parse_text("A.java", text)
+        assert outcome.ok, outcome.failure
+        assert outcome.tokens == _significant(text)
+        assert [t.lexeme for t in outcome.tokens if t.lexeme.startswith(">")] == closers

@@ -10,7 +10,7 @@ from textwrap import dedent
 
 import pytest
 
-from smellscore.java_syntax import SourceFile
+from smellscore.java_syntax import SourceFile, TokenKind, tokenize
 from smellscore.rules.catalog import catalog, rule_by_id
 from smellscore.smell_engine import detect_file
 
@@ -1230,3 +1230,49 @@ def test_every_rule_has_a_case():
     covered = {c.rule_id for c in CASES}
     all_rules = {r.rule_id for r in catalog()}
     assert covered == all_rules, f"missing: {sorted(all_rules - covered)}, extra: {sorted(covered - all_rules)}"
+
+
+# ---- paren-pad against the whitespace-token reading it replaced
+
+def reference_paren_pad(text: str) -> list[tuple[tuple[int, int, int, int], str]]:
+    """(span, message) for each '(' followed, and each ')' preceded, by a
+    whitespace token of the lossless stream that holds no newline."""
+    toks = tokenize(SourceFile.from_text("P.java", text))
+    out = []
+    for i, t in enumerate(toks):
+        if t.lexeme == "(" and t.kind is TokenKind.SEPARATOR:
+            if i + 1 < len(toks) and toks[i + 1].kind is TokenKind.WHITESPACE and "\n" not in toks[i + 1].lexeme:
+                out.append((t.span.as_tuple(), "space after '('"))
+        elif t.lexeme == ")" and t.kind is TokenKind.SEPARATOR:
+            if i - 1 >= 0 and toks[i - 1].kind is TokenKind.WHITESPACE and "\n" not in toks[i - 1].lexeme:
+                out.append((t.span.as_tuple(), "space before ')'"))
+    return out
+
+
+PAREN_PAD_BODIES = {
+    "space-after-open": ("f( x);", 1),
+    "space-before-close": ("f(x );", 1),
+    "blank-between": ("f( );", 2),
+    "newline-after-open": ("f(\n x);", 0),
+    "newline-before-close": ("f(x\n );", 0),
+    "block-comment-after-open": ("f( /*c*/x);", 1),
+    "block-comment-before-close": ("f(x /*c*/ );", 1),
+    "comment-then-newline": ("f(x // c\n );", 0),
+    "crlf": ("f(\r\n x);\r\n    g(x\r\n);\r\n    h( x );", 2),
+    "carriage-return-only": ("f(\rx\r);", 2),
+    "tab-and-form-feed": ("f(\tx\f);", 2),
+    "newline-inside-run": ("f( \n x \t\n );", 0),
+    "in-string-char-and-comments": ('s = "( x )"; c = \'(\'; d = \' \'; /* ( y ) */ // ( z )\n    f(x);', 0),
+    "padded-and-in-string": ('f( "( x )" );', 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAREN_PAD_BODIES))
+def test_paren_pad_matches_the_whitespace_token_reading(name):
+    body, count = PAREN_PAD_BODIES[name]
+    text = f"class A {{\n  void m() {{\n    {body}\n  }}\n}}\n"
+    if "\r\n" in body:
+        text = text.replace("\n", "\r\n").replace("\r\r\n", "\r\n")
+    got = [(v.span.as_tuple(), v.message) for v in _detect("paren-pad", text, "P.java")]
+    assert got == reference_paren_pad(text)
+    assert len(got) == count
