@@ -9,6 +9,7 @@ from .lexer import (
     Span,
     Token,
     TokenKind,
+    TokenTable,
     tokenize,
 )
 from .parser import ParseFailure, ParseOutcome, parse, parse_text
@@ -23,6 +24,7 @@ __all__ = [
     "Span",
     "Token",
     "TokenKind",
+    "TokenTable",
     "tokenize",
     "ParseFailure",
     "ParseOutcome",

@@ -1,6 +1,6 @@
 """Lossless Java lexer.
 
-Produces a token stream that retains whitespace and comments so that the
+Produces a token table that retains whitespace and comments so that the
 concatenation of all lexemes reproduces the input byte for byte.  Columns are
 1-based and count a tab as a single column; span ends are exclusive.  The
 tokens are the successive matches of one compiled pattern of named groups.
@@ -9,8 +9,11 @@ tokens are the successive matches of one compiled pattern of named groups.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 
@@ -30,8 +33,7 @@ class TokenKind(Enum):
     WHITESPACE = "whitespace"
 
 
-COMMENT_KINDS = (TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT, TokenKind.JAVADOC)
-_TRIVIA_KINDS = (TokenKind.WHITESPACE, *COMMENT_KINDS)  # a tuple: Enum hashes in Python
+COMMENT_KINDS = (TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT, TokenKind.JAVADOC)  # a tuple: Enum hashes in Python
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -67,6 +69,8 @@ class Span(NamedTuple):
         return tuple(self)
 
 
+_new_span = tuple.__new__  # Span's own __new__ costs twice as much
+
 _NEWLINE = re.compile("\n")
 
 
@@ -85,14 +89,21 @@ class SourceFile:
         return cls(path=path, text=text, line_index=index)
 
     def line_text(self, line: int) -> str:
-        """Return the text of a 1-based line without its newline."""
+        """Return the text of a 1-based line without its line feed, and
+        without the one carriage return right before it."""
         start = self.line_index[line - 1]
-        end = self.line_index[line] - 1 if line < len(self.line_index) else len(self.text)
-        return self.text[start:end].rstrip("\n")
+        if line == len(self.line_index):
+            return self.text[start:]
+        end = self.line_index[line] - 1
+        if end > start and self.text[end - 1] == "\r":
+            end -= 1
+        return self.text[start:end]
 
 
 class Token:
-    __slots__ = ("kind", "lexeme", "span", "radix", "suffix", "is_trivia")
+    """One token, built on demand from a TokenTable row."""
+
+    __slots__ = ("kind", "lexeme", "span", "radix", "suffix")
 
     def __init__(
         self, kind: TokenKind, lexeme: str, span: Span, radix: int | None = None, suffix: str | None = None
@@ -102,7 +113,6 @@ class Token:
         self.span = span
         self.radix = radix  # numeric literals only
         self.suffix = suffix  # numeric literals only
-        self.is_trivia = kind in _TRIVIA_KINDS  # whitespace or a comment
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -115,6 +125,62 @@ class Token:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Token({self.kind.value}, {self.lexeme!r}, {self.span.as_tuple()})"
+
+
+class TokenTable:
+    """The tokens of a source as parallel columns: each token's kind, its
+    lexeme and the text offset it starts at.  ``significant`` lists the rows
+    that are neither whitespace nor a comment, and ``comments`` the rows that
+    are comments.  ``len()`` is the token count; ``table[i]`` and iteration
+    build an equal ``Token`` on demand, and ``span(i)`` only its span."""
+
+    __slots__ = ("line_index", "kinds", "lexemes", "offsets", "significant", "comments")
+
+    def __init__(
+        self,
+        line_index: list[int],
+        kinds: list[TokenKind],
+        lexemes: list[str],
+        offsets: list[int],
+        significant: Sequence[int],
+        comments: list[int],
+    ) -> None:
+        self.line_index = line_index
+        self.kinds = kinds
+        self.lexemes = lexemes
+        self.offsets = offsets
+        self.significant = significant
+        self.comments = comments
+
+    def __len__(self) -> int:
+        return len(self.lexemes)
+
+    def __getitem__(self, i: int) -> Token:
+        kind, lexeme = self.kinds[i], self.lexemes[i]
+        if kind is TokenKind.NUMBER:
+            return Token(kind, lexeme, self.span(i), *radix_and_suffix(lexeme))
+        return Token(kind, lexeme, self.span(i))
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(self.__getitem__, range(len(self.lexemes)))
+
+    def __repr__(self) -> str:
+        return repr(list(self))  # as the list of its tokens
+
+    def span(self, i: int) -> Span:
+        return span_at(self.line_index, self.offsets[i], self.lexemes[i])
+
+    def significant_tokens(self) -> TokenTable:
+        """The significant rows as a table of their own, in order."""
+        rows = self.significant
+        return TokenTable(
+            self.line_index,
+            list(map(self.kinds.__getitem__, rows)),
+            list(map(self.lexemes.__getitem__, rows)),
+            list(map(self.offsets.__getitem__, rows)),
+            range(len(rows)),
+            [],
+        )
 
 
 class LexError(Exception):
@@ -148,6 +214,7 @@ _TOKEN_RULES = (
     ("illegal", r"[\s\S]"),
 )
 _TOKEN = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_RULES))
+_LEXEMES = re.compile("|".join(f"(?:{pattern})" for _, pattern in _TOKEN_RULES))  # _TOKEN without its groups
 _UNTERMINATED = {
     "open_comment": "unterminated block comment",
     "open_string": "unterminated string literal",
@@ -160,50 +227,80 @@ _WORD_KINDS = {
     "null": TokenKind.NULL,
 }
 _GROUP_KINDS = {name: TokenKind[name] for name, _ in _TOKEN_RULES if name in TokenKind.__members__}
+# The kind of every lexeme that has one fixed kind; all of them are significant.
+_FIXED_KINDS = {
+    **dict.fromkeys(OPERATORS, TokenKind.OPERATOR),
+    **dict.fromkeys(SEPARATORS, TokenKind.SEPARATOR),
+    **_WORD_KINDS,
+}
+_FIXED_SIGNIFICANT = dict.fromkeys(_FIXED_KINDS, True)
 _OCTAL = re.compile(r"0[0-7_]+[lL]?")
 
 
-def tokenize(source: SourceFile) -> list[Token]:
-    """Lex a source file into a lossless token list.
+def tokenize(source: SourceFile) -> TokenTable:
+    """Lex a source file into a lossless TokenTable; see TokenTable.
 
-    Raises LexError for an unterminated string, char, or block comment and for
-    characters outside the Java lexical grammar.
+    One pattern scan cuts the text into lexemes.  Each distinct lexeme is
+    then classified once, by matching the named-group pattern against the
+    lexeme alone.  That gives the group the scan matched it with: each group
+    tried before that one failed on the text there, so it fails on the
+    lexeme, a prefix of that text.  The columns are then filled without a
+    Python step per token, and no Token or Span is built.
+
+    Raises LexError, at the first one, for an unterminated string, char, or
+    block comment and for a character outside the Java lexical grammar.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    new_span = tuple.__new__  # Span's own __new__ costs twice as much
-    line = col = 1
-    for m in _TOKEN.finditer(source.text):
-        group = m.lastgroup
-        lexeme = m.group()
+    lexemes = _LEXEMES.findall(source.text)
+    kind_of = _FIXED_KINDS.copy()
+    significant_of = _FIXED_SIGNIFICANT.copy()
+    comments: set[str] = set()
+    errors: dict[str, str] = {}
+    for lexeme in set(lexemes).difference(kind_of):
+        group = _TOKEN.match(lexeme).lastgroup
         if group == "word":
             # \w also admits digits like '²' and numerals like '½', which
             # cannot start a Java identifier.
             if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
-                raise LexError(f"illegal character {lexeme[0]!r}", line, col)
-            kind = _WORD_KINDS.get(lexeme, TokenKind.IDENTIFIER)
+                errors[lexeme] = f"illegal character {lexeme[0]!r}"
+            kind = TokenKind.IDENTIFIER  # keywords, literals and operators are in _FIXED_KINDS
         else:
             kind = _GROUP_KINDS.get(group)
             if kind is None:
-                raise LexError(_UNTERMINATED.get(group) or f"illegal character {lexeme[0]!r}", line, col)
-            if kind is TokenKind.BLOCK_COMMENT and lexeme.startswith("/**") and lexeme != "/**/":
+                errors[lexeme] = _UNTERMINATED.get(group) or f"illegal character {lexeme[0]!r}"
+            elif kind is TokenKind.BLOCK_COMMENT and lexeme.startswith("/**") and lexeme != "/**/":
                 kind = TokenKind.JAVADOC
+        kind_of[lexeme] = kind
+        significant_of[lexeme] = kind is not TokenKind.WHITESPACE and kind not in COMMENT_KINDS
+        if kind in COMMENT_KINDS:
+            comments.add(lexeme)
+    offsets = list(accumulate(map(len, lexemes), initial=0))
+    offsets.pop()  # the end of the text
+    if errors:
+        first = min(map(lexemes.index, errors))
+        span = span_at(source.line_index, offsets[first], lexemes[first])
+        raise LexError(errors[lexemes[first]], span.start_line, span.start_col)
+    rows = range(len(lexemes))
+    return TokenTable(
+        source.line_index,
+        list(map(kind_of.__getitem__, lexemes)),
+        lexemes,
+        offsets,
+        list(compress(rows, map(significant_of.__getitem__, lexemes))),
+        list(compress(rows, map(comments.__contains__, lexemes))) if comments else [],
+    )
 
-        newlines = lexeme.count("\n")
-        if newlines:
-            end_line, end_col = line + newlines, len(lexeme) - lexeme.rfind("\n")
-        else:
-            end_line, end_col = line, col + len(lexeme)
-        span = new_span(Span, (line, col, end_line, end_col))
-        if kind is TokenKind.NUMBER:
-            append(Token(kind, lexeme, span, *_radix_and_suffix(lexeme)))
-        else:
-            append(Token(kind, lexeme, span))
-        line, col = end_line, end_col
-    return tokens
+
+def span_at(line_index: list[int], offset: int, lexeme: str) -> Span:
+    """The span of ``lexeme`` starting at ``offset`` of the text whose line
+    starts are ``line_index``.  Only a line feed ends a line."""
+    line = bisect_right(line_index, offset)
+    col = offset - line_index[line - 1] + 1
+    if "\n" in lexeme:  # a comment, whitespace, or a string with an escaped line break
+        return _new_span(Span, (line, col, line + lexeme.count("\n"), len(lexeme) - lexeme.rfind("\n")))
+    return _new_span(Span, (line, col, line, col + len(lexeme)))
 
 
-def _radix_and_suffix(lexeme: str) -> tuple[int, str | None]:
+def radix_and_suffix(lexeme: str) -> tuple[int, str | None]:
     """Radix and type suffix of a NUMBER lexeme.  An f/F/d/D suffix makes any
     literal but a hex one a radix-10 float, so ``0b1f`` has radix 10; ``0``
     followed only by octal digits and underscores is octal, ``0_`` included."""

@@ -19,12 +19,16 @@ from .lexer import (
     LexError,
     SourceFile,
     Span,
-    Token,
     TokenKind,
+    TokenTable,
     numeric_value,
+    radix_and_suffix,
+    span_at,
     tokenize,
 )
 from . import nodes as n
+
+_new_span = tuple.__new__  # Span's own __new__ costs twice as much
 
 MODIFIER_WORDS = frozenset(
     "public protected private static final abstract native synchronized transient volatile strictfp default".split()
@@ -79,9 +83,13 @@ class ParseFailure:
 
 @dataclass
 class ParseOutcome:
+    """A tree or a failure.  ``tokens`` is a TokenTable of the tree's
+    significant tokens (no whitespace or comments, '>>' unsplit), whose
+    ``lexemes`` and ``kinds`` columns the rules read; empty on failure."""
+
     ast: n.CompilationUnit | None = None
     failure: ParseFailure | None = None
-    tokens: list[Token] = field(default_factory=list)  # the AST's significant tokens, '>>' unsplit; empty on failure
+    tokens: TokenTable | list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -108,11 +116,11 @@ class _TooDeep(_ParseError):
 def parse(source: SourceFile) -> ParseOutcome:
     """Parse a source file; failure is a value, never an exception."""
     try:
-        tokens = tokenize(source)
+        table = tokenize(source)
     except LexError as e:
         span = Span(e.line, e.col, e.line, e.col + 1)
         return ParseOutcome(failure=ParseFailure(span, e.message))
-    parser = _Parser(tokens)
+    parser = _Parser(table)
     try:
         return ParseOutcome(ast=parser.compilation_unit(), tokens=parser.significant)
     except _ParseError as e:
@@ -127,79 +135,83 @@ def parse_text(path: str, text: str) -> ParseOutcome:
 
 
 class _Parser:
-    def __init__(self, all_tokens: list[Token]):
-        self.all_tokens = all_tokens
-        # The significant tokens; the copy split_gt rewrites; for each, its
-        # index in the full stream (for comment attachment); and their
-        # lexemes, padded with None for end of file as far as any lookahead
-        # reaches, for the hot lexeme tests.
-        self.full_index = [i for i, t in enumerate(all_tokens) if not t.is_trivia]
-        self.significant = [all_tokens[i] for i in self.full_index]
-        self.toks = self.significant[:]
-        self.lexemes: list[str | None] = [t.lexeme for t in self.toks] + [None] * 3
+    """Reads the significant tokens by position: a token is its index into
+    the parser's own kind, lexeme and offset lists, which split_gt rewrites,
+    and a Span is built only where a node, a check or an error needs one."""
+
+    def __init__(self, table: TokenTable):
+        self.table = table
+        self.significant = table.significant_tokens()
+        # The copies split_gt rewrites: kinds and lexemes padded with None for
+        # end of file as far as any lookahead reaches, and for each token its
+        # row in the full table (for comment attachment).
+        self.kinds: list[TokenKind | None] = self.significant.kinds + [None] * 3
+        self.lexemes: list[str | None] = self.significant.lexemes + [None] * 3
+        self.offsets = self.significant.offsets[:]
+        self.rows = list(table.significant)
+        self.line_index = table.line_index
         self.i = 0
         self.depth = 0  # see _MAX_DEPTH
-        self.splits: list[tuple[int, Token]] = []  # (index, token) of each split '>>', for _attempt to undo
+        self.splits: list[tuple[int, str]] = []  # (index, lexeme) of each split '>>', for _attempt to undo
         self.negated = -1  # index of the token right after the last unary '-' read
-        self.comments = [
-            n.Comment(span=t.span, kind=t.kind, text=t.lexeme) for t in all_tokens if t.kind in COMMENT_KINDS
-        ]
+        self.comments = [self.comment(row) for row in table.comments]
 
     # ---- token plumbing ---------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token | None:
-        j = self.i + offset
-        return self.toks[j] if j < len(self.toks) else None
+    def span(self, j: int) -> Span:
+        """Token j's span."""
+        return span_at(self.line_index, self.offsets[j], self.lexemes[j])
 
     def at(self, lexeme: str, offset: int = 0) -> bool:
         return self.lexemes[self.i + offset] == lexeme  # no caller looks further ahead than the padding
 
     def at_kind(self, kind: TokenKind, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        return t is not None and t.kind is kind
+        return self.kinds[self.i + offset] is kind
 
-    def next(self) -> Token:
+    def next(self) -> int:
         i = self.i
         if self.lexemes[i] is None:
             raise self.error("unexpected end of file")
         self.i = i + 1
-        return self.toks[i]
+        return i
 
-    def expect(self, lexeme: str) -> Token:
+    def expect(self, lexeme: str) -> int:
         i = self.i
         got = self.lexemes[i]
         if got != lexeme:
             got = "end of file" if got is None else got
             raise self.error(f"expected {lexeme!r}, found {got!r}")
         self.i = i + 1
-        return self.toks[i]
+        return i
 
-    def expect_ident(self) -> Token:
-        t = self.peek()
-        if t is None or t.kind is not TokenKind.IDENTIFIER:
-            got = t.lexeme if t else "end of file"
+    def expect_ident(self) -> int:
+        i = self.i
+        if self.kinds[i] is not TokenKind.IDENTIFIER:
+            got = self.lexemes[i]
+            got = "end of file" if got is None else got
             raise self.error(f"expected identifier, found {got!r}")
-        self.i += 1
-        return t
+        self.i = i + 1
+        return i
 
     def here(self) -> Span:
         """The current token's span; end of file is a parse error."""
-        if self.peek() is None:
+        if self.lexemes[self.i] is None:
             raise self.error("unexpected end of file")
-        return self.peek().span
+        return self.span(self.i)
 
     def error(self, message: str, kind: type[_ParseError] = _ParseError) -> _ParseError:
         """An error at the current token, or at the last one at end of file."""
-        t = self.peek()
-        span = t.span if t else (self.toks[-1].span if self.toks else Span(1, 1, 1, 1))
+        if self.lexemes[self.i] is not None:
+            span = self.span(self.i)
+        else:
+            span = self.span(len(self.offsets) - 1) if self.offsets else Span(1, 1, 1, 1)
         return kind(message, span)
 
-    def check_literal(self, t: Token, negated: bool) -> None:
-        """Raise at a NUMBER, STRING or CHAR token that is no Java literal;
-        ``negated`` as for _malformed_literal."""
-        malformed = _malformed_literal(t, negated)
+    def check_literal(self, j: int, radix: int | None, suffix: str | None) -> None:
+        """Raise at a NUMBER, STRING or CHAR token j that is no Java literal."""
+        malformed = _malformed_literal(self.lexemes[j], self.kinds[j], radix, suffix, self.negated == j)
         if malformed:
-            raise _NoReading(malformed, t.span)
+            raise _NoReading(malformed, self.span(j))
 
     def nest(self, frames: int) -> None:
         """Count one more level of nesting that takes ``frames`` stack frames;
@@ -227,30 +239,19 @@ class _Parser:
             items.append(item())
         return items
 
-    def split_gt(self) -> Token:
+    def split_gt(self) -> None:
         """Consume a single '>' even when lexed as part of a shift operator."""
-        t = self.peek()
-        if t is None:
+        i = self.i
+        lexeme = self.lexemes[i]
+        if lexeme in (">>", ">>>", ">=", ">>=", ">>>="):
+            self.splits.append((i, lexeme))
+            self.lexemes[i : i + 1] = [">", lexeme[1:]]
+            self.kinds.insert(i, TokenKind.OPERATOR)
+            self.offsets.insert(i + 1, self.offsets[i] + 1)
+            self.rows.insert(i, self.rows[i])
+        elif lexeme != ">":
             raise self.error("expected '>'")
-        if t.lexeme == ">":
-            return self.next()
-        if t.lexeme.startswith(">") and t.lexeme in (">>", ">>>", ">=", ">>=", ">>>="):
-            head = Token(
-                TokenKind.OPERATOR,
-                ">",
-                Span(t.span.start_line, t.span.start_col, t.span.start_line, t.span.start_col + 1),
-            )
-            rest = Token(
-                TokenKind.OPERATOR,
-                t.lexeme[1:],
-                Span(t.span.start_line, t.span.start_col + 1, t.span.end_line, t.span.end_col),
-            )
-            self.splits.append((self.i, t))
-            self.toks[self.i : self.i + 1] = [head, rest]
-            self.lexemes[self.i : self.i + 1] = [head.lexeme, rest.lexeme]
-            self.full_index.insert(self.i, self.full_index[self.i])
-            return self.next()
-        raise self.error("expected '>'")
+        self.i = i + 1
 
     def _attempt(self, rule):
         """The result of ``rule()``, or None with the position, the nesting
@@ -262,30 +263,36 @@ class _Parser:
             raise
         except _ParseError:
             while len(self.splits) > splits:
-                j, t = self.splits.pop()
-                self.toks[j : j + 2] = [t]
-                self.lexemes[j : j + 2] = [t.lexeme]
-                del self.full_index[j]
+                j, lexeme = self.splits.pop()
+                self.lexemes[j : j + 2] = [lexeme]
+                del self.kinds[j], self.offsets[j + 1], self.rows[j]
             self.i, self.depth = i, depth
             return None
 
-    def preceding_comment(self, tok_index: int) -> n.Comment | None:
-        """The comment directly above a declaration's first token, if only whitespace parts them."""
-        j = self.full_index[tok_index] - 1
-        while j >= 0 and self.all_tokens[j].kind is TokenKind.WHITESPACE:
-            j -= 1
-        if j >= 0 and self.all_tokens[j].kind in COMMENT_KINDS:
-            t = self.all_tokens[j]
-            return n.Comment(span=t.span, kind=t.kind, text=t.lexeme)
-        return None
+    def comment(self, row: int) -> n.Comment:
+        """The comment at a row of the full table."""
+        return n.Comment(span=self.table.span(row), kind=self.table.kinds[row], text=self.table.lexemes[row])
+
+    def preceding_comment(self, j: int) -> n.Comment | None:
+        """The comment directly above a declaration's first token j, if only whitespace parts them."""
+        kinds = self.table.kinds
+        row = self.rows[j] - 1
+        while row >= 0 and kinds[row] is TokenKind.WHITESPACE:
+            row -= 1
+        return self.comment(row) if row >= 0 and kinds[row] in COMMENT_KINDS else None
+
+    def span_of(self, first: int, last: int) -> Span:
+        """From token first's start to token last's end."""
+        start = self.span(first)
+        return start if first == last else self.span_between(start, self.span(last))
 
     def span_between(self, start: Span, end: Span) -> Span:
-        return Span(start.start_line, start.start_col, end.end_line, end.end_col)
+        return _new_span(Span, (start.start_line, start.start_col, end.end_line, end.end_col))
 
     # ---- compilation unit ---------------------------------------------------
 
     def compilation_unit(self) -> n.CompilationUnit:
-        start = self.peek().span if self.peek() else Span(1, 1, 1, 1)
+        start = self.span(0) if self.offsets else Span(1, 1, 1, 1)
         package = None
         imports: list[n.ImportDecl] = []
 
@@ -294,7 +301,7 @@ class _Parser:
             pkg_tok = self.next()
             name = self.qualified_name()
             end = self.expect(";")
-            package = n.PackageDecl(span=self.span_between(pkg_tok.span, end.span), name=name)
+            package = n.PackageDecl(span=self.span_of(pkg_tok, end), name=name)
         else:
             self.i = 0  # no package: the annotations open the first type declaration
 
@@ -304,7 +311,7 @@ class _Parser:
             if self.at("static"):
                 self.next()
                 is_static = True
-            name_parts = [self.expect_ident().lexeme]
+            name_parts = [self.lexemes[self.expect_ident()]]
             on_demand = False
             while self.at("."):
                 self.next()
@@ -312,11 +319,11 @@ class _Parser:
                     self.next()
                     on_demand = True
                     break
-                name_parts.append(self.expect_ident().lexeme)
+                name_parts.append(self.lexemes[self.expect_ident()])
             end = self.expect(";")
             imports.append(
                 n.ImportDecl(
-                    span=self.span_between(imp_tok.span, end.span),
+                    span=self.span_of(imp_tok, end),
                     name=".".join(name_parts),
                     is_static=is_static,
                     on_demand=on_demand,
@@ -324,13 +331,13 @@ class _Parser:
             )
 
         types: list[n.TypeDecl] = []
-        while self.peek() is not None:
+        while self.lexemes[self.i] is not None:
             if self.at(";"):
                 self.next()
                 continue
             types.append(self.type_declaration())
 
-        end_span = self.toks[-1].span if self.toks else start
+        end_span = self.span(len(self.offsets) - 1) if self.offsets else start
         return n.CompilationUnit(
             span=self.span_between(start, end_span),
             package=package,
@@ -340,10 +347,10 @@ class _Parser:
         )
 
     def qualified_name(self) -> str:
-        parts = [self.expect_ident().lexeme]
+        parts = [self.lexemes[self.expect_ident()]]
         while self.at(".") and self.at_kind(TokenKind.IDENTIFIER, 1):
             self.next()
-            parts.append(self.expect_ident().lexeme)
+            parts.append(self.lexemes[self.expect_ident()])
         return ".".join(parts)
 
     # ---- declarations -------------------------------------------------------
@@ -360,15 +367,15 @@ class _Parser:
         dropped; the tree keeps only the name."""
         at_tok = self.next()
         name = self.qualified_name()
-        end_span = self.toks[self.i - 1].span
+        end = self.i - 1
         if self.at("("):
             self.next()
             if self.at_kind(TokenKind.IDENTIFIER) and self.at("=", 1):
                 self.separated(self.element_value_pair)
             elif not self.at(")"):
                 self.element_value()
-            end_span = self.expect(")").span
-        return n.Annotation(span=self.span_between(at_tok.span, end_span), name=name)
+            end = self.expect(")")
+        return n.Annotation(span=self.span_of(at_tok, end), name=name)
 
     def element_value_pair(self) -> None:
         self.expect_ident()
@@ -397,22 +404,23 @@ class _Parser:
             if word not in words:  # every modifier word is a keyword, so no other token spells one
                 return mods, anns
             if word in mods:
-                raise _NoReading(f"repeated modifier {word!r}", self.peek().span)
-            mods.append(self.next().lexeme)
+                raise _NoReading(f"repeated modifier {word!r}", self.span(self.i))
+            mods.append(word)
+            self.i += 1
 
     def type_declaration(self) -> n.TypeDecl:
         decl_start = self.i
         mods, anns = self.parse_modifiers()
-        t = self.peek()
-        if t is None:
+        lexeme = self.lexemes[self.i]
+        if lexeme is None:
             raise self.error("expected type declaration")
-        if t.lexeme not in ("class", "interface", "enum"):
-            raise self.error(f"expected class, interface, or enum, found {t.lexeme!r}")
+        if lexeme not in ("class", "interface", "enum"):
+            raise self.error(f"expected class, interface, or enum, found {lexeme!r}")
         return self.class_body_decl(mods, anns, decl_start)
 
     def class_body_decl(self, mods: list[str], anns: list[n.Annotation], decl_start: int) -> n.TypeDecl:
         kw = self.next()
-        kind = kw.lexeme
+        kind = self.lexemes[kw]
         name_tok = self.expect_ident()
         type_params = self.parse_type_params() if self.at("<") else []
 
@@ -430,16 +438,15 @@ class _Parser:
         if kind == "enum":
             enum_constants = self.parse_enum_constants()
 
-        members = self.parse_members(name_tok.lexeme)
+        members = self.parse_members(self.lexemes[name_tok])
         close = self.expect("}")
 
-        start_span = self.toks[decl_start].span if decl_start < len(self.toks) else kw.span
         doc = self.preceding_comment(decl_start)
         return n.TypeDecl(
-            span=self.span_between(start_span, close.span),
+            span=self.span_of(decl_start, close),
             kind=kind,
-            name=name_tok.lexeme,
-            name_span=name_tok.span,
+            name=self.lexemes[name_tok],
+            name_span=self.span(name_tok),
             modifiers=mods,
             annotations=anns,
             type_params=type_params,
@@ -461,19 +468,19 @@ class _Parser:
         self.parse_annotations()
         name_tok = self.expect_ident()
         args: list[n.Expr] = []
-        end_span = name_tok.span
+        end_span = self.span(name_tok)
         if self.at("("):
             args, end_span = self._call_args()
         if self.at("{"):  # constant class body, parsed structurally
             self.next()
             self.parse_members("")
-            end_span = self.expect("}").span
-        return n.EnumConstant(span=self.span_between(name_tok.span, end_span), name=name_tok.lexeme, args=args)
+            end_span = self.span(self.expect("}"))
+        return n.EnumConstant(span=self.span_between(self.span(name_tok), end_span), name=self.lexemes[name_tok], args=args)
 
     def parse_members(self, enclosing_name: str) -> list:
         members: list = []
         while not self.at("}"):
-            if self.peek() is None:
+            if self.lexemes[self.i] is None:
                 raise self.error("unterminated type body")
             if self.at(";"):
                 self.next()
@@ -491,17 +498,12 @@ class _Parser:
         if self.at("{"):  # initializer block
             body = self.block()
             is_static = "static" in mods
-            start_span = self.toks[decl_start].span
-            return n.Initializer(span=self.span_between(start_span, body.span), static=is_static, body=body)
+            return n.Initializer(span=self.span_between(self.span(decl_start), body.span), static=is_static, body=body)
 
         type_params = self.parse_type_params() if self.at("<") else []
 
         # Constructor: Name '('
-        if (
-            self.at_kind(TokenKind.IDENTIFIER)
-            and self.peek().lexeme == enclosing_name
-            and self.at("(", 1)
-        ):
+        if self.at_kind(TokenKind.IDENTIFIER) and self.at(enclosing_name) and self.at("(", 1):
             name_tok = self.next()
             return self.finish_method(decl_start, mods, anns, type_params, None, name_tok, is_constructor=True)
 
@@ -513,10 +515,9 @@ class _Parser:
 
         declarators = self.var_declarators(name_tok)  # a field
         end = self.expect(";")
-        start_span = self.toks[decl_start].span
         doc = self.preceding_comment(decl_start)
         return n.FieldDecl(
-            span=self.span_between(start_span, end.span),
+            span=self.span_of(decl_start, end),
             modifiers=mods,
             annotations=anns,
             type=ret_type,
@@ -524,22 +525,23 @@ class _Parser:
             doc=doc,
         )
 
-    def var_declarators(self, name_tok: Token) -> list[n.VarDeclarator]:
+    def var_declarators(self, name_tok: int) -> list[n.VarDeclarator]:
         """The declarators of a field or local variable whose first name is already read."""
         first = [name_tok]
         return self.separated(lambda: self.parse_declarator(first.pop() if first else self.expect_ident()))
 
-    def parse_declarator(self, name_tok: Token) -> n.VarDeclarator:
-        extra_dims, end_span = self.name_dims(name_tok.span)
+    def parse_declarator(self, name_tok: int) -> n.VarDeclarator:
+        name_span = self.span(name_tok)
+        extra_dims, end_span = self.name_dims(name_span)
         init = None
         if self.at("="):
             self.next()
             init = self.variable_initializer()
             end_span = init.span
         return n.VarDeclarator(
-            span=self.span_between(name_tok.span, end_span),
-            name=name_tok.lexeme,
-            name_span=name_tok.span,
+            span=self.span_between(name_span, end_span),
+            name=self.lexemes[name_tok],
+            name_span=name_span,
             extra_dims=extra_dims,
             init=init,
         )
@@ -549,7 +551,7 @@ class _Parser:
         dims = 0
         while self.at("["):
             self.next()
-            end_span = self.expect("]").span
+            end_span = self.span(self.expect("]"))
             dims += 1
         return dims, end_span
 
@@ -560,12 +562,12 @@ class _Parser:
         anns: list[n.Annotation],
         type_params: list[n.TypeParam],
         ret_type: n.TypeRef | None,
-        name_tok: Token,
+        name_tok: int,
         is_constructor: bool,
     ) -> n.MethodDecl:
         self.expect("(")
         params = self.separated(self.parse_param, close=")")
-        self.name_dims(self.expect(")").span)  # archaic int m()[] form
+        self.name_dims(self.span(self.expect(")")))  # archaic int m()[] form
 
         throws: list[n.TypeRef] = []
         if self.at("throws"):
@@ -577,18 +579,17 @@ class _Parser:
             body = self.block()
             end_span = body.span
         else:
-            end_span = self.expect(";").span
+            end_span = self.span(self.expect(";"))
 
-        start_span = self.toks[decl_start].span
         doc = self.preceding_comment(decl_start)
         return n.MethodDecl(
-            span=self.span_between(start_span, end_span),
+            span=self.span_between(self.span(decl_start), end_span),
             modifiers=mods,
             annotations=anns,
             type_params=type_params,
             return_type=ret_type,
-            name=name_tok.lexeme,
-            name_span=name_tok.span,
+            name=self.lexemes[name_tok],
+            name_span=self.span(name_tok),
             params=params,
             throws=throws,
             body=body,
@@ -602,15 +603,16 @@ class _Parser:
         ptype = self.parse_type()
         dots = self.next() if self.at("...") else None
         name_tok = self.expect_ident()
-        extra_dims, end_span = self.name_dims(name_tok.span)
+        name_span = self.span(name_tok)
+        extra_dims, end_span = self.name_dims(name_span)
         if dots is not None and self.at(","):  # JLS 8.4.1: only the last parameter may be variable arity
-            raise _NoReading("varargs parameter must be the last parameter", dots.span)
+            raise _NoReading("varargs parameter must be the last parameter", self.span(dots))
         ptype.array_dims += extra_dims
         return n.Param(
             span=self.span_between(start, end_span),
             type=ptype,
-            name=name_tok.lexeme,
-            name_span=name_tok.span,
+            name=self.lexemes[name_tok],
+            name_span=name_span,
             modifiers=mods,
             annotations=anns,
             varargs=dots is not None,
@@ -632,46 +634,45 @@ class _Parser:
         if self.at("extends"):
             self.next()
             bounds = self.separated(self.parse_type, "&")
-        end_span = bounds[-1].span if bounds else name_tok.span
-        return n.TypeParam(span=self.span_between(start, end_span), name=name_tok.lexeme, bounds=bounds)
+        end_span = bounds[-1].span if bounds else self.span(name_tok)
+        return n.TypeParam(span=self.span_between(start, end_span), name=self.lexemes[name_tok], bounds=bounds)
 
     def parse_type(self, allow_void: bool = False) -> n.TypeRef:
         self.parse_annotations()
-        t = self.peek()
-        if t is None:
+        t = self.i
+        lexeme, kind = self.lexemes[t], self.kinds[t]
+        if lexeme is None:
             raise self.error("expected type")
 
-        if t.lexeme == "void" and allow_void:
-            self.next()
-            return n.TypeRef(span=t.span, name="void")
-        if t.lexeme in PRIMITIVE_TYPES and t.kind is TokenKind.KEYWORD:
-            self.next()
-            ref = n.TypeRef(span=t.span, name=t.lexeme)
-        elif t.kind is TokenKind.IDENTIFIER:
-            start = t.span
+        if lexeme == "void" and allow_void:
+            self.i += 1
+            return n.TypeRef(span=self.span(t), name="void")
+        if lexeme in PRIMITIVE_TYPES and kind is TokenKind.KEYWORD:
+            self.i += 1
+            ref = n.TypeRef(span=self.span(t), name=lexeme)
+        elif kind is TokenKind.IDENTIFIER:
             name = self.qualified_name()
-            ref = n.TypeRef(span=self.span_between(start, self.toks[self.i - 1].span), name=name)
+            ref = n.TypeRef(span=self.span_of(t, self.i - 1), name=name)
             if self.at("<"):
                 self.nest(_TYPE_DEPTH)
                 ref.type_args = self.parse_type_args()
                 self.depth -= _TYPE_DEPTH
-                ref.span = self.span_between(start, self.toks[self.i - 1].span)
+                ref.span = self.span_between(ref.span, self.span(self.i - 1))
         else:
-            raise self.error(f"expected type, found {t.lexeme!r}")
+            raise self.error(f"expected type, found {lexeme!r}")
         return self.array_dims(ref)
 
     def array_dims(self, ref: n.TypeRef) -> n.TypeRef:
         """``ref`` with each following '[]' added to its dimensions and span."""
         while self.at("[") and self.at("]", 1):
-            self.next()
-            end = self.next()
+            self.i += 2
             ref.array_dims += 1
-            ref.span = self.span_between(ref.span, end.span)
+            ref.span = self.span_between(ref.span, self.span(self.i - 1))
         return ref
 
     def parse_type_args(self) -> list[n.TypeRef]:
         self.expect("<")
-        if self.at(">") or (self.peek() and self.peek().lexeme.startswith(">")):
+        if (self.lexemes[self.i] or "").startswith(">"):
             self.split_gt()  # diamond <>
             return []
         args = self.separated(self.parse_type_arg)
@@ -681,15 +682,14 @@ class _Parser:
     def parse_type_arg(self) -> n.TypeRef:
         """A type, or a wildcard: '?' with an optional bound."""
         self.parse_annotations()
-        t = self.peek()
-        if t is None or t.lexeme != "?":
+        if not self.at("?"):
             return self.parse_type()
-        self.next()
-        ref = n.TypeRef(span=t.span, name="?")
+        start = self.span(self.next())
+        ref = n.TypeRef(span=start, name="?")
         if self.at("extends") or self.at("super"):
-            ref.bound_kind = self.next().lexeme
+            ref.bound_kind = self.lexemes[self.next()]
             ref.bound = self.parse_type()
-            ref.span = self.span_between(t.span, ref.bound.span)
+            ref.span = self.span_between(start, ref.bound.span)
         return ref
 
     # ---- statements -------------------------------------------------------------
@@ -698,11 +698,11 @@ class _Parser:
         open_tok = self.expect("{")
         stmts: list[n.Stmt] = []
         while not self.at("}"):
-            if self.peek() is None:
+            if self.lexemes[self.i] is None:
                 raise self.error("unterminated block")
             stmts.append(self.statement())
         close = self.expect("}")
-        return n.Block(span=self.span_between(open_tok.span, close.span), statements=stmts)
+        return n.Block(span=self.span_of(open_tok, close), statements=stmts)
 
     def statement(self) -> n.Stmt:
         self.nest(_STATEMENT_DEPTH)
@@ -711,16 +711,14 @@ class _Parser:
         return stmt
 
     def _statement(self) -> n.Stmt:
-        t = self.peek()
-        if t is None:
+        lex = self.lexemes[self.i]
+        if lex is None:
             raise self.error("expected statement")
-        lex = t.lexeme
 
         if lex == "{":
             return self.block()
         if lex == ";":
-            tok = self.next()
-            return n.EmptyStmt(span=tok.span)
+            return n.EmptyStmt(span=self.span(self.next()))
         if lex == "if":
             return self.if_statement()
         if lex == "while":
@@ -737,23 +735,23 @@ class _Parser:
             tok = self.next()
             value = None if self.at(";") else self.expression()
             end = self.expect(";")
-            return n.ReturnStmt(span=self.span_between(tok.span, end.span), value=value)
+            return n.ReturnStmt(span=self.span_of(tok, end), value=value)
         if lex == "throw":
             tok = self.next()
             expr = self.expression()
             end = self.expect(";")
-            return n.ThrowStmt(span=self.span_between(tok.span, end.span), expr=expr)
+            return n.ThrowStmt(span=self.span_of(tok, end), expr=expr)
         if lex in ("break", "continue"):
             tok = self.next()
-            label = self.next().lexeme if self.at_kind(TokenKind.IDENTIFIER) else None
+            label = self.lexemes[self.next()] if self.at_kind(TokenKind.IDENTIFIER) else None
             end = self.expect(";")
             jump = n.BreakStmt if lex == "break" else n.ContinueStmt
-            return jump(span=self.span_between(tok.span, end.span), label=label)
+            return jump(span=self.span_of(tok, end), label=label)
         if lex == "synchronized":
             tok = self.next()
             lock = self.parenthesized()
             body = self.block()
-            return n.SynchronizedStmt(span=self.span_between(tok.span, body.span), lock=lock, body=body)
+            return n.SynchronizedStmt(span=self.span_between(self.span(tok), body.span), lock=lock, body=body)
         if lex == "assert":
             tok = self.next()
             cond = self.expression()
@@ -762,18 +760,18 @@ class _Parser:
                 self.next()
                 message = self.expression()
             end = self.expect(";")
-            return n.AssertStmt(span=self.span_between(tok.span, end.span), cond=cond, message=message)
-        if t.kind is TokenKind.IDENTIFIER and self.at(":", 1) and not self.at(":", 2):
+            return n.AssertStmt(span=self.span_of(tok, end), cond=cond, message=message)
+        if self.at_kind(TokenKind.IDENTIFIER) and self.at(":", 1) and not self.at(":", 2):
             label_tok = self.next()
             self.next()  # ':'
             stmt = self.statement()
-            return n.LabeledStmt(span=self.span_between(label_tok.span, stmt.span), label=label_tok.lexeme, stmt=stmt)
+            return n.LabeledStmt(span=self.span_between(self.span(label_tok), stmt.span), label=lex, stmt=stmt)
 
         head = self._attempt(self.local_var_head)
         if head is not None:
             decl = self.local_var_declarators(head)
             end = self.expect(";")
-            decl.span = self.span_between(decl.span, end.span)
+            decl.span = self.span_between(decl.span, self.span(end))
             return decl
         if lex in ("@", "class", "interface", "enum", "abstract", "final", "static"):  # none can start an expression
             decl = self.type_declaration()
@@ -781,7 +779,7 @@ class _Parser:
 
         expr = self.expression()
         end = self.expect(";")
-        return n.ExprStmt(span=self.span_between(expr.span, end.span), expr=expr)
+        return n.ExprStmt(span=self.span_between(expr.span, self.span(end)), expr=expr)
 
     def parenthesized(self) -> n.Expr:
         """'(' expression ')', as after if, while, switch and synchronized."""
@@ -793,7 +791,7 @@ class _Parser:
     def if_statement(self) -> n.IfStmt:
         """An if statement.  An else-if chain is read in a loop, so its length
         adds no nesting; each else-if is the orelse of the if before it."""
-        heads: list[tuple[Token, n.Expr, n.Stmt]] = []
+        heads: list[tuple[int, n.Expr, n.Stmt]] = []
         orelse: n.Stmt | None = None
         while True:
             tok = self.expect("if")
@@ -808,14 +806,14 @@ class _Parser:
                 break
         end_span = (then if orelse is None else orelse).span
         for tok, cond, then in reversed(heads):
-            orelse = n.IfStmt(span=self.span_between(tok.span, end_span), cond=cond, then=then, orelse=orelse)
+            orelse = n.IfStmt(span=self.span_between(self.span(tok), end_span), cond=cond, then=then, orelse=orelse)
         return orelse
 
     def while_statement(self) -> n.WhileStmt:
         tok = self.expect("while")
         cond = self.parenthesized()
         body = self.statement()
-        return n.WhileStmt(span=self.span_between(tok.span, body.span), cond=cond, body=body)
+        return n.WhileStmt(span=self.span_between(self.span(tok), body.span), cond=cond, body=body)
 
     def do_statement(self) -> n.DoWhileStmt:
         tok = self.expect("do")
@@ -823,7 +821,7 @@ class _Parser:
         self.expect("while")
         cond = self.parenthesized()
         end = self.expect(";")
-        return n.DoWhileStmt(span=self.span_between(tok.span, end.span), body=body, cond=cond)
+        return n.DoWhileStmt(span=self.span_of(tok, end), body=body, cond=cond)
 
     def for_statement(self) -> n.Stmt:
         tok = self.expect("for")
@@ -837,11 +835,11 @@ class _Parser:
             self.expect(")")
             body = self.statement()
             return n.ForEachStmt(
-                span=self.span_between(tok.span, body.span),
+                span=self.span_between(self.span(tok), body.span),
                 var_modifiers=decl.modifiers,
                 var_type=decl.type,
-                var_name=name_tok.lexeme,
-                var_name_span=name_tok.span,
+                var_name=self.lexemes[name_tok],
+                var_name_span=self.span(name_tok),
                 iterable=iterable,
                 body=body,
             )
@@ -860,21 +858,21 @@ class _Parser:
         update = self.separated(self.expression, close=")")
         self.expect(")")
         body = self.statement()
-        return n.ForStmt(span=self.span_between(tok.span, body.span), init=init, cond=cond, update=update, body=body)
+        return n.ForStmt(span=self.span_between(self.span(tok), body.span), init=init, cond=cond, update=update, body=body)
 
-    def local_var_head(self) -> tuple[n.LocalVarDecl, Token]:
+    def local_var_head(self) -> tuple[n.LocalVarDecl, int]:
         """Annotations and 'final', a type, then the first variable's name.
 
         Returns the declaration without declarators, and that name.
         """
-        first = self.peek()
+        first = self.i
         mods, anns = self.parse_modifiers(_FINAL)
         var_type = self.parse_type()
         name_tok = self.expect_ident()
-        decl = n.LocalVarDecl(span=first.span, modifiers=mods, annotations=anns, type=var_type, declarators=[])
+        decl = n.LocalVarDecl(span=self.span(first), modifiers=mods, annotations=anns, type=var_type, declarators=[])
         return decl, name_tok
 
-    def local_var_declarators(self, head: tuple[n.LocalVarDecl, Token]) -> n.LocalVarDecl:
+    def local_var_declarators(self, head: tuple[n.LocalVarDecl, int]) -> n.LocalVarDecl:
         decl, name_tok = head
         decl.declarators = self.var_declarators(name_tok)
         decl.span = self.span_between(decl.span, decl.declarators[-1].span)
@@ -886,10 +884,10 @@ class _Parser:
         self.expect("{")
         arms: list[n.SwitchArm] = []
         while not self.at("}"):
-            if self.peek() is None:
+            if self.lexemes[self.i] is None:
                 raise self.error("unterminated switch")
             labels: list[n.Expr | None] = []
-            label_start = self.peek().span
+            label_start = self.span(self.i)
             while self.at("case") or self.at("default"):
                 if self.at("case"):
                     self.next()
@@ -906,7 +904,7 @@ class _Parser:
             end_span = stmts[-1].span if stmts else label_start
             arms.append(n.SwitchArm(span=self.span_between(label_start, end_span), labels=labels, statements=stmts))
         close = self.expect("}")
-        return n.SwitchStmt(span=self.span_between(tok.span, close.span), selector=selector, arms=arms)
+        return n.SwitchStmt(span=self.span_of(tok, close), selector=selector, arms=arms)
 
     def try_statement(self) -> n.TryStmt:
         tok = self.expect("try")
@@ -928,10 +926,10 @@ class _Parser:
             c_body = self.block()
             catches.append(
                 n.CatchClause(
-                    span=self.span_between(c_tok.span, c_body.span),
+                    span=self.span_between(self.span(c_tok), c_body.span),
                     types=types,
-                    name=name_tok.lexeme,
-                    name_span=name_tok.span,
+                    name=self.lexemes[name_tok],
+                    name_span=self.span(name_tok),
                     modifiers=mods,
                     body=c_body,
                 )
@@ -945,7 +943,7 @@ class _Parser:
         if not catches and finally_block is None and not resources:
             raise self.error("try statement requires catch, finally, or resources")
         return n.TryStmt(
-            span=self.span_between(tok.span, end_span),
+            span=self.span_between(self.span(tok), end_span),
             resources=resources,
             body=body,
             catches=catches,
@@ -988,7 +986,8 @@ class _Parser:
             heads.append((expr, if_true))
             expr = self.binary()
         if lexemes[self.i] in _ASSIGN_OPS:
-            op = self.next().lexeme
+            op = lexemes[self.i]
+            self.i += 1
             value = self.expression()
             expr = n.Assign(span=self.span_between(expr.span, value.span), target=expr, op=op, value=value)
         while heads:
@@ -1029,24 +1028,24 @@ class _Parser:
             left = n.Binary(span=self.span_between(left.span, right.span), op=lex, left=left, right=right)
 
     def unary(self) -> n.Expr:
-        t = self.peek()
-        if t is None:
+        lex = self.lexemes[self.i]
+        if lex is None:
             raise self.error("expected expression")
-        if t.lexeme in ("+", "-", "!", "~", "++", "--"):
+        if lex in ("+", "-", "!", "~", "++", "--"):
             op_tok = self.next()
-            if op_tok.lexeme == "-":
+            if lex == "-":
                 self.negated = self.i
             operand = self.unary()
-            return n.Unary(span=self.span_between(op_tok.span, operand.span), op=op_tok.lexeme, operand=operand, prefix=True)
-        if t.lexeme == "(":
+            return n.Unary(span=self.span_between(self.span(op_tok), operand.span), op=lex, operand=operand, prefix=True)
+        if lex == "(":
             head = self._attempt(self._cast_head)
             if head is not None:
                 open_tok, ctype = head
                 expr = self.unary()
-                return n.Cast(span=self.span_between(open_tok.span, expr.span), type=ctype, expr=expr)
+                return n.Cast(span=self.span_between(self.span(open_tok), expr.span), type=ctype, expr=expr)
         return self.postfix()
 
-    def _cast_head(self) -> tuple[Token, n.TypeRef]:
+    def _cast_head(self) -> tuple[int, n.TypeRef]:
         """'(' type ')' followed by a token that can start the cast's operand.
 
         A primitive, array or generic type cannot be an expression, so any
@@ -1057,70 +1056,70 @@ class _Parser:
         ctype = self.parse_type()
         generic = self.at(">", -1)  # a type ends in '>' only after type arguments
         self.expect(")")
-        t = self.peek()
+        lex, kind = self.lexemes[self.i], self.kinds[self.i]
         if ctype.name in PRIMITIVE_TYPES or ctype.array_dims or generic:
-            operand = t is not None and t.lexeme not in (")", "]", ";", ",", ".")
+            operand = lex is not None and lex not in (")", "]", ";", ",", ".")
         else:
-            operand = t is not None and (
-                t.kind is TokenKind.IDENTIFIER or t.kind in _LITERAL_KINDS or t.lexeme in ("(", "!", "~", "new", "this", "super")
-            )
+            operand = kind is TokenKind.IDENTIFIER or kind in _LITERAL_KINDS or lex in ("(", "!", "~", "new", "this", "super")
         if not operand:
             raise self.error("not a cast")
         return open_tok, ctype
 
     def postfix(self) -> n.Expr:
         expr = self.primary()
+        lexemes = self.lexemes
         while not isinstance(expr, n.MethodRef):  # a method reference takes no selector (JLS 15.13)
-            t = self.peek()
-            if t is None:
+            lex = lexemes[self.i]
+            if lex is None:
                 return expr
-            if (t.lexeme == "." and self.at("class", 1)) or (t.lexeme == "[" and self.at("]", 1)):
+            if (lex == "." and self.at("class", 1)) or (lex == "[" and self.at("]", 1)):
                 name = _dotted_name(expr)
                 if name is not None:  # a type: String.class, Foo[]::new, java.lang.String[].class
                     expr = self._type_literal(n.TypeRef(span=expr.span, name=name), "type")
                     continue
-            if t.lexeme == ".":
-                nxt = self.peek(1)
-                if nxt is not None and nxt.lexeme == "new":
-                    self.next()
-                    self.next()
+            if lex == ".":
+                nxt = lexemes[self.i + 1]
+                if nxt == "new":
+                    self.i += 2
                     expr = self._object_creation(expr.span)
                     continue
-                if nxt is not None and nxt.lexeme in ("this", "super"):
-                    self.next()
-                    end = self.next()
-                    expr = n.FieldAccess(span=self.span_between(expr.span, end.span), receiver=expr, name=end.lexeme)
+                if nxt in ("this", "super"):
+                    self.i += 2
+                    end = self.span(self.i - 1)
+                    expr = n.FieldAccess(span=self.span_between(expr.span, end), receiver=expr, name=nxt)
                     continue
-                self.next()
+                self.i += 1
                 name_tok = self.expect_ident()
                 if self.at("("):
                     expr = self._method_call(expr, name_tok, *self._call_args())
                 else:
-                    expr = n.FieldAccess(span=self.span_between(expr.span, name_tok.span), receiver=expr, name=name_tok.lexeme)
+                    end = self.span(name_tok)
+                    expr = n.FieldAccess(span=self.span_between(expr.span, end), receiver=expr, name=lexemes[name_tok])
                 continue
-            if t.lexeme == "[":
-                self.next()
+            if lex == "[":
+                self.i += 1
                 index = self.expression()
                 end = self.expect("]")
-                expr = n.ArrayAccess(span=self.span_between(expr.span, end.span), array=expr, index=index)
+                expr = n.ArrayAccess(span=self.span_between(expr.span, self.span(end)), array=expr, index=index)
                 continue
-            if t.lexeme == "::":
+            if lex == "::":
                 expr = self._method_ref(expr)
                 continue
-            if t.lexeme in ("++", "--"):
+            if lex in ("++", "--"):
                 op_tok = self.next()
-                expr = n.Unary(span=self.span_between(expr.span, op_tok.span), op=op_tok.lexeme, operand=expr, prefix=False)
+                expr = n.Unary(span=self.span_between(expr.span, self.span(op_tok)), op=lex, operand=expr, prefix=False)
                 continue
             return expr
         return expr
 
-    def _method_call(self, receiver: n.Expr | None, name_tok: Token, args: list[n.Expr], end: Span) -> n.MethodCall:
-        """The call of ``name_tok`` (a method name, 'this' or 'super') on
-        ``receiver`` or on none, with the arguments that _call_args read.  The
-        caller reads them, so a call nests as many frames as _CALL_DEPTH counts."""
-        start = name_tok.span if receiver is None else receiver.span
+    def _method_call(self, receiver: n.Expr | None, name_tok: int, args: list[n.Expr], end: Span) -> n.MethodCall:
+        """The call of token ``name_tok`` (a method name, 'this' or 'super')
+        on ``receiver`` or on none, with the arguments that _call_args read.
+        The caller reads them, so a call nests as many frames as _CALL_DEPTH counts."""
+        name_span = self.span(name_tok)
+        start = name_span if receiver is None else receiver.span
         return n.MethodCall(
-            span=self.span_between(start, end), receiver=receiver, name=name_tok.lexeme, name_span=name_tok.span, args=args
+            span=self.span_between(start, end), receiver=receiver, name=self.lexemes[name_tok], name_span=name_span, args=args
         )
 
     def _call_args(self) -> tuple[list[n.Expr], Span]:
@@ -1129,52 +1128,53 @@ class _Parser:
         args = self.separated(self.expression, close=")")
         self.depth -= _CALL_DEPTH
         end = self.expect(")")
-        return args, end.span
+        return args, self.span(end)
 
     def primary(self) -> n.Expr:
-        t = self.peek()
-        if t is None:
+        t = self.i
+        lex, kind = self.lexemes[t], self.kinds[t]
+        if lex is None:
             raise self.error("expected expression")
-        lex = t.lexeme
 
         # Lambda forms: Ident -> ...   and   ( params ) -> ...
-        if t.kind is TokenKind.IDENTIFIER and self.at("->", 1):
+        if kind is TokenKind.IDENTIFIER and self.at("->", 1):
             param = self._inferred_param()
             self.next()
-            return self._finish_lambda(t.span, [param])
+            return self._finish_lambda(self.span(t), [param])
         if lex == "(":
             head = self._attempt(self._lambda_head)
             if head is not None:
                 open_tok, params = head
-                return self._finish_lambda(open_tok.span, params)
+                return self._finish_lambda(self.span(open_tok), params)
             open_tok = self.next()
             inner = self.expression()
             close = self.expect(")")
-            return n.Paren(span=self.span_between(open_tok.span, close.span), expr=inner)
+            return n.Paren(span=self.span_of(open_tok, close), expr=inner)
 
-        if t.kind in _LITERAL_KINDS:
-            if t.kind in _CHECKED_LITERAL_KINDS:
-                self.check_literal(t, self.negated == self.i)
-            self.next()
-            return n.Literal(span=t.span, kind=t.kind, lexeme=t.lexeme, radix=t.radix, suffix=t.suffix)
+        if kind in _LITERAL_KINDS:
+            radix, suffix = radix_and_suffix(lex) if kind is TokenKind.NUMBER else (None, None)
+            if kind in _CHECKED_LITERAL_KINDS:
+                self.check_literal(t, radix, suffix)
+            self.i += 1
+            return n.Literal(span=self.span(t), kind=kind, lexeme=lex, radix=radix, suffix=suffix)
 
-        if t.kind is TokenKind.IDENTIFIER or lex == "this" or lex == "super":
-            self.next()
+        if kind is TokenKind.IDENTIFIER or lex == "this" or lex == "super":
+            self.i += 1
             if self.at("("):
                 return self._method_call(None, t, *self._call_args())
             if lex == "this":
-                return n.ThisExpr(span=t.span)
+                return n.ThisExpr(span=self.span(t))
             if lex == "super":
-                return n.SuperExpr(span=t.span)
-            return n.Name(span=t.span, identifier=lex)
+                return n.SuperExpr(span=self.span(t))
+            return n.Name(span=self.span(t), identifier=lex)
 
         if lex == "new":
-            new_tok = self.next()
-            return self._object_creation(new_tok.span)
+            self.i += 1
+            return self._object_creation(self.span(t))
 
-        if t.kind is TokenKind.KEYWORD and lex in PRIMITIVE_TYPES or lex == "void":
-            self.next()
-            return self._type_literal(n.TypeRef(span=t.span, name=lex), "type keyword")
+        if kind is TokenKind.KEYWORD and lex in PRIMITIVE_TYPES or lex == "void":
+            self.i += 1
+            return self._type_literal(n.TypeRef(span=self.span(t), name=lex), "type keyword")
 
         raise self.error(f"unexpected token {lex!r} in expression")
 
@@ -1187,18 +1187,17 @@ class _Parser:
         if self.at("::") and ref.array_dims:
             return self._method_ref(ref)
         if self.at(".") and self.at("class", 1):
-            self.next()
-            end = self.next()
-            return n.ClassLiteral(span=self.span_between(ref.span, end.span), type=ref)
+            self.i += 2
+            return n.ClassLiteral(span=self.span_between(ref.span, self.span(self.i - 1)), type=ref)
         raise self.error(f"unexpected {what} {ref.name!r} in expression")
 
     def _method_ref(self, receiver: n.Expr | n.TypeRef) -> n.MethodRef:
         """'::' and a method name or 'new' after the receiver."""
         self.expect("::")
         end = self.next() if self.at("new") else self.expect_ident()
-        return n.MethodRef(span=self.span_between(receiver.span, end.span), receiver=receiver, name=end.lexeme)
+        return n.MethodRef(span=self.span_between(receiver.span, self.span(end)), receiver=receiver, name=self.lexemes[end])
 
-    def _lambda_head(self) -> tuple[Token, list[n.Param]]:
+    def _lambda_head(self) -> tuple[int, list[n.Param]]:
         """'(' parameters ')' '->'."""
         open_tok = self.expect("(")
         params = self.separated(self._lambda_param, close=")")
@@ -1214,11 +1213,12 @@ class _Parser:
         """A bare name, perhaps with modifiers."""
         mods, _ = self.parse_modifiers(_FINAL)  # an inferred parameter's annotations are not kept
         name_tok = self.expect_ident()
+        name_span = self.span(name_tok)
         return n.Param(
-            span=name_tok.span,
-            type=n.TypeRef(span=name_tok.span, name=""),
-            name=name_tok.lexeme,
-            name_span=name_tok.span,
+            span=name_span,
+            type=n.TypeRef(span=name_span, name=""),
+            name=self.lexemes[name_tok],
+            name_span=name_span,
             modifiers=mods,
         )
 
@@ -1245,15 +1245,13 @@ class _Parser:
             while self.at("["):
                 self.next()
                 if self.at("]"):
-                    end = self.next()
+                    end_span = self.span(self.next())
                     extra_dims += 1
-                    end_span = end.span
                 elif extra_dims:
                     raise self.error("array dimension expression after '[]'")
                 else:
                     dim_exprs.append(self.expression())
-                    end = self.expect("]")
-                    end_span = end.span
+                    end_span = self.span(self.expect("]"))
             initializer = None
             if self.at("{"):
                 if dim_exprs:
@@ -1274,8 +1272,7 @@ class _Parser:
         if self.at("{"):
             self.next()
             anon_body = self.parse_members("")
-            end = self.expect("}")
-            end_span = end.span
+            end_span = self.span(self.expect("}"))
         return n.NewObject(span=self.span_between(start, end_span), type=ctype, args=args, anon_body=anon_body)
 
     def variable_initializer(self) -> n.Expr:
@@ -1286,7 +1283,7 @@ class _Parser:
         open_tok = self.expect("{")
         values = self.separated(self.variable_initializer, close="}", trailing=("}",))
         close = self.expect("}")
-        return n.ArrayInitializer(span=self.span_between(open_tok.span, close.span), values=values)
+        return n.ArrayInitializer(span=self.span_of(open_tok, close), values=values)
 
 
 # (largest decimal, largest hex, octal or binary) literal of int and of long:
@@ -1309,7 +1306,7 @@ _STRAY_UNDERSCORE = re.compile(r"(?<![0-9_])_|_(?![0-9_])")
 _STRAY_HEX_UNDERSCORE = re.compile(r"(?<![0-9a-fA-F_])_|_(?![0-9a-fA-F_])")
 
 
-def _malformed_literal(t: Token, negated: bool) -> str | None:
+def _malformed_literal(lexeme: str, kind: TokenKind, radix: int | None, suffix: str | None, negated: bool) -> str | None:
     """Why the lexer's literal token is no Java literal, or None: a string
     or char literal whose unicode escapes (JLS 3.3) give a line terminator or
     break it (JLS 3.10.4, 3.10.5), or with an invalid escape sequence (JLS
@@ -1318,23 +1315,22 @@ def _malformed_literal(t: Token, negated: bool) -> str | None:
     underscore that does not stand between two digits, or a binary one with
     a floating-point suffix (JLS 3.10.1, 3.10.2); an integer literal with a
     decimal digit after a leading 0, without digits, or out of its type's
-    range (JLS 3.10.1).  ``negated``: the token is the operand of unary
-    minus."""
-    lexeme = t.lexeme
-    if t.kind is not TokenKind.NUMBER:  # a string or char literal
+    range (JLS 3.10.1).  ``radix`` and ``suffix`` are a number's, from
+    radix_and_suffix; ``negated``: the token is the operand of unary minus."""
+    if kind is not TokenKind.NUMBER:  # a string or char literal
         body = lexeme[1:-1]
         if "\\u" in body:
             body = _UNICODE_ESCAPE.sub(lambda m: m.group(1) + chr(int(m.group(2), 16)), body)
             if "\n" in body or "\r" in body:
                 return f"line terminator in literal {lexeme}"
-            if not _UNBROKEN[t.kind].fullmatch(body):
+            if not _UNBROKEN[kind].fullmatch(body):
                 return f"literal {lexeme} does not end at its closing quote"
         if "\\" in body:
             for m in _ESCAPE.finditer(body):
                 if m.group(1) is not None:
                     return f"invalid escape character {m.group(1)!r} after a backslash"
             body = _ESCAPE.sub("x", body)  # one character for each escape
-        if t.kind is TokenKind.STRING:
+        if kind is TokenKind.STRING:
             return None
         if not body:
             return "empty char literal"
@@ -1343,27 +1339,27 @@ def _malformed_literal(t: Token, negated: bool) -> str | None:
         return f"char literal {lexeme} needs two UTF-16 code units" if body > "\uffff" else None
     if len(lexeme) < 10 and lexeme.isdigit() and (lexeme[0] != "0" or len(lexeme) == 1):
         return None  # the common case: a decimal int literal of at most 9 digits
-    if "_" in lexeme and (_STRAY_HEX_UNDERSCORE if t.radix == 16 else _STRAY_UNDERSCORE).search(lexeme):
+    if "_" in lexeme and (_STRAY_HEX_UNDERSCORE if radix == 16 else _STRAY_UNDERSCORE).search(lexeme):
         return f"underscore not between digits in literal {lexeme!r}"
-    if t.suffix in ("f", "F", "d", "D"):
+    if suffix in ("f", "F", "d", "D"):
         if lexeme[:2] in ("0b", "0B"):
             return f"binary literal {lexeme!r} has a floating-point suffix"
         return None
-    if t.radix == 10 and ("." in lexeme or "e" in lexeme or "E" in lexeme):  # floating point
+    if radix == 10 and ("." in lexeme or "e" in lexeme or "E" in lexeme):  # floating point
         return None
-    if t.radix == 10 and lexeme[0] == "0" and lexeme.rstrip("lL") != "0":
+    if radix == 10 and lexeme[0] == "0" and lexeme.rstrip("lL") != "0":
         return f"digit 8 or 9 in octal literal {lexeme!r}"
     try:
-        value = numeric_value(lexeme, t.radix, t.suffix)
+        value = numeric_value(lexeme, radix, suffix)
     except ValueError:
         return f"integer literal {lexeme!r} has no digits"
-    decimal_max, other_max = _INTEGER_LIMITS[t.suffix]
-    if t.radix == 10:
+    decimal_max, other_max = _INTEGER_LIMITS[suffix]
+    if radix == 10:
         too_large = value > decimal_max or (value == decimal_max and not negated)
     else:
         too_large = value > other_max
     if too_large:
-        return f"{'int' if t.suffix is None else 'long'} literal {lexeme!r} out of range"
+        return f"{'int' if suffix is None else 'long'} literal {lexeme!r} out of range"
     return None
 
 

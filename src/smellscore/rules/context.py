@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 
 from ..java_syntax import nodes as n
-from ..java_syntax.lexer import PRIMITIVE_TYPES, SourceFile, Span, Token, TokenKind
+from ..java_syntax.lexer import PRIMITIVE_TYPES, SourceFile, Span, TokenKind, TokenTable
 from .model import SmellRule, Violation
 
 
@@ -335,9 +335,14 @@ class FileFacts:
 
 @dataclass
 class RuleContext:
+    """What a checker reads of one parsed file.  ``tokens`` is the parse
+    outcome's TokenTable of significant tokens (no whitespace or comments,
+    '>>' unsplit): read its ``lexemes``, ``kinds`` and ``offsets`` columns,
+    and build a span with ``tokens.span(i)`` only for a hit."""
+
     source: SourceFile
     facts: FileFacts
-    tokens: list[Token]  # the significant tokens: no whitespace or comments
+    tokens: TokenTable
 
     @property
     def unit(self) -> n.CompilationUnit:

@@ -622,14 +622,13 @@ def check_unutilized_abstraction(ctx: RuleContext, rule: SmellRule) -> list[Viol
 
 
 def _referenced_outside(ctx: RuleContext, decl: n.TypeDecl) -> bool:
+    """Whether a token spelling the type's name lies outside its declaration."""
     span = decl.span
-    for t in ctx.tokens:
-        if t.lexeme != decl.name:
-            continue
-        inside = (
-            (t.span.start_line > span.start_line or (t.span.start_line == span.start_line and t.span.start_col >= span.start_col))
-            and (t.span.end_line < span.end_line or (t.span.end_line == span.end_line and t.span.end_col <= span.end_col))
-        )
-        if not inside:
-            return True
-    return False
+    start, end = ctx.offset_of(span.start_line, span.start_col), ctx.offset_of(span.end_line, span.end_col)
+    toks = ctx.tokens
+    name = decl.name
+    return any(
+        not start <= offset <= end - len(name)
+        for lexeme, offset in zip(toks.lexemes, toks.offsets)
+        if lexeme == name
+    )

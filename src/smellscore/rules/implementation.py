@@ -8,13 +8,13 @@ ordering is normalized later by the engine.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, compress, repeat
+from operator import add, is_
 
 from ..java_syntax import nodes as n
-from ..java_syntax.lexer import Token, TokenKind, numeric_value
+from ..java_syntax.lexer import TokenKind, numeric_value
 from .context import FileFacts, RuleContext, expr_source_name, is_bool_literal, strip_parens
 from .model import SmellRule, Violation
 
@@ -218,7 +218,7 @@ def check_simplified_ternary(ctx: RuleContext, rule: SmellRule) -> list[Violatio
 
 def check_line_length(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_line_length")
-    lines = ctx.source.text.split("\n")  # the lines line_text gives, in order
+    lines = ctx.source.text.replace("\r\n", "\n").split("\n")  # the lines line_text gives, in order
     if max(map(len, lines)) <= limit:
         return []
     out = []
@@ -307,7 +307,7 @@ def check_copy_paste(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     total = len(toks)
     if total < 2 * window:
         return []
-    lex = [t.lexeme for t in toks]
+    lex = toks.lexemes
     # A window is keyed by the text of its lexemes, each followed by a newline.
     # The parser rejects a line break inside a literal, so no lexeme of a
     # parsed file holds one, and two windows are equal exactly when their
@@ -324,14 +324,10 @@ def check_copy_paste(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
             length = window
             while i + length < total and j + length < i and lex[j + length] == lex[i + length]:
                 length += 1
-            span = n.Span(
-                toks[i].span.start_line,
-                toks[i].span.start_col,
-                toks[i + length - 1].span.end_line,
-                toks[i + length - 1].span.end_col,
-            )
+            first, last = toks.span(i), toks.span(i + length - 1)
+            span = n.Span(first.start_line, first.start_col, last.end_line, last.end_col)
             out.append(
-                ctx.violation(rule, span, f"{length} tokens duplicate line {toks[j].span.start_line}")
+                ctx.violation(rule, span, f"{length} tokens duplicate line {toks.span(j).start_line}")
             )
             i += length
             continue
@@ -558,14 +554,11 @@ def check_left_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 def _brace_after(ctx: RuleContext, span: n.Span) -> n.Span | None:
     """The first '{' token that starts at or after span's end."""
     toks = ctx.tokens
-    for i in range(bisect_left(toks, span[2:], key=_token_start), len(toks)):
-        if toks[i].lexeme == "{":
-            return toks[i].span
-    return None
-
-
-def _token_start(t: Token) -> tuple[int, int]:
-    return t.span[:2]
+    try:
+        i = toks.lexemes.index("{", bisect_left(toks.offsets, ctx.offset_of(span.end_line, span.end_col)))
+    except ValueError:
+        return None
+    return toks.span(i)
 
 
 def check_right_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
@@ -611,21 +604,20 @@ def check_paren_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
         return []
     out = []
     toks = ctx.tokens
-    offset_of = ctx.offset_of
-    for i, t in enumerate(toks):
-        if t.lexeme == "(":
-            blanks = _BLANKS.match(text, offset_of(t.span.end_line, t.span.end_col))
+    lexemes, offsets = toks.lexemes, toks.offsets
+    for i, lexeme in enumerate(lexemes):
+        if lexeme == "(":
+            blanks = _BLANKS.match(text, offsets[i] + 1)
             message = "space after '('"
-        elif t.lexeme == ")":
-            # Only trivia lies between the previous token and the ')'.
-            before = toks[i - 1].span
-            start = offset_of(before.end_line, before.end_col)
-            blanks = _BLANKS_AT_END.search(text, start, offset_of(t.span.start_line, t.span.start_col))
+        elif lexeme == ")":
+            # Only trivia lies between the previous token's end and the ')'.
+            start = offsets[i - 1] + len(lexemes[i - 1])
+            blanks = _BLANKS_AT_END.search(text, start, offsets[i])
             message = "space before ')'"
         else:
             continue
         if blanks and "\n" not in blanks.group():
-            out.append(ctx.violation(rule, t.span, message))
+            out.append(ctx.violation(rule, toks.span(i), message))
     return out
 
 
@@ -775,9 +767,18 @@ def check_unused_import(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
         return []
     out = []
     import_lines = {line for imp in imports for line in range(imp.span.start_line, imp.span.end_line + 1)}
-    body_idents = {
-        t.lexeme for t in ctx.tokens if t.kind is TokenKind.IDENTIFIER and t.span.start_line not in import_lines
-    }
+    toks = ctx.tokens
+    kinds, lexemes, offsets = toks.kinds, toks.lexemes, toks.offsets
+    line_index = ctx.source.line_index
+    # Tokens from the line after the last import line on share no line with an import.
+    last = max(import_lines)
+    body = bisect_left(offsets, line_index[last]) if last < len(line_index) else len(lexemes)
+    body_idents = set(compress(lexemes[body:], map(is_, kinds[body:], repeat(TokenKind.IDENTIFIER))))
+    body_idents.update(
+        lexemes[i]
+        for i in range(body)
+        if kinds[i] is TokenKind.IDENTIFIER and bisect_right(line_index, offsets[i]) not in import_lines
+    )
     for imp in imports:
         if imp.on_demand:
             continue

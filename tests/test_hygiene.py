@@ -368,3 +368,40 @@ def test_scan_finds_a_checker_that_compiles_a_pattern():
         "def check_c(ctx, rule):\n    return _cached(rule.threshold('pattern'))\n"
     )
     assert compiling_checkers(source) == ["check_a:10", "check_b:14"]
+
+
+def token_constructions(source: str) -> list[int]:
+    """The line of each call that constructs a ``Token``: ``Token(...)``, or
+    ``<module>.Token(...)`` on an imported module."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "Token")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Token")
+        )
+    )
+
+
+def test_only_the_lexer_constructs_tokens():
+    """The parser and the rules read the token table's columns; only the
+    table builds a Token, on demand."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.relative_to(PACKAGE).as_posix() != "java_syntax/lexer.py"
+        for line in token_constructions(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+    assert token_constructions((PACKAGE / "java_syntax" / "lexer.py").read_text(encoding="utf-8"))
+
+
+def test_scan_finds_a_token_construction():
+    source = (
+        "from .lexer import Token, TokenKind, TokenTable\nfrom . import lexer\n\n"
+        "def f(kind, span):\n    return Token(kind, 'x', span)\n\n"
+        "def g(kind, span):\n    return [lexer.Token(kind, 'y', span)]\n\n"
+        "def h(table: TokenTable) -> Token:\n    return table[0] if isinstance(table[0], Token) else TokenKind('x')\n"
+    )
+    assert token_constructions(source) == [5, 8]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from smellscore.java_syntax import (
+    COMMENT_KINDS,
     LexError,
     SourceFile,
     Span,
@@ -23,6 +24,9 @@ from smellscore.java_syntax import (
     tokenize,
 )
 from smellscore.java_syntax import nodes as n
+from smellscore.java_syntax.lexer import KEYWORDS, OPERATORS, SEPARATORS
+
+from test_lexer_reference import reference_tokenize
 
 SAMPLE = """\
 package demo;
@@ -63,9 +67,12 @@ def _src(text: str, path: str = "T.java") -> SourceFile:
     return SourceFile.from_text(path, text)
 
 
+TRIVIA = (TokenKind.WHITESPACE, TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT, TokenKind.JAVADOC)
+
+
 def _significant(text: str) -> list[Token]:
     """The tokens of text that are neither whitespace nor comments."""
-    return [t for t in tokenize(_src(text)) if not t.is_trivia]
+    return [t for t in tokenize(_src(text)) if t.kind not in TRIVIA]
 
 
 class TestTokenize:
@@ -155,6 +162,24 @@ class TestTokenize:
             offset += len(t.lexeme)
         assert offset == len(SAMPLE)
 
+    def test_table_columns_agree_with_its_tokens(self):
+        table = tokenize(_src(SAMPLE))
+        assert len(table) == len(table.kinds) == len(table.lexemes) == len(table.offsets)
+        assert [(t.kind, t.lexeme, t.span) for t in table] == [
+            (table.kinds[i], table.lexemes[i], table.span(i)) for i in range(len(table))
+        ]
+        assert [table[i] for i in table.significant] == list(table.significant_tokens())
+        assert table.comments == [i for i, t in enumerate(table) if t.kind in COMMENT_KINDS]
+
+    def test_every_fixed_lexeme_lexes_as_the_reference_scanner_lexes_it(self):
+        """Keywords, literal words, operators and separators get their kind
+        from a table instead of the pattern; alone and between words they
+        lex as the character-at-a-time reference scanner lexes them."""
+        fixed = sorted(KEYWORDS | {"true", "false", "null"} | set(OPERATORS) | SEPARATORS)
+        for text in fixed + [f"a{lexeme}b" for lexeme in fixed] + [f"1 {lexeme} 2" for lexeme in fixed]:
+            got = [(t.kind, t.lexeme, t.span) for t in tokenize(_src(text))]
+            assert got == [(t.kind, t.lexeme, t.span) for t in reference_tokenize(_src(text))], text
+
 
 def _char_loop_line_index(text: str) -> list[int]:
     """The offset at which each line starts, found one character at a time."""
@@ -176,6 +201,64 @@ class TestSourceFile:
         for path in paths:
             text = path.read_text(encoding="utf-8")
             assert SourceFile.from_text(str(path), text).line_index == _char_loop_line_index(text), path
+
+    @pytest.mark.parametrize("text, lines", [
+        ("a\nb", ["a", "b"]),
+        ("a\r\nb\r\n", ["a", "b", ""]),
+        ("a\r\r\nb", ["a\r", "b"]),
+        ("\r\n\r\n", ["", "", ""]),
+        ("a\rb\n\r", ["a\rb", "\r"]),
+    ], ids=["lf", "crlf", "cr-crlf", "empty-crlf-lines", "lone-cr"])
+    def test_line_text_drops_one_carriage_return_before_a_line_feed(self, text, lines):
+        source = SourceFile.from_text("T.java", text)
+        assert [source.line_text(k) for k in range(1, len(source.line_index) + 1)] == lines
+
+
+class TestOnDemandSpans:
+    """Spans built from a token table row: line and column come from the row's
+    text offset, and only a line feed ends a line."""
+
+    @staticmethod
+    def _spans(text: str) -> list[tuple[str, tuple[int, int, int, int]]]:
+        lexed = [(t.lexeme, t.span.as_tuple()) for t in tokenize(_src(text)) if t.kind not in TRIVIA]
+        outcome = parse_text("T.java", text)
+        assert outcome.ok, outcome.failure
+        assert [(t.lexeme, t.span.as_tuple()) for t in outcome.tokens] == lexed
+        return lexed
+
+    def test_token_after_a_multi_line_block_comment(self):
+        assert self._spans("/* a\n b */ class A {}")[:2] == [("class", (2, 7, 2, 12)), ("A", (2, 13, 2, 14))]
+
+    def test_token_after_a_javadoc(self):
+        text = "/**\n * doc\n */\nclass A {}"
+        assert self._spans(text)[0] == ("class", (4, 1, 4, 6))
+        assert parse_text("T.java", text).ast.types[0].doc.span == (1, 1, 3, 4)
+
+    def test_tokens_after_crlf(self):
+        assert self._spans("class A {\r\n  int b;\r\n}")[3:] == [
+            ("int", (2, 3, 2, 6)), ("b", (2, 7, 2, 8)), (";", (2, 8, 2, 9)), ("}", (3, 1, 3, 2)),
+        ]
+
+    def test_a_lone_carriage_return_ends_no_line(self):
+        assert self._spans("class A {\r  int b;\r}")[3:] == [
+            ("int", (1, 13, 1, 16)), ("b", (1, 17, 1, 18)), (";", (1, 18, 1, 19)), ("}", (1, 20, 1, 21)),
+        ]
+
+    def test_last_token_without_a_trailing_newline(self):
+        assert self._spans("class A {\n}")[-1] == ("}", (2, 1, 2, 2))
+        assert parse_text("T.java", "class A {\n}").ast.span == (1, 1, 2, 2)
+
+    def test_string_with_an_escaped_line_break_spans_two_lines(self):
+        text = 'class A { String s = "a\\\nb"; }'
+        string = [t for t in tokenize(_src(text)) if t.kind is TokenKind.STRING]
+        assert [(t.lexeme, t.span.as_tuple()) for t in string] == [('"a\\\nb"', (1, 22, 2, 3))]
+        failure = parse_text("T.java", text).failure
+        assert (failure.message, failure.first_error_span) == ("invalid escape character '\\n' after a backslash", (1, 22, 2, 3))
+
+    def test_lex_error_after_crlf_lines(self):
+        with pytest.raises(LexError) as err:
+            tokenize(_src("class A {\r\n  int x = #;\r\n}"))
+        assert (err.value.message, err.value.line, err.value.col) == ("illegal character '#'", 2, 11)
 
 
 class TestSpanAndTokenContract:
@@ -202,8 +285,18 @@ class TestSpanAndTokenContract:
 
     @pytest.mark.parametrize("kind", list(TokenKind), ids=lambda k: k.value)
     def test_token_is_trivia_for_every_kind(self, kind):
-        trivia = {TokenKind.WHITESPACE, TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT, TokenKind.JAVADOC}
-        assert Token(kind, "x", Span(1, 1, 1, 2)).is_trivia is (kind in trivia)
+        """A token is significant in its table exactly when it is neither
+        whitespace nor a comment, and listed as a comment when it is one."""
+        sample = {
+            TokenKind.IDENTIFIER: "x", TokenKind.KEYWORD: "int", TokenKind.NUMBER: "1", TokenKind.STRING: '"s"',
+            TokenKind.CHAR: "'c'", TokenKind.BOOL: "true", TokenKind.NULL: "null", TokenKind.OPERATOR: "+",
+            TokenKind.SEPARATOR: ";", TokenKind.LINE_COMMENT: "// c", TokenKind.BLOCK_COMMENT: "/* c */",
+            TokenKind.JAVADOC: "/** c */", TokenKind.WHITESPACE: " \t\n",
+        }[kind]
+        table = tokenize(_src(sample))
+        assert [t.kind for t in table] == [kind]
+        assert list(table.significant) == ([] if kind in TRIVIA else [0])
+        assert table.comments == ([0] if kind in COMMENT_KINDS else [])
 
     def test_token_equality_repr_and_numeric_fields(self):
         span = Span(1, 1, 1, 3)
@@ -1197,6 +1290,38 @@ class TestNodeContract:
             assert count_nodes(tree) == len(list(n.walk(tree)))
 
 
+def count_tokens_built(monkeypatch, run) -> int:
+    """How many Token objects ``run()`` constructs."""
+    built = 0
+    init = Token.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Token, "__init__", counting)
+        run()
+    return built
+
+
+class TestNoTokenObjects:
+    """The parser reads the token table's columns; a Token is built only when
+    a caller indexes or iterates a table."""
+
+    def test_parse_builds_no_token(self, monkeypatch):
+        sources = [SourceFile.from_text(path, text) for path, text in _test_java_files()]
+        outcomes = []
+        assert count_tokens_built(monkeypatch, lambda: outcomes.extend(map(parse, sources))) == 0
+        assert sum(outcome.ok for outcome in outcomes) >= 30
+
+    def test_the_count_sees_tokens_built_on_demand(self, monkeypatch):
+        table = tokenize(_src("class A { int x = 1; }"))
+        assert count_tokens_built(monkeypatch, lambda: table[5]) == 1
+        assert count_tokens_built(monkeypatch, lambda: list(table)) == len(table) == 16
+
+
 class TestOutcomeTokens:
     """ParseOutcome.tokens is the one token list the rules read: the
     significant tokens of the source, as the lexer made them."""
@@ -1205,7 +1330,7 @@ class TestOutcomeTokens:
         parsed = 0
         for path, text in _test_java_files():
             outcome = parse_text(path, text)
-            assert outcome.tokens == (_significant(text) if outcome.ok else []), path
+            assert list(outcome.tokens) == (_significant(text) if outcome.ok else []), path
             parsed += outcome.ok
         assert parsed >= 30
 
@@ -1217,5 +1342,5 @@ class TestOutcomeTokens:
     def test_a_shift_split_into_closing_brackets_stays_one_token(self, text, closers):
         outcome = parse_text("A.java", text)
         assert outcome.ok, outcome.failure
-        assert outcome.tokens == _significant(text)
+        assert list(outcome.tokens) == _significant(text)
         assert [t.lexeme for t in outcome.tokens if t.lexeme.startswith(">")] == closers

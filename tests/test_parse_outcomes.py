@@ -29,7 +29,7 @@ import threading
 from collections import defaultdict
 from pathlib import Path
 
-from smellscore.java_syntax import SourceFile, Token, TokenKind, parse_text, tokenize
+from smellscore.java_syntax import SourceFile, TokenKind, TokenTable, parse_text, tokenize
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "data" / "parse_outcomes.txt"
@@ -49,13 +49,13 @@ VOCABULARY = BINARY_OPS + ASSIGN_OPS + (
 )
 
 
-def _mutate(tokens: list[Token], rng: random.Random, vocabulary: dict[TokenKind, list[str]]) -> str:
+def _mutate(tokens: TokenTable, rng: random.Random, vocabulary: dict[TokenKind, list[str]]) -> str:
     """The source with 1-3 token edits.  ``tokens`` holds every token, trivia
     included, so that the untouched parts keep their layout; half the edits
     replace a token by another of its kind, which mostly keeps the source
     parseable and changes its tree."""
     out = [t.lexeme for t in tokens]
-    significant = [i for i, t in enumerate(tokens) if not t.is_trivia]
+    significant = list(tokens.significant)
     if not significant:
         return "".join(out)
     for _ in range(rng.randint(1, 3)):
@@ -102,14 +102,14 @@ def _method(body: str) -> str:
     return f"class G {{\n    Object m() {{\n        return {body};\n    }}\n}}\n"
 
 
-def _tokens(text: str) -> list[Token]:
+def _tokens(text: str) -> TokenTable:
     return tokenize(SourceFile.from_text("G.java", text))
 
 
-def _vocabulary(tokens: list[Token]) -> dict[TokenKind, list[str]]:
+def _vocabulary(tokens: TokenTable) -> dict[TokenKind, list[str]]:
     """The lexemes of each kind among ``tokens`` and the fixed lexemes."""
     by_kind: dict[TokenKind, set[str]] = defaultdict(set)
-    for t in tokens + _tokens(" ".join(VOCABULARY + ATOMS)):
+    for t in list(tokens) + list(_tokens(" ".join(VOCABULARY + ATOMS))):
         by_kind[t.kind].add(t.lexeme)
     return {kind: sorted(lexemes) for kind, lexemes in by_kind.items()}
 

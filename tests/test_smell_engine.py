@@ -24,6 +24,7 @@ from smellscore.smell_engine import (
 )
 
 from test_corpus import make_task, write_manifest
+from test_java_syntax import count_tokens_built
 from test_smell_rules import CASES
 from smellscore.corpus import load_manifest
 
@@ -232,6 +233,17 @@ class TestRuleLayer:
             digest.update(json_text(report.to_json()).encode())
         assert len(sources) > 2 * len(CASES)
         assert digest.hexdigest() == DETECT_FILE_JSON_SHA256
+
+    def test_detect_file_builds_no_token_on_the_mini_corpus(self, monkeypatch):
+        """The rules read the token table's columns and build a span only for a hit."""
+        sources = [
+            SourceFile.from_text(path.name, path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "tests" / "data" / "mini_corpus").rglob("*.java"))
+        ]
+        reports = []
+        built = count_tokens_built(monkeypatch, lambda: reports.extend(detect_file(s, ("t", "m")) for s in sources))
+        assert built == 0
+        assert len(reports) >= 30 and sum(len(r.violations) for r in reports) > 0
 
     def test_every_checker_runs_once_per_parsed_file(self, monkeypatch):
         """A checker that skipped a file would leave its span unrecorded on a

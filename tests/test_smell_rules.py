@@ -1276,3 +1276,17 @@ def test_paren_pad_matches_the_whitespace_token_reading(name):
     got = [(v.span.as_tuple(), v.message) for v in _detect("paren-pad", text, "P.java")]
     assert got == reference_paren_pad(text)
     assert len(got) == count
+
+
+# ---- line endings: the carriage return of a CRLF pair is not part of its line
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_line_length_and_snippet_leave_out_the_carriage_return_of_crlf(ending):
+    at_limit = "    int " + "x" * 87 + " = 1;"
+    over = at_limit.replace("= 1", "= 12")
+    assert (len(at_limit), len(over)) == (100, 101)
+    assert _detect("line-length", ending.join(["class A {", at_limit, "}", ""]), "A.java") == []
+    [violation] = _detect("line-length", ending.join(["class A {", over, "}", ""]), "A.java")
+    assert (violation.span.as_tuple(), violation.message, violation.snippet) == (
+        (2, 101, 2, 102), "line is 101 characters (max 100)", over,
+    )
