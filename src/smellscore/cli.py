@@ -64,8 +64,8 @@ class RunConfig:
     corpus_path: Path
     out_dir: Path
     subjects: list[str] = field(default_factory=list)
-    scenarios: list[ScenarioSelector] = field(default_factory=lambda: [ScenarioSelector(kind="all")])
-    rulesets: list[RuleSetSelector] = field(default_factory=lambda: [RuleSetSelector(kind="all")])
+    scenarios: list[ScenarioSelector] = field(default_factory=lambda: [ScenarioSelector.parse("all")])
+    rulesets: list[RuleSetSelector] = field(default_factory=lambda: [RuleSetSelector.parse("all")])
     threshold_overrides: dict[str, dict[str, Any]] = field(default_factory=dict)
     parallelism: int = 1
 
@@ -165,7 +165,7 @@ def _load_selected_corpus(config: RunConfig) -> Corpus:
         if subject != BASELINE and subject not in corpus.models:
             raise ConfigError(f"subject {subject!r} is neither {BASELINE!r} nor a model of the corpus")
     for scenario in config.scenarios:
-        if scenario.kind == "by_correctness" and scenario.model_id not in corpus.models:
+        if scenario.model_id is not None and scenario.model_id not in corpus.models:
             raise ConfigError(f"correctness model {scenario.model_id!r} is not a model of the corpus")
     return corpus
 

@@ -202,10 +202,6 @@ class MethodDecl(Node):
     def is_static(self) -> bool:
         return "static" in self.modifiers
 
-    @property
-    def is_abstract(self) -> bool:
-        return "abstract" in self.modifiers or self.body is None
-
     def visibility(self) -> str:
         for m in ("public", "protected", "private"):
             if m in self.modifiers:

@@ -561,13 +561,5 @@ def rule_types() -> dict[str, str]:
     return {r.rule_id: r.smell_type for r in _RULES}
 
 
-def rules_for_category(category: str) -> list[SmellRule]:
-    return [r for r in _RULES if r.category == category]
-
-
-def rules_for_type(smell_type: str) -> list[SmellRule]:
-    return [r for r in _RULES if r.smell_type == smell_type]
-
-
 def multi_origin_rules() -> list[SmellRule]:
     return [r for r in _RULES if len(r.origin_tags) > 1]

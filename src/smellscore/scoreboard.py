@@ -9,6 +9,7 @@ denominator of every score; the report store lists them in _failures.json.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -18,8 +19,9 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 from .corpus import CodingTask, Corpus, require_plain_name
 from .outputs import DocumentError, json_text, read_json, write_if_changed
-from .rules.catalog import catalog, rules_for_category, rules_for_type
-from .rules.model import ALL_TYPES, SmellRule, ViolationReport
+from .rules.model import (
+    ALL_TYPES, DESIGN, DESIGN_TYPES, IMPLEMENTATION, IMPLEMENTATION_TYPES, SmellRule, ViolationReport,
+)
 from .smell_engine import BASELINE, StoredCounts
 
 
@@ -41,88 +43,59 @@ class DegenerateInputError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioSelector:
-    kind: str  # all | by_topic | by_complexity | by_source | by_correctness
-    metric: str = "cyclomatic"  # for by_complexity
-    model_id: str | None = None  # for by_correctness
+    """A scenario: the label that names its directory under scores/, the task
+    field its labels group on (``topic``, ``source`` or a complexity metric;
+    None for ``all``) and the model whose correctness flags split the tasks
+    (a correctness scenario only)."""
+
+    label: str
+    group_by: str | None = None
+    model_id: str | None = None
 
     DEFAULT_WIDTHS = {"cyclomatic": 1, "cognitive": 5, "loc": 10}
-
-    @property
-    def label(self) -> str:
-        if self.kind == "by_complexity":
-            return f"complexity-{self.metric}"
-        if self.kind == "by_correctness":
-            return f"correctness-{self.model_id}"
-        return {"all": "all", "by_topic": "topic", "by_source": "source"}[self.kind]
 
     @classmethod
     def parse(cls, text: str) -> "ScenarioSelector":
         """Parse CLI syntax: all | topic | source | complexity:<metric> | correctness:<model>."""
         if text == "all":
-            return cls(kind="all")
-        if text == "topic":
-            return cls(kind="by_topic")
-        if text == "source":
-            return cls(kind="by_source")
+            return cls("all")
+        if text in ("topic", "source"):
+            return cls(text, group_by=text)
         if text.startswith("complexity:"):
             metric = text.split(":", 1)[1]
             if metric not in cls.DEFAULT_WIDTHS:
                 raise ValueError(f"unknown complexity metric {metric!r}")
-            return cls(kind="by_complexity", metric=metric)
+            return cls(f"complexity-{metric}", group_by=metric)
         if text.startswith("correctness:"):
             # the label names a directory under scores/
-            return cls(kind="by_correctness", model_id=require_plain_name("model id", text.split(":", 1)[1]))
+            model_id = require_plain_name("model id", text.split(":", 1)[1])
+            return cls(f"correctness-{model_id}", model_id=model_id)
         raise ValueError(f"unknown scenario {text!r}")
+
+
+_CATEGORY_TYPES = {"all": ALL_TYPES, IMPLEMENTATION: IMPLEMENTATION_TYPES, DESIGN: DESIGN_TYPES}
 
 
 @dataclass(frozen=True)
 class RuleSetSelector:
-    kind: str  # all | by_category | by_type
-    category: str | None = None
-    smell_type: str | None = None
+    """A rule set: the label that names its scorecard files and the smell
+    types whose rules make up the set.  Every selector takes whole types, so
+    a report's count for the set is the sum of its per-type counts for these
+    types."""
 
-    @property
-    def label(self) -> str:
-        if self.kind == "by_category":
-            return self.category or ""
-        if self.kind == "by_type":
-            return f"type-{self.smell_type}"
-        return "all"
-
-    def resolve(self) -> list[SmellRule]:
-        if self.kind == "all":
-            rules = catalog()
-        elif self.kind == "by_category":
-            rules = rules_for_category(self.category)
-        elif self.kind == "by_type":
-            rules = rules_for_type(self.smell_type)
-        else:
-            raise ValueError(f"unknown rule-set kind {self.kind!r}")
-        if not rules:
-            raise ValueError(f"rule-set selector {self.label!r} resolves to no rules")
-        return rules
-
-    @property
-    def smell_types(self) -> tuple[str, ...]:
-        """The smell types whose rules make up the set, in catalog order.
-
-        Every selector takes whole types, so a report's count for the set is
-        the sum of its per-type counts for these types.
-        """
-        return tuple(dict.fromkeys(r.smell_type for r in self.resolve()))
+    label: str
+    smell_types: tuple[str, ...]
 
     @classmethod
     def parse(cls, text: str) -> "RuleSetSelector":
         """Parse CLI syntax: all | implementation | design | type:<name>."""
-        if text == "all":
-            return cls(kind="all")
-        if text in ("implementation", "design"):
-            return cls(kind="by_category", category=text)
+        if text in _CATEGORY_TYPES:
+            return cls(text, _CATEGORY_TYPES[text])
         if text.startswith("type:"):
             smell_type = text.split(":", 1)[1]
             if smell_type not in ALL_TYPES:
                 raise ValueError(f"unknown smell type {smell_type!r}")
-            return cls(kind="by_type", smell_type=smell_type)
+            return cls(f"type-{smell_type}", (smell_type,))
         raise ValueError(f"unknown ruleset {text!r}")
 
 
@@ -133,52 +106,34 @@ class RuleSetSelector:
 def partition(corpus: Corpus, selector: ScenarioSelector) -> list[tuple[str, list[CodingTask]]]:
     """Split the corpus into labeled, disjoint task subsets.
 
-    For all/by_topic/by_source/by_complexity the union of the subsets is the
-    whole corpus; for by_correctness it is the set of tasks whose solution by
-    the selected model carries a known flag.
+    A correctness scenario splits the tasks whose solution by its model
+    carries a known flag into correct and incorrect; every other scenario
+    covers the whole corpus.  Topic and source labels sort by name,
+    complexity labels (a value, or a bucket of DEFAULT_WIDTHS values) by
+    value.
     """
     tasks = list(corpus.tasks)
-    if selector.kind == "all":
-        return [("all", tasks)]
-
-    if selector.kind == "by_topic":
-        groups: dict[str, list[CodingTask]] = {}
+    if selector.model_id is not None:
+        flags: dict[str, list[CodingTask]] = {"correct": [], "incorrect": []}
         for task in tasks:
-            groups.setdefault(task.topic, []).append(task)
-        return sorted(groups.items())
-
-    if selector.kind == "by_source":
-        groups = {}
-        for task in tasks:
-            groups.setdefault(task.source, []).append(task)
-        return sorted(groups.items())
-
-    if selector.kind == "by_complexity":
-        width = ScenarioSelector.DEFAULT_WIDTHS[selector.metric]
-        groups = {}
-        for task in tasks:
-            value = getattr(task.complexity, selector.metric)  # the selector's parse checked the name
-            if width == 1:
-                label = str(value)
-            else:
-                lo = (value // width) * width
-                label = f"{lo}-{lo + width - 1}"
-            groups.setdefault(label, []).append(task)
-        return sorted(groups.items(), key=lambda kv: int(kv[0].split("-")[0]))
-
-    if selector.kind == "by_correctness":
-        model = selector.model_id
-        if model is None:
-            raise ValueError("by_correctness requires a model_id")
-        groups = {"correct": [], "incorrect": []}
-        for task in tasks:
-            solution = task.solution_for(model)
+            solution = task.solution_for(selector.model_id)
             if solution is None or solution.correct is None:
                 continue
-            groups["correct" if solution.correct else "incorrect"].append(task)
-        return [(label, groups[label]) for label in ("correct", "incorrect")]
+            flags["correct" if solution.correct else "incorrect"].append(task)
+        return list(flags.items())
+    group_by = selector.group_by
+    if group_by is None:
+        return [("all", tasks)]
 
-    raise ValueError(f"unknown scenario kind {selector.kind!r}")
+    width = ScenarioSelector.DEFAULT_WIDTHS.get(group_by)  # None: a topic or source name
+    groups: dict[str | int, list[CodingTask]] = {}
+    for task in tasks:
+        key = getattr(task, group_by) if width is None else getattr(task.complexity, group_by) // width * width
+        groups.setdefault(key, []).append(task)
+    return [
+        (str(key) if width is None or width == 1 else f"{key}-{key + width - 1}", groups[key])
+        for key in sorted(groups)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -410,8 +365,18 @@ def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: 
 
 def load_scorecards(path: str | Path) -> list[ScoreCard]:
     """Scorecards stored by write_scorecards; a file that is not a JSON list
-    of well-formed scorecards raises DocumentError naming it."""
-    doc = read_json(Path(path), [_SCORECARD_SPEC], DocumentError)
+    of well-formed scorecards, each with the ruleset of the file's stem and a
+    scenario '<directory>/<label>' of the file's directory, raises
+    DocumentError naming it."""
+    path = Path(path)
+    doc = read_json(path, [_SCORECARD_SPEC], DocumentError)
+    prefix = f"{path.parent.name}/"
+    for at, item in enumerate(doc):
+        scenario, ruleset = item["scenario"], item["ruleset"]
+        if not scenario.startswith(prefix) or scenario == prefix:
+            raise DocumentError(f"{path}: $[{at}].scenario: must be '{prefix}<label>', got {json.dumps(scenario, ensure_ascii=False)}")
+        if ruleset != path.stem:
+            raise DocumentError(f"{path}: $[{at}].ruleset: must be {path.stem!r}, got {json.dumps(ruleset, ensure_ascii=False)}")
     try:
         return [ScoreCard.from_json(item) for item in doc]
     except ValueError as e:  # a malformed fraction, or a float that disagrees with it

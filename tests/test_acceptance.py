@@ -162,11 +162,11 @@ def test_criterion_5_partition_exactness():
     """Covering partitions are disjoint and exhaustive for 100 random corpora."""
     rng = random.Random(99)
     selectors = [
-        ScenarioSelector(kind="by_topic"),
-        ScenarioSelector(kind="by_source"),
-        ScenarioSelector(kind="by_complexity", metric="cyclomatic"),
-        ScenarioSelector(kind="by_complexity", metric="cognitive"),
-        ScenarioSelector(kind="by_complexity", metric="loc"),
+        ScenarioSelector.parse("topic"),
+        ScenarioSelector.parse("source"),
+        ScenarioSelector.parse("complexity:cyclomatic"),
+        ScenarioSelector.parse("complexity:cognitive"),
+        ScenarioSelector.parse("complexity:loc"),
     ]
     for _ in range(100):
         corpus = _random_corpus(rng)
@@ -178,7 +178,7 @@ def test_criterion_5_partition_exactness():
                 seen.extend(t.task_id for t in tasks)
             assert len(seen) == len(set(seen)), "partition overlaps"
             assert set(seen) == all_ids, "partition does not cover the corpus"
-        parts = partition(corpus, ScenarioSelector(kind="by_correctness", model_id="m1"))
+        parts = partition(corpus, ScenarioSelector.parse("correctness:m1"))
         flagged = {
             t.task_id for t in corpus.tasks
             if t.solution_for("m1") is not None and t.solution_for("m1").correct is not None

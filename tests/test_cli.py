@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from smellscore.cli import main
-from smellscore.rules.model import Violation
+from smellscore.rules.model import ALL_TYPES, Violation
 from smellscore.scoreboard import load_scorecards
 from smellscore.smell_engine import read_report
 
@@ -386,7 +387,15 @@ class TestRun:
         ({"jobs": 0}, "parallelism must be >= 1"),
         ({"scenarios": ["bogus"]}, "unknown scenario 'bogus'"),
         ({"rulesets": ["type:nope"]}, "unknown smell type 'nope'"),
-    ], ids=["subject", "scenario", "ruleset", "jobs-zero", "unknown-scenario", "unknown-ruleset"])
+        ({"scenarios": ["complexity:"]}, "unknown complexity metric ''"),
+        ({"scenarios": ["complexity:halstead"]}, "unknown complexity metric 'halstead'"),
+        ({"scenarios": ["correctness:"]}, "model id must be a plain name without '/', '\\' or '..': ''"),
+        ({"scenarios": ["correctness:../x"]}, "model id must be a plain name without '/', '\\' or '..': '../x'"),
+        ({"scenarios": ["topic:x"]}, "unknown scenario 'topic:x'"),
+        ({"rulesets": ["type:"]}, "unknown smell type ''"),
+        ({"rulesets": ["bogus"]}, "unknown ruleset 'bogus'"),
+    ], ids=["subject", "scenario", "ruleset", "jobs-zero", "unknown-scenario", "unknown-ruleset", "empty-metric",
+            "unknown-metric", "empty-model", "model-path", "topic-argument", "empty-smell-type", "unknown-ruleset-form"])
     def test_repeated_config_entry_is_config_error(self, tmp_path, capsys, extra, message):
         """Every fault of a config file is named by the file, as a spec misfit is."""
         doc = {"corpus": str(MINI), "out": str(tmp_path / "out"), **extra}
@@ -682,6 +691,33 @@ def _scores(out: Path) -> dict[Path, bytes]:
     return {p.relative_to(out): p.read_bytes() for p in (out / "scores").rglob("*") if p.is_file()}
 
 
+# sha256 over the relative path and bytes of every file under scores/ and
+# heatmaps/, in path order, then the stdout, of a run over the mini corpus
+# with every scenario form below and every rule-set form, as printed before
+# the selectors became data.
+SCORES_TREE_SHA256 = "4d6c151eae7029bb4fb48862a52ce971caf207c0ef4d6b49102067dbd42661ca"
+TREE_SCENARIOS = ["all", "topic", "source", "complexity:cyclomatic", "complexity:cognitive", "complexity:loc",
+                  "correctness:m1", "correctness:m2"]
+TREE_RULESETS = ["all", "implementation", "design", *(f"type:{t}" for t in ALL_TYPES)]
+
+
+def test_scores_tree_is_unchanged(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--corpus", str(MINI), "--out", str(out)]
+    argv += [arg for s in TREE_SCENARIOS for arg in ("--scenario", s)]
+    argv += [arg for r in TREE_RULESETS for arg in ("--ruleset", r)]
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    files = sorted(p for tree in ("scores", "heatmaps") for p in (out / tree).rglob("*") if p.is_file())
+    assert len(_scores(out)) == len(TREE_SCENARIOS) * len(TREE_RULESETS) == 128
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.relative_to(out).as_posix().encode() + b"\n")
+        digest.update(path.read_bytes())
+    digest.update(stdout.encode())
+    assert digest.hexdigest() == SCORES_TREE_SHA256
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("finished") / "out"
@@ -711,8 +747,14 @@ class TestMalformedScorecardFiles:
          "not a well-formed scorecard file: malformed fraction '1/2'"),
         (lambda cards: [{**cards[0], "vs": {**cards[0]["vs"], "float": 99.0}}],
          "not a well-formed scorecard file: float 99.0 is not float(1/1)"),
+        # a card outside the file its labels name once crashed report or filled another heat-map cell
+        (_first_card_with(scenario="topicX"), "$[0].scenario: must be 'topic/<label>', got \"topicX\""),
+        (_first_card_with(scenario="topic/"), "$[0].scenario: must be 'topic/<label>', got \"topic/\""),
+        (_first_card_with(scenario="all/Array"), "$[0].scenario: must be 'topic/<label>', got \"all/Array\""),
+        (_first_card_with(ruleset="type-dead-code"), "$[0].ruleset: must be 'all', got \"type-dead-code\""),
     ], ids=["not-json", "not-a-list", "missing-field", "mistyped-field", "malformed-fraction", "unknown-key",
-            "misspelled-key", "int-subject", "int-scenario", "string-rate", "float-not-fraction"])
+            "misspelled-key", "int-subject", "int-scenario", "string-rate", "float-not-fraction",
+            "scenario-without-label", "empty-label", "scenario-of-another-directory", "ruleset-of-another-file"])
     def test_report_of_malformed_scorecards_is_config_error(self, finished_run, tmp_path, capsys, mangle, message):
         out = tmp_path / "out"
         shutil.copytree(finished_run, out)

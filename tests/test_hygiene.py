@@ -253,6 +253,13 @@ def test_code_metrics_imports_nothing_from_the_rules():
     assert [name for name in imported if name == "rules" or name.startswith(("rules.", "smellscore.rules"))] == []
 
 
+def test_scoreboard_imports_nothing_from_the_catalog():
+    """Scoring reads a rule set as its smell types, which rules/model.py lists."""
+    imported = imported_modules((PACKAGE / "scoreboard.py").read_text(encoding="utf-8"))
+    assert imported
+    assert [name for name in imported if name.startswith(("rules.catalog", "smellscore.rules.catalog"))] == []
+
+
 def test_scan_finds_imports_from_the_rules():
     source = (
         "from typing import TYPE_CHECKING\nfrom . import rules\n\n"

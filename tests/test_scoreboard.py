@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from smellscore import cli, scoreboard
 from smellscore.corpus import CodingTask, ComplexityTriple, Corpus, GeneratedSolution, load_manifest
 from smellscore.java_syntax.lexer import Span
-from smellscore.rules.catalog import catalog, rule_types, rules_for_type
+from smellscore.rules.catalog import catalog, rule_types
 from smellscore.rules.model import ALL_TYPES, Violation, ViolationReport
 from smellscore.scoreboard import (
     DegenerateInputError,
@@ -128,7 +128,7 @@ class TestScoreFormulas:
 class TestPartition:
     def test_by_topic(self):
         c = corpus([task("t1", topic="A"), task("t2", topic="A"), task("t3", topic="B")])
-        parts = partition(c, ScenarioSelector(kind="by_topic"))
+        parts = partition(c, ScenarioSelector.parse("topic"))
         assert [(label, [t.task_id for t in ts]) for label, ts in parts] == [
             ("A", ["t1", "t2"]),
             ("B", ["t3"]),
@@ -136,18 +136,18 @@ class TestPartition:
 
     def test_by_complexity_unit_buckets(self):
         c = corpus([task(f"t{i}", cyclomatic=i) for i in range(1, 7)])
-        parts = partition(c, ScenarioSelector(kind="by_complexity", metric="cyclomatic"))
+        parts = partition(c, ScenarioSelector.parse("complexity:cyclomatic"))
         assert [label for label, _ in parts] == ["1", "2", "3", "4", "5", "6"]
         assert all(len(ts) == 1 for _, ts in parts)
 
     def test_by_complexity_width_buckets(self):
         c = corpus([task("a", loc=3), task("b", loc=9), task("c", loc=17)])
-        parts = partition(c, ScenarioSelector(kind="by_complexity", metric="loc"))
+        parts = partition(c, ScenarioSelector.parse("complexity:loc"))
         assert [(label, len(ts)) for label, ts in parts] == [("0-9", 2), ("10-19", 1)]
 
     def test_by_source_covers_corpus(self):
         tasks = [task("t1"), task("t2", source="stackoverflow"), task("t3")]
-        parts = partition(corpus(tasks), ScenarioSelector(kind="by_source"))
+        parts = partition(corpus(tasks), ScenarioSelector.parse("source"))
         seen = [t.task_id for _, ts in parts for t in ts]
         assert sorted(seen) == ["t1", "t2", "t3"]
 
@@ -157,7 +157,7 @@ class TestPartition:
             task("t2", solutions=[GeneratedSolution("m1", "s/2.java", correct=False)]),
             task("t3", solutions=[GeneratedSolution("m1", "s/3.java", correct=None)]),
         ]
-        parts = dict(partition(corpus(tasks), ScenarioSelector(kind="by_correctness", model_id="m1")))
+        parts = dict(partition(corpus(tasks), ScenarioSelector.parse("correctness:m1")))
         assert [t.task_id for t in parts["correct"]] == ["t1"]
         assert [t.task_id for t in parts["incorrect"]] == ["t2"]
 
@@ -251,7 +251,7 @@ class TestScorecardStore:
         assert write_scorecards(cards[:1], tmp_path, "topic", "all") is True
 
     def test_unknown_smell_type_is_rejected_when_parsed(self):
-        assert RuleSetSelector.parse("type:magic-number").smell_type == "magic-number"
+        assert RuleSetSelector.parse("type:magic-number").smell_types == ("magic-number",)
         with pytest.raises(ValueError, match="unknown smell type"):
             RuleSetSelector.parse("type:nope")
 
@@ -260,10 +260,7 @@ class TestPerTypeConsistency:
     def test_uniform_fixture_mean_of_type_increases_matches_overall(self):
         """With equal baseline weight on every smell type, the overall
         increase equals the arithmetic mean of the per-type increases."""
-        from smellscore.rules.catalog import rules_for_type
-        from smellscore.rules.model import ALL_TYPES
-
-        one_rule_per_type = {t: rules_for_type(t)[0].rule_id for t in ALL_TYPES}
+        one_rule_per_type = {t: next(r.rule_id for r in catalog() if r.smell_type == t) for t in ALL_TYPES}
         baseline = [report({rule_id: 1 for rule_id in one_rule_per_type.values()}) for _ in range(4)]
         subject_counts = {t: i + 1 for i, t in enumerate(ALL_TYPES)}
         subject = [report({one_rule_per_type[t]: subject_counts[t] for t in ALL_TYPES}) for _ in range(4)]
@@ -281,9 +278,31 @@ class TestPerTypeConsistency:
 
 
 RULESETS = ["all", "implementation", "design", *(f"type:{t}" for t in ALL_TYPES)]
-SCENARIOS = ["all", "topic", "source", "complexity:cyclomatic", "complexity:cognitive", "complexity:loc",
-             "correctness:m1"]
+# Each scenario form with its label and the (label, task count) of each part
+# of the mini corpus's partition.
+SCENARIOS = {
+    "all": ("all", [("all", 10)]),
+    "topic": ("topic", [
+        ("Array", 1), ("Collections", 1), ("ControlFlow", 1), ("Encapsulation", 1), ("Exceptions", 1),
+        ("Inheritance", 1), ("InputOutput", 1), ("Interfaces", 1), ("OOP", 1), ("String", 1),
+    ]),
+    "source": ("source", [("stackoverflow", 4), ("textbook", 6)]),
+    "complexity:cyclomatic": ("complexity-cyclomatic", [("1", 5), ("2", 1), ("3", 1), ("4", 1), ("5", 1), ("6", 1)]),
+    "complexity:cognitive": ("complexity-cognitive", [("0-4", 9), ("5-9", 1)]),
+    "complexity:loc": ("complexity-loc", [("0-9", 3), ("10-19", 7)]),
+    "correctness:m1": ("correctness-m1", [("correct", 6), ("incorrect", 3)]),
+}
 MINI = Path(__file__).parent / "data" / "mini_corpus"
+
+
+def rule_ids_of(label: str) -> set[str]:
+    """The ids of the catalog rules a rule set's label names: all of them, one
+    category's, or one smell type's (``type-<name>``)."""
+    if label == "all":
+        return set(RULE_IDS)
+    if label.startswith("type-"):
+        return {r.rule_id for r in catalog() if r.smell_type == label.removeprefix("type-")}
+    return {r.rule_id for r in catalog() if r.category == label}
 
 
 def _write_mini_store(out: Path) -> Corpus:
@@ -313,17 +332,21 @@ class TestScoreFromTypeCounts:
     @pytest.mark.parametrize("text", RULESETS)
     def test_ruleset_is_the_union_of_its_smell_types(self, text):
         selector = RuleSetSelector.parse(text)
-        from_types = {r.rule_id for t in selector.smell_types for r in rules_for_type(t)}
-        assert from_types == {r.rule_id for r in selector.resolve()}
+        assert selector.label == text.replace(":", "-")
+        assert len(set(selector.smell_types)) == len(selector.smell_types)
+        from_types = {r.rule_id for r in catalog() if r.smell_type in selector.smell_types}
+        assert from_types == rule_ids_of(selector.label)
 
     @pytest.mark.parametrize("scenario_text", SCENARIOS)
     def test_cards_equal_the_rule_tally(self, mini_store, scenario_text):
         mini, reports = mini_store
         scenario = ScenarioSelector.parse(scenario_text)
+        parts = [(label, len(tasks)) for label, tasks in partition(mini, scenario)]
+        assert (scenario.label, parts) == SCENARIOS[scenario_text]
         subjects = sorted(reports)
         for ruleset_text in RULESETS:
             ruleset = RuleSetSelector.parse(ruleset_text)
-            rule_ids = {r.rule_id for r in ruleset.resolve()}
+            rule_ids = rule_ids_of(ruleset.label)
             expected = {}
             for label, tasks in partition(mini, scenario):
                 tallies = {
@@ -344,7 +367,7 @@ class TestScoreFromTypeCounts:
 def _tallied_cards(mini, reports, scenario, ruleset, subjects):
     """(scenario, subject) -> (total, analyzed, baseline_vs, increase_rate),
     worked out from the rule tally of each label's reports."""
-    rule_ids = {r.rule_id for r in ruleset.resolve()}
+    rule_ids = rule_ids_of(ruleset.label)
     expected = {}
     for label, tasks in partition(mini, scenario):
         def tally(subject):

@@ -11,7 +11,8 @@ from pathlib import Path
 
 from smellscore.java_syntax import SourceFile
 from smellscore.outputs import json_text
-from smellscore.rules.catalog import catalog, rule_by_id, rules_for_category, rules_for_type
+from smellscore.rules.catalog import catalog, rule_by_id
+from smellscore.rules.model import SmellRule
 from smellscore.smell_engine import (
     _REGISTRY,
     BASELINE,
@@ -41,6 +42,14 @@ public class Messy {
     }
 }
 """
+
+
+def rules_for_category(category: str) -> list[SmellRule]:
+    return [r for r in catalog() if r.category == category]
+
+
+def rules_for_type(smell_type: str) -> list[SmellRule]:
+    return [r for r in catalog() if r.smell_type == smell_type]
 
 
 class TestCatalog:
