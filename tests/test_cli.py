@@ -502,6 +502,23 @@ class TestHeatmaps:
         labels = [r[0] for r in type_rows[1:]]
         assert labels == ["magic-number", "documentation"]  # catalog order
 
+    @pytest.mark.parametrize("scenario, ruleset, maps", [
+        ("all", "all", []),
+        ("topic", "all", ["topic_increase.csv", "topic_vs.csv"]),
+    ], ids=["neither-input", "topic-only"])
+    def test_report_renders_only_the_maps_with_inputs(self, tmp_path, capsys, scenario, ruleset, maps):
+        out = tmp_path / "out"
+        args = ["--corpus", str(MINI), "--out", str(out), "--scenario", scenario, "--ruleset", ruleset]
+        assert run(["run", *args]) == 0
+        capsys.readouterr()
+        assert run(["report", *args]) == 0
+        assert json.loads(capsys.readouterr().out)["heatmaps_written"] == len(maps)
+        heatmaps = out / "heatmaps"
+        if maps:
+            assert sorted(p.name for p in heatmaps.iterdir()) == maps
+        else:
+            assert not heatmaps.exists()
+
 
 class TestImportMalformedReports:
     """A report that does not match its format is a one-line config error, not a traceback."""
