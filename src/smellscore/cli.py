@@ -12,8 +12,6 @@ Exit codes: 0 ok, 1 configuration error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
@@ -30,16 +28,16 @@ from .corpus import (
     require_plain_name,
     validate_corpus,
 )
-from .outputs import DocumentError, optional, read_json, write_if_changed
+from .outputs import DocumentError, optional, read_json
 from .rules.catalog import catalog
-from .rules.model import IMPLEMENTATION_TYPES, DESIGN_TYPES, SmellRule, ViolationReport
+from .rules.model import SmellRule, ViolationReport
 from .scoreboard import (
     ReportCounts,
     RuleSetSelector,
     ScenarioSelector,
     ScoreCard,
-    load_scorecards,
     score_scenario,
+    write_heatmaps,
     write_scorecards,
 )
 from .smell_engine import (
@@ -202,81 +200,11 @@ def run_score(config: RunConfig, summary: RunSummary, reports=None) -> list[Scor
 
 
 def run_report(config: RunConfig, summary: RunSummary) -> None:
-    scores_dir = config.out_dir / "scores"
-    if not scores_dir.is_dir():
+    if not (config.out_dir / "scores").is_dir():
         raise IoError(f"no scores under {config.out_dir}")
-
-    topic_cards = _read_cards(scores_dir / "topic" / "all.json")
-    if topic_cards:
-        rows = sorted({c.scenario.split("/", 1)[1] for c in topic_cards})
-        for name, changed in emit_heatmap(topic_cards, rows, config.out_dir, "topic"):
-            summary.heatmaps_written += 1
-            summary.files_changed += int(changed)
-
-    type_cards: list[ScoreCard] = []
-    for smell_type in (*IMPLEMENTATION_TYPES, *DESIGN_TYPES):
-        type_cards.extend(_read_cards(scores_dir / "all" / f"type-{smell_type}.json"))
-    if type_cards:
-        rows = [t for t in (*IMPLEMENTATION_TYPES, *DESIGN_TYPES)
-                if any(c.ruleset == f"type-{t}" for c in type_cards)]
-        for name, changed in emit_heatmap(type_cards, rows, config.out_dir, "smell-type"):
-            summary.heatmaps_written += 1
-            summary.files_changed += int(changed)
-
-
-def _read_cards(path: Path) -> list[ScoreCard]:
-    if not path.is_file():
-        return []
-    return load_scorecards(path)
-
-
-def emit_heatmap(
-    cards: Sequence[ScoreCard], rows: Sequence[str], out_dir: Path, row_kind: str
-) -> list[tuple[Path, bool]]:
-    """Two CSV matrices (scores and increase rates) from persisted scorecards.
-
-    Cells are copied from the cards; undefined increase rates render as empty
-    strings.  Row order: catalog order for smell types, lexicographic for
-    topics (the caller passes rows accordingly).  Column order: sorted
-    subjects.
-    """
-    subjects = sorted({c.subject for c in cards})
-
-    def cell_key(card: ScoreCard) -> str:
-        if row_kind == "topic":
-            return card.scenario.split("/", 1)[1]
-        return card.ruleset.removeprefix("type-")
-
-    lookup: dict[tuple[str, str], ScoreCard] = {}
-    for c in cards:
-        lookup[(cell_key(c), c.subject)] = c
-
-    def render(kind: str) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([row_kind, *subjects])
-        for row in rows:
-            cells = []
-            for subject in subjects:
-                card = lookup.get((row, subject))
-                if card is None:
-                    cells.append("")
-                elif kind == "vs":
-                    cells.append(f"{float(card.vs):.3f}")
-                else:
-                    if card.increase_rate is None:
-                        cells.append("")
-                    else:
-                        cells.append(f"{float(card.increase_rate) * 100:.2f}")
-            writer.writerow([row, *cells])
-        return buf.getvalue()
-
-    out = []
-    for kind, suffix in (("vs", "vs"), ("increase", "increase")):
-        path = out_dir / "heatmaps" / f"{row_kind}_{suffix}.csv"
-        changed = write_if_changed(path, render(kind))
-        out.append((path, changed))
-    return out
+    changed = write_heatmaps(config.out_dir)
+    summary.heatmaps_written += len(changed)
+    summary.files_changed += sum(changed)
 
 
 def run_pipeline(config: RunConfig) -> RunSummary:

@@ -1,5 +1,6 @@
-"""Violations-per-solution scoring, scenario partitioning, and the
-descriptive statistics used in reports.
+"""Violations-per-solution scoring, scenario partitioning, the scorecard
+files under scores/ and the heat maps rendered from them under heatmaps/, and
+the descriptive statistics used in reports.
 
 All score arithmetic is exact rational arithmetic; floats appear only in the
 correlation and dispersion helpers where square roots are unavoidable.
@@ -9,6 +10,8 @@ denominator of every score; the report store lists them in _failures.json.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
@@ -182,6 +185,11 @@ class ScoreCard:
     vs: Fraction
     baseline_vs: Fraction | None = None
     increase_rate: Fraction | None = None  # None = undefined
+
+    @property
+    def label(self) -> str:
+        """The label of the scenario this card scores, e.g. 'Inheritance'."""
+        return self.scenario.split("/", 1)[1]
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -384,6 +392,55 @@ def load_scorecards(path: str | Path) -> list[ScoreCard]:
 
 
 # --------------------------------------------------------------------------
+# Heat maps
+# --------------------------------------------------------------------------
+
+# Each map is two files, one per cell: the card's score, and its increase rate
+# in percent (empty where undefined).
+_HEATMAP_CELLS = (
+    ("vs", lambda card: f"{float(card.vs):.3f}"),
+    ("increase", lambda card: "" if card.increase_rate is None else f"{float(card.increase_rate) * 100:.2f}"),
+)
+
+
+def write_heatmaps(out_dir: str | Path) -> list[bool]:
+    """Render heatmaps/ from the scorecards under scores/, each file only when
+    its bytes change; returns, per file written, whether it changed.
+
+    The topic map has a row per topic of scores/topic/all.json, sorted; the
+    smell-type map a row per scores/all/type-<t>.json that holds cards, in
+    catalog order.  Both have a column per subject, sorted, and are written as
+    <row kind>_vs.csv and <row kind>_increase.csv.  A cell without a card is
+    empty.  A map without cards is not written.  Every input is read before
+    any file is written.
+    """
+    scores = Path(out_dir) / "scores"
+    by_topic: dict[str, dict[str, ScoreCard]] = {}
+    for card in _stored_cards(scores / "topic" / "all.json"):
+        by_topic.setdefault(card.label, {})[card.subject] = card
+    by_type = {t: {card.subject: card for card in _stored_cards(scores / "all" / f"type-{t}.json")} for t in ALL_TYPES}
+
+    changed: list[bool] = []
+    for row_kind, table in (("topic", dict(sorted(by_topic.items()))), ("smell-type", by_type)):
+        table = {row: cards for row, cards in table.items() if cards}
+        if not table:
+            continue
+        subjects = sorted({subject for cards in table.values() for subject in cards})
+        for suffix, cell in _HEATMAP_CELLS:
+            text = io.StringIO()
+            writer = csv.writer(text, lineterminator="\n")
+            writer.writerow([row_kind, *subjects])
+            for row, cards in table.items():
+                writer.writerow([row, *(cell(cards[s]) if s in cards else "" for s in subjects)])
+            changed.append(write_if_changed(Path(out_dir) / "heatmaps" / f"{row_kind}_{suffix}.csv", text.getvalue()))
+    return changed
+
+
+def _stored_cards(path: Path) -> list[ScoreCard]:
+    return load_scorecards(path) if path.is_file() else []
+
+
+# --------------------------------------------------------------------------
 # Statistics
 # --------------------------------------------------------------------------
 
@@ -427,11 +484,8 @@ def rank_topics(cards: Sequence[ScoreCard], k: int) -> TopicRankings:
 
     Ties break lexicographically by topic name; ordering is stable.
     """
-    def topic_of(card: ScoreCard) -> str:
-        return card.scenario.split("/", 1)[1]
-
-    by_vs = sorted(((topic_of(c), c.vs) for c in cards), key=lambda kv: (kv[1], kv[0]))
-    with_rate = [(topic_of(c), c.increase_rate) for c in cards if c.increase_rate is not None]
+    by_vs = sorted(((c.label, c.vs) for c in cards), key=lambda kv: (kv[1], kv[0]))
+    with_rate = [(c.label, c.increase_rate) for c in cards if c.increase_rate is not None]
     by_rate = sorted(with_rate, key=lambda kv: (kv[1], kv[0]))
     return TopicRankings(
         best=by_vs[:k],
