@@ -373,18 +373,23 @@ def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: 
 
 def load_scorecards(path: str | Path) -> list[ScoreCard]:
     """Scorecards stored by write_scorecards; a file that is not a JSON list
-    of well-formed scorecards, each with the ruleset of the file's stem and a
-    scenario '<directory>/<label>' of the file's directory, raises
-    DocumentError naming it."""
+    of well-formed scorecards, each with the ruleset of the file's stem, a
+    scenario '<directory>/<label>' of the file's directory and a (scenario,
+    subject) no other card has, raises DocumentError naming it."""
     path = Path(path)
     doc = read_json(path, [_SCORECARD_SPEC], DocumentError)
     prefix = f"{path.parent.name}/"
+    seen: dict[tuple[str, str], int] = {}
     for at, item in enumerate(doc):
         scenario, ruleset = item["scenario"], item["ruleset"]
         if not scenario.startswith(prefix) or scenario == prefix:
             raise DocumentError(f"{path}: $[{at}].scenario: must be '{prefix}<label>', got {json.dumps(scenario, ensure_ascii=False)}")
         if ruleset != path.stem:
             raise DocumentError(f"{path}: $[{at}].ruleset: must be {path.stem!r}, got {json.dumps(ruleset, ensure_ascii=False)}")
+        cell = (scenario, item["subject"])
+        if cell in seen:
+            raise DocumentError(f"{path}: $[{at}]: repeats the card of {cell!r} at $[{seen[cell]}]")
+        seen[cell] = at
     try:
         return [ScoreCard.from_json(item) for item in doc]
     except ValueError as e:  # a malformed fraction, or a float that disagrees with it

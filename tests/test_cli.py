@@ -769,9 +769,13 @@ class TestMalformedScorecardFiles:
         (_first_card_with(scenario="topic/"), "$[0].scenario: must be 'topic/<label>', got \"topic/\""),
         (_first_card_with(scenario="all/Array"), "$[0].scenario: must be 'topic/<label>', got \"all/Array\""),
         (_first_card_with(ruleset="type-dead-code"), "$[0].ruleset: must be 'all', got \"type-dead-code\""),
+        # a second card for one cell once silently replaced the first in the heat map
+        (lambda cards: [*cards[:2], {**cards[0], "vs": {"fraction": "99/1", "float": 99.0}}],
+         "$[2]: repeats the card of ('topic/Array', 'baseline') at $[0]"),
     ], ids=["not-json", "not-a-list", "missing-field", "mistyped-field", "malformed-fraction", "unknown-key",
             "misspelled-key", "int-subject", "int-scenario", "string-rate", "float-not-fraction",
-            "scenario-without-label", "empty-label", "scenario-of-another-directory", "ruleset-of-another-file"])
+            "scenario-without-label", "empty-label", "scenario-of-another-directory", "ruleset-of-another-file",
+            "duplicate-card"])
     def test_report_of_malformed_scorecards_is_config_error(self, finished_run, tmp_path, capsys, mangle, message):
         out = tmp_path / "out"
         shutil.copytree(finished_run, out)
