@@ -104,25 +104,26 @@ def detect_corpus(
     order so results are independent of worker scheduling.
     """
     rules = _unique_rules(rules)  # once, not once per file
-    work: list[tuple[str, str, Path]] = []
+    work: list[tuple[str, str, str]] = []
     for subject in sorted(set(subjects)):
         for task in corpus.tasks:
             if subject == BASELINE:
-                path = corpus.resolve(task.reference_path)
+                rel = task.reference_path
             else:
                 solution = task.solution_for(subject)
                 if solution is None:
                     continue
-                path = corpus.resolve(solution.path)
-            work.append((subject, task.task_id, path))
+                rel = solution.path
+            work.append((subject, task.task_id, rel))
 
-    def run(item: tuple[str, str, Path]) -> tuple[str, str, ViolationReport]:
-        subject, task_id, path = item
+    def run(item: tuple[str, str, str]) -> tuple[str, str, ViolationReport]:
+        subject, task_id, rel = item
         try:
-            text = path.read_text(encoding="utf-8")
+            text = corpus.resolve(rel).read_text(encoding="utf-8")
         except UnicodeDecodeError as e:
             return subject, task_id, _failure_report((task_id, subject), f"source is not valid UTF-8: {e}")
-        source = SourceFile.from_text(str(path), text)
+        # named by its manifest path, so that a report does not depend on where the corpus lies
+        source = SourceFile.from_text(rel, text)
         return subject, task_id, detect_file(source, (task_id, subject), rules)
 
     results: dict[str, dict[str, ViolationReport]] = {}

@@ -297,6 +297,21 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["reports_written"] == 20  # two subjects only
 
+    def test_reports_do_not_depend_on_where_the_corpus_lies(self, tmp_path, capsys):
+        """A violation's file is its path in the manifest, not one joined to
+        the corpus path as typed on the command line."""
+        trees = []
+        for where in ("a", "b/deeper"):
+            corpus, out = tmp_path / where / "corpus", tmp_path / where / "out"
+            shutil.copytree(MINI, corpus)
+            assert run(["analyze", "--corpus", str(corpus), "--out", str(out)]) == 0
+            trees.append({p.relative_to(out): p.read_bytes() for p in (out / "reports").rglob("*") if p.is_file()})
+        capsys.readouterr()
+        assert trees[0].keys() == trees[1].keys()
+        assert [str(p) for p, data in trees[0].items() if trees[1][p] != data] == []
+        files = {v["file"] for v in json.loads(trees[0][Path("reports", "m1", "T01.json")])["violations"]}
+        assert files == {"solutions/m1/T01.java"}
+
     def test_bad_scenario_is_config_error(self, tmp_path):
         assert run(["run", "--corpus", str(MINI), "--out", str(tmp_path), "--scenario", "bogus"]) == 1
 
