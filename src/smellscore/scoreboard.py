@@ -400,8 +400,8 @@ def load_scorecards(path: str | Path) -> list[ScoreCard]:
 # Heat maps
 # --------------------------------------------------------------------------
 
-# Each map is two files, one per cell: the card's score, and its increase rate
-# in percent (empty where undefined).
+# A map's two files, each with the cell it renders from a card: the score, and
+# the increase rate in percent (empty where undefined).
 _HEATMAP_CELLS = (
     ("vs", lambda card: f"{float(card.vs):.3f}"),
     ("increase", lambda card: "" if card.increase_rate is None else f"{float(card.increase_rate) * 100:.2f}"),
@@ -419,15 +419,17 @@ def write_heatmaps(out_dir: str | Path) -> list[bool]:
     empty.  A map without cards is not written.  Every input is read before
     any file is written.
     """
-    scores = Path(out_dir) / "scores"
+    out = Path(out_dir)
     by_topic: dict[str, dict[str, ScoreCard]] = {}
-    for card in _stored_cards(scores / "topic" / "all.json"):
+    for card in _stored_cards(out / "scores" / "topic" / "all.json"):
         by_topic.setdefault(card.label, {})[card.subject] = card
-    by_type = {t: {card.subject: card for card in _stored_cards(scores / "all" / f"type-{t}.json")} for t in ALL_TYPES}
+    by_type: dict[str, dict[str, ScoreCard]] = {}
+    for smell_type in ALL_TYPES:
+        for card in _stored_cards(out / "scores" / "all" / f"type-{smell_type}.json"):
+            by_type.setdefault(smell_type, {})[card.subject] = card
 
     changed: list[bool] = []
     for row_kind, table in (("topic", dict(sorted(by_topic.items()))), ("smell-type", by_type)):
-        table = {row: cards for row, cards in table.items() if cards}
         if not table:
             continue
         subjects = sorted({subject for cards in table.values() for subject in cards})
@@ -437,7 +439,7 @@ def write_heatmaps(out_dir: str | Path) -> list[bool]:
             writer.writerow([row_kind, *subjects])
             for row, cards in table.items():
                 writer.writerow([row, *(cell(cards[s]) if s in cards else "" for s in subjects)])
-            changed.append(write_if_changed(Path(out_dir) / "heatmaps" / f"{row_kind}_{suffix}.csv", text.getvalue()))
+            changed.append(write_if_changed(out / "heatmaps" / f"{row_kind}_{suffix}.csv", text.getvalue()))
     return changed
 
 

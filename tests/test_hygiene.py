@@ -270,6 +270,41 @@ def test_scan_finds_imports_from_the_rules():
     ]
 
 
+def test_cli_renders_no_heat_map():
+    """scoreboard.py renders heatmaps/ from scores/; the CLI only calls it."""
+    imported = imported_modules((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert imported
+    assert [name for name in imported if name.split(".")[0] in ("csv", "io")] == []
+
+
+def string_literals(source: str, text: str) -> list[int]:
+    """The line of each string literal in source that is exactly ``text``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value == text
+    )
+
+
+def test_only_the_scoreboard_names_the_heatmaps_directory():
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.relative_to(PACKAGE).as_posix() != "scoreboard.py"
+        for line in string_literals(path.read_text(encoding="utf-8"), "heatmaps")
+    ]
+    assert found == []
+    assert string_literals((PACKAGE / "scoreboard.py").read_text(encoding="utf-8"), "heatmaps")
+
+
+def test_scan_finds_a_string_literal():
+    source = (
+        'out = Path("out") / "heatmaps"\nname = f"heatmaps/{out}"\n'
+        'counts = {"heatmaps_written": 0}\nfirst, *rest = ["heatmaps", "scores"]\n'
+    )
+    assert string_literals(source, "heatmaps") == [1, 4]
+
+
 def self_calling_functions(source: str) -> list[str]:
     """The dotted name (classes and functions that hold it, then its own) of
     each function whose body calls a function or method of its own name:
