@@ -13,7 +13,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from typing import NamedTuple
 
 
@@ -71,33 +71,30 @@ class Span(NamedTuple):
 
 _new_span = tuple.__new__  # Span's own __new__ costs twice as much
 
-_NEWLINE = re.compile("\n")
+LINE_END = re.compile("(\r?\n)")  # what ends a line; spans, line numbers and line texts read it here
+WHITESPACE = re.compile(r"[ \t\r\n\f]+")  # a run of Java whitespace (JLS 3.6): the lexer's whitespace token
 
 
 @dataclass
 class SourceFile:
-    """A Java source text plus the offsets at which each line starts."""
+    """A Java source text, the offsets at which its lines start, and the
+    text of each line without its line end."""
 
     path: str
     text: str
     line_index: list[int] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceFile":
+        parts = LINE_END.split(text)  # each line's text, then the line end after it
         index = [0]
-        index.extend(m.end() for m in _NEWLINE.finditer(text))
-        return cls(path=path, text=text, line_index=index)
+        index.extend(islice(accumulate(map(len, parts)), 1, None, 2))
+        return cls(path, text, index, parts[::2])
 
     def line_text(self, line: int) -> str:
-        """Return the text of a 1-based line without its line feed, and
-        without the one carriage return right before it."""
-        start = self.line_index[line - 1]
-        if line == len(self.line_index):
-            return self.text[start:]
-        end = self.line_index[line] - 1
-        if end > start and self.text[end - 1] == "\r":
-            end -= 1
-        return self.text[start:end]
+        """The text of a 1-based line, without its line end."""
+        return self.lines[line - 1]
 
 
 class Token:
@@ -195,7 +192,7 @@ class LexError(Exception):
 # does not close falls through to its "open_" group, which raises at the
 # opening delimiter; "illegal" takes any character nothing else matches.
 _TOKEN_RULES = (
-    ("WHITESPACE", r"[ \t\r\n\f]+"),
+    ("WHITESPACE", WHITESPACE.pattern),
     ("LINE_COMMENT", r"//[^\n]*"),
     ("BLOCK_COMMENT", r"/\*[\s\S]*?\*/"),
     ("open_comment", r"/\*"),
@@ -292,12 +289,14 @@ def tokenize(source: SourceFile) -> TokenTable:
 
 def span_at(line_index: list[int], offset: int, lexeme: str) -> Span:
     """The span of ``lexeme`` starting at ``offset`` of the text whose line
-    starts are ``line_index``.  Only a line feed ends a line."""
+    starts are ``line_index``; its end is the position of the offset after it."""
     line = bisect_right(line_index, offset)
     col = offset - line_index[line - 1] + 1
-    if "\n" in lexeme:  # a comment, whitespace, or a string with an escaped line break
-        return _new_span(Span, (line, col, line + lexeme.count("\n"), len(lexeme) - lexeme.rfind("\n")))
-    return _new_span(Span, (line, col, line, col + len(lexeme)))
+    end = offset + len(lexeme)
+    if line == len(line_index) or end < line_index[line]:
+        return _new_span(Span, (line, col, line, col + len(lexeme)))
+    end_line = bisect_right(line_index, end, line)  # a comment, whitespace, or a string with an escaped line break
+    return _new_span(Span, (line, col, end_line, end - line_index[end_line - 1] + 1))
 
 
 def radix_and_suffix(lexeme: str) -> tuple[int, str | None]:

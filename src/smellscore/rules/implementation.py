@@ -14,7 +14,7 @@ from itertools import accumulate, compress, repeat
 from operator import add, is_
 
 from ..java_syntax import nodes as n
-from ..java_syntax.lexer import TokenKind, numeric_value
+from ..java_syntax.lexer import LINE_END, WHITESPACE, TokenKind, numeric_value
 from .context import FileFacts, RuleContext, expr_source_name, is_bool_literal, strip_parens
 from .model import SmellRule, Violation
 
@@ -218,7 +218,7 @@ def check_simplified_ternary(ctx: RuleContext, rule: SmellRule) -> list[Violatio
 
 def check_line_length(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_line_length")
-    lines = ctx.source.text.replace("\r\n", "\n").split("\n")  # the lines line_text gives, in order
+    lines = ctx.source.lines
     if max(map(len, lines)) <= limit:
         return []
     out = []
@@ -468,7 +468,7 @@ def check_file_tab_character(ctx: RuleContext, rule: SmellRule) -> list[Violatio
     if "\t" not in ctx.source.text:
         return []
     out = []
-    for line, text in enumerate(ctx.source.text.split("\n"), 1):
+    for line, text in enumerate(ctx.source.lines, 1):
         col = text.find("\t")
         if col >= 0:
             span = n.Span(line, col + 1, line, col + 2)
@@ -592,10 +592,8 @@ def check_right_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
 # (Two searches run faster than one alternation.)
 _SPACE_AFTER_OPEN = re.compile(r"\([ \t\r\f]")
 _SPACE_BEFORE_CLOSE = re.compile(r"[ \t\r\f]\)")
-# The lexer's whitespace token: the one that starts at an offset, and the one
-# that ends where the searched text ends.
-_BLANKS = re.compile(r"[ \t\r\n\f]+")
-_BLANKS_AT_END = re.compile(r"[ \t\r\n\f]+\Z")
+# The lexer's whitespace token that ends where the searched text ends.
+_BLANKS_AT_END = re.compile(WHITESPACE.pattern + r"\Z")
 
 
 def check_paren_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
@@ -607,7 +605,7 @@ def check_paren_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     lexemes, offsets = toks.lexemes, toks.offsets
     for i, lexeme in enumerate(lexemes):
         if lexeme == "(":
-            blanks = _BLANKS.match(text, offsets[i] + 1)
+            blanks = WHITESPACE.match(text, offsets[i] + 1)
             message = "space after '('"
         elif lexeme == ")":
             # Only trivia lies between the previous token's end and the ')'.
@@ -616,7 +614,7 @@ def check_paren_pad(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
             message = "space before ')'"
         else:
             continue
-        if blanks and "\n" not in blanks.group():
+        if blanks and not LINE_END.search(text, blanks.start(), blanks.end()):
             out.append(ctx.violation(rule, toks.span(i), message))
     return out
 
