@@ -71,7 +71,7 @@ class Span(NamedTuple):
 
 _new_span = tuple.__new__  # Span's own __new__ costs twice as much
 
-LINE_END = re.compile("(\r?\n)")  # what ends a line; spans, line numbers and line texts read it here
+LINE_END = re.compile("(\r\n?|\n)")  # what ends a line (JLS 3.4); spans, line numbers and line texts read it here
 WHITESPACE = re.compile(r"[ \t\r\n\f]+")  # a run of Java whitespace (JLS 3.6): the lexer's whitespace token
 
 
@@ -190,15 +190,16 @@ class LexError(Exception):
 
 # Tried in this order at each position.  A string, char or block comment that
 # does not close falls through to its "open_" group, which raises at the
-# opening delimiter; "illegal" takes any character nothing else matches.
+# opening delimiter; "illegal" takes any character nothing else matches.  A
+# line comment, string or char stops at a CR or LF (JLS 3.7, 3.10.4, 3.10.5).
 _TOKEN_RULES = (
     ("WHITESPACE", WHITESPACE.pattern),
-    ("LINE_COMMENT", r"//[^\n]*"),
+    ("LINE_COMMENT", r"//[^\r\n]*"),
     ("BLOCK_COMMENT", r"/\*[\s\S]*?\*/"),
     ("open_comment", r"/\*"),
-    ("STRING", r'"(?:[^"\\\n]|\\[\s\S])*"'),
+    ("STRING", r'"(?:[^"\\\r\n]|\\[\s\S])*"'),
     ("open_string", '"'),
-    ("CHAR", r"'(?:[^'\\\n]|\\[\s\S])*'"),
+    ("CHAR", r"'(?:[^'\\\r\n]|\\[\s\S])*'"),
     ("open_char", "'"),
     # Hex, binary, or decimal with optional fraction and exponent; the suffix
     # after a binary literal is taken even though only l/L is legal Java (the

@@ -587,11 +587,11 @@ def check_right_curly(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     return out
 
 
-# A whitespace token without a newline starts and ends with one of these
+# A whitespace token without a line end starts and ends with one of these
 # characters, so a text neither pattern is found in has no padded parenthesis.
 # (Two searches run faster than one alternation.)
-_SPACE_AFTER_OPEN = re.compile(r"\([ \t\r\f]")
-_SPACE_BEFORE_CLOSE = re.compile(r"[ \t\r\f]\)")
+_SPACE_AFTER_OPEN = re.compile(r"\([ \t\f]")
+_SPACE_BEFORE_CLOSE = re.compile(r"[ \t\f]\)")
 # The lexer's whitespace token that ends where the searched text ends.
 _BLANKS_AT_END = re.compile(WHITESPACE.pattern + r"\Z")
 

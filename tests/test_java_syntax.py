@@ -182,16 +182,17 @@ class TestTokenize:
 
 
 def _char_loop_line_index(text: str) -> list[int]:
-    """The offset at which each line starts, found one character at a time."""
+    """The offset at which each line starts, found one character at a time:
+    a line feed, or a carriage return not followed by one, ends a line."""
     index = [0]
     for i, ch in enumerate(text):
-        if ch == "\n":
+        if ch == "\n" or (ch == "\r" and text[i + 1 : i + 2] != "\n"):
             index.append(i + 1)
     return index
 
 
 class TestSourceFile:
-    @pytest.mark.parametrize("text", ["", "\n", "a\nb", "a\nb\n", "a\r\nb\r\n", "\r\n\r\nx", "\n\n\n"])
+    @pytest.mark.parametrize("text", ["", "\n", "a\nb", "a\nb\n", "a\r\nb\r\n", "\r\n\r\nx", "\n\n\n", "a\rb\r", "\r\r\n\n\r"])
     def test_line_index_matches_the_char_loop(self, text):
         assert SourceFile.from_text("T.java", text).line_index == _char_loop_line_index(text)
 
@@ -205,18 +206,18 @@ class TestSourceFile:
     @pytest.mark.parametrize("text, lines", [
         ("a\nb", ["a", "b"]),
         ("a\r\nb\r\n", ["a", "b", ""]),
-        ("a\r\r\nb", ["a\r", "b"]),
+        ("a\r\r\nb", ["a", "", "b"]),
         ("\r\n\r\n", ["", "", ""]),
-        ("a\rb\n\r", ["a\rb", "\r"]),
+        ("a\rb\n\r", ["a", "b", "", ""]),
     ], ids=["lf", "crlf", "cr-crlf", "empty-crlf-lines", "lone-cr"])
-    def test_line_text_drops_one_carriage_return_before_a_line_feed(self, text, lines):
+    def test_line_text_leaves_out_the_line_end(self, text, lines):
         source = SourceFile.from_text("T.java", text)
         assert [source.line_text(k) for k in range(1, len(source.line_index) + 1)] == lines
 
 
 class TestOnDemandSpans:
     """Spans built from a token table row: line and column come from the row's
-    text offset, and only a line feed ends a line."""
+    text offset, and CR LF, CR or LF ends a line (JLS 3.4)."""
 
     @staticmethod
     def _spans(text: str) -> list[tuple[str, tuple[int, int, int, int]]]:
@@ -239,10 +240,22 @@ class TestOnDemandSpans:
             ("int", (2, 3, 2, 6)), ("b", (2, 7, 2, 8)), (";", (2, 8, 2, 9)), ("}", (3, 1, 3, 2)),
         ]
 
-    def test_a_lone_carriage_return_ends_no_line(self):
+    def test_a_lone_carriage_return_ends_a_line(self):
         assert self._spans("class A {\r  int b;\r}")[3:] == [
-            ("int", (1, 13, 1, 16)), ("b", (1, 17, 1, 18)), (";", (1, 18, 1, 19)), ("}", (1, 20, 1, 21)),
+            ("int", (2, 3, 2, 6)), ("b", (2, 7, 2, 8)), (";", (2, 8, 2, 9)), ("}", (3, 1, 3, 2)),
         ]
+
+    def test_a_carriage_return_ends_a_line_comment(self):
+        outcome = parse_text("T.java", "class A {\r  // note\r  int x;\r}\r")
+        assert outcome.ok, outcome.failure
+        [field] = outcome.ast.types[0].members
+        assert [d.name for d in field.declarators] == ["x"]
+        assert field.span == (3, 3, 3, 9)
+
+    @pytest.mark.parametrize("ending", ["\r", "\n", "\r\n"], ids=["cr", "lf", "crlf"])
+    def test_a_raw_line_end_in_a_string_is_unterminated(self, ending):
+        failure = parse_text("T.java", f'class A {{ String s = "a{ending}b"; }}').failure
+        assert (failure.message, failure.first_error_span) == ("unterminated string literal", (1, 22, 1, 23))
 
     def test_last_token_without_a_trailing_newline(self):
         assert self._spans("class A {\n}")[-1] == ("}", (2, 1, 2, 2))

@@ -3,9 +3,11 @@
 ``reference_tokenize`` below is that scanner, kept verbatim as the reference.
 On every test source and on seeded mutations of them, the lexer must give the
 same tokens (kind, lexeme, span, radix, suffix) or the same ``LexError``
-(message, line, col).  The one deliberate difference is pinned at the end: a
+(message, line, col).  Two deliberate differences are pinned at the end.  A
 character such as '²', for which ``str.isdigit()`` holds but which is not a
-decimal digit, no longer lexes as a number.
+decimal digit, no longer lexes as a number.  And a carriage return ends a
+line, as JLS 3.4 says, and so it ends a line comment and a string or char
+literal (JLS 3.7, 3.10.4, 3.10.5): the scanner below was changed to match.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class _Scanner:
 
     def advance(self, count: int = 1) -> str:
         taken = self.text[self.pos : self.pos + count]
-        for ch in taken:
-            if ch == "\n":
+        for i, ch in enumerate(taken, self.pos):
+            if ch == "\n" or (ch == "\r" and self.text[i + 1 : i + 2] != "\n"):
                 self.line += 1
                 self.col = 1
             else:
@@ -72,7 +74,7 @@ def reference_tokenize(source: SourceFile) -> list[Token]:
             continue
 
         if ch == "/" and sc.peek(1) == "/":
-            while not sc.eof() and sc.peek() != "\n":
+            while not sc.eof() and sc.peek() not in "\r\n":
                 sc.advance()
             tokens.append(Token(TokenKind.LINE_COMMENT, source.text[start[0] : sc.pos], sc.span_from(start)))
             continue
@@ -95,7 +97,7 @@ def reference_tokenize(source: SourceFile) -> list[Token]:
         if ch == '"':
             sc.advance()
             while True:
-                if sc.eof() or sc.peek() == "\n":
+                if sc.eof() or sc.peek() in "\r\n":
                     raise LexError("unterminated string literal", start[1], start[2])
                 c = sc.advance()
                 if c == "\\":
@@ -110,7 +112,7 @@ def reference_tokenize(source: SourceFile) -> list[Token]:
         if ch == "'":
             sc.advance()
             while True:
-                if sc.eof() or sc.peek() == "\n":
+                if sc.eof() or sc.peek() in "\r\n":
                     raise LexError("unterminated char literal", start[1], start[2])
                 c = sc.advance()
                 if c == "\\":
@@ -315,3 +317,17 @@ def test_non_decimal_digit_is_an_illegal_character(digit):
     # after a letter it is still part of the identifier, in literals and comments it is text
     for kept in (f"int x{digit} = 1;", f'String s = "{digit}"; // {digit}'):
         assert lexed(tokenize, kept) == lexed(reference_tokenize, kept)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("// a\rb", [(TokenKind.LINE_COMMENT, "// a", (1, 1, 1, 5)), (TokenKind.WHITESPACE, "\r", (1, 5, 2, 1)),
+                 (TokenKind.IDENTIFIER, "b", (2, 1, 2, 2))]),
+    ("x\r\r\ny", [(TokenKind.IDENTIFIER, "x", (1, 1, 1, 2)), (TokenKind.WHITESPACE, "\r\r\n", (1, 2, 3, 1)),
+                  (TokenKind.IDENTIFIER, "y", (3, 1, 3, 2))]),
+    ('s = "a\rb";', ("error", "unterminated string literal", 1, 5)),
+    ("c = '\r';", ("error", "unterminated char literal", 1, 5)),
+])
+def test_carriage_return_ends_a_line(text, want):
+    got = lexed(tokenize, text)
+    assert (got if isinstance(got, tuple) else [t[:3] for t in got]) == want
+    assert lexed(reference_tokenize, text) == got

@@ -9,6 +9,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from smellscore.java_syntax import SourceFile
 from smellscore.outputs import json_text
 from smellscore.rules.catalog import catalog, rule_by_id
@@ -242,6 +244,19 @@ class TestRuleLayer:
             digest.update(json_text(report.to_json()).encode())
         assert len(sources) > 2 * len(CASES)
         assert digest.hexdigest() == DETECT_FILE_JSON_SHA256
+
+    @pytest.mark.parametrize("ending", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_every_line_end_gives_the_report_of_line_feeds(self, ending):
+        """JLS 3.4: CR LF, CR and LF each end a line, and a line's text
+        leaves its line end out."""
+        paths = sorted(ROOT.glob("tests/**/*.java"))
+        assert len(paths) >= 31
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert "\r" not in text
+            want = detect_file(SourceFile.from_text(path.name, text), ("t", "m")).to_json()
+            got = detect_file(SourceFile.from_text(path.name, text.replace("\n", ending)), ("t", "m")).to_json()
+            assert got == want, path
 
     def test_detect_file_builds_no_token_on_the_mini_corpus(self, monkeypatch):
         """The rules read the token table's columns and build a span only for a hit."""

@@ -1236,15 +1236,16 @@ def test_every_rule_has_a_case():
 
 def reference_paren_pad(text: str) -> list[tuple[tuple[int, int, int, int], str]]:
     """(span, message) for each '(' followed, and each ')' preceded, by a
-    whitespace token of the lossless stream that holds no newline."""
+    whitespace token of the lossless stream that holds no line end (JLS 3.4:
+    CR LF, CR or LF)."""
     toks = tokenize(SourceFile.from_text("P.java", text))
     out = []
     for i, t in enumerate(toks):
         if t.lexeme == "(" and t.kind is TokenKind.SEPARATOR:
-            if i + 1 < len(toks) and toks[i + 1].kind is TokenKind.WHITESPACE and "\n" not in toks[i + 1].lexeme:
+            if i + 1 < len(toks) and toks[i + 1].kind is TokenKind.WHITESPACE and not set("\r\n") & set(toks[i + 1].lexeme):
                 out.append((t.span.as_tuple(), "space after '('"))
         elif t.lexeme == ")" and t.kind is TokenKind.SEPARATOR:
-            if i - 1 >= 0 and toks[i - 1].kind is TokenKind.WHITESPACE and "\n" not in toks[i - 1].lexeme:
+            if i - 1 >= 0 and toks[i - 1].kind is TokenKind.WHITESPACE and not set("\r\n") & set(toks[i - 1].lexeme):
                 out.append((t.span.as_tuple(), "space before ')'"))
     return out
 
@@ -1259,7 +1260,7 @@ PAREN_PAD_BODIES = {
     "block-comment-before-close": ("f(x /*c*/ );", 1),
     "comment-then-newline": ("f(x // c\n );", 0),
     "crlf": ("f(\r\n x);\r\n    g(x\r\n);\r\n    h( x );", 2),
-    "carriage-return-only": ("f(\rx\r);", 2),
+    "carriage-return-only": ("f(\rx\r);", 0),
     "tab-and-form-feed": ("f(\tx\f);", 2),
     "newline-inside-run": ("f( \n x \t\n );", 0),
     "in-string-char-and-comments": ('s = "( x )"; c = \'(\'; d = \' \'; /* ( y ) */ // ( z )\n    f(x);', 0),
