@@ -374,16 +374,19 @@ def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: 
 def load_scorecards(path: str | Path) -> list[ScoreCard]:
     """Scorecards stored by write_scorecards; a file that is not a JSON list
     of well-formed scorecards, each with the ruleset of the file's stem, a
-    scenario '<directory>/<label>' of the file's directory and a (scenario,
-    subject) no other card has, raises DocumentError naming it."""
+    scenario '<directory>/<label>' of the file's directory ('all/all' under
+    all/, whose one label partition gives is 'all') and a (scenario, subject)
+    no other card has, raises DocumentError naming it."""
     path = Path(path)
     doc = read_json(path, [_SCORECARD_SPEC], DocumentError)
-    prefix = f"{path.parent.name}/"
+    directory = path.parent.name
+    shape = "all/all" if directory == "all" else f"{directory}/<label>"
     seen: dict[tuple[str, str], int] = {}
     for at, item in enumerate(doc):
         scenario, ruleset = item["scenario"], item["ruleset"]
-        if not scenario.startswith(prefix) or scenario == prefix:
-            raise DocumentError(f"{path}: $[{at}].scenario: must be '{prefix}<label>', got {json.dumps(scenario, ensure_ascii=False)}")
+        head, _, label = scenario.partition("/")
+        if head != directory or not label or (directory == "all" and label != "all"):
+            raise DocumentError(f"{path}: $[{at}].scenario: must be '{shape}', got {json.dumps(scenario, ensure_ascii=False)}")
         if ruleset != path.stem:
             raise DocumentError(f"{path}: $[{at}].ruleset: must be {path.stem!r}, got {json.dumps(ruleset, ensure_ascii=False)}")
         cell = (scenario, item["subject"])

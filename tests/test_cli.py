@@ -753,8 +753,12 @@ def test_scores_tree_is_unchanged(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("finished") / "out"
-    assert run(["run", "--corpus", str(MINI), "--out", str(out), "--scenario", "all", "--scenario", "topic"]) == 0
+    argv = ["run", "--corpus", str(MINI), "--out", str(out), "--scenario", "all", "--scenario", "topic"]
+    assert run([*argv, "--ruleset", "all", "--ruleset", "type:magic-number"]) == 0
     return out
+
+
+TOPIC = "topic/all.json"
 
 
 def _first_card_with(**fields):
@@ -764,37 +768,41 @@ def _first_card_with(**fields):
 class TestMalformedScorecardFiles:
     """A stored scorecard file that is not a list of scorecards is a one-line config error naming the file."""
 
-    @pytest.mark.parametrize("mangle, message", [
-        ("not json", "Expecting value: line 1 column 1 (char 0)"),
-        (lambda cards: {"x": 1}, "$: must be a list, got an object"),
-        (lambda cards: [{"x": 1}], "$[0]: unknown key 'x'"),
-        (_first_card_with(n_tasks="3"), "$[0].n_tasks: must be an integer, got \"3\""),
-        (_first_card_with(vs={"fraction": "1/0", "float": 0.0}),
+    @pytest.mark.parametrize("bad_file, mangle, message", [
+        (TOPIC, "not json", "Expecting value: line 1 column 1 (char 0)"),
+        (TOPIC, lambda cards: {"x": 1}, "$: must be a list, got an object"),
+        (TOPIC, lambda cards: [{"x": 1}], "$[0]: unknown key 'x'"),
+        (TOPIC, _first_card_with(n_tasks="3"), "$[0].n_tasks: must be an integer, got \"3\""),
+        (TOPIC, _first_card_with(vs={"fraction": "1/0", "float": 0.0}),
          "not a well-formed scorecard file: malformed fraction {'fraction': '1/0', 'float': 0.0}"),
-        (_first_card_with(note="x"), "$[0]: unknown key 'note'"),
-        (lambda cards: [{("n_task" if k == "n_tasks" else k): v for k, v in cards[0].items()}], "$[0]: unknown key 'n_task'"),
-        (_first_card_with(subject=5), "$[0].subject: must be a string, got 5"),
-        (_first_card_with(scenario=7), "$[0].scenario: must be a string, got 7"),
-        (_first_card_with(increase_rate="1/2"),
+        (TOPIC, _first_card_with(note="x"), "$[0]: unknown key 'note'"),
+        (TOPIC, lambda cards: [{("n_task" if k == "n_tasks" else k): v for k, v in cards[0].items()}], "$[0]: unknown key 'n_task'"),
+        (TOPIC, _first_card_with(subject=5), "$[0].subject: must be a string, got 5"),
+        (TOPIC, _first_card_with(scenario=7), "$[0].scenario: must be a string, got 7"),
+        (TOPIC, _first_card_with(increase_rate="1/2"),
          "not a well-formed scorecard file: malformed fraction '1/2'"),
-        (lambda cards: [{**cards[0], "vs": {**cards[0]["vs"], "float": 99.0}}],
+        (TOPIC, lambda cards: [{**cards[0], "vs": {**cards[0]["vs"], "float": 99.0}}],
          "not a well-formed scorecard file: float 99.0 is not float(1/1)"),
         # a card outside the file its labels name once crashed report or filled another heat-map cell
-        (_first_card_with(scenario="topicX"), "$[0].scenario: must be 'topic/<label>', got \"topicX\""),
-        (_first_card_with(scenario="topic/"), "$[0].scenario: must be 'topic/<label>', got \"topic/\""),
-        (_first_card_with(scenario="all/Array"), "$[0].scenario: must be 'topic/<label>', got \"all/Array\""),
-        (_first_card_with(ruleset="type-dead-code"), "$[0].ruleset: must be 'all', got \"type-dead-code\""),
+        (TOPIC, _first_card_with(scenario="topicX"), "$[0].scenario: must be 'topic/<label>', got \"topicX\""),
+        (TOPIC, _first_card_with(scenario="topic/"), "$[0].scenario: must be 'topic/<label>', got \"topic/\""),
+        (TOPIC, _first_card_with(scenario="all/Array"), "$[0].scenario: must be 'topic/<label>', got \"all/Array\""),
+        (TOPIC, _first_card_with(ruleset="type-dead-code"), "$[0].ruleset: must be 'all', got \"type-dead-code\""),
         # a second card for one cell once silently replaced the first in the heat map
-        (lambda cards: [*cards[:2], {**cards[0], "vs": {"fraction": "99/1", "float": 99.0}}],
+        (TOPIC, lambda cards: [*cards[:2], {**cards[0], "vs": {"fraction": "99/1", "float": 99.0}}],
          "$[2]: repeats the card of ('topic/Array', 'baseline') at $[0]"),
+        # scenario all has the one label all; another label once replaced its card in the smell-type map
+        ("all/type-magic-number.json",
+         lambda cards: [*cards, {**cards[0], "scenario": "all/x", "vs": {"fraction": "99/1", "float": 99.0}}],
+         "$[3].scenario: must be 'all/all', got \"all/x\""),
     ], ids=["not-json", "not-a-list", "missing-field", "mistyped-field", "malformed-fraction", "unknown-key",
             "misspelled-key", "int-subject", "int-scenario", "string-rate", "float-not-fraction",
             "scenario-without-label", "empty-label", "scenario-of-another-directory", "ruleset-of-another-file",
-            "duplicate-card"])
-    def test_report_of_malformed_scorecards_is_config_error(self, finished_run, tmp_path, capsys, mangle, message):
+            "duplicate-card", "label-under-all"])
+    def test_report_of_malformed_scorecards_is_config_error(self, finished_run, tmp_path, capsys, bad_file, mangle, message):
         out = tmp_path / "out"
         shutil.copytree(finished_run, out)
-        bad = out / "scores" / "topic" / "all.json"
+        bad = out / "scores" / bad_file
         text = mangle if isinstance(mangle, str) else json.dumps(mangle(json.loads(bad.read_text(encoding="utf-8"))))
         bad.write_text(text, encoding="utf-8")
         assert run(["report", "--corpus", str(MINI), "--out", str(out)]) == 1
