@@ -28,7 +28,7 @@ from .corpus import (
     require_plain_name,
     validate_corpus,
 )
-from .outputs import DocumentError, optional, read_json
+from .outputs import DocumentError, json_text, optional, read_json
 from .rules.catalog import catalog
 from .rules.model import SmellRule, ViolationReport
 from .scoreboard import (
@@ -313,7 +313,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.verb == "ingest":
         corpus = load_manifest(args.corpus)
         summary = validate_corpus(corpus)
-        print(json.dumps(summary.to_json(), indent=2, sort_keys=True))
+        print(json_text(summary.to_json()), end="")
         return 0
 
     # generate, import-reports and diff import their modules here, so that the
@@ -388,7 +388,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         run_report(config, summary)
     elif args.verb == "run":
         summary = run_pipeline(config)
-    print(json.dumps(summary.to_json(), indent=2, sort_keys=True))
+    print(json_text(summary.to_json()), end="")
     return 0
 
 

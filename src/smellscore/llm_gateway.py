@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .corpus import load_manifest, require_plain_name
-from .outputs import check, optional
+from .outputs import check, json_text, optional
 from .java_syntax import parse_text
 
 STATUS_OK = "ok"
@@ -288,7 +288,7 @@ def run_generation_batch(
             target.parent.mkdir(parents=True, exist_ok=True)
             _atomic_write(target, record.extracted_code + "\n")
             task.setdefault("solutions", []).append({"model_id": model_id, "path": rel_path})
-            _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            _atomic_write(manifest_path, json_text(manifest))
 
         if config.delay_seconds > 0:
             time.sleep(config.delay_seconds)
