@@ -38,18 +38,20 @@ ALL_TYPES = IMPLEMENTATION_TYPES + DESIGN_TYPES
 class SmellRule:
     rule_id: str
     smell_type: str
-    category: str  # implementation | design
     origins: tuple[tuple[str, str], ...]  # (detector, native rule name)
     description: str
     thresholds: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.category == IMPLEMENTATION and self.smell_type not in IMPLEMENTATION_TYPES:
-            raise ValueError(f"{self.rule_id}: {self.smell_type} is not an implementation smell type")
-        if self.category == DESIGN and self.smell_type not in DESIGN_TYPES:
-            raise ValueError(f"{self.rule_id}: {self.smell_type} is not a design smell type")
+        if self.smell_type not in ALL_TYPES:
+            raise ValueError(f"{self.rule_id}: {self.smell_type} is not a smell type")
         if not self.origins:
             raise ValueError(f"{self.rule_id}: needs at least one origin")
+
+    @property
+    def category(self) -> str:
+        """implementation or design, by the smell type."""
+        return IMPLEMENTATION if self.smell_type in IMPLEMENTATION_TYPES else DESIGN
 
     @property
     def origin_tags(self) -> frozenset[str]:
