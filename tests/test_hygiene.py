@@ -306,6 +306,43 @@ def test_scan_finds_a_string_literal():
     assert string_literals(source, "heatmaps") == [1, 4]
 
 
+def line_end_literals(source: str) -> list[str]:
+    """The innermost function ('<module>' outside any) around each string
+    literal in source that is exactly a line end: LF, CR or CR LF."""
+    functions = [
+        node for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    found = []
+    for line in sorted(line for text in ("\n", "\r", "\r\n") for line in string_literals(source, text)):
+        around = [f for f in functions if f.lineno <= line <= f.end_lineno]
+        found.append(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    return found
+
+
+# Line-end literals allowed in rules/, each with its reason.  Where a line
+# ends is the lexer's LINE_END alone; rules read SourceFile.lines and spans.
+RULE_LINE_END_LITERALS = {
+    ("rules/implementation.py", "check_copy_paste"): "a separator between lexemes: no lexeme of a parsed file holds a line end",
+}
+
+
+def test_rules_leave_line_ends_to_the_lexer():
+    found = {
+        (path.relative_to(PACKAGE).as_posix(), function)
+        for path in sorted((PACKAGE / "rules").rglob("*.py"))
+        for function in line_end_literals(path.read_text(encoding="utf-8"))
+    }
+    assert sorted(found) == sorted(RULE_LINE_END_LITERALS)
+
+
+def test_scan_finds_a_line_end_literal():
+    source = (
+        'SEP = "\\r\\n"\n'
+        'def f(text):\n    def g():\n        return text.split("\\n")\n    return g() + ["\\n\\n", "\\r"]\n'
+    )
+    assert line_end_literals(source) == ["<module>", "g", "f"]
+
+
 def self_calling_functions(source: str) -> list[str]:
     """The dotted name (classes and functions that hold it, then its own) of
     each function whose body calls a function or method of its own name:
