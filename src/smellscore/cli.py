@@ -28,7 +28,7 @@ from .corpus import (
     require_plain_name,
     validate_corpus,
 )
-from .outputs import DocumentError, json_text, optional, read_json
+from .outputs import DocumentError, json_text, optional, read_json, write_if_changed
 from .rules.catalog import catalog
 from .rules.model import SmellRule, ViolationReport
 from .scoreboard import (
@@ -372,8 +372,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ConfigError(str(e)) from e
         text = summary.to_csv()
         if args.out:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(text, encoding="utf-8")
+            write_if_changed(args.out, text)
         else:
             print(text, end="")
         return 0

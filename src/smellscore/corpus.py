@@ -88,9 +88,11 @@ class Corpus:
 def require_plain_name(what: str, name: str) -> str:
     """``name``, if it can be one segment of a path: task and model ids name
     directories and files under the output and solutions trees.  A name that is
-    empty or holds '/', '\\' or '..' raises ValueError."""
+    empty or holds '/', '\\', '..' or a control character raises ValueError."""
     if not name or "/" in name or "\\" in name or ".." in name:
         raise ValueError(f"{what} must be a plain name without '/', '\\' or '..': {name!r}")
+    if any(ch < " " or ch == "\x7f" for ch in name):  # U+0000 to U+001F, and DEL
+        raise ValueError(f"{what} must be a plain name without control characters: {name!r}")
     return name
 
 

@@ -14,6 +14,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, compress, islice
+from pathlib import Path
 from typing import NamedTuple
 
 
@@ -91,6 +92,11 @@ class SourceFile:
         index = [0]
         index.extend(islice(accumulate(map(len, parts)), 1, None, 2))
         return cls(path, text, index, parts[::2])
+
+    @classmethod
+    def read(cls, path: Path, name: str) -> "SourceFile":
+        """The file at ``path`` as strict UTF-8 with its line ends untranslated, named ``name``."""
+        return cls.from_text(name, path.read_bytes().decode("utf-8"))
 
     def line_text(self, line: int) -> str:
         """The text of a 1-based line, without its line end."""

@@ -28,6 +28,7 @@ from typing import Any, Callable
 from .corpus import load_manifest, require_plain_name
 from .outputs import check, json_text, optional
 from .java_syntax import parse_text
+from .java_syntax.lexer import LINE_END
 
 STATUS_OK = "ok"
 STATUS_NO_CODE = "no_code_found"
@@ -109,8 +110,10 @@ def extract_code(response_text: str) -> str | None:
 
     Precedence: every block fenced as java (concatenated, one blank line
     apart), else the largest untagged fenced block, else the whole text when
-    it already parses as Java, else nothing.
+    it already parses as Java, else nothing.  Line ends (CR LF, CR or LF)
+    come out as LF, so a reply gives the code of its LF twin.
     """
+    response_text = LINE_END.sub("\n", response_text)
     java_blocks: list[str] = []
     untagged: list[str] = []
     for m in _FENCE.finditer(response_text):
@@ -249,10 +252,10 @@ def run_generation_batch(
     Solutions land in solutions/<model_id>/<task_id>.java relative to the
     corpus root; the manifest gains one entry per success, and every record is
     appended to generation.log.jsonl.  Sequential by design: rate limits
-    dominate, and ordering keeps the log reproducible.  A model id that is
-    empty or holds '/', '\\' or '..' (it would leave that directory) raises
-    ValueError, and a manifest that load_manifest rejects raises its error,
-    before any request is made.
+    dominate, and ordering keeps the log reproducible.  A model id that
+    require_plain_name refuses (it would leave that directory or name no file)
+    raises ValueError, and a manifest that load_manifest rejects raises its
+    error, before any request is made.
     """
     require_plain_name("model id", model_id)
     root = Path(corpus_root)

@@ -118,12 +118,11 @@ def detect_corpus(
 
     def run(item: tuple[str, str, str]) -> tuple[str, str, ViolationReport]:
         subject, task_id, rel = item
+        # named by its manifest path, so that a report does not depend on where the corpus lies
         try:
-            text = corpus.resolve(rel).read_text(encoding="utf-8")
+            source = SourceFile.read(corpus.resolve(rel), rel)
         except UnicodeDecodeError as e:
             return subject, task_id, _failure_report((task_id, subject), f"source is not valid UTF-8: {e}")
-        # named by its manifest path, so that a report does not depend on where the corpus lies
-        source = SourceFile.from_text(rel, text)
         return subject, task_id, detect_file(source, (task_id, subject), rules)
 
     results: dict[str, dict[str, ViolationReport]] = {}

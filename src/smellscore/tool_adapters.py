@@ -243,10 +243,10 @@ def _designite_spans(source_path: str | Path) -> tuple[dict[str, int], dict[tupl
     if not path.is_file():
         return {}, {}
     try:
-        text = path.read_text(encoding="utf-8")
+        source = SourceFile.read(path, str(path))
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: the Java source is not UTF-8: {e}") from e
-    outcome = parse(SourceFile.from_text(str(path), text))
+    outcome = parse(source)
     if not outcome.ok:
         return {}, {}
     type_lines: dict[str, int] = {}

@@ -143,6 +143,40 @@ class TestOutputIds:
         assert capsys.readouterr().err == "config error: task id must be a plain name without '/', '\\' or '..': '../T10'\n"
         assert not (corpus / "generation.log.jsonl").exists()
 
+    @pytest.mark.parametrize("field, name", [
+        ("task_id", "T\u0000X"), ("task_id", "T\tX"), ("model_id", "m\u001f"), ("model_id", "m\u007f"),
+    ], ids=["task-nul", "task-tab", "model-unit-separator", "model-del"])
+    def test_manifest_id_with_a_control_character_is_config_error(self, tmp_path, capsys, field, name):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        doc = json.loads((corpus / "corpus.json").read_text(encoding="utf-8"))
+        task = doc["tasks"][0]
+        if field == "task_id":
+            task["task_id"] = name
+        else:
+            task["solutions"][0]["model_id"] = name
+        (corpus / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o" / "out"
+        assert run(["run", "--corpus", str(corpus), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"id must be a plain name without control characters: {name!r}\n")
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+    @pytest.mark.parametrize("argv", [
+        ["import-reports", "--format", "checkstyle_xml", "--in", str(EXTERNAL / "sample_checkstyle.xml"),
+         "--subject", "T\u00009:x"],
+        ["import-reports", "--format", "checkstyle_xml", "--in", str(EXTERNAL / "sample_checkstyle.xml"),
+         "--subject", "T9:x\u0000"],
+        ["run", "--corpus", str(MINI), "--scenario", "correctness:m\u0000"],
+    ], ids=["import-task", "import-model", "correctness-model"])
+    def test_cli_name_with_a_control_character_is_config_error(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", str(tmp_path / "o" / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "must be a plain name without control characters: " in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestGenerate:
     def test_manifest_that_does_not_fit_its_spec_is_config_error(self, tmp_path, capsys, monkeypatch):
@@ -240,6 +274,19 @@ class TestGenerate:
         assert capsys.readouterr().err == f"config error: {endpoint}: {message}\n"
         assert not (corpus / "generation.log.jsonl").exists()
 
+    def test_generate_model_with_a_control_character_is_config_error(self, tmp_path, capsys, monkeypatch):
+        import smellscore.llm_gateway as gateway
+
+        monkeypatch.setattr(gateway, "_http_post", lambda *args: pytest.fail("a request was made"))
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"url": "http://127.0.0.1:1"}), encoding="utf-8")
+        argv = ["generate", "--corpus", str(corpus), "--model", "m\u0000", "--endpoint-config", str(endpoint)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "config error: model id must be a plain name without control characters: 'm\\x00'\n"
+        assert not (corpus / "generation.log.jsonl").exists()
+
 
 class TestRun:
     def test_full_pipeline_and_idempotence(self, tmp_path, capsys):
@@ -311,6 +358,21 @@ class TestRun:
         assert [str(p) for p, data in trees[0].items() if trees[1][p] != data] == []
         files = {v["file"] for v in json.loads(trees[0][Path("reports", "m1", "T01.json")])["violations"]}
         assert files == {"solutions/m1/T01.java"}
+
+    @pytest.mark.parametrize("line_end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_reports_do_not_depend_on_the_line_ends_of_the_sources(self, tmp_path, capsys, line_end):
+        """Each source is read with its line ends as they are, and CR LF, CR
+        and LF each end a line, so analyze gives the reports of LF sources."""
+        shutil.copytree(MINI, tmp_path / "corpus")
+        for path in (tmp_path / "corpus").rglob("*.java"):
+            path.write_bytes(path.read_bytes().replace(b"\n", line_end))
+        trees = []
+        for corpus in (MINI, tmp_path / "corpus"):
+            out = tmp_path / f"out-{len(trees)}"
+            assert run(["analyze", "--corpus", str(corpus), "--out", str(out)]) == 0
+            trees.append({p.relative_to(out): p.read_bytes() for p in (out / "reports").rglob("*") if p.is_file()})
+        capsys.readouterr()
+        assert len(trees[0]) == 33 and trees[1] == trees[0]
 
     def test_bad_scenario_is_config_error(self, tmp_path):
         assert run(["run", "--corpus", str(MINI), "--out", str(tmp_path), "--scenario", "bogus"]) == 1
@@ -593,6 +655,12 @@ class TestImportAndDiff:
         assert rows[0] == "rule_id,native_count,imported_count,delta"
         assert all(row.endswith(",0") for row in rows[1:])
 
+        # a repeated diff leaves the CSV, and its mtime, as they are
+        written = diff_csv.read_bytes()
+        os.utime(diff_csv, ns=(0, 0))
+        assert run(["diff", "--native", str(report_path), "--imported", str(report_path), "--out", str(diff_csv)]) == 0
+        assert diff_csv.read_bytes() == written and diff_csv.stat().st_mtime_ns == 0
+
 
 # One stored report's violations mangled so that they disagree with the spec
 # or with per_rule_counts, and the message that names the misfit.
@@ -817,11 +885,33 @@ VERB_ONLY_MODULES = (
 )
 
 
-def test_importing_the_cli_loads_no_verb_only_module():
+def _child_env(**extra: str) -> dict[str, str]:
+    """This environment with ``extra``, for a Python child that imports the package from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_importing_the_cli_loads_no_verb_only_module():
     code = "import json, sys, smellscore.cli; print(json.dumps(sorted(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True)
     loaded = set(json.loads(done.stdout))
     assert "smellscore.cli" in loaded
     assert loaded.isdisjoint(VERB_ONLY_MODULES), sorted(loaded.intersection(VERB_ONLY_MODULES))
+
+
+def test_run_does_not_depend_on_the_hash_seed(tmp_path):
+    """Set and dict order never reaches an output: two processes with other
+    string hashes write byte-identical trees and print the same summary."""
+    argv = [
+        sys.executable, "-m", "smellscore.cli", "run", "--corpus", str(MINI), "--out", "out",
+        "--scenario", "all", "--scenario", "topic", "--scenario", "source", "--scenario", "complexity:cyclomatic",
+        "--ruleset", "all", "--ruleset", "implementation", "--ruleset", "design",
+    ]
+    runs = []
+    for seed in ("0", "1"):
+        cwd = tmp_path / f"seed-{seed}"
+        cwd.mkdir()
+        done = subprocess.run(argv, cwd=cwd, env=_child_env(PYTHONHASHSEED=seed), capture_output=True, check=True)
+        runs.append((done.stdout, {p.relative_to(cwd): p.read_bytes() for p in (cwd / "out").rglob("*") if p.is_file()}))
+    assert runs[0][0] and runs[0][1]
+    assert runs[1] == runs[0]

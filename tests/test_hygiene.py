@@ -319,20 +319,37 @@ def line_end_literals(source: str) -> list[str]:
     return found
 
 
-# Line-end literals allowed in rules/, each with its reason.  Where a line
-# ends is the lexer's LINE_END alone; rules read SourceFile.lines and spans.
-RULE_LINE_END_LITERALS = {
+# The modules that read Java text: the rules, and the three that take it in
+# from a corpus, an imported report's --source or a model's reply.
+JAVA_TEXT_READERS = (*sorted((PACKAGE / "rules").rglob("*.py")), *(
+    PACKAGE / name for name in ("smell_engine.py", "tool_adapters.py", "llm_gateway.py")
+))
+
+# Line-end literals allowed in JAVA_TEXT_READERS, each with its reason.  Where
+# a line ends is the lexer's LINE_END alone; rules read SourceFile.lines and
+# spans, and a source file is read through SourceFile.read.
+LINE_END_LITERALS = {
     ("rules/implementation.py", "check_copy_paste"): "a separator between lexemes: no lexeme of a parsed file holds a line end",
+    ("tool_adapters.py", "to_csv"): "DiffSummary joins the rows of the CSV it writes",
+    ("llm_gateway.py", "extract_code"): "LINE_END.sub turns every line end of a reply into LF, which the fences and the body strip then read",
+    ("llm_gateway.py", "run_generation_batch"): "ends the generation.log.jsonl line and the solution file it writes",
 }
 
 
-def test_rules_leave_line_ends_to_the_lexer():
+def test_only_the_lexer_decides_where_a_line_ends():
     found = {
         (path.relative_to(PACKAGE).as_posix(), function)
-        for path in sorted((PACKAGE / "rules").rglob("*.py"))
+        for path in JAVA_TEXT_READERS
         for function in line_end_literals(path.read_text(encoding="utf-8"))
     }
-    assert sorted(found) == sorted(RULE_LINE_END_LITERALS)
+    assert sorted(found) == sorted(LINE_END_LITERALS)
+
+
+def test_only_the_lexer_decodes_a_java_source():
+    """The corpus and import-reports --source are read through SourceFile.read."""
+    for name in ("smell_engine.py", "tool_adapters.py"):
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        assert "read_text" not in source and ".decode(" not in source, name
 
 
 def test_scan_finds_a_line_end_literal():

@@ -214,6 +214,17 @@ class TestSourceFile:
         source = SourceFile.from_text("T.java", text)
         assert [source.line_text(k) for k in range(1, len(source.line_index) + 1)] == lines
 
+    def test_read_keeps_the_line_ends_of_the_file(self, tmp_path):
+        path = tmp_path / "T.java"
+        path.write_bytes("class A {\r  // \u00e9\r\n}\n".encode("utf-8"))
+        assert SourceFile.read(path, "T.java") == SourceFile.from_text("T.java", "class A {\r  // \u00e9\r\n}\n")
+
+    def test_read_of_bytes_that_are_not_utf8_raises(self, tmp_path):
+        path = tmp_path / "T.java"
+        path.write_bytes(b"class A {} // \xe9\n")
+        with pytest.raises(UnicodeDecodeError):
+            SourceFile.read(path, "T.java")
+
 
 class TestOnDemandSpans:
     """Spans built from a token table row: line and column come from the row's

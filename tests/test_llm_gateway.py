@@ -56,6 +56,18 @@ class TestExtractCode:
         assert first is not None
         assert extract_code(f"```java\n{first}\n```") == first
 
+    @pytest.mark.parametrize("line_end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    @pytest.mark.parametrize("reply", [
+        "```java\nclass A {}\n```",
+        "First:\n```java\nclass A {\n    int x;\n}\n```\nThen:\n```java\nclass B {}\n```\n",
+        "```\nshort\n```\nand\n```\nclass Longer {\n    void m() { }\n}\n```",
+        "class A {\n    int x;\n}\n",
+    ], ids=["java-fence", "two-java-fences", "untagged-fence", "whole-text"])
+    def test_a_reply_gives_the_code_of_its_line_feed_twin(self, reply, line_end):
+        code = extract_code(reply)
+        assert code is not None
+        assert extract_code(reply.replace("\n", line_end)) == code
+
 
 class TestGenerationRecordInvariant:
     def test_ok_requires_code(self):

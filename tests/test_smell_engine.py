@@ -307,6 +307,13 @@ class TestDetectCorpus:
         assert [r["task_id"] for r in roster] == ["T3"]
         assert json.loads((out / "reports" / "baseline" / "_failures.json").read_text()) == []
 
+    def test_source_that_is_not_utf8_is_a_recorded_failure(self, tmp_path):
+        corpus = self._fixture(tmp_path)
+        (tmp_path / "solutions" / "m1" / "T4.java").write_bytes(b"class A { String s = \"\xff\"; }\n")
+        report = detect_corpus(corpus, ["m1"])["m1"]["T4"]
+        assert not report.parse_ok
+        assert report.parse_error.startswith("source is not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         corpus = self._fixture(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
