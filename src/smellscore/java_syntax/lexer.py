@@ -171,7 +171,8 @@ class TokenTable:
         return repr(list(self))  # as the list of its tokens
 
     def span(self, i: int) -> Span:
-        return span_at(self.line_index, self.offsets[i], self.lexemes[i])
+        start = self.offsets[i]
+        return extent_span((self.line_index, start, start + len(self.lexemes[i])))
 
     def significant_tokens(self) -> TokenTable:
         """The significant rows as a table of their own, in order."""
@@ -281,7 +282,7 @@ def tokenize(source: SourceFile) -> TokenTable:
     offsets.pop()  # the end of the text
     if errors:
         first = min(map(lexemes.index, errors))
-        span = span_at(source.line_index, offsets[first], lexemes[first])
+        span = extent_span((source.line_index, offsets[first], offsets[first] + len(lexemes[first])))
         raise LexError(errors[lexemes[first]], span.start_line, span.start_col)
     rows = range(len(lexemes))
     return TokenTable(
@@ -294,15 +295,16 @@ def tokenize(source: SourceFile) -> TokenTable:
     )
 
 
-def span_at(line_index: list[int], offset: int, lexeme: str) -> Span:
-    """The span of ``lexeme`` starting at ``offset`` of the text whose line
-    starts are ``line_index``; its end is the position of the offset after it."""
-    line = bisect_right(line_index, offset)
-    col = offset - line_index[line - 1] + 1
-    end = offset + len(lexeme)
+def extent_span(extent: tuple[list[int], int, int]) -> Span:
+    """The span of an extent ``(line_index, start, end)``: the text from
+    offset ``start`` up to offset ``end``, in a text whose line starts are
+    ``line_index``."""
+    line_index, start, end = extent
+    line = bisect_right(line_index, start)
+    col = start - line_index[line - 1] + 1
     if line == len(line_index) or end < line_index[line]:
-        return _new_span(Span, (line, col, line, col + len(lexeme)))
-    end_line = bisect_right(line_index, end, line)  # a comment, whitespace, or a string with an escaped line break
+        return _new_span(Span, (line, col, line, end - line_index[line - 1] + 1))
+    end_line = bisect_right(line_index, end, line)  # a comment, whitespace, a string with an escaped line break, or a node
     return _new_span(Span, (line, col, end_line, end - line_index[end_line - 1] + 1))
 
 

@@ -1,7 +1,8 @@
 """AST node types for the supported Java subset.
 
-Every node carries a Span.  Member lists on type declarations preserve source
-order; convenience accessors partition them by kind.  Comments are kept on the
+Every node carries a Span, built when first read.  Member lists on type
+declarations preserve source order; convenience accessors partition them by
+kind.  Comments are kept on the
 compilation unit and attached to declarations they immediately precede.
 """
 
@@ -12,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .lexer import Span, TokenKind
+from .lexer import Span, TokenKind, extent_span
 
 # Every node class is a dataclass for its __init__ and fields; the __repr__
 # and __eq__ that dataclass would generate per class are written once on Node.
@@ -24,8 +25,33 @@ def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
+def _spans_on_demand(cls: type) -> type:
+    """Serve the span field ``x`` of a node class from its first slot, ``_x``.
+
+    The parser fills the slot with the extent ``(line_index, start, end)``,
+    the text offsets the node or name covers, and the first read of ``x``
+    builds the Span (extent_span) and keeps it; the checkers read well under
+    half of the spans.  A span given by hand is a Span already.  Setting the
+    field runs the slot's own setter, without Python code.
+    """
+    slot = cls.__dict__[cls.__slots__[0]]
+    get, put = slot.__get__, slot.__set__
+
+    def read(node: Node) -> Span:
+        value = get(node)
+        if value.__class__ is tuple:
+            value = extent_span(value)
+            put(node, value)
+        return value
+
+    setattr(cls, cls.__slots__[0][1:], property(read, put))
+    return cls
+
+
+@_spans_on_demand
 @_node
 class Node:
+    __slots__ = ("_span", "__dict__")
     span: Span
 
     __hash__ = None  # equal nodes need equal hashes, and a node's fields can change
@@ -149,8 +175,10 @@ class ImportDecl(Node):
     on_demand: bool = False
 
 
+@_spans_on_demand
 @_node
 class Param(Node):
+    __slots__ = ("_name_span",)
     type: TypeRef
     name: str
     name_span: Span
@@ -163,8 +191,10 @@ class Param(Node):
         return "final" in self.modifiers
 
 
+@_spans_on_demand
 @_node
 class VarDeclarator(Node):
+    __slots__ = ("_name_span",)
     name: str
     name_span: Span
     extra_dims: int = 0
@@ -184,8 +214,10 @@ class FieldDecl(Node):
         return "static" in self.modifiers and "final" in self.modifiers
 
 
+@_spans_on_demand
 @_node
 class MethodDecl(Node):
+    __slots__ = ("_name_span",)
     modifiers: list[str]
     annotations: list[Annotation]
     type_params: list[TypeParam]
@@ -221,8 +253,10 @@ class EnumConstant(Node):
     args: list["Expr"] = field(default_factory=list)
 
 
+@_spans_on_demand
 @_node
 class TypeDecl(Node):
+    __slots__ = ("_name_span",)
     kind: str  # "class" | "interface" | "enum"
     name: str
     name_span: Span
@@ -337,8 +371,10 @@ class ForStmt(Stmt):
     body: Stmt
 
 
+@_spans_on_demand
 @_node
 class ForEachStmt(Stmt):
+    __slots__ = ("_var_name_span",)
     var_modifiers: list[str]
     var_type: TypeRef
     var_name: str
@@ -370,8 +406,10 @@ class SwitchStmt(Stmt):
         return sum(1 for arm in self.arms for lbl in arm.labels if lbl is not None)
 
 
+@_spans_on_demand
 @_node
 class CatchClause(Node):
+    __slots__ = ("_name_span",)
     types: list[TypeRef]  # multi-catch alternatives
     name: str
     name_span: Span
@@ -479,8 +517,10 @@ class InstanceOf(Expr):
     type: TypeRef
 
 
+@_spans_on_demand
 @_node
 class MethodCall(Expr):
+    __slots__ = ("_name_span",)
     receiver: Expr | None
     name: str
     name_span: Span

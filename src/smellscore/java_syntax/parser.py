@@ -23,12 +23,10 @@ from .lexer import (
     TokenTable,
     numeric_value,
     radix_and_suffix,
-    span_at,
+    extent_span,
     tokenize,
 )
 from . import nodes as n
-
-_new_span = tuple.__new__  # Span's own __new__ costs twice as much
 
 MODIFIER_WORDS = frozenset(
     "public protected private static final abstract native synchronized transient volatile strictfp default".split()
@@ -70,6 +68,12 @@ _CALL_DEPTH = 2  # _call_args and separated, on top of an expression: one call's
 _STATEMENT_DEPTH = 3  # statement, _statement and the block or if that holds the next one
 _TYPE_DEPTH = 4  # parse_type, parse_type_args, separated, parse_type_arg: one type argument
 _MAX_DEPTH = 700
+
+# What may follow a dotted name that starts a local variable's type, a cast's
+# type or a lambda's first parameter: a name or one of these (see _may_start).
+_DECLARATION_FOLLOW = frozenset(["<", "[", "@"])
+_CAST_FOLLOW = _DECLARATION_FOLLOW | {")"}
+_LAMBDA_FOLLOW = _DECLARATION_FOLLOW | {")", ",", "..."}
 
 _LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR, TokenKind.BOOL, TokenKind.NULL)
 _CHECKED_LITERAL_KINDS = (TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR)  # the lexer lets malformed ones through
@@ -136,8 +140,11 @@ def parse_text(path: str, text: str) -> ParseOutcome:
 
 class _Parser:
     """Reads the significant tokens by position: a token is its index into
-    the parser's own kind, lexeme and offset lists, which split_gt rewrites,
-    and a Span is built only where a node, a check or an error needs one."""
+    the parser's own kind, lexeme and offset lists, which split_gt rewrites.
+    A node gets the extent of the text it covers, ``(line_index, start,
+    end)``, in place of its Span (nodes._spans_on_demand); only errors get a
+    Span.  No span is read while parsing, so a parsed node's ``_span`` slot
+    still holds its extent when a parent takes offsets from it."""
 
     def __init__(self, table: TokenTable):
         self.table = table
@@ -160,7 +167,19 @@ class _Parser:
 
     def span(self, j: int) -> Span:
         """Token j's span."""
-        return span_at(self.line_index, self.offsets[j], self.lexemes[j])
+        return extent_span(self.extent(j, j))
+
+    def end_of(self, j: int) -> int:
+        """The text offset right after token j."""
+        return self.offsets[j] + len(self.lexemes[j])
+
+    def extent(self, first: int, last: int) -> tuple[list[int], int, int]:
+        """The span, until read, of tokens first to last."""
+        return (self.line_index, self.offsets[first], self.offsets[last] + len(self.lexemes[last]))
+
+    def extent_to(self, first: int, node: n.Node) -> tuple[list[int], int, int]:
+        """The span, until read, from token first to the end of a parsed node."""
+        return (self.line_index, self.offsets[first], node._span[2])
 
     def at(self, lexeme: str, offset: int = 0) -> bool:
         return self.lexemes[self.i + offset] == lexeme  # no caller looks further ahead than the padding
@@ -193,11 +212,11 @@ class _Parser:
         self.i = i + 1
         return i
 
-    def here(self) -> Span:
-        """The current token's span; end of file is a parse error."""
+    def here(self) -> int:
+        """The current token; end of file is a parse error."""
         if self.lexemes[self.i] is None:
             raise self.error("unexpected end of file")
-        return self.span(self.i)
+        return self.i
 
     def error(self, message: str, kind: type[_ParseError] = _ParseError) -> _ParseError:
         """An error at the current token, or at the last one at end of file."""
@@ -269,9 +288,24 @@ class _Parser:
             self.i, self.depth = i, depth
             return None
 
+    def _may_start(self, j: int, follow: frozenset[str]) -> bool:
+        """False where tokens from j on are a dotted name (``a`` or ``a.b.c``)
+        followed by neither a name nor a lexeme in ``follow``.  No type then
+        starts at j that local_var_head, _cast_head or _lambda_head could
+        read, so their _attempt would only raise a plain _ParseError."""
+        kinds, lexemes = self.kinds, self.lexemes
+        if kinds[j] is not TokenKind.IDENTIFIER:
+            return True
+        j += 1
+        while lexemes[j] == "." and kinds[j + 1] is TokenKind.IDENTIFIER:
+            j += 2
+        return kinds[j] is TokenKind.IDENTIFIER or lexemes[j] in follow
+
     def comment(self, row: int) -> n.Comment:
         """The comment at a row of the full table."""
-        return n.Comment(span=self.table.span(row), kind=self.table.kinds[row], text=self.table.lexemes[row])
+        table = self.table
+        text, start = table.lexemes[row], table.offsets[row]
+        return n.Comment(span=(self.line_index, start, start + len(text)), kind=table.kinds[row], text=text)
 
     def preceding_comment(self, j: int) -> n.Comment | None:
         """The comment directly above a declaration's first token j, if only whitespace parts them."""
@@ -281,18 +315,9 @@ class _Parser:
             row -= 1
         return self.comment(row) if row >= 0 and kinds[row] in COMMENT_KINDS else None
 
-    def span_of(self, first: int, last: int) -> Span:
-        """From token first's start to token last's end."""
-        start = self.span(first)
-        return start if first == last else self.span_between(start, self.span(last))
-
-    def span_between(self, start: Span, end: Span) -> Span:
-        return _new_span(Span, (start.start_line, start.start_col, end.end_line, end.end_col))
-
     # ---- compilation unit ---------------------------------------------------
 
     def compilation_unit(self) -> n.CompilationUnit:
-        start = self.span(0) if self.offsets else Span(1, 1, 1, 1)
         package = None
         imports: list[n.ImportDecl] = []
 
@@ -301,7 +326,7 @@ class _Parser:
             pkg_tok = self.next()
             name = self.qualified_name()
             end = self.expect(";")
-            package = n.PackageDecl(span=self.span_of(pkg_tok, end), name=name)
+            package = n.PackageDecl(span=self.extent(pkg_tok, end), name=name)
         else:
             self.i = 0  # no package: the annotations open the first type declaration
 
@@ -323,7 +348,7 @@ class _Parser:
             end = self.expect(";")
             imports.append(
                 n.ImportDecl(
-                    span=self.span_of(imp_tok, end),
+                    span=self.extent(imp_tok, end),
                     name=".".join(name_parts),
                     is_static=is_static,
                     on_demand=on_demand,
@@ -337,9 +362,8 @@ class _Parser:
                 continue
             types.append(self.type_declaration())
 
-        end_span = self.span(len(self.offsets) - 1) if self.offsets else start
         return n.CompilationUnit(
-            span=self.span_between(start, end_span),
+            span=self.extent(0, len(self.offsets) - 1) if self.offsets else (self.line_index, 0, 0),
             package=package,
             imports=imports,
             types=types,
@@ -375,7 +399,7 @@ class _Parser:
             elif not self.at(")"):
                 self.element_value()
             end = self.expect(")")
-        return n.Annotation(span=self.span_of(at_tok, end), name=name)
+        return n.Annotation(span=self.extent(at_tok, end), name=name)
 
     def element_value_pair(self) -> None:
         self.expect_ident()
@@ -443,10 +467,10 @@ class _Parser:
 
         doc = self.preceding_comment(decl_start)
         return n.TypeDecl(
-            span=self.span_of(decl_start, close),
+            span=self.extent(decl_start, close),
             kind=kind,
             name=self.lexemes[name_tok],
-            name_span=self.span(name_tok),
+            name_span=self.extent(name_tok, name_tok),
             modifiers=mods,
             annotations=anns,
             type_params=type_params,
@@ -468,14 +492,14 @@ class _Parser:
         self.parse_annotations()
         name_tok = self.expect_ident()
         args: list[n.Expr] = []
-        end_span = self.span(name_tok)
+        end = name_tok
         if self.at("("):
-            args, end_span = self._call_args()
+            args, end = self._call_args()
         if self.at("{"):  # constant class body, parsed structurally
             self.next()
             self.parse_members("")
-            end_span = self.span(self.expect("}"))
-        return n.EnumConstant(span=self.span_between(self.span(name_tok), end_span), name=self.lexemes[name_tok], args=args)
+            end = self.expect("}")
+        return n.EnumConstant(span=self.extent(name_tok, end), name=self.lexemes[name_tok], args=args)
 
     def parse_members(self, enclosing_name: str) -> list:
         members: list = []
@@ -498,7 +522,7 @@ class _Parser:
         if self.at("{"):  # initializer block
             body = self.block()
             is_static = "static" in mods
-            return n.Initializer(span=self.span_between(self.span(decl_start), body.span), static=is_static, body=body)
+            return n.Initializer(span=self.extent_to(decl_start, body), static=is_static, body=body)
 
         type_params = self.parse_type_params() if self.at("<") else []
 
@@ -517,7 +541,7 @@ class _Parser:
         end = self.expect(";")
         doc = self.preceding_comment(decl_start)
         return n.FieldDecl(
-            span=self.span_of(decl_start, end),
+            span=self.extent(decl_start, end),
             modifiers=mods,
             annotations=anns,
             type=ret_type,
@@ -531,29 +555,28 @@ class _Parser:
         return self.separated(lambda: self.parse_declarator(first.pop() if first else self.expect_ident()))
 
     def parse_declarator(self, name_tok: int) -> n.VarDeclarator:
-        name_span = self.span(name_tok)
-        extra_dims, end_span = self.name_dims(name_span)
+        extra_dims, last = self.name_dims(name_tok)
         init = None
         if self.at("="):
             self.next()
             init = self.variable_initializer()
-            end_span = init.span
         return n.VarDeclarator(
-            span=self.span_between(name_span, end_span),
+            span=self.extent(name_tok, last) if init is None else self.extent_to(name_tok, init),
             name=self.lexemes[name_tok],
-            name_span=name_span,
+            name_span=self.extent(name_tok, name_tok),
             extra_dims=extra_dims,
             init=init,
         )
 
-    def name_dims(self, end_span: Span) -> tuple[int, Span]:
-        """The '[]' pairs after a declared name (int a[]), and the span that ends there."""
+    def name_dims(self, last: int) -> tuple[int, int]:
+        """The '[]' pairs after a declared name (int a[]) whose last token so
+        far is ``last``, and the last token after them."""
         dims = 0
         while self.at("["):
             self.next()
-            end_span = self.span(self.expect("]"))
+            last = self.expect("]")
             dims += 1
-        return dims, end_span
+        return dims, last
 
     def finish_method(
         self,
@@ -567,7 +590,7 @@ class _Parser:
     ) -> n.MethodDecl:
         self.expect("(")
         params = self.separated(self.parse_param, close=")")
-        self.name_dims(self.span(self.expect(")")))  # archaic int m()[] form
+        self.name_dims(self.expect(")"))  # archaic int m()[] form
 
         throws: list[n.TypeRef] = []
         if self.at("throws"):
@@ -577,19 +600,19 @@ class _Parser:
         body = None
         if self.at("{"):
             body = self.block()
-            end_span = body.span
+            span = self.extent_to(decl_start, body)
         else:
-            end_span = self.span(self.expect(";"))
+            span = self.extent(decl_start, self.expect(";"))
 
         doc = self.preceding_comment(decl_start)
         return n.MethodDecl(
-            span=self.span_between(self.span(decl_start), end_span),
+            span=span,
             modifiers=mods,
             annotations=anns,
             type_params=type_params,
             return_type=ret_type,
             name=self.lexemes[name_tok],
-            name_span=self.span(name_tok),
+            name_span=self.extent(name_tok, name_tok),
             params=params,
             throws=throws,
             body=body,
@@ -603,16 +626,15 @@ class _Parser:
         ptype = self.parse_type()
         dots = self.next() if self.at("...") else None
         name_tok = self.expect_ident()
-        name_span = self.span(name_tok)
-        extra_dims, end_span = self.name_dims(name_span)
+        extra_dims, last = self.name_dims(name_tok)
         if dots is not None and self.at(","):  # JLS 8.4.1: only the last parameter may be variable arity
             raise _NoReading("varargs parameter must be the last parameter", self.span(dots))
         ptype.array_dims += extra_dims
         return n.Param(
-            span=self.span_between(start, end_span),
+            span=self.extent(start, last),
             type=ptype,
             name=self.lexemes[name_tok],
-            name_span=name_span,
+            name_span=self.extent(name_tok, name_tok),
             modifiers=mods,
             annotations=anns,
             varargs=dots is not None,
@@ -634,8 +656,8 @@ class _Parser:
         if self.at("extends"):
             self.next()
             bounds = self.separated(self.parse_type, "&")
-        end_span = bounds[-1].span if bounds else self.span(name_tok)
-        return n.TypeParam(span=self.span_between(start, end_span), name=self.lexemes[name_tok], bounds=bounds)
+        span = self.extent_to(start, bounds[-1]) if bounds else self.extent(start, name_tok)
+        return n.TypeParam(span=span, name=self.lexemes[name_tok], bounds=bounds)
 
     def parse_type(self, allow_void: bool = False) -> n.TypeRef:
         self.parse_annotations()
@@ -646,18 +668,18 @@ class _Parser:
 
         if lexeme == "void" and allow_void:
             self.i += 1
-            return n.TypeRef(span=self.span(t), name="void")
+            return n.TypeRef(span=self.extent(t, t), name="void")
         if lexeme in PRIMITIVE_TYPES and kind is TokenKind.KEYWORD:
             self.i += 1
-            ref = n.TypeRef(span=self.span(t), name=lexeme)
+            ref = n.TypeRef(span=self.extent(t, t), name=lexeme)
         elif kind is TokenKind.IDENTIFIER:
             name = self.qualified_name()
-            ref = n.TypeRef(span=self.span_of(t, self.i - 1), name=name)
+            ref = n.TypeRef(span=self.extent(t, self.i - 1), name=name)
             if self.at("<"):
                 self.nest(_TYPE_DEPTH)
                 ref.type_args = self.parse_type_args()
                 self.depth -= _TYPE_DEPTH
-                ref.span = self.span_between(ref.span, self.span(self.i - 1))
+                ref.span = self.extent(t, self.i - 1)
         else:
             raise self.error(f"expected type, found {lexeme!r}")
         return self.array_dims(ref)
@@ -667,7 +689,7 @@ class _Parser:
         while self.at("[") and self.at("]", 1):
             self.i += 2
             ref.array_dims += 1
-            ref.span = self.span_between(ref.span, self.span(self.i - 1))
+            ref.span = (self.line_index, ref._span[1], self.end_of(self.i - 1))
         return ref
 
     def parse_type_args(self) -> list[n.TypeRef]:
@@ -684,12 +706,12 @@ class _Parser:
         self.parse_annotations()
         if not self.at("?"):
             return self.parse_type()
-        start = self.span(self.next())
-        ref = n.TypeRef(span=start, name="?")
+        start = self.next()
+        ref = n.TypeRef(span=self.extent(start, start), name="?")
         if self.at("extends") or self.at("super"):
             ref.bound_kind = self.lexemes[self.next()]
             ref.bound = self.parse_type()
-            ref.span = self.span_between(start, ref.bound.span)
+            ref.span = self.extent_to(start, ref.bound)
         return ref
 
     # ---- statements -------------------------------------------------------------
@@ -702,7 +724,7 @@ class _Parser:
                 raise self.error("unterminated block")
             stmts.append(self.statement())
         close = self.expect("}")
-        return n.Block(span=self.span_of(open_tok, close), statements=stmts)
+        return n.Block(span=self.extent(open_tok, close), statements=stmts)
 
     def statement(self) -> n.Stmt:
         self.nest(_STATEMENT_DEPTH)
@@ -718,7 +740,8 @@ class _Parser:
         if lex == "{":
             return self.block()
         if lex == ";":
-            return n.EmptyStmt(span=self.span(self.next()))
+            tok = self.next()
+            return n.EmptyStmt(span=self.extent(tok, tok))
         if lex == "if":
             return self.if_statement()
         if lex == "while":
@@ -735,23 +758,23 @@ class _Parser:
             tok = self.next()
             value = None if self.at(";") else self.expression()
             end = self.expect(";")
-            return n.ReturnStmt(span=self.span_of(tok, end), value=value)
+            return n.ReturnStmt(span=self.extent(tok, end), value=value)
         if lex == "throw":
             tok = self.next()
             expr = self.expression()
             end = self.expect(";")
-            return n.ThrowStmt(span=self.span_of(tok, end), expr=expr)
+            return n.ThrowStmt(span=self.extent(tok, end), expr=expr)
         if lex in ("break", "continue"):
             tok = self.next()
             label = self.lexemes[self.next()] if self.at_kind(TokenKind.IDENTIFIER) else None
             end = self.expect(";")
             jump = n.BreakStmt if lex == "break" else n.ContinueStmt
-            return jump(span=self.span_of(tok, end), label=label)
+            return jump(span=self.extent(tok, end), label=label)
         if lex == "synchronized":
             tok = self.next()
             lock = self.parenthesized()
             body = self.block()
-            return n.SynchronizedStmt(span=self.span_between(self.span(tok), body.span), lock=lock, body=body)
+            return n.SynchronizedStmt(span=self.extent_to(tok, body), lock=lock, body=body)
         if lex == "assert":
             tok = self.next()
             cond = self.expression()
@@ -760,26 +783,25 @@ class _Parser:
                 self.next()
                 message = self.expression()
             end = self.expect(";")
-            return n.AssertStmt(span=self.span_of(tok, end), cond=cond, message=message)
+            return n.AssertStmt(span=self.extent(tok, end), cond=cond, message=message)
         if self.at_kind(TokenKind.IDENTIFIER) and self.at(":", 1) and not self.at(":", 2):
             label_tok = self.next()
             self.next()  # ':'
             stmt = self.statement()
-            return n.LabeledStmt(span=self.span_between(self.span(label_tok), stmt.span), label=lex, stmt=stmt)
+            return n.LabeledStmt(span=self.extent_to(label_tok, stmt), label=lex, stmt=stmt)
 
-        head = self._attempt(self.local_var_head)
+        head = self._attempt(self.local_var_head) if self._may_start(self.i, _DECLARATION_FOLLOW) else None
         if head is not None:
             decl = self.local_var_declarators(head)
-            end = self.expect(";")
-            decl.span = self.span_between(decl.span, self.span(end))
+            decl.span = (self.line_index, decl._span[1], self.end_of(self.expect(";")))
             return decl
         if lex in ("@", "class", "interface", "enum", "abstract", "final", "static"):  # none can start an expression
             decl = self.type_declaration()
-            return n.LocalTypeDecl(span=decl.span, decl=decl)
+            return n.LocalTypeDecl(span=decl._span, decl=decl)
 
         expr = self.expression()
         end = self.expect(";")
-        return n.ExprStmt(span=self.span_between(expr.span, self.span(end)), expr=expr)
+        return n.ExprStmt(span=(self.line_index, expr._span[1], self.end_of(end)), expr=expr)
 
     def parenthesized(self) -> n.Expr:
         """'(' expression ')', as after if, while, switch and synchronized."""
@@ -804,16 +826,16 @@ class _Parser:
             if not self.at("if"):
                 orelse = self.statement()
                 break
-        end_span = (then if orelse is None else orelse).span
+        last = then if orelse is None else orelse
         for tok, cond, then in reversed(heads):
-            orelse = n.IfStmt(span=self.span_between(self.span(tok), end_span), cond=cond, then=then, orelse=orelse)
+            orelse = n.IfStmt(span=self.extent_to(tok, last), cond=cond, then=then, orelse=orelse)
         return orelse
 
     def while_statement(self) -> n.WhileStmt:
         tok = self.expect("while")
         cond = self.parenthesized()
         body = self.statement()
-        return n.WhileStmt(span=self.span_between(self.span(tok), body.span), cond=cond, body=body)
+        return n.WhileStmt(span=self.extent_to(tok, body), cond=cond, body=body)
 
     def do_statement(self) -> n.DoWhileStmt:
         tok = self.expect("do")
@@ -821,13 +843,13 @@ class _Parser:
         self.expect("while")
         cond = self.parenthesized()
         end = self.expect(";")
-        return n.DoWhileStmt(span=self.span_of(tok, end), body=body, cond=cond)
+        return n.DoWhileStmt(span=self.extent(tok, end), body=body, cond=cond)
 
     def for_statement(self) -> n.Stmt:
         tok = self.expect("for")
         self.expect("(")
 
-        head = self._attempt(self.local_var_head)
+        head = self._attempt(self.local_var_head) if self._may_start(self.i, _DECLARATION_FOLLOW) else None
         if head is not None and self.at(":"):
             decl, name_tok = head
             self.next()
@@ -835,11 +857,11 @@ class _Parser:
             self.expect(")")
             body = self.statement()
             return n.ForEachStmt(
-                span=self.span_between(self.span(tok), body.span),
+                span=self.extent_to(tok, body),
                 var_modifiers=decl.modifiers,
                 var_type=decl.type,
                 var_name=self.lexemes[name_tok],
-                var_name_span=self.span(name_tok),
+                var_name_span=self.extent(name_tok, name_tok),
                 iterable=iterable,
                 body=body,
             )
@@ -847,7 +869,7 @@ class _Parser:
         if head is not None:
             init: list[n.Stmt] = [self.local_var_declarators(head)]
         else:
-            init = [n.ExprStmt(span=e.span, expr=e) for e in self.separated(self.expression, close=";")]
+            init = [n.ExprStmt(span=e._span, expr=e) for e in self.separated(self.expression, close=";")]
         self.expect(";")
 
         cond = None
@@ -858,7 +880,7 @@ class _Parser:
         update = self.separated(self.expression, close=")")
         self.expect(")")
         body = self.statement()
-        return n.ForStmt(span=self.span_between(self.span(tok), body.span), init=init, cond=cond, update=update, body=body)
+        return n.ForStmt(span=self.extent_to(tok, body), init=init, cond=cond, update=update, body=body)
 
     def local_var_head(self) -> tuple[n.LocalVarDecl, int]:
         """Annotations and 'final', a type, then the first variable's name.
@@ -869,13 +891,13 @@ class _Parser:
         mods, anns = self.parse_modifiers(_FINAL)
         var_type = self.parse_type()
         name_tok = self.expect_ident()
-        decl = n.LocalVarDecl(span=self.span(first), modifiers=mods, annotations=anns, type=var_type, declarators=[])
+        decl = n.LocalVarDecl(span=self.extent(first, first), modifiers=mods, annotations=anns, type=var_type, declarators=[])
         return decl, name_tok
 
     def local_var_declarators(self, head: tuple[n.LocalVarDecl, int]) -> n.LocalVarDecl:
         decl, name_tok = head
         decl.declarators = self.var_declarators(name_tok)
-        decl.span = self.span_between(decl.span, decl.declarators[-1].span)
+        decl.span = (self.line_index, decl._span[1], decl.declarators[-1]._span[2])
         return decl
 
     def switch_statement(self) -> n.SwitchStmt:
@@ -887,7 +909,7 @@ class _Parser:
             if self.lexemes[self.i] is None:
                 raise self.error("unterminated switch")
             labels: list[n.Expr | None] = []
-            label_start = self.span(self.i)
+            label_start = self.i
             while self.at("case") or self.at("default"):
                 if self.at("case"):
                     self.next()
@@ -901,10 +923,10 @@ class _Parser:
             stmts: list[n.Stmt] = []
             while not (self.at("case") or self.at("default") or self.at("}")):
                 stmts.append(self.statement())
-            end_span = stmts[-1].span if stmts else label_start
-            arms.append(n.SwitchArm(span=self.span_between(label_start, end_span), labels=labels, statements=stmts))
+            span = self.extent_to(label_start, stmts[-1]) if stmts else self.extent(label_start, label_start)
+            arms.append(n.SwitchArm(span=span, labels=labels, statements=stmts))
         close = self.expect("}")
-        return n.SwitchStmt(span=self.span_of(tok, close), selector=selector, arms=arms)
+        return n.SwitchStmt(span=self.extent(tok, close), selector=selector, arms=arms)
 
     def try_statement(self) -> n.TryStmt:
         tok = self.expect("try")
@@ -915,7 +937,7 @@ class _Parser:
             self.expect(")")
         body = self.block()
         catches: list[n.CatchClause] = []
-        end_span = body.span
+        last = body
         while self.at("catch"):
             c_tok = self.next()
             self.expect("(")
@@ -926,24 +948,23 @@ class _Parser:
             c_body = self.block()
             catches.append(
                 n.CatchClause(
-                    span=self.span_between(self.span(c_tok), c_body.span),
+                    span=self.extent_to(c_tok, c_body),
                     types=types,
                     name=self.lexemes[name_tok],
-                    name_span=self.span(name_tok),
+                    name_span=self.extent(name_tok, name_tok),
                     modifiers=mods,
                     body=c_body,
                 )
             )
-            end_span = c_body.span
+            last = c_body
         finally_block = None
         if self.at("finally"):
             self.next()
-            finally_block = self.block()
-            end_span = finally_block.span
+            finally_block = last = self.block()
         if not catches and finally_block is None and not resources:
             raise self.error("try statement requires catch, finally, or resources")
         return n.TryStmt(
-            span=self.span_between(self.span(tok), end_span),
+            span=self.extent_to(tok, last),
             resources=resources,
             body=body,
             catches=catches,
@@ -959,7 +980,7 @@ class _Parser:
         if self.at(","):
             raise self.error("try resource declares more than one variable")
         decl.declarators = [declarator]
-        decl.span = self.span_between(decl.span, declarator.span)
+        decl.span = (self.line_index, decl._span[1], declarator._span[2])
         return decl
 
     # ---- expressions ---------------------------------------------------------
@@ -989,10 +1010,10 @@ class _Parser:
             op = lexemes[self.i]
             self.i += 1
             value = self.expression()
-            expr = n.Assign(span=self.span_between(expr.span, value.span), target=expr, op=op, value=value)
+            expr = n.Assign(span=(self.line_index, expr._span[1], value._span[2]), target=expr, op=op, value=value)
         while heads:
             cond, if_true = heads.pop()
-            expr = n.Ternary(span=self.span_between(cond.span, expr.span), cond=cond, if_true=if_true, if_false=expr)
+            expr = n.Ternary(span=(self.line_index, cond._span[1], expr._span[2]), cond=cond, if_true=if_true, if_false=expr)
         return expr
 
     def binary(self, min_power: int = 0) -> n.Expr:
@@ -1019,13 +1040,13 @@ class _Parser:
                 ty = self.parse_type()
                 if ty.name in PRIMITIVE_TYPES and not ty.array_dims:  # JLS 15.20.2
                     raise _ParseError(f"instanceof needs a reference type, found {ty.name!r}", ty.span)
-                left = n.InstanceOf(span=self.span_between(left.span, ty.span), expr=left, type=ty)
+                left = n.InstanceOf(span=(self.line_index, left._span[1], ty._span[2]), expr=left, type=ty)
                 continue
             # '<' here may open type arguments of a method call like
             # Collections.<String>emptyList(); the subset does not support
             # that form, and plain '<' comparison is far more common.
             right = self.binary(power + 1)
-            left = n.Binary(span=self.span_between(left.span, right.span), op=lex, left=left, right=right)
+            left = n.Binary(span=(self.line_index, left._span[1], right._span[2]), op=lex, left=left, right=right)
 
     def unary(self) -> n.Expr:
         lex = self.lexemes[self.i]
@@ -1036,13 +1057,13 @@ class _Parser:
             if lex == "-":
                 self.negated = self.i
             operand = self.unary()
-            return n.Unary(span=self.span_between(self.span(op_tok), operand.span), op=lex, operand=operand, prefix=True)
-        if lex == "(":
+            return n.Unary(span=self.extent_to(op_tok, operand), op=lex, operand=operand, prefix=True)
+        if lex == "(" and self._may_start(self.i + 1, _CAST_FOLLOW):
             head = self._attempt(self._cast_head)
             if head is not None:
                 open_tok, ctype = head
                 expr = self.unary()
-                return n.Cast(span=self.span_between(self.span(open_tok), expr.span), type=ctype, expr=expr)
+                return n.Cast(span=self.extent_to(open_tok, expr), type=ctype, expr=expr)
         return self.postfix()
 
     def _cast_head(self) -> tuple[int, n.TypeRef]:
@@ -1075,60 +1096,65 @@ class _Parser:
             if (lex == "." and self.at("class", 1)) or (lex == "[" and self.at("]", 1)):
                 name = _dotted_name(expr)
                 if name is not None:  # a type: String.class, Foo[]::new, java.lang.String[].class
-                    expr = self._type_literal(n.TypeRef(span=expr.span, name=name), "type")
+                    expr = self._type_literal(n.TypeRef(span=expr._span, name=name), "type")
                     continue
             if lex == ".":
                 nxt = lexemes[self.i + 1]
                 if nxt == "new":
                     self.i += 2
-                    expr = self._object_creation(expr.span)
+                    expr = self._object_creation(expr._span[1])
                     continue
                 if nxt in ("this", "super"):
                     self.i += 2
-                    end = self.span(self.i - 1)
-                    expr = n.FieldAccess(span=self.span_between(expr.span, end), receiver=expr, name=nxt)
+                    span = (self.line_index, expr._span[1], self.end_of(self.i - 1))
+                    expr = n.FieldAccess(span=span, receiver=expr, name=nxt)
                     continue
                 self.i += 1
                 name_tok = self.expect_ident()
                 if self.at("("):
                     expr = self._method_call(expr, name_tok, *self._call_args())
                 else:
-                    end = self.span(name_tok)
-                    expr = n.FieldAccess(span=self.span_between(expr.span, end), receiver=expr, name=lexemes[name_tok])
+                    span = (self.line_index, expr._span[1], self.end_of(name_tok))
+                    expr = n.FieldAccess(span=span, receiver=expr, name=lexemes[name_tok])
                 continue
             if lex == "[":
                 self.i += 1
                 index = self.expression()
                 end = self.expect("]")
-                expr = n.ArrayAccess(span=self.span_between(expr.span, self.span(end)), array=expr, index=index)
+                expr = n.ArrayAccess(span=(self.line_index, expr._span[1], self.end_of(end)), array=expr, index=index)
                 continue
             if lex == "::":
                 expr = self._method_ref(expr)
                 continue
             if lex in ("++", "--"):
                 op_tok = self.next()
-                expr = n.Unary(span=self.span_between(expr.span, self.span(op_tok)), op=lex, operand=expr, prefix=False)
+                span = (self.line_index, expr._span[1], self.end_of(op_tok))
+                expr = n.Unary(span=span, op=lex, operand=expr, prefix=False)
                 continue
             return expr
         return expr
 
-    def _method_call(self, receiver: n.Expr | None, name_tok: int, args: list[n.Expr], end: Span) -> n.MethodCall:
+    def _method_call(self, receiver: n.Expr | None, name_tok: int, args: list[n.Expr], close: int) -> n.MethodCall:
         """The call of token ``name_tok`` (a method name, 'this' or 'super')
         on ``receiver`` or on none, with the arguments that _call_args read.
         The caller reads them, so a call nests as many frames as _CALL_DEPTH counts."""
-        name_span = self.span(name_tok)
-        start = name_span if receiver is None else receiver.span
+        name_span = self.extent(name_tok, name_tok)
+        start = name_span[1] if receiver is None else receiver._span[1]
         return n.MethodCall(
-            span=self.span_between(start, end), receiver=receiver, name=self.lexemes[name_tok], name_span=name_span, args=args
+            span=(self.line_index, start, self.end_of(close)),
+            receiver=receiver,
+            name=self.lexemes[name_tok],
+            name_span=name_span,
+            args=args,
         )
 
-    def _call_args(self) -> tuple[list[n.Expr], Span]:
+    def _call_args(self) -> tuple[list[n.Expr], int]:
+        """The arguments in parentheses, and the closing one."""
         self.expect("(")
         self.nest(_CALL_DEPTH)
         args = self.separated(self.expression, close=")")
         self.depth -= _CALL_DEPTH
-        end = self.expect(")")
-        return args, self.span(end)
+        return args, self.expect(")")
 
     def primary(self) -> n.Expr:
         t = self.i
@@ -1140,41 +1166,41 @@ class _Parser:
         if kind is TokenKind.IDENTIFIER and self.at("->", 1):
             param = self._inferred_param()
             self.next()
-            return self._finish_lambda(self.span(t), [param])
+            return self._finish_lambda(t, [param])
         if lex == "(":
-            head = self._attempt(self._lambda_head)
+            head = self._attempt(self._lambda_head) if self._may_start(t + 1, _LAMBDA_FOLLOW) else None
             if head is not None:
                 open_tok, params = head
-                return self._finish_lambda(self.span(open_tok), params)
+                return self._finish_lambda(open_tok, params)
             open_tok = self.next()
             inner = self.expression()
             close = self.expect(")")
-            return n.Paren(span=self.span_of(open_tok, close), expr=inner)
+            return n.Paren(span=self.extent(open_tok, close), expr=inner)
 
         if kind in _LITERAL_KINDS:
             radix, suffix = radix_and_suffix(lex) if kind is TokenKind.NUMBER else (None, None)
             if kind in _CHECKED_LITERAL_KINDS:
                 self.check_literal(t, radix, suffix)
             self.i += 1
-            return n.Literal(span=self.span(t), kind=kind, lexeme=lex, radix=radix, suffix=suffix)
+            return n.Literal(span=self.extent(t, t), kind=kind, lexeme=lex, radix=radix, suffix=suffix)
 
         if kind is TokenKind.IDENTIFIER or lex == "this" or lex == "super":
             self.i += 1
             if self.at("("):
                 return self._method_call(None, t, *self._call_args())
             if lex == "this":
-                return n.ThisExpr(span=self.span(t))
+                return n.ThisExpr(span=self.extent(t, t))
             if lex == "super":
-                return n.SuperExpr(span=self.span(t))
-            return n.Name(span=self.span(t), identifier=lex)
+                return n.SuperExpr(span=self.extent(t, t))
+            return n.Name(span=self.extent(t, t), identifier=lex)
 
         if lex == "new":
             self.i += 1
-            return self._object_creation(self.span(t))
+            return self._object_creation(self.offsets[t])
 
         if kind is TokenKind.KEYWORD and lex in PRIMITIVE_TYPES or lex == "void":
             self.i += 1
-            return self._type_literal(n.TypeRef(span=self.span(t), name=lex), "type keyword")
+            return self._type_literal(n.TypeRef(span=self.extent(t, t), name=lex), "type keyword")
 
         raise self.error(f"unexpected token {lex!r} in expression")
 
@@ -1188,14 +1214,14 @@ class _Parser:
             return self._method_ref(ref)
         if self.at(".") and self.at("class", 1):
             self.i += 2
-            return n.ClassLiteral(span=self.span_between(ref.span, self.span(self.i - 1)), type=ref)
+            return n.ClassLiteral(span=(self.line_index, ref._span[1], self.end_of(self.i - 1)), type=ref)
         raise self.error(f"unexpected {what} {ref.name!r} in expression")
 
     def _method_ref(self, receiver: n.Expr | n.TypeRef) -> n.MethodRef:
         """'::' and a method name or 'new' after the receiver."""
         self.expect("::")
         end = self.next() if self.at("new") else self.expect_ident()
-        return n.MethodRef(span=self.span_between(receiver.span, self.span(end)), receiver=receiver, name=self.lexemes[end])
+        return n.MethodRef(span=(self.line_index, receiver._span[1], self.end_of(end)), receiver=receiver, name=self.lexemes[end])
 
     def _lambda_head(self) -> tuple[int, list[n.Param]]:
         """'(' parameters ')' '->'."""
@@ -1213,7 +1239,7 @@ class _Parser:
         """A bare name, perhaps with modifiers."""
         mods, _ = self.parse_modifiers(_FINAL)  # an inferred parameter's annotations are not kept
         name_tok = self.expect_ident()
-        name_span = self.span(name_tok)
+        name_span = self.extent(name_tok, name_tok)
         return n.Param(
             span=name_span,
             type=n.TypeRef(span=name_span, name=""),
@@ -1222,17 +1248,18 @@ class _Parser:
             modifiers=mods,
         )
 
-    def _finish_lambda(self, start: Span, params: list[n.Param]) -> n.Lambda:
+    def _finish_lambda(self, first: int, params: list[n.Param]) -> n.Lambda:
         if self.at("{"):
             body: n.Expr | n.Block = self.block()
         else:
             self.nest(_LAMBDA_DEPTH)
             body = self.expression()
             self.depth -= _LAMBDA_DEPTH
-        return n.Lambda(span=self.span_between(start, body.span), params=params, body=body)
+        return n.Lambda(span=self.extent_to(first, body), params=params, body=body)
 
-    def _object_creation(self, start: Span) -> n.Expr:
-        """What follows 'new'; a qualified creation (outer.new Inner()) keeps only the inner type."""
+    def _object_creation(self, start: int) -> n.Expr:
+        """What follows 'new', where the creation starts at text offset
+        ``start``; a qualified creation (outer.new Inner()) keeps only the inner type."""
         ctype = self.parse_type()
         if ctype.array_dims or self.at("["):
             # parse_type consumes empty bracket pairs, so new int[]{...}
@@ -1241,39 +1268,39 @@ class _Parser:
             # an initializer.
             dim_exprs: list[n.Expr] = []
             extra_dims = ctype.array_dims
-            end_span = ctype.span
+            end = ctype._span[2]
             while self.at("["):
                 self.next()
                 if self.at("]"):
-                    end_span = self.span(self.next())
+                    end = self.end_of(self.next())
                     extra_dims += 1
                 elif extra_dims:
                     raise self.error("array dimension expression after '[]'")
                 else:
                     dim_exprs.append(self.expression())
-                    end_span = self.span(self.expect("]"))
+                    end = self.end_of(self.expect("]"))
             initializer = None
             if self.at("{"):
                 if dim_exprs:
                     raise self.error("array creation with dimension expressions takes no initializer")
                 initializer = self.array_initializer()
-                end_span = initializer.span
+                end = initializer._span[2]
             elif not dim_exprs:
                 raise self.error("array creation needs a dimension expression or an initializer")
             return n.NewArray(
-                span=self.span_between(start, end_span),
+                span=(self.line_index, start, end),
                 type=ctype,
                 dim_exprs=dim_exprs,
                 extra_dims=extra_dims,
                 initializer=initializer,
             )
-        args, end_span = self._call_args()
+        args, close = self._call_args()
         anon_body = None
         if self.at("{"):
             self.next()
             anon_body = self.parse_members("")
-            end_span = self.span(self.expect("}"))
-        return n.NewObject(span=self.span_between(start, end_span), type=ctype, args=args, anon_body=anon_body)
+            close = self.expect("}")
+        return n.NewObject(span=(self.line_index, start, self.end_of(close)), type=ctype, args=args, anon_body=anon_body)
 
     def variable_initializer(self) -> n.Expr:
         """What a variable or array element is initialized with: an array initializer or an expression."""
@@ -1283,7 +1310,7 @@ class _Parser:
         open_tok = self.expect("{")
         values = self.separated(self.variable_initializer, close="}", trailing=("}",))
         close = self.expect("}")
-        return n.ArrayInitializer(span=self.span_of(open_tok, close), values=values)
+        return n.ArrayInitializer(span=self.extent(open_tok, close), values=values)
 
 
 # (largest decimal, largest hex, octal or binary) literal of int and of long:

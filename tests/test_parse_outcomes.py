@@ -29,7 +29,8 @@ import threading
 from collections import defaultdict
 from pathlib import Path
 
-from smellscore.java_syntax import SourceFile, TokenKind, TokenTable, parse_text, tokenize
+from smellscore.java_syntax import SourceFile, TokenKind, TokenTable, parse, parse_text, tokenize
+from smellscore.java_syntax.parser import _Parser
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "data" / "parse_outcomes.txt"
@@ -42,6 +43,10 @@ BINARY_OPS = ("||", "&&", "|", "^", "&", "==", "!=", "<", ">", "<=", ">=", "<<",
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=")
 TYPES = ("int", "long", "String", "Object", "int[]", "List<String>", "java.util.Map<K, V>", "Integer", "boolean")
 ATOMS = ("a", "b", "c", "x.y", "f()", "g(a, b)", "arr[i]", "1", "0x1F", "2.5", "'c'", '"s"', "true", "null", "this", "i++")
+# Sources at the edge of _Parser._may_start, the lookahead before a
+# speculative local variable, cast or lambda head.
+LOOKAHEAD_STATEMENTS = ("a.b c;", "a.b(c);", "a.b<C> d;", "a[] b;", "a[0] = b;", "a.b = c;")
+LOOKAHEAD_EXPRESSIONS = ("(a) b", "(a.b) -c", "(a) -> a", "(a, b) -> a", "(String... s) -> s", "(int) x")
 # Extra lexemes a mutation may insert or substitute, beside those of the sources.
 VOCABULARY = BINARY_OPS + ASSIGN_OPS + (
     "instanceof", "?", ":", "(", ")", "[", "]", "{", "}", ";", ",", ".", "->", "::", "@", "...", "!", "~",
@@ -148,12 +153,14 @@ def outcome(text: str) -> str:
     return f"fail {span.start_line}:{span.start_col}-{span.end_line}:{span.end_col} {result.failure.message}"
 
 
-def outcomes() -> dict[str, str]:
-    """The outcome of every case, computed on a new thread: Python's recursion
-    limit counts the caller's frames too, and a thread starts with none, so
-    where "nesting too deep" strikes does not depend on who asks."""
+def outcomes(inputs: list[tuple[str, str]] | None = None) -> dict[str, str]:
+    """The outcome of every case, or of each (id, text) input, computed on a
+    new thread: Python's recursion limit counts the caller's frames too, and a
+    thread starts with none, so where "nesting too deep" strikes does not
+    depend on who asks."""
+    inputs = cases() if inputs is None else inputs
     result: dict[str, str] = {}
-    worker = threading.Thread(target=lambda: result.update((i, outcome(text)) for i, text in cases()))
+    worker = threading.Thread(target=lambda: result.update((i, outcome(text)) for i, text in inputs))
     worker.start()
     worker.join()
     return result
@@ -197,6 +204,39 @@ def test_parse_outcomes_match_the_golden_file():
     moved = changes(old, new)
     detail = {cls: [(i, old.get(i), new.get(i)) for i in ids[:3]] for cls, ids in moved.items()}
     assert not moved, f"parse outcomes changed; review and regenerate with this module's command: {detail}"
+
+
+def _count_errors(monkeypatch) -> list[str]:
+    """The messages of the parse errors _Parser.error makes from now on."""
+    made: list[str] = []
+    error = _Parser.error
+    monkeypatch.setattr(_Parser, "error", lambda self, message, *kind: made.append(message) or error(self, message, *kind))
+    return made
+
+
+def test_the_lookahead_skips_only_heads_that_would_fail(monkeypatch):
+    """With _Parser._may_start always allowing the speculative head, every
+    input parses to the same tree or fails with the same message and span."""
+    inputs = cases()
+    inputs += [(str(path), path.read_text(encoding="utf-8")) for path in sorted(TESTS.rglob("*.java"))]
+    inputs += [(stmt, f"class G {{\n    void m() {{\n        {stmt}\n    }}\n}}\n") for stmt in LOOKAHEAD_STATEMENTS]
+    inputs += [(expr, _method(expr)) for expr in LOOKAHEAD_EXPRESSIONS]
+    errors = _count_errors(monkeypatch)
+    skipping = outcomes(inputs)
+    skipping_errors = len(errors)
+    monkeypatch.setattr(_Parser, "_may_start", lambda self, j, follow: True)
+    assert outcomes(inputs) == skipping
+    assert len(errors) - skipping_errors > skipping_errors  # the lookahead skipped heads that would fail
+
+
+def test_the_mini_corpus_makes_one_parse_error(monkeypatch):
+    """Its one failing source is the only parse error: no speculative head fails."""
+    errors = _count_errors(monkeypatch)
+    failed = []
+    for path in sorted((TESTS / "data" / "mini_corpus").rglob("*.java")):
+        if not parse(SourceFile.read(path, path.name)).ok:
+            failed.append(f"{path.parent.name}/{path.name}")
+    assert (failed, errors) == (["m2/T09.java"], ["expected ')', found '{'"])
 
 
 if __name__ == "__main__":
