@@ -152,7 +152,11 @@ def _pluck(doc: Any, path: str) -> str:
     current = doc
     for seg in path.split("."):
         if isinstance(current, list):
-            current = current[int(seg)]
+            try:
+                index = int(seg)
+            except ValueError:  # a list holds no key that is not a number
+                raise KeyError(path) from None
+            current = current[index]
         else:
             current = current[seg]
     if not isinstance(current, str):
@@ -186,24 +190,23 @@ def generate_solution(
             headers["Authorization"] = f"Bearer {key}"
     payload = json.dumps(_render_template(config.request_template, request.model_id, request.prompt)).encode("utf-8")
 
-    failure = STATUS_TRANSPORT_ERROR
-    raw = ""
+    def failed(status: str, raw: str = "") -> GenerationRecord:
+        return GenerationRecord(
+            task_id=request.task_id, model_id=request.model_id, raw_response=raw, extracted_code=None, status=status
+        )
+
     for attempt in range(request.max_retries + 1):
         try:
             raw = transport(request.endpoint, payload, headers, request.timeout)
             break
+        except UnicodeDecodeError:  # a reply that is not UTF-8 text: asking again gets the same bytes
+            return failed(STATUS_TRANSPORT_ERROR)
         except (socket.timeout, TimeoutError):
             failure = STATUS_TIMEOUT
         except (urllib.error.URLError, ConnectionError, OSError):
             failure = STATUS_TRANSPORT_ERROR
         if attempt == request.max_retries:
-            return GenerationRecord(
-                task_id=request.task_id,
-                model_id=request.model_id,
-                raw_response="",
-                extracted_code=None,
-                status=failure,
-            )
+            return failed(failure)
     else:  # pragma: no cover - loop always breaks or returns
         raise AssertionError
 
@@ -211,13 +214,7 @@ def generate_solution(
         doc = json.loads(raw)
         text = _pluck(doc, config.response_path)
     except (json.JSONDecodeError, RecursionError, KeyError, IndexError, TypeError):
-        return GenerationRecord(
-            task_id=request.task_id,
-            model_id=request.model_id,
-            raw_response=raw,
-            extracted_code=None,
-            status=STATUS_TRANSPORT_ERROR,
-        )
+        return failed(STATUS_TRANSPORT_ERROR, raw)
 
     code = extract_code(text)
     return GenerationRecord(

@@ -97,7 +97,7 @@ class TestEndpointConfig:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    responses: list[str] = []
+    responses: list[str | bytes] = []  # a reply text, or bytes sent as the whole body
     requests_seen: list[dict] = []
 
     def do_POST(self):
@@ -105,7 +105,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         _StubHandler.requests_seen.append(body)
         text = _StubHandler.responses[min(len(_StubHandler.requests_seen), len(_StubHandler.responses)) - 1]
-        payload = json.dumps({"text": text}).encode("utf-8")
+        payload = text if isinstance(text, bytes) else json.dumps({"text": text}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -183,6 +183,22 @@ class TestGenerateSolution:
         )
         assert record.status == STATUS_TRANSPORT_ERROR
 
+    def test_a_list_segment_that_is_no_number_is_a_transport_error(self):
+        reply = json.dumps({"choices": [{"text": "```java\nclass C {}\n```"}]})
+        record = generate_solution(
+            GenerationRequest("T1", "p", "m1", "http://127.0.0.1:1", timeout=5),
+            EndpointConfig(url="http://127.0.0.1:1", response_path="choices.first.text"),
+            transport=lambda *args: reply,
+        )
+        assert (record.status, record.raw_response, record.extracted_code) == (STATUS_TRANSPORT_ERROR, reply, None)
+
+    def test_a_reply_that_is_not_utf8_is_a_transport_error_without_retries(self, stub_server):
+        url, handler = stub_server
+        handler.responses = [b'{"text": "class \xff {}"}']
+        record = generate_solution(GenerationRequest("T1", "p", "m1", url, timeout=5, max_retries=2), EndpointConfig(url=url))
+        assert (record.status, record.raw_response, record.extracted_code) == (STATUS_TRANSPORT_ERROR, "", None)
+        assert len(handler.requests_seen) == 1
+
 
 class TestGenerationBatch:
     def test_batch_writes_files_manifest_and_log(self, tmp_path, stub_server):
@@ -201,6 +217,16 @@ class TestGenerationBatch:
         log_lines = (tmp_path / "generation.log.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(log_lines) == 2
         assert json.loads(log_lines[0])["status"] == STATUS_OK
+
+    def test_a_reply_that_is_not_utf8_ends_its_task_not_the_batch(self, tmp_path, stub_server):
+        url, handler = stub_server
+        handler.responses = [b"\xff\xfe", "```java\nclass Gen {\n}\n```"]
+        write_manifest(tmp_path, [make_task(tmp_path, "T1", models=()), make_task(tmp_path, "T2", models=())])
+        records = run_generation_batch(tmp_path, "m9", EndpointConfig(url=url), timeout=5)
+        assert [(r.task_id, r.status) for r in records] == [("T1", STATUS_TRANSPORT_ERROR), ("T2", STATUS_OK)]
+        assert sorted(p.name for p in (tmp_path / "solutions" / "m9").iterdir()) == ["T2.java"]
+        log = [json.loads(line) for line in (tmp_path / "generation.log.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [entry["status"] for entry in log] == [STATUS_TRANSPORT_ERROR, STATUS_OK]
 
     @pytest.mark.parametrize("model_id", ["", "../../x", "a/b", "a\\b", ".."])
     def test_model_id_that_leaves_solutions_is_refused(self, tmp_path, model_id):
