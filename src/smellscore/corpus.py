@@ -91,9 +91,14 @@ def require_plain_name(what: str, name: str) -> str:
     empty or holds '/', '\\', '..' or a control character raises ValueError."""
     if not name or "/" in name or "\\" in name or ".." in name:
         raise ValueError(f"{what} must be a plain name without '/', '\\' or '..': {name!r}")
-    if any(ch < " " or ch == "\x7f" for ch in name):  # U+0000 to U+001F, and DEL
+    if _has_control_character(name):
         raise ValueError(f"{what} must be a plain name without control characters: {name!r}")
     return name
+
+
+def _has_control_character(text: str) -> bool:
+    """Whether ``text`` holds U+0000 to U+001F or DEL, which no name or label may hold."""
+    return any(ch < " " or ch == "\x7f" for ch in text)
 
 
 def load_manifest(path: str | Path) -> Corpus:
@@ -143,6 +148,8 @@ def _parse_task(raw: dict[str, Any], root: Path) -> CodingTask:
         raise ManifestSyntaxError(f"task {task_id}: source must be one of {VALID_SOURCES}, got {raw['source']!r}")
     if not raw["topic"]:
         raise ManifestSyntaxError(f"task {task_id}: topic must be non-empty")
+    if _has_control_character(raw["topic"]):  # a topic labels a row of the heat-map CSVs
+        raise ManifestSyntaxError(f"task {task_id}: topic must hold no control characters: {raw['topic']!r}")
 
     word_count = len(raw["description"].split())
     input_length = raw.get("input_length", word_count)

@@ -163,6 +163,21 @@ class TestOutputIds:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
+    @pytest.mark.parametrize("topic", ["loops\u0000x", "a\nb", "tab\there", "del\u007f"],
+                             ids=["nul", "line-feed", "tab", "del"])
+    def test_topic_with_a_control_character_is_config_error(self, tmp_path, capsys, topic):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI, corpus)
+        doc = json.loads((corpus / "corpus.json").read_text(encoding="utf-8"))
+        doc["tasks"][1]["topic"] = topic
+        (corpus / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o" / "out"
+        assert run(["run", "--corpus", str(corpus), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        task_id = doc["tasks"][1]["task_id"]
+        assert err == f"config error: task {task_id}: topic must hold no control characters: {topic!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
     @pytest.mark.parametrize("argv", [
         ["import-reports", "--format", "checkstyle_xml", "--in", str(EXTERNAL / "sample_checkstyle.xml"),
          "--subject", "T\u00009:x"],
