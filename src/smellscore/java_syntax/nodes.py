@@ -2,8 +2,8 @@
 
 Every node carries a Span, built when first read.  Member lists on type
 declarations preserve source order; convenience accessors partition them by
-kind.  Comments are kept on the
-compilation unit and attached to declarations they immediately precede.
+kind.  Comments are kept on the compilation unit and attached to
+declarations they immediately precede.
 """
 
 from __future__ import annotations
