@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -82,6 +83,20 @@ class RunConfig:
                 if label in seen:
                     raise ConfigError(f"repeated {what} {label!r}")
                 seen.add(label)
+
+    @cached_property
+    def corpus(self) -> Corpus:
+        """The config's corpus, which must hold every model that the config's
+        subjects and correctness scenarios name.  It is loaded on first read
+        and kept, so the stages of one run share one load."""
+        corpus = load_manifest(self.corpus_path)
+        for subject in self.subjects:
+            if subject != BASELINE and subject not in corpus.models:
+                raise ConfigError(f"subject {subject!r} is neither {BASELINE!r} nor a model of the corpus")
+        for scenario in self.scenarios:
+            if scenario.model_id is not None and scenario.model_id not in corpus.models:
+                raise ConfigError(f"correctness model {scenario.model_id!r} is not a model of the corpus")
+        return corpus
 
     def rules(self) -> list[SmellRule]:
         out = []
@@ -155,21 +170,8 @@ class RunSummary:
 # Pipeline stages
 # --------------------------------------------------------------------------
 
-def _load_selected_corpus(config: RunConfig) -> Corpus:
-    """The config's corpus, which must hold every model that the config's
-    subjects and correctness scenarios name."""
-    corpus = load_manifest(config.corpus_path)
-    for subject in config.subjects:
-        if subject != BASELINE and subject not in corpus.models:
-            raise ConfigError(f"subject {subject!r} is neither {BASELINE!r} nor a model of the corpus")
-    for scenario in config.scenarios:
-        if scenario.model_id is not None and scenario.model_id not in corpus.models:
-            raise ConfigError(f"correctness model {scenario.model_id!r} is not a model of the corpus")
-    return corpus
-
-
 def run_analyze(config: RunConfig, summary: RunSummary) -> dict[str, dict[str, ViolationReport]]:
-    corpus = _load_selected_corpus(config)
+    corpus = config.corpus
     subjects = config.subjects or [BASELINE, *sorted(corpus.models)]
     reports = detect_corpus(corpus, subjects, rules=config.rules(), jobs=config.parallelism)
     summary.files_changed += write_report_store(reports, config.out_dir)
@@ -182,7 +184,7 @@ def run_analyze(config: RunConfig, summary: RunSummary) -> dict[str, dict[str, V
 
 
 def run_score(config: RunConfig, summary: RunSummary, reports=None) -> list[ScoreCard]:
-    corpus = _load_selected_corpus(config)
+    corpus = config.corpus
     if reports is None:
         reports = load_report_store(config.out_dir)
         if not reports:
@@ -297,15 +299,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A control character (line breaks included) or a lone surrogate, which a
+# message may carry from a path or a document's text.  A pattern, not a
+# compiled one: compiling it takes most of a millisecond, which only a
+# failing run should pay.
+_UNPRINTABLE = "[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]"
+
+
+def _one_line(message: str) -> str:
+    """``message`` with each control character or lone surrogate escaped, so
+    that it prints as one line on any stream."""
+    return re.sub(_UNPRINTABLE, lambda m: m.group().encode("unicode_escape").decode("ascii"), message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ConfigError, DocumentError, ManifestSyntaxError, DuplicateTaskError, MissingFileError) as e:
-        print(f"config error: {e}", file=sys.stderr)
+        print(f"config error: {_one_line(str(e))}", file=sys.stderr)
         return 1
     except (IoError, OSError) as e:
-        print(f"i/o error: {e}", file=sys.stderr)
+        print(f"i/o error: {_one_line(str(e))}", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ analysis workers.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -96,9 +97,8 @@ def require_plain_name(what: str, name: str) -> str:
     return name
 
 
-def _has_control_character(text: str) -> bool:
-    """Whether ``text`` holds U+0000 to U+001F or DEL, which no name or label may hold."""
-    return any(ch < " " or ch == "\x7f" for ch in text)
+# A match when a text holds U+0000 to U+001F or DEL, which no name or label may hold.
+_has_control_character = re.compile("[\x00-\x1f\x7f]").search
 
 
 def load_manifest(path: str | Path) -> Corpus:

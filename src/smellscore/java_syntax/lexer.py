@@ -208,10 +208,12 @@ _TOKEN_RULES = (
     ("open_string", '"'),
     ("CHAR", r"'(?:[^'\\\r\n]|\\[\s\S])*'"),
     ("open_char", "'"),
-    # Hex, binary, or decimal with optional fraction and exponent; the suffix
-    # after a binary literal is taken even though only l/L is legal Java (the
-    # parser rejects the others).
-    ("NUMBER", r"0[xX][0-9a-fA-F_]*[lL]?|0[bB][01_]*[lLfFdD]?"
+    # Hex floating point (a binary exponent p is required), hex, binary, or
+    # decimal with optional fraction and exponent; the suffix after a binary
+    # literal is taken even though only l/L is legal Java (the parser rejects
+    # the others).
+    ("NUMBER", r"0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?[pP][+-]?[0-9][0-9_]*[fFdD]?"
+               r"|0[xX][0-9a-fA-F_]*[lL]?|0[bB][01_]*[lLfFdD]?"
                r"|(?:\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)(?:[eE][+-]?\d+)?[lLfFdD]?"),
     ("word", r"[\w$]+"),
     ("OPERATOR", "|".join(map(re.escape, OPERATORS))),
@@ -311,11 +313,15 @@ def extent_span(extent: tuple[list[int], int, int]) -> Span:
 def radix_and_suffix(lexeme: str) -> tuple[int, str | None]:
     """Radix and type suffix of a NUMBER lexeme.  An f/F/d/D suffix makes any
     literal but a hex one a radix-10 float, so ``0b1f`` has radix 10; ``0``
-    followed only by octal digits and underscores is octal, ``0_`` included."""
+    followed only by octal digits and underscores is octal, ``0_`` included.
+    A hex literal ends in a hex digit unless it has a binary exponent, after
+    whose decimal digits f/F/d/D is a suffix: ``0x1f`` is 31, ``0x1p3f`` a
+    float."""
     suffix = lexeme[-1] if lexeme[-1] in "lLfFdD" else None
     prefix = lexeme[:2].lower()
     if prefix == "0x":
-        return 16, suffix if suffix in ("l", "L") else None
+        hex_float = "p" in lexeme or "P" in lexeme
+        return 16, suffix if suffix in (("f", "F", "d", "D") if hex_float else ("l", "L")) else None
     if suffix in ("f", "F", "d", "D"):
         return 10, suffix
     if prefix == "0b":
@@ -325,9 +331,15 @@ def radix_and_suffix(lexeme: str) -> tuple[int, str | None]:
 
 def numeric_value(lexeme: str, radix: int, suffix: str | None) -> int | float:
     """The value of a NUMBER lexeme of the given radix and suffix: a float
-    when it is decimal with a fraction or an exponent, else an int.  Raises
-    ValueError for a lexeme without digits, such as ``0x``."""
+    when it is decimal with a fraction or an exponent, or hex with a binary
+    exponent, else an int.  Raises ValueError for a lexeme without digits,
+    such as ``0x`` or ``0x.p1``."""
     digits = (lexeme[:-1] if suffix else lexeme).replace("_", "")
     if radix == 10 and ("." in digits or "e" in digits or "E" in digits):
         return float(digits)
+    if radix == 16 and ("p" in digits or "P" in digits):
+        try:
+            return float.fromhex(digits)
+        except OverflowError:  # as float() gives inf for a decimal literal too large
+            return float("inf")
     return int(digits, radix)  # int() takes the 0x/0b prefix of its base

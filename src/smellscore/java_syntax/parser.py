@@ -539,6 +539,8 @@ class _Parser:
 
         declarators = self.var_declarators(name_tok)  # a field
         end = self.expect(";")
+        if ret_type.name == "void":  # JLS 8.3: a field has a type
+            raise _ParseError("a field cannot have type 'void'", ret_type.span)
         doc = self.preceding_comment(decl_start)
         return n.FieldDecl(
             span=self.extent(decl_start, end),
@@ -702,16 +704,24 @@ class _Parser:
         return args
 
     def parse_type_arg(self) -> n.TypeRef:
-        """A type, or a wildcard: '?' with an optional bound."""
+        """A reference type, or a wildcard: '?' with an optional bound that is
+        one (JLS 4.5.1)."""
         self.parse_annotations()
         if not self.at("?"):
-            return self.parse_type()
+            return self.reference_type()
         start = self.next()
         ref = n.TypeRef(span=self.extent(start, start), name="?")
         if self.at("extends") or self.at("super"):
             ref.bound_kind = self.lexemes[self.next()]
-            ref.bound = self.parse_type()
+            ref.bound = self.reference_type()
             ref.span = self.extent_to(start, ref.bound)
+        return ref
+
+    def reference_type(self) -> n.TypeRef:
+        """A type that is no primitive; an array of one is (List<int[]>)."""
+        ref = self.parse_type()
+        if ref.name in PRIMITIVE_TYPES and not ref.array_dims:
+            raise _ParseError(f"type argument needs a reference type, found {ref.name!r}", ref.span)
         return ref
 
     # ---- statements -------------------------------------------------------------
@@ -1366,8 +1376,19 @@ def _malformed_literal(lexeme: str, kind: TokenKind, radix: int | None, suffix: 
         return f"char literal {lexeme} needs two UTF-16 code units" if body > "\uffff" else None
     if len(lexeme) < 10 and lexeme.isdigit() and (lexeme[0] != "0" or len(lexeme) == 1):
         return None  # the common case: a decimal int literal of at most 9 digits
-    if "_" in lexeme and (_STRAY_HEX_UNDERSCORE if radix == 16 else _STRAY_UNDERSCORE).search(lexeme):
-        return f"underscore not between digits in literal {lexeme!r}"
+    hex_float = radix == 16 and ("p" in lexeme or "P" in lexeme)  # a binary exponent (JLS 3.10.2)
+    if "_" in lexeme:
+        # A hex float's binary exponent and suffix follow the rules of a decimal literal.
+        significand, exponent = re.split("[pP]", lexeme) if hex_float else (lexeme, "")
+        if ((_STRAY_HEX_UNDERSCORE if radix == 16 else _STRAY_UNDERSCORE).search(significand)
+                or _STRAY_UNDERSCORE.search(exponent)):
+            return f"underscore not between digits in literal {lexeme!r}"
+    if hex_float:
+        try:
+            numeric_value(lexeme, radix, suffix)
+        except ValueError:
+            return f"floating-point literal {lexeme!r} has no digits"
+        return None
     if suffix in ("f", "F", "d", "D"):
         if lexeme[:2] in ("0b", "0B"):
             return f"binary literal {lexeme!r} has a floating-point suffix"

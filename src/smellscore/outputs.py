@@ -15,21 +15,94 @@ Every JSON document smellscore reads is first held to a spec by ``check``:
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Any
 
+_int_text = int.__repr__  # how json writes an int, bool aside
+
 
 def json_text(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The canonical text of a document: exactly ``json.dumps(doc, indent=2,
+    sort_keys=True)`` and a line end, built without json's indenting encoder,
+    which is pure Python and yields one piece at a time."""
+    out: list[str] = []
+    _emit(doc, "\n", out, set())
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value: Any, newline: str, out: list[str], open_ids: set[int]) -> None:
+    """Append the text of ``value`` to ``out``, each nested line starting with
+    ``newline`` plus two spaces.  ``open_ids`` holds the containers being
+    written, so a cyclic document raises ValueError as json.dumps does."""
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(_int_text(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        if id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(value))
+        inner = newline + "  "
+        if isinstance(value, dict):
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                out.append(sep + _escape(key if type(key) is str else _key_text(key)) + ": ")
+                _emit(item, inner, out, open_ids)
+                sep = "," + inner
+            out.append(newline + "}")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _emit(item, inner, out, open_ids)
+                sep = "," + inner
+            out.append(newline + "]")
+        open_ids.discard(id(value))
+    else:  # a float, or a subclass of str or int, as json writes it; else json's TypeError
+        out.append(json.dumps(value))
+
+
+def _key_text(key: Any) -> str:
+    """An object key that is not a str, converted as json converts it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (float, bool)) or key is None:
+        return json.dumps(key)
+    if isinstance(key, int):
+        return _int_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def write_if_changed(path: Path, text: str) -> bool:
-    """Write only when bytes differ; returns True when the file changed."""
+    """Write only when bytes differ; returns True when the file changed.  The
+    old bytes take one open, and the parent directory is made only when the
+    write finds it missing."""
     data = text.encode("utf-8")
-    if path.exists() and path.read_bytes() == data:
-        return False
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+    try:
+        with open(path, "rb") as f:
+            if f.read() == data:
+                return False
+    except FileNotFoundError:
+        pass
+    try:
+        file = open(path, "wb")
+    except FileNotFoundError:  # the first file of a new directory
+        path.parent.mkdir(parents=True, exist_ok=True)
+        file = open(path, "wb")
+    with file:
+        file.write(data)
     return True
 
 
@@ -42,8 +115,11 @@ def read_json(path: str | Path, spec: Any, error: type[Exception]) -> Any:
     JSON, nests deeper than the decoder's stack, or does not fit ``spec``,
     raises ``error`` with the file's name."""
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.loads(f.read())
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
+        if "\r" in text:  # CR LF and CR read as LF: a decoder's line and column are those of the LF twin
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
         check(doc, spec)
     except (ValueError, RecursionError) as e:  # UnicodeDecodeError, JSONDecodeError, SpecError; too deep
         raise error(f"{path}: {e}") from e

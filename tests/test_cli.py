@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from smellscore.cli import main
+from smellscore.corpus import load_manifest
 from smellscore.rules.model import ALL_TYPES, Violation
 from smellscore.scoreboard import load_scorecards
 from smellscore.smell_engine import read_report
@@ -782,6 +783,47 @@ class TestMalformedReportFiles:
         assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"config error: {bad}: $.parse_ok: must be a boolean, got \"no\"\n"
+
+
+def test_a_message_prints_as_one_line(tmp_path, capsys):
+    """A line break or a lone surrogate that a message carries from its input
+    is printed escaped: one stderr line, which any stream can encode."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI, corpus)
+    doc = json.loads((corpus / "corpus.json").read_text(encoding="utf-8"))
+    doc["tasks"][0]["reference_path"] = "refs/a\r\nb\u2028.java"
+    (corpus / "corpus.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["run", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: task T01: file not found: refs/a\\r\\nb\\u2028.java\n"
+
+    out = tmp_path / "out"
+    assert run(["analyze", "--corpus", str(MINI), "--out", str(out)]) == 0
+    report = out / "reports" / "m1" / "T01.json"
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    doc["violations"][0]["span"][0] = "\ud800"
+    report.write_text(json.dumps(doc), encoding="utf-8")  # ASCII: the surrogate is written "\\ud800"
+    capsys.readouterr()
+    assert run(["score", "--corpus", str(MINI), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f'config error: {report}: $.violations[0].span[0]: must be an integer, got "\\ud800"\n'
+
+
+def test_each_verb_loads_the_manifest_once(tmp_path, monkeypatch):
+    """run validates the manifest once for both its stages, and analyze and
+    score alone load it once each."""
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_manifest(path)
+
+    monkeypatch.setattr("smellscore.cli.load_manifest", counting)
+    out = tmp_path / "out"
+    counts = []
+    for verb in ("run", "analyze", "score"):
+        calls.clear()
+        assert run([verb, "--corpus", str(MINI), "--out", str(out), "--scenario", "topic"]) == 0
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
 
 
 def test_score_builds_no_violation(tmp_path, monkeypatch):

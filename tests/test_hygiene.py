@@ -392,6 +392,7 @@ SELF_CALLS = {
     ("java_syntax/parser.py", "_Parser.unary"): "prefix operators and casts; parse records RecursionError as 'nesting too deep'",
     ("java_syntax/nodes.py", "TypeRef.referenced_names"): "type arguments, which the parser counts against _MAX_DEPTH",
     ("outputs.py", "check"): "as deep as the spec, which is a constant",
+    ("outputs.py", "_emit"): "as deep as a document the program builds",
     ("java_syntax/lexer.py", "LexError.__init__"): "name only: calls super().__init__",
     ("java_syntax/parser.py", "_ParseError.__init__"): "name only: calls super().__init__",
     ("rules/model.py", "ViolationReport.to_json"): "name only: calls Violation.to_json",

@@ -24,7 +24,7 @@ from smellscore.java_syntax import (
     tokenize,
 )
 from smellscore.java_syntax import nodes as n
-from smellscore.java_syntax.lexer import KEYWORDS, OPERATORS, SEPARATORS
+from smellscore.java_syntax.lexer import KEYWORDS, OPERATORS, SEPARATORS, numeric_value
 
 from test_lexer_reference import reference_tokenize
 
@@ -700,6 +700,83 @@ class G {
         out = parse_text("A.java", f"@A({args}) class X {{}}")
         assert not out.ok
         assert out.failure.message == "nesting too deep"
+
+    @pytest.mark.parametrize("literal, value, suffix", [
+        ("0x1p3", 8.0, None), ("0x1.8p1", 3.0, None), ("0x1p3f", 8.0, "f"), ("0X.8P-1D", 0.25, "D"),
+        ("0x1_0p1_0", 16384.0, None), ("0x1.p1", 2.0, None), ("0x1p99999", float("inf"), None),
+    ])
+    def test_hex_floating_point_literal_tree(self, literal, value, suffix):
+        text = f"class A {{ double d = {literal}; }}"
+        out = parse_text("A.java", text)
+        assert out.ok, out.failure
+        init = out.ast.types[0].members[0].declarators[0].init
+        start = text.index(literal) + 1
+        assert (type(init), init.kind, init.lexeme, init.radix, init.suffix, init.span.as_tuple()) == (
+            n.Literal, TokenKind.NUMBER, literal, 16, suffix, (1, start, 1, start + len(literal)))
+        assert numeric_value(init.lexeme, init.radix, init.suffix) == value
+
+    def test_hex_int_ending_in_f_is_no_float(self):
+        init = parse_text("A.java", "class A { int i = 0x1f; }").ast.types[0].members[0].declarators[0].init
+        assert (init.lexeme, init.radix, init.suffix) == ("0x1f", 16, None)
+        assert numeric_value(init.lexeme, init.radix, init.suffix) == 31
+
+    @pytest.mark.parametrize("expr, literal, message", [
+        ("0xp3", "0xp3", "floating-point literal '0xp3' has no digits"),
+        ("0x.p1", "0x.p1", "floating-point literal '0x.p1' has no digits"),
+        ("0x1_p3", "0x1_p3", "underscore not between digits in literal '0x1_p3'"),
+        ("0x1p3_f", "0x1p3_f", "underscore not between digits in literal '0x1p3_f'"),
+        ("0x1.8", ".8", "expected ';', found '.8'"),
+        ("0x1p3L", "L", "expected ';', found 'L'"),
+    ])
+    def test_malformed_hex_floating_point_literal(self, expr, literal, message):
+        text = f"class A {{ double d = {expr}; }}"
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == message
+        start = text.index(literal, text.index("=")) + 1
+        assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(literal))
+
+    @pytest.mark.parametrize("text, at", [
+        ("class A { void x, y; }", "void"),
+        ("class A { static void x = 1; }", "void"),
+        ("interface I { void X = 1; }", "void"),
+    ])
+    def test_a_field_cannot_be_void(self, text, at):
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == "a field cannot have type 'void'"
+        start = text.index(at) + 1
+        assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(at))
+
+    @pytest.mark.parametrize("text, at", [
+        ("class A { java.util.Map<String, int> m; }", "int>"),
+        ("class A { List<? extends long> m; }", "long>"),
+        ("class A { Object o = new ArrayList<boolean>(); }", "boolean>"),
+        ("class A { List<List<char>> m() { return null; } }", "char>"),
+    ])
+    def test_a_type_argument_cannot_be_primitive(self, text, at):
+        out = parse_text("A.java", text)
+        assert not out.ok
+        name = at.rstrip(">")
+        assert out.failure.message == f"type argument needs a reference type, found {name!r}"
+        start = text.index(at) + 1
+        assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(name))
+
+    @pytest.mark.parametrize("text", [
+        "class A { void m() { List<int> x; } }",
+        "class A { void m() { Object o = (List<double>) x; } }",
+    ])
+    def test_a_primitive_type_argument_fails_in_a_body_too(self, text):
+        assert not parse_text("A.java", text).ok
+
+    @pytest.mark.parametrize("text", [
+        "class A { List<int[]> a; Map<String, ? super int[]> b; Map<String, int[]> m() { return null; } }",
+        "class A { void m() {} Class<?> c = void.class; }",
+        "class A { boolean g(int x) { return (x < int.class.getModifiers()); } }",
+    ])
+    def test_void_methods_and_primitive_arrays_as_type_arguments_parse(self, text):
+        out = parse_text("A.java", text)
+        assert out.ok, out.failure
 
     @pytest.mark.parametrize("type_name", ["int", "boolean", "double"])
     def test_instanceof_takes_a_reference_type(self, type_name):

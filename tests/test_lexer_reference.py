@@ -8,6 +8,8 @@ character such as '²', for which ``str.isdigit()`` holds but which is not a
 decimal digit, no longer lexes as a number.  And a carriage return ends a
 line, as JLS 3.4 says, and so it ends a line comment and a string or char
 literal (JLS 3.7, 3.10.4, 3.10.5): the scanner below was changed to match.
+So it was for hexadecimal floating-point literals (JLS 3.10.2), ``0x1.8p1``,
+which it split into ``0x1`` and ``.8``.
 """
 
 from __future__ import annotations
@@ -176,6 +178,20 @@ def _scan_number(sc: _Scanner, source: SourceFile, start: tuple[int, int, int]) 
         sc.advance(2)
         while not sc.eof() and sc.peek() in _HEX_DIGITS:
             sc.advance()
+        # A hex float: an optional '.' and hex digits, then a binary exponent.
+        text, end = source.text, sc.pos
+        if text[end : end + 1] == ".":
+            end += 1
+            while text[end : end + 1] and text[end] in _HEX_DIGITS:
+                end += 1
+        if text[end : end + 1] in ("p", "P"):
+            end += 2 if text[end + 1 : end + 2] in ("+", "-") else 1
+            if text[end : end + 1] and text[end] in "0123456789":
+                sc.advance(end - sc.pos)
+                while not sc.eof() and sc.peek() in "0123456789_":
+                    sc.advance()
+                suffix = sc.advance() if sc.peek() in ("f", "F", "d", "D") else None
+                return Token(TokenKind.NUMBER, text[start[0] : sc.pos], sc.span_from(start), radix=16, suffix=suffix)
     elif sc.peek() == "0" and sc.peek(1) in ("b", "B"):
         radix = 2
         sc.advance(2)
@@ -280,7 +296,8 @@ SEEDS = seed_texts()
 EDGE_CASES = [
     "/**/", "/***/", "/** x */", "/*/", "/**", "/* a\n b */x", "// a\r\nb", "//",
     '"a\\\nb"', '"\\', '"a\nb"', "'\\''", "''", "'ab'", "'\\", "\t\tx\f\r\n y",
-    "0x", "0xL", "0x1f", "0XffL", "0x1.5p3", "0b", "0b1f", "0B1d", "0b2", "0bL",
+    "0x", "0xL", "0x1f", "0XffL", "0x1.5p3", "0x1p3f", "0X.8P-1D", "0x1p3L", "0x1p+", "0x1.p", "0xp1",
+    "0x1p3_0", "0x1P٣", "0x1.", "0b", "0b1f", "0B1d", "0b2", "0bL",
     "0", "0_", "00", "0777", "07L", "07f", "09", "0_9", "1__2", "1.", "1.e5", "1._5", "1.foo",
     ".5", "..5", "...", "...5", "1e", "1e+", "1e+5", "1e1_0", "1E-2f", "5d", "5D", "1e5L",
     "٣٣", "0٣", "a٣", "½", "Ⅻ", "x½Ⅻ", "é中π", "$x_1", "\x0b", "\x00", "#", "`",

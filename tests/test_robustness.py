@@ -1,0 +1,225 @@
+"""Seeded mutations of the documents the CLI reads and writes.
+
+Each case mutates one document, runs one verb through ``cli.main`` and holds
+it to the exit contract: exit 0 with nothing on stderr, or exit 1 (config
+error) or 2 (i/o error) with exactly one stderr line.  No exception may leave
+``main``.  The seeds and counts are fixed, so every run makes the same cases.
+
+Mutation families, on a parsed document:
+  * ``value``: one value (anywhere in the tree) replaced by one from VALUES;
+  * ``drop``: one object key or list item removed;
+  * ``extra``: one object gains a key, or one list repeats an item;
+and on the document's text:
+  * ``bytes``: one to three bytes or short runs from BYTES inserted,
+    overwritten or cut, or the text truncated.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import shutil
+from pathlib import Path
+
+import pytest
+
+from smellscore.cli import main
+from smellscore.rules.model import ALL_TYPES
+
+MINI = Path(__file__).parent / "data" / "mini_corpus"
+
+VALUES = (
+    None, True, False, 0, -1, 1, 2, 3, 2**64, 1.0, 1.5, -0.0, float("nan"), float("inf"),
+    "", "x", "all", "m1", "T01", "baseline", "\u0000", "a\u001fb", "a\nb", "\u007f", "é", "😀", "\ud800",
+    "../up", "a/b", "a\\b", "1/0", "1/3", "-1/2", "topic/Array", "solutions/m1/T01.java",
+    [], {}, [1], ["x"], [[1]], {"x": 1}, {"float": 0.5, "fraction": "1/2"},
+)
+BYTES = (b"\r", b"\r\n", b"\n", b"\x00", b"\xff", b"\xc3", b"\xe2\x82", b'"', b"\\", b",", b":",
+         b"{", b"}", b"[", b"]", b"0", b"-", b"e9", b"null", b"NaN", b"\xef\xbb\xbf")
+FAMILIES = ("value", "drop", "extra", "bytes")
+
+
+def _slots(doc) -> list[tuple[object, object]]:
+    """Every (container, key or index) in the document."""
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            items = list(node.items())
+        elif isinstance(node, list):
+            items = list(enumerate(node))
+        else:
+            continue
+        for key, value in items:
+            slots.append((node, key))
+            stack.append(value)
+    return slots
+
+
+def _containers(doc) -> list[object]:
+    return [doc] + [c[k] for c, k in _slots(doc) if isinstance(c[k], (dict, list))]
+
+
+def mutate(data: bytes, family: str, rng: random.Random) -> tuple[bytes, str]:
+    """One mutation of the JSON document ``data``, and what it did."""
+    if family == "bytes":
+        out = bytearray(data)
+        steps = []
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(out) + 1)
+            op = rng.choice(("insert", "overwrite", "cut", "truncate"))
+            piece = rng.choice(BYTES)
+            if op == "insert":
+                out[at:at] = piece
+            elif op == "overwrite":
+                out[at:at + len(piece)] = piece
+            elif op == "cut":
+                del out[at:at + rng.randint(1, 8)]
+            else:
+                del out[at:]
+            steps.append(f"{op} {piece!r} at {at}")
+        return bytes(out), "; ".join(steps)
+    doc = json.loads(data)
+    if family == "value":
+        container, key = rng.choice(_slots(doc))
+        container[key] = rng.choice(VALUES)
+        what = f"{key!r} := {container[key]!r}"
+    elif family == "drop":
+        container, key = rng.choice(_slots(doc))
+        del container[key]
+        what = f"drop {key!r}"
+    else:
+        container = rng.choice(_containers(doc))
+        if isinstance(container, dict):
+            key = rng.choice(("unknown", "correct", "topic", "float", "1"))
+            container.setdefault(key, rng.choice(VALUES))
+            what = f"add {key!r}"
+        elif container:
+            container.append(rng.choice(container))
+            what = "repeat a list item"
+        else:
+            container.append(rng.choice(VALUES))
+            what = f"append {container[-1]!r}"
+    return json.dumps(doc, ensure_ascii=rng.random() < 0.5).encode("utf-8", "surrogatepass"), what
+
+
+class Gate:
+    """Runs the cases of one document and collects every broken contract."""
+
+    def __init__(self, capsys):
+        self.capsys = capsys
+        self.problems: list[str] = []
+        self.exits: dict[int, int] = {}
+
+    def cases(self, seed: int, count: int):
+        rng = random.Random(seed)
+        for i in range(count):
+            yield i, FAMILIES[i % len(FAMILIES)], rng
+
+    def call(self, argv: list[str], what: str) -> None:
+        self.capsys.readouterr()
+        try:
+            code = main(argv)
+        except Exception as e:  # any escape is what the gate records
+            self.problems.append(f"{what}: {type(e).__name__}: {e}")
+            return
+        err = self.capsys.readouterr().err
+        self.exits[code] = self.exits.get(code, 0) + 1
+        lines = err.splitlines()
+        if code == 0 and err:
+            self.problems.append(f"{what}: exit 0 with stderr {err!r}")
+        elif code in (1, 2) and (len(lines) != 1 or not err.endswith("\n")):
+            self.problems.append(f"{what}: exit {code} with {len(lines)} stderr lines: {err!r}")
+        elif code not in (0, 1, 2):
+            self.problems.append(f"{what}: exit {code}")
+
+    def check(self, *expected_exits: int) -> None:
+        assert not self.problems, "\n".join(self.problems)
+        assert set(self.exits) >= set(expected_exits), self.exits
+
+
+SCENARIOS = ["--scenario", "all", "--scenario", "topic", "--scenario", "complexity:cyclomatic",
+             "--scenario", "correctness:m1"]
+
+
+def test_manifest_under_run(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI, corpus)
+    manifest = corpus / "corpus.json"
+    original = manifest.read_bytes()
+    assert main(["run", "--corpus", str(corpus), "--out", str(tmp_path / "out"), *SCENARIOS]) == 0
+    gate = Gate(capsys)
+    for i, family, rng in gate.cases(seed=1701, count=100):
+        data, what = mutate(original, family, rng)
+        manifest.write_bytes(data)
+        gate.call(["run", "--corpus", str(corpus), "--out", str(tmp_path / f"out{i}"), *SCENARIOS],
+                  f"manifest case {i} ({family}: {what})")
+    gate.check(0, 1)
+
+
+def test_run_config_under_run(tmp_path, capsys, monkeypatch):
+    # A mutated "out" may name any relative path: keep it inside tmp_path.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+
+    def config_text(out: Path) -> bytes:
+        return json.dumps({
+            "corpus": str(MINI), "out": str(out),
+            "subjects": ["baseline", "m1", "m2"],
+            "scenarios": ["all", "topic", "correctness:m2"],
+            "rulesets": ["all", "design", "type:magic-number"],
+            "thresholds": {"line-length": {"max_line_length": 90}, "magic-number": {"ignore_numbers": [0, 1]},
+                           "method-name": {"pattern": "^[a-z][a-zA-Z0-9]*$"}},
+        }).encode("utf-8")
+
+    config = tmp_path / "run.json"
+    config.write_bytes(config_text(tmp_path / "out"))
+    assert main(["run", "--config", str(config)]) == 0
+    gate = Gate(capsys)
+    for i, family, rng in gate.cases(seed=1702, count=60):
+        data, what = mutate(config_text(tmp_path / f"out{i}"), family, rng)
+        config.write_bytes(data)
+        gate.call(["run", "--config", str(config)], f"config case {i} ({family}: {what})")
+    gate.check(0, 1)
+
+
+@pytest.fixture(scope="module")
+def scored_tree(tmp_path_factory) -> Path:
+    """A run of the mini corpus whose scores feed every heat map."""
+    out = tmp_path_factory.mktemp("scored") / "out"
+    rulesets = [arg for t in ALL_TYPES for arg in ("--ruleset", f"type:{t}")]
+    assert main(["run", "--corpus", str(MINI), "--out", str(out), "--scenario", "topic",
+                 "--scenario", "all", "--ruleset", "all", *rulesets]) == 0
+    return out
+
+
+def _mutate_one_file(gate: Gate, files: list[Path], seed: int, count: int, argv: list[str], name: str) -> None:
+    assert main(argv) == 0
+    for i, family, rng in gate.cases(seed, count):
+        target = rng.choice(files)
+        original = target.read_bytes()
+        data, what = mutate(original, family, rng)
+        target.write_bytes(data)
+        try:
+            gate.call(argv, f"{name} case {i} ({target.name}, {family}: {what})")
+        finally:
+            target.write_bytes(original)
+
+
+def test_stored_report_under_score(scored_tree, capsys):
+    reports = sorted(p for p in (scored_tree / "reports").rglob("*.json") if p.name != "_failures.json")
+    gate = Gate(capsys)
+    _mutate_one_file(gate, reports, seed=1703, count=80,
+                     argv=["score", "--corpus", str(MINI), "--out", str(scored_tree), *SCENARIOS],
+                     name="report")
+    gate.check(1)  # a report's counts must agree with its violations, so nearly every mutation is refused
+
+
+def test_scorecard_file_under_report(scored_tree, capsys):
+    cards = [scored_tree / "scores" / "topic" / "all.json",
+             *(scored_tree / "scores" / "all" / f"type-{t}.json" for t in ALL_TYPES)]
+    gate = Gate(capsys)
+    _mutate_one_file(gate, cards, seed=1704, count=80,
+                     argv=["report", "--corpus", str(MINI), "--out", str(scored_tree)], name="scorecard")
+    gate.check(1)  # a card's fields must agree, so nearly every mutation is refused

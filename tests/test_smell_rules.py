@@ -1232,6 +1232,16 @@ def test_every_rule_has_a_case():
     assert covered == all_rules, f"missing: {sorted(all_rules - covered)}, extra: {sorted(covered - all_rules)}"
 
 
+def test_magic_number_reads_a_hex_floating_point_literal():
+    text = "class A {\n    double f() {\n        return 0x1p3 + 0x1.0p0 + 0x1p-1f;\n    }\n}\n"
+    violations = _detect("magic-number", text, "A.java")
+    # 0x1.0p0 is 1.0, which ignore_numbers holds as 1
+    assert [(v.message, v.span.as_tuple()) for v in violations] == [
+        ("magic number 0x1p3", (3, 16, 3, 21)),
+        ("magic number 0x1p-1f", (3, 34, 3, 41)),
+    ]
+
+
 # ---- paren-pad against the whitespace-token reading it replaced
 
 def reference_paren_pad(text: str) -> list[tuple[tuple[int, int, int, int], str]]:
