@@ -211,10 +211,11 @@ _TOKEN_RULES = (
     # Hex floating point (a binary exponent p is required), hex, binary, or
     # decimal with optional fraction and exponent; the suffix after a binary
     # literal is taken even though only l/L is legal Java (the parser rejects
-    # the others).
+    # the others).  Its digits are ASCII (JLS 3.10.1): a lexeme that starts
+    # with another decimal digit, such as '٣', is a "word", which rejects it.
     ("NUMBER", r"0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?[pP][+-]?[0-9][0-9_]*[fFdD]?"
                r"|0[xX][0-9a-fA-F_]*[lL]?|0[bB][01_]*[lLfFdD]?"
-               r"|(?:\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)(?:[eE][+-]?\d+)?[lLfFdD]?"),
+               r"|(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9]+)?[lLfFdD]?"),
     ("word", r"[\w$]+"),
     ("OPERATOR", "|".join(map(re.escape, OPERATORS))),
     ("SEPARATOR", "[" + re.escape("".join(sorted(SEPARATORS))) + "]"),

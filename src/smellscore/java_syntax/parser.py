@@ -1218,14 +1218,14 @@ class _Parser:
         """What follows a primitive, void or (dotted) type name that must be a
         type: a class literal on it or its array type, or a method reference
         on its array type: int.class, int[].class, Foo[]::new,
-        java.lang.String[]::new, int[]::clone."""
+        java.lang.String[]::new, int[]::clone.  Anything else fails at ref."""
         self.array_dims(ref)
         if self.at("::") and ref.array_dims:
             return self._method_ref(ref)
         if self.at(".") and self.at("class", 1):
             self.i += 2
             return n.ClassLiteral(span=(self.line_index, ref._span[1], self.end_of(self.i - 1)), type=ref)
-        raise self.error(f"unexpected {what} {ref.name!r} in expression")
+        raise _ParseError(f"unexpected {what} {ref.name!r} in expression", ref.span)
 
     def _method_ref(self, receiver: n.Expr | n.TypeRef) -> n.MethodRef:
         """'::' and a method name or 'new' after the receiver."""

@@ -53,13 +53,16 @@ class FileFacts:
       extends or implements; ``subtypes`` (lazy): each declared type's
       direct subtypes, by name;
     * ``inheritance_depth(decl)``: the length of decl's extends chain;
-    * ``declared_names`` (lazy): (name, span, is_constant) of every
-      declaration the naming rules see;
+    * ``declared_names`` (lazy): (kind, name, span) of every declaration a
+      naming rule reads: types, type parameters, fields, constants,
+      methods, parameters, locals, resources, loop variables and catch
+      parameters;
     * ``edges`` (lazy): the in-unit reference edges between types;
     * ``class_refs`` (lazy): each class with its referenced type names.
 
     A checker reads these and derives none of them itself; ``reachable``
-    walks the type graphs among them.
+    walks the type graphs among them.  The one checker that walks the tree
+    itself is ``indentation``, which needs each statement's nesting depth.
     """
 
     def __init__(self, unit: n.CompilationUnit) -> None:
@@ -137,19 +140,36 @@ class FileFacts:
         return edges
 
     @cached_property
-    def declared_names(self) -> list[tuple[str, Span, bool]]:
-        """(name, span, is_constant) for every declaration the naming rules see."""
-        out = [(decl.name, decl.name_span, False) for decl in self.types]
+    def declared_names(self) -> list[tuple[str, str, Span]]:
+        """(kind, name, span) for every declaration a naming rule reads.
+
+        The kinds are ``type``, ``type parameter``, ``field``, ``constant``
+        (a static final or interface field), ``method`` (constructors
+        excluded), ``parameter`` (constructors' included), ``local`` (plain
+        and for-init), ``resource``, ``loop variable`` (a for-each's) and
+        ``catch parameter``; the last four are read in the bodies.  The
+        entries follow ``types``, ``fields``, ``methods`` and ``bodies`` in
+        turn; within a body, locals and resources come in ``local_decls``
+        order, then loop variables, then catch parameters.
+        """
+        out = [("type", decl.name, decl.name_span) for decl in self.types]
+        out += [("type parameter", tp.name, tp.span) for decl in self.types for tp in decl.type_params]
         for decl, member in self.fields:
-            constant = member.is_static_final or decl.kind == "interface"
-            out += [(d.name, d.name_span, constant) for d in member.declarators]
+            kind = "constant" if member.is_static_final or decl.kind == "interface" else "field"
+            out += [(kind, d.name, d.name_span) for d in member.declarators]
         for _, member in self.methods:
             if not member.is_constructor:
-                out.append((member.name, member.name_span, False))
-            out += [(p.name, p.name_span, False) for p in member.params]
+                out.append(("method", member.name, member.name_span))
+            if member.type_params:
+                out += [("type parameter", tp.name, tp.span) for tp in member.type_params]
+            out += [("parameter", p.name, p.name_span) for p in member.params]
         for _, _, body in self.bodies:
-            out += [(d.name, d.name_span, False) for _, d, origin in self.local_decls(body) if origin != "resource"]
-            out += [(node.var_name, node.var_name_span, False) for node in self.of_type(n.ForEachStmt, within=body)]
+            out += [
+                ("resource" if origin == "resource" else "local", d.name, d.name_span)
+                for _, d, origin in self.local_decls(body)
+            ]
+            out += [("loop variable", s.var_name, s.var_name_span) for s in self.of_type(n.ForEachStmt, within=body)]
+            out += [("catch parameter", c.name, c.name_span) for c in self.of_type(n.CatchClause, within=body)]
         return out
 
     @cached_property

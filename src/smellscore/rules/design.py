@@ -95,45 +95,36 @@ def check_too_many_fields(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     return out
 
 
-def _all_static_members(members: TypeMembers) -> bool:
+def _utility_shaped(decl: n.TypeDecl, members: TypeMembers) -> bool:
+    """True when decl is not abstract, every field and method is static,
+    and its constructors, if any, are not all private."""
+    if decl.is_abstract:
+        return False
     for f in members.fields:
         if "static" not in f.modifiers:
             return False
     for m in members.methods:
         if not m.is_static:
             return False
-    return True
+    ctors = members.constructors
+    return not ctors or not all("private" in c.modifiers for c in ctors)
 
 
 def check_use_utility_class(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     for decl in ctx.facts.classes:
         members = ctx.facts.type_members(decl)
-        if decl.is_abstract or not members.methods:
-            continue
-        if not _all_static_members(members):
-            continue
-        ctors = members.constructors
-        if ctors and all("private" in c.modifiers for c in ctors):
-            continue
-        out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' has only static methods; make it a utility class"))
+        if members.methods and _utility_shaped(decl, members):
+            out.append(ctx.violation(rule, decl.name_span, f"'{decl.name}' has only static methods; make it a utility class"))
     return out
 
 
 def check_hide_utility_class_constructor(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     out = []
     for decl in ctx.facts.classes:
-        if decl.is_abstract:
-            continue
         members = ctx.facts.type_members(decl)
-        if not members.fields and not members.methods:
-            continue
-        if not _all_static_members(members):
-            continue
-        ctors = members.constructors
-        if ctors and all("private" in c.modifiers for c in ctors):
-            continue
-        out.append(ctx.violation(rule, decl.name_span, f"utility class '{decl.name}' should hide its constructor"))
+        if (members.fields or members.methods) and _utility_shaped(decl, members):
+            out.append(ctx.violation(rule, decl.name_span, f"utility class '{decl.name}' should hide its constructor"))
     return out
 
 
@@ -322,10 +313,9 @@ def check_hidden_field(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
             if p.name in fields:
                 out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' shadows a field"))
         if member.body is not None:
-            for node in ctx.facts.of_type(n.LocalVarDecl, within=member.body):
-                for d in node.declarators:
-                    if d.name in fields:
-                        out.append(ctx.violation(rule, d.name_span, f"local '{d.name}' shadows a field"))
+            for _, d, _ in ctx.facts.local_decls(member.body):
+                if d.name in fields:
+                    out.append(ctx.violation(rule, d.name_span, f"local '{d.name}' shadows a field"))
     return out
 
 
@@ -572,8 +562,7 @@ def _usage_components(facts: FileFacts, fields: list[str], methods: list[n.Metho
     for m in methods:
         key = f"m:{m.name}/{len(m.params)}"
         shadowed = {p.name for p in m.params}
-        for node in facts.of_type(n.LocalVarDecl, within=m.body):
-            shadowed.update(d.name for d in node.declarators)
+        shadowed.update(d.name for _, d, _ in facts.local_decls(m.body))
         plain = facts.simple_names(m.body)
         this_acc = {
             node.name for node in facts.of_type(n.FieldAccess, within=m.body) if isinstance(node.receiver, n.ThisExpr)

@@ -27,109 +27,84 @@ _LOOP_CLASSES = frozenset(_LOOPS)
 
 # ---- inconsistent-naming ---------------------------------------------------
 
+# A kind of FileFacts.declared_names as a naming message calls it, where
+# the two differ.
+_WHAT = {"local": "local variable", "resource": "local variable"}
+
+
+def _misnamed(ctx: RuleContext, rule: SmellRule, kinds: tuple[str, ...], advice: str) -> list[Violation]:
+    """A violation for each declaration of one of ``kinds`` whose name the
+    rule's pattern does not match."""
+    match = _regex(rule.threshold("pattern")).match
+    return [
+        ctx.violation(rule, span, f"{_WHAT.get(kind, kind)} '{name}' {advice}")
+        for kind, name, span in ctx.facts.declared_names
+        if kind in kinds and not match(name)
+    ]
+
+
 def check_local_variable_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = _regex(rule.threshold("pattern"))
-    out = []
-    for _, _, body in ctx.facts.bodies:
-        for _, d, _ in ctx.facts.local_decls(body):
-            if not pattern.match(d.name):
-                out.append(ctx.violation(rule, d.name_span, f"local variable '{d.name}' is not lowerCamelCase"))
-        for node in ctx.facts.of_type(n.ForEachStmt, within=body):
-            if not pattern.match(node.var_name):
-                out.append(ctx.violation(rule, node.var_name_span, f"loop variable '{node.var_name}' is not lowerCamelCase"))
-    return out
+    return _misnamed(ctx, rule, ("local", "resource", "loop variable"), "is not lowerCamelCase")
 
 
 def check_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = _regex(rule.threshold("pattern"))
-    out = []
-    for _, member in ctx.facts.methods:
-        for p in member.params:
-            if not pattern.match(p.name):
-                out.append(ctx.violation(rule, p.name_span, f"parameter '{p.name}' is not lowerCamelCase"))
-    return out
+    return _misnamed(ctx, rule, ("parameter",), "is not lowerCamelCase")
 
 
 def check_method_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = _regex(rule.threshold("pattern"))
-    out = []
-    for _, m in ctx.facts.methods:
-        if not m.is_constructor and not pattern.match(m.name):
-            out.append(ctx.violation(rule, m.name_span, f"method '{m.name}' is not lowerCamelCase"))
-    return out
+    return _misnamed(ctx, rule, ("method",), "is not lowerCamelCase")
 
 
 def check_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = _regex(rule.threshold("pattern"))
-    out = []
-    for decl in ctx.facts.types:
-        if not pattern.match(decl.name):
-            out.append(ctx.violation(rule, decl.name_span, f"type '{decl.name}' is not UpperCamelCase"))
-    return out
+    return _misnamed(ctx, rule, ("type",), "is not UpperCamelCase")
 
 
 def check_generics_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = _regex(rule.threshold("pattern"))
-    out = []
-    params = [tp for decl in ctx.facts.types for tp in decl.type_params]
-    params += [tp for _, member in ctx.facts.methods for tp in member.type_params]
-    for tp in params:
-        if not pattern.match(tp.name):
-            out.append(ctx.violation(rule, tp.span, f"type parameter '{tp.name}' should be a single capital"))
-    return out
+    return _misnamed(ctx, rule, ("type parameter",), "should be a single capital")
+
+
+# The kinds abbreviation-as-word-in-name reads: constants are exempt, and
+# resources, type parameters and catch parameters are not checked.
+_ABBREVIATION_KINDS = frozenset({"type", "field", "method", "parameter", "local", "loop variable"})
 
 
 def check_abbreviation_as_word_in_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     limit = rule.threshold("max_consecutive_capitals")
-    run = _regex(r"[A-Z]{%d,}" % (limit + 1))
-    out = []
-    for name, span, is_constant in ctx.facts.declared_names:
-        if is_constant:
-            continue
-        if run.search(name):
-            out.append(ctx.violation(rule, span, f"'{name}' embeds an abbreviation of more than {limit} capitals"))
-    return out
+    run = _regex(r"[A-Z]{%d,}" % (limit + 1)).search
+    return [
+        ctx.violation(rule, span, f"'{name}' embeds an abbreviation of more than {limit} capitals")
+        for kind, name, span in ctx.facts.declared_names
+        if kind in _ABBREVIATION_KINDS and run(name)
+    ]
 
 
 def check_abstract_class_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     pattern = _regex(rule.threshold("pattern"))
     out = []
-    for decl in ctx.facts.types:
-        if decl.kind == "class" and decl.is_abstract and not pattern.match(decl.name):
+    for decl in ctx.facts.classes:
+        if decl.is_abstract and not pattern.match(decl.name):
             out.append(ctx.violation(rule, decl.name_span, f"abstract class '{decl.name}' should be named Abstract..."))
     return out
 
 
 def check_catch_parameter_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = _regex(rule.threshold("pattern"))
-    out = []
-    for _, _, body in ctx.facts.bodies:
-        for node in ctx.facts.of_type(n.CatchClause, within=body):
-            if not pattern.match(node.name):
-                out.append(ctx.violation(rule, node.name_span, f"catch parameter '{node.name}' breaks the naming convention"))
-    return out
+    return _misnamed(ctx, rule, ("catch parameter",), "breaks the naming convention")
 
 
 def check_constant_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    pattern = _regex(rule.threshold("pattern"))
-    out = []
-    for decl, member in ctx.facts.fields:
-        if member.is_static_final or decl.kind == "interface":
-            for d in member.declarators:
-                if not pattern.match(d.name):
-                    out.append(ctx.violation(rule, d.name_span, f"constant '{d.name}' is not UPPER_SNAKE_CASE"))
-    return out
+    return _misnamed(ctx, rule, ("constant",), "is not UPPER_SNAKE_CASE")
 
 
 _ILLEGAL_WORDS = frozenset({"var", "record", "yield", "permits", "sealed"})
+_ILLEGAL_KINDS = _ABBREVIATION_KINDS | {"constant"}
 
 
 def check_illegal_identifier_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
-    out = []
-    for name, span, _ in ctx.facts.declared_names:
-        if name.lower() in _ILLEGAL_WORDS:
-            out.append(ctx.violation(rule, span, f"'{name}' is a restricted identifier"))
-    return out
+    return [
+        ctx.violation(rule, span, f"'{name}' is a restricted identifier")
+        for kind, name, span in ctx.facts.declared_names
+        if kind in _ILLEGAL_KINDS and name.lower() in _ILLEGAL_WORDS
+    ]
 
 
 # ---- excessive-complexity ------------------------------------------------------

@@ -68,8 +68,8 @@ def detect_file(
     """Run the given rules (default: full catalog) over one source file.
 
     A parse failure produces a report with parse_ok=False and no violations.
-    Duplicate rules in the input are collapsed by rule_id, so passing a rule
-    once per origin tag cannot multiply counts.
+    Duplicate rules in the input are collapsed by rule_id, the first one
+    kept, so a rule passed twice cannot multiply counts.
     """
     unique = _unique_rules(rules)
     if outcome is None:

@@ -440,6 +440,20 @@ class G {
         assert not out.ok
         assert out.failure.message == message
 
+    @pytest.mark.parametrize("text, at, message", [
+        ("class A { void f() { y = 1 + int; } }", "int", "unexpected type keyword 'int' in expression"),
+        ("class A { void f() { List<int> m; } }", "int", "unexpected type keyword 'int' in expression"),
+        ("class A { void f() { y = void; } }", "void", "unexpected type keyword 'void' in expression"),
+        ("class A { Object f = int[][] + 1; }", "int[][]", "unexpected type keyword 'int' in expression"),
+        ("class A { Object f = a.b[] + 1; }", "a.b[]", "unexpected type 'a.b' in expression"),
+    ])
+    def test_a_type_in_an_expression_fails_at_the_type(self, text, at, message):
+        out = parse_text("A.java", text)
+        assert not out.ok
+        assert out.failure.message == message
+        start = text.rindex(at) + 1
+        assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(at))
+
     @pytest.mark.parametrize("text", ["class A { <", "class A { void m("])
     def test_end_of_file_inside_a_list_is_a_parse_failure(self, text):
         out = parse_text("A.java", text)

@@ -3,13 +3,14 @@
 ``reference_tokenize`` below is that scanner, kept verbatim as the reference.
 On every test source and on seeded mutations of them, the lexer must give the
 same tokens (kind, lexeme, span, radix, suffix) or the same ``LexError``
-(message, line, col).  Two deliberate differences are pinned at the end.  A
-character such as '²', for which ``str.isdigit()`` holds but which is not a
-decimal digit, no longer lexes as a number.  And a carriage return ends a
-line, as JLS 3.4 says, and so it ends a line comment and a string or char
-literal (JLS 3.7, 3.10.4, 3.10.5): the scanner below was changed to match.
-So it was for hexadecimal floating-point literals (JLS 3.10.2), ``0x1.8p1``,
-which it split into ``0x1`` and ``.8``.
+(message, line, col).  Where the scanner broke the Java lexical grammar, it
+was changed to match, and the change is pinned at the end.  A carriage
+return ends a line, as JLS 3.4 says, and so it ends a line comment and a
+string or char literal (JLS 3.7, 3.10.4, 3.10.5).  A number's digits are
+ASCII (JLS 3.10.1): the scanner read any character for which
+``str.isdigit()`` holds, '²' or '٣' among them, as a digit.  And it split a
+hexadecimal floating-point literal (JLS 3.10.2), ``0x1.8p1``, into ``0x1``
+and ``.8``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ TESTS = Path(__file__).parent
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF_")
 _NUM_SUFFIXES = set("lLfFdD")
+_DIGITS = set("0123456789")
 
 
 class _Scanner:
@@ -126,7 +128,7 @@ def reference_tokenize(source: SourceFile) -> list[Token]:
             tokens.append(Token(TokenKind.CHAR, source.text[start[0] : sc.pos], sc.span_from(start)))
             continue
 
-        if ch.isdigit() or (ch == "." and sc.peek(1).isdigit()):
+        if ch in _DIGITS or (ch == "." and sc.peek(1) in _DIGITS):
             tokens.append(_scan_number(sc, source, start))
             continue
 
@@ -199,20 +201,20 @@ def _scan_number(sc: _Scanner, source: SourceFile, start: tuple[int, int, int]) 
             sc.advance()
     else:
         digits_before = 0
-        while not sc.eof() and (sc.peek().isdigit() or sc.peek() == "_"):
+        while not sc.eof() and (sc.peek() in _DIGITS or sc.peek() == "_"):
             sc.advance()
             digits_before += 1
-        if sc.peek() == "." and (sc.peek(1).isdigit() or digits_before):
+        if sc.peek() == "." and (sc.peek(1) in _DIGITS or digits_before):
             is_float = True
             sc.advance()
-            while not sc.eof() and (sc.peek().isdigit() or sc.peek() == "_"):
+            while not sc.eof() and (sc.peek() in _DIGITS or sc.peek() == "_"):
                 sc.advance()
-        if sc.peek() in ("e", "E") and (sc.peek(1).isdigit() or (sc.peek(1) in "+-" and sc.peek(2).isdigit())):
+        if sc.peek() in ("e", "E") and (sc.peek(1) in _DIGITS or (sc.peek(1) in "+-" and sc.peek(2) in _DIGITS)):
             is_float = True
             sc.advance()
             if sc.peek() in "+-":
                 sc.advance()
-            while not sc.eof() and sc.peek().isdigit():
+            while not sc.eof() and sc.peek() in _DIGITS:
                 sc.advance()
         if not is_float and digits_before > 1 and source.text[start[0]] == "0":
             body = source.text[start[0] : sc.pos]
@@ -240,20 +242,11 @@ def lexed(lex, text: str):
     return [(t.kind, t.lexeme, t.span.as_tuple(), t.radix, t.suffix) for t in toks]
 
 
-# '²' and '①' satisfy str.isdigit() without being decimal digits.
-PINNED = "²³①"
 ALPHABET = (
     "".join(chr(c) for c in range(32, 127))
     + "\t\n\r\f\x0b\x00" + "éπ中٣½Ⅻ"
     + "\"'/*\\.0x0b1eE_$L\n" * 3  # lexically busy characters, weighted up
 )
-
-
-def _is_pinned(text: str) -> bool:
-    return any(c.isdigit() and not c.isdecimal() for c in text)
-
-
-assert _is_pinned(PINNED) and not _is_pinned(ALPHABET)
 
 
 def seed_texts() -> list[str]:
@@ -263,7 +256,7 @@ def seed_texts() -> list[str]:
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value:
                 texts.append(node.value)
-    return [t for t in texts if not _is_pinned(t)]
+    return texts
 
 
 def mutations(seeds: list[str], count: int, rng: random.Random) -> list[str]:
@@ -326,14 +319,17 @@ def test_seeded_mutations_lex_like_the_reference():
     assert 300 < errors < len(cases) - 300
 
 
-@pytest.mark.parametrize("digit", list(PINNED))
-def test_non_decimal_digit_is_an_illegal_character(digit):
-    text = f"int x =\n  {digit}1;"
-    assert lexed(reference_tokenize, text)[6][:2] == (TokenKind.NUMBER, f"{digit}1")
-    assert lexed(tokenize, text) == ("error", f"illegal character {digit!r}", 2, 3)
+# '²', '³' and '①' satisfy str.isdigit() without being decimal digits; '٣'
+# and '９' are decimal digits, but not ASCII ones.
+@pytest.mark.parametrize("digit", list("²³①٣９"))
+def test_non_ascii_digit_is_an_illegal_character(digit):
+    for text, col in ((f"int x =\n  {digit}1;", 3), (f"int x =\n  0{digit};", 4), (f"int x =\n  1.{digit};", 5)):
+        assert lexed(tokenize, text) == ("error", f"illegal character {digit!r}", 2, col)
+        assert lexed(reference_tokenize, text) == lexed(tokenize, text)
     # after a letter it is still part of the identifier, in literals and comments it is text
     for kept in (f"int x{digit} = 1;", f'String s = "{digit}"; // {digit}'):
         assert lexed(tokenize, kept) == lexed(reference_tokenize, kept)
+        assert not isinstance(lexed(tokenize, kept), tuple)
 
 
 @pytest.mark.parametrize("text, want", [

@@ -5,6 +5,10 @@ it to the exit contract: exit 0 with nothing on stderr, or exit 1 (config
 error) or 2 (i/o error) with exactly one stderr line.  No exception may leave
 ``main``.  The seeds and counts are fixed, so every run makes the same cases.
 
+The documents: the mini manifest under ``run`` and ``ingest``, a run config
+under ``run``, one stored report under ``score`` and ``diff``, and one
+scorecard file under ``report``.
+
 Mutation families, on a parsed document:
   * ``value``: one value (anywhere in the tree) replaced by one from VALUES;
   * ``drop``: one object key or list item removed;
@@ -157,6 +161,20 @@ def test_manifest_under_run(tmp_path, capsys):
     gate.check(0, 1)
 
 
+def test_manifest_under_ingest(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI, corpus)
+    manifest = corpus / "corpus.json"
+    original = manifest.read_bytes()
+    assert main(["ingest", "--corpus", str(corpus)]) == 0
+    gate = Gate(capsys)
+    for i, family, rng in gate.cases(seed=1705, count=100):
+        data, what = mutate(original, family, rng)
+        manifest.write_bytes(data)
+        gate.call(["ingest", "--corpus", str(corpus)], f"manifest case {i} ({family}: {what})")
+    gate.check(0, 1)
+
+
 def test_run_config_under_run(tmp_path, capsys, monkeypatch):
     # A mutated "out" may name any relative path: keep it inside tmp_path.
     cwd = tmp_path / "cwd"
@@ -214,6 +232,23 @@ def test_stored_report_under_score(scored_tree, capsys):
                      argv=["score", "--corpus", str(MINI), "--out", str(scored_tree), *SCENARIOS],
                      name="report")
     gate.check(1)  # a report's counts must agree with its violations, so nearly every mutation is refused
+
+
+def test_stored_report_under_diff(scored_tree, tmp_path, capsys):
+    """One side of ``diff`` is a mutated report, the other its original."""
+    reports = sorted(p for p in (scored_tree / "reports").rglob("*.json") if p.name != "_failures.json")
+    mutated, kept = tmp_path / "mutated.json", tmp_path / "kept.json"
+    gate = Gate(capsys)
+    for i, family, rng in gate.cases(seed=1706, count=80):
+        target = rng.choice(reports)
+        original = target.read_bytes()
+        data, what = mutate(original, family, rng)
+        mutated.write_bytes(data)
+        kept.write_bytes(original)
+        sides = [str(mutated), str(kept)] if i % 2 else [str(kept), str(mutated)]
+        gate.call(["diff", "--native", sides[0], "--imported", sides[1]],
+                  f"diff case {i} ({target.name}, {family}: {what})")
+    gate.check(0, 1)
 
 
 def test_scorecard_file_under_report(scored_tree, capsys):

@@ -1242,6 +1242,73 @@ def test_magic_number_reads_a_hex_floating_point_literal():
     ]
 
 
+def test_a_number_of_non_ascii_digits_is_no_magic_number():
+    """JLS 3.10.1: a decimal literal's digits are ASCII, so '٣٣' fails to lex."""
+    text = "class A {\n    int f() {\n        return \u0663\u0663;\n    }\n}\n"
+    report = detect_file(SourceFile.from_text("A.java", text), ("fixture", "test"), rules=[rule_by_id("magic-number")])
+    assert not report.parse_ok and report.violations == []
+    assert report.parse_error == "illegal character '\u0663' at (3, 16, 3, 17)"
+
+
+# ---- which naming rules read which kind of declaration
+
+# Each source declares one name ReCORD.  It is UpperCamelCase, so class-name
+# accepts it, but it breaks every other naming pattern of the catalog, it
+# holds a run of four capitals, and it is the restricted word record in
+# another case.  The value is the set of naming rules that flag it there; the
+# others must stay silent on it.
+NAMING_KINDS = {
+    "type": ("class ReCORD {\n}\n", {"abbreviation-as-word-in-name", "illegal-identifier-name"}),
+    "class-type-parameter": ("class A<ReCORD> {\n}\n", {"generics-name"}),
+    "method-type-parameter": ("class A {\n    <ReCORD> void f() {\n    }\n}\n", {"generics-name"}),
+    "field": ("class A {\n    int ReCORD;\n}\n", {"abbreviation-as-word-in-name", "illegal-identifier-name"}),
+    "static-final-field": ("class A {\n    static final int ReCORD = 1;\n}\n", {"constant-name", "illegal-identifier-name"}),
+    "interface-field": ("interface I {\n    int ReCORD = 1;\n}\n", {"constant-name", "illegal-identifier-name"}),
+    "method": (
+        "class A {\n    void ReCORD() {\n    }\n}\n",
+        {"method-name", "abbreviation-as-word-in-name", "illegal-identifier-name"},
+    ),
+    "constructor-parameter": (
+        "class A {\n    A(int ReCORD) {\n    }\n}\n",
+        {"parameter-name", "abbreviation-as-word-in-name", "illegal-identifier-name"},
+    ),
+    "local": (
+        "class A {\n    void f() {\n        int ReCORD = 1;\n    }\n}\n",
+        {"local-variable-name", "abbreviation-as-word-in-name", "illegal-identifier-name"},
+    ),
+    "for-init-local": (
+        "class A {\n    void f() {\n        for (int ReCORD = 0; ; ) {\n        }\n    }\n}\n",
+        {"local-variable-name", "abbreviation-as-word-in-name", "illegal-identifier-name"},
+    ),
+    "try-resource": (
+        "class A {\n    void f() {\n        try (R ReCORD = open()) {\n        }\n    }\n}\n",
+        {"local-variable-name"},
+    ),
+    "for-each-variable": (
+        "class A {\n    void f(int[] xs) {\n        for (int ReCORD : xs) {\n        }\n    }\n}\n",
+        {"local-variable-name", "abbreviation-as-word-in-name", "illegal-identifier-name"},
+    ),
+    "catch-parameter": (
+        "class A {\n    void f() {\n        try {\n        } catch (Exception ReCORD) {\n        }\n    }\n}\n",
+        {"catch-parameter-name"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(NAMING_KINDS))
+def test_each_naming_rule_reads_its_kinds_of_declaration(kind):
+    text, expected = NAMING_KINDS[kind]
+    report = detect_file(SourceFile.from_text("A.java", text), ("fixture", "test"))
+    assert report.parse_ok, report.parse_error
+    naming = [v for v in report.violations if rule_by_id(v.rule_id).smell_type == "inconsistent-naming"]
+    assert {v.rule_id for v in naming} == expected
+    assert len(naming) == len(expected)
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if "ReCORD" in row)
+    col = text.splitlines()[line - 1].index("ReCORD") + 1
+    assert {v.span.as_tuple()[:2] for v in naming} == {(line, col)}
+    assert all("ReCORD" in v.message for v in naming)
+
+
 # ---- paren-pad against the whitespace-token reading it replaced
 
 def reference_paren_pad(text: str) -> list[tuple[tuple[int, int, int, int], str]]:
