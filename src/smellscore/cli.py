@@ -29,7 +29,7 @@ from .corpus import (
     require_plain_name,
     validate_corpus,
 )
-from .outputs import DocumentError, json_text, optional, read_json, write_if_changed
+from .outputs import DocumentError, json_text, optional, read_json, write_files
 from .rules.catalog import catalog
 from .rules.model import SmellRule, ViolationReport
 from .scoreboard import (
@@ -191,22 +191,22 @@ def run_score(config: RunConfig, summary: RunSummary, reports=None) -> list[Scor
             raise IoError(f"no report store under {config.out_dir}")
     subjects = config.subjects or sorted(reports)
     counts = ReportCounts(corpus, reports)
-    all_cards: list[ScoreCard] = []
+    cells: list[tuple[str, str, list[ScoreCard]]] = []
     for scenario in config.scenarios:
         for ruleset in config.rulesets:
             cards = score_scenario(corpus, counts, scenario, ruleset, subjects)
-            all_cards.extend(cards)
+            cells.append((scenario.label, ruleset.label, cards))
             summary.scorecards_written += len(cards)
-            summary.files_changed += write_scorecards(cards, config.out_dir, scenario.label, ruleset.label)
-    return all_cards
+    summary.files_changed += write_scorecards(cells, config.out_dir)
+    return [card for _, _, cards in cells for card in cards]
 
 
 def run_report(config: RunConfig, summary: RunSummary) -> None:
     if not (config.out_dir / "scores").is_dir():
         raise IoError(f"no scores under {config.out_dir}")
-    changed = write_heatmaps(config.out_dir)
-    summary.heatmaps_written += len(changed)
-    summary.files_changed += sum(changed)
+    written, changed = write_heatmaps(config.out_dir)
+    summary.heatmaps_written += written
+    summary.files_changed += changed
 
 
 def run_pipeline(config: RunConfig) -> RunSummary:
@@ -387,7 +387,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ConfigError(str(e)) from e
         text = summary.to_csv()
         if args.out:
-            write_if_changed(args.out, text)
+            write_files([(args.out, text)])
         else:
             print(text, end="")
         return 0

@@ -1,6 +1,7 @@
 """Deterministic output files shared by the report store, the scorecards and
-the heat maps: canonical JSON text, written only when its bytes change, so a
-rerun over unchanged inputs leaves every file (and its mtime) untouched.
+the heat maps: canonical JSON text, and one batch writer that writes a file
+only when its bytes change, so a rerun over unchanged inputs leaves every
+file (and its mtime) untouched.
 
 Every JSON document smellscore reads is first held to a spec by ``check``:
   * a JSON type (``str``, ``int``, ``float``, ``bool``, ``type(None)``,
@@ -15,9 +16,11 @@ Every JSON document smellscore reads is first held to a spec by ``check``:
 from __future__ import annotations
 
 import json
+import os
+import threading
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 _int_text = int.__repr__  # how json writes an int, bool aside
 
@@ -85,25 +88,73 @@ def _key_text(key: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def write_if_changed(path: Path, text: str) -> bool:
-    """Write only when bytes differ; returns True when the file changed.  The
-    old bytes take one open, and the parent directory is made only when the
-    write finds it missing."""
-    data = text.encode("utf-8")
+def write_files(files: Iterable[tuple[Path, str]]) -> int:
+    """Write each (path, text) pair, given in canonical order, whose bytes
+    differ from the file's; returns how many files changed.
+
+    The compares run on the calling thread: an unchanged file costs one open
+    and one read.  The files that differ are split into contiguous runs of
+    the canonical list, one per worker: as many as there are usable CPUs, but
+    no more than distinct directories.  The calling thread writes the first
+    run and one thread each of the others, since creating a file is system
+    time spent outside the GIL; with one worker no thread starts.  Runs are
+    contiguous so that two threads seldom create files in one directory,
+    whose lock would serialise them.  A directory is made only when a write
+    finds it missing.  Once every thread is joined, the error of the earliest
+    failing file in canonical order is raised.
+    """
+    pending: list[tuple[Path, bytes]] = []
+    for path, text in files:
+        data = text.encode("utf-8")
+        try:
+            with open(path, "rb") as f:
+                if f.read() == data:
+                    continue
+        except (FileNotFoundError, NotADirectoryError):  # no such file: its write will say why, if it fails
+            pass
+        pending.append((path, data))
+    if not pending:
+        return 0
+    workers = min(_usable_cpus(), len({path.parent for path, _ in pending}))
+    size, extra = divmod(len(pending), workers)
+    bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+    errors: list[BaseException | None] = [None] * workers
+    threads = [
+        threading.Thread(target=_write_run, args=(pending[bounds[i]:bounds[i + 1]], errors, i))
+        for i in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    _write_run(pending[:bounds[1]], errors, 0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return len(pending)
+
+
+def _usable_cpus() -> int:
     try:
-        with open(path, "rb") as f:
-            if f.read() == data:
-                return False
-    except FileNotFoundError:
-        pass
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _write_run(run: list[tuple[Path, bytes]], errors: list[BaseException | None], index: int) -> None:
+    """Write each file of ``run`` in order; the first error stops the run and
+    is kept as ``errors[index]``."""
     try:
-        file = open(path, "wb")
-    except FileNotFoundError:  # the first file of a new directory
-        path.parent.mkdir(parents=True, exist_ok=True)
-        file = open(path, "wb")
-    with file:
-        file.write(data)
-    return True
+        for path, data in run:
+            try:
+                file = open(path, "wb")
+            except FileNotFoundError:  # the first file of a new directory
+                path.parent.mkdir(parents=True, exist_ok=True)
+                file = open(path, "wb")
+            with file:
+                file.write(data)
+    except BaseException as e:  # re-raised by write_files once every thread is joined
+        errors[index] = e
 
 
 class DocumentError(Exception):

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .corpus import CodingTask, Corpus, require_plain_name
-from .outputs import DocumentError, json_text, read_json, write_if_changed
+from .outputs import DocumentError, json_text, read_json, write_files
 from .rules.model import (
     ALL_TYPES, DESIGN, DESIGN_TYPES, IMPLEMENTATION, IMPLEMENTATION_TYPES, SmellRule, ViolationReport,
 )
@@ -363,12 +363,17 @@ def score_scenario(
     return cards
 
 
-def write_scorecards(cards: Sequence[ScoreCard], out_dir: str | Path, scenario: str, ruleset: str) -> bool:
-    """Persist one (scenario, ruleset) cell grid in canonical order, only when
-    its bytes change; returns True when the file changed."""
-    path = Path(out_dir) / "scores" / scenario / f"{ruleset}.json"
-    doc = [c.to_json() for c in sorted(cards, key=lambda c: (c.scenario, c.subject))]
-    return write_if_changed(path, json_text(doc))
+def write_scorecards(cells: Iterable[tuple[str, str, Sequence[ScoreCard]]], out_dir: str | Path) -> int:
+    """Write one file per (scenario, ruleset, cards) cell grid, in the order
+    given, with its cards in canonical order, each file only when its bytes
+    change; returns how many files changed."""
+    return write_files(
+        (
+            Path(out_dir) / "scores" / scenario / f"{ruleset}.json",
+            json_text([c.to_json() for c in sorted(cards, key=lambda c: (c.scenario, c.subject))]),
+        )
+        for scenario, ruleset, cards in cells
+    )
 
 
 def load_scorecards(path: str | Path) -> list[ScoreCard]:
@@ -411,9 +416,10 @@ _HEATMAP_CELLS = (
 )
 
 
-def write_heatmaps(out_dir: str | Path) -> list[bool]:
+def write_heatmaps(out_dir: str | Path) -> tuple[int, int]:
     """Render heatmaps/ from the scorecards under scores/, each file only when
-    its bytes change; returns, per file written, whether it changed.
+    its bytes change; returns how many files were rendered and how many of
+    them changed.
 
     The topic map has a row per topic of scores/topic/all.json, sorted; the
     smell-type map a row per scores/all/type-<t>.json that holds cards, in
@@ -431,7 +437,7 @@ def write_heatmaps(out_dir: str | Path) -> list[bool]:
         for card in _stored_cards(out / "scores" / "all" / f"type-{smell_type}.json"):
             by_type.setdefault(smell_type, {})[card.subject] = card
 
-    changed: list[bool] = []
+    files: list[tuple[Path, str]] = []
     for row_kind, table in (("topic", dict(sorted(by_topic.items()))), ("smell-type", by_type)):
         if not table:
             continue
@@ -442,8 +448,8 @@ def write_heatmaps(out_dir: str | Path) -> list[bool]:
             writer.writerow([row_kind, *subjects])
             for row, cards in table.items():
                 writer.writerow([row, *(cell(cards[s]) if s in cards else "" for s in subjects)])
-            changed.append(write_if_changed(out / "heatmaps" / f"{row_kind}_{suffix}.csv", text.getvalue()))
-    return changed
+            files.append((out / "heatmaps" / f"{row_kind}_{suffix}.csv", text.getvalue()))
+    return len(files), write_files(files)
 
 
 def _stored_cards(path: Path) -> list[ScoreCard]:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .java_syntax import ParseOutcome, SourceFile, parse
-from .outputs import DocumentError, json_text, read_json, write_if_changed
+from .outputs import DocumentError, json_text, read_json, write_files
 from .rules import design as design_checks
 from .rules import implementation as impl_checks
 from .rules.catalog import catalog, rule_types
@@ -100,8 +100,9 @@ def detect_corpus(
     """One report per (subject, task).  Subjects are model ids or 'baseline'.
 
     Per-file parse and decode failures are recorded in the reports, never
-    raised.  When out_dir is given the reports are persisted in canonical
-    order so results are independent of worker scheduling.
+    raised.  When out_dir is given the reports are written with
+    write_report_store; no file's bytes depend on which worker analyzed or
+    wrote it.
     """
     rules = _unique_rules(rules)  # once, not once per file
     work: list[tuple[str, str, str]] = []
@@ -146,19 +147,24 @@ def detect_corpus(
 # --------------------------------------------------------------------------
 
 def write_report_store(results: dict[str, dict[str, ViolationReport]], out_dir: str | Path) -> int:
-    """Persist reports in canonical order, each file only when its bytes
-    change; returns how many files changed."""
-    base = Path(out_dir) / "reports"
-    changed = 0
+    """Write one file per report and a failure roster per subject through
+    outputs.write_files, each only when its bytes change; returns how many
+    files changed.  Any of the writer threads may write a file, but its
+    bytes are those of its report alone."""
+    return write_files(_report_store_files(results, Path(out_dir) / "reports"))
+
+
+def _report_store_files(results: dict[str, dict[str, ViolationReport]], base: Path) -> Iterator[tuple[Path, str]]:
+    """Per subject, each report file and then the failure roster, in
+    canonical order, each text built only when it is asked for."""
     for subject in sorted(results):
         failures: list[dict] = []
         for task_id in sorted(results[subject]):
             report = results[subject][task_id]
-            changed += write_if_changed(base / subject / f"{task_id}.json", json_text(report.to_json()))
+            yield base / subject / f"{task_id}.json", json_text(report.to_json())
             if not report.parse_ok:
                 failures.append({"task_id": task_id, "error": report.parse_error})
-        changed += write_if_changed(base / subject / "_failures.json", json_text(failures))
-    return changed
+        yield base / subject / "_failures.json", json_text(failures)
 
 
 class StoredCounts(NamedTuple):

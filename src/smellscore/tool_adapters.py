@@ -123,7 +123,7 @@ def _read_findings(report: ExternalReport, source_path: str | Path | None) -> li
 def _parse_xml(path: Path) -> ET.Element:
     try:
         return ET.parse(path).getroot()
-    except (ET.ParseError, OSError) as e:
+    except (ET.ParseError, OSError, LookupError) as e:  # LookupError: an unknown declared encoding
         raise FormatError(f"{path}: not parseable XML: {e}") from e
 
 
@@ -208,7 +208,12 @@ def _read_designite(path: Path, source_path: str | Path | None) -> list[_Finding
             missing = [c for c in _DESIGNITE_REQUIRED if c not in reader.fieldnames]
             if missing:
                 raise FormatError(f"{path}: missing columns {missing}")
-            rows = list(reader)
+            rows = []
+            for row in reader:
+                if None in row.values():  # DictReader's filler for the fields a short row lacks
+                    fields = len(reader.fieldnames)
+                    raise FormatError(f"{path}: line {reader.line_num}: fewer fields than the header's {fields}")
+                rows.append(row)
     except (csv.Error, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: not parseable CSV: {e}") from e
 

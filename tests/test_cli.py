@@ -628,7 +628,11 @@ class TestImportMalformedReports:
          "<error> attribute column='-' is not an integer"),
         ("designite_csv", "d.csv", b"Project Name,Package Name,Type Name,Method Name,Code Smell\nd,p,Caf\xe9,,Long Method\n",
          "not parseable CSV"),
-    ], ids=["pmd-without-beginline", "pmd-begincolumn", "not-xml", "checkstyle-line", "checkstyle-column", "csv-not-utf8"])
+        ("designite_csv", "d.csv", b"Project Name,Package Name,Type Name,Method Name,Code Smell\np,q\n",
+         "line 2: fewer fields than the header's 5"),
+        ("pmd_xml", "p.xml", b'<?xml version="1.0" encoding="UT"?><pmd></pmd>', "not parseable XML: unknown encoding: UT"),
+    ], ids=["pmd-without-beginline", "pmd-begincolumn", "not-xml", "checkstyle-line", "checkstyle-column", "csv-not-utf8",
+            "csv-short-row", "xml-unknown-encoding"])
     def test_malformed_report_is_config_error(self, tmp_path, capsys, fmt, name, content, expected):
         report = tmp_path / name
         report.write_bytes(content)

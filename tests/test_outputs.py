@@ -1,11 +1,14 @@
-"""outputs.py: the canonical JSON text, the write-if-changed store writer and
-the JSON reader."""
+"""outputs.py: the canonical JSON text, the batch writer of every output file
+and the JSON reader."""
 
 from __future__ import annotations
 
 import enum
 import json
 import math
+import os
+import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smellscore import outputs
-from smellscore.outputs import json_text, read_json, write_if_changed
+from smellscore.cli import main
+from smellscore.outputs import json_text, read_json, write_files
+
+MINI = Path(__file__).parent / "data" / "mini_corpus"
 
 
 def canonical(doc) -> str:
@@ -112,20 +118,24 @@ def test_json_text_refuses_what_json_refuses(doc):
 
 
 # ---------------------------------------------------------------------------
-# write_if_changed
+# write_files
 # ---------------------------------------------------------------------------
 
 class Calls:
-    """Counts the opens, stats and directory creations of outputs.py."""
+    """Counts the opens, stats and directory creations of outputs.py, and
+    records which thread opened each file for writing."""
 
     def __init__(self, monkeypatch):
         self.opens: list[str] = []
         self.mkdirs: list[Path] = []
         self.exists = 0
+        self.writers: dict[Path, threading.Thread] = {}
         real_open, real_mkdir, real_exists = open, Path.mkdir, Path.exists
 
         def counting_open(path, mode="r", *args, **kwargs):
             self.opens.append(mode)
+            if mode == "wb":
+                self.writers[path] = threading.current_thread()
             return real_open(path, mode, *args, **kwargs)
 
         def counting_mkdir(path, *args, **kwargs):
@@ -141,12 +151,23 @@ class Calls:
         monkeypatch.setattr(Path, "exists", counting_exists)
 
 
+def cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def refuse_threads(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+
+
 def test_unchanged_file_costs_one_open(tmp_path, monkeypatch):
     path = tmp_path / "a" / "b.json"
-    assert write_if_changed(path, "text\n")
+    assert write_files([(path, "text\n")]) == 1
     calls = Calls(monkeypatch)
     stat = path.stat()
-    assert not write_if_changed(path, "text\n")
+    assert write_files([(path, "text\n")]) == 0
     assert (calls.opens, calls.mkdirs, calls.exists) == (["rb"], [], 0)
     assert path.stat().st_mtime_ns == stat.st_mtime_ns
 
@@ -155,26 +176,138 @@ def test_changed_file_is_rewritten_without_making_its_directory(tmp_path, monkey
     path = tmp_path / "a.json"
     path.write_bytes(b"old\n")
     calls = Calls(monkeypatch)
-    assert write_if_changed(path, "new é\n")
+    assert write_files([(path, "new é\n")]) == 1
     assert path.read_bytes() == "new é\n".encode("utf-8")
     assert (calls.opens, calls.mkdirs, calls.exists) == (["rb", "wb"], [], 0)
 
 
 def test_new_file_makes_its_directory_only_when_missing(tmp_path, monkeypatch):
     calls = Calls(monkeypatch)
-    assert write_if_changed(tmp_path / "x" / "y" / "1.json", "1\n")
+    assert write_files([(tmp_path / "x" / "y" / "1.json", "1\n")]) == 1
     assert calls.mkdirs[0] == tmp_path / "x" / "y"  # mkdir(parents=True) then makes x
     made = len(calls.mkdirs)
-    assert write_if_changed(tmp_path / "x" / "y" / "2.json", "2\n")
+    assert write_files([(tmp_path / "x" / "y" / "2.json", "2\n")]) == 1
     assert len(calls.mkdirs) == made
     assert (tmp_path / "x" / "y" / "2.json").read_text(encoding="utf-8") == "2\n"
+
+
+def batch(root: Path, dirs: int, per_dir: int) -> list[tuple[Path, str]]:
+    return [(root / f"d{d}" / f"{i}.txt", f"{d}.{i}\n") for d in range(dirs) for i in range(per_dir)]
+
+
+def test_only_changed_files_are_written_in_contiguous_runs(tmp_path, monkeypatch):
+    """One run per usable CPU, no more than directories; the calling thread
+    writes the first run."""
+    cpus(monkeypatch, 4)
+    files = batch(tmp_path, 3, 5)
+    (tmp_path / "d0").mkdir()
+    for path, text in files[:2]:
+        path.write_text(text, encoding="utf-8")
+    calls = Calls(monkeypatch)
+    assert write_files(files) == 13
+    assert [path.read_text(encoding="utf-8") for path, _ in files] == [text for _, text in files]
+    written = [path for path, _ in files[2:]]
+    assert set(calls.writers) == set(written)  # the two unchanged files are not rewritten
+    threads = [calls.writers[path] for path in written]
+    assert len(set(threads)) == 3  # min(4 CPUs, 3 directories)
+    runs = [threads[i] for i in range(len(threads)) if i == 0 or threads[i] != threads[i - 1]]
+    assert len(runs) == 3 and runs[0] is threading.current_thread()
+    assert [threads.count(t) for t in runs] == [5, 4, 4]
+
+
+def test_more_workers_than_cores_write_every_file(tmp_path, monkeypatch):
+    cpus(monkeypatch, 8)
+    files = batch(tmp_path, 8, 25)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert write_files(files) == 200
+    finally:
+        sys.setswitchinterval(interval)
+    assert [path.read_text(encoding="utf-8") for path, _ in files] == [text for _, text in files]
+    assert write_files(files) == 0
+
+
+def test_one_cpu_starts_no_thread(tmp_path, monkeypatch):
+    cpus(monkeypatch, 1)
+    refuse_threads(monkeypatch)
+    assert write_files(batch(tmp_path, 3, 2)) == 6
+
+
+def test_without_cpu_affinity_the_cpu_count_is_used(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    refuse_threads(monkeypatch)
+    assert write_files(batch(tmp_path, 2, 2)) == 4
+
+
+def test_the_run_tree_does_not_depend_on_the_cpus(tmp_path, monkeypatch, capsys):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    argv = ["run", "--corpus", str(MINI), "--scenario", "all", "--scenario", "topic", "--ruleset", "all",
+            "--ruleset", "design"]
+    trees = []
+    for n in (1, 4):
+        cpus(monkeypatch, n)
+        assert main([*argv, "--out", str(tmp_path / f"cpus{n}")]) == 0
+        trees.append(tree(tmp_path / f"cpus{n}"))
+        assert bool(started) == (n > 1)
+    assert trees[0] == trees[1]
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_rerun_that_changes_nothing_starts_no_thread(tmp_path, monkeypatch, capsys):
+    cpus(monkeypatch, 4)
+    argv = ["run", "--corpus", str(MINI), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    before = tree(tmp_path / "out")
+    capsys.readouterr()
+    refuse_threads(monkeypatch)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["recomputed"] == 0
+    assert tree(tmp_path / "out") == before
 
 
 def test_a_parent_that_is_a_file_is_an_os_error(tmp_path):
     """The CLI prints it as one 'i/o error:' line."""
     (tmp_path / "x").write_bytes(b"")
     with pytest.raises(OSError):
-        write_if_changed(tmp_path / "x" / "1.json", "1\n")
+        write_files([(tmp_path / "x" / "1.json", "1\n")])
+
+
+def test_the_earliest_failing_file_is_raised_once_every_thread_is_joined(tmp_path, monkeypatch):
+    cpus(monkeypatch, 4)
+    files = batch(tmp_path, 4, 3)
+    for d in (2, 3):  # the parents of the last two runs are files
+        (tmp_path / f"d{d}").write_bytes(b"")
+    threads = threading.active_count()
+    with pytest.raises(OSError) as e:
+        write_files(files)
+    assert threading.active_count() == threads
+    assert e.value.filename == str(tmp_path / "d2" / "0.txt")
+    assert [(tmp_path / "d1" / f"{i}.txt").read_text(encoding="utf-8") for i in range(3)] == ["1.0\n", "1.1\n", "1.2\n"]
+
+
+def test_a_failing_write_in_a_late_run_is_one_io_error_line(tmp_path, monkeypatch, capsys):
+    cpus(monkeypatch, 4)
+    out = tmp_path / "out"
+    (out / "reports").mkdir(parents=True)
+    (out / "reports" / "m2").write_bytes(b"")
+    threads = threading.active_count()
+    assert main(["run", "--corpus", str(MINI), "--out", str(out)]) == 2
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert str(out / "reports" / "m2" / "T01.json") in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ error) or 2 (i/o error) with exactly one stderr line.  No exception may leave
 ``main``.  The seeds and counts are fixed, so every run makes the same cases.
 
 The documents: the mini manifest under ``run`` and ``ingest``, a run config
-under ``run``, one stored report under ``score`` and ``diff``, and one
-scorecard file under ``report``.
+under ``run``, one stored report under ``score`` and ``diff``, one
+scorecard file under ``report``, and each external detector sample under
+``import-reports`` (DesigniteJava with and without ``--source``).
 
 Mutation families, on a parsed document:
   * ``value``: one value (anywhere in the tree) replaced by one from VALUES;
@@ -15,7 +16,9 @@ Mutation families, on a parsed document:
   * ``extra``: one object gains a key, or one list repeats an item;
 and on the document's text:
   * ``bytes``: one to three bytes or short runs from BYTES inserted,
-    overwritten or cut, or the text truncated.
+    overwritten or cut, or the text truncated.  The external samples, which
+    are XML or CSV, not JSON, take only this family, with MARKUP added to
+    the pieces.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from smellscore.cli import main
 from smellscore.rules.model import ALL_TYPES
 
 MINI = Path(__file__).parent / "data" / "mini_corpus"
+EXTERNAL = Path(__file__).parent / "data" / "external"
 
 VALUES = (
     None, True, False, 0, -1, 1, 2, 3, 2**64, 1.0, 1.5, -0.0, float("nan"), float("inf"),
@@ -40,6 +44,7 @@ VALUES = (
 )
 BYTES = (b"\r", b"\r\n", b"\n", b"\x00", b"\xff", b"\xc3", b"\xe2\x82", b'"', b"\\", b",", b":",
          b"{", b"}", b"[", b"]", b"0", b"-", b"e9", b"null", b"NaN", b"\xef\xbb\xbf")
+MARKUP = (b"<", b">", b"</", b"/>", b"=", b"&", b"'", b"<!--", b"]]>")
 FAMILIES = ("value", "drop", "extra", "bytes")
 
 
@@ -64,15 +69,16 @@ def _containers(doc) -> list[object]:
     return [doc] + [c[k] for c, k in _slots(doc) if isinstance(c[k], (dict, list))]
 
 
-def mutate(data: bytes, family: str, rng: random.Random) -> tuple[bytes, str]:
-    """One mutation of the JSON document ``data``, and what it did."""
+def mutate(data: bytes, family: str, rng: random.Random, pieces: tuple[bytes, ...] = BYTES) -> tuple[bytes, str]:
+    """One mutation of ``data``, a JSON document unless the family is
+    ``bytes``, and what it did; that family draws its pieces from ``pieces``."""
     if family == "bytes":
         out = bytearray(data)
         steps = []
         for _ in range(rng.randint(1, 3)):
             at = rng.randrange(len(out) + 1)
             op = rng.choice(("insert", "overwrite", "cut", "truncate"))
-            piece = rng.choice(BYTES)
+            piece = rng.choice(pieces)
             if op == "insert":
                 out[at:at] = piece
             elif op == "overwrite":
@@ -258,3 +264,24 @@ def test_scorecard_file_under_report(scored_tree, capsys):
     _mutate_one_file(gate, cards, seed=1704, count=80,
                      argv=["report", "--corpus", str(MINI), "--out", str(scored_tree)], name="scorecard")
     gate.check(1)  # a card's fields must agree, so nearly every mutation is refused
+
+
+@pytest.mark.parametrize("fmt, sample, source, seed", [
+    ("pmd_xml", "sample_pmd.xml", False, 1707),
+    ("checkstyle_xml", "sample_checkstyle.xml", False, 1708),
+    ("designite_csv", "sample_designite.csv", False, 1709),
+    ("designite_csv", "sample_designite.csv", True, 1710),
+], ids=["pmd", "checkstyle", "designite", "designite-with-source"])
+def test_external_report_under_import_reports(tmp_path, capsys, fmt, sample, source, seed):
+    original = (EXTERNAL / sample).read_bytes()
+    report = tmp_path / sample
+    argv = ["import-reports", "--format", fmt, "--in", str(report), "--out", str(tmp_path / "out"),
+            "--subject", "T01:imported", *(["--source", str(EXTERNAL / "Subject.java")] if source else [])]
+    report.write_bytes(original)
+    assert main(argv) == 0
+    gate = Gate(capsys)
+    for i, _, rng in gate.cases(seed, count=100):
+        data, what = mutate(original, "bytes", rng, BYTES + MARKUP)
+        report.write_bytes(data)
+        gate.call(argv, f"{sample} case {i} (bytes: {what})")
+    gate.check(0, 1)

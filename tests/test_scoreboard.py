@@ -242,13 +242,13 @@ class TestRankings:
 class TestScorecardStore:
     def test_identical_rewrite_leaves_file_alone(self, tmp_path):
         cards = [card("Inheritance", 3, increase=2), card("String", 1)]
-        assert write_scorecards(cards, tmp_path, "topic", "all") is True
+        assert write_scorecards([("topic", "all", cards)], tmp_path) == 1
         path = tmp_path / "scores" / "topic" / "all.json"
         before = path.stat().st_mtime_ns
-        assert write_scorecards(list(reversed(cards)), tmp_path, "topic", "all") is False
+        assert write_scorecards([("topic", "all", list(reversed(cards)))], tmp_path) == 0
         assert path.stat().st_mtime_ns == before
         assert load_scorecards(path) == cards
-        assert write_scorecards(cards[:1], tmp_path, "topic", "all") is True
+        assert write_scorecards([("topic", "all", cards[:1]), ("all", "all", cards)], tmp_path) == 2
 
     def test_unknown_smell_type_is_rejected_when_parsed(self):
         assert RuleSetSelector.parse("type:magic-number").smell_types == ("magic-number",)
