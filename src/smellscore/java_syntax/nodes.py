@@ -4,20 +4,93 @@ Every node carries a Span, built when first read.  Member lists on type
 declarations preserve source order; convenience accessors partition them by
 kind.  Comments are kept on the compilation unit and attached to
 declarations they immediately precede.
+
+Every node class is a dataclass, but dataclass() writes none of its
+methods: the __init__ of every class comes from one exec at the end of the
+module (_define_inits), with the parameters and body dataclass would give it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Iterator, Optional, Union
 
 from .lexer import Span, TokenKind, extent_span
 
-# Every node class is a dataclass for its __init__ and fields; the __repr__
-# and __eq__ that dataclass would generate per class are written once on Node.
-_node = dataclass(repr=False, eq=False)
+_NODE_CLASSES: list[type] = []  # in definition order, for _define_inits
+
+
+def _node(cls: type) -> type:
+    """Make a node class a dataclass that gets its __init__ from _define_inits.
+
+    dataclass() compiles every method it writes with an exec of its own,
+    each import, whatever the bytecode cache holds; and for a class without
+    a docstring it asks inspect.signature for one.  So it writes no method
+    here (the __repr__ and __eq__ are written once on Node), and it runs
+    while the class holds a stand-in docstring.  The class then gets its
+    own back, or the text dataclass would build,
+    ``Name(field: 'type' = default, ...)``.
+    """
+    own_doc = cls.__doc__
+    cls.__doc__ = "-"  # any docstring keeps dataclass() from building one
+    dataclass(init=False, repr=False, eq=False)(cls)
+    cls.__doc__ = own_doc or f"{cls.__name__}({', '.join(map(_param_text, dataclasses.fields(cls)))})"
+    _NODE_CLASSES.append(cls)
+    return cls
+
+
+class _Factory:
+    """Default of a parameter whose field has a default_factory."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def _param_text(f: dataclasses.Field) -> str:
+    """An __init__ parameter as inspect.signature prints it."""
+    if f.default is not MISSING:
+        return f"{f.name}: {f.type!r} = {f.default!r}"
+    if f.default_factory is not MISSING:
+        return f"{f.name}: {f.type!r} = <factory>"
+    return f"{f.name}: {f.type!r}"
+
+
+def _define_inits(classes: list[type]) -> None:
+    """Give every node class the __init__ that dataclass() would write, from
+    one exec: the same parameters, annotations and defaults, a fresh value
+    from each default_factory, and a plain assignment per field, which runs
+    a span property's slot setter."""
+    scope: dict[str, object] = {"__name__": __name__, "_FACTORY": _FACTORY}
+    lines: list[str] = []
+    for i, cls in enumerate(classes):
+        params, body = ["self"], []
+        for f in dataclasses.fields(cls):
+            if not f.init or f.kw_only:
+                raise TypeError(f"{cls.__name__}.{f.name}: a node field is a plain __init__ parameter")
+            value = f.name
+            if f.default is not MISSING:
+                scope[default := f"_d{i}_{f.name}"] = f.default
+                params.append(f"{f.name}={default}")
+            elif f.default_factory is not MISSING:
+                scope[factory := f"_d{i}_{f.name}"] = f.default_factory
+                params.append(f"{f.name}=_FACTORY")
+                value = f"{factory}() if {f.name} is _FACTORY else {f.name}"
+            else:
+                params.append(f.name)
+            body.append(f"    self.{f.name} = {value}")
+        lines += [f"def _init{i}({', '.join(params)}):", *body]
+    exec("\n".join(lines), scope)
+    for i, cls in enumerate(classes):
+        init = scope[f"_init{i}"]
+        init.__name__, init.__qualname__ = "__init__", f"{cls.__qualname__}.__init__"
+        # Annotations set here, not written in the source, cost no compiling.
+        init.__annotations__ = {f.name: f.type for f in dataclasses.fields(cls)} | {"return": None}
+        cls.__init__ = init
 
 
 @functools.cache
@@ -602,6 +675,9 @@ class MethodRef(Expr):
 @_node
 class ClassLiteral(Expr):
     type: TypeRef
+
+
+_define_inits(_NODE_CLASSES)
 
 
 # --------------------------------------------------------------------------

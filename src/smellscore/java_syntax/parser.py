@@ -1018,6 +1018,8 @@ class _Parser:
             expr = self.binary()
         if lexemes[self.i] in _ASSIGN_OPS:
             op = lexemes[self.i]
+            if not _is_variable(expr):
+                raise _NoReading(f"{op!r} needs a variable", expr.span)
             self.i += 1
             value = self.expression()
             expr = n.Assign(span=(self.line_index, expr._span[1], value._span[2]), target=expr, op=op, value=value)
@@ -1067,6 +1069,8 @@ class _Parser:
             if lex == "-":
                 self.negated = self.i
             operand = self.unary()
+            if lex in ("++", "--") and not _is_variable(operand):
+                raise _NoReading(f"{lex!r} needs a variable", operand.span)
             return n.Unary(span=self.extent_to(op_tok, operand), op=lex, operand=operand, prefix=True)
         if lex == "(" and self._may_start(self.i + 1, _CAST_FOLLOW):
             head = self._attempt(self._cast_head)
@@ -1137,6 +1141,8 @@ class _Parser:
                 expr = self._method_ref(expr)
                 continue
             if lex in ("++", "--"):
+                if not _is_variable(expr):
+                    raise _NoReading(f"{lex!r} needs a variable", expr.span)
                 op_tok = self.next()
                 span = (self.line_index, expr._span[1], self.end_of(op_tok))
                 expr = n.Unary(span=span, op=lex, operand=expr, prefix=False)
@@ -1409,6 +1415,18 @@ def _malformed_literal(lexeme: str, kind: TokenKind, radix: int | None, suffix: 
     if too_large:
         return f"{'int' if suffix is None else 'long'} literal {lexeme!r} out of range"
     return None
+
+
+def _is_variable(expr: n.Expr) -> bool:
+    """Whether an expression denotes a variable, as the target of an
+    assignment or the operand of '++' or '--' must (JLS 15.26, 15.14.2,
+    15.15.1): a name, a field access or an array access, in any number of
+    parentheses.  ``X.this`` and ``X.super`` are no field accesses."""
+    while expr.__class__ is n.Paren:
+        expr = expr.expr
+    if expr.__class__ is n.FieldAccess:
+        return expr.name not in ("this", "super")
+    return expr.__class__ is n.Name or expr.__class__ is n.ArrayAccess
 
 
 def _dotted_name(expr: n.Expr) -> str | None:

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .corpus import load_manifest, require_plain_name
-from .outputs import check, json_text, optional
+from .outputs import SpecError, check, json_text, optional
 from .java_syntax import parse_text
 from .java_syntax.lexer import LINE_END
 
@@ -93,7 +93,13 @@ class EndpointConfig:
         _ENDPOINT_SPEC (a missing url, an unknown key, a field of another type)
         raises SpecError."""
         check(doc, _ENDPOINT_SPEC)
+        delay = doc.get("delay_seconds", 0)
+        if not 0 <= delay <= MAX_DELAY_SECONDS:  # NaN fails too; time.sleep overflows on an infinite delay
+            raise SpecError(f"$.delay_seconds: must be from 0 to {MAX_DELAY_SECONDS}, got {json.dumps(delay)}")
         return cls(**doc)
+
+
+MAX_DELAY_SECONDS = 86400  # a day
 
 
 _ENDPOINT_SPEC = {

@@ -53,10 +53,10 @@ class FileFacts:
       extends or implements; ``subtypes`` (lazy): each declared type's
       direct subtypes, by name;
     * ``inheritance_depth(decl)``: the length of decl's extends chain;
-    * ``declared_names`` (lazy): (kind, name, span) of every declaration a
+    * ``declared_names`` (lazy): (kind, name, node) of every declaration a
       naming rule reads: types, type parameters, fields, constants,
       methods, parameters, locals, resources, loop variables and catch
-      parameters;
+      parameters; ``declared_span(node)`` is the span of the name;
     * ``edges`` (lazy): the in-unit reference edges between types;
     * ``class_refs`` (lazy): each class with its referenced type names.
 
@@ -140,8 +140,8 @@ class FileFacts:
         return edges
 
     @cached_property
-    def declared_names(self) -> list[tuple[str, str, Span]]:
-        """(kind, name, span) for every declaration a naming rule reads.
+    def declared_names(self) -> list[tuple[str, str, n.Node]]:
+        """(kind, name, node) for every declaration a naming rule reads.
 
         The kinds are ``type``, ``type parameter``, ``field``, ``constant``
         (a static final or interface field), ``method`` (constructors
@@ -150,26 +150,28 @@ class FileFacts:
         ``catch parameter``; the last four are read in the bodies.  The
         entries follow ``types``, ``fields``, ``methods`` and ``bodies`` in
         turn; within a body, locals and resources come in ``local_decls``
-        order, then loop variables, then catch parameters.
+        order, then loop variables, then catch parameters.  The table holds
+        nodes, not spans: a checker builds the span (declared_span) of a
+        name it reports, and most names break no rule.
         """
-        out = [("type", decl.name, decl.name_span) for decl in self.types]
-        out += [("type parameter", tp.name, tp.span) for decl in self.types for tp in decl.type_params]
+        out: list[tuple[str, str, n.Node]] = [("type", decl.name, decl) for decl in self.types]
+        out += [("type parameter", tp.name, tp) for decl in self.types for tp in decl.type_params]
         for decl, member in self.fields:
             kind = "constant" if member.is_static_final or decl.kind == "interface" else "field"
-            out += [(kind, d.name, d.name_span) for d in member.declarators]
+            out += [(kind, d.name, d) for d in member.declarators]
         for _, member in self.methods:
             if not member.is_constructor:
-                out.append(("method", member.name, member.name_span))
+                out.append(("method", member.name, member))
             if member.type_params:
-                out += [("type parameter", tp.name, tp.span) for tp in member.type_params]
-            out += [("parameter", p.name, p.name_span) for p in member.params]
+                out += [("type parameter", tp.name, tp) for tp in member.type_params]
+            out += [("parameter", p.name, p) for p in member.params]
         for _, _, body in self.bodies:
             out += [
-                ("resource" if origin == "resource" else "local", d.name, d.name_span)
+                ("resource" if origin == "resource" else "local", d.name, d)
                 for _, d, origin in self.local_decls(body)
             ]
-            out += [("loop variable", s.var_name, s.var_name_span) for s in self.of_type(n.ForEachStmt, within=body)]
-            out += [("catch parameter", c.name, c.name_span) for c in self.of_type(n.CatchClause, within=body)]
+            out += [("loop variable", s.var_name, s) for s in self.of_type(n.ForEachStmt, within=body)]
+            out += [("catch parameter", c.name, c) for c in self.of_type(n.CatchClause, within=body)]
         return out
 
     @cached_property
@@ -401,6 +403,16 @@ def reachable(graph: Callable[[str], Iterable[str]], starts: Iterable[str]) -> s
                 seen.add(succ)
                 stack.append(succ)
     return seen
+
+
+# The field holding the span of the name a declared_names node declares,
+# where it is not ``name_span``.
+_NAME_SPAN_FIELD = {n.TypeParam: "span", n.ForEachStmt: "var_name_span"}
+
+
+def declared_span(node: n.Node) -> Span:
+    """The span of the name that a node of FileFacts.declared_names declares."""
+    return getattr(node, _NAME_SPAN_FIELD.get(node.__class__, "name_span"))
 
 
 def strip_parens(expr: n.Expr) -> n.Expr:

@@ -15,7 +15,7 @@ from operator import add, is_
 
 from ..java_syntax import nodes as n
 from ..java_syntax.lexer import LINE_END, WHITESPACE, TokenKind, numeric_value
-from .context import FileFacts, RuleContext, expr_source_name, is_bool_literal, strip_parens
+from .context import FileFacts, RuleContext, declared_span, expr_source_name, is_bool_literal, strip_parens
 from .model import SmellRule, Violation
 
 # A checker's pattern comes from its rule's thresholds, so it is compiled
@@ -37,8 +37,8 @@ def _misnamed(ctx: RuleContext, rule: SmellRule, kinds: tuple[str, ...], advice:
     rule's pattern does not match."""
     match = _regex(rule.threshold("pattern")).match
     return [
-        ctx.violation(rule, span, f"{_WHAT.get(kind, kind)} '{name}' {advice}")
-        for kind, name, span in ctx.facts.declared_names
+        ctx.violation(rule, declared_span(node), f"{_WHAT.get(kind, kind)} '{name}' {advice}")
+        for kind, name, node in ctx.facts.declared_names
         if kind in kinds and not match(name)
     ]
 
@@ -72,8 +72,8 @@ def check_abbreviation_as_word_in_name(ctx: RuleContext, rule: SmellRule) -> lis
     limit = rule.threshold("max_consecutive_capitals")
     run = _regex(r"[A-Z]{%d,}" % (limit + 1)).search
     return [
-        ctx.violation(rule, span, f"'{name}' embeds an abbreviation of more than {limit} capitals")
-        for kind, name, span in ctx.facts.declared_names
+        ctx.violation(rule, declared_span(node), f"'{name}' embeds an abbreviation of more than {limit} capitals")
+        for kind, name, node in ctx.facts.declared_names
         if kind in _ABBREVIATION_KINDS and run(name)
     ]
 
@@ -101,8 +101,8 @@ _ILLEGAL_KINDS = _ABBREVIATION_KINDS | {"constant"}
 
 def check_illegal_identifier_name(ctx: RuleContext, rule: SmellRule) -> list[Violation]:
     return [
-        ctx.violation(rule, span, f"'{name}' is a restricted identifier")
-        for kind, name, span in ctx.facts.declared_names
+        ctx.violation(rule, declared_span(node), f"'{name}' is a restricted identifier")
+        for kind, name, node in ctx.facts.declared_names
         if kind in _ILLEGAL_KINDS and name.lower() in _ILLEGAL_WORDS
     ]
 

@@ -275,8 +275,17 @@ class TestGenerate:
         ({"url": "http://127.0.0.1:1", "headers": {}}, "$: unknown key 'headers'"),
         ({"url": "http://127.0.0.1:1", "api_key_env": 7}, "$.api_key_env: must be a string or null, got 7"),
         ([], "$: must be an object, got a list"),
+        ({"url": "http://127.0.0.1:1", "delay_seconds": -1}, "$.delay_seconds: must be from 0 to 86400, got -1"),
+        ({"url": "http://127.0.0.1:1", "delay_seconds": 86400.5},
+         "$.delay_seconds: must be from 0 to 86400, got 86400.5"),
+        ({"url": "http://127.0.0.1:1", "delay_seconds": 2**64},
+         "$.delay_seconds: must be from 0 to 86400, got 18446744073709551616"),
+        ({"url": "http://127.0.0.1:1", "delay_seconds": float("inf")},
+         "$.delay_seconds: must be from 0 to 86400, got Infinity"),
+        ({"url": "http://127.0.0.1:1", "delay_seconds": float("nan")}, "$.delay_seconds: must be from 0 to 86400, got NaN"),
     ], ids=["no-url", "string-delay", "int-url", "string-template", "bool-delay", "misspelled-key", "unknown-key",
-            "int-key-env", "not-an-object"])
+            "int-key-env", "not-an-object", "negative-delay", "delay-past-a-day", "huge-delay", "infinite-delay",
+            "nan-delay"])
     def test_malformed_endpoint_config_is_config_error(self, tmp_path, capsys, monkeypatch, doc, message):
         import smellscore.llm_gateway as gateway
 

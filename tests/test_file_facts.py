@@ -18,7 +18,7 @@ from typing import Iterator
 from smellscore.java_syntax import SourceFile, nodes as n, parse
 from smellscore.java_syntax.lexer import PRIMITIVE_TYPES
 from smellscore.rules.catalog import rule_by_id
-from smellscore.rules.context import FileFacts, reachable
+from smellscore.rules.context import FileFacts, declared_span, reachable
 from smellscore.smell_engine import detect_file
 
 from test_smell_rules import CASES
@@ -132,6 +132,27 @@ def test_typed_queries_and_parents_match_reference():
             assert _ids(facts.of_type(*kinds, within=node)) == _ids(x for x in below if isinstance(x, kinds))
             for child in reference_children(node):
                 assert facts.parent(child) is node, (source.path, child.span)
+
+
+def test_declared_names_build_a_span_only_when_asked(monkeypatch):
+    """The naming table holds nodes; declared_span builds a name's span, at
+    the name, and the node keeps it."""
+    built = []
+    extent_span = n.extent_span
+    monkeypatch.setattr(n, "extent_span", lambda extent: built.append(extent) or extent_span(extent))
+    for path, text in _sources():
+        source = SourceFile.from_text(path, text)
+        outcome = parse(source)
+        if not outcome.ok:
+            continue
+        names = FileFacts(outcome.ast).declared_names
+        assert not built, path
+        for kind, name, node in names:
+            span = declared_span(node)
+            assert span is declared_span(node)
+            assert source.line_text(span.start_line)[span.start_col - 1 :].startswith(name), (path, kind, name)
+        assert len(built) == len({id(node) for _, _, node in names}), path
+        built.clear()
 
 
 def test_detect_file_walks_each_tree_once(monkeypatch):

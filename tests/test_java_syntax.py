@@ -6,6 +6,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
+import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -1131,6 +1135,43 @@ def test_jls_accepted_form_parses(text):
     assert out.ok, out.failure
 
 
+# The target of an assignment and the operand of '++' and '--' must be a
+# variable (JLS 15.26, 15.14.2, 15.15.1).  Each statement fails at the
+# expression ``target``, the one that is none.
+@pytest.mark.parametrize("stmt, op, target", [
+    ("1 = x;", "=", "1"),
+    ("f() = x;", "=", "f()"),
+    ("(1) = 2;", "=", "(1)"),
+    ("new A() = x;", "=", "new A()"),
+    ("this = null;", "=", "this"),
+    ("A.this = null;", "=", "A.this"),
+    ("(int) x = 1;", "=", "(int) x"),
+    ("x += 1 = 2;", "=", "1"),
+    ("1++;", "++", "1"),
+    ("f()++;", "++", "f()"),
+    ("++1;", "++", "1"),
+    ("--f();", "--", "f()"),
+    ("++x++;", "++", "x++"),
+])
+def test_a_target_that_is_no_variable_is_a_located_failure(stmt, op, target):
+    text = f"class A {{ void m() {{ {stmt} }} }}"
+    out = parse_text("A.java", text)
+    assert not out.ok
+    assert out.failure.message == f"{op!r} needs a variable"
+    start = text.index(target, text.index("{ " + stmt[0])) + 1
+    assert out.failure.first_error_span.as_tuple() == (1, start, 1, start + len(target))
+
+
+@pytest.mark.parametrize("stmt", [
+    "(a) = 1;", "((a)) += 1;", "(x)++;", "a[0]++;", "++a[i];", "--this.count;", "this.x = 1;", "super.x = 1;",
+    "A.this.x = 1;", "a.b.c = 1;", "x = y = z;", "x = a ? b : (c = 1);", "f(x = 1);", "Runnable r = () -> x = 1;",
+    "x = y++ + ++z;",
+])
+def test_a_variable_target_parses(stmt):
+    out = parse_text("A.java", f"class A {{ void m() {{ {stmt} }} }}")
+    assert out.ok, out.failure
+
+
 def test_method_call_trees():
     text = "class A { A() { this(1); } A(int x) { super(x); } void m() { f(x); a.b.f(x, y); } }"
     calls = [s.expr for c in parse_text("A.java", text).ast.types[0].members for s in c.body.statements]
@@ -1403,6 +1444,84 @@ class TestNodeContract:
         trees += [out.ast for out in (parse_text(path, text) for path, text in _test_java_files()) if out.ok]
         for tree in trees:
             assert count_nodes(tree) == len(list(n.walk(tree)))
+
+
+# Each node class's inspect.signature, as the __init__ that dataclass()
+# generated printed it: the generated __init__s must keep these.
+NODE_SIGNATURES = ROOT / "tests" / "data" / "node_signatures.txt"
+
+
+def _node_classes() -> list[type]:
+    return [c for c in vars(n).values() if isinstance(c, type) and issubclass(c, n.Node)]
+
+
+class TestNodeConstructors:
+    """The node classes' __init__s come from one exec, not from dataclass()."""
+
+    def test_importing_nodes_generates_code_once_and_asks_for_no_signature(self):
+        # Importing the lexer runs the package, which imports nodes; the
+        # second import of nodes runs its body again under the counters.
+        code = """if True:
+            import builtins, importlib, inspect, json, sys
+            import smellscore.java_syntax.lexer
+            calls = {"signature": 0, "exec": 0}
+            signature, exec_ = inspect.signature, builtins.exec
+
+            def counting_signature(*args, **kwargs):
+                calls["signature"] += 1
+                return signature(*args, **kwargs)
+
+            def counting_exec(source, *args, **kwargs):
+                calls["exec"] += isinstance(source, str)  # the import execs the module's code object
+                return exec_(source, *args, **kwargs)
+
+            inspect.signature, builtins.exec = counting_signature, counting_exec
+            del sys.modules["smellscore.java_syntax.nodes"]
+            nodes = importlib.import_module("smellscore.java_syntax.nodes")
+            inspect.signature, builtins.exec = signature, exec_
+            assert nodes.TypeRef(span=None, name="T").name == "T"
+            print(json.dumps(calls))
+        """
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        calls = json.loads(done.stdout)
+        assert calls["signature"] == 0
+        assert calls["exec"] <= 1
+
+    def test_signatures_are_the_ones_dataclass_generated(self):
+        got = "".join(f"{cls.__name__}{inspect.signature(cls)}\n" for cls in _node_classes())
+        assert got == NODE_SIGNATURES.read_text(encoding="utf-8")
+
+    def test_a_class_without_docstring_documents_its_signature(self):
+        for cls in _node_classes():
+            text = f"{cls.__name__}{str(inspect.signature(cls)).replace(' -> None', '')}"
+            assert cls.__doc__ == text or not cls.__doc__.startswith(f"{cls.__name__}(")
+        assert n.Name.__doc__ == "Name(span: 'Span', identifier: 'str')"
+        assert n.TypeRef.__doc__.startswith("A textual type reference")
+
+    def test_each_instance_gets_a_fresh_default_list(self):
+        first, second = n.TypeRef(span=None, name="A"), n.TypeRef(span=None, name="B")
+        assert first.type_args == [] and first.type_args is not second.type_args
+        first.type_args.append(second)
+        assert second.type_args == []
+        given = [second]
+        assert n.TypeRef(None, "C", given).type_args is given
+
+    def test_positional_and_keyword_construction_agree(self):
+        span = Span(1, 1, 1, 9)
+        by_position = n.Unary(span, "-", n.Name(span, "x"), False)
+        by_keyword = n.Unary(operand=n.Name(identifier="x", span=span), prefix=False, op="-", span=span)
+        assert by_position == by_keyword
+        assert n.Unary(span, "!", by_position).prefix is True
+        with pytest.raises(TypeError):
+            n.Unary(span, "-")
+        with pytest.raises(TypeError):
+            n.Name(span, "x", identifier="y")
+
+    def test_spans_go_through_the_slot(self):
+        param = n.Param((0, 2, 5), n.TypeRef((0, 0, 1), "int"), "count", (0, 2, 5))
+        assert "span" not in vars(param) and "name_span" not in vars(param)
+        assert param._span == (0, 2, 5) and param._name_span == (0, 2, 5)
 
 
 def count_tokens_built(monkeypatch, run) -> int:

@@ -6,9 +6,11 @@ error) or 2 (i/o error) with exactly one stderr line.  No exception may leave
 ``main``.  The seeds and counts are fixed, so every run makes the same cases.
 
 The documents: the mini manifest under ``run`` and ``ingest``, a run config
-under ``run``, one stored report under ``score`` and ``diff``, one
-scorecard file under ``report``, and each external detector sample under
-``import-reports`` (DesigniteJava with and without ``--source``).
+under ``run``, an endpoint config under ``generate`` (with a fake transport
+that fails the case if it is called for a config the gate expects to be
+refused), one stored report under ``score`` and ``diff``, one scorecard file
+under ``report``, and each external detector sample under ``import-reports``
+(DesigniteJava with and without ``--source``).
 
 Mutation families, on a parsed document:
   * ``value``: one value (anywhere in the tree) replaced by one from VALUES;
@@ -18,18 +20,22 @@ and on the document's text:
   * ``bytes``: one to three bytes or short runs from BYTES inserted,
     overwritten or cut, or the text truncated.  The external samples, which
     are XML or CSV, not JSON, take only this family, with MARKUP added to
-    the pieces.
+    the pieces.  The XML samples also take
+  * ``attribute``: one attribute value, in the text, replaced by one from
+    ATTRIBUTE_VALUES.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from smellscore import llm_gateway
 from smellscore.cli import main
 from smellscore.rules.model import ALL_TYPES
 
@@ -46,6 +52,14 @@ BYTES = (b"\r", b"\r\n", b"\n", b"\x00", b"\xff", b"\xc3", b"\xe2\x82", b'"', b"
          b"{", b"}", b"[", b"]", b"0", b"-", b"e9", b"null", b"NaN", b"\xef\xbb\xbf")
 MARKUP = (b"<", b">", b"</", b"/>", b"=", b"&", b"'", b"<!--", b"]]>")
 FAMILIES = ("value", "drop", "extra", "bytes")
+# Attribute values, as they stand between the quotes of the XML text.
+ATTRIBUTE_VALUES = (
+    "", " ", "0", "-1", "1", "2", "7", "1.5", "1e3", "0x10", " 3 ", "+4", "1_0", "\u0663", "18446744073709551616",
+    "x", "NaN", "Subject.java", "Other.java", "../up", "a/b", "&amp;", "&lt;", "&quot;", "&#10;", "&#0;",
+    "&#xD800;", "&bogus;", "\u00e9", "\U0001f600", "UnusedLocalVariable", "EmptyCatchBlock",
+    "com.puppycrawl.tools.checkstyle.checks.coding.MagicNumberCheck", "Check",
+)
+_ATTRIBUTE = re.compile(rb'(\s[\w:.-]+=)"([^"]*)"')
 
 
 def _slots(doc) -> list[tuple[object, object]]:
@@ -111,6 +125,14 @@ def mutate(data: bytes, family: str, rng: random.Random, pieces: tuple[bytes, ..
             container.append(rng.choice(VALUES))
             what = f"append {container[-1]!r}"
     return json.dumps(doc, ensure_ascii=rng.random() < 0.5).encode("utf-8", "surrogatepass"), what
+
+
+def mutate_attribute(data: bytes, rng: random.Random) -> tuple[bytes, str]:
+    """``data``, an XML text, with one attribute value replaced."""
+    found = rng.choice(list(_ATTRIBUTE.finditer(data)))
+    value = rng.choice(ATTRIBUTE_VALUES)
+    what = f"{found.group(1).decode().strip()} := {value!r}"
+    return data[:found.start(2)] + value.encode("utf-8") + data[found.end(2):], what
 
 
 class Gate:
@@ -285,3 +307,85 @@ def test_external_report_under_import_reports(tmp_path, capsys, fmt, sample, sou
         report.write_bytes(data)
         gate.call(argv, f"{sample} case {i} (bytes: {what})")
     gate.check(0, 1)
+
+
+@pytest.mark.parametrize("fmt, sample, seed", [
+    ("pmd_xml", "sample_pmd.xml", 1711),
+    ("checkstyle_xml", "sample_checkstyle.xml", 1712),
+], ids=["pmd", "checkstyle"])
+def test_external_report_attributes_under_import_reports(tmp_path, capsys, fmt, sample, seed):
+    original = (EXTERNAL / sample).read_bytes()
+    report = tmp_path / sample
+    argv = ["import-reports", "--format", fmt, "--in", str(report), "--out", str(tmp_path / "out"),
+            "--subject", "T01:imported"]
+    gate = Gate(capsys)
+    for i, _, rng in gate.cases(seed, count=100):
+        data, what = mutate_attribute(original, rng)
+        report.write_bytes(data)
+        gate.call(argv, f"{sample} case {i} (attribute: {what})")
+    gate.check(0, 1)
+
+
+ENDPOINT_KEYS = {"url": (str,), "api_key_env": (str, type(None)), "request_template": (dict,),
+                 "response_path": (str,), "delay_seconds": (int, float)}
+REPLY = json.dumps({"choices": [{"text": "```java\nclass A {}\n```"}]})
+
+
+def _refused(data: bytes) -> bool:
+    """Whether README's endpoint config contract refuses the document: it is
+    no UTF-8 JSON object with a string url, or it holds another key, a value
+    of another type (exactly; true is no number), or a delay that is not
+    from 0 to a day."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError:
+        return True
+    if not isinstance(doc, dict) or "url" not in doc:
+        return True
+    if any(key not in ENDPOINT_KEYS or type(value) not in ENDPOINT_KEYS[key] for key, value in doc.items()):
+        return True
+    return not 0 <= doc.get("delay_seconds", 0) <= 86400
+
+
+def test_endpoint_config_under_generate(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI, corpus)
+    manifest = corpus / "corpus.json"
+    tasks = json.loads(manifest.read_bytes())["tasks"]
+    manifest_text = json.dumps({"tasks": tasks[:2]}).encode("utf-8")  # two requests per accepted config
+    config = tmp_path / "endpoint.json"
+    original = json.dumps({
+        "url": "http://127.0.0.1:1/v1", "api_key_env": "SMELLSCORE_GATE_KEY",
+        "request_template": {"model": "{model}", "messages": [{"role": "user", "content": "{prompt}"}], "n": 1},
+        "response_path": "choices.0.text", "delay_seconds": 0,
+    }).encode("utf-8")
+    gate = Gate(capsys)
+    refused = False
+    slept: list[float] = []
+
+    def transport(url, payload, headers, timeout):
+        if refused:
+            gate.problems.append(f"{current}: a request for a config that should be refused")
+        return REPLY
+
+    def sleep(seconds):
+        if not (isinstance(seconds, (int, float)) and 0 <= seconds <= 86400):  # false for NaN and infinities
+            gate.problems.append(f"{current}: sleep({seconds!r})")
+        slept.append(seconds)
+
+    monkeypatch.setattr(llm_gateway, "_http_post", transport)
+    monkeypatch.setattr(llm_gateway.time, "sleep", sleep)
+    argv = ["generate", "--corpus", str(corpus), "--model", "gen", "--endpoint-config", str(config)]
+    config.write_bytes(original)
+    manifest.write_bytes(manifest_text)
+    current = "original"
+    assert main(argv) == 0
+    for i, family, rng in gate.cases(seed=1713, count=100):
+        data, what = mutate(original, family, rng)
+        config.write_bytes(data)
+        manifest.write_bytes(manifest_text)
+        shutil.rmtree(corpus / "solutions" / "gen", ignore_errors=True)
+        refused, current = _refused(data), f"endpoint case {i} ({family}: {what})"
+        gate.call(argv, current)
+    gate.check(0, 1)
+    assert slept  # some configs kept a delay, and generate waited it out
